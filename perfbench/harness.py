@@ -51,7 +51,7 @@ class Provider:
         self.port_file = directory / "port"
         self.report_file = directory / "report.json"
         self.storage = directory / "storage"
-        self.toggles = 0
+        self.signals = 0
         directory.mkdir(parents=True)
         command = [
             sys.executable,
@@ -77,16 +77,24 @@ class Provider:
             time.sleep(0.002)
         return path
 
-    def set_tracing(self, on: bool) -> None:
-        """Switch the provider's spans; returns once it has acknowledged."""
-        self.toggles += 1
-        self.process.send_signal(signal.SIGUSR1 if on else signal.SIGUSR2)
-        ack = self.port_file.with_suffix(".traced")
+    def _signal(self, signum: int) -> None:
+        """Send ``signum``; returns once the provider has acknowledged it."""
+        self.signals += 1
+        self.process.send_signal(signum)
+        ack = self.port_file.with_suffix(".ack")
         deadline = time.monotonic() + self.START_TIMEOUT
-        while not (ack.exists() and ack.read_text() == str(self.toggles)):
+        while not (ack.exists() and ack.read_text() == str(self.signals)):
             if self.process.poll() is not None or time.monotonic() > deadline:
-                raise BenchError("provider did not acknowledge a tracing switch")
+                raise BenchError(f"provider did not acknowledge signal {signum}")
             time.sleep(0.001)
+
+    def set_tracing(self, on: bool) -> None:
+        """Switch the provider's spans."""
+        self._signal(signal.SIGUSR1 if on else signal.SIGUSR2)
+
+    def collect(self) -> None:
+        """Run a full garbage collection in the provider."""
+        self._signal(signal.SIGHUP)
 
     def storage_bytes(self) -> int:
         return sum(path.stat().st_size for path in self.storage.rglob("*") if path.is_file())

@@ -5,30 +5,35 @@ standard input closes (the load generator holds the other end, so the
 provider also stops if the load generator dies), then writes a JSON report
 with its peak RSS and, with ``--trace``, the spans of every request it
 handled while tracing was on.  Tracing starts off; ``SIGUSR1`` turns it on
-and ``SIGUSR2`` off, and the provider acknowledges each switch by writing
-the number of switches so far to ``<port-file>.traced``, so the load
-generator can switch both sides between two requests.  Run as::
+and ``SIGUSR2`` off.  ``SIGHUP`` runs a full garbage collection.  The
+provider acknowledges each signal by writing the number it has handled so
+far to ``<port-file>.ack``, so the load generator can act on both sides
+between two requests.  Run as::
 
     python3 perfbench/provider.py --storage DIR --tenants FILE \\
         --port-file FILE --report FILE [--trace]
 
 The traced run wraps the provider's layer entry points (envelope, dispatch,
 query execution, Merkle proofs/builds/extends, store writes, TANE) from
-here, so the program under test is not edited.
+here, so the program under test is not edited.  The untraced run instead
+times a pace unit (``pace.py``) right before and after every request and
+reports the records.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
-import resource
 import signal
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from pace import unit  # noqa: E402
 from spans import TAGS, Tracer  # noqa: E402
 
 
@@ -65,6 +70,34 @@ def install_tracing(tracer: Tracer) -> None:
     tracer.wrap(merkle.MerkleTree, "extend", "merkle.extend")
 
 
+def install_pacing(requests: list[tuple]) -> None:
+    """Record ``(start, end, unit_before, unit_after)`` for every request."""
+    from repro.api.protocol import ProtocolServer
+
+    handle_bytes = ProtocolServer.handle_bytes
+
+    def paced(server, *args, **kwargs):
+        start = time.perf_counter()
+        before = unit()
+        try:
+            return handle_bytes(server, *args, **kwargs)
+        finally:
+            after = unit()
+            requests.append((start, time.perf_counter(), before, after))
+
+    ProtocolServer.handle_bytes = paced
+
+
+def peak_rss_kb() -> int:
+    """Peak RSS of this process image.  ``VmHWM``, unlike ``ru_maxrss``, does
+    not count the load generator's pages, which a forked child holds until
+    it executes this program."""
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1])
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--storage", required=True)
@@ -77,22 +110,33 @@ def main() -> int:
     from repro.api.protocol import ProtocolServer, SocketProtocolServer
 
     tracer = Tracer(enabled=False)
+    requests: list[tuple] = []
     port_file = Path(args.port_file)
+    handled = 0
+
+    def acknowledge() -> None:
+        nonlocal handled
+        handled += 1
+        staged = port_file.with_suffix(".staged")
+        staged.write_text(str(handled))
+        os.replace(staged, port_file.with_suffix(".ack"))
+
+    def collect(signum, frame):
+        gc.collect()
+        acknowledge()
+
+    signal.signal(signal.SIGHUP, collect)
     if args.trace:
         install_tracing(tracer)
 
-        switches = 0
-
         def switch_tracing(signum, frame):
-            nonlocal switches
-            switches += 1
             tracer.enabled = signum == signal.SIGUSR1
-            staged = port_file.with_suffix(".switch")
-            staged.write_text(str(switches))
-            os.replace(staged, port_file.with_suffix(".traced"))
+            acknowledge()
 
         signal.signal(signal.SIGUSR1, switch_tracing)
         signal.signal(signal.SIGUSR2, switch_tracing)
+    else:
+        install_pacing(requests)
     server = ProtocolServer(
         name="perfbench-provider",
         backend="python",
@@ -109,8 +153,9 @@ def main() -> int:
         while sys.stdin.buffer.read(1 << 16):
             pass
     report = {
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "peak_rss_kb": peak_rss_kb(),
         "spans": tracer.spans,
+        "requests": requests,
     }
     Path(args.report).write_text(json.dumps(report))
     return 0

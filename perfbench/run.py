@@ -8,11 +8,14 @@ Usage (from the repository root)::
 One run starts the provider (``perfbench/provider.py``, segment storage
 engine, tenant registry) as its own process, sets up a ``RemoteOwnerSession``
 with a tenant credential over a ``ProtocolClient``/``SocketTransport``, and
-drives the workload's closed loop for ``--seconds`` of operation time.
+drives the workload's closed loop for ``--seconds`` of operation time at the
+reference pace (a fixed number of operations per workload).
 Every operation is checked by an oracle outside the timed interval.  The
 last line of standard output is one JSON object: ``correct``, ``attempted``,
 ``failed`` and ``metrics`` — the end-to-end metrics with ``--trace 0``, the
 per-layer metrics (from a separate, traced loop) with ``--trace 1``.
+End-to-end timings are scaled to a reference pace of the host (``pace.py``);
+the lines before the result give them unscaled.
 
 ``--smoke`` runs every workload on a tiny table in both modes and checks
 that each metric named in ``BENCHMARK.json`` is emitted.
@@ -117,7 +120,7 @@ def smoke() -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=["select-8k", "update-2k", "outsource-discover-4k"])
+    parser.add_argument("--workload", choices=["select-8k", "update-2k"])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)

@@ -1,4 +1,4 @@
-"""The three owner↔provider workloads, their correctness oracle, and metrics.
+"""The two owner↔provider workloads, their correctness oracle, and metrics.
 
 Load is one closed loop: one owner process, one connection, no think time,
 and the provider as a second process.  ``RemoteOwnerSession`` is
@@ -11,10 +11,7 @@ num_extra_columns=2)``, ``F2Config(alpha=0.2)`` and the python backend:
   plan/decrypt/leakage, query execution and Merkle proofs carry the time;
 * ``update-2k`` (N = 2000, ``verify=False``): 9 selects then 1 insert,
   every 8th insert 64 rows, so the incremental insert pipeline, the delta
-  and the segment append carry it, and every insert empties the token cache;
-* ``outsource-discover-4k`` (N = 4000, ``verify=False``): a fresh table is
-  outsourced, then its FDs discovered, so the whole F2 pipeline, bulk wire
-  transfer, store replace, Merkle builds and TANE carry it.
+  and the segment append carry it, and every insert empties the token cache.
 
 Each workload also reports the latencies of the operation types outside its
 mix, because every run reports every metric.  They come from probe rounds
@@ -25,10 +22,14 @@ round.  Set-ups likewise run both before the loop (the last one serves it)
 and after it.  Spreading samples over the run keeps a slow stretch of a
 shared machine from landing on all of them.  Probe operations count in
 ``attempted`` but not in ``ops_per_s``.
+
+End-to-end timings are scaled to a reference pace of the host (see
+:mod:`pace`); the run also prints them unscaled.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import resource
 import shutil
@@ -36,7 +37,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro import F2Config
 from repro.api.auth import TenantRegistry
@@ -48,6 +49,7 @@ from repro.query.ast import And, Eq, Or
 
 import harness
 from harness import CountingClient, CountingTransport, Provider, StageSpans
+from pace import REFERENCE, PaceSampler
 from spans import Tracer, graft, op_breakdown
 
 OPS = ("select", "insert", "outsource", "discover")
@@ -59,6 +61,8 @@ SETUPS_AFTER = 2
 BASELINE_SHARE = 1 / 3
 #: Probe rounds: before the loop, after its first and second third, after it.
 ROUNDS = 4
+#: ``update-2k`` mixes 9 selects, then 1 insert.
+MIX_CYCLE = 10
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,12 @@ class Spec:
     rows: int
     verify: bool
     mix: str
+    #: Loop operations per second of operation time at the reference pace.
+    #: The loop runs ``--seconds`` times this many operations, so every run
+    #: does the same work: a loop that ran for a span of time would insert
+    #: more rows when the host or the program ran faster, and inserts into a
+    #: larger table cost more.
+    rate: float
     #: Operation type -> probes spread over all rounds.
     probes: dict[str, int] = field(default_factory=dict)
     #: Operation type -> probes run in the first and last round only.
@@ -73,12 +83,21 @@ class Spec:
 
 
 SPECS = {
-    "select-8k": Spec(8000, True, "select", {"discover": 8}, {"insert": 6, "outsource": 2}),
-    "update-2k": Spec(2000, False, "update", {"discover": 8, "outsource": 2}),
-    "outsource-discover-4k": Spec(
-        4000, False, "outsource-discover", {"select": 80, "insert": 8}
-    ),
+    "select-8k": Spec(8000, True, "select", 20, {"discover": 16}, {"insert": 8, "outsource": 2}),
+    "update-2k": Spec(2000, False, "update", 25, {"discover": 24, "outsource": 8}),
 }
+
+
+class Timing(NamedTuple):
+    """One timed operation: wall-clock window and its own time in seconds
+    (the pace sampler's interruptions taken out)."""
+
+    op: str
+    start: float
+    end: float
+    seconds: float
+    ok: bool
+    in_loop: bool
 
 
 def part(count: int, parts: int, index: int) -> int:
@@ -119,13 +138,17 @@ class Bench:
         tenants = run_dir / "tenants.json"
         self.tenants = tenants
         self.credential = TenantRegistry(tenants).mint(harness.TENANT, "owner")
-        self.samples: dict[str, list[float]] = {op: [] for op in OPS}
+        self.pace = PaceSampler()
+        self.timings: list[Timing] = []
+        #: Every provider's pace records (see :meth:`PaceSampler.scaled`).
+        self.provider_requests: list[tuple] = []
+        self.setup_timings: list[Timing] = []
+        self.in_loop = False
         self.attempted = 0
         self.failures: list[str] = []
         self.inserts = 0
         self.delta_inserts = 0
         self.proof_bytes = 0
-        self.tables = 0
         self.provider: "Provider | None" = None
         self.session: "RemoteOwnerSession | None" = None
         self.client: "CountingClient | None" = None
@@ -135,13 +158,9 @@ class Bench:
 
     # -- inputs ---------------------------------------------------------
     def new_table(self):
-        """The next table: seed-derived, a different one per outsource cycle."""
-        self.tables += 1
+        """The workload's table, derived from the seed."""
         return generate_fd_table(
-            self.rows,
-            num_zipcodes=40,
-            num_extra_columns=2,
-            seed=self.seed * 1000 + self.tables,
+            self.rows, num_zipcodes=40, num_extra_columns=2, seed=self.seed * 1000 + 1
         )
 
     def new_owner(self) -> DataOwner:
@@ -196,22 +215,37 @@ class Bench:
         """Run one operation under its span; failures are counted, not raised."""
         self.attempted += 1
         index = self.tracer.open(f"op.{op}") if self.tracer.enabled else -1
+        spent = self.pace.spent
         start = time.perf_counter()
+        ok = True
         try:
             result = call()
         except ReproError as exc:
-            elapsed = time.perf_counter() - start
+            ok, result = False, None
             self.failures.append(f"{op}: {type(exc).__name__}: {exc}")
-            return False, None, elapsed
         finally:
             if index >= 0:
                 self.tracer.close(index)
-        elapsed = time.perf_counter() - start
-        self.samples[op].append(elapsed)
-        return True, result, elapsed
+        end = time.perf_counter()
+        elapsed = end - start - (self.pace.spent - spent)
+        self.timings.append(Timing(op, start, end, elapsed, ok, self.in_loop))
+        return ok, result, elapsed
 
     def fail(self, message: str) -> None:
         self.failures.append(message)
+
+    def settle(self) -> None:
+        """Full garbage collections in both processes, before an operation.
+
+        Without them, garbage that earlier operations and the oracle left
+        behind is collected inside whichever operation crosses the
+        collector's threshold: five discoveries of one 2k-row table in one
+        process took 113-212 ms without a collection before each, 117-139 ms
+        with one.  A collection takes about as long as a select on
+        ``select-8k``, so selects go without.
+        """
+        gc.collect()
+        self.provider.collect()
 
     def do_select(self) -> float:
         predicate = self.predicate()
@@ -229,6 +263,7 @@ class Bench:
         count = 64 if self.inserts % 8 == 7 else 1
         rows = self.insert_batch(count)
         self.inserts += 1
+        self.settle()
         ok, stored, elapsed = self.timed("insert", lambda: self.session.insert_rows(rows))
         if ok:
             if self.session.last_delta is not None:
@@ -239,6 +274,7 @@ class Bench:
         return elapsed
 
     def do_outsource(self, table) -> float:
+        self.settle()
         ok, stored, elapsed = self.timed("outsource", lambda: self.session.outsource(table))
         if ok:
             owner = self.session.owner
@@ -250,24 +286,23 @@ class Bench:
         return elapsed
 
     def do_discover(self) -> float:
+        self.settle()
         ok, result, elapsed = self.timed("discover", lambda: self.session.discover_fds())
         if ok and result.parameters.get("validated") is not True:
             self.fail("discover: FDs found on the ciphertext do not validate")
         return elapsed
 
     def next_mix_op(self) -> float:
-        mix = self.spec.mix
-        if mix == "select":
+        if self.spec.mix == "select":
             return self.do_select()
-        if mix == "update":
-            self.mix_step += 1
-            return self.do_insert() if self.mix_step % 10 == 0 else self.do_select()
-        # outsource-discover: one cycle is an outsource then a discovery.
-        return self.do_outsource(self.new_table()) + self.do_discover()
+        self.mix_step += 1
+        return self.do_insert() if self.mix_step % MIX_CYCLE == 0 else self.do_select()
 
     # -- phases ---------------------------------------------------------
-    def setup(self, number: int, table) -> float:
-        """Start a provider, handshake, outsource ``table``; returns seconds."""
+    def setup(self, number: int, table) -> None:
+        """Start a provider, handshake, outsource ``table``; records its time."""
+        gc.collect()
+        spent = self.pace.spent
         start = time.perf_counter()
         self.provider = Provider(
             self.run_dir / f"provider-{number}", self.tenants, self.env, self.trace
@@ -282,21 +317,22 @@ class Bench:
             verify=self.spec.verify,
         )
         ok, stored, _ = self.timed("outsource", lambda: self.session.outsource(table))
-        elapsed = time.perf_counter() - start
+        end = time.perf_counter()
+        elapsed = end - start - (self.pace.spent - spent)
+        self.setup_timings.append(Timing("setup", start, end, elapsed, ok, False))
         if ok:
             self.refresh_combos()
             if not self.session.owner.audit_security().satisfied:
                 self.fail("setup: audit_security() not satisfied")
-        return elapsed
 
-    def loop(self, seconds: float) -> tuple[int, float]:
-        """The closed loop: mix ops back to back until ``seconds`` of op time."""
+    def loop(self, ops: int) -> tuple[int, float]:
+        """The closed loop: ``ops`` mix ops back to back; returns the op
+        count and their wall time."""
         busy = 0.0
-        ops = 0
-        while busy < seconds:
-            before = self.attempted
+        self.in_loop = True
+        for _ in range(ops):
             busy += self.next_mix_op()
-            ops += self.attempted - before
+        self.in_loop = False
         return ops, busy
 
     def set_tracing(self, on: bool) -> None:
@@ -329,6 +365,7 @@ class Bench:
         self.client.close()
         report = self.provider.stop()
         report.update(storage_bytes=storage, table=table)
+        self.provider_requests += map(tuple, report["requests"])
         return report
 
     def retire(self) -> None:
@@ -353,26 +390,39 @@ class Bench:
 
     # -- the run --------------------------------------------------------
     def run(self) -> dict[str, Any]:
+        # The traced run needs no scaling (``trace_overhead`` compares two
+        # loops of one run), and the sampler would show in every span.
+        if not self.trace:
+            self.pace.start()
+        try:
+            return self.measure()
+        finally:
+            self.pace.stop()
+
+    def measure(self) -> dict[str, Any]:
         table = self.new_table()
-        setup_times = []
         for number in range(SETUPS_BEFORE):
             if number:
                 self.retire()
-            setup_times.append(self.setup(number, table))
+            self.setup(number, table)
         # The loop runs in segments with a probe round after each.  The
         # traced run precedes every traced segment with an untraced one, so
         # both see the same stretches of a shared machine; their op rates
         # give ``trace_overhead``.
         self.probe_round(0)
         segments = ROUNDS - 1
+        per_segment = max(1, round(self.seconds / segments * self.spec.rate))
+        # Whole mix cycles, so that the untraced segments hold the same
+        # share of inserts as the traced ones.
+        untraced = MIX_CYCLE * max(1, round(per_segment * BASELINE_SHARE / MIX_CYCLE))
         ops = busy = baseline_ops = baseline_busy = 0
         for segment in range(segments):
             if self.trace:
                 self.set_tracing(False)
-                done, spent = self.loop(self.seconds * BASELINE_SHARE / segments)
+                done, spent = self.loop(untraced)
                 baseline_ops, baseline_busy = baseline_ops + done, baseline_busy + spent
                 self.set_tracing(True)
-            done, spent = self.loop(self.seconds / segments)
+            done, spent = self.loop(per_segment)
             ops, busy = ops + done, busy + spent
             self.probe_round(segment + 1)
         if self.trace:
@@ -383,7 +433,7 @@ class Bench:
         view_rows = self.session.owner.encrypted.relation.num_rows / plaintext.num_rows
         report = self.finish()
         for number in range(SETUPS_BEFORE, SETUPS_BEFORE + SETUPS_AFTER):
-            setup_times.append(self.setup(number, table))
+            self.setup(number, table)
             self.retire()
         result = {
             "attempted": self.attempted,
@@ -391,7 +441,7 @@ class Bench:
             "failures": self.failures,
         }
         if not self.trace:
-            result["metrics"] = self.end_to_end(setup_times, ops, busy, report, plain_bytes)
+            result["metrics"], result["table"] = self.end_to_end(report, plain_bytes)
         else:
             result["metrics"], result["table"] = self.per_layer(
                 report, baseline, (ops, busy), view_rows
@@ -399,17 +449,16 @@ class Bench:
         return result
 
     # -- metrics --------------------------------------------------------
-    def end_to_end(self, setup_times, ops, busy, report, plain_bytes) -> dict[str, Any]:
-        ms = {op: [value * 1000 for value in self.samples[op]] for op in OPS}
+    def end_to_end(self, report, plain_bytes) -> tuple[dict[str, Any], str]:
+        """End-to-end metrics at the reference pace, and a line with the
+        same timings unscaled."""
+        requests = sorted(self.provider_requests)
+        scaled = self.timing_metrics(
+            lambda timing: self.pace.scaled(timing.start, timing.end, timing.seconds, requests)
+        )
+        unscaled = self.timing_metrics(lambda timing: timing.seconds)
         values = {
-            "setup_s": (statistics.median(setup_times), "s"),
-            "select_p50_ms": (statistics.median(ms["select"]), "ms"),
-            "select_p90_ms": (p90(ms["select"]), "ms"),
-            "insert_p50_ms": (statistics.median(ms["insert"]), "ms"),
-            "insert_p90_ms": (p90(ms["insert"]), "ms"),
-            "outsource_p50_ms": (statistics.median(ms["outsource"]), "ms"),
-            "discover_p50_ms": (statistics.median(ms["discover"]), "ms"),
-            "ops_per_s": (ops / busy, "1/s"),
+            **scaled,
             "owner_rss_mb": (
                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                 "MB",
@@ -420,7 +469,38 @@ class Bench:
                 "ratio",
             ),
         }
-        return {name: {"value": value, "unit": unit} for name, (value, unit) in values.items()}
+        metrics = {name: {"value": value, "unit": unit} for name, (value, unit) in values.items()}
+        owner = self.pace.units or [float("nan")]
+        provider = [unit for request in requests for unit in request[2:]] or [float("nan")]
+        line = ", ".join(f"{name} {value:.4g}" for name, (value, _) in unscaled.items())
+        return metrics, (
+            f"unscaled: {line}\n"
+            f"pace: median unit {statistics.median(owner) * 1e6:.1f} us in the owner, "
+            f"{statistics.median(provider) * 1e6:.1f} us in the provider "
+            f"(reference {REFERENCE * 1e6:.0f} us)"
+        )
+
+    def timing_metrics(self, seconds: Callable[[Timing], float]) -> dict[str, tuple[float, str]]:
+        """The timing metrics, each operation's time taken by ``seconds``."""
+        ms = {op: [] for op in OPS}
+        loop_ops = loop_seconds = 0
+        for timing in self.timings:
+            value = seconds(timing)
+            if timing.ok:
+                ms[timing.op].append(value * 1000)
+            if timing.in_loop:
+                loop_ops += 1
+                loop_seconds += value
+        return {
+            "setup_s": (statistics.median(map(seconds, self.setup_timings)), "s"),
+            "select_p50_ms": (statistics.median(ms["select"]), "ms"),
+            "select_p90_ms": (p90(ms["select"]), "ms"),
+            "insert_p50_ms": (statistics.median(ms["insert"]), "ms"),
+            "insert_p90_ms": (p90(ms["insert"]), "ms"),
+            "outsource_p50_ms": (statistics.median(ms["outsource"]), "ms"),
+            "discover_p50_ms": (statistics.median(ms["discover"]), "ms"),
+            "ops_per_s": (loop_ops / loop_seconds, "1/s"),
+        }
 
     def per_layer(self, report, baseline, traced, view_rows):
         spans = graft(
