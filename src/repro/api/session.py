@@ -78,85 +78,69 @@ def decrypt_cell(cell: object, cipher: ProbabilisticCipher) -> str:
     return cipher.decrypt(cell)
 
 
-def _reconstruct_record_dict(
-    encrypted: EncryptedTable,
-    row_indexes: Iterable[int],
-    cipher: ProbabilisticCipher,
-    original_index: int,
-) -> dict[str, str]:
-    """Reassemble one original record (as ``{attribute: value}``).
+def _decrypt_records(
+    encrypted: EncryptedTable, sources: Sequence[int], cipher: ProbabilisticCipher
+) -> list[list[str]]:
+    """Reassemble and decrypt the original records ``sources``, in order.
 
     A record replaced by conflict resolution is spread over two ciphertext
-    rows; each contributes the attributes it carries authentically.
+    rows; each contributes the attributes it carries authentically.  The
+    distinct cells are collected first and decrypted as one batch (one PRF
+    key schedule, one XOR over the concatenated pads) — the inverse of the
+    batched materialiser.  Instance ciphertexts repeat across every row of
+    an equivalence class, so a result decrypts each of them once.
     """
-    schema = encrypted.relation.schema
-    values: dict[str, str] = {}
-    for row_index in row_indexes:
-        provenance = encrypted.provenance[row_index]
-        for attr in provenance.authentic_attributes:
-            if attr in values:
-                continue
-            cell = encrypted.relation.value(row_index, attr)
-            values[attr] = decrypt_cell(cell, cipher)
-    missing = [attr for attr in schema if attr not in values]
-    if missing:
-        raise DecryptionError(
-            f"original row {original_index} cannot be reconstructed; "
-            f"missing attributes {missing}"
-        )
-    return values
+    index = encrypted.provenance_index()
+    columns = [encrypted.relation.column(attr) for attr in index.attributes]
+    # Repeated cells are the same objects (the materialiser encrypts each
+    # instance once), so identity finds them without hashing ciphertexts.
+    slots: dict[int, int] = {}
+    distinct: list[Ciphertext] = []
+    cell_slots: list[int] = []
+    for source in sources:
+        for column, row in zip(columns, index.cell_rows(source)):
+            cell = column[row]
+            slot = slots.get(id(cell))
+            if slot is None:
+                if not isinstance(cell, Ciphertext):
+                    raise DecryptionError(f"cell is not a ciphertext: {cell!r}")
+                slot = slots[id(cell)] = len(distinct)
+                distinct.append(cell)
+            cell_slots.append(slot)
+    if not distinct:
+        return []
+    texts = cipher.decrypt_batch(distinct)
+    width = len(columns)
+    return [
+        [texts[slot] for slot in cell_slots[start : start + width]]
+        for start in range(0, len(cell_slots), width)
+    ]
 
 
-def _reconstruct_record(
-    encrypted: EncryptedTable,
-    row_indexes: Iterable[int],
-    cipher: ProbabilisticCipher,
-    original_index: int,
-) -> list[str]:
-    """Reassemble one original record as a row in schema order."""
-    values = _reconstruct_record_dict(encrypted, row_indexes, cipher, original_index)
-    return [values[attr] for attr in encrypted.relation.schema]
+def _check_row_bounds(row_indexes: Iterable[int], num_rows: int, what: str) -> None:
+    """Reject provider-reported rows outside the owner's outsourced table."""
+    for index in row_indexes:
+        if not 0 <= index < num_rows:
+            raise QueryError(
+                f"{what} row {index} is outside the outsourced table "
+                f"(0..{num_rows - 1}); owner and provider are out of sync"
+            )
 
 
 def decrypt_table(encrypted: EncryptedTable, cipher: ProbabilisticCipher) -> Relation:
     """Reconstruct the original plaintext relation from an F2 output.
 
     Artificial rows are dropped; original records are reassembled from the
-    authentic cells of the rows derived from them.  All authentic cells are
-    collected first and decrypted as one batch (one PRF key schedule, one
-    XOR over the concatenated pads) — the table-level inverse of the batched
-    materialiser.
+    authentic cells of the rows derived from them (:func:`_decrypt_records`).
     """
-    groups = encrypted.original_row_groups()
-    if not groups:
+    sources = encrypted.provenance_index().sources()
+    if not sources:
         raise DecryptionError("the encrypted table contains no original rows")
-    schema = encrypted.relation.schema
-    jobs: list[Ciphertext] = []
-    record_slots: list[dict[str, int]] = []
-    for original_index in sorted(groups):
-        slots: dict[str, int] = {}
-        for row_index in groups[original_index]:
-            provenance = encrypted.provenance[row_index]
-            for attr in provenance.authentic_attributes:
-                if attr in slots:
-                    continue
-                cell = encrypted.relation.value(row_index, attr)
-                if not isinstance(cell, Ciphertext):
-                    raise DecryptionError(f"cell is not a ciphertext: {cell!r}")
-                slots[attr] = len(jobs)
-                jobs.append(cell)
-        missing = [attr for attr in schema if attr not in slots]
-        if missing:
-            raise DecryptionError(
-                f"original row {original_index} cannot be reconstructed; "
-                f"missing attributes {missing}"
-            )
-        record_slots.append(slots)
-    texts = cipher.decrypt_batch(jobs)
-    recovered = Relation(schema, name=f"{encrypted.relation.name}-decrypted")
-    for slots in record_slots:
-        recovered.append([texts[slots[attr]] for attr in schema])
-    return recovered
+    return Relation(
+        encrypted.relation.schema,
+        _decrypt_records(encrypted, sources, cipher),
+        name=f"{encrypted.relation.name}-decrypted",
+    )
 
 
 class DataOwner:
@@ -187,6 +171,14 @@ class DataOwner:
         self._context: EncryptionContext | None = None
         self._encrypted: EncryptedTable | None = None
         self._last_report: IncrementalReport | None = None
+        #: Search tokens by ``(attribute, value text)`` for the current
+        #: encrypted table.  Replaced, not cleared, whenever the table is:
+        #: a derivation racing a replacement stores into the dict it
+        #: started with, which is then unreachable.
+        self._tokens: dict[tuple[str, str], tuple[Ciphertext, ...]] = {}
+
+    #: Most search tokens kept before the cache starts over.
+    TOKEN_CACHE_SIZE = 1024
 
     # ------------------------------------------------------------------
     # Key material / configuration
@@ -218,6 +210,7 @@ class DataOwner:
         self._context = ctx
         self._encrypted = encrypted
         self._last_report = None
+        self._tokens = {}
         return encrypted
 
     # Alias kept for symmetry with the legacy facade vocabulary.
@@ -240,6 +233,7 @@ class DataOwner:
         self._context = ctx
         self._encrypted = encrypted
         self._last_report = report
+        self._tokens = {}
         return encrypted
 
     @property
@@ -325,6 +319,7 @@ class DataOwner:
         :class:`~repro.exceptions.QueryError` means the attribute's
         ciphertexts are not derivable at all (outside every MAS).
         """
+        tokens = self._tokens
         if self._context is None:
             raise EncryptionError("no outsourced table; call outsource() first")
         if attribute not in self.plaintext.schema:
@@ -336,6 +331,11 @@ class DataOwner:
                 "the query locally via select_plaintext()"
             )
         text = value if isinstance(value, str) else str(value)
+        if len(tokens) >= self.TOKEN_CACHE_SIZE:
+            tokens.clear()
+        cached = tokens.get((attribute, text))
+        if cached is not None:
+            return cached
         encrypt = self.pipeline.cipher.encrypt
         token: dict[Ciphertext, None] = {}
         for plan in self._context.mas_plans:
@@ -351,7 +351,8 @@ class DataOwner:
                         continue
                     for instance in member_plan.instances:
                         token[encrypt(member.representative[position], instance.variant)] = None
-        return tuple(token)
+        result = tokens[(attribute, text)] = tuple(token)
+        return result
 
     def select_plaintext(self, attribute: str, value: Any) -> Relation:
         """The plaintext equality selection ``sigma_{attribute=value}``.
@@ -389,30 +390,16 @@ class DataOwner:
         else:
             row_indexes, attribute = result, None
         encrypted = self.encrypted
-        provenance = encrypted.provenance
-        sources: set[int] = set()
-        for index in row_indexes:
-            if not 0 <= index < len(provenance):
-                raise QueryError(
-                    f"query result row {index} is outside the outsourced table "
-                    f"(0..{len(provenance) - 1}); owner and provider are out of sync"
-                )
-            row = provenance[index]
-            if row.is_artificial or row.source_row is None:
-                continue
-            if attribute is not None and attribute not in row.authentic_attributes:
-                continue
-            sources.add(row.source_row)
-        groups = encrypted.original_row_groups()
-        cipher = self.pipeline.cipher
-        recovered = Relation(
-            encrypted.relation.schema, name=f"{encrypted.relation.name}-query"
+        index = encrypted.provenance_index()
+        _check_row_bounds(row_indexes, index.num_rows, "query result")
+        sources = index.covering_sources(
+            row_indexes, frozenset(() if attribute is None else (attribute,))
         )
-        for source in sorted(sources):
-            recovered.append(
-                _reconstruct_record(encrypted, groups[source], cipher, source)
-            )
-        return recovered
+        return Relation(
+            encrypted.relation.schema,
+            _decrypt_records(encrypted, sorted(sources), self.pipeline.cipher),
+            name=f"{encrypted.relation.name}-query",
+        )
 
     # ------------------------------------------------------------------
     # Planned boolean-predicate queries (the repro.query engine)
@@ -476,56 +463,39 @@ class DataOwner:
             # Nothing was (or could be) asked of the server.
             return self.select_plaintext_where(plan.predicate)
         encrypted = self.encrypted
-        provenance = encrypted.provenance
-        if server_rows is not None and server_rows != len(provenance):
+        index = encrypted.provenance_index()
+        if server_rows is not None and server_rows != index.num_rows:
             # A stale store (e.g. local inserts never pushed) would return
             # in-bounds indexes of the wrong ciphertext — silently wrong
             # results.  The reply's row count makes the desync detectable.
             raise QueryError(
                 f"provider filtered {server_rows} rows but the owner's "
-                f"outsourced table has {len(provenance)}; owner and provider "
+                f"outsourced table has {index.num_rows}; owner and provider "
                 "are out of sync (push the current server view first)"
             )
-        matched: set[int] = set()
-        for index in row_indexes:
-            if not 0 <= index < len(provenance):
-                raise QueryError(
-                    f"plan query result row {index} is outside the outsourced "
-                    f"table (0..{len(provenance) - 1}); owner and provider are "
-                    "out of sync"
-                )
-            matched.add(index)
+        _check_row_bounds(row_indexes, index.num_rows, "plan query result")
         server_attrs = plan.server_attributes
         server_predicate = plan.server_predicate
         assert server_predicate is not None  # plan.server is not None here
-        groups = encrypted.original_row_groups()
-        cipher = self.pipeline.cipher
+        # Membership comes from the bitset and the cached index, so a
+        # selective query costs O(matches), not O(table): a record is a
+        # server match iff a matched row carries the server attributes
+        # authentically.  The rare conflict-split records no single row
+        # carries them for are judged on their decrypted values instead.
+        matched = index.covering_sources(row_indexes, server_attrs)
+        judged = set(index.split_sources(server_attrs))
+        candidates = sorted(matched | judged)
         schema = encrypted.relation.schema
         recovered = Relation(schema, name=f"{encrypted.relation.name}-query")
-        for source in sorted(groups):
-            rows = groups[source]
-            covering = [
-                index
-                for index in rows
-                if server_attrs <= provenance[index].authentic_attributes
-            ]
-            # Decide membership from the bitset first and decrypt only the
-            # candidates — a selective query must cost O(matches), not
-            # O(table).  Only the rare covering-empty (conflict-split)
-            # records are reconstructed before the verdict.
-            record: dict[str, str] | None = None
-            if covering:
-                if not any(index in matched for index in covering):
+        records = _decrypt_records(encrypted, candidates, self.pipeline.cipher)
+        for source, values in zip(candidates, records):
+            if source in judged or plan.residual is not None:
+                record = dict(zip(schema.attributes, values))
+                if source in judged and not server_predicate.matches(record):
                     continue
-            else:
-                record = _reconstruct_record_dict(encrypted, rows, cipher, source)
-                if not server_predicate.matches(record):
+                if plan.residual is not None and not plan.residual.matches(record):
                     continue
-            if record is None:
-                record = _reconstruct_record_dict(encrypted, rows, cipher, source)
-            if plan.residual is not None and not plan.residual.matches(record):
-                continue
-            recovered.append([record[attr] for attr in schema])
+            recovered.append(values)
         return recovered
 
     def query_leakage_report(

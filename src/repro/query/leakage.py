@@ -195,10 +195,11 @@ def build_leakage_report(
         if stats is None:
             coded_column = replica.coded().column(leaf.attribute)
             counts = coded_column.counts()
-            code_of = {
-                value: code for code, value in enumerate(coded_column.dictionary)
-            }
-            stats = column_stats[leaf.attribute] = (code_of, counts, Counter(counts))
+            stats = column_stats[leaf.attribute] = (
+                coded_column.code_of(),
+                counts,
+                Counter(counts),
+            )
         code_of, counts, anonymity = stats
         observed: dict[int, int] = {}
         matched_ciphertexts = 0

@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 class CodedColumn:
     """One dictionary-encoded column: codes + value dictionary."""
 
-    __slots__ = ("attribute", "codes", "dictionary", "_backend", "_counts")
+    __slots__ = ("attribute", "codes", "dictionary", "_backend", "_counts", "_code_of")
 
     def __init__(self, attribute: str, codes: Any, dictionary: list[Any], backend: ComputeBackend):
         self.attribute = attribute
@@ -40,6 +40,7 @@ class CodedColumn:
         self.dictionary = dictionary
         self._backend = backend
         self._counts: list[int] | None = None
+        self._code_of: dict[Any, int] | None = None
 
     @property
     def num_values(self) -> int:
@@ -52,6 +53,12 @@ class CodedColumn:
     def value_of(self, code: int) -> Any:
         """The original value behind ``code``."""
         return self.dictionary[code]
+
+    def code_of(self) -> dict[Any, int]:
+        """The inverse dictionary, ``value -> code`` (cached)."""
+        if self._code_of is None:
+            self._code_of = {value: code for code, value in enumerate(self.dictionary)}
+        return self._code_of
 
     def counts(self) -> list[int]:
         """Occurrences of each code, indexed by code (cached)."""
@@ -203,5 +210,5 @@ class CodedRelation:
 
     @staticmethod
     def _wanted_codes(column: CodedColumn, values: Iterable[Any]) -> list[int]:
-        code_of = {value: code for code, value in enumerate(column.dictionary)}
+        code_of = column.code_of()
         return sorted({code_of[value] for value in values if value in code_of})

@@ -64,8 +64,13 @@ def decode_merkle_proofs(data: bytes) -> tuple[int, list[list[bytes]]]:
         num_leaves = reader.uvarint()
         paths: list[list[bytes]] = []
         for _ in range(reader.uvarint()):
-            length = reader.uvarint()
-            paths.append([reader.raw(_DIGEST_LEN) for _ in range(length)])
+            block = reader.raw(reader.uvarint() * _DIGEST_LEN)
+            paths.append(
+                [
+                    block[start : start + _DIGEST_LEN]
+                    for start in range(0, len(block), _DIGEST_LEN)
+                ]
+            )
         reader.expect_end()
         return num_leaves, paths
     try:

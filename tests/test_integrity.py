@@ -255,6 +255,24 @@ class TestTableIntegrityState:
         with pytest.raises(IntegrityError, match="outside"):
             state.verify_proofs([99, 4], proofs, tree.num_leaves, tree.root)
 
+    def test_verify_proofs_decides_against_the_owners_tree(self):
+        state, view = self.make_state(rows=6)
+        tree = MerkleTree(relation_leaves(view))
+        state.verify_proofs([2], [tuple(tree.proof(2))], tree.num_leaves, tree.root)
+        flipped = [bytes([tree.proof(2)[0][0] ^ 1]) + tree.proof(2)[0][1:]]
+        flipped += tree.proof(2)[1:]
+        for path in (flipped, tree.proof(2) + [tree.proof(2)[0]], tree.proof(2)[:-1]):
+            with pytest.raises(IntegrityError, match="does not verify"):
+                state.verify_proofs([2], [path], tree.num_leaves, tree.root)
+        # A server tree that differs in another row still carries a valid
+        # hash path for row 2 to *its* root; the owner's tree rejects it.
+        rows = [list(view.row(i)) for i in range(view.num_rows)]
+        rows[5][0] = "tampered"
+        forged = MerkleTree(relation_leaves(relation(rows)))
+        assert verify_proof(tree.leaves[2], 2, 6, forged.proof(2), forged.root)
+        with pytest.raises(IntegrityError, match="does not verify"):
+            state.verify_proofs([2], [forged.proof(2)], 6, forged.root)
+
 
 # ----------------------------------------------------------------------
 # Reply signatures and resumption tickets
