@@ -138,12 +138,14 @@ def insert_cost(base_rows: int, delta_sizes) -> list[dict]:
                 storage_dir=directory, storage_engine=engine, backend="python"
             )
             client = ProtocolClient(LoopbackTransport(server))
-            client.call(OutsourceRequest(table_id="bench", relation=current))
+            ack = client.call(OutsourceRequest(table_id="bench", relation=current))
             for position, extra in enumerate(delta_sizes):
                 grown = grow(current, extra, f"{engine}{position}")
                 delta = compute_view_delta(current, grown)
                 insert_ms, ack = timed_ms(
-                    lambda d=delta: client.call(InsertDelta(table_id="bench", delta=d))
+                    lambda d=delta, v=ack.fields["version"]: client.call(
+                        InsertDelta(table_id="bench", delta=d, base_version=v)
+                    )
                 )
                 assert ack.fields["num_rows"] == grown.num_rows
                 rows.append(
@@ -172,11 +174,13 @@ def insert_cost_vs_base(delta_rows: int, base_sizes) -> list[dict]:
                     storage_dir=directory, storage_engine=engine, backend="python"
                 )
                 client = ProtocolClient(LoopbackTransport(server))
-                client.call(OutsourceRequest(table_id="bench", relation=base))
+                ack = client.call(OutsourceRequest(table_id="bench", relation=base))
                 grown = grow(base, delta_rows, "vs")
                 delta = compute_view_delta(base, grown)
                 insert_ms, _ = timed_ms(
-                    lambda d=delta: client.call(InsertDelta(table_id="bench", delta=d))
+                    lambda d=delta, v=ack.fields["version"]: client.call(
+                        InsertDelta(table_id="bench", delta=d, base_version=v)
+                    )
                 )
                 rows.append(
                     {

@@ -14,7 +14,7 @@ service.  This example runs the full workflow:
 4. acme's owner appends rows incrementally: the session ships an
    ``InsertDelta`` — only the new/changed ciphertext rows travel, measured
    here against the full-view baseline — and the provider splices it under
-   the table's write lock after a base-digest check,
+   the table's write lock after a row-count and commit-version check,
 5. acme's *analyst* credential serves boolean queries (and nothing else:
    a mutation attempt is rejected with the stable ``FORBIDDEN`` code),
 6. finally the admin rotates acme's owner key: the live session dies on its

@@ -36,7 +36,6 @@ from repro.api.delta import (
     ViewDelta,
     apply_view_delta,
     compute_view_delta,
-    relation_digest,
 )
 from repro.api.incremental import IncrementalReport, insert_rows
 from repro.api.protocol import (
@@ -154,6 +153,5 @@ __all__ = [
     "decrypt_table",
     "default_stages",
     "insert_rows",
-    "relation_digest",
     "run_protocol",
 ]

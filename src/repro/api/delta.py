@@ -1,19 +1,24 @@
 """Server-view deltas: ship only what an incremental insert changed.
 
 ``InsertBatch`` replaces the provider's whole stored relation.  With the
-materialiser's fresh-nonce retention (PR 5) an incremental insert leaves the
-overwhelming majority of ciphertext rows byte-identical to the previous
-view, so the update is better expressed as a *delta*:
+materialiser's fresh-nonce retention and instance-ciphertext cache an
+incremental insert leaves the overwhelming majority of ciphertext rows
+byte-identical to the previous view, so the update is better expressed as
+a *delta*:
 
 * the owner aligns the new server view against the previous one she shipped
   (:func:`compute_view_delta`) into **copy segments** ("rows ``start..start+n``
   of the base, verbatim") and **literal runs** ("the next ``n`` rows travel
   on the wire") — an alignment, not a positional diff, because re-planned
   groups shift the artificial tail around without changing most row bytes;
-* the provider re-checks the base (:func:`relation_digest` over its stored
-  relation must match the digest the owner computed over hers — a sequence
-  check that catches any interleaved writer) and splices the new view
-  together (:func:`apply_view_delta`) under the table's write lock.
+* the provider checks the base and splices the new view together
+  (:func:`apply_view_delta`) under the table's write lock.  The base check
+  is the delta's ``base_rows`` against the stored row count plus the
+  commit-version compare-and-swap every ``InsertDelta`` carries: the
+  server's commit version advances on every write and survives restarts,
+  so an interleaved writer, a store reopened at an older generation, or a
+  restored older snapshot all fail the CAS (``VERSION_CONFLICT``) instead
+  of being spliced into.  Neither side hashes the whole view.
 
 The result is byte-identical to shipping the full view; only the bytes on
 the wire shrink.  When the alignment finds little to reuse (or the base
@@ -24,7 +29,6 @@ full pipeline run on a MAS change.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -35,26 +39,6 @@ from repro.relational.table import Relation
 #: Segment opcodes (the wire form in ``InsertDelta`` meta documents).
 OP_COPY = "c"
 OP_LITERAL = "l"
-
-
-def relation_digest(relation: Relation) -> str:
-    """A SHA-256 fingerprint of a relation's schema and exact cell bytes.
-
-    Both parties compute it independently (the owner over the view she last
-    shipped, the provider over its store), so a delta can only ever apply to
-    the base it was computed against.
-    """
-    digest = hashlib.sha256()
-    for attribute in relation.attributes:
-        digest.update(attribute.encode("utf-8"))
-        digest.update(b"\x1f")
-    digest.update(b"\x1e")
-    for row in relation.rows():
-        for cell in row:
-            digest.update(str(cell).encode("utf-8"))
-            digest.update(b"\x1f")
-        digest.update(b"\x1e")
-    return digest.hexdigest()
 
 
 @dataclass
@@ -68,21 +52,14 @@ class ViewDelta:
     """
 
     base_rows: int
-    base_digest: str
     segments: list[list[Any]] = field(default_factory=list)
     literals: "Relation | None" = None
     table_name: str = ""
-    #: Digest of the view the delta produces.  The owner computes it over
-    #: the materialised new view (which she holds anyway); a storage engine
-    #: that applies the delta without materialising the result records it
-    #: as the new committed digest instead of re-hashing every row.  Empty
-    #: when the sender predates the field — receivers then re-derive it.
-    new_digest: str = ""
     #: Merkle root (hex) of the view the delta produces, when the owner
-    #: tracks integrity state (see :mod:`repro.integrity`).  Like
-    #: ``new_digest`` it is owner-computed and recorded — a storage engine
-    #: without the cached leaf hashes records it instead of re-hashing.
-    #: Empty when the sender does not verify.
+    #: tracks integrity state (see :mod:`repro.integrity`).  Owner-computed
+    #: and recorded — a storage engine without the cached leaf hashes
+    #: records it instead of re-hashing.  Empty when the sender does not
+    #: verify.
     new_root: str = ""
 
     @property
@@ -157,11 +134,9 @@ def compute_view_delta(old: Relation, new: Relation) -> ViewDelta:
 
     return ViewDelta(
         base_rows=old.num_rows,
-        base_digest=relation_digest(old),
         segments=segments,
         literals=literals if literals.num_rows else None,
         table_name=new.name,
-        new_digest=relation_digest(new),
     )
 
 
@@ -169,12 +144,13 @@ def apply_view_delta(base: Relation, delta: ViewDelta) -> Relation:
     """Replay a delta over the stored base view; every check is hostile-safe.
 
     Raises :class:`~repro.exceptions.ProtocolError` with
-    ``ErrorCode.DELTA_MISMATCH`` when the base does not match (row count or
-    digest) — the sender computed the delta against a different view, e.g.
-    after an interleaved write — and with ``BAD_REQUEST`` for structurally
-    invalid segments.
+    ``ErrorCode.DELTA_MISMATCH`` when the base row count does not match —
+    the sender computed the delta against a different view — and with
+    ``BAD_REQUEST`` for structurally invalid segments.  Same-sized bases
+    with different bytes are the commit-version CAS's job (the server
+    checks it before calling in here).
     """
-    if base.num_rows != delta.base_rows or relation_digest(base) != delta.base_digest:
+    if base.num_rows != delta.base_rows:
         raise ProtocolError(
             f"delta base mismatch: the stored view ({base.num_rows} rows) is "
             f"not the one the delta was computed against ({delta.base_rows} "

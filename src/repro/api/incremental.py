@@ -5,10 +5,12 @@ records after outsourcing.  This module appends a batch of plaintext rows to
 an already encrypted relation by *reusing* the owner-side plans retained in
 the previous run's :class:`~repro.api.pipeline.EncryptionContext`:
 
-* **MAS stability check** — the maximal attribute sets of the updated
-  relation are recomputed.  If the set changed (the batch created or
-  destroyed a duplicate structure), the grouping decisions are invalid and
-  the updater falls back to a full pipeline run.
+* **MAS stability check** — appends only add duplicates, so the MAS family
+  changes iff a minimal attribute set outside every MAS stops being unique.
+  The context carries every row's projection onto those sets
+  (:class:`~repro.fd.mas.MasBorder`), so the check costs O(batch × border)
+  lookups instead of a rediscovery.  If the family changed, the grouping
+  decisions are invalid and the updater falls back to a full pipeline run.
 * **Plan reuse** — with stable MASs, each existing ECG keeps its membership.
   Groups whose member frequencies are untouched by the batch keep their
   split-and-scale plan verbatim (and hence their ciphertext instances);
@@ -17,7 +19,9 @@ the previous run's :class:`~repro.api.pipeline.EncryptionContext`:
   themselves (padded with fake classes as usual) into *new* groups.
 * **Tail re-run** — conflict resolution, false-positive elimination, and
   materialisation always re-run over the updated relation, because a batch
-  can create cross-MAS conflicts or plaintext FD violations anywhere.
+  can create cross-MAS conflicts or plaintext FD violations anywhere.  The
+  materialiser's nonce log and instance-ciphertext cache are carried over,
+  so untouched rows reproduce their previous bytes without re-encryption.
 
 Reused groups stay collision-free with at least ``k`` members and re-planned
 groups are frequency-homogenised by construction, so the alpha-security
@@ -44,7 +48,7 @@ from repro.core.ecg import (
 from repro.core.encrypted import EncryptedTable
 from repro.core.split_scale import EcgPlan, build_ecg_plan
 from repro.exceptions import EncryptionError
-from repro.fd.mas import find_mas_with_stats
+from repro.fd.mas import MasBorder, MasResult, MaximalAttributeSet
 from repro.relational.partition import Partition
 from repro.relational.table import Relation
 
@@ -91,14 +95,18 @@ def insert_rows(
 
     config = pipeline.config
     mas_start = time.perf_counter()
-    mas_result = find_mas_with_stats(
-        updated, strategy=config.mas_strategy, seed=config.seed, backend=config.backend
-    )
+    border = previous.mas_border
+    if border is None:
+        border = MasBorder.build(
+            previous.relation, (plan.mas.as_set for plan in previous.mas_plans)
+        )
+    if border is not None:
+        border = border.extended(
+            updated.row(index) for index in range(previous.relation.num_rows, updated.num_rows)
+        )
     mas_seconds = time.perf_counter() - mas_start
 
-    old_sets = {plan.mas.as_set for plan in previous.mas_plans}
-    new_sets = {mas.as_set for mas in mas_result.masses}
-    if old_sets != new_sets:
+    if border is None:
         # The batch changed the MAS structure; the retained grouping is void.
         ctx = pipeline.new_context(updated)
         report = IncrementalReport(mode="full", reason="mas-changed", batch_rows=len(batch))
@@ -109,17 +117,16 @@ def insert_rows(
     ctx = EncryptionContext.create(
         updated, config, pipeline.cipher, fresh_factory=previous.fresh_factory
     )
-    # Carry the materialiser's fresh-nonce log (copied: the previous context
-    # stays untouched): untouched rows re-encrypt to their previous bytes,
-    # which is what makes the post-insert server view a small *delta* of the
-    # previous one.  The full-run fallback above deliberately starts with an
-    # empty log — a MAS change re-randomises everything, and the owner ships
-    # a full view anyway.
+    # Carry the materialiser's fresh-nonce log and instance ciphertexts
+    # (copied: the previous context stays untouched): untouched rows
+    # re-encrypt to their previous bytes, which is what makes the post-insert
+    # server view a small *delta* of the previous one.  The full-run fallback
+    # above deliberately starts empty — a MAS change re-randomises
+    # everything, and the owner ships a full view anyway.
     ctx.nonce_log = dict(previous.nonce_log)
-    ctx.mas_result = mas_result
+    ctx.instance_cache = dict(previous.instance_cache)
+    ctx.mas_border = border
     ctx.stats.seconds_max = mas_seconds
-    ctx.stats.num_masses = len(mas_result.masses)
-    ctx.stats.num_overlapping_mas_pairs = len(mas_result.overlapping_pairs())
 
     report = IncrementalReport(mode="incremental", reason=None, batch_rows=len(batch))
     sse_start = time.perf_counter()
@@ -128,6 +135,15 @@ def insert_rows(
     ]
     record_planning_stats(ctx.stats, ctx.mas_plans)
     sse_seconds = time.perf_counter() - sse_start
+    ctx.mas_result = MasResult(
+        masses=[plan.mas for plan in ctx.mas_plans],
+        elapsed_seconds=mas_seconds,
+        partitions_computed=0,
+        strategy="border",
+        parameters={"rows": updated.num_rows, "attributes": updated.num_attributes},
+    )
+    ctx.stats.num_masses = len(ctx.mas_plans)
+    ctx.stats.num_overlapping_mas_pairs = len(ctx.mas_result.overlapping_pairs())
     ctx.stats.seconds_sse += sse_seconds
     # The MAS recheck and replanning run outside pipeline.execute, so the
     # TimingHook's total only covers the tail; account for them here.
@@ -144,7 +160,11 @@ def _update_mas_plan(
     ctx: EncryptionContext,
     report: IncrementalReport,
 ) -> MasPlan:
-    """Rebuild one MAS plan against the updated relation, reusing groups."""
+    """Rebuild one MAS plan against the updated relation, reusing groups.
+
+    The plan's MAS descriptor is refreshed with the updated partition's
+    class counts (the wire codec ships them with the encrypted table).
+    """
     config = ctx.config
     partition = Partition.build(updated, old_plan.attributes, backend=ctx.backend)
     by_representative = {ec.representative: ec for ec in partition.classes}
@@ -224,6 +244,9 @@ def _update_mas_plan(
             member.size for group in groups for member in group.members if member.is_fake
         ),
     )
-    return MasPlan(
-        index=old_plan.index, mas=old_plan.mas, grouping=grouping, ecg_plans=ecg_plans
+    mas = MaximalAttributeSet(
+        attributes=old_plan.mas.attributes,
+        num_equivalence_classes=len(partition),
+        num_duplicate_classes=len(partition.non_singleton_classes()),
     )
+    return MasPlan(index=old_plan.index, mas=mas, grouping=grouping, ecg_plans=ecg_plans)

@@ -42,7 +42,7 @@ from repro.core.stats import EncryptionStats
 from repro.crypto.keys import KeyGen, SymmetricKey
 from repro.crypto.probabilistic import Ciphertext, ProbabilisticCipher
 from repro.exceptions import EncryptionError
-from repro.fd.mas import MasResult
+from repro.fd.mas import MasBorder, MasResult
 from repro.relational.coded import CodedRelation
 from repro.relational.table import Relation
 
@@ -74,6 +74,19 @@ class EncryptionContext:
     #: put the attribute inside a MAS and trigger the full-run fallback), so
     #: the key never aliases two distinct cells.
     nonce_log: dict[tuple[str, str], "Ciphertext"] = field(default_factory=dict)
+    #: Instance ciphertexts by :meth:`~repro.core.plan.InstanceCell.cache_key`.
+    #: An instance cell's bytes are a pure function of (key, value, variant),
+    #: so the materialiser serves a cached one directly instead of
+    #: re-encrypting it; carried across incremental updates like
+    #: :attr:`nonce_log`, it makes re-materialising untouched rows skip the
+    #: cipher entirely.  It never touches the entropy stream, so the bytes
+    #: match an empty cache exactly.
+    instance_cache: dict[tuple[str, str, str], "Ciphertext"] = field(default_factory=dict)
+    #: Projections of :attr:`relation` onto its minimal unique attribute
+    #: sets (see :class:`repro.fd.mas.MasBorder`): the incremental updater's
+    #: O(batch) MAS stability check.  Built on the first incremental insert
+    #: and carried forward; ``None`` until then.
+    mas_border: MasBorder | None = None
 
     # Produced by the stages, in order.
     mas_result: MasResult | None = None

@@ -679,20 +679,22 @@ class InsertDelta(Message):
 
     Ships only what changed: copy segments referencing the provider's stored
     base view plus the literal (new/changed) ciphertext rows — see
-    :mod:`repro.api.delta`.  The provider verifies the base digest under the
-    table's write lock before splicing (an interleaved writer makes the
-    delta unappliable and is reported as ``DELTA_MISMATCH``, upon which the
-    owner falls back to a full :class:`InsertBatch`).
+    :mod:`repro.api.delta`.  The provider checks the base under the table's
+    write lock before splicing: the commit version must equal
+    ``base_version`` (``VERSION_CONFLICT`` otherwise — an interleaved
+    writer, a rolled-back store) and the row count ``delta.base_rows``
+    (``DELTA_MISMATCH``); the owner then falls back to a full
+    :class:`InsertBatch`.
     """
 
     kind: ClassVar[str] = "insert_delta"
     table_id: str
     delta: ViewDelta
     batch_rows: int = 0
-    #: Commit version the delta was computed against.  ``>= 0`` arms the
-    #: server's compare-and-swap: a store whose commit version moved on is
-    #: reported as ``VERSION_CONFLICT`` instead of being spliced blind.
-    #: ``-1`` keeps the pre-CAS behaviour (digest check only).
+    #: Commit version the delta was computed against: the server's
+    #: compare-and-swap base.  A delta without one (``-1``) is rejected as
+    #: ``BAD_REQUEST`` — nothing else pins which view its copy segments
+    #: index into.
     base_version: int = -1
     with_root: bool = False
 
@@ -701,10 +703,8 @@ class InsertDelta(Message):
             "table_id": self.table_id,
             "batch_rows": self.batch_rows,
             "base_rows": self.delta.base_rows,
-            "base_digest": self.delta.base_digest,
             "segments": [list(segment) for segment in self.delta.segments],
             "table_name": self.delta.table_name,
-            "new_digest": self.delta.new_digest,
             "new_root": self.delta.new_root,
             "base_version": self.base_version,
             "with_root": self.with_root,
@@ -718,19 +718,16 @@ class InsertDelta(Message):
     @classmethod
     def _build(cls, meta, attachments) -> "InsertDelta":
         segments = meta.get("segments")
-        digest = meta.get("base_digest")
-        if not isinstance(segments, list) or not isinstance(digest, str):
-            raise WireError("insert_delta without segments or base digest")
+        if not isinstance(segments, list):
+            raise WireError("insert_delta without segments")
         literals_payload = attachments.get("literals")
         delta = ViewDelta(
             base_rows=int(meta.get("base_rows", -1)),
-            base_digest=digest,
             segments=[list(segment) for segment in segments],
             literals=None
             if literals_payload is None
             else decode_relation(literals_payload),
             table_name=str(meta.get("table_name", "")),
-            new_digest=str(meta.get("new_digest", "")),
             new_root=str(meta.get("new_root", "")),
         )
         return cls(
@@ -2040,26 +2037,33 @@ class ProtocolServer:
     def _handle_insert_delta(self, request: InsertDelta, auth: _AuthContext) -> Message:
         """Splice a view delta into the stored base under the write lock.
 
-        The base-digest check inside :meth:`TableStore.apply_delta` runs
-        under the same write lock as the splice, so the base it verifies is
-        exactly the base it applies to — an interleaved writer yields a
-        clean ``DELTA_MISMATCH`` (the owner then falls back to a full
-        :class:`InsertBatch`), never a corrupted store.  On the segment
-        engine the splice itself is the persistence (an O(delta) append);
-        the snapshot engine re-snapshots the updated view.
+        The base check — commit-version CAS here, row count inside
+        :meth:`TableStore.apply_delta` — runs under the same write lock as
+        the splice, so the base it verifies is exactly the base it applies
+        to: an interleaved writer or a rolled-back store yields a clean
+        ``VERSION_CONFLICT`` (the owner then falls back to a full
+        :class:`InsertBatch` or rebases), never a corrupted store.  On the
+        segment engine the splice itself is the persistence (an O(delta)
+        append); the snapshot engine re-snapshots the updated view.
         """
+        if request.base_version < 0:
+            raise ProtocolError(
+                "insert_delta needs the commit version it was computed "
+                "against (base_version)",
+                code=ErrorCode.BAD_REQUEST.value,
+            )
         store_key = self._store_key(auth.tenant_id, request.table_id)
         self._require_known_table(store_key, request.table_id)
         with self._table_lock(store_key).write():
             with self._lock:
                 store = self._stores[store_key]
-            if request.base_version >= 0 and store.commit_version != request.base_version:
-                # The optimistic-concurrency gate: the delta was computed
-                # against a commit version that is no longer current, so
-                # another writer's splice landed in between.  Reject before
-                # touching the store — the owner rebases onto the winner's
-                # acknowledged view and retries, never falls back to a full
-                # rewrite.
+            if store.commit_version != request.base_version:
+                # The delta's base check: it was computed against a commit
+                # version that is no longer current — another writer landed
+                # in between, or the store was rolled back to an older
+                # generation or snapshot.  Reject before touching the store;
+                # the owner rebases onto the acknowledged view or re-ships
+                # the full one.
                 raise ProtocolError(
                     f"table {request.table_id!r} is at commit version "
                     f"{store.commit_version}, the delta was computed against "
@@ -3097,19 +3101,18 @@ class ProtocolClient:
         table_id: str,
         delta: ViewDelta,
         batch_rows: int = 0,
-        base_version: int = -1,
+        *,
+        base_version: int,
         with_root: bool = False,
     ) -> int:
         """Splice an incremental insert's view delta into the stored table.
 
-        Raises :class:`~repro.exceptions.ProtocolError` with
-        ``code == "DELTA_MISMATCH"`` when the server's base view is not the
-        one the delta was computed against — callers fall back to
-        :meth:`insert` with the full view.  ``base_version >= 0`` arms the
-        per-table compare-and-swap instead: a store whose commit version
-        moved answers ``VERSION_CONFLICT`` *before* the digest check, and
-        the caller rebases and retries (see
-        :class:`repro.integrity.writers.WriteCoordinator`).
+        ``base_version`` is the commit version the delta was computed
+        against (the last acknowledged write's ``version``).  A store whose
+        commit version moved answers ``VERSION_CONFLICT``, one whose row
+        count differs from the delta's base ``DELTA_MISMATCH``; callers then
+        fall back to :meth:`insert` with the full view, or rebase and retry
+        (see :class:`repro.integrity.writers.WriteCoordinator`).
         """
         ack = self._expect(
             InsertDelta(

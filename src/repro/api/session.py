@@ -669,14 +669,14 @@ class RemoteOwnerSession:
     retains the last server view it pushed, aligns the new view against it
     (cheap — the materialiser's nonce retention keeps untouched rows
     byte-identical), and sends an ``InsertDelta`` carrying only the changed
-    rows.  A MAS-change fallback, a poor alignment, or a server-side base
-    mismatch silently degrades to the full ``InsertBatch`` path.
+    rows, CAS-armed with the last acknowledged commit version.  A MAS-change
+    fallback, a poor alignment, or a server-side base mismatch silently
+    degrades to the full ``InsertBatch`` path.
 
     ``verify=True`` (or the ``REPRO_VERIFY`` environment variable) turns on
     owner-side integrity verification: the session mirrors the server's
     Merkle tree in a :class:`~repro.integrity.state.TableIntegrityState`,
-    every write is CAS-armed with the last acknowledged commit version, and
-    every query reply is checked — root agreement, ``(version, root)``
+    and every query reply is checked — root agreement, ``(version, root)``
     freshness, and per-matched-row inclusion proofs — before decryption.
     Passing a shared :class:`~repro.integrity.writers.WriteCoordinator`
     additionally lets several sessions (each with its own client/thread)
@@ -767,10 +767,11 @@ class RemoteOwnerSession:
         Ships an ``InsertDelta`` when the local update ran incrementally and
         the alignment against the last pushed view reuses enough rows;
         otherwise (MAS-change fallback, first push unseen, degenerate
-        alignment, or a server-side ``DELTA_MISMATCH``) ships the full view.
-        Under verification the delta is armed with the last acknowledged
-        commit version as its CAS base, so a write the owner never made is
-        caught before it can be built upon.
+        alignment, or a server-side ``VERSION_CONFLICT``/``DELTA_MISMATCH``)
+        ships the full view.  The delta is armed with the last acknowledged
+        commit version as its CAS base, so a write the owner never made —
+        another writer's, or a rollback of the store — is caught before it
+        can be built upon.
 
         With a shared :attr:`coordinator`, concurrent writers instead push
         optimistically and rebase on ``VERSION_CONFLICT`` — never falling
@@ -796,7 +797,7 @@ class RemoteOwnerSession:
                         self.table_id,
                         delta,
                         batch_rows=len(rows),
-                        base_version=self._last_version if self.verify else -1,
+                        base_version=self._last_version,
                         with_root=self.verify,
                     )
                 except ProtocolError as exc:
@@ -806,9 +807,9 @@ class RemoteOwnerSession:
                     ):
                         raise
                     # The server's base is not the view we think we pushed
-                    # (e.g. a restart restored an older snapshot, or another
-                    # writer advanced the table); re-ship the full view and
-                    # realign from there.
+                    # (e.g. a restart restored an older snapshot or
+                    # generation, or another writer advanced the table);
+                    # re-ship the full view and realign from there.
                 else:
                     version, root = self._ack_state()
                     self._last_view = view

@@ -107,6 +107,7 @@ def materialize_row_plans(
     backend=None,
     workers: int = 1,
     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
+    instance_cache: "dict[tuple[str, str, str], Ciphertext] | None" = None,
 ) -> tuple[Relation, list[RowProvenance]]:
     """Turn symbolic row plans into a ciphertext relation plus provenance.
 
@@ -133,6 +134,12 @@ def materialize_row_plans(
     exactly as before the log existed); on an incremental re-materialisation
     it carries the previous run's draws, so untouched rows keep their bytes
     and the server-view delta stays small.
+
+    ``instance_cache`` is the context's instance-ciphertext cache: a cached
+    :class:`~repro.core.plan.InstanceCell` is placed directly instead of
+    becoming a job, and every instance encrypted here is added to it.
+    Instance ciphertexts derive their nonce from the key, so skipping them
+    changes neither the bytes nor the order of the random draws.
     """
     schema = relation.schema
     attributes = tuple(schema)
@@ -140,6 +147,7 @@ def materialize_row_plans(
     provenance: list[RowProvenance] = []
     materialize = fresh_factory.materialize
     log_get = nonce_log.get if nonce_log is not None else None
+    cached_instance = (instance_cache if instance_cache is not None else {}).get
 
     # ------------------------------------------------------------------
     # Pass 1: plan the cell work (row-major, first-encounter order).
@@ -166,6 +174,10 @@ def materialize_row_plans(
             spec_type = type(spec)
             if spec_type is InstanceCell:
                 key = spec.cache_key()
+                cell = cached_instance(key)
+                if cell is not None:
+                    append_cell(cell)
+                    continue
                 index = job_of_instance.get(key)
                 if index is None:
                     index = job_of_instance[key] = len(jobs)
@@ -214,6 +226,9 @@ def materialize_row_plans(
         if nonce_log is not None:
             for log_key, index in job_of_log_key.items():
                 nonce_log[log_key] = ciphertexts[index]
+        if instance_cache is not None:
+            for key, index in job_of_instance.items():
+                instance_cache[key] = ciphertexts[index]
         for row, position, index in patches:
             row[position] = ciphertexts[index]
 
@@ -331,6 +346,7 @@ class MaterializeStage:
             ctx.nonce_log,
             backend=ctx.backend,
             workers=resolve_workers(ctx.config.workers),
+            instance_cache=ctx.instance_cache,
         )
         ctx.encrypted_relation = encrypted_relation
         ctx.provenance = provenance
@@ -403,6 +419,7 @@ class VerifyRepairStage:
             ctx.nonce_log,
             backend=ctx.backend,
             workers=resolve_workers(ctx.config.workers),
+            instance_cache=ctx.instance_cache,
         )
         merged_relation = encrypted.relation.concat(extra_relation)
         merged_provenance = list(encrypted.provenance) + [

@@ -32,6 +32,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from repro.backend import ComputeBackend, get_backend
 from repro.exceptions import DiscoveryError
@@ -354,10 +356,88 @@ class _MasFinder:
         }
 
 
+def minimal_unique_sets(
+    mas_sets: Iterable[AttrSet], attributes: Iterable[str]
+) -> list[AttrSet]:
+    """The non-empty attribute sets contained in no MAS, minimal ones only.
+
+    On a relation whose MASs are ``mas_sets`` these are exactly its minimal
+    unique column combinations (a set outside every MAS is unique): the
+    minimal hitting sets of the MAS complements, or every single attribute
+    when there is no MAS.  A schema that is itself a MAS has none.
+    """
+    universe = frozenset(attributes)
+    complements = [universe - frozenset(attrs) for attrs in mas_sets]
+    if not complements:
+        return sorted((frozenset([attr]) for attr in universe), key=_canonical)
+    return sorted(_minimal_hitting_sets(complements, universe, limit=None), key=_canonical)
+
+
+class MasBorder:
+    """Every row's projection onto each minimal unique attribute set.
+
+    Appending rows only ever adds duplicates, so an append changes the MAS
+    family iff some set outside every MAS stops being unique — and then so
+    does one of the *minimal* such sets (:func:`minimal_unique_sets`).  One
+    projection set per border set therefore decides MAS stability for an
+    appended batch in O(batch × border) lookups, independent of the table
+    size.  Instances are never mutated: :meth:`extended` returns a new
+    border, so a context carrying one stays valid.
+    """
+
+    __slots__ = ("_getters", "_seen")
+
+    def __init__(self, getters: list, seen: list[set]):
+        self._getters = getters
+        self._seen = seen
+
+    @classmethod
+    def build(cls, relation: Relation, mas_sets: Iterable[AttrSet]) -> "MasBorder | None":
+        """The border of ``relation`` given its MASs (``None`` if they are wrong).
+
+        A border set with a duplicate projection means ``mas_sets`` is not
+        the MAS family of ``relation``; callers then fall back to a full
+        rediscovery.
+        """
+        schema = relation.schema
+        getters: list = []
+        seen: list[set] = []
+        for attrs in minimal_unique_sets(mas_sets, relation.attributes):
+            ordered = schema.ordered(attrs)
+            columns = [relation.column(attr) for attr in ordered]
+            # itemgetter yields a bare value for one position and a tuple
+            # otherwise — the same shapes as the column / zip below.
+            getters.append(itemgetter(*(schema.index_of(attr) for attr in ordered)))
+            projections = set(columns[0]) if len(columns) == 1 else set(zip(*columns))
+            if len(projections) != relation.num_rows:
+                return None
+            seen.append(projections)
+        return cls(getters, seen)
+
+    def extended(self, rows: Iterable[Sequence]) -> "MasBorder | None":
+        """The border after appending ``rows``; ``None`` when the MASs change.
+
+        ``rows`` are full schema-ordered tuples.  A projection colliding with
+        an earlier row — or with another row of the batch — makes that border
+        set non-unique, which is exactly a MAS change.
+        """
+        rows = list(rows)
+        seen: list[set] = []
+        for getter, previous in zip(self._getters, self._seen):
+            grown = previous.copy()
+            for row in rows:
+                projection = getter(row)
+                if projection in grown:
+                    return None
+                grown.add(projection)
+            seen.append(grown)
+        return MasBorder(self._getters, seen)
+
+
 def _minimal_hitting_sets(
     sets: list[AttrSet],
     universe: AttrSet,
-    limit: int = 4096,
+    limit: int | None = 4096,
 ) -> list[AttrSet]:
     """Enumerate minimal hitting sets of ``sets`` over ``universe``.
 
@@ -366,7 +446,8 @@ def _minimal_hitting_sets(
     of that set, then discarding non-minimal results.  The ``limit`` bounds
     the intermediate frontier to keep worst cases in check (the DUCC walk only
     needs *some* unclassified candidates per round; completeness is still
-    reached because remaining holes surface in later rounds).
+    reached because remaining holes surface in later rounds); ``None``
+    enumerates them all.
     """
     frontier: list[AttrSet] = [frozenset()]
     for target in sets:
@@ -379,7 +460,7 @@ def _minimal_hitting_sets(
                 candidate = partial | {element}
                 next_frontier.append(candidate)
         frontier = _drop_supersets(next_frontier)
-        if len(frontier) > limit:
+        if limit is not None and len(frontier) > limit:
             frontier = frontier[:limit]
     return [attrs for attrs in frontier if attrs <= universe]
 

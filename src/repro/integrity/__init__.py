@@ -6,9 +6,10 @@ envelopes).  A tampering or rolled-back server could silently return stale
 or modified ciphertext.  This package closes that gap:
 
 * :mod:`repro.integrity.merkle` — an incrementally-maintained Merkle tree
-  over ciphertext rows (leaf = hash of the row's wire-canonical cell bytes,
-  the same canonical form as :func:`repro.api.delta.relation_digest`), with
-  O(log n) appends and compact inclusion proofs.
+  over ciphertext rows (leaf = hash of the row's canonical cell bytes), with
+  O(log n) appends and compact inclusion proofs.  It is the only whole-view
+  digest: a delta's base is checked by row count plus the commit-version
+  compare-and-swap, never by re-hashing the view.
 * :mod:`repro.integrity.state` — the owner's per-table verification state:
   her own copy of the leaf hashes plus a monotonic ``(version, root)``
   freshness chain, raising :class:`repro.exceptions.IntegrityError` on any

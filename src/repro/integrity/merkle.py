@@ -1,10 +1,12 @@
 """Merkle trees over ciphertext rows.
 
-The leaf of row *i* is a SHA-256 over the row's cells in the same canonical
-byte form as :func:`repro.api.delta.relation_digest` (``str(cell)`` UTF-8
-with ``0x1f`` cell separators and an ``0x1e`` terminator), so the owner —
-who holds the server view she shipped — and an honest server always compute
-the same root from the same relation, regardless of engine or backend.
+The leaf of row *i* is a SHA-256 over the row's cells in one canonical byte
+form (``str(cell)`` UTF-8 with ``0x1f`` cell separators and an ``0x1e``
+terminator), so the owner — who holds the server view she shipped — and an
+honest server always compute the same root from the same relation,
+regardless of engine or backend.  The tree is the integrity check only;
+which base an ``InsertDelta`` applies to is pinned by its row count and
+commit-version compare-and-swap (see :mod:`repro.api.delta`).
 
 Hash inputs are domain-separated (``0x00`` leaf prefix, ``0x01`` node
 prefix) so an inner node can never be presented as a leaf or vice versa.

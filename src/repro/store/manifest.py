@@ -10,8 +10,11 @@ A segment table directory holds three kinds of files:
 
 A **manifest** is one committed state of the table: which segment files
 exist, how the logical row order is composed from slices of them, how many
-dictionary values (and blob bytes) are committed per column, and the view
-digest the delta protocol checks against.  Committing a write is therefore:
+dictionary values (and blob bytes) are committed per column, and the
+Merkle root of the view.  The generation number doubles as the table's
+commit version, the delta protocol's compare-and-swap base; manifests
+written before that carry a ``view_digest`` field, which loading ignores.
+Committing a write is therefore:
 write the new data files, ``fsync`` them, write ``MANIFEST-<g+1>.json``
 (temp file + ``os.replace``), and finally point ``CURRENT`` at it with
 another atomic rename.  A crash at any point leaves the previous generation
@@ -87,7 +90,6 @@ class Manifest:
     table_name: str
     attributes: list[str]
     num_rows: int
-    view_digest: str
     files: list[SegmentFile] = field(default_factory=list)
     #: Logical row order: ``[file_index, start, count]`` slices into
     #: ``files``, concatenated.  A delta's copy opcodes re-slice this list;
@@ -95,10 +97,9 @@ class Manifest:
     #: never rewrites committed rows.
     view: list[list[int]] = field(default_factory=list)
     dictionaries: list[DictionaryBlob] = field(default_factory=list)
-    #: Merkle root (hex) over the committed view's rows — the integrity
-    #: counterpart of ``view_digest``.  Empty when the committing writer did
-    #: not track one (pre-integrity deltas); ``verify()`` then reports the
-    #: root as unrecorded instead of failing.
+    #: Merkle root (hex) over the committed view's rows.  Empty when the
+    #: committing writer did not track one (pre-integrity deltas);
+    #: ``verify()`` then reports the root as unrecorded instead of failing.
     merkle_root: str = ""
 
     def referenced_files(self) -> set[str]:
@@ -114,7 +115,6 @@ class Manifest:
             "table_name": self.table_name,
             "attributes": list(self.attributes),
             "num_rows": self.num_rows,
-            "view_digest": self.view_digest,
             "merkle_root": self.merkle_root,
             "files": [
                 {
@@ -174,7 +174,6 @@ class Manifest:
                 table_name=str(doc.get("table_name", "")),
                 attributes=attributes,
                 num_rows=int(doc["num_rows"]),
-                view_digest=str(doc.get("view_digest", "")),
                 merkle_root=str(doc.get("merkle_root", "")),
                 files=files,
                 view=view,

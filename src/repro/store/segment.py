@@ -46,13 +46,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.api.auth import ErrorCode
-from repro.api.delta import (
-    OP_COPY,
-    OP_LITERAL,
-    ViewDelta,
-    apply_view_delta,
-    relation_digest,
-)
+from repro.api.delta import OP_COPY, OP_LITERAL, ViewDelta
 from repro.backend import ComputeBackend
 from repro.exceptions import ProtocolError, StoreError, WireError
 from repro.relational.table import Relation
@@ -218,7 +212,6 @@ class SegmentTableStore(TableStore):
                 table_name=relation.name,
                 attributes=list(relation.attributes),
                 num_rows=relation.num_rows,
-                view_digest=relation_digest(relation),
                 merkle_root=tree.root,
                 files=[segment],
                 view=[[0, 0, relation.num_rows]] if relation.num_rows else [],
@@ -237,19 +230,15 @@ class SegmentTableStore(TableStore):
         """Splice a view delta in: O(delta) appends + one manifest commit.
 
         Copy opcodes re-slice the committed view (no row bytes move);
-        literal rows become one new segment file, their genuinely new
-        dictionary values are appended to the blobs, and the digest the
-        next delta must match is taken from ``delta.new_digest`` (computed
-        owner-side over the view she materialised anyway) — so nothing here
-        is proportional to the table size.  Senders that predate
-        ``new_digest`` fall back to a full materialise-and-hash.
+        literal rows become one new segment file and their genuinely new
+        dictionary values are appended to the blobs — so nothing here is
+        proportional to the table size.  The base check is the row count;
+        the server's commit-version CAS (the generation) ran before.
         """
         with self._mutex:
             self._check_open()
             manifest = self._require_manifest()
-            if manifest.num_rows != delta.base_rows or (
-                manifest.view_digest != delta.base_digest
-            ):
+            if manifest.num_rows != delta.base_rows:
                 raise ProtocolError(
                     f"delta base mismatch: the stored view ({manifest.num_rows} "
                     "rows) is not the one the delta was computed against "
@@ -284,15 +273,9 @@ class SegmentTableStore(TableStore):
                 else:
                     view.append([index, start, count])
             num_rows = sum(count for _, _, count in pieces)
-            digest = delta.new_digest
-            updated: "Relation | None" = None
-            if not digest:
-                updated = apply_view_delta(self.relation(), delta)
-                digest = relation_digest(updated)
             # New root, by cost: incrementally from the cached tree when one
-            # exists; else recorded from the owner's `new_root` (the same
-            # trust model as `new_digest`); else left empty and rebuilt
-            # lazily on the first root request.
+            # exists; else recorded from the owner's `new_root`; else left
+            # empty and rebuilt lazily on the first root request.
             candidate = self._merkle_candidate(delta, manifest.num_rows)
             root = candidate.root if candidate is not None else delta.new_root
             new_manifest = Manifest(
@@ -300,7 +283,6 @@ class SegmentTableStore(TableStore):
                 table_name=delta.table_name or manifest.table_name,
                 attributes=list(manifest.attributes),
                 num_rows=num_rows,
-                view_digest=digest,
                 merkle_root=root,
                 files=files,
                 view=view,
@@ -314,7 +296,6 @@ class SegmentTableStore(TableStore):
                 if cached is not None:
                     cached[0].extend(values)
                     cached[1].update(code_of)
-            self._relation = updated
             self._merkle = candidate
             prune(self._directory)
             self._wrote()

@@ -8,6 +8,10 @@ deltas) decrypts to exactly the same plaintext as a from-scratch outsource —
 across both compute backends.
 """
 
+import dataclasses
+import shutil
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,9 +27,10 @@ from repro.api import (
     RemoteOwnerSession,
     apply_view_delta,
     compute_view_delta,
-    relation_digest,
 )
-from repro.api.auth import ErrorCode
+from repro.api.auth import ErrorCode, TenantRegistry
+from repro.api.protocol import ErrorReply, SignedEnvelope
+from repro.api.session import decrypt_table
 from repro.backend import numpy_available
 from repro.core.config import F2Config
 from repro.exceptions import ProtocolError
@@ -113,11 +118,6 @@ class TestViewDelta:
         with pytest.raises(ProtocolError) as excinfo:
             apply_view_delta(new, delta)  # the wrong base (already updated)
         assert excinfo.value.code == ErrorCode.DELTA_MISMATCH.value
-        # Same row count, different bytes: the digest still catches it.
-        other = rel([["a", "1"], ["B", "2"]])
-        with pytest.raises(ProtocolError) as excinfo:
-            apply_view_delta(other, delta)
-        assert excinfo.value.code == ErrorCode.DELTA_MISMATCH.value
 
     @pytest.mark.parametrize(
         "segments",
@@ -146,14 +146,6 @@ class TestViewDelta:
         with pytest.raises(ProtocolError):
             apply_view_delta(base, delta)
 
-    def test_digest_sensitive_to_cells_and_schema(self):
-        assert relation_digest(rel([["a", "1"]])) != relation_digest(rel([["a", "2"]]))
-        assert relation_digest(rel([["a", "1"]])) != relation_digest(
-            rel([["a", "1"]], attrs=("A", "C"))
-        )
-        # Cell/row boundaries are framed: ["ab","c"] != ["a","bc"].
-        assert relation_digest(rel([["ab", "c"]])) != relation_digest(rel([["a", "bc"]]))
-
 
 # ----------------------------------------------------------------------
 # The wire form
@@ -170,7 +162,7 @@ class TestInsertDeltaMessage:
         assert decoded.table_id == "orders"
         assert decoded.batch_rows == 2
         assert decoded.delta.segments == delta.segments
-        assert decoded.delta.base_digest == delta.base_digest
+        assert decoded.delta.base_rows == delta.base_rows
         assert list(decoded.delta.literals.rows()) == list(delta.literals.rows())
         # The decoded delta applies exactly like the original.
         assert list(apply_view_delta(old, decoded.delta).rows()) == list(new.rows())
@@ -242,7 +234,7 @@ class TestDeltaProtocolPath:
 
     def test_interleaved_writer_triggers_mismatch_fallback(self, zipcode_table):
         # Another writer replaces the stored view behind the session's back;
-        # the next delta cannot apply (DELTA_MISMATCH) and the session
+        # the next delta fails the commit-version CAS and the session
         # silently re-ships the full view instead.
         server = ProtocolServer()
         owner = make_owner()
@@ -289,6 +281,191 @@ class TestDeltaProtocolPath:
         session.insert_rows(incremental_batch(owner.plaintext, 2, "z"))
         assert session.last_delta is None
         assert ciphertext_rows(server.store()) == ciphertext_rows(owner.server_view())
+
+
+# ----------------------------------------------------------------------
+# The base check: row count + commit-version CAS (no view digest)
+# ----------------------------------------------------------------------
+class RecordingTransport(LoopbackTransport):
+    """A loopback transport that keeps every request frame it carried."""
+
+    def __init__(self, server: ProtocolServer):
+        super().__init__(server)
+        self.frames: list[bytes] = []
+        self.replies: list[bytes] = []
+
+    def request(self, data: bytes) -> bytes:
+        self.frames.append(data)
+        reply = super().request(data)
+        self.replies.append(reply)
+        return reply
+
+    def kinds(self) -> list[str]:
+        return [Message.decode(frame).kind for frame in self.frames]
+
+    def clear(self) -> None:
+        self.frames.clear()
+        self.replies.clear()
+
+
+def remote_plaintext(owner: DataOwner, server: ProtocolServer) -> list[tuple]:
+    """Decrypt the provider's stored view with the owner's key and provenance."""
+    remote = dataclasses.replace(owner.encrypted, relation=server.store())
+    return list(decrypt_table(remote, owner.pipeline.cipher).rows())
+
+
+def storage_server(storage: Path, engine: str) -> ProtocolServer:
+    return ProtocolServer(storage_dir=storage, storage_engine=engine)
+
+
+def reconnected(owner, old_session, server) -> "tuple[RemoteOwnerSession, RecordingTransport]":
+    """A new session over ``server`` carrying the owner's delta base."""
+    transport = RecordingTransport(server)
+    session = RemoteOwnerSession(owner, ProtocolClient(transport), verify=False)
+    session._last_view = old_session._last_view
+    session._last_version = old_session._last_version
+    return session, transport
+
+
+def assert_full_fallback_then_resume(owner, session, transport, server) -> None:
+    """The next insert's delta fails the CAS and the full view is re-shipped;
+    the insert after that is a delta again."""
+    transport.clear()
+    session.insert_rows(incremental_batch(owner.plaintext, 2, "after"))
+    assert owner.last_update_report.mode == "incremental"
+    assert session.last_delta is None
+    assert transport.kinds() == ["insert_delta", "insert_batch"]
+    refused = Message.decode(transport.replies[0])
+    assert isinstance(refused, ErrorReply)
+    assert refused.code == ErrorCode.VERSION_CONFLICT.value
+    assert ciphertext_rows(server.store()) == ciphertext_rows(owner.server_view())
+    assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
+    session.insert_rows(incremental_batch(owner.plaintext, 1, "resumed"))
+    assert session.last_delta is not None
+    assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
+
+
+class TestDeltaBaseCheck:
+    """With verification off the CAS alone must catch a moved base.
+
+    (With it on, the owner's freshness chain rejects a rolled-back store
+    itself — ``tests/test_integrity_protocol.py`` pins that.)
+    """
+
+    @pytest.mark.parametrize("engine", ["snapshot", "segment"])
+    def test_interleaved_full_insert_from_second_session(
+        self, zipcode_table, tmp_path, engine
+    ):
+        server = storage_server(tmp_path, engine)
+        owner = make_owner()
+        transport = RecordingTransport(server)
+        session = RemoteOwnerSession(owner, ProtocolClient(transport), verify=False)
+        session.outsource(zipcode_table)
+        session.insert_rows(incremental_batch(owner.plaintext, 1, "first"))
+        assert session.last_delta is not None
+
+        # A second session pushes a full InsertBatch behind the first one's
+        # back — the same rows in another order, so the row count still
+        # matches and only the commit version tells the bases apart.
+        view = owner.server_view()
+        shuffled = Relation(list(view.attributes), [list(row) for row in view.rows()][::-1])
+        ProtocolClient(LoopbackTransport(server)).insert("default", shuffled)
+        assert server.store().num_rows == owner.server_view().num_rows
+
+        assert_full_fallback_then_resume(owner, session, transport, server)
+
+    def test_segment_store_reopened_at_older_generation(self, zipcode_table, tmp_path):
+        storage = tmp_path / "live"
+        server = storage_server(storage, "segment")
+        owner = make_owner()
+        session = RemoteOwnerSession(
+            owner, ProtocolClient(LoopbackTransport(server)), verify=False
+        )
+        session.outsource(zipcode_table)
+        frozen = tmp_path / "older"
+        shutil.copytree(storage, frozen)
+        session.insert_rows(incremental_batch(owner.plaintext, 1, "lost"))
+        assert session.last_delta is not None
+
+        # The provider comes back on the older generation.
+        shutil.rmtree(storage)
+        shutil.copytree(frozen, storage)
+        revived = storage_server(storage, "segment")
+        assert revived.table_store().commit_version < session._last_version
+        fresh, transport = reconnected(owner, session, revived)
+        assert_full_fallback_then_resume(owner, fresh, transport, revived)
+
+    def test_restored_older_snapshot(self, zipcode_table, tmp_path):
+        server = storage_server(tmp_path, "snapshot")
+        transport = RecordingTransport(server)
+        owner = make_owner()
+        session = RemoteOwnerSession(owner, ProtocolClient(transport), verify=False)
+        session.outsource(zipcode_table)
+        older = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        session.insert_rows(incremental_batch(owner.plaintext, 1, "lost"))
+        assert session.last_delta is not None
+
+        # The provider restores the older snapshot (and its sidecar) in place.
+        for name, data in older.items():
+            (tmp_path / name).write_bytes(data)
+        session.client.load_snapshot("default")
+        assert server.table_store().commit_version < session._last_version
+
+        assert_full_fallback_then_resume(owner, session, transport, server)
+
+
+class TestDuplicateDeltaFrame:
+    """A re-delivered ``InsertDelta`` frame is never spliced twice.
+
+    Every delta is CAS-armed, so the copy of an unauthenticated frame fails
+    the commit-version check; on a signed session the replayed sequence
+    number is rejected before that.  (Making the owner's insert itself
+    two-phase, so a lost *reply* can be retried safely, is separate work.)
+    """
+
+    def test_unauthenticated_copy_is_a_version_conflict(self, zipcode_table):
+        server = ProtocolServer()
+        transport = RecordingTransport(server)
+        owner = make_owner()
+        session = RemoteOwnerSession(owner, ProtocolClient(transport))
+        session.outsource(zipcode_table)
+        session.insert_rows(incremental_batch(owner.plaintext, 2, "once"))
+        frame = transport.frames[-1]
+        request = Message.decode(frame)
+        assert isinstance(request, InsertDelta)
+        assert request.base_version >= 0
+        stored = ciphertext_rows(server.store())
+
+        reply = Message.decode(server.handle_bytes(frame))
+        assert isinstance(reply, ErrorReply)
+        assert reply.code == ErrorCode.VERSION_CONFLICT.value
+        assert ciphertext_rows(server.store()) == stored == ciphertext_rows(
+            owner.server_view()
+        )
+
+    def test_signed_copy_is_a_bad_sequence(self, zipcode_table):
+        registry = TenantRegistry()
+        server = ProtocolServer(tenants=registry)
+        transport = RecordingTransport(server)
+        owner = make_owner()
+        session = RemoteOwnerSession(
+            owner,
+            ProtocolClient(transport),
+            credential=registry.mint("acme", "owner"),
+        )
+        session.outsource(zipcode_table)
+        session.insert_rows(incremental_batch(owner.plaintext, 2, "once"))
+        frame = transport.frames[-1]
+        envelope = Message.decode(frame)
+        assert isinstance(envelope, SignedEnvelope)
+        inner = Message.decode(envelope.payload)
+        assert isinstance(inner, InsertDelta) and inner.base_version >= 0
+        stored = ciphertext_rows(server.store(tenant_id="acme"))
+
+        reply = Message.decode(server.handle_bytes(frame))
+        assert isinstance(reply, ErrorReply)
+        assert reply.code == ErrorCode.BAD_SEQUENCE.value
+        assert ciphertext_rows(server.store(tenant_id="acme")) == stored
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.api.auth import (
     sign_reply,
     verify_reply,
 )
-from repro.api.delta import compute_view_delta, relation_digest
+from repro.api.delta import compute_view_delta
 from repro.exceptions import AuthError, IntegrityError, StoreIntegrityWarning, WireError
 from repro.integrity.merkle import (
     EMPTY_ROOT,
@@ -127,12 +127,11 @@ class TestMerkleTree:
             MerkleTree(leaves(3)).proof(3)
 
     def test_relation_leaves_match_canonical_digest_bytes(self):
-        # Same canonical cell bytes as relation_digest: two relations with
-        # equal rows hash identically regardless of name.
+        # Leaves hash the canonical cell bytes (``str(cell)``): two
+        # relations with equal rows hash identically regardless of name.
         rel_a = relation([["x", 1], ["y", 2]])
         rel_b = Relation(["A", "B"], [["x", "1"], ["y", "2"]], name="other")
         assert relation_leaves(rel_a) == relation_leaves(rel_b)
-        assert relation_digest(rel_a) == relation_digest(rel_b)
 
 
 class TestLeavesAfterDelta:

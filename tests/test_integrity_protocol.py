@@ -310,7 +310,7 @@ class TestVersionCas:
             session.client.insert_delta("orders", delta, base_version=stale)
         assert excinfo.value.code == ErrorCode.VERSION_CONFLICT.value
 
-    def test_unversioned_delta_skips_the_cas(self, registry):
+    def test_unversioned_delta_is_rejected(self, registry):
         credential = registry.mint("acme", "owner")
         server = ProtocolServer(tenants=registry)
         owner = make_owner()
@@ -321,9 +321,12 @@ class TestVersionCas:
 
         view = owner.server_view()
         delta = compute_view_delta(view, view)
-        # base_version=-1 (the default) must not arm the check.
-        count = session.client.insert_delta("orders", delta)
-        assert count == view.num_rows
+        # Without a base version nothing pins the view the copy segments
+        # index into: the server refuses instead of splicing blind.
+        with pytest.raises(ProtocolError) as excinfo:
+            session.client.insert_delta("orders", delta, base_version=-1)
+        assert excinfo.value.code == ErrorCode.BAD_REQUEST.value
+        assert server.store("orders", tenant_id="acme").num_rows == view.num_rows
 
 
 # ----------------------------------------------------------------------

@@ -140,7 +140,7 @@ class TestSegmentTableStore:
         delta = compute_view_delta(base, new)
         store.apply_delta(delta)
         with pytest.raises(ProtocolError) as excinfo:
-            store.apply_delta(delta)  # base moved on: digest no longer matches
+            store.apply_delta(delta)  # base moved on: the row count no longer matches
         assert excinfo.value.code == "DELTA_MISMATCH"
         store.close()
 
@@ -328,6 +328,27 @@ class TestCrashConsistency:
         assert store.relation() == new
         store.close()
 
+    def test_manifest_with_legacy_view_digest_loads(self, tmp_path):
+        # Manifests committed before the delta base check moved to the
+        # commit version carry a whole-view ``view_digest``; it is ignored.
+        directory = tmp_path / f"t{STORE_SUFFIX}"
+        _, new = build_two_generation_store(directory)
+        path = directory / manifest_name(2)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert "view_digest" not in doc
+        doc["view_digest"] = "0" * 64
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        store = SegmentTableStore(directory, get_backend("python"))
+        assert store.generation == 2
+        assert store.relation() == new
+        grown = Relation.from_columns(
+            {attr: list(new.column(attr)) + [f"x-{attr}"] for attr in new.attributes},
+            name=new.name,
+        )
+        assert store.apply_delta(compute_view_delta(new, grown)) == grown.num_rows
+        assert store.relation() == grown
+        store.close()
+
 
 # ----------------------------------------------------------------------
 # The protocol server over both engines
@@ -355,13 +376,19 @@ class TestServerEngines:
             storage_dir=tmp_path, storage_engine="segment", backend=backend
         )
         client = make_client(server)
-        client.call(OutsourceRequest(table_id="orders", relation=base))
+        ack = client.call(OutsourceRequest(table_id="orders", relation=base))
         query = QueryRequest(table_id="orders", attribute="city", token=("hoboken",))
         assert client.call(query).row_indexes == (0, 2)
         assert client.call(query).row_indexes == (0, 2)  # cache hit
         store = server.table_store("orders")
         assert store.cache_stats()["hits"] >= 1
-        client.call(InsertDelta(table_id="orders", delta=compute_view_delta(base, new)))
+        client.call(
+            InsertDelta(
+                table_id="orders",
+                delta=compute_view_delta(base, new),
+                base_version=ack.fields["version"],
+            )
+        )
         assert client.call(query).row_indexes == (0, 2, 5)
 
     @pytest.mark.parametrize("engine", ["snapshot", "segment"])
@@ -388,8 +415,12 @@ class TestServerEngines:
                 storage_dir=tmp_path / engine, storage_engine=engine, backend="python"
             )
             client = make_client(server)
-            client.call(OutsourceRequest(table_id="orders", relation=base))
-            client.call(InsertDelta(table_id="orders", delta=delta))
+            ack = client.call(OutsourceRequest(table_id="orders", relation=base))
+            client.call(
+                InsertDelta(
+                    table_id="orders", delta=delta, base_version=ack.fields["version"]
+                )
+            )
             relations[engine] = server.store("orders")
         assert relations["snapshot"] == relations["segment"]
         assert encode_relation(relations["snapshot"], WIRE_BINARY) == encode_relation(
