@@ -1,30 +1,41 @@
 """Server-view deltas: ship only what an incremental insert changed.
 
-``InsertBatch`` replaces the provider's whole stored relation.  With the
-materialiser's fresh-nonce retention and instance-ciphertext cache an
+``InsertBatch`` replaces the provider's whole stored relation.  An
 incremental insert leaves the overwhelming majority of ciphertext rows
-byte-identical to the previous view, so the update is better expressed as
-a *delta*:
+byte-identical to the previous view, so the update is better expressed as a
+*delta* of **copy segments** ("rows ``start..start+n`` of the base,
+verbatim") and **literal runs** ("the next ``n`` rows travel on the wire").
 
-* the owner aligns the new server view against the previous one she shipped
-  (:func:`compute_view_delta`) into **copy segments** ("rows ``start..start+n``
-  of the base, verbatim") and **literal runs** ("the next ``n`` rows travel
-  on the wire") — an alignment, not a positional diff, because re-planned
-  groups shift the artificial tail around without changing most row bytes;
-* the provider checks the base and splices the new view together
-  (:func:`apply_view_delta`) under the table's write lock.  The base check
-  is the delta's ``base_rows`` against the stored row count plus the
-  commit-version compare-and-swap every ``InsertDelta`` carries: the
-  server's commit version advances on every write and survives restarts,
-  so an interleaved writer, a store reopened at an older generation, or a
-  restored older snapshot all fail the CAS (``VERSION_CONFLICT``) instead
-  of being spliced into.  Neither side hashes the whole view.
+Two owner-side builders produce one:
+
+* :func:`splice_view_delta` — the common case.  The incremental tail
+  splices the new view from the previous one block by block (see
+  :class:`repro.core.conflict.ViewLayout`), so it already knows which old
+  row every kept new row came from; the delta is that map, with each
+  rebuilt row looked up among the few old rows it can repeat.  No
+  alignment, and nothing proportional to the view.
+* :func:`compute_view_delta` — a greedy alignment of two arbitrary views,
+  for when the base on the server is not the view the owner's previous
+  table produced: after a push whose outcome the owner never learned
+  (the acknowledged base is then older than the owner's table), and in the
+  coordinated multi-writer rebase, where the base is another writer's
+  view.  It must align, not diff by position, because re-planned groups
+  shift the artificial tail around without changing most row bytes.
+
+The provider checks the base and splices the new view together
+(:func:`apply_view_delta`) under the table's write lock.  The base check is
+the delta's ``base_rows`` against the stored row count plus the
+commit-version compare-and-swap every ``InsertDelta`` carries: the server's
+commit version advances on every write and survives restarts, so an
+interleaved writer, a store reopened at an older generation, or a restored
+older snapshot all fail the CAS (``VERSION_CONFLICT``) instead of being
+spliced into.  Neither side hashes the whole view.
 
 The result is byte-identical to shipping the full view; only the bytes on
-the wire shrink.  When the alignment finds little to reuse (or the base
-check fails server-side) the owner simply falls back to a full
-``InsertBatch`` — exactly like the incremental encryptor falls back to a
-full pipeline run on a MAS change.
+the wire shrink.  When a delta reuses little (or the base check fails
+server-side) the owner simply falls back to a full ``InsertBatch`` —
+exactly like the incremental encryptor falls back to a full pipeline run
+on a MAS change.
 """
 
 from __future__ import annotations
@@ -82,6 +93,38 @@ class ViewDelta:
         return 1.0 - self.literal_rows / new_rows
 
 
+class _DeltaBuilder:
+    """Accumulates copy and literal opcodes, merging adjacent ones."""
+
+    def __init__(self, new: Relation):
+        self.segments: list[list[Any]] = []
+        self.literals = Relation(new.schema, name=f"{new.name}-delta")
+        self.name = new.name
+
+    def copy(self, start: int, count: int = 1) -> None:
+        segments = self.segments
+        if segments and segments[-1][0] == OP_COPY and segments[-1][1] + segments[-1][2] == start:
+            segments[-1][2] += count
+        else:
+            segments.append([OP_COPY, start, count])
+
+    def literal(self, row) -> None:
+        segments = self.segments
+        if segments and segments[-1][0] == OP_LITERAL:
+            segments[-1][1] += 1
+        else:
+            segments.append([OP_LITERAL, 1])
+        self.literals.append(list(row))
+
+    def delta(self, base: Relation) -> ViewDelta:
+        return ViewDelta(
+            base_rows=base.num_rows,
+            segments=self.segments,
+            literals=self.literals if self.literals.num_rows else None,
+            table_name=self.name,
+        )
+
+
 def compute_view_delta(old: Relation, new: Relation) -> ViewDelta:
     """Align ``new`` against ``old`` into copy segments and literal runs.
 
@@ -91,53 +134,81 @@ def compute_view_delta(old: Relation, new: Relation) -> ViewDelta:
     interchangeable (any index with equal bytes serves), so duplicates need
     no special handling.
     """
-    if old.schema != new.schema:
-        raise ProtocolError(
-            "cannot delta between views with different schemas",
-            code=ErrorCode.BAD_REQUEST.value,
-        )
+    _check_schemas(old, new)
     old_rows = [tuple(row) for row in old.rows()]
     first_index: dict[tuple, int] = {}
     for index, row in enumerate(old_rows):
         first_index.setdefault(row, index)
 
-    segments: list[list[Any]] = []
-    literals = Relation(new.schema, name=f"{new.name}-delta")
+    builder = _DeltaBuilder(new)
     cursor = 0  # the base row the next copy would extend from
-
-    def extend_copy(index: int) -> None:
-        if (
-            segments
-            and segments[-1][0] == OP_COPY
-            and segments[-1][1] + segments[-1][2] == index
-        ):
-            segments[-1][2] += 1
-        else:
-            segments.append([OP_COPY, index, 1])
-
     for row in new.rows():
         key = tuple(row)
         if cursor < len(old_rows) and old_rows[cursor] == key:
-            extend_copy(cursor)
+            builder.copy(cursor)
             cursor += 1
             continue
         found = first_index.get(key)
         if found is not None:
-            extend_copy(found)
+            builder.copy(found)
             cursor = found + 1
             continue
-        if segments and segments[-1][0] == OP_LITERAL:
-            segments[-1][1] += 1
-        else:
-            segments.append([OP_LITERAL, 1])
-        literals.append(list(row))
+        builder.literal(row)
+    return builder.delta(old)
 
-    return ViewDelta(
-        base_rows=old.num_rows,
-        segments=segments,
-        literals=literals if literals.num_rows else None,
-        table_name=new.name,
-    )
+
+def splice_view_delta(
+    old: Relation, new: Relation, segments: list[list[int]], candidates: list[list[int]]
+) -> ViewDelta:
+    """The delta of a view the incremental tail spliced from ``old``.
+
+    ``segments`` is the splice's map (:class:`repro.core.conflict.Splice`):
+    ``[start, count]`` for ``count`` rows of ``old`` reused verbatim from
+    ``start``, ``[-1, count]`` for ``count`` rebuilt rows, in the order of
+    ``new``.  Reused runs become copy segments as they are.  A rebuilt row
+    may still equal a base row — a re-planned group re-creates most of its
+    artificial rows byte for byte — so each one is looked up among the
+    ``candidates`` runs of ``old``, and only the rest travel as literals.
+
+    The splice names as candidates every base row a rebuilt row can repeat:
+    equal bytes need equal instance variants (or artificial tokens, which
+    name their row, group or lattice node), so the repeated row is bound by
+    the same re-planned ECG, sits in the block the rebuilt one replaces, or
+    is a false-positive row of a re-run Step 4.  The delta therefore ships
+    no more literal rows than :func:`compute_view_delta` would, at a cost of
+    O(rebuilt + candidate rows) instead of O(view).
+    """
+    _check_schemas(old, new)
+    old_columns = [old.column(attr) for attr in old.attributes]
+    new_columns = [new.column(attr) for attr in new.attributes]
+    repeats: dict[tuple, int] = {}
+    for start, count in candidates:
+        for index in range(start, start + count):
+            repeats.setdefault(tuple(column[index] for column in old_columns), index)
+
+    builder = _DeltaBuilder(new)
+    position = 0
+    for start, count in segments:
+        if start >= 0:
+            builder.copy(start, count)
+        else:
+            for index in range(position, position + count):
+                row = tuple(column[index] for column in new_columns)
+                found = repeats.get(row)
+                if found is None:
+                    builder.literal(row)
+                else:
+                    builder.copy(found)
+        position += count
+    return builder.delta(old)
+
+
+def _check_schemas(old: Relation, new: Relation) -> None:
+    if old.schema != new.schema:
+        raise ProtocolError(
+            "cannot delta between views with different schemas",
+            code=ErrorCode.BAD_REQUEST.value,
+        )
 
 
 def apply_view_delta(base: Relation, delta: ViewDelta) -> Relation:

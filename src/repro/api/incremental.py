@@ -2,7 +2,7 @@
 
 A one-shot encryption cannot express a data owner who keeps inserting
 records after outsourcing.  This module appends a batch of plaintext rows to
-an already encrypted relation by *reusing* the owner-side plans retained in
+an already encrypted relation by *reusing* the owner-side state retained in
 the previous run's :class:`~repro.api.pipeline.EncryptionContext`:
 
 * **MAS stability check** — appends only add duplicates, so the MAS family
@@ -12,16 +12,29 @@ the previous run's :class:`~repro.api.pipeline.EncryptionContext`:
   lookups instead of a rediscovery.  If the family changed, the grouping
   decisions are invalid and the updater falls back to a full pipeline run.
 * **Plan reuse** — with stable MASs, each existing ECG keeps its membership.
-  Groups whose member frequencies are untouched by the batch keep their
+  Every MAS plan carries its partition as a class map, which grows from the
+  batch alone.  Groups whose classes did not grow keep their
   split-and-scale plan verbatim (and hence their ciphertext instances);
-  only groups containing a grown equivalence class are re-planned.
-  Equivalence classes that first appear in the batch are grouped among
-  themselves (padded with fake classes as usual) into *new* groups.
-* **Tail re-run** — conflict resolution, false-positive elimination, and
-  materialisation always re-run over the updated relation, because a batch
-  can create cross-MAS conflicts or plaintext FD violations anywhere.  The
-  materialiser's nonce log and instance-ciphertext cache are carried over,
-  so untouched rows reproduce their previous bytes without re-encryption.
+  only groups containing a grown class are re-planned.  Classes that first
+  appear in the batch are grouped among themselves (padded with fake
+  classes as usual) into *new* groups.
+* **Spliced tail** — conflict resolution, false-positive elimination and
+  materialisation run as the pipeline's usual stages, but on top of the
+  previous run's :class:`~repro.core.conflict.ViewLayout`.  SYN rebuilds
+  the rows whose bindings changed, every new row, and the artificial rows
+  of re-planned and new groups; FP keeps the previous false-positive rows
+  unless a MAS partition gained a class; MATERIALIZE encrypts only the
+  rebuilt rows and slices the rest out of the previous view.  The kept
+  rows would have drawn no randomness if re-materialised (their cells are
+  in the nonce log, the instance cache and the fresh factory), so the
+  result is byte-identical to re-running the whole tail.  Two cases re-run
+  it anyway (``IncrementalReport.tail_fallback``): a rebuilt row that
+  shuffles conflicting MAS pairs, whose draws from the conflict RNG would
+  shift every later row's, and ``verify_and_repair``, whose repair pass
+  needs the whole view.
+* **Delta** — the splice knows which previous row every kept row is, so the
+  new server view's :class:`~repro.api.delta.ViewDelta` comes from it
+  directly (:attr:`EncryptionContext.view_delta`) instead of an alignment.
 
 Reused groups stay collision-free with at least ``k`` members and re-planned
 groups are frequency-homogenised by construction, so the alpha-security
@@ -36,8 +49,14 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
+from repro.api.delta import splice_view_delta
 from repro.api.pipeline import EncryptionContext, EncryptionPipeline
-from repro.api.stages import mas_namespace, record_planning_stats
+from repro.api.stages import (
+    PLANNING_COUNTERS,
+    group_positions,
+    mas_namespace,
+    split_members,
+)
 from repro.core.conflict import MasPlan
 from repro.core.ecg import (
     EcgMember,
@@ -49,7 +68,7 @@ from repro.core.encrypted import EncryptedTable
 from repro.core.split_scale import EcgPlan, build_ecg_plan
 from repro.exceptions import EncryptionError
 from repro.fd.mas import MasBorder, MasResult, MaximalAttributeSet
-from repro.relational.partition import Partition
+from repro.relational.partition import EquivalenceClass
 from repro.relational.table import Relation
 
 
@@ -63,6 +82,17 @@ class IncrementalReport:
     groups_reused: int = 0
     groups_replanned: int = 0
     groups_added: int = 0
+    #: View rows whose plans SYN built (the rest were kept from the base).
+    rows_reassembled: int = 0
+    #: View rows MATERIALIZE encrypted (the rest were sliced from the base).
+    rows_materialized: int = 0
+    #: True when FP kept the base's false-positive rows.
+    fp_reused: bool = False
+    #: Why an incremental update re-ran its whole tail (``None``: it spliced):
+    #: ``"verify-and-repair"`` (the repair pass needs the whole view),
+    #: ``"conflict-rng"`` (a rebuilt row draws from the conflict RNG), or
+    #: ``"no-layout"`` (the previous context carries no view layout).
+    tail_fallback: str | None = None
 
     def to_metadata(self) -> dict[str, Any]:
         """Flat form stored in ``EncryptedTable.metadata['update']``."""
@@ -73,6 +103,10 @@ class IncrementalReport:
             "groups_reused": self.groups_reused,
             "groups_replanned": self.groups_replanned,
             "groups_added": self.groups_added,
+            "rows_reassembled": self.rows_reassembled,
+            "rows_materialized": self.rows_materialized,
+            "fp_reused": self.fp_reused,
+            "tail_fallback": self.tail_fallback,
         }
 
 
@@ -112,28 +146,38 @@ def insert_rows(
         report = IncrementalReport(mode="full", reason="mas-changed", batch_rows=len(batch))
         ctx.metadata["update"] = report.to_metadata()
         table = pipeline.execute(ctx)
+        _record_tail(ctx, table, report)
         return ctx, table, report
 
     ctx = EncryptionContext.create(
         updated, config, pipeline.cipher, fresh_factory=previous.fresh_factory
     )
     # Carry the materialiser's fresh-nonce log and instance ciphertexts
-    # (copied: the previous context stays untouched): untouched rows
-    # re-encrypt to their previous bytes, which is what makes the post-insert
-    # server view a small *delta* of the previous one.  The full-run fallback
-    # above deliberately starts empty — a MAS change re-randomises
-    # everything, and the owner ships a full view anyway.
+    # (copied: the previous context stays untouched): rebuilt rows that
+    # were materialised before re-encrypt to their previous bytes, and the
+    # kept ones would draw nothing at all.  The full-run fallback above
+    # deliberately starts empty — a MAS change re-randomises everything,
+    # and the owner ships a full view anyway.
     ctx.nonce_log = dict(previous.nonce_log)
     ctx.instance_cache = dict(previous.instance_cache)
     ctx.mas_border = border
     ctx.stats.seconds_max = mas_seconds
 
     report = IncrementalReport(mode="incremental", reason=None, batch_rows=len(batch))
+    if config.verify_and_repair:
+        report.tail_fallback = "verify-and-repair"
+    elif previous.layout is None:
+        report.tail_fallback = "no-layout"
+    else:
+        ctx.base_layout = previous.layout
     sse_start = time.perf_counter()
+    # The planning counters move by what the plan updates change.
+    for name in PLANNING_COUNTERS:
+        setattr(ctx.stats, name, getattr(previous.stats, name))
     ctx.mas_plans = [
-        _update_mas_plan(updated, old_plan, ctx, report) for old_plan in previous.mas_plans
+        _update_mas_plan(updated, previous.relation.num_rows, old_plan, ctx, report)
+        for old_plan in previous.mas_plans
     ]
-    record_planning_stats(ctx.stats, ctx.mas_plans)
     sse_seconds = time.perf_counter() - sse_start
     ctx.mas_result = MasResult(
         masses=[plan.mas for plan in ctx.mas_plans],
@@ -151,102 +195,141 @@ def insert_rows(
     ctx.metadata["update"] = report.to_metadata()
 
     table = pipeline.execute(ctx, stages=pipeline.stages_after("SSE"))
+    _record_tail(ctx, table, report)
+    if ctx.base_layout is not None:
+        base, layout = ctx.base_layout, ctx.layout
+        assert layout is not None and layout.relation is not None
+        assert base.relation is not None
+        ctx.view_delta = splice_view_delta(
+            base.relation, layout.relation, layout.splice.segments, layout.splice.candidates
+        )
+        # Drop the link: a carried context must not keep its predecessor's
+        # view alive.
+        ctx.base_layout = None
     return ctx, table, report
+
+
+def _record_tail(ctx: EncryptionContext, table: EncryptedTable, report: IncrementalReport) -> None:
+    """Copy what the tail stages did into ``report`` and the metadata."""
+    layout = ctx.layout
+    if layout is not None:
+        report.rows_reassembled = layout.rows_reassembled
+        report.rows_materialized = len(layout.splice.pending)
+        report.fp_reused = layout.fp_reused
+        report.tail_fallback = report.tail_fallback or layout.fallback
+    ctx.metadata["update"] = table.metadata["update"] = report.to_metadata()
 
 
 def _update_mas_plan(
     updated: Relation,
+    first_new_row: int,
     old_plan: MasPlan,
     ctx: EncryptionContext,
     report: IncrementalReport,
 ) -> MasPlan:
     """Rebuild one MAS plan against the updated relation, reusing groups.
 
-    The plan's MAS descriptor is refreshed with the updated partition's
-    class counts (the wire codec ships them with the encrypted table).
+    The plan's class map grows from the batch rows alone; the groups of
+    grown classes are re-planned in place, and classes the batch created
+    are grouped among themselves into new groups.  The MAS descriptor's
+    class counts (shipped by the wire codec) and the planning counters of
+    ``ctx.stats`` follow from the same changes, so nothing here walks the
+    untouched groups.
     """
     config = ctx.config
-    partition = Partition.build(updated, old_plan.attributes, backend=ctx.backend)
-    by_representative = {ec.representative: ec for ec in partition.classes}
+    stats = ctx.stats
+    attributes = old_plan.grouping.mas_attributes
     namespace = mas_namespace(old_plan.index, old_plan.mas)
+    columns = [updated.column(attr) for attr in attributes]
+    classes = dict(old_plan.classes)
+    grown: set[tuple] = set()
+    added: dict[tuple, None] = {}
+    duplicates = old_plan.mas.num_duplicate_classes
+    for row in range(first_new_row, updated.num_rows):
+        representative = tuple(column[row] for column in columns)
+        rows = classes.get(representative)
+        if rows is None:
+            classes[representative] = (row,)
+            added[representative] = None
+            continue
+        if len(rows) == 1:
+            duplicates += 1
+        classes[representative] = rows + (row,)
+        if representative not in added:
+            grown.add(representative)
 
-    groups: list[EquivalenceClassGroup] = []
-    ecg_plans: list[EcgPlan] = []
-    known: set[tuple] = set()
+    def plan(group: EquivalenceClassGroup) -> EcgPlan:
+        ecg_plan = build_ecg_plan(
+            group,
+            config.split_factor,
+            keep_pairs_together=config.keep_pairs_together,
+            namespace=namespace,
+        )
+        stats.num_split_ecs += split_members(ecg_plan)
+        return ecg_plan
 
-    for group, old_ecg_plan in zip(old_plan.grouping.groups, old_plan.ecg_plans):
-        changed = False
-        members: list[EcgMember] = []
-        for member in group.members:
-            if member.is_fake:
-                members.append(member)
-                continue
-            known.add(member.representative)
-            current = by_representative.get(member.representative)
-            if current is None:  # pragma: no cover - rows are append-only
-                raise EncryptionError(
-                    f"equivalence class {member.representative!r} disappeared; "
-                    "incremental updates only support appends"
-                )
-            if current.rows != member.rows:
-                changed = True
-                members.append(
-                    EcgMember(representative=member.representative, rows=current.rows)
-                )
-            else:
-                members.append(member)
-        if changed:
-            new_group = EquivalenceClassGroup(
-                mas_attributes=group.mas_attributes, members=members, index=group.index
-            )
-            groups.append(new_group)
-            ecg_plans.append(
-                build_ecg_plan(
-                    new_group,
-                    config.split_factor,
-                    keep_pairs_together=config.keep_pairs_together,
-                    namespace=namespace,
-                )
-            )
-            report.groups_replanned += 1
-        else:
-            groups.append(group)
-            ecg_plans.append(old_ecg_plan)
-            report.groups_reused += 1
+    groups = list(old_plan.grouping.groups)
+    ecg_plans = list(old_plan.ecg_plans)
+    replanned = sorted({old_plan.group_of[representative] for representative in grown})
+    for position in replanned:
+        group = groups[position]
+        groups[position] = EquivalenceClassGroup(
+            mas_attributes=group.mas_attributes,
+            members=[
+                EcgMember(representative=member.representative, rows=classes[member.representative])
+                if not member.is_fake and member.representative in grown
+                else member
+                for member in group.members
+            ],
+            index=group.index,
+        )
+        stats.num_split_ecs -= split_members(ecg_plans[position])
+        ecg_plans[position] = plan(groups[position])
+    report.groups_replanned += len(replanned)
+    report.groups_reused += len(groups) - len(replanned)
 
-    fresh_classes = [ec for ec in partition.classes if ec.representative not in known]
-    if fresh_classes:
+    fake_ec_count = old_plan.grouping.fake_ec_count
+    fake_rows_added = old_plan.grouping.fake_rows_added
+    group_of = old_plan.group_of
+    if added:
         grouping_new = group_equivalence_classes(
-            partition.attributes,
-            fresh_classes,
+            attributes,
+            [
+                EquivalenceClass(attributes, representative, classes[representative])
+                for representative in added
+            ],
             config.group_size,
             ctx.fresh_factory,
             start_index=len(groups),
-            backend=partition.backend,
+            backend=ctx.backend,
         )
+        group_of = {**group_of, **group_positions(grouping_new.groups, len(groups))}
         for group in grouping_new.groups:
             groups.append(group)
-            ecg_plans.append(
-                build_ecg_plan(
-                    group,
-                    config.split_factor,
-                    keep_pairs_together=config.keep_pairs_together,
-                    namespace=namespace,
-                )
-            )
+            ecg_plans.append(plan(group))
         report.groups_added += len(grouping_new.groups)
+        fake_ec_count += grouping_new.fake_ec_count
+        fake_rows_added += grouping_new.fake_rows_added
+        stats.num_equivalence_classes += len(added)
+        stats.num_fake_ecs += grouping_new.fake_ec_count
+        stats.num_ecgs += len(grouping_new.groups)
 
     grouping = GroupingResult(
-        mas_attributes=partition.attributes,
+        mas_attributes=attributes,
         groups=groups,
-        fake_ec_count=sum(group.num_fake_members for group in groups),
-        fake_rows_added=sum(
-            member.size for group in groups for member in group.members if member.is_fake
-        ),
+        fake_ec_count=fake_ec_count,
+        fake_rows_added=fake_rows_added,
     )
     mas = MaximalAttributeSet(
         attributes=old_plan.mas.attributes,
-        num_equivalence_classes=len(partition),
-        num_duplicate_classes=len(partition.non_singleton_classes()),
+        num_equivalence_classes=len(classes),
+        num_duplicate_classes=duplicates,
     )
-    return MasPlan(index=old_plan.index, mas=mas, grouping=grouping, ecg_plans=ecg_plans)
+    return MasPlan(
+        index=old_plan.index,
+        mas=mas,
+        grouping=grouping,
+        ecg_plans=ecg_plans,
+        classes=classes,
+        group_of=group_of,
+    )

@@ -18,7 +18,8 @@ Why a pipeline instead of one method?
   rather than flipping hidden configuration flags.
 * **Incrementality** — :mod:`repro.api.incremental` re-runs only the tail of
   the pipeline on a pre-seeded context when rows are appended to an already
-  outsourced table.
+  outsourced table, and the tail stages splice the previous run's view
+  layout instead of rebuilding it.
 
 The default stage list reproduces :meth:`repro.core.scheme.F2Scheme.encrypt`
 exactly: for a fixed key and seeded configuration the pipeline's output is
@@ -30,12 +31,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro import obs
 from repro.backend import ComputeBackend, get_backend
 from repro.core.config import F2Config
-from repro.core.conflict import AssemblyResult, MasPlan
+from repro.core.conflict import MasPlan, ViewLayout
 from repro.core.encrypted import EncryptedTable, RowProvenance
 from repro.core.plan import FreshValueFactory, RowPlan
 from repro.core.stats import EncryptionStats
@@ -45,6 +46,9 @@ from repro.exceptions import EncryptionError
 from repro.fd.mas import MasBorder, MasResult
 from repro.relational.coded import CodedRelation
 from repro.relational.table import Relation
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.api.delta import ViewDelta
 
 
 @dataclass
@@ -87,15 +91,25 @@ class EncryptionContext:
     #: O(batch) MAS stability check.  Built on the first incremental insert
     #: and carried forward; ``None`` until then.
     mas_border: MasBorder | None = None
+    #: The previous run's :class:`~repro.core.conflict.ViewLayout` when
+    #: this run is an incremental update: the tail stages rebuild only what
+    #: changed and splice the rest from it.  ``None`` for a full run (and
+    #: reset to ``None`` when the tail falls back to one).
+    base_layout: ViewLayout | None = None
 
     # Produced by the stages, in order.
     mas_result: MasResult | None = None
     mas_plans: list[MasPlan] = field(default_factory=list)
-    assembly: AssemblyResult | None = None
+    #: This run's view as blocks (SYN, FP and MATERIALIZE fill it); the
+    #: next incremental update's base layout.
+    layout: ViewLayout | None = None
     row_plans: list[RowPlan] = field(default_factory=list)
     encrypted_relation: Relation | None = None
     provenance: list[RowProvenance] = field(default_factory=list)
     result: EncryptedTable | None = None
+    #: The server-view delta from the base layout's view to this run's,
+    #: when the incremental tail spliced it (see :mod:`repro.api.delta`).
+    view_delta: "ViewDelta | None" = None
 
     # Free-form annotations (propagated into ``EncryptedTable.metadata``).
     metadata: dict[str, Any] = field(default_factory=dict)

@@ -241,6 +241,13 @@ class DataOwner:
         """The report of the most recent :meth:`insert_rows` call, if any."""
         return self._last_report
 
+    @property
+    def last_view_delta(self) -> ViewDelta | None:
+        """The server-view delta of the most recent insert, from the previous
+        table's view to the current one — ``None`` unless the incremental
+        tail spliced it (see :func:`repro.api.delta.splice_view_delta`)."""
+        return self._context.view_delta if self._context is not None else None
+
     # ------------------------------------------------------------------
     # Owner-side state
     # ------------------------------------------------------------------
@@ -665,13 +672,15 @@ class RemoteOwnerSession:
     serves ``discover_fds``/``select``/``query`` (the server rejects
     anything else with ``FORBIDDEN``).
 
-    Incremental inserts ship as view *deltas* whenever they can: the session
-    retains the last server view it pushed, aligns the new view against it
-    (cheap — the materialiser's nonce retention keeps untouched rows
-    byte-identical), and sends an ``InsertDelta`` carrying only the changed
-    rows, CAS-armed with the last acknowledged commit version.  A MAS-change
-    fallback, a poor alignment, or a server-side base mismatch silently
-    degrades to the full ``InsertBatch`` path.
+    Incremental inserts ship as view *deltas* whenever they can: the owner's
+    incremental tail splices the new view from the previous one and builds
+    the delta from that splice, and the session sends it as an
+    ``InsertDelta`` carrying only the changed rows, CAS-armed with the last
+    acknowledged commit version.  When the acknowledged base is not the
+    owner's previous table (the last push's reply was lost), the session
+    aligns the new view against the last view it knows the server stored
+    instead.  A MAS-change fallback, a poor delta, or a server-side base
+    mismatch silently degrades to the full ``InsertBatch`` path.
 
     ``verify=True`` (or the ``REPRO_VERIFY`` environment variable) turns on
     owner-side integrity verification: the session mirrors the server's
@@ -728,8 +737,10 @@ class RemoteOwnerSession:
             self.integrity: "TableIntegrityState | None" = coordinator.integrity
         else:
             self.integrity = TableIntegrityState(table_id) if self.verify else None
-        #: The server view this session last shipped (the delta base).
+        #: The server view this session last shipped (the delta base), and
+        #: the owner's table it came from.
         self._last_view: Relation | None = None
+        self._last_pushed: EncryptedTable | None = None
         #: The server commit version of the last acknowledged push; armed as
         #: the CAS base of the next ``InsertDelta``.
         self._last_version = -1
@@ -753,6 +764,7 @@ class RemoteOwnerSession:
         count = self.client.outsource(self.table_id, view, with_root=self.verify)
         version, root = self._ack_state()
         self._last_view = view
+        self._last_pushed = encrypted
         self._last_version = version
         self.last_delta = None
         if self.coordinator is not None:
@@ -765,13 +777,17 @@ class RemoteOwnerSession:
         """Incrementally insert locally, then update the remote view.
 
         Ships an ``InsertDelta`` when the local update ran incrementally and
-        the alignment against the last pushed view reuses enough rows;
-        otherwise (MAS-change fallback, first push unseen, degenerate
-        alignment, or a server-side ``VERSION_CONFLICT``/``DELTA_MISMATCH``)
-        ships the full view.  The delta is armed with the last acknowledged
-        commit version as its CAS base, so a write the owner never made —
-        another writer's, or a rollback of the store — is caught before it
-        can be built upon.
+        the delta reuses enough rows; otherwise (MAS-change fallback, first
+        push unseen, degenerate delta, or a server-side
+        ``VERSION_CONFLICT``/``DELTA_MISMATCH``) ships the full view.  When
+        the last acknowledged push carried the owner's previous table, the
+        delta is the one the incremental tail built from its splice
+        (:attr:`DataOwner.last_view_delta`); otherwise — the outcome of the
+        last push was never learned — the new view is aligned against the
+        last acknowledged one.  The delta is armed with the last
+        acknowledged commit version as its CAS base, so a write the owner
+        never made — another writer's, or a rollback of the store — is
+        caught before it can be built upon.
 
         With a shared :attr:`coordinator`, concurrent writers instead push
         optimistically and rebase on ``VERSION_CONFLICT`` — never falling
@@ -780,6 +796,9 @@ class RemoteOwnerSession:
         rows = list(rows)
         if self.coordinator is not None:
             return self._insert_rows_coordinated(rows)
+        base_is_previous = (
+            self._last_pushed is not None and self._last_pushed is self.owner.encrypted
+        )
         encrypted = self.owner.insert_rows(rows)
         view = encrypted.server_view()
         report = self.owner.last_update_report
@@ -790,7 +809,9 @@ class RemoteOwnerSession:
             and report is not None
             and report.mode == "incremental"
         ):
-            delta = compute_view_delta(self._last_view, view)
+            delta = self.owner.last_view_delta if base_is_previous else None
+            if delta is None:
+                delta = compute_view_delta(self._last_view, view)
             if delta.reuse_fraction >= self.MIN_DELTA_REUSE:
                 try:
                     count = self.client.insert_delta(
@@ -813,6 +834,7 @@ class RemoteOwnerSession:
                 else:
                     version, root = self._ack_state()
                     self._last_view = view
+                    self._last_pushed = encrypted
                     self._last_version = version
                     self.last_delta = delta
                     if self.integrity is not None:
@@ -824,6 +846,7 @@ class RemoteOwnerSession:
         count = self.client.insert(self.table_id, view, batch_rows=len(rows))
         version, root = self._ack_state()
         self._last_view = view
+        self._last_pushed = encrypted
         self._last_version = version
         if self.integrity is not None:
             self.integrity.record_push(view, version, root)

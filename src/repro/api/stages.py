@@ -14,10 +14,15 @@ import warnings
 from typing import Any
 
 from repro.api.pipeline import EncryptionContext, Stage
-from repro.core.conflict import MasPlan, assemble_row_plans, validate_assembly
+from repro.core.conflict import (
+    MasPlan,
+    ViewLayout,
+    assemble_row_plans,
+    validate_row_plans,
+)
 from repro.core.config import F2Config
 from repro.core.ecg import build_equivalence_class_groups
-from repro.core.encrypted import EcgSummary, EncryptedTable, RowProvenance
+from repro.core.encrypted import EncryptedTable, RowProvenance
 from repro.core.false_positive import build_violation_pairs, eliminate_false_positives
 from repro.core.plan import (
     FreshCell,
@@ -26,7 +31,7 @@ from repro.core.plan import (
     RandomCell,
     RowPlan,
 )
-from repro.core.split_scale import build_ecg_plan
+from repro.core.split_scale import EcgPlan, build_ecg_plan
 from repro.core.stats import EncryptionStats
 from repro.crypto.probabilistic import Ciphertext, ProbabilisticCipher
 from repro.exceptions import EncryptionError, FdPreservationWarning
@@ -43,12 +48,21 @@ def mas_namespace(index: int, mas: MaximalAttributeSet) -> str:
     return f"mas{index}:{','.join(mas.attributes)}"
 
 
+#: The counters :func:`record_planning_stats` derives from the plans.
+PLANNING_COUNTERS = (
+    "num_equivalence_classes",
+    "num_fake_ecs",
+    "num_ecgs",
+    "num_split_ecs",
+)
+
+
 def record_planning_stats(stats: EncryptionStats, mas_plans: list[MasPlan]) -> None:
     """Derive the grouping/splitting counters of ``stats`` from the plans.
 
-    Both the full pipeline and the incremental updater call this, so the
-    counters always describe the plans actually in effect rather than
-    whatever increments happened to run.
+    The full pipeline calls this; the incremental updater moves the same
+    counters by what its plan updates change, and the tests pin the two
+    equal.
     """
     stats.num_equivalence_classes = sum(
         1
@@ -66,12 +80,23 @@ def record_planning_stats(stats: EncryptionStats, mas_plans: list[MasPlan]) -> N
     )
     stats.num_ecgs = sum(len(plan.grouping.groups) for plan in mas_plans)
     stats.num_split_ecs = sum(
-        1
-        for plan in mas_plans
-        for ecg_plan in plan.ecg_plans
-        for member_plan in ecg_plan.member_plans
-        if member_plan.was_split
+        split_members(ecg_plan) for plan in mas_plans for ecg_plan in plan.ecg_plans
     )
+
+
+def group_positions(groups, start: int = 0) -> dict[tuple, int]:
+    """Representative of every real class -> position of its group."""
+    return {
+        member.representative: position
+        for position, group in enumerate(groups, start)
+        for member in group.members
+        if not member.is_fake
+    }
+
+
+def split_members(ecg_plan: EcgPlan) -> int:
+    """How many members of one ECG were split."""
+    return sum(1 for member_plan in ecg_plan.member_plans if member_plan.was_split)
 
 
 def plan_single_mas(
@@ -85,7 +110,13 @@ def plan_single_mas(
     """Group and split/scale one MAS (Step 2 for a single attribute set)."""
     partition = Partition.build(relation, mas.attributes, backend=backend)
     grouping = build_equivalence_class_groups(partition, config.group_size, fresh_factory)
-    plan = MasPlan(index=index, mas=mas, grouping=grouping)
+    plan = MasPlan(
+        index=index,
+        mas=mas,
+        grouping=grouping,
+        classes={ec.representative: ec.rows for ec in partition.classes},
+        group_of=group_positions(grouping.groups),
+    )
     for group in grouping.groups:
         plan.ecg_plans.append(
             build_ecg_plan(
@@ -111,15 +142,49 @@ def materialize_row_plans(
 ) -> tuple[Relation, list[RowProvenance]]:
     """Turn symbolic row plans into a ciphertext relation plus provenance.
 
-    Two passes.  Pass 1 walks the plans in row-major order and *plans* the
-    cell work: unique encryption jobs (instance cells deduplicated by
-    ``cache_key``, random cells deduplicated through ``nonce_log``) are
-    collected in first-encounter order, and artificial values are drawn from
-    the fresh factory immediately (its RNG consumption order is part of the
+    :func:`materialize_rows` does the work; this wraps its rows into a
+    relation over ``relation``'s schema.
+    """
+    rows, provenance = materialize_rows(
+        row_plans,
+        relation.attributes,
+        cipher,
+        fresh_factory,
+        nonce_log,
+        backend=backend,
+        workers=workers,
+        parallel_threshold=parallel_threshold,
+        instance_cache=instance_cache,
+    )
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in relation.attributes]
+    return (
+        Relation.adopt_columns(relation.schema, columns, name=f"{relation.name}-encrypted"),
+        provenance,
+    )
+
+
+def materialize_rows(
+    row_plans: list[RowPlan],
+    attributes: tuple[str, ...],
+    cipher: ProbabilisticCipher,
+    fresh_factory: FreshValueFactory,
+    nonce_log: "dict[tuple[str, str], Ciphertext] | None" = None,
+    backend=None,
+    workers: int = 1,
+    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
+    instance_cache: "dict[tuple[str, str, str], Ciphertext] | None" = None,
+) -> tuple[list[list[Any]], list[RowProvenance]]:
+    """Turn symbolic row plans into ciphertext rows plus provenance.
+
+    Pass 1 walks the plans in row-major order and *plans* the cell work:
+    unique encryption jobs (instance cells deduplicated by ``cache_key``,
+    random cells deduplicated through ``nonce_log``) are collected in
+    first-encounter order, and artificial values are drawn from the fresh
+    factory immediately (its RNG consumption order is part of the
     byte-identity contract).  The jobs then encrypt as one batch — bulk
     urandom draws sliced per cell, one PRF key schedule, one XOR over the
-    concatenated buffers — optionally sharded over ``workers`` processes.
-    Pass 2 assembles the rows from the computed cells.
+    concatenated buffers — optionally sharded over ``workers`` processes —
+    and pass 2 patches the computed cells into the pending slots.
 
     The output is byte-identical to encrypting cell-by-cell in row-major
     order (the seed pipeline's behaviour) for every backend and worker
@@ -132,19 +197,19 @@ def materialize_row_plans(
     materialised before reuses its previous ciphertext instead of drawing a
     new nonce.  On a fresh context the log starts empty (every cell draws,
     exactly as before the log existed); on an incremental re-materialisation
-    it carries the previous run's draws, so untouched rows keep their bytes
-    and the server-view delta stays small.
+    it carries the previous run's draws.
 
     ``instance_cache`` is the context's instance-ciphertext cache: a cached
     :class:`~repro.core.plan.InstanceCell` is placed directly instead of
     becoming a job, and every instance encrypted here is added to it.
     Instance ciphertexts derive their nonce from the key, so skipping them
     changes neither the bytes nor the order of the random draws.
+
+    Together the two maps and the factory's token memory mean a plan that
+    was materialised before draws nothing when materialised again.  That is
+    why the MATERIALIZE stage can hand this function only the rows an
+    incremental update rebuilt: the kept rows would have drawn nothing.
     """
-    schema = relation.schema
-    attributes = tuple(schema)
-    encrypted_relation = Relation(schema, name=f"{relation.name}-encrypted")
-    provenance: list[RowProvenance] = []
     materialize = fresh_factory.materialize
     log_get = nonce_log.get if nonce_log is not None else None
     cached_instance = (instance_cache if instance_cache is not None else {}).get
@@ -160,6 +225,7 @@ def materialize_row_plans(
     job_of_instance: dict[tuple[str, str, str], int] = {}
     job_of_log_key: dict[tuple[str, str], int] = {}
     rows: list[list[Any]] = []
+    provenance: list[RowProvenance] = []
     patches: list[tuple[list[Any], int, int]] = []  # (row, position, job index)
     append_row = rows.append
     append_patch = patches.append
@@ -231,29 +297,7 @@ def materialize_row_plans(
                 instance_cache[key] = ciphertexts[index]
         for row, position, index in patches:
             row[position] = ciphertexts[index]
-
-    for row in rows:
-        encrypted_relation.append(row)
-    return encrypted_relation, provenance
-
-
-def summarise_groups(mas_plans: list[MasPlan]) -> list[EcgSummary]:
-    """Owner-side ECG summaries (consumed by the alpha-security audit)."""
-    summaries: list[EcgSummary] = []
-    for mas_plan in mas_plans:
-        for ecg_plan in mas_plan.ecg_plans:
-            summaries.append(
-                EcgSummary(
-                    mas_attributes=mas_plan.attributes,
-                    group_index=ecg_plan.group.index,
-                    num_members=len(ecg_plan.group.members),
-                    num_fake_members=ecg_plan.group.num_fake_members,
-                    target_frequency=ecg_plan.target_frequency,
-                    instance_frequencies=tuple(ecg_plan.instance_frequencies()),
-                    member_sizes=tuple(ecg_plan.group.sizes),
-                )
-            )
-    return summaries
+    return rows, provenance
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +335,12 @@ class SplitScaleStage:
 
 
 class ConflictResolutionStage:
-    """Step 3: synchronise the per-MAS plans into one row-plan list."""
+    """Step 3: synchronise the per-MAS plans into one row-plan list.
+
+    On an incremental update (``ctx.base_layout`` set) only the changed
+    blocks of the previous layout are re-assembled; see
+    :func:`~repro.core.conflict.assemble_row_plans`.
+    """
 
     name = "SYN"
 
@@ -302,10 +351,14 @@ class ConflictResolutionStage:
             ctx.fresh_factory,
             resolve_conflicts=ctx.config.resolve_conflicts,
             seed=ctx.config.seed,
+            base=ctx.base_layout,
         )
-        validate_assembly(assembly, ctx.relation)
-        ctx.assembly = assembly
-        ctx.row_plans = list(assembly.row_plans)
+        layout = assembly.layout
+        if layout.fallback is not None:
+            ctx.base_layout = None
+        validate_row_plans(layout.splice.pending, ctx.relation.attributes, layout.rebuilt_rows)
+        ctx.layout = layout
+        ctx.row_plans = assembly.row_plans
         ctx.stats.num_conflicting_tuples = assembly.conflicting_tuples
         ctx.stats.rows_added_conflict = assembly.conflict_rows_added
         ctx.stats.rows_added_scale = assembly.scaling_rows_added
@@ -313,34 +366,63 @@ class ConflictResolutionStage:
 
 
 class FalsePositiveStage:
-    """Step 4: insert artificial violation pairs for false-positive FDs."""
+    """Step 4: insert artificial violation pairs for false-positive FDs.
+
+    The rows depend only on the MAS partitions (their classes, first rows
+    and codes), which an append changes only by adding a class.  So when
+    every partition kept its class count since the base layout's run, the
+    base's rows are reused as they are.
+    """
 
     name = "FP"
 
     def run(self, ctx: EncryptionContext) -> None:
         if not ctx.config.eliminate_false_positives:
             return
-        fp_result = eliminate_false_positives(
-            ctx.relation,
-            ctx.mas_plans,
-            ctx.config.group_size,
-            ctx.fresh_factory,
-            backend=ctx.backend,
-        )
-        ctx.row_plans.extend(fp_result.row_plans)
-        ctx.stats.num_false_positive_nodes = fp_result.num_triggered
-        ctx.stats.rows_added_false_positive = fp_result.rows_added
+        layout = _layout_of(ctx)
+        base = ctx.base_layout
+        class_counts = tuple(len(plan.classes) for plan in ctx.mas_plans)
+        if base is not None and base.fp_class_counts == class_counts:
+            layout.false_positives = base.false_positives
+            layout.fp_nodes = base.fp_nodes
+            layout.fp_reused = True
+            layout.splice.copy(base.fp_start, len(base.false_positives))
+        else:
+            fp_result = eliminate_false_positives(
+                ctx.relation,
+                ctx.mas_plans,
+                ctx.config.group_size,
+                ctx.fresh_factory,
+                backend=ctx.backend,
+            )
+            layout.false_positives = fp_result.row_plans
+            layout.fp_nodes = fp_result.num_triggered
+            layout.splice.take(fp_result.row_plans)
+            if base is not None:
+                layout.splice.note(base.fp_start, len(base.false_positives))
+        layout.fp_class_counts = class_counts
+        ctx.row_plans.extend(layout.false_positives)
+        ctx.stats.num_false_positive_nodes = layout.fp_nodes
+        ctx.stats.rows_added_false_positive = len(layout.false_positives)
 
 
 class MaterializeStage:
-    """Produce the ciphertext relation and assemble the encrypted table."""
+    """Produce the ciphertext relation and assemble the encrypted table.
+
+    Encrypts only the layout's new rows (all of them on a full run); the
+    rows kept from the base layout are sliced out of the base view.
+    """
 
     name = "MATERIALIZE"
 
     def run(self, ctx: EncryptionContext) -> None:
-        encrypted_relation, provenance = materialize_row_plans(
-            ctx.relation,
-            ctx.row_plans,
+        layout = _layout_of(ctx)
+        base = ctx.base_layout
+        splice = layout.splice
+        attributes = ctx.relation.attributes
+        rows, provenance = materialize_rows(
+            splice.pending,
+            attributes,
             ctx.cipher,
             ctx.fresh_factory,
             ctx.nonce_log,
@@ -348,6 +430,22 @@ class MaterializeStage:
             workers=resolve_workers(ctx.config.workers),
             instance_cache=ctx.instance_cache,
         )
+        new_columns = list(zip(*rows)) if rows else [()] * len(attributes)
+        encrypted_relation = Relation.adopt_columns(
+            ctx.relation.schema,
+            [
+                splice.apply(
+                    base.relation.column(attr) if base is not None else None,  # type: ignore[union-attr]
+                    new_columns[position],
+                )
+                for position, attr in enumerate(attributes)
+            ],
+            name=f"{ctx.relation.name}-encrypted",
+        )
+        provenance = splice.apply(base.provenance if base is not None else None, provenance)
+        layout.row_plans = ctx.row_plans
+        layout.relation = encrypted_relation
+        layout.provenance = provenance
         ctx.encrypted_relation = encrypted_relation
         ctx.provenance = provenance
         ctx.result = EncryptedTable(
@@ -356,9 +454,15 @@ class MaterializeStage:
             config=ctx.config,
             stats=ctx.stats,
             masses=list(ctx.masses),
-            ecg_summaries=summarise_groups(ctx.mas_plans),
+            ecg_summaries=[block.summary for blocks in layout.groups for block in blocks],
             metadata=dict(ctx.metadata),
         )
+
+
+def _layout_of(ctx: EncryptionContext) -> ViewLayout:
+    if ctx.layout is None:
+        raise EncryptionError("the SYN stage must run before FP and MATERIALIZE")
+    return ctx.layout
 
 
 class VerifyRepairStage:

@@ -21,15 +21,23 @@ must be shared with other rows (post-scaling frequency of at least two); an
 instance of frequency one is free to adopt whatever value the other MAS
 requires, which is why conflicts are rare in practice (the paper reports only
 24 conflict records on a 0.3 GB Orders table).
+
+The assembly is recorded as a :class:`ViewLayout` — one block of row plans
+per original row, one per (MAS, ECG) for the artificial rows, one for
+Step 4's rows — so that an incremental update can rebuild only the blocks
+whose inputs changed and splice the rest from the previous view
+(:class:`Splice`).  A full run is the same splice with nothing to reuse.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from repro.core.ecg import GroupingResult
+from repro.core.encrypted import EcgSummary
 from repro.core.plan import (
     CellSpec,
     FreshCell,
@@ -53,6 +61,12 @@ class MasPlan:
     mas: MaximalAttributeSet
     grouping: GroupingResult
     ecg_plans: list[EcgPlan] = field(default_factory=list)
+    #: The MAS partition: representative -> member rows, in first-row
+    #: order, and representative -> position of its group in
+    #: ``grouping.groups``.  Incremental updates grow both from the batch
+    #: alone.
+    classes: dict[tuple, tuple[int, ...]] = field(default_factory=dict)
+    group_of: dict[tuple, int] = field(default_factory=dict)
 
     @property
     def attributes(self) -> tuple[str, ...]:
@@ -88,7 +102,6 @@ class _RowBinding:
     mas_index: int
     attributes: tuple[str, ...]
     instance: InstanceAssignment
-    representative: tuple
 
     @property
     def constrained(self) -> bool:
@@ -97,6 +110,143 @@ class _RowBinding:
 
     def cell_for(self, attribute: str, plaintext_value: object) -> InstanceCell:
         return InstanceCell(value=plaintext_value, variant=self.instance.variant)
+
+
+@dataclass(eq=False)
+class GroupBlock:
+    """The scaling-copy and fake-EC rows of one ECG, in view order."""
+
+    mas_attributes: tuple[str, ...]
+    ecg_plan: EcgPlan
+    plans: list[RowPlan]
+    scaling_rows: int
+    fake_rows: int
+    _summary: EcgSummary | None = field(default=None, repr=False)
+
+    @property
+    def summary(self) -> EcgSummary:
+        """The ECG's owner-side summary (read by the alpha-security audit)."""
+        if self._summary is None:
+            ecg_plan = self.ecg_plan
+            self._summary = EcgSummary(
+                mas_attributes=self.mas_attributes,
+                group_index=ecg_plan.group.index,
+                num_members=len(ecg_plan.group.members),
+                num_fake_members=ecg_plan.group.num_fake_members,
+                target_frequency=ecg_plan.target_frequency,
+                instance_frequencies=tuple(ecg_plan.instance_frequencies()),
+                member_sizes=tuple(ecg_plan.group.sizes),
+            )
+        return self._summary
+
+
+class Splice:
+    """A view described as runs of a base view and runs of new rows.
+
+    ``segments`` holds ``[base_start, count]`` for ``count`` rows reused
+    verbatim from the base view and ``[-1, count]`` for the next ``count``
+    entries of ``pending``, in view order.  A view built without a base is
+    one pending run.  ``candidates`` lists ``[base_start, count]`` runs of
+    base rows the pending rows may repeat byte for byte: the blocks they
+    replace and the rows bound by the same re-planned ECGs.
+    """
+
+    __slots__ = ("segments", "pending", "rows", "candidates")
+
+    def __init__(self) -> None:
+        self.segments: list[list[int]] = []
+        self.pending: list[RowPlan] = []
+        self.rows = 0
+        self.candidates: list[list[int]] = []
+
+    def note(self, start: int, count: int) -> None:
+        """Record base rows the pending rows may repeat."""
+        if count > 0:
+            self.candidates.append([start, count])
+
+    def copy(self, start: int, count: int) -> None:
+        """Reuse ``count`` base rows from ``start`` on."""
+        if count <= 0:
+            return
+        segments = self.segments
+        if segments and segments[-1][0] >= 0 and sum(segments[-1]) == start:
+            segments[-1][1] += count
+        else:
+            segments.append([start, count])
+        self.rows += count
+
+    def take(self, plans: list[RowPlan]) -> None:
+        """Append new rows (to be materialised)."""
+        if not plans:
+            return
+        segments = self.segments
+        if segments and segments[-1][0] < 0:
+            segments[-1][1] += len(plans)
+        else:
+            segments.append([-1, len(plans)])
+        self.pending.extend(plans)
+        self.rows += len(plans)
+
+    def apply(self, base: "Sequence | None", pending: Sequence) -> list:
+        """The spliced sequence: base slices and ``pending`` in segment order."""
+        out: list = []
+        taken = 0
+        for start, count in self.segments:
+            if start < 0:
+                out.extend(pending[taken : taken + count])
+                taken += count
+            else:
+                out.extend(base[start : start + count])  # type: ignore[index]
+        return out
+
+
+@dataclass(eq=False)
+class ViewLayout:
+    """One run's server view as blocks an incremental update can reuse.
+
+    View order: the block of every original row (its row plan, or its
+    conflict versions) by source row; then per MAS, in plan order, the
+    :class:`GroupBlock` of every ECG; then the false-positive rows (Step 4).
+    A block's plans and materialised rows sit at its view offset in
+    ``row_plans``, ``relation`` and ``provenance`` (SYN and FP build the
+    plans, MATERIALIZE the rest).  ``splice`` says how this run's view
+    reuses its base's rows.
+    """
+
+    #: Per MAS (by plan position), original row -> the instance bound to it.
+    instances: list[list]
+    #: Original rows covered.
+    num_rows: int
+    #: Original rows whose conflict pairs were shuffled (they consumed the
+    #: conflict RNG, so their plans depend on the rows before them).
+    shuffled_rows: frozenset[int]
+    #: Per MAS, the block of every ECG, and the view offset of each block
+    #: followed by the end of the last.
+    groups: list[list[GroupBlock]]
+    group_starts: list[list[int]]
+    #: Original rows with conflict versions: row -> plans beyond the first,
+    #: ascending.  Every other row has one plan, so this fixes the view
+    #: offset of every row's block.
+    extra_plans: dict[int, int]
+    #: The original rows this run re-assembled, ascending, and the number
+    #: of row plans it built (theirs and the rebuilt ECG blocks').
+    rebuilt_rows: Sequence[int]
+    rows_reassembled: int
+    splice: Splice
+    #: View offset of the false-positive rows.
+    fp_start: int
+    false_positives: list[RowPlan] = field(default_factory=list)
+    fp_nodes: int = 0
+    #: Class count of every MAS partition when the false-positive rows were
+    #: derived; equal counts mean equal partitions (appends only grow them).
+    fp_class_counts: tuple[int, ...] | None = None
+    fp_reused: bool = False
+    #: Why a run with a base re-assembled everything (``None``: it spliced).
+    fallback: str | None = None
+    # Set by MATERIALIZE.
+    row_plans: list[RowPlan] = field(default_factory=list)
+    relation: Relation | None = None
+    provenance: list = field(default_factory=list)
 
 
 @dataclass
@@ -108,6 +258,7 @@ class AssemblyResult:
     conflict_rows_added: int
     scaling_rows_added: int
     fake_ec_rows_added: int
+    layout: ViewLayout
 
 
 def assemble_row_plans(
@@ -116,17 +267,76 @@ def assemble_row_plans(
     fresh_factory: FreshValueFactory,
     resolve_conflicts: bool = True,
     seed: int | None = 0,
+    base: ViewLayout | None = None,
 ) -> AssemblyResult:
-    """Assemble the symbolic ciphertext rows for the whole table.
+    """Assemble the symbolic ciphertext rows, re-using ``base`` where it can.
 
     Produces, in order: one (or more, after conflict resolution) row plan per
     original row, then the scaling-copy rows and fake-EC rows of every MAS.
-    Step 4's artificial rows are appended later by the scheme.
+    Step 4's artificial rows are appended later by the FP stage.
+
+    ``base`` is the layout of the previous run when ``relation`` extends
+    that run's relation and ``mas_plans`` update its plans (the same MASs;
+    every ECG plan either the previous object, re-planned in place, or
+    appended).  Then only the blocks whose inputs changed are rebuilt:
+    every new row, every row whose binding in some MAS changed variant or
+    constrained-ness (only re-planned ECGs rebind rows), and the artificial
+    rows of re-planned and new ECGs.  Every other block keeps its plans,
+    and ``layout.splice`` records where it sits in the base view.  A kept
+    row's plan depends only on its values, those two properties of its
+    bindings, and the conflict RNG, which only rows with two or more
+    conflicting MAS pairs draw from.  If a rebuilt row has such pairs now
+    or had them before, the draws of the rows after it would shift, so the
+    assembly runs without the base instead (``layout.fallback =
+    "conflict-rng"``).  Either way the plans equal an assembly without a
+    base.
     """
     schema_attributes = relation.attributes
+    num_rows = relation.num_rows
     mas_attribute_map = _attribute_to_mas_indexes(schema_attributes, mas_plans)
-    bindings = _collect_row_bindings(relation, mas_plans)
     rng = random.Random(seed)
+    base_rows = base.num_rows if base is not None else 0
+    base_groups = base.groups if base is not None else [[] for _ in mas_plans]
+    grown = [None] * (num_rows - base_rows)
+    instances = (
+        [column + grown for column in base.instances]
+        if base is not None
+        else [list(grown) for _ in mas_plans]
+    )
+
+    # Keep the block of every ECG plan the update reused; the rows of the
+    # others get that MAS's new instance.  A row's plans depend on each
+    # binding's variant and on whether it is constrained, nothing else of
+    # the instance, so a rebound row that keeps both keeps its plans.
+    groups: list[list[GroupBlock | None]] = []
+    rebuilt_groups: list[list[int]] = []
+    rebound: set[int] = set()
+    changed = set(range(base_rows, num_rows))
+    for position, mas_plan in enumerate(mas_plans):
+        old_blocks = base_groups[position]
+        bound = instances[position]
+        blocks: list[GroupBlock | None] = []
+        rebuilt_groups.append([])
+        for number, ecg_plan in enumerate(mas_plan.ecg_plans):
+            if number < len(old_blocks) and old_blocks[number].ecg_plan is ecg_plan:
+                blocks.append(old_blocks[number])
+                continue
+            blocks.append(None)
+            rebuilt_groups[-1].append(number)
+            for member_plan in ecg_plan.member_plans:
+                if member_plan.member.is_fake:
+                    continue
+                for instance in member_plan.instances:
+                    key = _binding_key(instance)
+                    for row in instance.original_rows:
+                        previous = bound[row]
+                        bound[row] = instance
+                        if previous is not None:
+                            rebound.add(row)
+                            if _binding_key(previous) != key:
+                                changed.add(row)
+        groups.append(blocks)
+    rebuilt: Sequence[int] = range(num_rows) if base is None else sorted(changed)
 
     # Columns fetched once (cell access in the row loop is then two list
     # indexings instead of a schema lookup per cell), and the overlap
@@ -141,18 +351,54 @@ def assemble_row_plans(
     }
     covering_lists = [mas_attribute_map[attr] for attr in schema_attributes]
     full_schema_set = frozenset(schema_attributes)
+    check_conflicts = resolve_conflicts and bool(overlapping_indexes)
+    mas_keys = [(plan.index, plan.attributes) for plan in mas_plans]
 
-    row_plans: list[RowPlan] = []
-    conflicting_tuples = 0
-    conflict_rows_added = 0
-
-    for row_index in range(relation.num_rows):
-        row_bindings = bindings.get(row_index, [])
-        binding_by_mas = {binding.mas_index: binding for binding in row_bindings}
-
+    def bindings_and_pairs(row_index: int):
+        binding_by_mas = {
+            index: _RowBinding(mas_index=index, attributes=attributes, instance=instance)
+            for (index, attributes), instance in zip(
+                mas_keys, [bound[row_index] for bound in instances]
+            )
+            if instance is not None
+        }
         conflict_pairs: list[tuple[int, int]] = []
-        if resolve_conflicts and len(binding_by_mas) >= 2 and overlapping_indexes:
-            conflict_pairs = _conflicting_pairs(binding_by_mas, overlapping_indexes, rng)
+        if check_conflicts and len(binding_by_mas) >= 2:
+            conflict_pairs = _conflicting_pairs(binding_by_mas, overlapping_indexes)
+        return row_index, binding_by_mas, conflict_pairs
+
+    if base is None:
+        prepared: Iterable = map(bindings_and_pairs, rebuilt)
+    else:
+        prepared = [bindings_and_pairs(row_index) for row_index in rebuilt]
+        if any(len(pairs) >= 2 for _, _, pairs in prepared) or any(
+            row in base.shuffled_rows for row in rebuilt
+        ):
+            result = assemble_row_plans(
+                relation, mas_plans, fresh_factory, resolve_conflicts, seed
+            )
+            result.layout.fallback = "conflict-rng"
+            return result
+
+    # Lay the view out while re-assembling: the base's kept rows between
+    # rebuilt ones are copy runs, the rebuilt rows' plans new rows.
+    splice = Splice()
+    base_start = _BlockStarts(base.extra_plans if base is not None else {})
+    new_plans: list[RowPlan] = []
+    kept_from = 0
+    extra_plans = dict(base.extra_plans) if base is not None else {}
+    shuffled_rows = set(base.shuffled_rows) if base is not None else set()
+    for row_index, binding_by_mas, conflict_pairs in prepared:
+        if row_index > kept_from:
+            splice.take(new_plans)
+            new_plans = []
+            start = base_start(kept_from)
+            splice.copy(start, base_start(row_index) - start)
+        kept_from = row_index + 1
+        extra_plans.pop(row_index, None)
+        if len(conflict_pairs) >= 2:
+            rng.shuffle(conflict_pairs)
+            shuffled_rows.add(row_index)
 
         if not conflict_pairs:
             # Fast path (the overwhelmingly common case): one version that
@@ -177,7 +423,7 @@ def assemble_row_plans(
                     cells[attr] = RandomCell(value=value)
                 else:
                     cells[attr] = InstanceCell(value=value, variant=chosen.instance.variant)
-            row_plans.append(
+            new_plans.append(
                 RowPlan(
                     cells=cells,
                     provenance=RowProvenanceSpec(
@@ -200,29 +446,86 @@ def assemble_row_plans(
             conflict_pairs,
             mas_attribute_map,
             schema_attributes,
-            fresh_factory,
         )
         if had_conflict:
-            conflicting_tuples += 1
-            conflict_rows_added += len(versions) - 1
-        row_plans.extend(versions)
+            extra_plans[row_index] = len(versions) - 1
+        new_plans.extend(versions)
+    splice.take(new_plans)
+    if kept_from < base_rows:
+        start = base_start(kept_from)
+        splice.copy(start, base_start(base_rows) - start)
+    if base is not None:
+        extra_plans = dict(sorted(extra_plans.items()))
+        # A rebuilt row can only repeat the bytes of a row bound by the
+        # same re-planned ECGs (see :func:`repro.api.delta.splice_view_delta`).
+        bound_start = _BlockStarts(base.extra_plans)
+        for row_index in sorted(rebound):
+            splice.note(bound_start(row_index), 1 + base.extra_plans.get(row_index, 0))
 
-    scaling_rows_added = 0
-    fake_ec_rows_added = 0
-    for mas_plan in mas_plans:
-        scaling, fake = _artificial_rows_for_mas(
-            mas_plan, schema_attributes, fresh_factory, row_plans
+    # Then every MAS's ECG blocks, kept or rebuilt.
+    group_starts: list[list[int]] = []
+    for position, (mas_plan, blocks) in enumerate(zip(mas_plans, groups)):
+        old_blocks = base_groups[position]
+        old_starts = base.group_starts[position] if base is not None else [0]
+        region_start = splice.rows
+        kept_from = 0
+        for number in rebuilt_groups[position]:
+            if number > kept_from:
+                splice.copy(old_starts[kept_from], old_starts[number] - old_starts[kept_from])
+            block = blocks[number] = _group_block(
+                mas_plan, mas_plan.ecg_plans[number], schema_attributes
+            )
+            splice.take(block.plans)
+            if number < len(old_blocks):
+                splice.note(old_starts[number], len(old_blocks[number].plans))
+            kept_from = number + 1
+        if kept_from < len(blocks):
+            splice.copy(old_starts[kept_from], old_starts[-1] - old_starts[kept_from])
+        group_starts.append(
+            list(accumulate((len(block.plans) for block in blocks), initial=region_start))
         )
-        scaling_rows_added += scaling
-        fake_ec_rows_added += fake
+    scaling_rows_added = sum(block.scaling_rows for blocks in groups for block in blocks)
+    fake_ec_rows_added = sum(block.fake_rows for blocks in groups for block in blocks)
 
+    layout = ViewLayout(
+        instances=instances,
+        shuffled_rows=frozenset(shuffled_rows),
+        num_rows=num_rows,
+        groups=groups,  # type: ignore[arg-type]
+        group_starts=group_starts,
+        extra_plans=extra_plans,
+        rebuilt_rows=rebuilt,
+        rows_reassembled=len(splice.pending),
+        splice=splice,
+        fp_start=splice.rows,
+    )
     return AssemblyResult(
-        row_plans=row_plans,
-        conflicting_tuples=conflicting_tuples,
-        conflict_rows_added=conflict_rows_added,
+        row_plans=splice.apply(base.row_plans if base is not None else None, splice.pending),
+        conflicting_tuples=len(extra_plans),
+        conflict_rows_added=sum(extra_plans.values()),
         scaling_rows_added=scaling_rows_added,
         fake_ec_rows_added=fake_ec_rows_added,
+        layout=layout,
     )
+
+
+def _binding_key(instance: InstanceAssignment) -> tuple[str, bool]:
+    return instance.variant, instance.frequency >= 2
+
+
+class _BlockStarts:
+    """View offsets of original-row blocks, for non-decreasing row queries."""
+
+    def __init__(self, extra_plans: dict[int, int]):
+        self._extras = iter(extra_plans.items())
+        self._next = next(self._extras, None)
+        self._passed = 0
+
+    def __call__(self, row: int) -> int:
+        while self._next is not None and self._next[0] < row:
+            self._passed += self._next[1]
+            self._next = next(self._extras, None)
+        return row + self._passed
 
 
 # ----------------------------------------------------------------------
@@ -239,30 +542,6 @@ def _attribute_to_mas_indexes(
     return mapping
 
 
-def _collect_row_bindings(
-    relation: Relation,
-    mas_plans: list[MasPlan],
-) -> dict[int, list[_RowBinding]]:
-    """For every original row, the instance each MAS assigned it to."""
-    bindings: dict[int, list[_RowBinding]] = {}
-    for mas_plan in mas_plans:
-        for ecg_plan in mas_plan.ecg_plans:
-            for member_plan in ecg_plan.member_plans:
-                if member_plan.member.is_fake:
-                    continue
-                for instance in member_plan.instances:
-                    for row in instance.original_rows:
-                        bindings.setdefault(row, []).append(
-                            _RowBinding(
-                                mas_index=mas_plan.index,
-                                attributes=mas_plan.attributes,
-                                instance=instance,
-                                representative=member_plan.member.representative,
-                            )
-                        )
-    return bindings
-
-
 # ----------------------------------------------------------------------
 # Per-row version construction with type-2 conflict resolution
 # ----------------------------------------------------------------------
@@ -273,7 +552,6 @@ def _build_versions_for_row(
     conflict_pairs: list[tuple[int, int]],
     mas_attribute_map: dict[str, list[int]],
     schema_attributes: tuple[str, ...],
-    fresh_factory: FreshValueFactory,
 ) -> tuple[list[RowPlan], bool]:
     """Build the ciphertext row(s) representing one genuinely conflicting row.
 
@@ -385,7 +663,6 @@ def _uncorrupted(
 def _conflicting_pairs(
     binding_by_mas: dict[int, _RowBinding],
     overlapping_indexes: set[frozenset[int]],
-    rng: random.Random,
 ) -> list[tuple[int, int]]:
     """Overlapping MAS pairs whose bindings for this row genuinely conflict.
 
@@ -395,9 +672,10 @@ def _conflicting_pairs(
     of MAS index pairs with a shared attribute, so non-overlapping pairs are
     rejected without touching the bindings.
 
-    ``rng.shuffle`` is a no-op consuming zero RNG state on lists shorter
-    than two, so skipping it there keeps the stream identical to always
-    shuffling.
+    The pairs come back in index order; the caller shuffles lists of two or
+    more with the conflict RNG (``rng.shuffle`` consumes no RNG state on
+    shorter lists, so skipping it there keeps the stream identical to
+    always shuffling).
     """
     pairs = []
     for first, second in combinations(sorted(binding_by_mas), 2):
@@ -410,8 +688,6 @@ def _conflicting_pairs(
         if first_binding.instance.variant == second_binding.instance.variant:
             continue
         pairs.append((first, second))
-    if len(pairs) >= 2:
-        rng.shuffle(pairs)
     return pairs
 
 
@@ -441,58 +717,56 @@ def _cell_for_original(
 # ----------------------------------------------------------------------
 # Artificial rows: scaling copies and fake-EC rows (type-1 resolution)
 # ----------------------------------------------------------------------
-def _artificial_rows_for_mas(
+def _group_block(
     mas_plan: MasPlan,
+    ecg_plan: EcgPlan,
     schema_attributes: tuple[str, ...],
-    fresh_factory: FreshValueFactory,
-    row_plans: list[RowPlan],
-) -> tuple[int, int]:
-    """Append the scaling-copy and fake-EC rows of one MAS to ``row_plans``.
-
-    Returns ``(scaling_rows, fake_ec_rows)`` added.
-    """
+) -> GroupBlock:
+    """The scaling-copy and fake-EC rows of one ECG of ``mas_plan``."""
     mas_attrs = set(mas_plan.attributes)
+    plans: list[RowPlan] = []
     scaling_rows = 0
     fake_rows = 0
-    for ecg_plan in mas_plan.ecg_plans:
-        for member_plan in ecg_plan.member_plans:
-            member = member_plan.member
-            for instance in member_plan.instances:
-                copies = instance.scaling_copies
-                if copies <= 0:
-                    continue
-                for copy_index in range(copies):
-                    cells: dict[str, CellSpec] = {}
-                    for position, attr in enumerate(mas_plan.attributes):
-                        if member.is_fake:
-                            cells[attr] = FreshCell(token=member.fake_tokens[position])
-                        else:
-                            cells[attr] = InstanceCell(
-                                value=member.representative[position],
-                                variant=instance.variant,
-                            )
-                    for attr in schema_attributes:
-                        if attr not in mas_attrs:
-                            # Deterministic token keyed by the instance
-                            # variant (unique per MAS/group/member/chunk) and
-                            # the copy index: a reused ECG plan re-creates
-                            # the same tokens, so its scaling rows keep their
-                            # bytes across incremental re-materialisations.
-                            cells[attr] = FreshCell(
-                                token=f"=scale:{instance.variant}:c{copy_index}:{attr}"
-                            )
-                    kind = "fake_ec" if member.is_fake else "scaling"
-                    row_plans.append(
-                        RowPlan(
-                            cells=cells,
-                            provenance=RowProvenanceSpec(kind=kind, source_row=None),
-                        )
-                    )
+    for member_plan in ecg_plan.member_plans:
+        member = member_plan.member
+        for instance in member_plan.instances:
+            for copy_index in range(instance.scaling_copies):
+                cells: dict[str, CellSpec] = {}
+                for position, attr in enumerate(mas_plan.attributes):
                     if member.is_fake:
-                        fake_rows += 1
+                        cells[attr] = FreshCell(token=member.fake_tokens[position])
                     else:
-                        scaling_rows += 1
-    return scaling_rows, fake_rows
+                        cells[attr] = InstanceCell(
+                            value=member.representative[position],
+                            variant=instance.variant,
+                        )
+                for attr in schema_attributes:
+                    if attr not in mas_attrs:
+                        # Deterministic token keyed by the instance variant
+                        # (unique per MAS/group/member/chunk) and the copy
+                        # index: a re-planned ECG re-creates the same
+                        # tokens, so its scaling rows keep their bytes.
+                        cells[attr] = FreshCell(
+                            token=f"=scale:{instance.variant}:c{copy_index}:{attr}"
+                        )
+                kind = "fake_ec" if member.is_fake else "scaling"
+                plans.append(
+                    RowPlan(
+                        cells=cells,
+                        provenance=RowProvenanceSpec(kind=kind, source_row=None),
+                    )
+                )
+                if member.is_fake:
+                    fake_rows += 1
+                else:
+                    scaling_rows += 1
+    return GroupBlock(
+        mas_attributes=mas_plan.attributes,
+        ecg_plan=ecg_plan,
+        plans=plans,
+        scaling_rows=scaling_rows,
+        fake_rows=fake_rows,
+    )
 
 
 def count_overlapping_pairs(mas_plans: list[MasPlan]) -> int:
@@ -512,10 +786,21 @@ def validate_assembly(result: AssemblyResult, relation: Relation) -> None:
     one original row must cover the whole schema (so decryption can
     reconstruct the record).
     """
-    schema = set(relation.attributes)
+    validate_row_plans(result.row_plans, relation.attributes, range(relation.num_rows))
+
+
+def validate_row_plans(
+    row_plans: list[RowPlan], attributes: tuple[str, ...], sources: Iterable[int]
+) -> None:
+    """:func:`validate_assembly` on part of a view: ``row_plans`` must
+    represent exactly the original rows ``sources``, each recoverably.
+
+    The SYN stage checks only the blocks it rebuilt; kept blocks passed
+    when they were built.
+    """
+    schema = set(attributes)
     coverage: dict[int, set[str]] = {}
-    represented: set[int] = set()
-    for plan in result.row_plans:
+    for plan in row_plans:
         missing = schema - set(plan.cells)
         if missing:
             raise EncryptionError(f"row plan missing cells for attributes: {sorted(missing)}")
@@ -523,10 +808,8 @@ def validate_assembly(result: AssemblyResult, relation: Relation) -> None:
             source = plan.provenance.source_row
             if source is None:
                 raise EncryptionError("original/conflict row plan without a source row")
-            represented.add(source)
             coverage.setdefault(source, set()).update(plan.provenance.authentic_attributes)
-    expected = set(range(relation.num_rows))
-    if represented != expected:
+    if coverage.keys() != set(sources):
         raise EncryptionError("some original rows are not represented in the assembly")
     for row, attrs in coverage.items():
         if attrs != schema:

@@ -106,6 +106,20 @@ class Relation:
             raise RelationError("internal column-length mismatch")
         return relation
 
+    @classmethod
+    def adopt_columns(
+        cls, schema: Schema, columns: list[list[Any]], name: str = "relation"
+    ) -> "Relation":
+        """A relation over ``columns`` (schema order) without copying them.
+
+        The caller hands the lists over and must not touch them again.
+        """
+        if len(columns) != len(schema) or len({len(column) for column in columns}) > 1:
+            raise RelationError("columns do not match the schema or each other")
+        relation = cls(schema, name=name)
+        relation._columns = columns
+        return relation
+
     def empty_like(self, name: str | None = None) -> "Relation":
         """Return a new empty relation with the same schema."""
         return Relation(self._schema, name=name or self._name)

@@ -11,6 +11,7 @@ across both compute backends.
 import dataclasses
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,6 +29,7 @@ from repro.api import (
     apply_view_delta,
     compute_view_delta,
 )
+from repro.api import session as session_module
 from repro.api.auth import ErrorCode, TenantRegistry
 from repro.api.protocol import ErrorReply, SignedEnvelope
 from repro.api.session import decrypt_table
@@ -412,6 +414,105 @@ class TestDeltaBaseCheck:
         assert server.table_store().commit_version < session._last_version
 
         assert_full_fallback_then_resume(owner, session, transport, server)
+
+
+class LostReplyTransport(RecordingTransport):
+    """Delivers every request, but can lose the reply of an ``insert_delta``:
+    the server applied it and the owner never learns."""
+
+    lose_next_delta_reply = False
+
+    def request(self, data: bytes) -> bytes:
+        reply = super().request(data)
+        if self.lose_next_delta_reply and Message.decode(data).kind == "insert_delta":
+            self.lose_next_delta_reply = False
+            raise ConnectionError("reply lost")
+        return reply
+
+
+def counting_alignments():
+    """Patch the session's ``compute_view_delta``; returns (patch, calls)."""
+    calls: list[int] = []
+    real = session_module.compute_view_delta
+
+    def counted(old, new):
+        calls.append(new.num_rows)
+        return real(old, new)
+
+    return mock.patch.object(session_module, "compute_view_delta", counted), calls
+
+
+class TestDirectDelta:
+    """The delta the incremental tail builds from its splice."""
+
+    def check_direct_delta(self, owner: DataOwner, batch) -> bool:
+        previous_view = owner.server_view()
+        owner.insert_rows(batch)
+        report, delta = owner.last_update_report, owner.last_view_delta
+        if report.mode != "incremental" or report.tail_fallback is not None:
+            assert delta is None
+            return False
+        assert delta is not None and delta.base_rows == previous_view.num_rows
+        new_view = owner.server_view()
+        assert ciphertext_rows(apply_view_delta(previous_view, delta)) == ciphertext_rows(
+            new_view
+        )
+        assert delta.literal_rows <= compute_view_delta(previous_view, new_view).literal_rows
+        return True
+
+    def test_zipcode_inserts(self, zipcode_table):
+        owner = make_owner()
+        owner.outsource(zipcode_table)
+        for round_index in range(4):
+            batch = incremental_batch(owner.plaintext, 1 + 2 * round_index, f"d{round_index}")
+            assert self.check_direct_delta(owner, batch)
+        assert owner.last_view_delta.reuse_fraction >= 0.5
+
+    @SLOW
+    @given(st.integers(min_value=0, max_value=60), st.sampled_from([0.5, 0.34]))
+    def test_random_tables(self, seed, alpha):
+        from tests.conftest import make_random_table
+
+        table = make_random_table(seed + 900, num_attributes=3)
+        owner = make_owner(key_seed=seed, alpha=alpha, seed=seed)
+        owner.outsource(table)
+        for batch in random_batches(table, seed, rounds=3):
+            self.check_direct_delta(owner, batch)
+
+    @pytest.mark.parametrize("engine", ["snapshot", "segment"])
+    def test_lost_reply_disables_the_direct_delta(self, zipcode_table, tmp_path, engine):
+        server = storage_server(tmp_path, engine)
+        transport = LostReplyTransport(server)
+        owner = make_owner()
+        session = RemoteOwnerSession(owner, ProtocolClient(transport), verify=False)
+        session.outsource(zipcode_table)
+        patch, aligned = counting_alignments()
+        with patch:
+            session.insert_rows(incremental_batch(owner.plaintext, 1, "acked"))
+            assert session.last_delta is owner.last_view_delta is not None
+            assert aligned == []
+
+            transport.lose_next_delta_reply = True
+            with pytest.raises(ConnectionError):
+                session.insert_rows(incremental_batch(owner.plaintext, 1, "lost"))
+            assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
+
+            # The last acknowledged push is not the owner's previous table:
+            # the session aligns against the view it knows was stored, and
+            # the stale CAS base sends it to a full re-push.
+            transport.clear()
+            session.insert_rows(incremental_batch(owner.plaintext, 1, "next"))
+            assert owner.last_view_delta is not None
+            assert aligned == [owner.server_view().num_rows]
+            assert transport.kinds() == ["insert_delta", "insert_batch"]
+            assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
+
+            # Acknowledged again: the direct delta is back.
+            session.insert_rows(incremental_batch(owner.plaintext, 1, "resumed"))
+            assert session.last_delta is owner.last_view_delta is not None
+            assert len(aligned) == 1
+        assert ciphertext_rows(server.store()) == ciphertext_rows(owner.server_view())
+        assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
 
 
 class TestDuplicateDeltaFrame:
