@@ -5,7 +5,7 @@ layer and delta shipping cost (and save) on top of the PR 3 wire protocol:
 
 * **Handshake overhead** — wall time of a ``Hello`` handshake over a real
   localhost socket, next to a signed and an unsigned data round trip.
-* **Signed-frame throughput** — requests/s of a small query through the
+* **Signed-frame throughput** — requests/s of a small select through the
   full stack with and without the HMAC session envelope (loopback, so the
   numbers measure the protocol work, not the kernel's TCP path).
 * **Delta-insert bytes on the wire** — for growing table sizes, a 1%
@@ -42,6 +42,7 @@ from repro.bench.reporting import format_table
 from repro.core.config import F2Config
 from repro.crypto.keys import KeyGen
 from repro.datasets import generate_fd_table
+from repro.query.ast import Eq
 
 from benchmarks.conftest import scale
 
@@ -110,13 +111,13 @@ def handshake_overhead() -> list[dict]:
         handshake_seconds = (time.perf_counter() - start) / HANDSHAKES
 
         # One signed and one unsigned small data round trip for context.
-        token = owner.derive_search_token("Zipcode", table.value(0, "Zipcode"))
+        expr = owner.plan_query(Eq("Zipcode", table.value(0, "Zipcode"))).server
         signed = connect()
         signed.authenticate(credential)
-        signed.query("t", "Zipcode", token)  # warm the coded view
+        signed.plan_query("t", expr)  # warm the coded view
         start = time.perf_counter()
         for _ in range(20):
-            signed.query("t", "Zipcode", token)
+            signed.plan_query("t", expr)
         signed_seconds = (time.perf_counter() - start) / 20
         signed.close()
 
@@ -124,7 +125,7 @@ def handshake_overhead() -> list[dict]:
         anon_push.outsource("anon", view)
         start = time.perf_counter()
         for _ in range(20):
-            anon_push.query("anon", "Zipcode", token)
+            anon_push.plan_query("anon", expr)
         unsigned_seconds = (time.perf_counter() - start) / 20
         anon_push.close()
         push.close()
@@ -146,7 +147,7 @@ def handshake_overhead() -> list[dict]:
 def signed_throughput() -> list[dict]:
     owner, table = outsourced_owner(scale(400))
     view = owner.server_view()
-    token = owner.derive_search_token("Zipcode", table.value(0, "Zipcode"))
+    expr = owner.plan_query(Eq("Zipcode", table.value(0, "Zipcode"))).server
     rows = []
     for mode in ("unsigned", "signed"):
         registry = TenantRegistry()
@@ -160,10 +161,10 @@ def signed_throughput() -> list[dict]:
         if mode == "signed":
             client.authenticate(credential)
         client.outsource("t", view)
-        client.query("t", "Zipcode", token)  # warm the coded view
+        client.plan_query("t", expr)  # warm the coded view
         start = time.perf_counter()
         for _ in range(THROUGHPUT_REQUESTS):
-            client.query("t", "Zipcode", token)
+            client.plan_query("t", expr)
         elapsed = time.perf_counter() - start
         rows.append(
             {

@@ -12,9 +12,9 @@ store buys over the monolithic ``.f2t`` snapshot engine:
   and rewrites the whole table.  Measured across delta sizes and across
   base-table sizes at a fixed delta size (the segment line should not
   track the base size).
-* **Query cache** — cold vs hot ``rows_matching`` on the segment store
-  (the hot path is a bitset-cache hit), plus a cross-engine identity
-  assertion: both engines return exactly the same rows.
+* **Query cache** — cold vs hot ``match_mask`` on the segment store (the
+  hot path is a bitset-cache hit), plus a cross-engine identity assertion:
+  both engines match exactly the same rows.
 
 Timing ratios land in metadata only — absolute assertions on wall time
 are flaky at smoke scale (the segment commit fsyncs several small files,
@@ -33,11 +33,12 @@ from repro.api.protocol import (
     LoopbackTransport,
     OutsourceRequest,
     ProtocolClient,
+    PlanQueryRequest,
     ProtocolServer,
-    QueryRequest,
 )
 from repro.backend import get_backend
 from repro.bench.reporting import format_table
+from repro.query.server import TokenLeaf
 from repro.relational.table import Relation
 from repro.store import MemoryTableStore, SegmentTableStore
 
@@ -111,7 +112,10 @@ def restart_cost(sizes) -> list[dict]:
                 )
                 query_ms, result = timed_ms(
                     lambda s=revived: ProtocolClient(LoopbackTransport(s)).call(
-                        QueryRequest(table_id="bench", attribute="city", token=("city3",))
+                        PlanQueryRequest(
+                            table_id="bench",
+                            expr=TokenLeaf(attribute="city", token=("city3",)),
+                        )
                     )
                 )
                 assert len(result.row_indexes) == sum(
@@ -206,14 +210,18 @@ def query_cache_cost(num_rows: int, repeats: int) -> list[dict]:
         store = SegmentTableStore(Path(tmp) / "bench.f2s", backend, create=True)
         store.replace(relation)
         token = ("city3", "city7")
-        cold_ms, cold_rows = timed_ms(lambda: store.rows_matching("city", token))
+        cold_ms, cold_mask = timed_ms(lambda: store.match_mask("city", token))
         start = time.perf_counter()
         for _ in range(repeats):
-            hot_rows = store.rows_matching("city", token)
+            hot_mask = store.match_mask("city", token)
         hot_ms = (time.perf_counter() - start) * 1000.0 / repeats
         # Cross-engine identity: the mmap'd segment read and the in-memory
-        # coded relation return exactly the same rows.
-        assert hot_rows == cold_rows == memory.rows_matching("city", token)
+        # coded relation match exactly the same rows.
+        matched = [
+            backend.mask_to_rows(mask)
+            for mask in (cold_mask, hot_mask, memory.match_mask("city", token))
+        ]
+        assert matched[0] and matched[0] == matched[1] == matched[2]
         stats = store.cache_stats()
         assert stats["hits"] >= repeats
         rows.append(

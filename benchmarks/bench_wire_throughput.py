@@ -7,10 +7,10 @@ protocol PR.  Two question sets:
   view in both wire forms.  The binary form should beat JSON on both axes
   and produce a smaller payload (dictionaries are serialized once; the row
   body is a fixed-width code array).
-* **Query latency** — wall time of one token-based equality query through
-  the full protocol stack (token derivation, message encode, server-side
-  dictionary filtering, reply decode, provenance filtering + decryption) as
-  the outsourced table grows.
+* **Query latency** — wall time of one equality select (a one-leaf plan)
+  through the full protocol stack (token derivation, message encode,
+  server-side dictionary filtering, reply decode, provenance filtering +
+  decryption) as the outsourced table grows.
 
 Results land in ``BENCH_wire.json`` via the shared ``bench_json`` fixture.
 """
@@ -25,6 +25,7 @@ from repro.bench.reporting import format_table
 from repro.core.config import F2Config
 from repro.crypto.keys import KeyGen
 from repro.datasets import generate_fd_table
+from repro.query.ast import Eq
 from repro.wire import WIRE_FORMS, decode_relation, encode_relation
 
 from benchmarks.conftest import scale
@@ -83,11 +84,11 @@ def query_latency(sizes) -> list[dict]:
             attribute = "Zipcode"
             value = table.value(0, attribute)
             # Warm the coded-view cache the way a live server would be warm.
-            session.query(attribute, value)
+            session.select(Eq(attribute, value))
             start = time.perf_counter()
             repeats = 5
             for _ in range(repeats):
-                matches = session.query(attribute, value)
+                matches = session.select(Eq(attribute, value))
             elapsed = (time.perf_counter() - start) / repeats
             rows.append(
                 {
@@ -131,7 +132,7 @@ def test_query_latency(benchmark, bench_json):
     sizes = tuple(scale(size) for size in QUERY_SIZES)
     rows = benchmark.pedantic(query_latency, args=(sizes,), rounds=1, iterations=1)
     print()
-    print(format_table(rows, title="Token-based equality query latency vs rows"))
+    print(format_table(rows, title="Equality select latency vs rows"))
     bench_json.add("query_latency", rows)
     for row in rows:
         assert row["matched_rows"] > 0, "the probed value must occur in the table"

@@ -45,6 +45,7 @@ from repro.api import InsertBatch, InsertDelta
 from repro.api.protocol import ProtocolServer
 from repro.datasets import generate_fd_table
 from repro.exceptions import AuthError, ProtocolError
+from repro.query.ast import Eq
 
 
 def check(condition: bool, label: str) -> None:
@@ -163,7 +164,7 @@ def main() -> None:
                 credential=acme_analyst_cred,
             )
             zipcode = analyst_owner.plaintext.value(0, "Zipcode")
-            matches = analyst_session.query("Zipcode", zipcode)
+            matches = analyst_session.select(Eq("Zipcode", zipcode))
             expected = analyst_owner.select_plaintext("Zipcode", zipcode)
             check(
                 list(matches.rows()) == list(expected.rows()),

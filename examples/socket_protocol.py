@@ -13,10 +13,10 @@ as one:
    (every MAS-covered column) are verified byte-identical — the only cells
    that may differ are the fresh random nonces of frequency-one values,
    which are drawn from OS entropy per run,
-4. the owner appends a batch incrementally, then derives equality search
-   tokens from her retained split plans; the keyless provider filters
-   ciphertext rows against them and the decrypted matches reproduce the
-   plaintext selections exactly,
+4. the owner appends a batch incrementally, then runs equality selects:
+   she derives search tokens from her retained split plans, the keyless
+   provider filters ciphertext rows against them, and the decrypted
+   matches reproduce the plaintext selections exactly,
 5. the server is shut down and a *new* one is started over the same
    snapshot directory: it resumes serving the persisted store, and a fresh
    discovery returns the same FDs — no re-outsourcing needed.
@@ -43,6 +43,7 @@ from repro import (
 )
 from repro.api.protocol import ProtocolServer
 from repro.datasets import generate_fd_table
+from repro.query.ast import Eq
 
 
 def make_owner() -> DataOwner:
@@ -104,16 +105,16 @@ def main() -> None:
             if not result.parameters["validated"]:
                 raise SystemExit("post-insert discovery failed validation")
 
-            # Token-based equality queries on every MAS-covered attribute.
+            # Equality selects (token leaves) on every MAS-covered attribute.
             queried = 0
             for attribute in queryable:
                 value = table.value(0, attribute)
-                matches = session.query(attribute, value)
+                matches = session.select(Eq(attribute, value))
                 expected = owner.select_plaintext(attribute, value)
                 if list(matches.rows()) != list(expected.rows()):
-                    raise SystemExit(f"query mismatch on {attribute}={value!r}")
+                    raise SystemExit(f"select mismatch on {attribute}={value!r}")
                 queried += 1
-                print(f"query {attribute} = {value!r}: {matches.num_rows} rows "
+                print(f"select {attribute} = {value!r}: {matches.num_rows} rows "
                       "(decrypted == plaintext selection)")
             if not queried:
                 raise SystemExit("expected at least one queryable attribute")

@@ -9,9 +9,9 @@ The rule catalog:
 ``entropy-discipline``
     Entropy may only be drawn inside the sanctioned crypto entry points
     (``repro.crypto.probabilistic`` / ``keys`` / ``prf``).  Everything
-    else must go through ``FreshValueFactory`` or ``draw_nonces`` so the
-    byte-identity contract (golden hashes, worker transparency, delta
-    determinism) keeps holding.  Seeded ``random.Random(seed)`` PRNGs are
+    else must go through ``FreshValueFactory`` or ``ProbabilisticCipher``
+    so the byte-identity contract (golden hashes, backend transparency,
+    delta determinism) keeps holding.  Seeded ``random.Random(seed)`` PRNGs are
     deterministic and therefore fine — except in ``repro.obs``, which is
     denied *any* randomness source ("observability never draws entropy").
 ``plaintext-boundary``
@@ -56,7 +56,7 @@ class EntropyDisciplineRule(Rule):
     name = "entropy-discipline"
     summary = (
         "entropy is drawn only inside repro.crypto.{probabilistic,keys,prf}; "
-        "everything else goes through FreshValueFactory/draw_nonces"
+        "everything else goes through FreshValueFactory/ProbabilisticCipher"
     )
 
     #: Modules allowed to touch real entropy sources.
@@ -168,7 +168,7 @@ class EntropyDisciplineRule(Rule):
         return self.diagnostic(
             file, node,
             f"{what}; outside repro.crypto.{{probabilistic,keys,prf}} all fresh "
-            "values must come from FreshValueFactory/draw_nonces so the "
+            "values must come from FreshValueFactory/ProbabilisticCipher so the "
             "byte-identity contract keeps holding",
         )
 

@@ -10,8 +10,8 @@ Three layers, bottom up:
   request/response messages serialized through :mod:`repro.wire`,
   :class:`ProtocolClient`/:class:`ProtocolServer` endpoints, the in-memory
   :class:`LoopbackTransport` and the TCP :class:`SocketTransport` /
-  :class:`SocketProtocolServer`, snapshot persistence, and token-based
-  equality query serving.
+  :class:`SocketProtocolServer`, snapshot persistence, and planned
+  selections over search tokens.
 * :mod:`repro.api.session` — :class:`DataOwner` and :class:`ServiceProvider`
   model the paper's two-party outsourcing workflow end to end (the provider
   is a loopback facade over the protocol server), plus
@@ -40,7 +40,7 @@ from repro.api.delta import (
 from repro.api.incremental import IncrementalReport, insert_rows
 from repro.api.protocol import (
     DEFAULT_TABLE_ID,
-    PROTOCOL_VERSIONS,
+    PROTOCOL_VERSION,
     Ack,
     DiscoverRequest,
     DiscoverResult,
@@ -57,8 +57,6 @@ from repro.api.protocol import (
     PlanQueryResult,
     ProtocolClient,
     ProtocolServer,
-    QueryRequest,
-    QueryResult,
     SaveSnapshot,
     SignedEnvelope,
     SocketProtocolServer,
@@ -123,13 +121,11 @@ __all__ = [
     "Message",
     "ObsStageHook",
     "OutsourceRequest",
-    "PROTOCOL_VERSIONS",
+    "PROTOCOL_VERSION",
     "PlanQueryRequest",
     "PlanQueryResult",
     "ProtocolClient",
     "ProtocolServer",
-    "QueryRequest",
-    "QueryResult",
     "RemoteOwnerSession",
     "SaveSnapshot",
     "ServiceProvider",

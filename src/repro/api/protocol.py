@@ -2,14 +2,14 @@
 
 The paper's Figure-2 workflow is a *network* protocol: the data owner ships
 a ciphertext relation to an untrusted service provider, the provider runs FD
-discovery (and, here, answers token-based equality queries) and sends typed
+discovery (and, here, answers token-based selections) and sends typed
 results back.  This module is that protocol made concrete:
 
 * **Messages** — frozen dataclasses (:class:`OutsourceRequest`,
   :class:`InsertBatch`, :class:`DiscoverRequest` / :class:`DiscoverResult`,
-  :class:`QueryRequest` / :class:`QueryResult`, :class:`PlanQueryRequest` /
-  :class:`PlanQueryResult`, :class:`SaveSnapshot` / :class:`LoadSnapshot`,
-  :class:`Ack`, :class:`ErrorReply`) that serialize through the
+  :class:`PlanQueryRequest` / :class:`PlanQueryResult`,
+  :class:`SaveSnapshot` / :class:`LoadSnapshot`, :class:`Ack`,
+  :class:`ErrorReply`) that serialize through the
   :mod:`repro.wire` codec in either wire form ("json" for debuggability,
   "binary" for throughput).
 * **Transports** — anything with a ``request(bytes) -> bytes`` method.
@@ -20,8 +20,8 @@ results back.  This module is that protocol made concrete:
 * **Endpoints** — :class:`ProtocolClient` (owner side: encodes requests,
   decodes replies, raises :class:`~repro.exceptions.ProtocolError` on error
   replies) and :class:`ProtocolServer` (provider side: a keyless store of
-  ciphertext relations, FD discovery over the compute backends, token-based
-  equality queries, planned boolean selections executed as bitset algebra,
+  ciphertext relations, FD discovery over the compute backends, planned
+  boolean selections over search tokens executed as bitset algebra,
   and snapshot persistence so stores survive restarts).  Each table has its
   own read/write lock: parallel queries against one table share its read
   lock, and a mutation takes the write lock, so traffic never serializes
@@ -121,20 +121,16 @@ from repro.wire.codec import json_blob
 from repro.wire.binary import ByteReader, ByteWriter
 
 #: Magic + version prefix of a binary protocol message (the *envelope*
-#: format — distinct from the negotiated service protocol version below).
+#: format — distinct from the service protocol version below).
 MESSAGE_MAGIC = b"F2M"
 MESSAGE_VERSION = 1
 
-#: Service protocol versions this endpoint speaks.  Version 1 is the
-#: anonymous single-tenant protocol (plain messages, no sessions); version 2
-#: adds the authenticated multi-tenant session layer; version 3 adds the
-#: trustworthy-server plane — server-signed replies, Merkle roots / proofs
-#: in replies, version-CAS deltas, and resumption tickets.  ``Hello``
-#: negotiates the highest version both sides share; signed sessions require
-#: >= 2; replies are server-signed on sessions negotiated at >= 3.
-PROTOCOL_VERSIONS = (1, 2, 3)
-SESSION_MIN_VERSION = 2
-SIGNED_REPLY_MIN_VERSION = 3
+#: The service protocol version of an authenticated session: signed
+#: requests, server-signed replies, and resumption tickets.  A ``Hello``
+#: that does not offer it is refused with ``VERSION_UNSUPPORTED``.
+#: Anonymous local-tenant frames (no ``Hello``) are a server mode, not a
+#: protocol version.
+PROTOCOL_VERSION = 3
 
 #: Default table id used by the session facades.
 DEFAULT_TABLE_ID = "default"
@@ -150,6 +146,11 @@ SNAPSHOT_SUFFIX = ".f2t"
 
 #: Upper bound on a single protocol frame (corrupted length guard).
 MAX_FRAME_BYTES = 1 << 30
+
+#: Seconds a server connection may sit silent before the server closes it,
+#: so an idle or stalled client cannot pin a handler thread forever.  A
+#: client's next request reconnects transparently (see SocketTransport).
+IDLE_TIMEOUT_SECONDS = 300.0
 
 
 def _memory_store_cls():
@@ -409,106 +410,6 @@ class DiscoverResult(Message):
 
 
 @dataclass(frozen=True)
-class QueryRequest(Message):
-    """Owner -> provider: equality query via a search token.
-
-    The token is the full set of instance ciphertexts the owner derived for
-    one plaintext value on ``attribute`` from her retained split plans; the
-    keyless provider filters rows whose ``attribute`` cell equals any token
-    ciphertext, learning only the (frequency-homogenised) access pattern.
-    """
-
-    kind: ClassVar[str] = "query_request"
-    table_id: str
-    attribute: str
-    token: tuple = ()
-    #: Ship the matched ciphertext rows in the reply.  The data owner never
-    #: needs them (she reconstructs matches from her own encrypted table via
-    #: the returned indexes), and splitting-and-scaling makes the matched
-    #: subset the dominant payload — so this is opt-in for keyless consumers.
-    include_rows: bool = False
-    #: Ship the table's commit version and Merkle root with the result, for
-    #: the owner's freshness/root check.
-    with_root: bool = False
-
-    def _meta(self) -> dict[str, Any]:
-        return {
-            "table_id": self.table_id,
-            "attribute": self.attribute,
-            "include_rows": self.include_rows,
-            "with_root": self.with_root,
-        }
-
-    def _attachments(self, form: str) -> dict[str, bytes]:
-        return {"token": encode_cells(list(self.token), form)}
-
-    @classmethod
-    def _build(cls, meta, attachments) -> "QueryRequest":
-        attribute = meta.get("attribute")
-        if not isinstance(attribute, str) or not attribute:
-            raise WireError("query_request without an attribute")
-        return cls(
-            table_id=check_table_id(meta.get("table_id", "")),
-            attribute=attribute,
-            token=tuple(decode_cells(_require(attachments, "token", cls.kind))),
-            include_rows=bool(meta.get("include_rows", False)),
-            with_root=bool(meta.get("with_root", False)),
-        )
-
-
-@dataclass(frozen=True)
-class QueryResult(Message):
-    """Provider -> owner: the matched row indexes (and optionally the rows).
-
-    Row indexes refer to the provider's stored relation (which the owner can
-    line up with her retained provenance); ``rows`` is the matched ciphertext
-    subset in index order, attached only when the request set
-    ``include_rows`` (``None`` otherwise).
-    """
-
-    kind: ClassVar[str] = "query_result"
-    table_id: str
-    attribute: str
-    row_indexes: tuple[int, ...]
-    rows: Relation | None = None
-    #: Commit version / Merkle root of the queried table, attached only when
-    #: the request set ``with_root`` (``-1`` / ``""`` otherwise).
-    version: int = -1
-    merkle_root: str = ""
-
-    def _meta(self) -> dict[str, Any]:
-        meta: dict[str, Any] = {
-            "table_id": self.table_id,
-            "attribute": self.attribute,
-            "row_indexes": list(self.row_indexes),
-        }
-        if self.merkle_root or self.version >= 0:
-            meta["version"] = self.version
-            meta["merkle_root"] = self.merkle_root
-        return meta
-
-    def _attachments(self, form: str) -> dict[str, bytes]:
-        if self.rows is None:
-            return {}
-        return {"rows": encode_relation(self.rows, form)}
-
-    @classmethod
-    def _build(cls, meta, attachments) -> "QueryResult":
-        indexes = meta.get("row_indexes")
-        if not isinstance(indexes, list):
-            raise WireError("query_result without row indexes")
-        rows_payload = attachments.get("rows")
-        return cls(
-            table_id=check_table_id(meta.get("table_id", "")),
-            attribute=str(meta.get("attribute", "")),
-            row_indexes=tuple(int(index) for index in indexes),
-            rows=None if rows_payload is None else decode_relation(rows_payload),
-            version=int(meta.get("version", -1)),
-            merkle_root=str(meta.get("merkle_root", "")),
-        )
-
-
-@dataclass(frozen=True)
 class PlanQueryRequest(Message):
     """Owner -> provider: execute a planned boolean selection server-side.
 
@@ -745,17 +646,18 @@ class Hello(Message):
 
     Carries the tenant identity, the capability the client's credential was
     minted for, and the protocol versions / wire forms the client speaks (in
-    preference order).  The server negotiates (highest shared version, first
-    shared wire form) and answers with a :class:`HelloAck`; proof of key
-    possession happens on the first signed frame, not here — a forged Hello
-    yields a session its sender cannot sign anything for.
+    preference order).  The server requires :data:`PROTOCOL_VERSION` among
+    the versions, picks the first shared wire form, and answers with a
+    :class:`HelloAck`; proof of key possession happens on the first signed
+    frame, not here — a forged Hello yields a session its sender cannot
+    sign anything for.
     """
 
     kind: ClassVar[str] = "hello"
     tenant_id: str
     capability: str
     token_id: str = ""
-    versions: tuple[int, ...] = PROTOCOL_VERSIONS
+    versions: tuple[int, ...] = (PROTOCOL_VERSION,)
     wire_forms: tuple[str, ...] = (WIRE_BINARY, WIRE_JSON)
 
     def _meta(self) -> dict[str, Any]:
@@ -791,8 +693,8 @@ class HelloAck(Message):
     version: int
     wire_format: str
     server_name: str = ""
-    #: HMAC-sealed session-resumption ticket (protocol >= 3): a reconnecting
-    #: client presents it in a :class:`Resume` message to recover its session
+    #: HMAC-sealed session-resumption ticket: a reconnecting client
+    #: presents it in a :class:`Resume` message to recover its session
     #: and sequence window without a full re-handshake.  Sealed under the
     #: tenant's *current* key, so rotation invalidates it by construction.
     resume_ticket: str = ""
@@ -948,7 +850,7 @@ class ResumeAck(Message):
 
 @dataclass(frozen=True)
 class SignedReply(Message):
-    """Server -> client: an authenticated reply envelope (protocol >= 3).
+    """Server -> client: an authenticated reply envelope.
 
     ``payload`` is the complete encoded reply message; the signature is
     HMAC-SHA256 over ``(session_id, request sequence, payload)`` keyed by
@@ -1113,8 +1015,6 @@ MESSAGE_TYPES: dict[str, type[Message]] = {
         InsertDelta,
         DiscoverRequest,
         DiscoverResult,
-        QueryRequest,
-        QueryResult,
         PlanQueryRequest,
         PlanQueryResult,
         SaveSnapshot,
@@ -1303,13 +1203,12 @@ _ANONYMOUS = _AuthContext(tenant_id=DEFAULT_TENANT, capability=CAPABILITY_OWNER)
 
 @dataclass
 class _SessionState:
-    """One established session: identity, negotiated terms, next sequence."""
+    """One established session: identity, wire form, next sequence."""
 
     session_id: str
     tenant_id: str
     capability: str
     token_id: str
-    version: int
     wire_format: str
     next_sequence: int = 1
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -1685,16 +1584,10 @@ class ProtocolServer:
                 "are not available",
                 code=ErrorCode.AUTH_UNKNOWN_TENANT.value,
             )
-        shared_versions = [
-            version
-            for version in request.versions
-            if version in PROTOCOL_VERSIONS and version >= SESSION_MIN_VERSION
-        ]
-        if not shared_versions:
+        if PROTOCOL_VERSION not in request.versions:
             raise AuthError(
                 f"no shared protocol version: client speaks {list(request.versions)}, "
-                f"server speaks {list(PROTOCOL_VERSIONS)} (sessions need >= "
-                f"{SESSION_MIN_VERSION})",
+                f"server speaks {PROTOCOL_VERSION}",
                 code=ErrorCode.VERSION_UNSUPPORTED.value,
             )
         wire_format = next(
@@ -1737,7 +1630,6 @@ class ProtocolServer:
             tenant_id=request.tenant_id,
             capability=request.capability,
             token_id=request.token_id,
-            version=max(shared_versions),
             wire_format=wire_format,
             last_used=time.monotonic(),
         )
@@ -1749,22 +1641,20 @@ class ProtocolServer:
                 oldest = min(self._sessions.values(), key=lambda s: s.last_used)
                 del self._sessions[oldest.session_id]
             self._sessions[session.session_id] = session
-        resume_ticket = ""
-        if session.version >= SIGNED_REPLY_MIN_VERSION:
-            resume_ticket = seal_ticket(
-                bytes.fromhex(key.secret_hex),
-                {
-                    "session_id": session.session_id,
-                    "tenant_id": session.tenant_id,
-                    "capability": session.capability,
-                    "token_id": session.token_id,
-                    "version": session.version,
-                    "wire_format": session.wire_format,
-                },
-            )
+        resume_ticket = seal_ticket(
+            bytes.fromhex(key.secret_hex),
+            {
+                "session_id": session.session_id,
+                "tenant_id": session.tenant_id,
+                "capability": session.capability,
+                "token_id": session.token_id,
+                "version": PROTOCOL_VERSION,
+                "wire_format": session.wire_format,
+            },
+        )
         return HelloAck(
             session_id=session.session_id,
-            version=session.version,
+            version=PROTOCOL_VERSION,
             wire_format=session.wire_format,
             server_name=self.name,
             resume_ticket=resume_ticket,
@@ -1810,7 +1700,7 @@ class ProtocolServer:
         wire_format = str(doc.get("wire_format", ""))
         if (
             not session_id
-            or version < SIGNED_REPLY_MIN_VERSION
+            or version != PROTOCOL_VERSION
             or wire_format not in WIRE_FORMS
         ):
             raise AuthError(
@@ -1835,7 +1725,6 @@ class ProtocolServer:
                     tenant_id=tenant_id,
                     capability=capability,
                     token_id=str(doc.get("token_id", "")),
-                    version=version,
                     wire_format=wire_format,
                     # Fresh random window far above any plausible prior
                     # sequence: replayed frames from the session's previous
@@ -1852,7 +1741,7 @@ class ProtocolServer:
             next_sequence = session.next_sequence
         return ResumeAck(
             session_id=session.session_id,
-            version=session.version,
+            version=PROTOCOL_VERSION,
             wire_format=session.wire_format,
             next_sequence=next_sequence,
             server_name=self.name,
@@ -1940,26 +1829,25 @@ class ProtocolServer:
             # calls anyway), and releasing earlier would let a later frame
             # overtake this one inside the handlers.
             reply = self.handle(inner, auth)
-            if session.version >= SIGNED_REPLY_MIN_VERSION and not isinstance(
-                reply, ErrorReply
-            ):
-                # v3 sessions authenticate every *successful* reply, bound
-                # to the request's sequence number.  Error replies stay
-                # unsigned (some are raised before any session is even
-                # resolved); clients therefore treat them as advisory — a
-                # forged error can deny service, never fake data.
-                with obs.span("server.sign_reply", kind=reply.kind):
-                    payload = reply.encode(session.wire_format)
-                    signature = sign_reply(
-                        secret, session.session_id, request.sequence, payload
-                    )
-                return SignedReply(
-                    session_id=session.session_id,
-                    sequence=request.sequence,
-                    signature=signature,
-                    payload=payload,
+            if isinstance(reply, ErrorReply):
+                # Error replies stay unsigned (some are raised before any
+                # session is even resolved); clients therefore treat them
+                # as advisory — a forged error can deny service, never
+                # fake data.
+                return reply
+            # Every *successful* reply is authenticated, bound to the
+            # request's sequence number.
+            with obs.span("server.sign_reply", kind=reply.kind):
+                payload = reply.encode(session.wire_format)
+                signature = sign_reply(
+                    secret, session.session_id, request.sequence, payload
                 )
-            return reply
+            return SignedReply(
+                session_id=session.session_id,
+                sequence=request.sequence,
+                signature=signature,
+                payload=payload,
+            )
 
     # -- handlers ------------------------------------------------------
     def _get_or_create_store(self, store_key: str) -> TableStore:
@@ -2109,37 +1997,6 @@ class ProtocolServer:
             if self._stores.get(store_key) is store and store.version == version:
                 self._discoveries[store_key] = result
         return DiscoverResult(table_id=request.table_id, result=result)
-
-    def _handle_query(self, request: QueryRequest, auth: _AuthContext) -> Message:
-        # Executed under the table's read lock: parallel queries share it,
-        # and a mutation (which replaces the stored columns and invalidates
-        # the token cache) waits for in-flight executions instead of racing
-        # them.
-        store_key = self._store_key(auth.tenant_id, request.table_id)
-        self._require_known_table(store_key, request.table_id)
-        with self._table_lock(store_key).read():
-            store = self.table_store(request.table_id, tenant_id=auth.tenant_id)
-            if request.attribute not in store.attributes:
-                raise _unknown_attribute(request.table_id, request.attribute)
-            with obs.span(
-                "store.rows_matching", table=request.table_id, engine=store.engine
-            ):
-                indexes = store.rows_matching(request.attribute, request.token)
-            rows = None
-            if request.include_rows:
-                relation = store.relation()
-                rows = relation.select_rows(indexes, name=f"{relation.name}-match")
-            version, root = -1, ""
-            if request.with_root:
-                version, root = store.commit_version, store.merkle_root()
-            return QueryResult(
-                table_id=request.table_id,
-                attribute=request.attribute,
-                row_indexes=tuple(indexes),
-                rows=rows,
-                version=version,
-                merkle_root=root,
-            )
 
     def _handle_plan_query(self, request: PlanQueryRequest, auth: _AuthContext) -> Message:
         store_key = self._store_key(auth.tenant_id, request.table_id)
@@ -2565,7 +2422,6 @@ ProtocolServer._HANDLERS = {
     InsertBatch: ProtocolServer._handle_insert,
     InsertDelta: ProtocolServer._handle_insert_delta,
     DiscoverRequest: ProtocolServer._handle_discover,
-    QueryRequest: ProtocolServer._handle_query,
     PlanQueryRequest: ProtocolServer._handle_plan_query,
     SaveSnapshot: ProtocolServer._handle_save_snapshot,
     LoadSnapshot: ProtocolServer._handle_load_snapshot,
@@ -2684,10 +2540,12 @@ class SocketTransport:
 
 class _FrameHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
+        self.request.settimeout(IDLE_TIMEOUT_SECONDS)
         while True:
             try:
                 data = _recv_frame(self.request)
-            except ProtocolError:
+            except (ProtocolError, OSError):
+                # OSError covers socket.timeout: an idle client is closed.
                 return
             if data is None:
                 return
@@ -2821,9 +2679,8 @@ class ProtocolClient:
         self._session_id: str | None = None
         self._next_sequence = 1
         self._session_lock = threading.Lock()
-        self._protocol_version = 0
-        #: The HelloAck's resumption ticket (protocol >= 3); :meth:`resume`
-        #: uses it to recover the session after a disconnect or eviction.
+        #: The HelloAck's resumption ticket; :meth:`resume` uses it to
+        #: recover the session after a disconnect or eviction.
         self.resume_ticket: str = ""
         #: The last :class:`Ack` a typed operation received — the way
         #: callers of the int-returning operations (outsource / insert /
@@ -2843,7 +2700,7 @@ class ProtocolClient:
     def authenticate(
         self,
         credential: "Credential | str",
-        versions: tuple[int, ...] = PROTOCOL_VERSIONS,
+        versions: tuple[int, ...] = (PROTOCOL_VERSION,),
     ) -> HelloAck:
         """Run the ``Hello`` handshake and switch to signed requests.
 
@@ -2875,14 +2732,13 @@ class ProtocolClient:
             self._session_id = reply.session_id
             self._next_sequence = 1
             self.wire_format = reply.wire_format
-            self._protocol_version = reply.version
             self.resume_ticket = reply.resume_ticket
         return reply
 
     def resume(
         self, ticket: str = "", credential: "Credential | str | None" = None
     ) -> "ResumeAck":
-        """Resume the session from a resumption ticket (protocol >= 3).
+        """Resume the session from a resumption ticket.
 
         Recovers the session id and sequence window the server hands back —
         no full handshake round trip, no renegotiation.  Uses the last
@@ -2915,7 +2771,6 @@ class ProtocolClient:
             self._session_id = reply.session_id
             self._next_sequence = reply.next_sequence
             self.wire_format = reply.wire_format
-            self._protocol_version = reply.version
             self.resume_ticket = ticket
         return reply
 
@@ -3004,10 +2859,10 @@ class ProtocolClient:
     def _unwrap_reply(self, reply: Message, sequence: int) -> Message:
         """Authenticate (and unwrap) one reply of a signed session.
 
-        On sessions negotiated at protocol >= 3 every successful reply must
-        arrive as a :class:`SignedReply` bound to this request's sequence
-        number; anything else — a bad signature, a reply replayed from
-        another request, a bare unsigned success — raises
+        On an authenticated session every successful reply must arrive as
+        a :class:`SignedReply` bound to this request's sequence number;
+        anything else — a bad signature, a reply replayed from another
+        request, a bare unsigned success — raises
         :class:`~repro.exceptions.IntegrityError`.  Unsigned *error* replies
         pass through: several are raised before the server can resolve a
         session key, so they are inherently unauthenticated (an in-path
@@ -3038,12 +2893,10 @@ class ProtocolClient:
                     raise IntegrityError(
                         f"signed reply payload does not decode: {exc}"
                     ) from exc
-        if self._protocol_version >= SIGNED_REPLY_MIN_VERSION and not isinstance(
-            reply, ErrorReply
-        ):
+        if not isinstance(reply, ErrorReply):
             raise IntegrityError(
-                f"expected a signed reply on a v{self._protocol_version} "
-                f"session, got an unsigned {reply.kind!r} (stripped signature?)"
+                f"expected a signed reply on an authenticated session, got an "
+                f"unsigned {reply.kind!r} (stripped signature?)"
             )
         return reply
 
@@ -3133,32 +2986,6 @@ class ProtocolClient:
             DiscoverResult,
         )
         return reply.result
-
-    def query(
-        self,
-        table_id: str,
-        attribute: str,
-        token,
-        include_rows: bool = False,
-        with_root: bool = False,
-    ) -> QueryResult:
-        """Equality query: filter rows against an owner-issued search token.
-
-        ``include_rows=True`` additionally ships the matched ciphertext rows
-        back; the owner-side decrypt path only needs the indexes.
-        ``with_root=True`` attaches the table's commit version and Merkle
-        root for the owner's freshness check.
-        """
-        return self._expect(
-            QueryRequest(
-                table_id=check_table_id(table_id),
-                attribute=attribute,
-                token=tuple(token),
-                include_rows=include_rows,
-                with_root=with_root,
-            ),
-            QueryResult,
-        )
 
     def plan_query(
         self,

@@ -41,7 +41,6 @@ from repro.api.protocol import (
     PlanQueryResult,
     ProtocolClient,
     ProtocolServer,
-    QueryResult,
 )
 from repro.core.config import F2Config
 from repro.core.encrypted import EncryptedTable
@@ -292,7 +291,7 @@ class DataOwner:
         return decrypt_cell(cell, self.pipeline.cipher)
 
     # ------------------------------------------------------------------
-    # Token-based equality queries
+    # Search tokens (the leaves of a planned query)
     # ------------------------------------------------------------------
     def queryable_attributes(self) -> frozenset[str]:
         """Attributes whose equality queries the provider can serve.
@@ -378,35 +377,6 @@ class DataOwner:
             if (cell if isinstance(cell, str) else str(cell)) == text
         ]
         return plaintext.select_rows(matches, name=f"{plaintext.name}-select")
-
-    def decrypt_query_result(self, result: QueryResult | Sequence[int]) -> Relation:
-        """Turn a provider's query result into the matching plaintext rows.
-
-        The provider's matches include artificial rows (scaling copies carry
-        the same instance ciphertexts by design) and, for a conflicted
-        record, only the replacement row that kept the queried attribute.
-        The owner's retained provenance resolves both: matched rows are
-        filtered to those carrying the attribute *authentically*, mapped to
-        their source records, and each source record is reassembled from
-        all of its ciphertext rows — so the decrypted result is exactly the
-        plaintext equality selection, in row order.
-        """
-        if isinstance(result, QueryResult):
-            row_indexes: Sequence[int] = result.row_indexes
-            attribute: str | None = result.attribute
-        else:
-            row_indexes, attribute = result, None
-        encrypted = self.encrypted
-        index = encrypted.provenance_index()
-        _check_row_bounds(row_indexes, index.num_rows, "query result")
-        sources = index.covering_sources(
-            row_indexes, frozenset(() if attribute is None else (attribute,))
-        )
-        return Relation(
-            encrypted.relation.schema,
-            _decrypt_records(encrypted, sorted(sources), self.pipeline.cipher),
-            name=f"{encrypted.relation.name}-query",
-        )
 
     # ------------------------------------------------------------------
     # Planned boolean-predicate queries (the repro.query engine)
@@ -536,8 +506,8 @@ class DataOwner:
 class ServiceProvider:
     """The untrusted server side of the outsourcing protocol.
 
-    Only ever sees ciphertext relations; offers FD discovery and token-based
-    equality queries as its services.  Since the protocol redesign this is a
+    Only ever sees ciphertext relations; offers FD discovery and planned
+    selections over search tokens as its services.  Since the protocol redesign this is a
     thin facade over a :class:`repro.api.protocol.ProtocolServer` driven
     through a :class:`~repro.api.protocol.LoopbackTransport` — every call
     round-trips through the full wire codec, so in-process sessions exercise
@@ -613,18 +583,6 @@ class ServiceProvider:
         self._require_table()
         return self.client.discover(self.table_id, max_lhs_size=max_lhs_size)
 
-    def answer_query(
-        self,
-        attribute: str,
-        token: Iterable[Ciphertext],
-        include_rows: bool = False,
-    ) -> QueryResult:
-        """Filter the stored ciphertext rows against a search token."""
-        self._require_table()
-        return self.client.query(
-            self.table_id, attribute, tuple(token), include_rows=include_rows
-        )
-
     def answer_plan_query(self, expr: ServerExpr) -> PlanQueryResult:
         """Execute a server expression as bitset algebra over the stored rows."""
         self._require_table()
@@ -699,7 +657,7 @@ class RemoteOwnerSession:
                                      credential="f2tok1.acme.owner.k0001.9f...")
         session.outsource(relation)
         discovery = session.discover_fds()       # validated against plaintext
-        matches = session.query("City", "Hoboken")  # decrypted Relation
+        matches = session.select(Eq("City", "Hoboken"))  # decrypted Relation
     """
 
     #: Ship a delta only when it reuses at least this share of the new view;
@@ -917,26 +875,6 @@ class RemoteOwnerSession:
             result.fds, max_lhs_size=max_lhs_size
         )
         return result
-
-    def query(self, attribute: str, value: Any) -> Relation:
-        """Equality selection served by the provider, decrypted locally.
-
-        For MAS-covered attributes the owner derives a search token, the
-        provider filters ciphertext rows against it, and the owner decrypts
-        the matches back to plaintext records.  Attributes outside every MAS
-        hold only unique values whose ciphertexts the owner cannot
-        re-derive; those queries are answered from the owner's plaintext
-        without a server round trip.
-        """
-        if attribute not in self.owner.queryable_attributes():
-            return self.owner.select_plaintext(attribute, value)
-        token = self.owner.derive_search_token(attribute, value)
-        result = self.client.query(
-            self.table_id, attribute, token, with_root=self.verify
-        )
-        if self.verify and self.integrity is not None:
-            self.integrity.check_reply(result.version, result.merkle_root)
-        return self.owner.decrypt_query_result(result)
 
     def select(self, predicate: "Predicate | str") -> Relation:
         """Boolean selection served by the provider, decrypted locally.

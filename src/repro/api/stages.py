@@ -37,7 +37,6 @@ from repro.crypto.probabilistic import Ciphertext, ProbabilisticCipher
 from repro.exceptions import EncryptionError, FdPreservationWarning
 from repro.fd.mas import MaximalAttributeSet, find_mas_with_stats
 from repro.fd.tane import tane
-from repro.parallel import DEFAULT_PARALLEL_THRESHOLD, encrypt_sharded, resolve_workers
 from repro.fd.verify import fd_holds, violating_row_pairs
 from repro.relational.partition import Partition
 from repro.relational.table import Relation
@@ -136,8 +135,6 @@ def materialize_row_plans(
     fresh_factory: FreshValueFactory,
     nonce_log: "dict[tuple[str, str], Ciphertext] | None" = None,
     backend=None,
-    workers: int = 1,
-    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
     instance_cache: "dict[tuple[str, str, str], Ciphertext] | None" = None,
 ) -> tuple[Relation, list[RowProvenance]]:
     """Turn symbolic row plans into a ciphertext relation plus provenance.
@@ -152,8 +149,6 @@ def materialize_row_plans(
         fresh_factory,
         nonce_log,
         backend=backend,
-        workers=workers,
-        parallel_threshold=parallel_threshold,
         instance_cache=instance_cache,
     )
     columns = [list(column) for column in zip(*rows)] or [[] for _ in relation.attributes]
@@ -170,8 +165,6 @@ def materialize_rows(
     fresh_factory: FreshValueFactory,
     nonce_log: "dict[tuple[str, str], Ciphertext] | None" = None,
     backend=None,
-    workers: int = 1,
-    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
     instance_cache: "dict[tuple[str, str, str], Ciphertext] | None" = None,
 ) -> tuple[list[list[Any]], list[RowProvenance]]:
     """Turn symbolic row plans into ciphertext rows plus provenance.
@@ -183,14 +176,13 @@ def materialize_rows(
     factory immediately (its RNG consumption order is part of the
     byte-identity contract).  The jobs then encrypt as one batch — bulk
     urandom draws sliced per cell, one PRF key schedule, one XOR over the
-    concatenated buffers — optionally sharded over ``workers`` processes —
-    and pass 2 patches the computed cells into the pending slots.
+    concatenated buffers — and pass 2 patches the computed cells into the
+    pending slots.
 
     The output is byte-identical to encrypting cell-by-cell in row-major
-    order (the seed pipeline's behaviour) for every backend and worker
-    count: random draws happen in the same first-encounter order, the fresh
-    factory is only touched from pass 1, and everything else is a pure
-    function of the key.
+    order (the seed pipeline's behaviour) for every backend: random draws
+    happen in the same first-encounter order, the fresh factory is only
+    touched from pass 1, and everything else is a pure function of the key.
 
     ``nonce_log`` is the context's fresh-nonce retention map: a
     :class:`~repro.core.plan.RandomCell` whose ``(attribute, value)`` was
@@ -282,13 +274,10 @@ def materialize_rows(
         )
 
     # ------------------------------------------------------------------
-    # Batch encryption (optionally sharded across processes), then the
-    # pending-slot fix-up.
+    # Batch encryption, then the pending-slot fix-up.
     # ------------------------------------------------------------------
     if jobs:
-        ciphertexts = encrypt_sharded(
-            cipher, jobs, workers=workers, backend=backend, threshold=parallel_threshold
-        )
+        ciphertexts = cipher.encrypt_batch(jobs, backend=backend)
         if nonce_log is not None:
             for log_key, index in job_of_log_key.items():
                 nonce_log[log_key] = ciphertexts[index]
@@ -427,7 +416,6 @@ class MaterializeStage:
             ctx.fresh_factory,
             ctx.nonce_log,
             backend=ctx.backend,
-            workers=resolve_workers(ctx.config.workers),
             instance_cache=ctx.instance_cache,
         )
         new_columns = list(zip(*rows)) if rows else [()] * len(attributes)
@@ -522,7 +510,6 @@ class VerifyRepairStage:
             ctx.fresh_factory,
             ctx.nonce_log,
             backend=ctx.backend,
-            workers=resolve_workers(ctx.config.workers),
             instance_cache=ctx.instance_cache,
         )
         merged_relation = encrypted.relation.concat(extra_relation)

@@ -184,23 +184,6 @@ class ComputeBackend(ABC):
         raise NotImplementedError(f"backend {self.name!r} has no flat representation")
 
     # ------------------------------------------------------------------
-    # Membership selection (token-based equality queries)
-    # ------------------------------------------------------------------
-    def membership_rows(self, codes: Any, wanted: Sequence[int]) -> list[int]:
-        """Indexes of rows whose code is in ``wanted``, ascending.
-
-        This is the server side of a token-based equality query: the search
-        token is resolved against a column's dictionary to a (typically tiny)
-        set of codes, and the row scan happens on the dense code array.  The
-        base implementation is a plain Python scan; vectorised backends
-        override it (NumPy uses ``isin`` + ``nonzero``).
-        """
-        if not wanted:
-            return []
-        wanted_set = set(int(code) for code in wanted)
-        return [index for index, code in enumerate(codes) if code in wanted_set]
-
-    # ------------------------------------------------------------------
     # Row masks (bitset algebra for the encrypted query engine)
     # ------------------------------------------------------------------
     # A *row mask* is the backend's representation of a row subset: callers
@@ -216,8 +199,10 @@ class ComputeBackend(ABC):
     def membership_mask(self, codes: Any, wanted: Sequence[int]) -> Any:
         """Row mask of the rows whose code is in ``wanted``.
 
-        The mask form of :meth:`membership_rows` — one token leaf of a
-        server-side query plan resolves to exactly this call.
+        One token leaf of a server-side query plan resolves to exactly this
+        call: the search token is resolved against a column's dictionary to
+        a (typically tiny) set of codes, and the row scan happens on the
+        dense code array.
         """
         if not len(wanted):
             return 0

@@ -139,18 +139,6 @@ def _add_backend_flag(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_workers_flag(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="process-pool workers for batched cell encryption (default: "
-        "REPRO_WORKERS env var, then serial); output is byte-identical "
-        "for every worker count",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="f2-repro",
@@ -171,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-stage pipeline timings and throughput (cells/s)",
     )
     _add_backend_flag(encrypt)
-    _add_workers_flag(encrypt)
 
     insert = subparsers.add_parser(
         "insert", help="incrementally append a batch CSV to an encrypted table"
@@ -184,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     insert.add_argument("--key-seed", type=int, default=None, help="derive the key from a seed")
     insert.add_argument("--summary", default=None, help="optional JSON summary output path")
     _add_backend_flag(insert)
-    _add_workers_flag(insert)
 
     discover = subparsers.add_parser("discover", help="run TANE FD discovery on a CSV table")
     discover.add_argument("input", help="CSV file (plaintext or ciphertext)")
@@ -371,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         "string printed by `admin mint`, or @path-to-a-file holding it)",
     )
     _add_backend_flag(query)
-    _add_workers_flag(query)
 
     admin = subparsers.add_parser(
         "admin", help="manage the tenant registry of an authenticated server"
@@ -597,7 +582,6 @@ def _make_owner(args: argparse.Namespace, hooks=None) -> DataOwner:
         alpha=args.alpha,
         split_factor=args.split_factor,
         backend=args.backend,
-        workers=getattr(args, "workers", None),
     )
     return DataOwner(key=key, config=config, hooks=hooks)
 
@@ -876,7 +860,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             alpha=args.alpha,
             split_factor=args.split_factor,
             backend=args.backend,
-            workers=args.workers,
         ),
     )
     if args.explain:

@@ -68,12 +68,6 @@ class F2Config:
         ``"numpy"``, or ``None``/``"auto"`` to consult the ``REPRO_BACKEND``
         environment variable and fall back to pure Python.  The ciphertext
         of a seeded run is byte-identical on every backend.
-    workers:
-        Process-pool workers for materialisation (the batched cell
-        encryption shards across them).  ``None`` consults the
-        ``REPRO_WORKERS`` environment variable and falls back to serial;
-        any value >= 1 is explicit.  The ciphertext of a seeded run is
-        byte-identical for every worker count.
     """
 
     alpha: float = 0.2
@@ -88,7 +82,6 @@ class F2Config:
     verify_max_lhs: int = 3
     deterministic_backend: str = "prf"
     backend: str | None = None
-    workers: int | None = None
     extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -106,8 +99,6 @@ class F2Config:
             raise ConfigurationError(
                 f"unknown backend: {self.backend!r} (expected 'python', 'numpy', or 'auto')"
             )
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def group_size(self) -> int:
@@ -136,5 +127,4 @@ class F2Config:
             "keep_pairs_together": self.keep_pairs_together,
             "verify_and_repair": self.verify_and_repair,
             "backend": self.backend,
-            "workers": self.workers,
         }

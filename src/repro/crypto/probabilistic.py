@@ -112,29 +112,6 @@ class ProbabilisticCipher:
     def nonce_length(self) -> int:
         return self._nonce_length
 
-    @property
-    def key_material(self) -> bytes:
-        """The raw key bytes (enough to reconstruct this cipher elsewhere).
-
-        Process-pool workers rebuild an identical cipher from this — the
-        nonce-derivation subkey is a pure function of the material, so the
-        reconstruction encrypts byte-identically.
-        """
-        return self._prf.key
-
-    def draw_nonces(self, count: int) -> list[bytes]:
-        """Draw ``count`` fresh nonces as one bulk ``os.urandom`` read.
-
-        ``urandom`` is a stream, so the slices equal ``count`` individual
-        draws made in the same order — which is what lets the parent process
-        fix the entropy plan before sharding deterministic work to workers.
-        """
-        if count <= 0:
-            return []
-        length = self._nonce_length
-        blob = os.urandom(count * length)
-        return [blob[start : start + length] for start in range(0, count * length, length)]
-
     # ------------------------------------------------------------------
     # Core API (Encrypt / Decrypt of Section 2.3)
     # ------------------------------------------------------------------
@@ -180,35 +157,27 @@ class ProbabilisticCipher:
     def encrypt_batch(
         self,
         items: Sequence[tuple[Any, Any]],
-        nonces: "Sequence[bytes | None] | None" = None,
         backend=None,
     ) -> list[Ciphertext]:
         """Encrypt many ``(plaintext, variant)`` cells in one vectorised pass.
 
         Byte-identical to calling :meth:`encrypt` per item in order —
         including the entropy consumption: every ``variant=None`` item
-        without a pre-supplied nonce draws from ``os.urandom`` in item
-        order, as one bulk draw sliced per cell (``urandom`` is a stream,
-        so the slices equal the per-call draws).
+        draws from ``os.urandom`` in item order, as one bulk draw sliced
+        per cell (``urandom`` is a stream, so the slices equal the per-call
+        draws).
 
         Parameters
         ----------
         items:
             ``(plaintext, variant)`` pairs, exactly as :meth:`encrypt` takes
             them.
-        nonces:
-            Optional parallel sequence of pre-drawn nonces; a non-``None``
-            entry is used verbatim (process-pool workers receive their
-            random nonces this way so the parent alone touches the entropy
-            stream).  ``None`` entries fall back to the normal draw/derive.
         backend:
             Optional :class:`repro.backend.base.ComputeBackend` whose
             ``xor_blocks`` applies the pads (NumPy vectorises it); ``None``
             uses the big-int reference XOR.
         """
         count = len(items)
-        if nonces is not None and len(nonces) != count:
-            raise EncryptionError("one pre-drawn nonce entry per item is required")
         messages = [_encode(plaintext) for plaintext, _ in items]
 
         # Nonce plan: deterministic variants batch through the nonce PRF;
@@ -220,9 +189,7 @@ class ProbabilisticCipher:
         derive_slots: list[int] = []
         draw_slots: list[int] = []
         for index, (plaintext, variant) in enumerate(items):
-            if nonces is not None and nonces[index] is not None:
-                out_nonces[index] = nonces[index]
-            elif variant is None:
+            if variant is None:
                 draw_slots.append(index)
             else:
                 derive_slots.append(index)

@@ -180,28 +180,17 @@ class CodedRelation:
         """Shorthand for ``self.column(attribute).frequencies()``."""
         return self.column(attribute).frequencies()
 
-    def rows_matching(self, attribute: str, values: Iterable[Any]) -> list[int]:
-        """Row indexes whose ``attribute`` cell equals any of ``values``.
+    def match_mask(self, attribute: str, values: Iterable[Any]) -> Any:
+        """Backend row mask of the rows whose ``attribute`` cell is in ``values``.
 
         The equality-selection primitive behind token-based queries: the
         candidate values (e.g. the ciphertexts of a search token) are first
         resolved against the column dictionary — each distinct cell value is
         hashed once, however many rows carry it — and the row scan runs on
-        the integer code array through the backend.
-        """
-        column = self.column(attribute)
-        wanted = self._wanted_codes(column, values)
-        if not wanted:
-            return []
-        return self.backend.membership_rows(column.codes, wanted)
-
-    def match_mask(self, attribute: str, values: Iterable[Any]) -> Any:
-        """Backend row mask of the rows whose ``attribute`` cell is in ``values``.
-
-        The mask form of :meth:`rows_matching`, used by the server-side query
-        executor so that boolean combinations of token leaves stay in the
-        backend's bitset algebra (``rows_and`` / ``rows_or`` / ``rows_not``)
-        instead of materialising index lists per leaf.
+        the integer code array through the backend.  The result stays a
+        mask so that the server-side query executor combines token leaves in
+        the backend's bitset algebra (``rows_and`` / ``rows_or`` /
+        ``rows_not``) instead of materialising index lists per leaf.
         """
         column = self.column(attribute)
         return self.backend.membership_mask(

@@ -209,21 +209,9 @@ class TableStore(ABC):
         """
 
     # -- query plane (cache-fronted) -----------------------------------
-    def rows_matching(self, attribute: str, token: Iterable[Any]) -> list[int]:
-        """Ascending indexes of the rows whose ``attribute`` cell is in ``token``."""
-        with self._mutex:
-            key = self._cache_key(attribute, token)
-            if key is not None:
-                hit = self._cache.get_rows(key)
-                if hit is not None:
-                    return list(hit)
-            rows = self._rows_matching_uncached(attribute, token)
-            if key is not None:
-                self._cache.put_rows(key, rows)
-            return list(rows)
-
     def match_mask(self, attribute: str, token: Iterable[Any]) -> Any:
-        """The backend row mask of :meth:`rows_matching` (for plan execution)."""
+        """The backend row mask of the rows whose ``attribute`` cell is in
+        ``token`` (one leaf of a plan execution)."""
         with self._mutex:
             key = self._cache_key(attribute, token)
             if key is not None:
@@ -234,10 +222,6 @@ class TableStore(ABC):
             if key is not None:
                 self._cache.put_mask(key, mask)
             return mask
-
-    @abstractmethod
-    def _rows_matching_uncached(self, attribute: str, token: Iterable[Any]) -> list[int]:
-        """Engine-specific membership scan (called under the store mutex)."""
 
     @abstractmethod
     def _match_mask_uncached(self, attribute: str, token: Iterable[Any]) -> Any:

@@ -7,6 +7,9 @@ over the *real socket transport* — the distinct ``ErrorCode`` each class of
 bad request is rejected with.
 """
 
+from dataclasses import dataclass
+from typing import Any, ClassVar
+
 import pytest
 
 from repro.api import (
@@ -29,7 +32,29 @@ from repro.api import (
 from repro.api.auth import sign_frame, verify_frame
 from repro.core.config import F2Config
 from repro.exceptions import AuthError, ProtocolError
-from repro.wire import WIRE_FORMS
+from repro.query.ast import Eq
+from repro.wire import WIRE_FORMS, encode_cells
+
+
+@dataclass(frozen=True)
+class LegacyQueryRequest(Message):
+    """The wire shape of the retired ``query_request`` message (old clients)."""
+
+    kind: ClassVar[str] = "query_request"
+    table_id: str
+    attribute: str
+    token: tuple = ()
+
+    def _meta(self) -> dict[str, Any]:
+        return {
+            "table_id": self.table_id,
+            "attribute": self.attribute,
+            "include_rows": False,
+            "with_root": False,
+        }
+
+    def _attachments(self, form: str) -> dict[str, bytes]:
+        return {"token": encode_cells(list(self.token), form)}
 
 
 def make_owner(key_seed: int = 42, alpha: float = 0.25, seed: int = 7) -> DataOwner:
@@ -240,10 +265,13 @@ class TestHandshake:
         assert excinfo.value.code == ErrorCode.AUTH_REVOKED.value
 
     def test_version_mismatch(self, registry, tenanted_server):
+        # Only protocol version 3 opens a session; the retired versions 1
+        # and 2 are refused, however they are offered.
         credential = registry.mint("acme", "owner")
-        with pytest.raises(AuthError) as excinfo:
-            loopback(tenanted_server).authenticate(credential, versions=(1,))
-        assert excinfo.value.code == ErrorCode.VERSION_UNSUPPORTED.value
+        for versions in [(1,), (2,), (1, 2)]:
+            with pytest.raises(AuthError) as excinfo:
+                loopback(tenanted_server).authenticate(credential, versions=versions)
+            assert excinfo.value.code == ErrorCode.VERSION_UNSUPPORTED.value
 
     def test_local_tenant_handshake_rejected(self, registry, tenanted_server):
         # Even a hand-edited registry must not yield a session aliasing the
@@ -520,6 +548,39 @@ class TestSocketErrorCodes:
         assert replayed.code == ErrorCode.BAD_SEQUENCE.value
         client.close()
 
+    @pytest.mark.parametrize("form", WIRE_FORMS)
+    def test_legacy_query_request_is_malformed(self, socket_setup, form):
+        # The token-query message family is gone: an old client's
+        # query_request frame, bare or signed, gets a typed WIRE_MALFORMED
+        # error, and neither the connection nor the session is lost.
+        port, _, owner, owner_cred, _ = socket_setup
+        transport = SocketTransport(port=port)
+        client = ProtocolClient(transport, wire_format=form)
+        legacy = LegacyQueryRequest(
+            table_id="default",
+            attribute="City",
+            token=owner.derive_search_token("City", "Hoboken"),
+        )
+        bare = Message.decode(transport.request(legacy.encode(form)))
+        assert isinstance(bare, ErrorReply)
+        assert bare.code == ErrorCode.WIRE_MALFORMED.value
+        connection = transport._sock
+
+        client.authenticate(owner_cred)
+        session_id = client.session_id
+        with pytest.raises(ProtocolError) as excinfo:
+            client.call(legacy)  # signed into an envelope by the session
+        assert excinfo.value.code == ErrorCode.WIRE_MALFORMED.value
+        assert client.session_id == session_id
+
+        plan = owner.plan_query(Eq("City", "Hoboken"))
+        result = client.plan_query("default", plan.server)
+        assert list(owner.decrypt_plan_result(plan, result).rows()) == list(
+            owner.select_plaintext("City", "Hoboken").rows()
+        )
+        assert transport._sock is connection
+        client.close()
+
     def test_owner_flow_over_socket(self, socket_setup, zipcode_table):
         port, _, _, owner_cred, _ = socket_setup
         owner = make_owner()
@@ -529,7 +590,7 @@ class TestSocketErrorCodes:
         session.outsource(zipcode_table)
         session.insert_rows([["07030", "Hoboken", "street-sock", "S"]])
         assert session.last_delta is not None  # shipped as a delta
-        matches = session.query("Zipcode", "07030")
+        matches = session.select(Eq("Zipcode", "07030"))
         assert list(matches.rows()) == list(
             owner.select_plaintext("Zipcode", "07030").rows()
         )

@@ -3,7 +3,7 @@
 The contract under test is *byte-identity*: every batch API must produce
 exactly the bytes of its per-cell loop equivalent — including the order in
 which entropy is consumed — because the golden-ciphertext pins in
-``test_backend_equivalence.py`` hold for every batching/worker configuration.
+``test_backend_equivalence.py`` hold for every batching configuration.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.backend.base import BackendError
 from repro.crypto.keys import KeyGen
 from repro.crypto.prf import Prf, xor_bytes
 from repro.crypto.probabilistic import Ciphertext, ProbabilisticCipher
-from repro.exceptions import DecryptionError, EncryptionError
+from repro.exceptions import DecryptionError
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
 
@@ -191,44 +191,8 @@ class TestEncryptBatch:
         )
         assert via_numpy == reference
 
-    def test_pre_supplied_nonces_used_verbatim(self):
-        cipher = ProbabilisticCipher(KEY)
-        nonces = [bytes([index]) * cipher.nonce_length for index in range(3)]
-        batch = cipher.encrypt_batch(
-            [("a", None), ("b", None), ("c", None)], nonces=nonces
-        )
-        assert [ciphertext.nonce for ciphertext in batch] == nonces
-        assert cipher.decrypt_batch(batch) == ["a", "b", "c"]
-
-    def test_partial_nonces_mix_with_draws(self, monkeypatch):
-        _patch_urandom(monkeypatch, seed=9)
-        cipher = ProbabilisticCipher(KEY)
-        fixed = b"\xaa" * cipher.nonce_length
-        batch = cipher.encrypt_batch(
-            [("a", None), ("b", None)], nonces=[fixed, None]
-        )
-        assert batch[0].nonce == fixed
-        assert batch[1].nonce != fixed
-        assert cipher.decrypt_batch(batch) == ["a", "b"]
-
-    def test_nonce_count_mismatch_rejected(self):
-        cipher = ProbabilisticCipher(KEY)
-        with pytest.raises(EncryptionError):
-            cipher.encrypt_batch([("a", None)], nonces=[])
-
     def test_empty_batch(self):
         assert ProbabilisticCipher(KEY).encrypt_batch([]) == []
-
-    def test_draw_nonces_equals_individual_draws(self, monkeypatch):
-        _patch_urandom(monkeypatch, seed=4242)
-        import os as _os
-        from repro.crypto import probabilistic as prob_module
-
-        individual = [prob_module.os.urandom(16) for _ in range(5)]
-        _patch_urandom(monkeypatch, seed=4242)
-        cipher = ProbabilisticCipher(KEY, nonce_length=16)
-        assert cipher.draw_nonces(5) == individual
-        assert cipher.draw_nonces(0) == []
 
 
 class TestDecryptBatch:
@@ -262,11 +226,75 @@ class TestDecryptBatch:
         assert ProbabilisticCipher(KEY).decrypt_batch([]) == []
 
 
-class TestKeyMaterialRoundTrip:
-    def test_reconstructed_cipher_is_byte_identical(self):
-        from repro.crypto.keys import SymmetricKey
+def _mixed_row_plans(num_rows: int = 24):
+    """Row plans mixing instance, random (some repeated) and fresh cells."""
+    from repro.core.plan import (
+        FreshCell,
+        InstanceCell,
+        RandomCell,
+        RowPlan,
+        RowProvenanceSpec,
+    )
+    from repro.relational.table import Relation
 
-        cipher = ProbabilisticCipher(KEY, nonce_length=16)
-        rebuilt = ProbabilisticCipher(SymmetricKey(cipher.key_material), nonce_length=16)
-        items = [("value", "variant-a"), ("other", "variant-b")]
-        assert rebuilt.encrypt_batch(items) == cipher.encrypt_batch(items)
+    relation = Relation(("A", "B", "C"), name="plans")
+    plans = []
+    for row in range(num_rows):
+        relation.append([f"a{row}", f"b{row % 5}", f"c{row}"])
+        cells = {
+            "A": InstanceCell(value=f"a{row % 6}", variant=f"mas0:v{row % 3}"),
+            "B": RandomCell(value=f"b-{row % 5}"),
+            "C": FreshCell(token=f"=t:{row % 7}") if row % 2 else RandomCell(value=f"c-{row}"),
+        }
+        plans.append(
+            RowPlan(
+                cells=cells,
+                provenance=RowProvenanceSpec(
+                    kind="original", source_row=row, authentic_attributes=frozenset("ABC")
+                ),
+            )
+        )
+    return relation, plans
+
+
+class TestMaterializeRowPlans:
+    """The materialiser's one batch equals encrypting cell by cell."""
+
+    @pytest.mark.parametrize("with_log", [False, True])
+    def test_byte_identical_to_per_cell_loop(self, monkeypatch, with_log):
+        from repro.api.stages import materialize_row_plans
+        from repro.core.plan import FreshCell, FreshValueFactory, InstanceCell
+
+        relation, plans = _mixed_row_plans()
+        _patch_urandom(monkeypatch, seed=5)
+        encrypted, provenance = materialize_row_plans(
+            relation,
+            plans,
+            ProbabilisticCipher(KEY),
+            FreshValueFactory(seed=7),
+            nonce_log={} if with_log else None,
+        )
+
+        # Reference: row-major, one encrypt per cell; with a nonce log a
+        # repeated random cell reuses its first ciphertext.
+        _patch_urandom(monkeypatch, seed=5)
+        cipher, factory, log = ProbabilisticCipher(KEY), FreshValueFactory(seed=7), {}
+        expected = []
+        for plan in plans:
+            row = []
+            for attribute in relation.attributes:
+                spec = plan.cells[attribute]
+                if type(spec) is InstanceCell:
+                    row.append(cipher.encrypt(spec.value, spec.variant))
+                elif type(spec) is FreshCell:
+                    row.append(factory.materialize(spec.token))
+                elif with_log:
+                    key = (attribute, str(spec.value))
+                    if key not in log:
+                        log[key] = cipher.encrypt(spec.value)
+                    row.append(log[key])
+                else:
+                    row.append(cipher.encrypt(spec.value))
+            expected.append(tuple(row))
+        assert [tuple(row) for row in encrypted.rows()] == expected
+        assert [p.source_row for p in provenance] == list(range(len(plans)))

@@ -36,6 +36,7 @@ from repro.api.session import decrypt_table
 from repro.backend import numpy_available
 from repro.core.config import F2Config
 from repro.exceptions import ProtocolError
+from repro.query.ast import Eq
 from repro.relational.table import Relation
 from repro.wire import WIRE_FORMS
 
@@ -217,7 +218,7 @@ class TestDeltaProtocolPath:
                 owner.server_view()
             )
         # And the decrypted state equals the plaintext exactly.
-        matches = session.query("City", "Hoboken")
+        matches = session.select(Eq("City", "Hoboken"))
         assert list(matches.rows()) == list(
             owner.select_plaintext("City", "Hoboken").rows()
         )

@@ -30,7 +30,9 @@ from repro.backend import numpy_available
 from repro.core.config import F2Config
 from repro.exceptions import AuthError, IntegrityError, ProtocolError
 from repro.integrity.merkle import MerkleTree, relation_leaves
+from repro.integrity.state import TableIntegrityState
 from repro.integrity.writers import WriteCoordinator
+from repro.query.ast import Eq
 from repro.relational.table import Relation
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
@@ -89,8 +91,27 @@ class TestVerifiedRoundTrip:
         matches = session.select("City = Hoboken")
         expected = [r for r in ROWS if r[0] == "Hoboken"]
         assert sorted(map(list, matches.rows())) == sorted(expected)
-        point = session.query("City", "Jersey")
+        point = session.select(Eq("City", "Jersey"))
         assert point.num_rows == 2
+
+    def test_equality_select_verifies_inclusion_proofs(self, registry, monkeypatch):
+        # An equality query is a one-leaf select, so a verified session
+        # checks one inclusion proof per matched row, not just the root.
+        credential = registry.mint("acme", "owner")
+        session = verified_session(ProtocolServer(tenants=registry), credential)
+        session.outsource(base_relation())
+        checked = []
+        original = TableIntegrityState.verify_proofs
+
+        def recording(state, row_indexes, proofs, *args, **kwargs):
+            checked.append((list(row_indexes), len(proofs)))
+            return original(state, row_indexes, proofs, *args, **kwargs)
+
+        monkeypatch.setattr(TableIntegrityState, "verify_proofs", recording)
+        assert session.select(Eq("City", "Jersey")).num_rows == 2
+        assert len(checked) == 1
+        row_indexes, proof_count = checked[0]
+        assert row_indexes and proof_count == len(row_indexes)
 
     def test_session_verifies_equally_over_both_engines(self, registry, tmp_path):
         # The owner-side expected root is engine-independent: the same
@@ -186,14 +207,14 @@ class TestSignedReplies:
         session.outsource(base_relation())
         transport.mode = "flip"
         with pytest.raises(IntegrityError, match="signature"):
-            session.query("City", "Hoboken")
+            session.select(Eq("City", "Hoboken"))
 
     def test_stripped_signature_detected(self, registry):
         session, transport = self.make_session(registry)
         session.outsource(base_relation())
         transport.mode = "strip"
         with pytest.raises(IntegrityError, match="signed reply"):
-            session.query("City", "Hoboken")
+            session.select(Eq("City", "Hoboken"))
 
     def test_signature_binds_to_the_request_sequence(self, registry):
         # A recorded (signed) reply replayed for a different request fails
@@ -228,10 +249,10 @@ class TestSignedReplies:
             owner, client, table_id="orders", credential=credential, verify=True
         )
         session.outsource(base_relation())
-        session.query("City", "Hoboken")  # recorded
+        session.select(Eq("City", "Hoboken"))  # recorded
         transport.replay = True
         with pytest.raises(IntegrityError):
-            session.query("City", "Jersey")
+            session.select(Eq("City", "Jersey"))
 
 
 # ----------------------------------------------------------------------
@@ -481,9 +502,8 @@ class TestMultiWriterStress:
         expected_root = MerkleTree(relation_leaves(final_view)).root
         check = ProtocolClient(LoopbackTransport(server))
         check.authenticate(credential)
-        result = check.query(
-            "orders", "City", owner.derive_search_token("City", "Hoboken"),
-            with_root=True,
+        result = check.plan_query(
+            "orders", owner.plan_query(Eq("City", "Hoboken")).server, with_root=True
         )
         assert result.merkle_root == expected_root
         assert coordinator.integrity.expected_root == expected_root

@@ -20,6 +20,7 @@ from repro.api import (
 from repro.api.auth import ErrorCode
 from repro.core.config import F2Config
 from repro.exceptions import ProtocolError
+from repro.query.ast import Eq
 from repro.relational.table import Relation
 
 TENANTS = ("tenant-a", "tenant-b", "tenant-c")
@@ -109,7 +110,7 @@ class TestMultiTenantStress:
                         session.insert_rows(incremental_rows(tag, owner, round_index))
                         deltas += session.last_delta is not None
                         zipcode = owner.plaintext.value(0, "Zipcode")
-                        matches = session.query("Zipcode", zipcode)
+                        matches = session.select(Eq("Zipcode", zipcode))
                         expected = owner.select_plaintext("Zipcode", zipcode)
                         assert list(matches.rows()) == list(expected.rows())
                     discovery = session.discover_fds(max_lhs_size=2)

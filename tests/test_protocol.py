@@ -13,8 +13,8 @@ from repro.api import (
     LoopbackTransport,
     Message,
     ProtocolClient,
+    PlanQueryRequest,
     ProtocolServer,
-    QueryRequest,
     RemoteOwnerSession,
     ServiceProvider,
     SocketProtocolServer,
@@ -24,6 +24,7 @@ from repro.api import (
 from repro.core.config import F2Config
 from repro.exceptions import EncryptionError, ProtocolError, QueryError, WireError
 from repro.fd.tane import tane
+from repro.query import Eq, TokenLeaf, collect_leaves
 from repro.relational.table import Relation
 from repro.wire import WIRE_FORMS
 
@@ -83,10 +84,12 @@ class TestMessages:
         owner = make_owner()
         owner.outsource(zipcode_table)
         token = owner.derive_search_token("City", "Hoboken")
-        message = QueryRequest(table_id="default", attribute="City", token=token)
+        message = PlanQueryRequest(
+            table_id="default", expr=TokenLeaf(attribute="City", token=token)
+        )
         decoded = Message.decode(message.encode(form))
         assert decoded == message
-        assert decoded.token == token
+        assert decoded.expr.token == token
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(WireError):
@@ -248,7 +251,7 @@ class TestSocketProtocol:
             )
             session.outsource(zipcode_table)
             session.insert_rows([["07030", "Hoboken", "street-x1", "S"]])
-            matches = session.query("Zipcode", "07030")
+            matches = session.select(Eq("Zipcode", "07030"))
             expected = owner.select_plaintext("Zipcode", "07030")
             assert list(matches.rows()) == list(expected.rows())
             session.close()
@@ -257,6 +260,37 @@ class TestSocketProtocol:
         transport = SocketTransport("127.0.0.1", 1)  # nothing listens here
         with pytest.raises(ProtocolError):
             ProtocolClient(transport).discover("default")
+
+    def test_idle_connection_is_closed_and_client_reconnects(
+        self, zipcode_table, monkeypatch
+    ):
+        # A silent client must not pin a server thread: after the idle
+        # timeout the handler closes the connection and its thread exits,
+        # and the client's next request reconnects transparently.
+        import repro.api.protocol as protocol_module
+
+        monkeypatch.setattr(protocol_module, "IDLE_TIMEOUT_SECONDS", 0.2)
+        handler_exited = threading.Event()
+        original_handle = protocol_module._FrameHandler.handle
+
+        def tracked_handle(handler):
+            try:
+                original_handle(handler)
+            finally:
+                handler_exited.set()
+
+        monkeypatch.setattr(protocol_module._FrameHandler, "handle", tracked_handle)
+        view = make_owner().outsource(zipcode_table).server_view()
+        with SocketProtocolServer(ProtocolServer()) as sock_server:
+            sock_server.serve_in_background()
+            transport = SocketTransport(port=sock_server.port)
+            client = ProtocolClient(transport)
+            client.outsource("default", view)
+            first_connection = transport._sock
+            assert handler_exited.wait(timeout=10), "idle handler thread never exited"
+            assert client.discover("default").fds
+            assert transport._sock is not first_connection
+            client.close()
 
     def test_shutdown_before_serving_does_not_hang(self):
         # Regression: BaseServer.shutdown() blocks on an event only
@@ -351,41 +385,28 @@ class TestTokenQueries:
     )
     def test_query_equals_plaintext_selection(self, outsourced, attribute, value):
         owner, provider, table = outsourced
-        token = owner.derive_search_token(attribute, value)
-        assert token, "a value present in the table must yield a non-empty token"
-        result = provider.answer_query(attribute, token)
-        decrypted = owner.decrypt_query_result(result)
+        plan = owner.plan_query(Eq(attribute, value))
+        assert collect_leaves(plan.server)[0].token, (
+            "a value present in the table must yield a non-empty token"
+        )
+        result = provider.answer_plan_query(plan.server)
+        decrypted = owner.decrypt_plan_result(plan, result)
         assert list(decrypted.rows()) == self.selection(table, attribute, value)
 
     def test_absent_value_yields_empty_result(self, outsourced):
         owner, provider, _ = outsourced
-        token = owner.derive_search_token("City", "Atlantis")
-        result = provider.answer_query("City", token)
+        plan = owner.plan_query(Eq("City", "Atlantis"))
+        result = provider.answer_plan_query(plan.server)
         assert result.row_indexes == ()
-        assert owner.decrypt_query_result(result).num_rows == 0
-
-    def test_rows_attachment_is_opt_in(self, outsourced):
-        # The owner path consumes only row_indexes; matched ciphertext rows
-        # ship back only when explicitly requested.
-        owner, provider, _ = outsourced
-        token = owner.derive_search_token("City", "Hoboken")
-        lean = provider.answer_query("City", token)
-        assert lean.rows is None
-        full = provider.answer_query("City", token, include_rows=True)
-        assert full.row_indexes == lean.row_indexes
-        assert full.rows is not None
-        assert full.rows.num_rows == len(full.row_indexes)
-        assert list(full.rows.rows()) == [
-            provider.table.row(index) for index in full.row_indexes
-        ]
+        assert owner.decrypt_plan_result(plan, result).num_rows == 0
 
     def test_matches_are_supersets_with_artificial_rows(self, outsourced):
         # The raw server-side matches include scaling copies (that is the
         # frequency-hiding working as designed); provenance filtering on the
         # owner side strips them.
         owner, provider, table = outsourced
-        token = owner.derive_search_token("City", "JerseyCity")
-        result = provider.answer_query("City", token)
+        plan = owner.plan_query(Eq("City", "JerseyCity"))
+        result = provider.answer_plan_query(plan.server)
         plaintext_matches = len(self.selection(table, "City", "JerseyCity"))
         assert len(result.row_indexes) >= plaintext_matches
 
@@ -401,7 +422,7 @@ class TestTokenQueries:
         provider = ServiceProvider()
         session = RemoteOwnerSession(owner, provider.client)
         session.outsource(zipcode_table)
-        result = session.query("Street", "street-1")
+        result = session.select(Eq("Street", "street-1"))
         assert list(result.rows()) == self.selection(zipcode_table, "Street", "street-1")
 
     def test_unknown_attribute_raises(self, outsourced):
@@ -409,7 +430,7 @@ class TestTokenQueries:
         with pytest.raises(QueryError):
             owner.derive_search_token("Nope", "x")
         with pytest.raises(ProtocolError):
-            provider.answer_query("Nope", ())
+            provider.answer_plan_query(TokenLeaf(attribute="Nope", token=()))
 
     def test_query_after_insert_reflects_new_rows(self, zipcode_table):
         owner = make_owner()
@@ -420,14 +441,14 @@ class TestTokenQueries:
             [["07030", "Hoboken", "street-ins-1", "N"], ["07302", "JerseyCity", "street-ins-2", "S"]]
         )
         for attribute, value in [("Zipcode", "07030"), ("City", "JerseyCity")]:
-            got = session.query(attribute, value)
+            got = session.select(Eq(attribute, value))
             expected = owner.select_plaintext(attribute, value)
             assert list(got.rows()) == list(expected.rows())
 
     def test_provider_requires_received_table(self):
         provider = ServiceProvider()
         with pytest.raises(EncryptionError):
-            provider.answer_query("City", ())
+            provider.answer_plan_query(TokenLeaf(attribute="City", token=()))
 
     @pytest.mark.parametrize("form", WIRE_FORMS)
     def test_plan_query_roundtrip(self, zipcode_table, form):
@@ -478,7 +499,7 @@ class TestTokenQueries:
         # Query every (attribute, value) pair of the table.
         for attribute in table.attributes:
             for value in sorted(set(table.column(attribute))):
-                got = session.query(attribute, value)
+                got = session.select(Eq(attribute, value))
                 expected = owner.select_plaintext(attribute, value)
                 assert list(got.rows()) == list(expected.rows()), (attribute, value)
 
@@ -595,8 +616,6 @@ class TestLockRegistryHygiene:
         for index in range(20):
             with pytest.raises(ProtocolError):
                 client.plan_query(f"ghost-{index}", plan.server)
-            with pytest.raises(ProtocolError):
-                client.query(f"ghost-{index}", "City", ())
             with pytest.raises(ProtocolError):
                 client.save_snapshot(f"ghost-{index}")
             with pytest.raises(ProtocolError):

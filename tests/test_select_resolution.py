@@ -256,10 +256,10 @@ class TestResolution:
         owner = zipcode_owner(zipcode_table)
         provider = ServiceProvider()
         provider.receive(owner.server_view())
-        token = owner.derive_search_token("City", "Hoboken")
-        result = provider.answer_query("City", token)
+        plan = owner.plan_query(Eq("City", "Hoboken"))
+        result = provider.answer_plan_query(plan.server)
         calls = CipherCalls(monkeypatch, owner)
-        got = owner.decrypt_query_result(result)
+        got = owner.decrypt_plan_result(plan, result)
         assert len(calls.batches) == 1 and calls.single == 0
         assert list(got.rows()) == list(owner.select_plaintext("City", "Hoboken").rows())
 
@@ -324,4 +324,5 @@ def test_coded_column_inverse_dictionary_is_cached():
     code_of = column.code_of()
     assert column.code_of() is code_of
     assert {column.dictionary[code]: code for code in code_of.values()} == code_of
-    assert relation.coded().rows_matching("A", ["x", "absent"]) == [0, 2]
+    coded = relation.coded()
+    assert coded.backend.mask_to_rows(coded.match_mask("A", ["x", "absent"])) == [0, 2]

@@ -14,7 +14,6 @@ from repro.api.protocol import (
     PlanQueryRequest,
     ProtocolClient,
     ProtocolServer,
-    QueryRequest,
     SaveSnapshot,
 )
 from repro.backend import get_backend, numpy_available
@@ -59,6 +58,11 @@ def grown_relation(name: str = "orders") -> Relation:
     )
 
 
+def matched_rows(store, attribute: str, token) -> list[int]:
+    """Ascending indexes of the rows a one-leaf plan matches on ``store``."""
+    return store.backend.mask_to_rows(store.match_mask(attribute, token))
+
+
 # ----------------------------------------------------------------------
 # TokenBitsetCache
 # ----------------------------------------------------------------------
@@ -66,23 +70,23 @@ class TestTokenBitsetCache:
     def test_hit_miss_counters(self):
         cache = TokenBitsetCache()
         key = cache.key("city", ("hoboken",))
-        assert cache.get_rows(key) is None
-        cache.put_rows(key, [0, 2])
-        assert cache.get_rows(key) == (0, 2)
+        assert cache.get_mask(key) is None
+        cache.put_mask(key, 0b101)
+        assert cache.get_mask(key) == 0b101
         assert cache.stats()["hits"] == 1
         assert cache.stats()["misses"] == 1
 
     def test_lru_eviction(self):
         cache = TokenBitsetCache(max_entries=2)
         for index in range(3):
-            cache.put_rows(("a", (index,)), [index])
-        assert cache.get_rows(("a", (0,))) is None  # evicted
-        assert cache.get_rows(("a", (2,))) == (2,)
+            cache.put_mask(("a", (index,)), 1 << index)
+        assert cache.get_mask(("a", (0,))) is None  # evicted
+        assert cache.get_mask(("a", (2,))) == 0b100
 
     def test_invalidate_clears_everything(self):
         cache = TokenBitsetCache()
-        cache.put_rows(("a", (1,)), [1])
         cache.put_mask(("a", (1,)), 0b10)
+        cache.put_mask(("b", (1,)), 0b10)
         cache.invalidate()
         assert cache.entries == 0
         assert cache.stats()["invalidations"] == 1
@@ -116,7 +120,6 @@ class TestSegmentTableStore:
         store.replace(relation)
         coded = relation.coded(resolved)
         for token in [("hoboken",), ("nyc", "jersey"), ("nowhere",), ()]:
-            assert store.rows_matching("city", token) == coded.rows_matching("city", token)
             assert resolved.mask_to_rows(store.match_mask("city", token)) == (
                 resolved.mask_to_rows(coded.match_mask("city", token))
             )
@@ -161,15 +164,15 @@ class TestSegmentTableStore:
             store.apply_delta(compute_view_delta(current, grown))
             current = grown
         assert store.num_rows == 600
-        assert store.rows_matching("v", ("v599",)) == [599]
-        assert store.rows_matching("v", ("v10",)) == [10]
+        assert matched_rows(store, "v", ("v599",)) == [599]
+        assert matched_rows(store, "v", ("v10",)) == [10]
         # v300 appears once, in the second segment, with a code >= 256 % 256
         # colliding against an early narrow code if wrapped.
-        assert store.rows_matching("v", ("v300",)) == [300]
+        assert matched_rows(store, "v", ("v300",)) == [300]
         assert store.relation() == current
         store.close()
         reopened = SegmentTableStore(tmp_path / f"g{STORE_SUFFIX}", get_backend(backend))
-        assert reopened.rows_matching("v", ("v599",)) == [599]
+        assert matched_rows(reopened, "v", ("v599",)) == [599]
         assert reopened.verify() is True
         reopened.close()
 
@@ -217,11 +220,11 @@ class TestSegmentTableStore:
         reopened = SegmentTableStore(tmp_path / f"t{STORE_SUFFIX}", backend)
         assert dictionary_decodes == []  # opening only skims the manifest
         assert column_decodes == []
-        assert reopened.rows_matching("zip", ("07030",)) == [0, 2]
+        assert matched_rows(reopened, "zip", ("07030",)) == [0, 2]
         assert len(dictionary_decodes) == 1  # only the zip dictionary
         assert len(column_decodes) == 1  # only the zip code column
         # A second query on the same attribute hits the lazy caches.
-        assert reopened.rows_matching("zip", ("10001",)) == [1]
+        assert matched_rows(reopened, "zip", ("10001",)) == [1]
         assert len(dictionary_decodes) == 1
         assert len(column_decodes) == 1
         reopened.close()
@@ -377,7 +380,9 @@ class TestServerEngines:
         )
         client = make_client(server)
         ack = client.call(OutsourceRequest(table_id="orders", relation=base))
-        query = QueryRequest(table_id="orders", attribute="city", token=("hoboken",))
+        query = PlanQueryRequest(
+            table_id="orders", expr=TokenLeaf(attribute="city", token=("hoboken",))
+        )
         assert client.call(query).row_indexes == (0, 2)
         assert client.call(query).row_indexes == (0, 2)  # cache hit
         store = server.table_store("orders")
@@ -400,7 +405,9 @@ class TestServerEngines:
         assert revived.table_ids() == ["orders"]
         assert revived.store("orders") == relation
         result = make_client(revived).call(
-            QueryRequest(table_id="orders", attribute="city", token=("nyc",))
+            PlanQueryRequest(
+                table_id="orders", expr=TokenLeaf(attribute="city", token=("nyc",))
+            )
         )
         assert result.row_indexes == (1,)
 
@@ -495,7 +502,9 @@ class TestLazySnapshotLoading:
         assert store.attributes == ("city", "zip")
         assert store.num_rows == 4
         result = make_client(revived).call(
-            QueryRequest(table_id="orders", attribute="city", token=("nyc",))
+            PlanQueryRequest(
+                table_id="orders", expr=TokenLeaf(attribute="city", token=("nyc",))
+            )
         )
         assert result.row_indexes == (1,)
         assert len(calls) == 1  # the first touch decoded, exactly once
