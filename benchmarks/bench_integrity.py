@@ -82,7 +82,7 @@ def proof_sizes(sizes) -> list[dict]:
         step = max(1, num_rows // PROOF_MATCHES)
         indexes = list(range(0, num_rows, step))[:PROOF_MATCHES]
         paths = [tree.proof(i) for i in indexes]
-        blob = encode_merkle_proofs(num_rows, paths, "binary")
+        blob = encode_merkle_proofs(num_rows, paths)
         depth = max(len(p) for p in paths)
         rows.append(
             {

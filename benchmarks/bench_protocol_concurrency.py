@@ -200,8 +200,8 @@ def delta_bytes(sizes) -> list[dict]:
         apply_seconds = time.perf_counter() - start
         assert list(spliced.rows()) == list(new_view.rows())
 
-        delta_wire = len(InsertDelta(table_id="t", delta=delta).encode("binary"))
-        full_wire = len(InsertBatch(table_id="t", relation=new_view).encode("binary"))
+        delta_wire = len(InsertDelta(table_id="t", delta=delta).encode())
+        full_wire = len(InsertBatch(table_id="t", relation=new_view).encode())
         rows.append(
             {
                 "rows": base_view.num_rows,

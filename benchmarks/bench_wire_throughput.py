@@ -4,9 +4,8 @@ Not a figure from the paper — this tracks the serving layer added by the
 protocol PR.  Two question sets:
 
 * **Codec throughput** — MB/s for encoding and decoding a ciphertext server
-  view in both wire forms.  The binary form should beat JSON on both axes
-  and produce a smaller payload (dictionaries are serialized once; the row
-  body is a fixed-width code array).
+  view (dictionaries are serialized once; the row body is a fixed-width
+  code array).
 * **Query latency** — wall time of one equality select (a one-leaf plan)
   through the full protocol stack (token derivation, message encode,
   server-side dictionary filtering, reply decode, provenance filtering +
@@ -26,7 +25,7 @@ from repro.core.config import F2Config
 from repro.crypto.keys import KeyGen
 from repro.datasets import generate_fd_table
 from repro.query.ast import Eq
-from repro.wire import WIRE_FORMS, decode_relation, encode_relation
+from repro.wire import decode_relation, encode_relation
 
 from benchmarks.conftest import scale
 
@@ -50,26 +49,24 @@ def codec_throughput(sizes) -> list[dict]:
     rows = []
     for num_rows in sizes:
         _, _, view = outsourced_view(num_rows)
-        for form in WIRE_FORMS:
-            start = time.perf_counter()
-            payload = encode_relation(view, form)
-            encode_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            decoded = decode_relation(payload)
-            decode_seconds = time.perf_counter() - start
-            assert decoded == view
-            megabytes = len(payload) / 1e6
-            rows.append(
-                {
-                    "rows": view.num_rows,
-                    "form": form,
-                    "payload_bytes": len(payload),
-                    "encode_mb_per_s": round(megabytes / max(encode_seconds, 1e-9), 3),
-                    "decode_mb_per_s": round(megabytes / max(decode_seconds, 1e-9), 3),
-                    "encode_seconds": round(encode_seconds, 6),
-                    "decode_seconds": round(decode_seconds, 6),
-                }
-            )
+        start = time.perf_counter()
+        payload = encode_relation(view)
+        encode_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        decoded = decode_relation(payload)
+        decode_seconds = time.perf_counter() - start
+        assert decoded == view
+        megabytes = len(payload) / 1e6
+        rows.append(
+            {
+                "rows": view.num_rows,
+                "payload_bytes": len(payload),
+                "encode_mb_per_s": round(megabytes / max(encode_seconds, 1e-9), 3),
+                "decode_mb_per_s": round(megabytes / max(decode_seconds, 1e-9), 3),
+                "encode_seconds": round(encode_seconds, 6),
+                "decode_seconds": round(decode_seconds, 6),
+            }
+        )
     return rows
 
 
@@ -77,27 +74,25 @@ def query_latency(sizes) -> list[dict]:
     rows = []
     for num_rows in sizes:
         owner, table, _ = outsourced_view(num_rows)
-        for form in WIRE_FORMS:
-            client = ProtocolClient(LoopbackTransport(ProtocolServer()), wire_format=form)
-            session = RemoteOwnerSession(owner, client)
-            client.outsource(session.table_id, owner.server_view())
-            attribute = "Zipcode"
-            value = table.value(0, attribute)
-            # Warm the coded-view cache the way a live server would be warm.
-            session.select(Eq(attribute, value))
-            start = time.perf_counter()
-            repeats = 5
-            for _ in range(repeats):
-                matches = session.select(Eq(attribute, value))
-            elapsed = (time.perf_counter() - start) / repeats
-            rows.append(
-                {
-                    "rows": table.num_rows,
-                    "form": form,
-                    "query_seconds": round(elapsed, 6),
-                    "matched_rows": matches.num_rows,
-                }
-            )
+        client = ProtocolClient(LoopbackTransport(ProtocolServer()))
+        session = RemoteOwnerSession(owner, client)
+        client.outsource(session.table_id, owner.server_view())
+        attribute = "Zipcode"
+        value = table.value(0, attribute)
+        # Warm the coded-view cache the way a live server would be warm.
+        session.select(Eq(attribute, value))
+        start = time.perf_counter()
+        repeats = 5
+        for _ in range(repeats):
+            matches = session.select(Eq(attribute, value))
+        elapsed = (time.perf_counter() - start) / repeats
+        rows.append(
+            {
+                "rows": table.num_rows,
+                "query_seconds": round(elapsed, 6),
+                "matched_rows": matches.num_rows,
+            }
+        )
     return rows
 
 
@@ -107,25 +102,14 @@ def test_codec_throughput(benchmark, bench_json):
     print()
     print(format_table(rows, title="Wire codec throughput (ciphertext server views)"))
     bench_json.add("codec_throughput", rows)
-    by_form = {
-        (row["rows"], row["form"]): row for row in rows
-    }
-    largest = max(row["rows"] for row in rows)
-    binary = by_form[(largest, "binary")]
-    json_row = by_form[(largest, "json")]
+    largest = max(rows, key=lambda row: row["rows"])
     bench_json.add(
         "codec_summary",
         [],
-        binary_payload_bytes_at_largest=binary["payload_bytes"],
-        json_payload_bytes_at_largest=json_row["payload_bytes"],
-        binary_vs_json_size_ratio=round(
-            binary["payload_bytes"] / json_row["payload_bytes"], 4
-        ),
-        binary_encode_mb_per_s_at_largest=binary["encode_mb_per_s"],
-        binary_decode_mb_per_s_at_largest=binary["decode_mb_per_s"],
+        binary_payload_bytes_at_largest=largest["payload_bytes"],
+        binary_encode_mb_per_s_at_largest=largest["encode_mb_per_s"],
+        binary_decode_mb_per_s_at_largest=largest["decode_mb_per_s"],
     )
-    # The compact form must actually be compact.
-    assert binary["payload_bytes"] < json_row["payload_bytes"]
 
 
 def test_query_latency(benchmark, bench_json):

@@ -136,9 +136,9 @@ def main() -> None:
             acme_session.insert_rows(incremental_batch(acme.plaintext, 3, "d1"))
             delta = acme_session.last_delta
             check(delta is not None, "incremental insert shipped as a delta")
-            delta_bytes = len(InsertDelta(table_id="orders", delta=delta).encode("binary"))
+            delta_bytes = len(InsertDelta(table_id="orders", delta=delta).encode())
             full_bytes = len(
-                InsertBatch(table_id="orders", relation=acme.server_view()).encode("binary")
+                InsertBatch(table_id="orders", relation=acme.server_view()).encode()
             )
             print(
                 f"delta on the wire: {delta_bytes} bytes vs {full_bytes} for the "

@@ -9,9 +9,8 @@ results back.  This module is that protocol made concrete:
   :class:`InsertBatch`, :class:`DiscoverRequest` / :class:`DiscoverResult`,
   :class:`PlanQueryRequest` / :class:`PlanQueryResult`,
   :class:`SaveSnapshot` / :class:`LoadSnapshot`, :class:`Ack`,
-  :class:`ErrorReply`) that serialize through the
-  :mod:`repro.wire` codec in either wire form ("json" for debuggability,
-  "binary" for throughput).
+  :class:`ErrorReply`) that serialize through the binary
+  :mod:`repro.wire` codec.
 * **Transports** — anything with a ``request(bytes) -> bytes`` method.
   :class:`LoopbackTransport` calls a :class:`ProtocolServer` in-process (the
   session facades use it, which is how the pre-protocol API keeps working
@@ -103,14 +102,10 @@ from repro.store.base import (
 )
 from repro.wire import (
     WIRE_BINARY,
-    WIRE_FORMS,
-    WIRE_JSON,
-    check_form,
     decode_cells,
     decode_merkle_proofs,
     decode_relation,
     decode_tane_result,
-    detect_form,
     encode_cells,
     encode_merkle_proofs,
     encode_relation,
@@ -192,8 +187,7 @@ class Message:
     """Base class: a typed message = meta fields + bulk attachments.
 
     ``meta`` is always a small JSON document; attachments are payloads of the
-    :mod:`repro.wire` codec (relations, TANE results, cell lists) carried in
-    whichever wire form the message is encoded in.
+    :mod:`repro.wire` codec (relations, TANE results, cell lists).
     """
 
     kind: ClassVar[str] = ""
@@ -201,7 +195,7 @@ class Message:
     def _meta(self) -> dict[str, Any]:
         return {}
 
-    def _attachments(self, form: str) -> dict[str, bytes]:
+    def _attachments(self) -> dict[str, bytes]:
         return {}
 
     @classmethod
@@ -226,25 +220,13 @@ class Message:
         return getattr(self, "_trace_ctx", ("", ""))
 
     # -- encoding ------------------------------------------------------
-    def encode(self, form: str = WIRE_BINARY) -> bytes:
-        """Serialize the message in ``form`` ("json" or "binary")."""
-        check_form(form)
+    def encode(self) -> bytes:
+        """Serialize the message into one binary frame."""
         meta = sanitize_json(self._meta())
         trace_ctx = getattr(self, "_trace_ctx", None)
         if trace_ctx is not None:
             meta[TRACE_META_KEY] = [trace_ctx[0], trace_ctx[1]]
-        attachments = self._attachments(form)
-        if form == WIRE_JSON:
-            doc = {
-                "protocol": f"f2/{MESSAGE_VERSION}",
-                "kind": self.kind,
-                "meta": meta,
-                "attachments": {
-                    name: json.loads(payload.decode("utf-8"))
-                    for name, payload in attachments.items()
-                },
-            }
-            return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+        attachments = self._attachments()
         writer = ByteWriter()
         writer.raw(MESSAGE_MAGIC)
         writer.raw(bytes([MESSAGE_VERSION]))
@@ -258,37 +240,21 @@ class Message:
 
     @staticmethod
     def decode(data: bytes) -> "Message":
-        """Deserialize a message of either wire form (auto-detected)."""
-        if data[: len(MESSAGE_MAGIC)] == MESSAGE_MAGIC:
-            reader = ByteReader(data)
-            for expected in MESSAGE_MAGIC:
-                if reader.u8() != expected:  # pragma: no cover - matched above
-                    raise WireError("corrupted protocol message magic")
-            version = reader.u8()
-            if version != MESSAGE_VERSION:
-                raise WireError(f"unsupported protocol message version {version}")
-            kind = reader.lp_str()
-            meta = json_blob(reader.lp_bytes())
-            attachments = {}
-            for _ in range(reader.uvarint()):
-                name = reader.lp_str()
-                attachments[name] = reader.lp_bytes()
-            reader.expect_end()
-        else:
-            if detect_form(data) != WIRE_JSON:
-                raise WireError("protocol message is neither binary nor JSON")
-            try:
-                doc = json.loads(data.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise WireError("malformed JSON protocol message") from exc
-            if not isinstance(doc, dict) or doc.get("protocol") != f"f2/{MESSAGE_VERSION}":
-                raise WireError("missing or unsupported protocol marker in JSON message")
-            kind = doc.get("kind")
-            meta = doc.get("meta") or {}
-            attachments = {
-                name: json.dumps(payload, separators=(",", ":")).encode("utf-8")
-                for name, payload in (doc.get("attachments") or {}).items()
-            }
+        """Deserialize one binary protocol message."""
+        if data[: len(MESSAGE_MAGIC)] != MESSAGE_MAGIC:
+            raise WireError("not a protocol message: missing the F2M magic")
+        reader = ByteReader(data)
+        reader.skip(len(MESSAGE_MAGIC))
+        version = reader.u8()
+        if version != MESSAGE_VERSION:
+            raise WireError(f"unsupported protocol message version {version}")
+        kind = reader.lp_str()
+        meta = json_blob(reader.lp_bytes())
+        attachments = {}
+        for _ in range(reader.uvarint()):
+            name = reader.lp_str()
+            attachments[name] = reader.lp_bytes()
+        reader.expect_end()
         message_cls = MESSAGE_TYPES.get(kind)
         if message_cls is None:
             raise WireError(f"unknown protocol message kind {kind!r}")
@@ -319,8 +285,8 @@ class OutsourceRequest(Message):
     def _meta(self) -> dict[str, Any]:
         return {"table_id": self.table_id, "with_root": self.with_root}
 
-    def _attachments(self, form: str) -> dict[str, bytes]:
-        return {"relation": encode_relation(self.relation, form)}
+    def _attachments(self) -> dict[str, bytes]:
+        return {"relation": encode_relation(self.relation)}
 
     @classmethod
     def _build(cls, meta, attachments) -> "OutsourceRequest":
@@ -354,8 +320,8 @@ class InsertBatch(Message):
             "with_root": self.with_root,
         }
 
-    def _attachments(self, form: str) -> dict[str, bytes]:
-        return {"relation": encode_relation(self.relation, form)}
+    def _attachments(self) -> dict[str, bytes]:
+        return {"relation": encode_relation(self.relation)}
 
     @classmethod
     def _build(cls, meta, attachments) -> "InsertBatch":
@@ -398,8 +364,8 @@ class DiscoverResult(Message):
     def _meta(self) -> dict[str, Any]:
         return {"table_id": self.table_id}
 
-    def _attachments(self, form: str) -> dict[str, bytes]:
-        return {"result": encode_tane_result(self.result, form)}
+    def _attachments(self) -> dict[str, bytes]:
+        return {"result": encode_tane_result(self.result)}
 
     @classmethod
     def _build(cls, meta, attachments) -> "DiscoverResult":
@@ -439,9 +405,9 @@ class PlanQueryRequest(Message):
             "with_root": self.with_root,
         }
 
-    def _attachments(self, form: str) -> dict[str, bytes]:
+    def _attachments(self) -> dict[str, bytes]:
         return {
-            f"token{leaf.index}": encode_cells(list(leaf.token), form)
+            f"token{leaf.index}": encode_cells(list(leaf.token))
             for leaf in collect_leaves(self.expr)
         }
 
@@ -503,12 +469,12 @@ class PlanQueryResult(Message):
             meta["merkle_root"] = self.merkle_root
         return meta
 
-    def _attachments(self, form: str) -> dict[str, bytes]:
+    def _attachments(self) -> dict[str, bytes]:
         if self.proofs is None:
             return {}
         return {
             "proofs": encode_merkle_proofs(
-                self.num_rows, [list(path) for path in self.proofs], form
+                self.num_rows, [list(path) for path in self.proofs]
             )
         }
 
@@ -611,10 +577,10 @@ class InsertDelta(Message):
             "with_root": self.with_root,
         }
 
-    def _attachments(self, form: str) -> dict[str, bytes]:
+    def _attachments(self) -> dict[str, bytes]:
         if self.delta.literals is None:
             return {}
-        return {"literals": encode_relation(self.delta.literals, form)}
+        return {"literals": encode_relation(self.delta.literals)}
 
     @classmethod
     def _build(cls, meta, attachments) -> "InsertDelta":
@@ -645,9 +611,10 @@ class Hello(Message):
     """Client -> server: open an authenticated session (the handshake).
 
     Carries the tenant identity, the capability the client's credential was
-    minted for, and the protocol versions / wire forms the client speaks (in
-    preference order).  The server requires :data:`PROTOCOL_VERSION` among
-    the versions, picks the first shared wire form, and answers with a
+    minted for, and the protocol versions / wire forms the client speaks.
+    The server requires :data:`PROTOCOL_VERSION` among the versions and
+    ``"binary"`` among the wire forms (the only form; the field stays on the
+    wire so earlier binary clients still handshake), and answers with a
     :class:`HelloAck`; proof of key possession happens on the first signed
     frame, not here — a forged Hello yields a session its sender cannot
     sign anything for.
@@ -658,7 +625,7 @@ class Hello(Message):
     capability: str
     token_id: str = ""
     versions: tuple[int, ...] = (PROTOCOL_VERSION,)
-    wire_forms: tuple[str, ...] = (WIRE_BINARY, WIRE_JSON)
+    wire_forms: tuple[str, ...] = (WIRE_BINARY,)
 
     def _meta(self) -> dict[str, Any]:
         return {
@@ -686,12 +653,15 @@ class Hello(Message):
 
 @dataclass(frozen=True)
 class HelloAck(Message):
-    """Server -> client: the established session and the negotiated terms."""
+    """Server -> client: the established session and the negotiated terms.
+
+    The meta's ``wire_format`` is always ``"binary"``; it stays on the wire
+    for earlier binary clients, which read it.
+    """
 
     kind: ClassVar[str] = "hello_ack"
     session_id: str
     version: int
-    wire_format: str
     server_name: str = ""
     #: HMAC-sealed session-resumption ticket: a reconnecting client
     #: presents it in a :class:`Resume` message to recover its session
@@ -703,7 +673,7 @@ class HelloAck(Message):
         return {
             "session_id": self.session_id,
             "version": self.version,
-            "wire_format": self.wire_format,
+            "wire_format": WIRE_BINARY,
             "server_name": self.server_name,
             "resume_ticket": self.resume_ticket,
         }
@@ -716,7 +686,6 @@ class HelloAck(Message):
         return cls(
             session_id=session_id,
             version=int(meta.get("version", 0)),
-            wire_format=check_form(str(meta.get("wire_format", ""))),
             server_name=str(meta.get("server_name", "")),
             resume_ticket=str(meta.get("resume_ticket", "")),
         )
@@ -728,10 +697,9 @@ class SignedEnvelope(Message):
 
     ``payload`` is a complete encoded protocol message; the signature is
     HMAC-SHA256 over ``(session_id, sequence, payload)`` keyed by the
-    session's tenant secret (see :mod:`repro.api.auth`).  In the binary wire
-    form the payload travels as a raw attachment; in the JSON form it is
-    base64-wrapped (``{"b64": ...}``) so the JSON round trip cannot disturb
-    the exact bytes the signature covers.
+    session's tenant secret (see :mod:`repro.api.auth`).  The payload
+    travels as a raw attachment, so the receiver checks the exact bytes the
+    signature covers.
     """
 
     kind: ClassVar[str] = "signed"
@@ -747,28 +715,12 @@ class SignedEnvelope(Message):
             "signature": self.signature,
         }
 
-    def _attachments(self, form: str) -> dict[str, bytes]:
-        if form == WIRE_JSON:
-            wrapped = {"b64": base64.b64encode(self.payload).decode("ascii")}
-            return {"payload": json.dumps(wrapped, separators=(",", ":")).encode("utf-8")}
+    def _attachments(self) -> dict[str, bytes]:
         return {"payload": self.payload}
 
     @classmethod
     def _build(cls, meta, attachments) -> "SignedEnvelope":
-        raw = attachments.get("payload")
-        if raw is None:
-            raise WireError("signed envelope without a payload")
-        payload = raw
-        if not raw.startswith(MESSAGE_MAGIC):
-            try:
-                doc = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                doc = None
-            if isinstance(doc, dict) and set(doc) == {"b64"}:
-                try:
-                    payload = base64.b64decode(str(doc["b64"]), validate=True)
-                except (ValueError, TypeError) as exc:
-                    raise WireError("signed envelope payload is not valid base64") from exc
+        payload = _signed_payload(attachments, "signed envelope")
         session_id = meta.get("session_id")
         signature = meta.get("signature")
         if not isinstance(session_id, str) or not isinstance(signature, str):
@@ -821,7 +773,6 @@ class ResumeAck(Message):
     kind: ClassVar[str] = "resume_ack"
     session_id: str
     version: int
-    wire_format: str
     next_sequence: int
     server_name: str = ""
 
@@ -829,7 +780,7 @@ class ResumeAck(Message):
         return {
             "session_id": self.session_id,
             "version": self.version,
-            "wire_format": self.wire_format,
+            "wire_format": WIRE_BINARY,
             "next_sequence": self.next_sequence,
             "server_name": self.server_name,
         }
@@ -842,7 +793,6 @@ class ResumeAck(Message):
         return cls(
             session_id=session_id,
             version=int(meta.get("version", 0)),
-            wire_format=check_form(str(meta.get("wire_format", ""))),
             next_sequence=int(meta.get("next_sequence", 1)),
             server_name=str(meta.get("server_name", "")),
         )
@@ -858,7 +808,7 @@ class SignedReply(Message):
     Echoing the request's sequence number pins the reply to the exact
     request it answers — a recorded reply replayed against a later request
     fails verification.  The payload travels exactly like a
-    :class:`SignedEnvelope` payload (raw in binary, base64-wrapped in JSON).
+    :class:`SignedEnvelope` payload.
     """
 
     kind: ClassVar[str] = "signed_reply"
@@ -874,28 +824,12 @@ class SignedReply(Message):
             "signature": self.signature,
         }
 
-    def _attachments(self, form: str) -> dict[str, bytes]:
-        if form == WIRE_JSON:
-            wrapped = {"b64": base64.b64encode(self.payload).decode("ascii")}
-            return {"payload": json.dumps(wrapped, separators=(",", ":")).encode("utf-8")}
+    def _attachments(self) -> dict[str, bytes]:
         return {"payload": self.payload}
 
     @classmethod
     def _build(cls, meta, attachments) -> "SignedReply":
-        raw = attachments.get("payload")
-        if raw is None:
-            raise WireError("signed reply without a payload")
-        payload = raw
-        if not raw.startswith(MESSAGE_MAGIC):
-            try:
-                doc = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                doc = None
-            if isinstance(doc, dict) and set(doc) == {"b64"}:
-                try:
-                    payload = base64.b64decode(str(doc["b64"]), validate=True)
-                except (ValueError, TypeError) as exc:
-                    raise WireError("signed reply payload is not valid base64") from exc
+        payload = _signed_payload(attachments, "signed reply")
         session_id = meta.get("session_id")
         signature = meta.get("signature")
         if not isinstance(session_id, str) or not isinstance(signature, str):
@@ -1031,6 +965,16 @@ MESSAGE_TYPES: dict[str, type[Message]] = {
         ErrorReply,
     )
 }
+
+
+def _signed_payload(attachments: dict[str, bytes], what: str) -> bytes:
+    """The payload of a signed frame: one complete binary protocol message."""
+    payload = attachments.get("payload")
+    if payload is None:
+        raise WireError(f"{what} without a payload")
+    if not payload.startswith(MESSAGE_MAGIC):
+        raise WireError(f"{what} payload is not a binary protocol message")
+    return payload
 
 
 def _require(attachments: dict[str, bytes], name: str, kind: str) -> bytes:
@@ -1203,13 +1147,12 @@ _ANONYMOUS = _AuthContext(tenant_id=DEFAULT_TENANT, capability=CAPABILITY_OWNER)
 
 @dataclass
 class _SessionState:
-    """One established session: identity, wire form, next sequence."""
+    """One established session: identity and next sequence."""
 
     session_id: str
     tenant_id: str
     capability: str
     token_id: str
-    wire_format: str
     next_sequence: int = 1
     lock: threading.Lock = field(default_factory=threading.Lock)
     #: Monotonic clock of the last verified frame (LRU eviction order).
@@ -1430,7 +1373,7 @@ class ProtocolServer:
 
     # -- transport-facing entry point ----------------------------------
     def handle_bytes(self, data: bytes) -> bytes:
-        """Decode one request, dispatch it, and reply in the request's form.
+        """Decode one request, dispatch it, and encode the reply.
 
         A server must never let a malformed request kill the connection, so
         *any* decode failure — including non-Repro exceptions raised by
@@ -1438,12 +1381,11 @@ class ProtocolServer:
         from field coercions, ...) — becomes an :class:`ErrorReply`.
         """
         try:
-            form = WIRE_BINARY if data[: len(MESSAGE_MAGIC)] == MESSAGE_MAGIC else WIRE_JSON
             request = Message.decode(data)
         except Exception as exc:  # noqa: BLE001 - see docstring
             reply = _error_reply(exc, default=ErrorCode.WIRE_MALFORMED.value)
             self._note_error(reply, kind="undecodable")
-            out = reply.encode(WIRE_JSON)
+            out = reply.encode()
             self._note_traffic("undecodable", len(data), len(out))
             return out
         if isinstance(request, Hello):
@@ -1462,7 +1404,7 @@ class ProtocolServer:
             self._note_error(reply, kind=request.kind)
         else:
             reply = self.handle(request)
-        out = reply.encode(form)
+        out = reply.encode()
         self._note_traffic(request.kind, len(data), len(out))
         return out
 
@@ -1590,12 +1532,10 @@ class ProtocolServer:
                 f"server speaks {PROTOCOL_VERSION}",
                 code=ErrorCode.VERSION_UNSUPPORTED.value,
             )
-        wire_format = next(
-            (form for form in request.wire_forms if form in WIRE_FORMS), None
-        )
-        if wire_format is None:
+        if WIRE_BINARY not in request.wire_forms:
             raise AuthError(
-                f"no shared wire form: client proposed {list(request.wire_forms)}",
+                f"no shared wire form: client proposed {list(request.wire_forms)}, "
+                f"server speaks {WIRE_BINARY!r}",
                 code=ErrorCode.VERSION_UNSUPPORTED.value,
             )
         if request.tenant_id == DEFAULT_TENANT:
@@ -1630,7 +1570,6 @@ class ProtocolServer:
             tenant_id=request.tenant_id,
             capability=request.capability,
             token_id=request.token_id,
-            wire_format=wire_format,
             last_used=time.monotonic(),
         )
         with self._lock:
@@ -1649,13 +1588,12 @@ class ProtocolServer:
                 "capability": session.capability,
                 "token_id": session.token_id,
                 "version": PROTOCOL_VERSION,
-                "wire_format": session.wire_format,
+                "wire_format": WIRE_BINARY,
             },
         )
         return HelloAck(
             session_id=session.session_id,
             version=PROTOCOL_VERSION,
-            wire_format=session.wire_format,
             server_name=self.name,
             resume_ticket=resume_ticket,
         )
@@ -1697,11 +1635,10 @@ class ProtocolServer:
         doc = open_ticket(bytes.fromhex(key.secret_hex), request.ticket)
         session_id = str(doc.get("session_id", ""))
         version = int(doc.get("version", 0))
-        wire_format = str(doc.get("wire_format", ""))
         if (
             not session_id
             or version != PROTOCOL_VERSION
-            or wire_format not in WIRE_FORMS
+            or doc.get("wire_format") != WIRE_BINARY
         ):
             raise AuthError(
                 "malformed resumption ticket body",
@@ -1725,7 +1662,6 @@ class ProtocolServer:
                     tenant_id=tenant_id,
                     capability=capability,
                     token_id=str(doc.get("token_id", "")),
-                    wire_format=wire_format,
                     # Fresh random window far above any plausible prior
                     # sequence: replayed frames from the session's previous
                     # life cannot match it.
@@ -1742,7 +1678,6 @@ class ProtocolServer:
         return ResumeAck(
             session_id=session.session_id,
             version=PROTOCOL_VERSION,
-            wire_format=session.wire_format,
             next_sequence=next_sequence,
             server_name=self.name,
         )
@@ -1838,7 +1773,7 @@ class ProtocolServer:
             # Every *successful* reply is authenticated, bound to the
             # request's sequence number.
             with obs.span("server.sign_reply", kind=reply.kind):
-                payload = reply.encode(session.wire_format)
+                payload = reply.encode()
                 signature = sign_reply(
                     secret, session.session_id, request.sequence, payload
                 )
@@ -2263,7 +2198,7 @@ class ProtocolServer:
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(encode_relation(relation, WIRE_BINARY, self.backend))
+                handle.write(encode_relation(relation, self.backend))
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -2655,8 +2590,7 @@ def _client_error(reply: "ErrorReply") -> ProtocolError:
 class ProtocolClient:
     """The owner-side endpoint over any transport.
 
-    Encodes requests in ``wire_format`` ("binary" by default, "json" for
-    debugging), decodes replies of either form, and raises
+    Encodes requests, decodes replies, and raises
     :class:`~repro.exceptions.ProtocolError` (or ``AuthError`` for the
     ``AUTH_*``/``FORBIDDEN``/``BAD_SEQUENCE`` family, with ``exc.code`` set)
     when the server answers with an error reply.
@@ -2672,9 +2606,8 @@ class ProtocolClient:
     again to resume.
     """
 
-    def __init__(self, transport, wire_format: str = WIRE_BINARY):
+    def __init__(self, transport):
         self.transport = transport
-        self.wire_format = check_form(wire_format)
         self._credential: Credential | None = None
         self._session_id: str | None = None
         self._next_sequence = 1
@@ -2705,21 +2638,15 @@ class ProtocolClient:
         """Run the ``Hello`` handshake and switch to signed requests.
 
         ``credential`` is a :class:`~repro.api.auth.Credential` or its
-        ``f2tok1.`` token-string form.  The client proposes its configured
-        wire form first; the ack's negotiated form becomes the session's
-        form for every subsequent message.
+        ``f2tok1.`` token-string form.
         """
         if isinstance(credential, str):
             credential = Credential.from_token(credential)
-        preferred = [self.wire_format] + [
-            form for form in WIRE_FORMS if form != self.wire_format
-        ]
         hello = Hello(
             tenant_id=credential.tenant_id,
             capability=credential.capability,
             token_id=credential.token_id,
             versions=tuple(versions),
-            wire_forms=tuple(preferred),
         )
         with self._session_lock:
             self._session_id = None
@@ -2731,7 +2658,6 @@ class ProtocolClient:
             self._credential = credential
             self._session_id = reply.session_id
             self._next_sequence = 1
-            self.wire_format = reply.wire_format
             self.resume_ticket = reply.resume_ticket
         return reply
 
@@ -2770,12 +2696,11 @@ class ProtocolClient:
                 )
             self._session_id = reply.session_id
             self._next_sequence = reply.next_sequence
-            self.wire_format = reply.wire_format
             self.resume_ticket = ticket
         return reply
 
     def _roundtrip(self, request: Message) -> Message:
-        reply = Message.decode(self.transport.request(request.encode(self.wire_format)))
+        reply = Message.decode(self.transport.request(request.encode()))
         if isinstance(reply, ErrorReply):
             raise _client_error(reply)
         return reply
@@ -2809,7 +2734,7 @@ class ProtocolClient:
             if self._session_id is None:  # lost the session while waiting
                 return self._roundtrip(request)
             assert self._credential is not None
-            payload = request.encode(self.wire_format)
+            payload = request.encode()
             sequence = self._next_sequence
             envelope = SignedEnvelope(
                 session_id=self._session_id,
@@ -2827,7 +2752,7 @@ class ProtocolClient:
                 envelope.with_trace(*trace_ctx)
             try:
                 reply = Message.decode(
-                    self.transport.request(envelope.encode(self.wire_format))
+                    self.transport.request(envelope.encode())
                 )
             except (ProtocolError, OSError):
                 # The transport failed mid-request (SocketTransport re-raises

@@ -527,9 +527,6 @@ class ServiceProvider:
         Optional snapshot directory handed to the underlying server; when
         set, received stores persist to disk and are reloaded when a new
         provider is constructed over the same directory.
-    wire_format:
-        Wire form used on the loopback transport (``"binary"`` default,
-        ``"json"`` to debug payloads).
     storage_engine:
         Storage engine of the underlying server: ``"snapshot"`` (default,
         in-memory tables + whole-file ``.f2t`` snapshots) or ``"segment"``
@@ -541,7 +538,6 @@ class ServiceProvider:
         name: str = "service-provider",
         backend: str | None = None,
         storage_dir: str | None = None,
-        wire_format: str = "binary",
         table_id: str = DEFAULT_TABLE_ID,
         storage_engine: str = "snapshot",
     ):
@@ -554,7 +550,7 @@ class ServiceProvider:
             storage_dir=storage_dir,
             storage_engine=storage_engine,
         )
-        self.client = ProtocolClient(LoopbackTransport(self.server), wire_format=wire_format)
+        self.client = ProtocolClient(LoopbackTransport(self.server))
 
     def receive(self, relation: Relation) -> int:
         """Accept an outsourced (ciphertext) relation; returns its row count.
@@ -670,14 +666,12 @@ class RemoteOwnerSession:
         client: ProtocolClient,
         table_id: str = DEFAULT_TABLE_ID,
         credential: "Credential | str | None" = None,
-        delta_updates: bool = True,
         verify: "bool | None" = None,
         coordinator: "WriteCoordinator | None" = None,
     ):
         self.owner = owner
         self.client = client
         self.table_id = table_id
-        self.delta_updates = delta_updates
         if verify is None:
             verify = os.environ.get("REPRO_VERIFY", "").lower() not in ("", "0", "false", "no")
         #: When set, every write asks the ack for the server's Merkle root,
@@ -762,8 +756,7 @@ class RemoteOwnerSession:
         report = self.owner.last_update_report
         self.last_delta = None
         if (
-            self.delta_updates
-            and self._last_view is not None
+            self._last_view is not None
             and report is not None
             and report.mode == "incremental"
         ):

@@ -285,12 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="omit the metrics registry snapshot from the reply",
     )
     stats.add_argument(
-        "--wire",
-        choices=["binary", "json"],
-        default="binary",
-        help="wire form for protocol messages (default binary)",
-    )
-    stats.add_argument(
         "--token",
         default=None,
         metavar="TOKEN",
@@ -337,12 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--alpha", type=float, default=0.2, help="alpha-security threshold")
     query.add_argument("--split-factor", type=int, default=2, help="split factor (omega)")
-    query.add_argument(
-        "--wire",
-        choices=["binary", "json"],
-        default="binary",
-        help="wire form for protocol messages (default binary)",
-    )
     query.add_argument(
         "--no-push",
         action="store_true",
@@ -806,7 +794,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.api.protocol import ProtocolClient, SocketTransport
 
     credential = _read_credential(args.token)
-    client = ProtocolClient(SocketTransport(args.host, args.port), wire_format=args.wire)
+    client = ProtocolClient(SocketTransport(args.host, args.port))
     try:
         if credential is not None:
             client.authenticate(credential)
@@ -869,9 +857,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(owner.plan_query(predicate).explain())
         return 0
     credential = _read_credential(args.token)
-    client = ProtocolClient(
-        SocketTransport(args.host, args.port), wire_format=args.wire
-    )
+    client = ProtocolClient(SocketTransport(args.host, args.port))
     session = RemoteOwnerSession(
         owner, client, table_id=args.table_id, credential=credential
     )

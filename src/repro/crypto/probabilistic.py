@@ -59,15 +59,6 @@ class Ciphertext:
     def __str__(self) -> str:
         return f"{self.nonce.hex()}:{self.payload.hex()}"
 
-    @classmethod
-    def from_text(cls, text: str) -> "Ciphertext":
-        """Parse the compact ``nonce:payload`` hex form produced by ``str``."""
-        try:
-            nonce_hex, payload_hex = text.split(":", 1)
-            return cls(bytes.fromhex(nonce_hex), bytes.fromhex(payload_hex))
-        except ValueError as exc:
-            raise DecryptionError(f"malformed ciphertext text: {text!r}") from exc
-
     def to_bytes(self) -> bytes:
         """Length-prefixed binary form: ``len(nonce) || nonce || payload``.
 

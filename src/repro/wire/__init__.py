@@ -1,38 +1,26 @@
 """repro.wire: serialization of everything the two protocol parties exchange.
 
 The codec (:mod:`repro.wire.codec`) round-trips ciphertext cells, relations,
-FD sets, TANE results, and whole encrypted tables through two forms:
+and TANE results through one compact length-prefixed binary frame
+(:mod:`repro.wire.binary`), columnar and dictionary-encoded on top of the
+coded view from PR 2 so each distinct ciphertext is serialized once per
+column; :mod:`repro.wire.proofs` does the same for Merkle inclusion proofs.
 
-* ``"json"`` — a self-describing UTF-8 document, the debuggable path;
-* ``"binary"`` — a compact length-prefixed frame (:mod:`repro.wire.binary`),
-  the fast path, columnar and dictionary-encoded on top of the coded view
-  from PR 2 so each distinct ciphertext is serialized once per column.
-
-Decoders auto-detect the form; encoded objects decode to values that compare
-equal to the originals.  The protocol endpoints in :mod:`repro.api.protocol`
-frame these payloads into typed request/response messages.
+Encoded objects decode to values that compare equal to the originals.  The
+protocol endpoints in :mod:`repro.api.protocol` frame these payloads into
+typed request/response messages.
 """
 
 from repro.wire.codec import (
     BINARY_MAGIC,
     BINARY_VERSION,
     WIRE_BINARY,
-    WIRE_FORMS,
-    WIRE_JSON,
-    cell_from_json,
-    cell_to_json,
-    check_form,
     decode_cell_run,
     decode_cells,
-    decode_encrypted_table,
-    decode_fdset,
     decode_relation,
     decode_tane_result,
-    detect_form,
     encode_cell_run,
     encode_cells,
-    encode_encrypted_table,
-    encode_fdset,
     encode_relation,
     encode_tane_result,
     sanitize_json,
@@ -51,22 +39,12 @@ __all__ = [
     "BINARY_MAGIC",
     "BINARY_VERSION",
     "WIRE_BINARY",
-    "WIRE_FORMS",
-    "WIRE_JSON",
-    "cell_from_json",
-    "cell_to_json",
-    "check_form",
     "decode_cell_run",
     "decode_cells",
-    "decode_encrypted_table",
-    "decode_fdset",
     "decode_relation",
     "decode_tane_result",
-    "detect_form",
     "encode_cell_run",
     "encode_cells",
-    "encode_encrypted_table",
-    "encode_fdset",
     "encode_relation",
     "encode_tane_result",
     "sanitize_json",

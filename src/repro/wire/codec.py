@@ -1,15 +1,11 @@
-"""Wire codec: JSON and binary serialization of the protocol's payloads.
+"""Wire codec: the binary serialization of the protocol's payloads.
 
-Every object the two parties exchange — ciphertext cells, relations, FD
-sets, TANE results, whole encrypted tables — round-trips through two
-interchangeable forms:
+Every object the two parties exchange — ciphertext cells, relations, TANE
+results — round-trips through one length-prefixed frame built on the
+primitives of :mod:`repro.wire.binary`: a magic, a version byte and an
+object-type tag, then the object's body.
 
-* a **JSON form** (``form="json"``): a self-describing UTF-8 document, the
-  debuggable path (pipe it through ``jq``, diff it in tests), and
-* a **binary form** (``form="binary"``): a length-prefixed frame built on
-  the primitives of :mod:`repro.wire.binary`, the fast path.
-
-Both forms serialize relations *columnar and dictionary-encoded*: the codec
+Relations are serialized *columnar and dictionary-encoded*: the codec
 reuses the coded view of :meth:`repro.relational.table.Relation.coded`
 (PR 2's compute engine), so each distinct cell value — in particular each
 distinct ciphertext — is serialized exactly once per column and the row
@@ -17,54 +13,32 @@ body is just an integer code array.  For F2 ciphertext tables, where
 splitting-and-scaling deliberately repeats ciphertext values to homogenise
 frequencies, this is also a large size win over per-cell serialization.
 
-Decoding never needs to be told which form it is looking at:
-:func:`detect_form` distinguishes the binary magic from a JSON document, and
-every ``decode_*`` function accepts either.  The decoded objects compare
-equal to the originals (``Ciphertext`` is a frozen dataclass, relations
-compare by schema + columns), which is what lets the session facades in
-:mod:`repro.api.session` stay byte-identical to the pre-protocol in-process
-objects.
+The decoded objects compare equal to the originals (``Ciphertext`` is a
+frozen dataclass, relations compare by schema + columns), which is what
+lets the session facades in :mod:`repro.api.session` stay byte-identical
+to the pre-protocol in-process objects.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields as dataclass_fields
 from typing import Any, Iterable, Sequence
 
 from repro.backend import ComputeBackend
-from repro.core.config import F2Config
-from repro.core.encrypted import EcgSummary, EncryptedTable, RowProvenance
-from repro.core.stats import EncryptionStats
 from repro.crypto.probabilistic import Ciphertext
 from repro.exceptions import WireError
 from repro.fd.fd import FDSet, FunctionalDependency
-from repro.fd.mas import MaximalAttributeSet
 from repro.fd.tane import TaneResult
 from repro.relational.schema import Schema
 from repro.relational.table import Relation
 from repro.wire.binary import ByteReader, ByteWriter
 
-#: The two wire forms.
-WIRE_JSON = "json"
+#: The name of the wire form, as the handshake messages carry it.
 WIRE_BINARY = "binary"
-WIRE_FORMS = (WIRE_JSON, WIRE_BINARY)
 
 #: Magic + version prefix of every binary frame.
 BINARY_MAGIC = b"F2WB"
 BINARY_VERSION = 1
-
-#: RowProvenance.kind <-> compact binary tag.
-_KIND_TAGS = {
-    "original": 0,
-    "conflict": 1,
-    "scaling": 2,
-    "fake_ec": 3,
-    "false_positive": 4,
-    "repair": 5,
-}
-_TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
-_KIND_OTHER = 255
 
 # Binary cell tags.
 _CELL_STR = 0
@@ -76,54 +50,9 @@ _CELL_FALSE = 5
 _CELL_NONE = 6
 
 
-def check_form(form: str) -> str:
-    """Validate and normalise a wire-form name."""
-    if form not in WIRE_FORMS:
-        raise WireError(f"unknown wire form {form!r}; expected one of {WIRE_FORMS}")
-    return form
-
-
-def detect_form(data: bytes) -> str:
-    """Which form a serialized payload is in (magic vs. JSON document)."""
-    if data[: len(BINARY_MAGIC)] == BINARY_MAGIC:
-        return WIRE_BINARY
-    head = data.lstrip()[:1]
-    if head in (b"{", b"["):
-        return WIRE_JSON
-    raise WireError("payload is neither a binary frame nor a JSON document")
-
-
 # ----------------------------------------------------------------------
 # Cell values
 # ----------------------------------------------------------------------
-def cell_to_json(value: Any) -> Any:
-    """One cell value as a JSON-safe value.
-
-    Strings, ints, floats, bools, and ``None`` map onto the native JSON
-    types; ciphertexts become ``{"ct": "<nonce>:<payload>"}`` objects (the
-    compact hex text form of :class:`Ciphertext`).  Other cell types (the
-    in-memory :class:`~repro.relational.table.Relation` allows any hashable)
-    are rejected — a relation must be wire-representable to be shipped.
-    """
-    if isinstance(value, Ciphertext):
-        return {"ct": str(value)}
-    if isinstance(value, (str, bool, int, float)) or value is None:
-        return value
-    raise WireError(f"unsupported cell type for the wire: {type(value).__name__}")
-
-
-def cell_from_json(value: Any) -> Any:
-    """Inverse of :func:`cell_to_json`."""
-    if isinstance(value, dict):
-        text = value.get("ct")
-        if not isinstance(text, str):
-            raise WireError(f"malformed cell object on the wire: {value!r}")
-        return Ciphertext.from_text(text)
-    if isinstance(value, (str, bool, int, float)) or value is None:
-        return value
-    raise WireError(f"unsupported JSON cell value: {value!r}")
-
-
 def _write_cell(writer: ByteWriter, value: Any) -> None:
     if isinstance(value, Ciphertext):
         writer.raw(bytes([_CELL_CIPHERTEXT]))
@@ -199,10 +128,8 @@ def decode_cell_run(data: bytes, count: int) -> list[Any]:
     return values
 
 
-def encode_cells(cells: Sequence[Any], form: str = WIRE_BINARY) -> bytes:
+def encode_cells(cells: Sequence[Any]) -> bytes:
     """Serialize a flat list of cell values (e.g. a query token)."""
-    if check_form(form) == WIRE_JSON:
-        return _json_frame("cells", {"cells": [cell_to_json(cell) for cell in cells]})
     writer = _binary_frame("cells")
     writer.uvarint(len(cells))
     for cell in cells:
@@ -211,10 +138,7 @@ def encode_cells(cells: Sequence[Any], form: str = WIRE_BINARY) -> bytes:
 
 
 def decode_cells(data: bytes) -> list[Any]:
-    """Inverse of :func:`encode_cells` (either form)."""
-    if detect_form(data) == WIRE_JSON:
-        doc = _json_load(data, "cells")
-        return [cell_from_json(cell) for cell in _expect(doc, "cells", list)]
+    """Inverse of :func:`encode_cells`."""
     reader = _binary_load(data, "cells")
     cells = [_read_cell(reader) for _ in range(reader.uvarint())]
     reader.expect_end()
@@ -225,9 +149,7 @@ def decode_cells(data: bytes) -> list[Any]:
 # Relations
 # ----------------------------------------------------------------------
 def encode_relation(
-    relation: Relation,
-    form: str = WIRE_BINARY,
-    backend: "ComputeBackend | str | None" = None,
+    relation: Relation, backend: "ComputeBackend | str | None" = None
 ) -> bytes:
     """Serialize a relation, dictionary-encoded per column.
 
@@ -236,23 +158,8 @@ def encode_relation(
     an unchanged relation never re-factorize, and each distinct ciphertext
     is written once per column regardless of its frequency.
     """
-    check_form(form)
     coded = relation.coded(backend)
     columns = [coded.column(attr) for attr in relation.attributes]
-    if form == WIRE_JSON:
-        doc = {
-            "name": relation.name,
-            "attributes": list(relation.attributes),
-            "num_rows": relation.num_rows,
-            "columns": [
-                {
-                    "dictionary": [cell_to_json(value) for value in column.dictionary],
-                    "codes": [int(code) for code in column.codes],
-                }
-                for column in columns
-            ],
-        }
-        return _json_frame("relation", doc)
     writer = _binary_frame("relation")
     writer.lp_str(relation.name)
     writer.uvarint(len(columns))
@@ -267,25 +174,7 @@ def encode_relation(
 
 
 def decode_relation(data: bytes) -> Relation:
-    """Inverse of :func:`encode_relation` (either form)."""
-    if detect_form(data) == WIRE_JSON:
-        doc = _json_load(data, "relation")
-        name = _expect(doc, "name", str)
-        attributes = _expect(doc, "attributes", list)
-        num_rows = _expect(doc, "num_rows", int)
-        columns_doc = _expect(doc, "columns", list)
-        if len(columns_doc) != len(attributes):
-            raise WireError("relation document: column/attribute count mismatch")
-        columns = []
-        for column_doc in columns_doc:
-            if not isinstance(column_doc, dict):
-                raise WireError(f"malformed relation column on the wire: {column_doc!r}")
-            dictionary = [
-                cell_from_json(value) for value in _expect(column_doc, "dictionary", list)
-            ]
-            codes = _expect(column_doc, "codes", list)
-            columns.append(_expand_column(dictionary, codes, num_rows))
-        return _build_relation(name, attributes, columns)
+    """Inverse of :func:`encode_relation`."""
     reader = _binary_load(data, "relation")
     name = reader.lp_str()
     num_columns = reader.uvarint()
@@ -304,17 +193,13 @@ def decode_relation(data: bytes) -> Relation:
 def skim_relation(data: bytes) -> tuple[str, list[str], int]:
     """Structurally validate a serialized relation; return only its header.
 
-    Walks every length prefix, cell tag, and code array of a binary frame —
-    so truncation and framing corruption raise :class:`WireError` exactly
+    Walks every length prefix, cell tag, and code array of the frame — so
+    truncation and framing corruption raise :class:`WireError` exactly
     where a full decode would — without constructing a single cell object or
     expanding a column.  Returns ``(name, attributes, num_rows)``.  Decode is
     the codec's measured bottleneck, so this is what lets snapshot loading
-    defer the expensive part until a table is actually touched.  The JSON
-    form has no skippable structure and falls back to a full decode.
+    defer the expensive part until a table is actually touched.
     """
-    if detect_form(data) == WIRE_JSON:
-        relation = decode_relation(data)
-        return relation.name, list(relation.attributes), relation.num_rows
     reader = _binary_load(data, "relation")
     name = reader.lp_str()
     num_columns = reader.uvarint()
@@ -356,38 +241,8 @@ def _build_relation(name: str, attributes: list[str], columns: list[list[Any]]) 
 
 
 # ----------------------------------------------------------------------
-# FD sets and TANE results
+# TANE results (FD sets travel inside them)
 # ----------------------------------------------------------------------
-def encode_fdset(fds: FDSet, form: str = WIRE_BINARY) -> bytes:
-    """Serialize an FD set (sorted, so equal sets encode identically)."""
-    if check_form(form) == WIRE_JSON:
-        return _json_frame("fdset", {"fds": _fdset_doc(fds)})
-    writer = _binary_frame("fdset")
-    _write_fdset(writer, fds)
-    return writer.getvalue()
-
-
-def decode_fdset(data: bytes) -> FDSet:
-    """Inverse of :func:`encode_fdset` (either form)."""
-    if detect_form(data) == WIRE_JSON:
-        return _fdset_from_doc(_expect(_json_load(data, "fdset"), "fds", list))
-    reader = _binary_load(data, "fdset")
-    fds = _read_fdset(reader)
-    reader.expect_end()
-    return fds
-
-
-def _fdset_doc(fds: FDSet) -> list[list[Any]]:
-    return [[list(fd.lhs), fd.rhs] for fd in fds]  # FDSet iterates sorted
-
-
-def _fdset_from_doc(doc: list) -> FDSet:
-    try:
-        return FDSet(FunctionalDependency(lhs, rhs) for lhs, rhs in doc)
-    except (TypeError, ValueError) as exc:
-        raise WireError(f"malformed FD list on the wire: {doc!r}") from exc
-
-
 def _write_fdset(writer: ByteWriter, fds: FDSet) -> None:
     writer.uvarint(len(fds))
     for fd in fds:
@@ -405,41 +260,21 @@ def _read_fdset(reader: ByteReader) -> FDSet:
     return fds
 
 
-def encode_tane_result(result: TaneResult, form: str = WIRE_BINARY) -> bytes:
+def encode_tane_result(result: TaneResult) -> bytes:
     """Serialize a TANE discovery result (FDs + profiling counters)."""
-    parameters = sanitize_json(result.parameters)
-    if check_form(form) == WIRE_JSON:
-        doc = {
-            "fds": _fdset_doc(result.fds),
-            "elapsed_seconds": result.elapsed_seconds,
-            "levels_processed": result.levels_processed,
-            "candidates_examined": result.candidates_examined,
-            "partitions_computed": result.partitions_computed,
-            "parameters": parameters,
-        }
-        return _json_frame("tane_result", doc)
     writer = _binary_frame("tane_result")
     _write_fdset(writer, result.fds)
     writer.double(result.elapsed_seconds)
     writer.uvarint(result.levels_processed)
     writer.uvarint(result.candidates_examined)
     writer.uvarint(result.partitions_computed)
+    parameters = sanitize_json(result.parameters)
     writer.lp_bytes(json.dumps(parameters, sort_keys=True).encode("utf-8"))
     return writer.getvalue()
 
 
 def decode_tane_result(data: bytes) -> TaneResult:
-    """Inverse of :func:`encode_tane_result` (either form)."""
-    if detect_form(data) == WIRE_JSON:
-        doc = _json_load(data, "tane_result")
-        return TaneResult(
-            fds=_fdset_from_doc(_expect(doc, "fds", list)),
-            elapsed_seconds=float(doc.get("elapsed_seconds", 0.0)),
-            levels_processed=int(doc.get("levels_processed", 0)),
-            candidates_examined=int(doc.get("candidates_examined", 0)),
-            partitions_computed=int(doc.get("partitions_computed", 0)),
-            parameters=dict(doc.get("parameters") or {}),
-        )
+    """Inverse of :func:`encode_tane_result`."""
     reader = _binary_load(data, "tane_result")
     fds = _read_fdset(reader)
     elapsed = reader.double()
@@ -455,118 +290,6 @@ def decode_tane_result(data: bytes) -> TaneResult:
         candidates_examined=candidates,
         partitions_computed=partitions,
         parameters=parameters,
-    )
-
-
-# ----------------------------------------------------------------------
-# Encrypted tables (owner-side snapshots)
-# ----------------------------------------------------------------------
-def encode_encrypted_table(
-    table: EncryptedTable,
-    form: str = WIRE_BINARY,
-    backend: "ComputeBackend | str | None" = None,
-) -> bytes:
-    """Serialize a full :class:`EncryptedTable` (relation + owner metadata).
-
-    The ciphertext relation uses the columnar encoding; row provenance is
-    packed compactly (kind tag, source row, authentic-attribute index list);
-    the remaining owner metadata (config, stats, MASs, ECG summaries, free
-    metadata) travels as one JSON sub-document in both forms.
-    """
-    check_form(form)
-    attr_index = {attr: i for i, attr in enumerate(table.relation.attributes)}
-    provenance_doc = [
-        [
-            row.kind,
-            -1 if row.source_row is None else row.source_row,
-            sorted(attr_index[attr] for attr in row.authentic_attributes),
-        ]
-        for row in table.provenance
-    ]
-    meta_doc = {
-        "config": _dataclass_doc(table.config),
-        "stats": _dataclass_doc(table.stats),
-        "masses": [
-            [list(mas.attributes), mas.num_equivalence_classes, mas.num_duplicate_classes]
-            for mas in table.masses
-        ],
-        "ecg_summaries": [_dataclass_doc(summary) for summary in table.ecg_summaries],
-        "metadata": sanitize_json(table.metadata),
-    }
-    if form == WIRE_JSON:
-        doc = {
-            "relation": _json_load(encode_relation(table.relation, WIRE_JSON, backend), "relation"),
-            "provenance": provenance_doc,
-            **meta_doc,
-        }
-        return _json_frame("encrypted_table", doc)
-    writer = _binary_frame("encrypted_table")
-    writer.lp_bytes(encode_relation(table.relation, WIRE_BINARY, backend))
-    writer.uvarint(len(provenance_doc))
-    for kind, source_row, authentic in provenance_doc:
-        tag = _KIND_TAGS.get(kind, _KIND_OTHER)
-        writer.raw(bytes([tag]))
-        if tag == _KIND_OTHER:
-            writer.lp_str(kind)
-        writer.uvarint(source_row + 1)
-        writer.uvarint(len(authentic))
-        for index in authentic:
-            writer.uvarint(index)
-    writer.lp_bytes(json.dumps(meta_doc, sort_keys=True).encode("utf-8"))
-    return writer.getvalue()
-
-
-def decode_encrypted_table(data: bytes) -> EncryptedTable:
-    """Inverse of :func:`encode_encrypted_table` (either form)."""
-    if detect_form(data) == WIRE_JSON:
-        doc = _json_load(data, "encrypted_table")
-        relation = decode_relation(
-            _json_frame("relation", _expect(doc, "relation", dict))
-        )
-        provenance_doc = _expect(doc, "provenance", list)
-        meta_doc = doc
-    else:
-        reader = _binary_load(data, "encrypted_table")
-        relation = decode_relation(reader.lp_bytes())
-        provenance_doc = []
-        for _ in range(reader.uvarint()):
-            tag = reader.u8()
-            kind = _TAG_KINDS.get(tag) if tag != _KIND_OTHER else reader.lp_str()
-            if kind is None:
-                raise WireError(f"unknown provenance tag {tag} in binary frame")
-            source_row = reader.uvarint() - 1
-            authentic = [reader.uvarint() for _ in range(reader.uvarint())]
-            provenance_doc.append([kind, source_row, authentic])
-        meta_doc = json_blob(reader.lp_bytes())
-        if not isinstance(meta_doc, dict):
-            raise WireError("encrypted_table frame: meta blob is not an object")
-        reader.expect_end()
-    attributes = relation.attributes
-    try:
-        provenance = [
-            RowProvenance(
-                kind=kind,
-                source_row=None if source_row < 0 else source_row,
-                authentic_attributes=frozenset(attributes[index] for index in authentic),
-            )
-            for kind, source_row, authentic in provenance_doc
-        ]
-    except (IndexError, TypeError, ValueError) as exc:
-        raise WireError("malformed provenance on the wire") from exc
-    return EncryptedTable(
-        relation=relation,
-        provenance=provenance,
-        config=_dataclass_from_doc(F2Config, meta_doc.get("config") or {}),
-        stats=_dataclass_from_doc(EncryptionStats, meta_doc.get("stats") or {}),
-        masses=[
-            MaximalAttributeSet(tuple(attrs), int(num_classes), int(num_duplicates))
-            for attrs, num_classes, num_duplicates in meta_doc.get("masses") or []
-        ],
-        ecg_summaries=[
-            _dataclass_from_doc(EcgSummary, summary_doc)
-            for summary_doc in meta_doc.get("ecg_summaries") or []
-        ],
-        metadata=dict(meta_doc.get("metadata") or {}),
     )
 
 
@@ -601,50 +324,6 @@ def sanitize_json(value: Any) -> Any:
     return str(value)
 
 
-def _dataclass_doc(instance: Any) -> dict[str, Any]:
-    """Shallow dataclass -> JSON document (tuples become lists)."""
-    doc: dict[str, Any] = {}
-    for field in dataclass_fields(instance):
-        doc[field.name] = sanitize_json(getattr(instance, field.name))
-    return doc
-
-
-def _dataclass_from_doc(cls: Any, doc: dict[str, Any]) -> Any:
-    """Rebuild a dataclass from :func:`_dataclass_doc` output.
-
-    Unknown keys are ignored (forward compatibility); sequence fields are
-    re-tupled to match the frozen dataclasses' canonical types.
-    """
-    known = {field.name for field in dataclass_fields(cls)}
-    kwargs = {}
-    for key, value in doc.items():
-        if key not in known:
-            continue
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise WireError(f"cannot rebuild {cls.__name__} from wire document") from exc
-
-
-def _json_frame(obj_type: str, doc: dict[str, Any]) -> bytes:
-    document = {"type": obj_type, **doc}
-    return json.dumps(document, separators=(",", ":"), sort_keys=False).encode("utf-8")
-
-
-def _json_load(data: bytes, obj_type: str) -> dict[str, Any]:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError("malformed JSON payload on the wire") from exc
-    if not isinstance(doc, dict) or doc.get("type") != obj_type:
-        raise WireError(
-            f"expected a {obj_type!r} JSON document, got "
-            f"{doc.get('type') if isinstance(doc, dict) else type(doc).__name__!r}"
-        )
-    return doc
-
-
 def _binary_frame(obj_type: str) -> ByteWriter:
     writer = ByteWriter()
     writer.raw(BINARY_MAGIC)
@@ -665,9 +344,3 @@ def _binary_load(data: bytes, obj_type: str) -> ByteReader:
         raise WireError(f"expected a {obj_type!r} binary frame, got {found!r}")
     return reader
 
-
-def _expect(doc: dict[str, Any], key: str, kind: type) -> Any:
-    value = doc.get(key)
-    if not isinstance(value, kind):
-        raise WireError(f"wire document missing or mistyped field {key!r}")
-    return value

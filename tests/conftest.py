@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import random
+from typing import Any
 
 import pytest
 
+from repro.api.protocol import MESSAGE_MAGIC, MESSAGE_VERSION
 from repro.core.config import F2Config
 from repro.core.scheme import F2Scheme
 from repro.crypto.keys import KeyGen
 from repro.relational.table import Relation
+from repro.wire.binary import ByteWriter
 
 
 @pytest.fixture
@@ -90,3 +94,14 @@ def make_random_table(seed: int, num_rows: int | None = None, num_attributes: in
     for _ in range(num_rows):
         rows.append([f"v{index}_{rng.randrange(domain)}" for index, domain in enumerate(domains)])
     return Relation(attributes, rows, name=f"random-{seed}")
+
+
+def binary_frame(kind: str, meta: dict[str, Any]) -> bytes:
+    """A hand-built protocol frame: ``kind`` + ``meta``, no attachments."""
+    writer = ByteWriter()
+    writer.raw(MESSAGE_MAGIC)
+    writer.raw(bytes([MESSAGE_VERSION]))
+    writer.lp_str(kind)
+    writer.lp_bytes(json.dumps(meta).encode("utf-8"))
+    writer.uvarint(0)
+    return writer.getvalue()

@@ -7,6 +7,8 @@ over the *real socket transport* — the distinct ``ErrorCode`` each class of
 bad request is rejected with.
 """
 
+import base64
+import json
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
@@ -33,7 +35,9 @@ from repro.api.auth import sign_frame, verify_frame
 from repro.core.config import F2Config
 from repro.exceptions import AuthError, ProtocolError
 from repro.query.ast import Eq
-from repro.wire import WIRE_FORMS, encode_cells
+from repro.api.protocol import MESSAGE_MAGIC, DiscoverRequest
+from repro.wire import encode_cells
+from tests.conftest import binary_frame
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,8 @@ class LegacyQueryRequest(Message):
             "with_root": False,
         }
 
-    def _attachments(self, form: str) -> dict[str, bytes]:
-        return {"token": encode_cells(list(self.token), form)}
+    def _attachments(self) -> dict[str, bytes]:
+        return {"token": encode_cells(list(self.token))}
 
 
 def make_owner(key_seed: int = 42, alpha: float = 0.25, seed: int = 7) -> DataOwner:
@@ -180,47 +184,50 @@ class TestTenantRegistry:
 
 
 # ----------------------------------------------------------------------
-# Wire forms of the new messages
+# Wire form of the new messages
 # ----------------------------------------------------------------------
 class TestAuthMessages:
-    @pytest.mark.parametrize("form", WIRE_FORMS)
+    @pytest.mark.parametrize("form", ["binary"])
     def test_hello_roundtrip(self, form):
         message = Hello(
             tenant_id="acme",
             capability="analyst",
             token_id="k0001",
             versions=(1, 2),
-            wire_forms=("binary", "json"),
+            wire_forms=(form,),
         )
-        assert Message.decode(message.encode(form)) == message
+        assert Message.decode(message.encode()) == message
 
-    @pytest.mark.parametrize("form", WIRE_FORMS)
+    @pytest.mark.parametrize("form", ["binary"])
     def test_hello_ack_roundtrip(self, form):
-        message = HelloAck(
-            session_id="abcd" * 8, version=2, wire_format="binary", server_name="p"
-        )
-        assert Message.decode(message.encode(form)) == message
+        message = HelloAck(session_id="abcd" * 8, version=2, server_name="p")
+        payload = message.encode()
+        assert Message.decode(payload) == message
+        # The meta still names the wire form, for earlier binary clients.
+        assert f'"wire_format":"{form}"'.encode() in payload
 
-    @pytest.mark.parametrize("form", WIRE_FORMS)
+    @pytest.mark.parametrize("form", ["binary"])
     def test_signed_envelope_preserves_payload_bytes(self, form):
-        # The signature covers the exact payload bytes; both wire forms must
-        # round-trip them untouched (JSON via the base64 wrapping).
-        inner = Hello(tenant_id="acme", capability="owner").encode(form)
+        # The signature covers the exact payload bytes; they must
+        # round-trip untouched.
+        inner = Hello(tenant_id="acme", capability="owner", wire_forms=(form,)).encode()
         envelope = SignedEnvelope(
             session_id="s1", sequence=9, signature="ab" * 32, payload=inner
         )
-        decoded = Message.decode(envelope.encode(form))
+        decoded = Message.decode(envelope.encode())
         assert decoded == envelope
         assert decoded.payload == inner
 
-    @pytest.mark.parametrize("form", WIRE_FORMS)
+    @pytest.mark.parametrize("form", ["binary"])
     def test_error_reply_carries_code(self, form):
         reply = ErrorReply(error="AuthError", message="no", code="FORBIDDEN")
-        assert Message.decode(reply.encode(form)) == reply
+        payload = reply.encode()
+        assert payload.startswith(MESSAGE_MAGIC)
+        assert Message.decode(payload) == reply
 
     def test_legacy_error_reply_defaults_to_internal(self):
         # Pre-PR5 replies carry no code; decoding must not fail.
-        legacy = b'{"protocol":"f2/1","kind":"error","meta":{"error":"X","message":"y"}}'
+        legacy = binary_frame("error", {"error": "X", "message": "y"})
         decoded = Message.decode(legacy)
         assert decoded.code == ErrorCode.INTERNAL.value
 
@@ -235,13 +242,7 @@ class TestHandshake:
         ack = client.authenticate(credential)
         assert ack.version == 3
         assert ack.resume_ticket.startswith("f2tkt1.")
-        assert ack.wire_format == "binary"  # the client's preference
         assert client.session_id == ack.session_id
-
-    def test_handshake_prefers_client_wire_form(self, registry, tenanted_server):
-        credential = registry.mint("acme", "owner")
-        client = ProtocolClient(LoopbackTransport(tenanted_server), wire_format="json")
-        assert client.authenticate(credential).wire_format == "json"
 
     def test_unknown_tenant(self, registry, tenanted_server):
         registry.mint("acme", "owner")
@@ -404,7 +405,7 @@ class TestSignedSessions:
     def test_signed_frame_cannot_nest_handshakes(self, outsourced, tenanted_server):
         _, session, credential = outsourced
         client = session.client
-        inner = Hello(tenant_id="acme", capability="owner").encode("binary")
+        inner = Hello(tenant_id="acme", capability="owner").encode()
         envelope = SignedEnvelope(
             session_id=client.session_id,
             sequence=client._next_sequence,
@@ -413,7 +414,7 @@ class TestSignedSessions:
             ),
             payload=inner,
         )
-        reply = Message.decode(tenanted_server.handle_bytes(envelope.encode("binary")))
+        reply = Message.decode(tenanted_server.handle_bytes(envelope.encode()))
         assert isinstance(reply, ErrorReply)
         assert reply.code == ErrorCode.BAD_REQUEST.value
 
@@ -422,7 +423,7 @@ class TestSignedSessions:
         envelope = SignedEnvelope(
             session_id="feed" * 8, sequence=1, signature="00" * 32, payload=b"F2M?"
         )
-        reply = Message.decode(tenanted_server.handle_bytes(envelope.encode("binary")))
+        reply = Message.decode(tenanted_server.handle_bytes(envelope.encode()))
         assert reply.code == ErrorCode.AUTH_UNKNOWN_SESSION.value
 
     def test_anonymous_requests_rejected_when_tenanted(self, tenanted_server, registry):
@@ -539,7 +540,7 @@ class TestSocketErrorCodes:
             sequence=sequence,
             signature=sign_frame(owner_cred.secret, client.session_id, sequence, payload),
             payload=payload,
-        ).encode("binary")
+        ).encode()
         transport = client.transport
         first = Message.decode(transport.request(envelope))
         assert not isinstance(first, ErrorReply)
@@ -548,26 +549,65 @@ class TestSocketErrorCodes:
         assert replayed.code == ErrorCode.BAD_SEQUENCE.value
         client.close()
 
-    @pytest.mark.parametrize("form", WIRE_FORMS)
-    def test_legacy_query_request_is_malformed(self, socket_setup, form):
-        # The token-query message family is gone: an old client's
-        # query_request frame, bare or signed, gets a typed WIRE_MALFORMED
-        # error, and neither the connection nor the session is lost.
+    @pytest.mark.parametrize("frame", ["binary", "json", "json-hello", "b64-payload"])
+    def test_legacy_query_request_is_malformed(self, socket_setup, frame):
+        # Frames of retired protocol features get a typed error reply in
+        # the binary form, and neither the connection nor the session is
+        # lost: the query_request message (bare or signed), a request in
+        # the retired JSON wire form, a Hello offering only JSON, and a
+        # signed envelope whose payload is a base64 {"b64": ...} wrapper.
         port, _, owner, owner_cred, _ = socket_setup
         transport = SocketTransport(port=port)
-        client = ProtocolClient(transport, wire_format=form)
+        client = ProtocolClient(transport)
         legacy = LegacyQueryRequest(
             table_id="default",
             attribute="City",
             token=owner.derive_search_token("City", "Hoboken"),
         )
-        bare = Message.decode(transport.request(legacy.encode(form)))
-        assert isinstance(bare, ErrorReply)
-        assert bare.code == ErrorCode.WIRE_MALFORMED.value
-        connection = transport._sock
+        discover = DiscoverRequest(table_id="default").encode()
+        bare_frames = {
+            "binary": (legacy.encode(), ErrorCode.WIRE_MALFORMED),
+            "json": (
+                json.dumps(
+                    {
+                        "protocol": "f2/1",
+                        "kind": "discover_request",
+                        "meta": {"table_id": "default"},
+                    }
+                ).encode(),
+                ErrorCode.WIRE_MALFORMED,
+            ),
+            "json-hello": (
+                Hello(tenant_id="acme", capability="owner", wire_forms=("json",)).encode(),
+                ErrorCode.VERSION_UNSUPPORTED,
+            ),
+        }
+        connection = None
+        if frame in bare_frames:
+            data, code = bare_frames[frame]
+            raw = transport.request(data)
+            assert raw.startswith(MESSAGE_MAGIC)
+            bare = Message.decode(raw)
+            assert isinstance(bare, ErrorReply)
+            assert bare.code == code.value
+            connection = transport._sock
 
         client.authenticate(owner_cred)
+        connection = connection or transport._sock
         session_id = client.session_id
+        if frame == "b64-payload":
+            # Signed over the wrapped request: unwrapping would serve it.
+            sequence = client._next_sequence
+            wrapped = json.dumps({"b64": base64.b64encode(discover).decode("ascii")})
+            envelope = SignedEnvelope(
+                session_id=session_id,
+                sequence=sequence,
+                signature=sign_frame(owner_cred.secret, session_id, sequence, discover),
+                payload=wrapped.encode(),
+            )
+            reply = Message.decode(transport.request(envelope.encode()))
+            assert isinstance(reply, ErrorReply)
+            assert reply.code == ErrorCode.WIRE_MALFORMED.value
         with pytest.raises(ProtocolError) as excinfo:
             client.call(legacy)  # signed into an envelope by the session
         assert excinfo.value.code == ErrorCode.WIRE_MALFORMED.value

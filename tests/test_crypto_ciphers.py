@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.deterministic import DeterministicCipher, _pad, _unpad
 from repro.crypto.keys import KeyGen
-from repro.crypto.probabilistic import Ciphertext, ProbabilisticCipher
+from repro.crypto.probabilistic import ProbabilisticCipher
 from repro.exceptions import DecryptionError, EncryptionError
 
 
@@ -66,14 +66,6 @@ class TestProbabilisticCipher:
     def test_too_short_nonce_rejected(self, key):
         with pytest.raises(EncryptionError):
             ProbabilisticCipher(key, nonce_length=4)
-
-    def test_ciphertext_text_roundtrip(self, key):
-        ciphertext = ProbabilisticCipher(key).encrypt("abc")
-        assert Ciphertext.from_text(str(ciphertext)) == ciphertext
-
-    def test_ciphertext_from_malformed_text(self):
-        with pytest.raises(DecryptionError):
-            Ciphertext.from_text("no-colon-here")
 
     def test_ciphertexts_are_hashable(self, key):
         cipher = ProbabilisticCipher(key)

@@ -155,18 +155,18 @@ class TestLeavesAfterDelta:
 # Proof attachments on the wire
 # ----------------------------------------------------------------------
 class TestProofCodec:
-    @pytest.mark.parametrize("form", ["binary", "json"])
+    @pytest.mark.parametrize("form", ["binary"])
     def test_round_trip(self, form):
         tree = MerkleTree(leaves(9))
         paths = [tree.proof(i) for i in (0, 4, 8)]
-        blob = encode_merkle_proofs(9, paths, form)
+        blob = encode_merkle_proofs(9, paths)
         num_leaves, decoded = decode_merkle_proofs(blob)
         assert num_leaves == 9
         assert decoded == paths
 
-    @pytest.mark.parametrize("form", ["binary", "json"])
+    @pytest.mark.parametrize("form", ["binary"])
     def test_empty_paths(self, form):
-        blob = encode_merkle_proofs(4, [], form)
+        blob = encode_merkle_proofs(4, [])
         assert decode_merkle_proofs(blob) == (4, [])
 
     def test_unrecognised_blob_rejected(self):
@@ -175,7 +175,7 @@ class TestProofCodec:
 
     def test_binary_rejects_non_digest_lengths(self):
         with pytest.raises(WireError):
-            encode_merkle_proofs(2, [[b"short"]], "binary")
+            encode_merkle_proofs(2, [[b"short"]])
 
 
 # ----------------------------------------------------------------------

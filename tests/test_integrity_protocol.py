@@ -184,7 +184,7 @@ class _EditingTransport:
             sequence=message.sequence,
             signature=message.signature,
             payload=bytes(payload),
-        ).encode("binary")
+        ).encode()
 
     def close(self) -> None:
         self.inner.close()

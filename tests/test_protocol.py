@@ -26,7 +26,7 @@ from repro.exceptions import EncryptionError, ProtocolError, QueryError, WireErr
 from repro.fd.tane import tane
 from repro.query import Eq, TokenLeaf, collect_leaves
 from repro.relational.table import Relation
-from repro.wire import WIRE_FORMS
+from tests.conftest import binary_frame
 
 SLOW = settings(
     max_examples=15,
@@ -73,13 +73,13 @@ def deterministic_urandom(monkeypatch):
 # Message envelope
 # ----------------------------------------------------------------------
 class TestMessages:
-    @pytest.mark.parametrize("form", WIRE_FORMS)
+    @pytest.mark.parametrize("form", ["binary"])
     def test_discover_request_roundtrip(self, form):
         message = DiscoverRequest(table_id="orders", max_lhs_size=3)
-        decoded = Message.decode(message.encode(form))
+        decoded = Message.decode(message.encode())
         assert decoded == message
 
-    @pytest.mark.parametrize("form", WIRE_FORMS)
+    @pytest.mark.parametrize("form", ["binary"])
     def test_query_request_roundtrip(self, zipcode_table, form):
         owner = make_owner()
         owner.outsource(zipcode_table)
@@ -87,33 +87,30 @@ class TestMessages:
         message = PlanQueryRequest(
             table_id="default", expr=TokenLeaf(attribute="City", token=token)
         )
-        decoded = Message.decode(message.encode(form))
+        decoded = Message.decode(message.encode())
         assert decoded == message
         assert decoded.expr.token == token
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(WireError):
-            Message.decode(b'{"protocol":"f2/1","kind":"nope","meta":{}}')
+            Message.decode(binary_frame("nope", {}))
 
     def test_bad_table_id_rejected(self):
         for bad in ("", "../evil", "a/b", "x" * 80, ".hidden"):
             with pytest.raises((ProtocolError, WireError)):
-                Message.decode(
-                    ('{"protocol":"f2/1","kind":"discover_request","meta":'
-                     f'{{"table_id":"{bad}"}}}}').encode()
-                )
+                Message.decode(binary_frame("discover_request", {"table_id": bad}))
 
 
 # ----------------------------------------------------------------------
 # Loopback end-to-end
 # ----------------------------------------------------------------------
 class TestLoopbackProtocol:
-    @pytest.mark.parametrize("form", WIRE_FORMS)
+    @pytest.mark.parametrize("form", ["binary"])
     def test_outsource_discover_matches_inprocess(self, zipcode_table, form):
         reference = run_protocol(make_owner(), ServiceProvider(), zipcode_table)
 
         owner = make_owner()
-        client = ProtocolClient(LoopbackTransport(ProtocolServer()), wire_format=form)
+        client = ProtocolClient(LoopbackTransport(ProtocolServer()))
         session = RemoteOwnerSession(owner, client)
         session.outsource(zipcode_table)
         result = session.discover_fds()
@@ -160,9 +157,8 @@ class TestLoopbackProtocol:
         reply = Message.decode(server.handle_bytes(writer.getvalue()))
         assert isinstance(reply, ErrorReply)
 
-        mistyped = (
-            b'{"protocol":"f2/1","kind":"discover_request",'
-            b'"meta":{"table_id":"t","max_lhs_size":"abc"}}'
+        mistyped = binary_frame(
+            "discover_request", {"table_id": "t", "max_lhs_size": "abc"}
         )
         reply = Message.decode(server.handle_bytes(mistyped))
         assert isinstance(reply, ErrorReply)
@@ -214,7 +210,7 @@ class TestReceiveClearsDiscovery:
 # Socket transport end-to-end
 # ----------------------------------------------------------------------
 class TestSocketProtocol:
-    @pytest.mark.parametrize("form", WIRE_FORMS)
+    @pytest.mark.parametrize("form", ["binary"])
     def test_socket_discovery_byte_identical_to_inprocess(
         self, zipcode_table, form, deterministic_urandom
     ):
@@ -229,7 +225,7 @@ class TestSocketProtocol:
             deterministic_urandom()
             owner = make_owner()
             transport = SocketTransport("127.0.0.1", sock_server.port)
-            session = RemoteOwnerSession(owner, ProtocolClient(transport, wire_format=form))
+            session = RemoteOwnerSession(owner, ProtocolClient(transport))
             session.outsource(zipcode_table)
             result = session.discover_fds()
             session.close()
@@ -450,7 +446,7 @@ class TestTokenQueries:
         with pytest.raises(EncryptionError):
             provider.answer_plan_query(TokenLeaf(attribute="City", token=()))
 
-    @pytest.mark.parametrize("form", WIRE_FORMS)
+    @pytest.mark.parametrize("form", ["binary"])
     def test_plan_query_roundtrip(self, zipcode_table, form):
         owner = make_owner()
         owner.outsource(zipcode_table)
@@ -459,7 +455,7 @@ class TestTokenQueries:
         from repro.query import collect_leaves, server_expr_to_doc
 
         request = PlanQueryRequest(table_id="orders", expr=plan.server)
-        decoded = Message.decode(request.encode(form))
+        decoded = Message.decode(request.encode())
         assert isinstance(decoded, PlanQueryRequest)
         assert decoded.table_id == "orders"
         # Structure and tokens survive; owner-side plaintext annotations are
@@ -475,15 +471,17 @@ class TestTokenQueries:
             leaf_match_counts=(3, 5),
             num_rows=96,
         )
-        assert Message.decode(result.encode(form)) == result
+        assert Message.decode(result.encode()) == result
 
     def test_plan_query_result_requires_num_rows(self):
         # num_rows anchors the leakage denominator and the owner's desync
         # check; a reply without it must fail to decode, not default to 0.
         with pytest.raises(WireError):
             Message.decode(
-                b'{"protocol":"f2/1","kind":"plan_query_result","meta":'
-                b'{"table_id":"t","row_indexes":[],"leaf_match_counts":[]}}'
+                binary_frame(
+                    "plan_query_result",
+                    {"table_id": "t", "row_indexes": [], "leaf_match_counts": []},
+                )
             )
 
     @SLOW

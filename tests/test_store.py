@@ -30,7 +30,7 @@ from repro.store import (
     migrate_storage_dir,
 )
 from repro.store.manifest import CURRENT_NAME, manifest_name
-from repro.wire import WIRE_BINARY, encode_relation
+from repro.wire import encode_relation
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
 
@@ -430,8 +430,8 @@ class TestServerEngines:
             )
             relations[engine] = server.store("orders")
         assert relations["snapshot"] == relations["segment"]
-        assert encode_relation(relations["snapshot"], WIRE_BINARY) == encode_relation(
-            relations["segment"], WIRE_BINARY
+        assert encode_relation(relations["snapshot"]) == encode_relation(
+            relations["segment"]
         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -533,7 +533,7 @@ class TestMigrate:
         make_client(server).call(OutsourceRequest(table_id="orders", relation=orders))
         (tmp_path / "acme").mkdir()
         (tmp_path / "acme" / "inv.f2t").write_bytes(
-            encode_relation(inv, WIRE_BINARY, get_backend("python"))
+            encode_relation(inv, get_backend("python"))
         )
         return orders, inv
 
@@ -554,7 +554,7 @@ class TestMigrate:
             # Byte-identical round trip: re-encoding the migrated table
             # reproduces the snapshot file exactly.
             assert (
-                encode_relation(migrated, WIRE_BINARY, get_backend("python"))
+                encode_relation(migrated, get_backend("python"))
                 == snapshot.read_bytes()
             )
             store.close()

@@ -1,32 +1,22 @@
-"""Round-trip tests of the wire codec (JSON and binary forms)."""
+"""Round-trip tests of the binary wire codec."""
 
-import json
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import F2Config
-from repro.core.scheme import F2Scheme
-from repro.crypto.keys import KeyGen
+import repro.wire
 from repro.crypto.probabilistic import Ciphertext
 from repro.exceptions import WireError
 from repro.fd.fd import FDSet, FunctionalDependency
 from repro.fd.tane import TaneResult, tane_with_stats
 from repro.relational.table import Relation
 from repro.wire import (
-    WIRE_BINARY,
-    WIRE_FORMS,
-    WIRE_JSON,
     decode_cells,
-    decode_encrypted_table,
-    decode_fdset,
     decode_relation,
     decode_tane_result,
-    detect_form,
     encode_cells,
-    encode_encrypted_table,
-    encode_fdset,
     encode_relation,
     encode_tane_result,
 )
@@ -88,34 +78,25 @@ def fdsets(draw):
 
 
 # ----------------------------------------------------------------------
-# Property tests: encode -> decode is the identity, in both forms
+# Property tests: encode -> decode is the identity
 # ----------------------------------------------------------------------
 class TestRoundTripProperties:
     @FAST
-    @given(relations(), st.sampled_from(WIRE_FORMS))
-    def test_relation_roundtrip(self, relation, form):
-        decoded = decode_relation(encode_relation(relation, form))
+    @given(relations())
+    def test_relation_roundtrip(self, relation):
+        decoded = decode_relation(encode_relation(relation))
         assert decoded == relation
         assert decoded.name == relation.name
         assert decoded.attributes == relation.attributes
 
     @FAST
-    @given(st.lists(cells, max_size=12), st.sampled_from(WIRE_FORMS))
-    def test_cells_roundtrip(self, values, form):
-        assert decode_cells(encode_cells(values, form)) == values
+    @given(st.lists(cells, max_size=12))
+    def test_cells_roundtrip(self, values):
+        assert decode_cells(encode_cells(values)) == values
 
     @FAST
-    @given(fdsets(), st.sampled_from(WIRE_FORMS))
-    def test_fdset_roundtrip(self, fds, form):
-        assert decode_fdset(encode_fdset(fds, form)) == fds
-
-    @FAST
-    @given(
-        fdsets(),
-        st.floats(min_value=0, max_value=1e6, allow_nan=False),
-        st.sampled_from(WIRE_FORMS),
-    )
-    def test_tane_result_roundtrip(self, fds, elapsed, form):
+    @given(fdsets(), st.floats(min_value=0, max_value=1e6, allow_nan=False))
+    def test_tane_result_roundtrip(self, fds, elapsed):
         result = TaneResult(
             fds=fds,
             elapsed_seconds=elapsed,
@@ -124,7 +105,7 @@ class TestRoundTripProperties:
             partitions_computed=9,
             parameters={"validated": True, "backend": "python", "max_lhs": None},
         )
-        decoded = decode_tane_result(encode_tane_result(result, form))
+        decoded = decode_tane_result(encode_tane_result(result))
         assert decoded.fds == result.fds
         assert decoded.elapsed_seconds == result.elapsed_seconds  # exact floats
         assert decoded.levels_processed == result.levels_processed
@@ -132,51 +113,16 @@ class TestRoundTripProperties:
         assert decoded.partitions_computed == result.partitions_computed
         assert decoded.parameters == result.parameters
 
-    @SLOW
-    @given(st.integers(min_value=0, max_value=2**10 - 1), st.sampled_from([0.5, 0.34]))
-    def test_encrypted_table_roundtrip(self, seed, alpha):
-        relation = Relation(
-            ["A", "B", "C"],
-            [
-                [f"a{(seed + i) % 3}", f"b{(seed + i) % 2}", f"c{i}"]
-                for i in range(8)
-            ],
-        )
-        scheme = F2Scheme(
-            key=KeyGen.symmetric_from_seed(seed), config=F2Config(alpha=alpha, seed=seed)
-        )
-        table = scheme.encrypt(relation)
-        for form in WIRE_FORMS:
-            decoded = decode_encrypted_table(encode_encrypted_table(table, form))
-            assert decoded.relation == table.relation
-            assert decoded.provenance == table.provenance
-            assert decoded.config == table.config
-            assert decoded.stats == table.stats
-            assert decoded.masses == table.masses
-            assert decoded.ecg_summaries == table.ecg_summaries
-
 
 # ----------------------------------------------------------------------
-# Form-specific behaviour
+# Frame behaviour
 # ----------------------------------------------------------------------
 class TestForms:
-    def test_detect_form(self, zipcode_table):
-        assert detect_form(encode_relation(zipcode_table, WIRE_JSON)) == WIRE_JSON
-        assert detect_form(encode_relation(zipcode_table, WIRE_BINARY)) == WIRE_BINARY
-        with pytest.raises(WireError):
-            detect_form(b"\x00\x01\x02")
-
-    def test_json_form_is_readable_json(self, zipcode_table):
-        doc = json.loads(encode_relation(zipcode_table, WIRE_JSON))
-        assert doc["type"] == "relation"
-        assert doc["attributes"] == list(zipcode_table.attributes)
-        assert doc["num_rows"] == zipcode_table.num_rows
-
     def test_dictionaries_serialized_once(self, seeded_scheme, zipcode_table):
         # The ciphertext relation repeats instance ciphertexts by design;
         # the columnar encoding must not repeat their bytes.
         view = seeded_scheme.encrypt(zipcode_table).server_view()
-        encoded = len(encode_relation(view, WIRE_BINARY))
+        encoded = len(encode_relation(view))
         naive = sum(
             len(cell.to_bytes())
             for attr in view.attributes
@@ -186,63 +132,68 @@ class TestForms:
         # dictionary entry plus a small fixed-width code each.
         assert encoded < naive * 0.8
 
-    def test_binary_more_compact_than_json(self, seeded_scheme, zipcode_table):
-        view = seeded_scheme.encrypt(zipcode_table).server_view()
-        assert len(encode_relation(view, WIRE_BINARY)) < len(
-            encode_relation(view, WIRE_JSON)
-        )
-
-    def test_unknown_form_rejected(self, zipcode_table):
+    def test_unknown_form_rejected(self):
+        # A JSON document is not a frame.
         with pytest.raises(WireError):
-            encode_relation(zipcode_table, "msgpack")
+            decode_relation(
+                b'{"type":"relation","name":"t","attributes":["A"],'
+                b'"num_rows":1,"columns":[{"dictionary":["x"],"codes":[0]}]}'
+            )
+        with pytest.raises(WireError):
+            decode_cells(b'{"type":"cells","cells":[]}')
 
     def test_truncated_binary_rejected(self, zipcode_table):
-        data = encode_relation(zipcode_table, WIRE_BINARY)
+        data = encode_relation(zipcode_table)
         with pytest.raises(WireError):
             decode_relation(data[: len(data) // 2])
 
     def test_wrong_type_tag_rejected(self, zipcode_table):
-        data = encode_relation(zipcode_table, WIRE_JSON)
+        data = encode_relation(zipcode_table)
         with pytest.raises(WireError):
-            decode_fdset(data)
+            decode_tane_result(data)
 
     def test_malformed_documents_raise_wire_error_not_raw_exceptions(self, zipcode_table):
-        # Missing column keys (would be KeyError), corrupted embedded JSON
-        # blobs (would be UnicodeDecodeError/JSONDecodeError): all must
-        # surface as WireError, the codec's documented contract.
+        # A code outside its dictionary (would be IndexError), corrupted
+        # embedded JSON blobs (would be UnicodeDecodeError/JSONDecodeError):
+        # all must surface as WireError, the codec's documented contract.
+        data = bytearray(encode_relation(Relation(["A"], [["x"]])))
+        data[-1] = 7  # the one row's code; the dictionary holds one value
         with pytest.raises(WireError):
-            decode_relation(
-                b'{"type":"relation","name":"t","attributes":["A"],'
-                b'"num_rows":1,"columns":[{"codes":[0]}]}'
-            )
+            decode_relation(bytes(data))
         result = tane_with_stats(zipcode_table)
-        data = bytearray(encode_tane_result(result, WIRE_BINARY))
+        data = bytearray(encode_tane_result(result))
         data[-3:] = b"\xff\xfe\xfd"  # corrupt the trailing parameters blob
         with pytest.raises(WireError):
             decode_tane_result(bytes(data))
 
     def test_float_cells_roundtrip_exactly(self):
         values = [0.1, -2.5, 1e300, 5e-324]
-        for form in WIRE_FORMS:
-            assert decode_cells(encode_cells(values, form)) == values
+        assert decode_cells(encode_cells(values)) == values
 
     def test_none_cells_roundtrip(self):
         relation = Relation(["A", "B"], [[None, "x"], ["y", None]])
-        for form in WIRE_FORMS:
-            assert decode_relation(encode_relation(relation, form)) == relation
+        assert decode_relation(encode_relation(relation)) == relation
 
     def test_unsupported_cell_type_rejected(self):
         with pytest.raises(WireError):
-            encode_cells([object()], WIRE_BINARY)
-        with pytest.raises(WireError):
-            encode_cells([object()], WIRE_JSON)
+            encode_cells([object()])
 
     def test_tane_result_from_real_run(self, zipcode_table):
         result = tane_with_stats(zipcode_table)
-        for form in WIRE_FORMS:
-            decoded = decode_tane_result(encode_tane_result(result, form))
-            assert decoded.fds == result.fds
-            assert decoded.elapsed_seconds == result.elapsed_seconds
+        decoded = decode_tane_result(encode_tane_result(result))
+        assert decoded.fds == result.fds
+        assert decoded.elapsed_seconds == result.elapsed_seconds
+
+    def test_exports_match_the_package(self):
+        # One export list: __all__ names exactly the public names the
+        # package defines (its submodules aside).
+        public = {
+            name
+            for name, value in vars(repro.wire).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert set(repro.wire.__all__) == public
+        assert len(repro.wire.__all__) == len(public)
 
 
 # ----------------------------------------------------------------------
