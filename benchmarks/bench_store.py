@@ -1,33 +1,40 @@
-"""Storage-engine costs of the segment store (PR 6).
+"""Costs of the segment store, the protocol server's one durable engine.
 
 Not a figure from the paper — this tracks what the per-column segment
-store buys over the monolithic ``.f2t`` snapshot engine:
+store costs as tables and their histories grow:
 
 * **Restart cost** — server construction time over a seeded storage
-  directory as the table grows.  The snapshot engine must at least skim
-  every frame (linear in bytes even with lazy decode); the segment engine
-  reads one manifest per table and maps columns on demand (flat).
+  directory as the table grows: one manifest per table is read and
+  columns are mapped on demand, so it stays flat in the table size.
 * **Insert cost** — ``InsertDelta`` applied to a segment store is an
-  O(delta) append + manifest commit; the snapshot engine re-materialises
-  and rewrites the whole table.  Measured across delta sizes and across
-  base-table sizes at a fixed delta size (the segment line should not
+  O(delta) append + manifest commit.  Measured across delta sizes and
+  across base-table sizes at a fixed delta size (the line should not
   track the base size).
 * **Query cache** — cold vs hot ``match_mask`` on the segment store (the
-  hot path is a bitset-cache hit), plus a cross-engine identity assertion:
-  both engines match exactly the same rows.
+  hot path is a bitset-cache hit), plus an identity assertion: the
+  segment store and the in-memory store match exactly the same rows.
+* **Long history** — 240 deltas over one store, 1 row each except every
+  8th of 64 rows, each with one rebuilt row elsewhere (the shape of an
+  owner splice).  After every delta the store references at most
+  ``FOLD_SEGMENT_FILES`` segment files (the fold; asserted at every
+  scale).  Over the last 40 deltas, a 1-row ``apply_delta`` and a
+  restart + first query are timed against the same operation on a
+  single-segment copy of the same rows; at full scale the ``apply_delta``
+  median must stay within 5x of the copy's.
 
-Timing ratios land in metadata only — absolute assertions on wall time
-are flaky at smoke scale (the segment commit fsyncs several small files,
-which dominates tiny tables).  Results land in ``BENCH_store.json``.
+Other timing ratios land in metadata only — absolute assertions on wall
+time are flaky at smoke scale (the segment commit fsyncs several small
+files, which dominates tiny tables).  Results land in ``BENCH_store.json``.
 """
 
 from __future__ import annotations
 
+import statistics
 import tempfile
 import time
 from pathlib import Path
 
-from repro.api.delta import compute_view_delta
+from repro.api.delta import ViewDelta, apply_view_delta, compute_view_delta
 from repro.api.protocol import (
     InsertDelta,
     LoopbackTransport,
@@ -40,7 +47,7 @@ from repro.backend import get_backend
 from repro.bench.reporting import format_table
 from repro.query.server import TokenLeaf
 from repro.relational.table import Relation
-from repro.store import MemoryTableStore, SegmentTableStore
+from repro.store import FOLD_SEGMENT_FILES, MemoryTableStore, SegmentTableStore
 
 from benchmarks.conftest import scale
 
@@ -52,6 +59,9 @@ INSERT_DELTA_ROWS = (32, 128, 512)
 QUERY_ROWS = 16000
 QUERY_REPEATS = 200
 DISTINCT = 64
+HISTORY_BASE_ROWS = 2000
+HISTORY_DELTAS = 240
+HISTORY_TAIL = 40
 
 
 def make_relation(num_rows: int, name: str = "bench") -> Relation:
@@ -86,119 +96,108 @@ def dir_bytes(directory: Path) -> int:
     return sum(p.stat().st_size for p in directory.rglob("*") if p.is_file())
 
 
-def seeded_server(storage_dir: Path, engine: str, relation: Relation) -> None:
-    server = ProtocolServer(storage_dir=storage_dir, storage_engine=engine, backend="python")
+def seeded_server(storage_dir: Path, relation: Relation) -> None:
+    server = ProtocolServer(storage_dir=storage_dir, backend="python")
     client = ProtocolClient(LoopbackTransport(server))
     client.call(OutsourceRequest(table_id="bench", relation=relation))
 
 
 # ----------------------------------------------------------------------
-# Restart: flat (segment) vs linear (snapshot)
+# Restart: flat in the table size
 # ----------------------------------------------------------------------
 def restart_cost(sizes) -> list[dict]:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for num_rows in sizes:
             relation = make_relation(num_rows)
-            row: dict = {"rows": num_rows}
-            for engine in ("snapshot", "segment"):
-                directory = Path(tmp) / f"{engine}-{num_rows}"
-                directory.mkdir()
-                seeded_server(directory, engine, relation)
-                restart_ms, revived = timed_ms(
-                    lambda d=directory, e=engine: ProtocolServer(
-                        storage_dir=d, storage_engine=e, backend="python"
+            directory = Path(tmp) / f"segment-{num_rows}"
+            directory.mkdir()
+            seeded_server(directory, relation)
+            restart_ms, revived = timed_ms(
+                lambda d=directory: ProtocolServer(storage_dir=d, backend="python")
+            )
+            query_ms, result = timed_ms(
+                lambda s=revived: ProtocolClient(LoopbackTransport(s)).call(
+                    PlanQueryRequest(
+                        table_id="bench",
+                        expr=TokenLeaf(attribute="city", token=("city3",)),
                     )
                 )
-                query_ms, result = timed_ms(
-                    lambda s=revived: ProtocolClient(LoopbackTransport(s)).call(
-                        PlanQueryRequest(
-                            table_id="bench",
-                            expr=TokenLeaf(attribute="city", token=("city3",)),
-                        )
-                    )
-                )
-                assert len(result.row_indexes) == sum(
-                    1 for i in range(num_rows) if i % DISTINCT == 3
-                )
-                row[f"{engine}_restart_ms"] = round(restart_ms, 3)
-                row[f"{engine}_first_query_ms"] = round(query_ms, 3)
-                row[f"{engine}_bytes"] = dir_bytes(directory)
-            rows.append(row)
+            )
+            assert len(result.row_indexes) == sum(
+                1 for i in range(num_rows) if i % DISTINCT == 3
+            )
+            rows.append(
+                {
+                    "rows": num_rows,
+                    "segment_restart_ms": round(restart_ms, 3),
+                    "segment_first_query_ms": round(query_ms, 3),
+                    "segment_bytes": dir_bytes(directory),
+                }
+            )
     return rows
 
 
 # ----------------------------------------------------------------------
-# Insert: O(delta) append vs full-snapshot rewrite
+# Insert: O(delta) append
 # ----------------------------------------------------------------------
 def insert_cost(base_rows: int, delta_sizes) -> list[dict]:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for engine in ("snapshot", "segment"):
-            directory = Path(tmp) / engine
-            directory.mkdir()
-            current = make_relation(base_rows)
-            server = ProtocolServer(
-                storage_dir=directory, storage_engine=engine, backend="python"
+        current = make_relation(base_rows)
+        server = ProtocolServer(storage_dir=tmp, backend="python")
+        client = ProtocolClient(LoopbackTransport(server))
+        ack = client.call(OutsourceRequest(table_id="bench", relation=current))
+        for position, extra in enumerate(delta_sizes):
+            grown = grow(current, extra, f"segment{position}")
+            delta = compute_view_delta(current, grown)
+            insert_ms, ack = timed_ms(
+                lambda d=delta, v=ack.fields["version"]: client.call(
+                    InsertDelta(table_id="bench", delta=d, base_version=v)
+                )
             )
-            client = ProtocolClient(LoopbackTransport(server))
-            ack = client.call(OutsourceRequest(table_id="bench", relation=current))
-            for position, extra in enumerate(delta_sizes):
-                grown = grow(current, extra, f"{engine}{position}")
-                delta = compute_view_delta(current, grown)
-                insert_ms, ack = timed_ms(
-                    lambda d=delta, v=ack.fields["version"]: client.call(
-                        InsertDelta(table_id="bench", delta=d, base_version=v)
-                    )
-                )
-                assert ack.fields["num_rows"] == grown.num_rows
-                rows.append(
-                    {
-                        "engine": engine,
-                        "base_rows": current.num_rows,
-                        "delta_rows": extra,
-                        "insert_ms": round(insert_ms, 3),
-                    }
-                )
-                current = grown
+            assert ack.fields["num_rows"] == grown.num_rows
+            rows.append(
+                {
+                    "base_rows": current.num_rows,
+                    "delta_rows": extra,
+                    "insert_ms": round(insert_ms, 3),
+                }
+            )
+            current = grown
     return rows
 
 
 def insert_cost_vs_base(delta_rows: int, base_sizes) -> list[dict]:
-    """Fixed delta, growing base: the segment engine's cost should not track
-    the base size, the snapshot engine's rewrite must."""
+    """Fixed delta, growing base: the cost should not track the base size."""
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for engine in ("snapshot", "segment"):
-            for base_rows in base_sizes:
-                directory = Path(tmp) / f"{engine}-{base_rows}"
-                directory.mkdir()
-                base = make_relation(base_rows)
-                server = ProtocolServer(
-                    storage_dir=directory, storage_engine=engine, backend="python"
+        for base_rows in base_sizes:
+            directory = Path(tmp) / f"segment-{base_rows}"
+            directory.mkdir()
+            base = make_relation(base_rows)
+            server = ProtocolServer(storage_dir=directory, backend="python")
+            client = ProtocolClient(LoopbackTransport(server))
+            ack = client.call(OutsourceRequest(table_id="bench", relation=base))
+            grown = grow(base, delta_rows, "vs")
+            delta = compute_view_delta(base, grown)
+            insert_ms, _ = timed_ms(
+                lambda d=delta, v=ack.fields["version"]: client.call(
+                    InsertDelta(table_id="bench", delta=d, base_version=v)
                 )
-                client = ProtocolClient(LoopbackTransport(server))
-                ack = client.call(OutsourceRequest(table_id="bench", relation=base))
-                grown = grow(base, delta_rows, "vs")
-                delta = compute_view_delta(base, grown)
-                insert_ms, _ = timed_ms(
-                    lambda d=delta, v=ack.fields["version"]: client.call(
-                        InsertDelta(table_id="bench", delta=d, base_version=v)
-                    )
-                )
-                rows.append(
-                    {
-                        "engine": engine,
-                        "base_rows": base_rows,
-                        "delta_rows": delta_rows,
-                        "insert_ms": round(insert_ms, 3),
-                    }
-                )
+            )
+            rows.append(
+                {
+                    "base_rows": base_rows,
+                    "delta_rows": delta_rows,
+                    "insert_ms": round(insert_ms, 3),
+                }
+            )
     return rows
 
 
 # ----------------------------------------------------------------------
-# Query: cold mmap read vs hot bitset-cache hit, engines agree
+# Query: cold mmap read vs hot bitset-cache hit, stores agree
 # ----------------------------------------------------------------------
 def query_cache_cost(num_rows: int, repeats: int) -> list[dict]:
     backend = get_backend("python")
@@ -215,8 +214,8 @@ def query_cache_cost(num_rows: int, repeats: int) -> list[dict]:
         for _ in range(repeats):
             hot_mask = store.match_mask("city", token)
         hot_ms = (time.perf_counter() - start) * 1000.0 / repeats
-        # Cross-engine identity: the mmap'd segment read and the in-memory
-        # coded relation match exactly the same rows.
+        # Store identity: the mmap'd segment read and the in-memory coded
+        # relation match exactly the same rows.
         matched = [
             backend.mask_to_rows(mask)
             for mask in (cold_mask, hot_mask, memory.match_mask("city", token))
@@ -238,21 +237,101 @@ def query_cache_cost(num_rows: int, repeats: int) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
+# Long history: the fold keeps the segment count, and the cost, bounded
+# ----------------------------------------------------------------------
+def history_delta(current: Relation, step: int) -> ViewDelta:
+    """One owner-splice-shaped delta: new rows at one place, a rebuilt row
+    at another; 64 new rows on every 8th step, else 1."""
+    n = current.num_rows
+    extra = 64 if step % 8 == 0 else 1
+    inserted_at = (step * 7919) % (n // 2)
+    rebuilt = inserted_at + n // 3
+    literals = Relation(
+        list(current.attributes),
+        [
+            [f"{attribute}-h{step}-{i % DISTINCT}" for attribute in current.attributes]
+            for i in range(extra + 1)
+        ],
+        name=current.name,
+    )
+    return ViewDelta(
+        base_rows=n,
+        segments=[
+            ["c", 0, inserted_at],
+            ["l", extra],
+            ["c", inserted_at, rebuilt - inserted_at],
+            ["l", 1],
+            ["c", rebuilt + 1, n - rebuilt - 1],
+        ],
+        literals=literals,
+        table_name=current.name,
+    )
+
+
+def restart_and_query_ms(directory: Path, backend) -> float:
+    def reopen_and_query() -> None:
+        store = SegmentTableStore(directory, backend)
+        store.match_mask("city", ("city3",))
+        store.close()
+
+    return timed_ms(reopen_and_query)[0]
+
+
+def long_history(base_rows: int, deltas: int, tail: int) -> list[dict]:
+    backend = get_backend("python")
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        store = SegmentTableStore(root / "history.f2s", backend, create=True)
+        current = make_relation(base_rows)
+        store.replace(current)
+        for step in range(1, deltas + 1):
+            delta = history_delta(current, step)
+            measured = step > deltas - tail and step % 8 != 0
+            if measured:
+                copy_dir = root / f"copy-{step}.f2s"
+                copy = SegmentTableStore(copy_dir, backend, create=True)
+                copy.replace(current)
+                copy_ms = timed_ms(lambda: copy.apply_delta(delta))[0]
+                copy.close()
+            apply_ms = timed_ms(lambda: store.apply_delta(delta))[0]
+            current = apply_view_delta(current, delta)
+            segments = store.store_stats()["segments"]
+            assert segments <= FOLD_SEGMENT_FILES, (step, segments)
+            if measured:
+                rows.append(
+                    {
+                        "step": step,
+                        "rows": current.num_rows,
+                        "segments": segments,
+                        "apply_delta_ms": round(apply_ms, 3),
+                        "single_segment_apply_delta_ms": round(copy_ms, 3),
+                        "restart_query_ms": round(
+                            restart_and_query_ms(root / "history.f2s", backend), 3
+                        ),
+                        "single_segment_restart_query_ms": round(
+                            restart_and_query_ms(copy_dir, backend), 3
+                        ),
+                    }
+                )
+        assert store.relation() == current
+        store.close()
+    return rows
+
+
+# ----------------------------------------------------------------------
 # Bench entry points
 # ----------------------------------------------------------------------
 def test_restart_cost(benchmark, bench_json):
     sizes = tuple(scale(size) for size in RESTART_SIZES)
     rows = benchmark.pedantic(restart_cost, args=(sizes,), rounds=1, iterations=1)
     print()
-    print(format_table(rows, title="Server restart cost: snapshot vs segment engine"))
+    print(format_table(rows, title="Server restart cost on the segment store"))
     bench_json.add("restart", rows)
     smallest, largest = rows[0], rows[-1]
     bench_json.add(
         "restart_summary",
         [],
-        snapshot_restart_growth=round(
-            largest["snapshot_restart_ms"] / max(smallest["snapshot_restart_ms"], 1e-6), 3
-        ),
         segment_restart_growth=round(
             largest["segment_restart_ms"] / max(smallest["segment_restart_ms"], 1e-6), 3
         ),
@@ -271,21 +350,13 @@ def test_insert_cost(benchmark, bench_json):
     vs_base = insert_cost_vs_base(deltas[0], (base, base * 4))
     print(format_table(vs_base, title="InsertDelta wall time by base size (fixed delta)"))
     bench_json.add("insert_by_base", vs_base)
-    by_engine = {
-        engine: [row["insert_ms"] for row in vs_base if row["engine"] == engine]
-        for engine in ("snapshot", "segment")
-    }
+    small, large = (row["insert_ms"] for row in vs_base)
     bench_json.add(
         "insert_summary",
         [],
-        # How much a 4x larger base inflates a fixed-size insert: ~4 for the
-        # snapshot rewrite, ~1 for the segment append (arms at full scale).
-        snapshot_insert_base_growth=round(
-            by_engine["snapshot"][1] / max(by_engine["snapshot"][0], 1e-6), 3
-        ),
-        segment_insert_base_growth=round(
-            by_engine["segment"][1] / max(by_engine["segment"][0], 1e-6), 3
-        ),
+        # How much a 4x larger base inflates a fixed-size insert (~1 for an
+        # O(delta) append).
+        segment_insert_base_growth=round(large / max(small, 1e-6), 3),
     )
     assert all(row["insert_ms"] > 0 for row in rows)
 
@@ -306,3 +377,33 @@ def test_query_cache_cost(benchmark, bench_json):
         ),
     )
     assert row["hot_query_ms"] > 0
+
+
+def test_long_history(benchmark, bench_json):
+    base_rows = scale(HISTORY_BASE_ROWS)
+    rows = benchmark.pedantic(
+        long_history,
+        args=(base_rows, HISTORY_DELTAS, HISTORY_TAIL),
+        rounds=1,
+        iterations=1,
+    )
+    print()
+    print(format_table(rows, title="Long delta history vs a single-segment copy"))
+    bench_json.add("long_history", rows)
+    median = statistics.median
+    apply_ratio = median(r["apply_delta_ms"] for r in rows) / max(
+        median(r["single_segment_apply_delta_ms"] for r in rows), 1e-6
+    )
+    restart_ratio = median(r["restart_query_ms"] for r in rows) / max(
+        median(r["single_segment_restart_query_ms"] for r in rows), 1e-6
+    )
+    bench_json.add(
+        "long_history_summary",
+        [],
+        fold_segment_files=FOLD_SEGMENT_FILES,
+        long_history_max_segments=max(r["segments"] for r in rows),
+        long_history_apply_delta_ratio=round(apply_ratio, 3),
+        long_history_restart_query_ratio=round(restart_ratio, 3),
+    )
+    if base_rows >= HISTORY_BASE_ROWS:
+        assert apply_ratio <= 5.0, apply_ratio

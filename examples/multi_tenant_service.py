@@ -89,7 +89,7 @@ def main() -> None:
         print(" ", acme_owner_cred.to_token()[:48] + "...")
 
         # -- 2: an authenticated provider ------------------------------
-        server = ProtocolServer(storage_dir=storage / "snapshots", tenants=registry)
+        server = ProtocolServer(storage_dir=storage / "tables", tenants=registry)
         with SocketProtocolServer(server) as sock_server:
             sock_server.serve_in_background()
             port = sock_server.port

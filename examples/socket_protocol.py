@@ -4,7 +4,7 @@ The paper's Figure-2 workflow is a *network* protocol; this example runs it
 as one:
 
 1. a service provider starts as a localhost TCP protocol server with a
-   snapshot directory (what ``f2-repro serve`` runs),
+   storage directory (what ``f2-repro serve --storage`` runs),
 2. the data owner connects through a :class:`repro.SocketTransport`,
    encrypts her table locally, and ships only the ciphertext server view,
 3. the provider discovers the FDs on the received ciphertext; the FD set and
@@ -18,7 +18,7 @@ as one:
    provider filters ciphertext rows against them, and the decrypted
    matches reproduce the plaintext selections exactly,
 5. the server is shut down and a *new* one is started over the same
-   snapshot directory: it resumes serving the persisted store, and a fresh
+   storage directory: it resumes serving the persisted store, and a fresh
    discovery returns the same FDs — no re-outsourcing needed.
 
 Run with::
@@ -65,7 +65,7 @@ def main() -> None:
     print(f"in-process reference: {len(reference.fds)} FDs, "
           f"validated={reference.parameters['validated']}")
 
-    with tempfile.TemporaryDirectory(prefix="f2-snapshots-") as storage:
+    with tempfile.TemporaryDirectory(prefix="f2-storage-") as storage:
         with SocketProtocolServer(ProtocolServer(storage_dir=storage)) as sock_server:
             sock_server.serve_in_background()
             print(f"provider listening on {sock_server.host}:{sock_server.port}")
@@ -120,7 +120,7 @@ def main() -> None:
                 raise SystemExit("expected at least one queryable attribute")
             session.close()
 
-        # Restart: a new server over the same snapshot directory resumes
+        # Restart: a new server over the same storage directory resumes
         # serving the persisted ciphertext store.
         with SocketProtocolServer(ProtocolServer(storage_dir=storage)) as revived:
             revived.serve_in_background()

@@ -319,8 +319,6 @@ class LockDisciplineRule(Rule):
         "sendall", "recv", "send", "fsync", "sleep",
         "read_bytes", "write_bytes", "read_text", "write_text",
     }
-    #: Local helpers that are snapshot writes in disguise.
-    BLOCKING_HELPERS = {"_write_snapshot"}
     _LOCKISH = re.compile(r"lock", re.IGNORECASE)
 
     def check(self, project: Project) -> Iterable[Diagnostic]:
@@ -370,10 +368,8 @@ class LockDisciplineRule(Rule):
                 if isinstance(node.func, ast.Attribute):
                     if node.func.attr in self.BLOCKING_ATTRS:
                         name = node.func.attr
-                    elif node.func.attr in self.BLOCKING_HELPERS:
-                        name = node.func.attr
                 elif isinstance(node.func, ast.Name):
-                    if node.func.id in self.BLOCKING_HELPERS or node.func.id == "open":
+                    if node.func.id == "open":
                         name = node.func.id
                 if name:
                     yield self.diagnostic(

@@ -10,7 +10,7 @@ Three layers, bottom up:
   request/response messages serialized through :mod:`repro.wire`,
   :class:`ProtocolClient`/:class:`ProtocolServer` endpoints, the in-memory
   :class:`LoopbackTransport` and the TCP :class:`SocketTransport` /
-  :class:`SocketProtocolServer`, snapshot persistence, and planned
+  :class:`SocketProtocolServer`, durable segment stores, and planned
   selections over search tokens.
 * :mod:`repro.api.session` — :class:`DataOwner` and :class:`ServiceProvider`
   model the paper's two-party outsourcing workflow end to end (the provider
@@ -49,7 +49,6 @@ from repro.api.protocol import (
     HelloAck,
     InsertBatch,
     InsertDelta,
-    LoadSnapshot,
     LoopbackTransport,
     Message,
     OutsourceRequest,
@@ -57,7 +56,6 @@ from repro.api.protocol import (
     PlanQueryResult,
     ProtocolClient,
     ProtocolServer,
-    SaveSnapshot,
     SignedEnvelope,
     SocketProtocolServer,
     SocketTransport,
@@ -114,7 +112,6 @@ __all__ = [
     "IncrementalReport",
     "InsertBatch",
     "InsertDelta",
-    "LoadSnapshot",
     "LoopbackTransport",
     "MasDiscoveryStage",
     "MaterializeStage",
@@ -127,7 +124,6 @@ __all__ = [
     "ProtocolClient",
     "ProtocolServer",
     "RemoteOwnerSession",
-    "SaveSnapshot",
     "ServiceProvider",
     "SignedEnvelope",
     "SocketProtocolServer",

@@ -4,9 +4,9 @@ PR 5 turns the anonymous single-tenant protocol into a multi-tenant service:
 
 * **Tenants** — every table lives in a tenant namespace; the server keeps a
   :class:`TenantRegistry` (persisted as ``tenants.json`` alongside the
-  snapshot store) mapping each tenant to one HMAC secret per *capability*.
+  table stores) mapping each tenant to one HMAC secret per *capability*.
 * **Capabilities** — a secret is minted for either the ``owner`` capability
-  (outsource / insert / snapshot / everything) or the read-only ``analyst``
+  (outsource / insert / stats / everything) or the read-only ``analyst``
   capability (discover / query only), so a query-serving replica can hold a
   key that cannot mutate anything.  The pair ``(tenant, capability, secret)``
   is a :class:`Credential` — the *capability handle* clients present.
@@ -75,8 +75,6 @@ class ErrorCode(str, enum.Enum):
     UNKNOWN_ATTRIBUTE = "UNKNOWN_ATTRIBUTE"
     #: An ``InsertDelta`` did not match the server's current base view.
     DELTA_MISMATCH = "DELTA_MISMATCH"
-    #: Snapshot storage is not configured, or the snapshot does not exist.
-    SNAPSHOT_UNAVAILABLE = "SNAPSHOT_UNAVAILABLE"
     #: The request bytes could not be decoded as a protocol message.
     WIRE_MALFORMED = "WIRE_MALFORMED"
     #: The request decoded but is semantically invalid.
@@ -85,7 +83,7 @@ class ErrorCode(str, enum.Enum):
     INTERNAL = "INTERNAL"
     #: An optimistic write named a base version the table has moved past.
     VERSION_CONFLICT = "VERSION_CONFLICT"
-    #: A store, snapshot, or Merkle root failed integrity verification.
+    #: A store or Merkle root failed integrity verification.
     INTEGRITY_VIOLATION = "INTEGRITY_VIOLATION"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -100,7 +98,7 @@ CAPABILITIES = (CAPABILITY_OWNER, CAPABILITY_ANALYST)
 #: The implicit tenant of unauthenticated (legacy single-tenant) requests.
 DEFAULT_TENANT = "local"
 
-#: Tenant ids share the table-id grammar (they become snapshot directories).
+#: Tenant ids share the table-id grammar (they become storage directories).
 _TENANT_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 #: Token-string prefix (versioned so the format can evolve).
@@ -124,7 +122,7 @@ _TICKET_PREFIX = "f2tkt1"
 
 
 def check_tenant_id(tenant_id: str) -> str:
-    """Validate a tenant id (snapshot-directory safe, no path separators)."""
+    """Validate a tenant id (storage-directory safe, no path separators)."""
     if not isinstance(tenant_id, str) or not _TENANT_ID_RE.match(tenant_id):
         raise ProtocolError(
             f"invalid tenant id {tenant_id!r}: use 1-64 characters from "
@@ -357,7 +355,7 @@ class TenantRegistry:
 
     ``path=None`` keeps the registry in memory (tests, embedded servers);
     with a path every mutation is saved write-then-rename, so a crash never
-    leaves a torn registry next to valid snapshots.  A file-backed registry
+    leaves a torn registry next to valid table stores.  A file-backed registry
     also *watches its file*: every read re-stats the path and reloads when
     another process changed it — so ``f2-repro admin rotate``/``revoke``
     against the file takes effect on a running server's very next frame,
@@ -423,7 +421,7 @@ class TenantRegistry:
         check_capability(capability)
         if tenant_id == DEFAULT_TENANT:
             # The local tenant is the *anonymous* namespace (bare store keys,
-            # top-level snapshots); a credential for it would hand an
+            # top-level stores); a credential for it would hand an
             # authenticated customer the legacy tables — refuse outright.
             raise ProtocolError(
                 f"tenant id {DEFAULT_TENANT!r} is reserved for unauthenticated "

@@ -27,8 +27,8 @@ The provider checks the base and splices the new view together
 the delta's ``base_rows`` against the stored row count plus the
 commit-version compare-and-swap every ``InsertDelta`` carries: the server's
 commit version advances on every write and survives restarts, so an
-interleaved writer, a store reopened at an older generation, or a restored
-older snapshot all fail the CAS (``VERSION_CONFLICT``) instead of being
+interleaved writer or a store reopened at an older generation both fail
+the CAS (``VERSION_CONFLICT``) instead of being
 spliced into.  Neither side hashes the whole view.
 
 The result is byte-identical to shipping the full view; only the bytes on

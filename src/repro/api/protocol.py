@@ -7,8 +7,7 @@ results back.  This module is that protocol made concrete:
 
 * **Messages** — frozen dataclasses (:class:`OutsourceRequest`,
   :class:`InsertBatch`, :class:`DiscoverRequest` / :class:`DiscoverResult`,
-  :class:`PlanQueryRequest` / :class:`PlanQueryResult`,
-  :class:`SaveSnapshot` / :class:`LoadSnapshot`, :class:`Ack`,
+  :class:`PlanQueryRequest` / :class:`PlanQueryResult`, :class:`Ack`,
   :class:`ErrorReply`) that serialize through the binary
   :mod:`repro.wire` codec.
 * **Transports** — anything with a ``request(bytes) -> bytes`` method.
@@ -21,7 +20,8 @@ results back.  This module is that protocol made concrete:
   replies) and :class:`ProtocolServer` (provider side: a keyless store of
   ciphertext relations, FD discovery over the compute backends, planned
   boolean selections over search tokens executed as bitset algebra,
-  and snapshot persistence so stores survive restarts).  Each table has its
+  and, given a storage directory, durable segment stores that survive
+  restarts).  Each table has its
   own read/write lock: parallel queries against one table share its read
   lock, and a mutation takes the write lock, so traffic never serializes
   behind an unrelated table's work.
@@ -40,7 +40,6 @@ import re
 import socket
 import socketserver
 import struct
-import tempfile
 import threading
 import time
 import warnings
@@ -89,17 +88,11 @@ from repro.query.server import (
 )
 from repro.relational.table import Relation
 
-# Only the engine-neutral base module may be imported here: the engine
-# modules (memory/segment) import repro.api.delta / repro.api.auth, so a
+# Only the store contract module may be imported here: the store modules
+# (memory/segment/migrate) import repro.api.delta / repro.api.auth, so a
 # top-level import would close a cycle through this package's __init__.
-# The engine classes are imported lazily via the two helpers below.
-from repro.store.base import (
-    STORAGE_ENGINE_SEGMENT,
-    STORAGE_ENGINE_SNAPSHOT,
-    STORAGE_ENGINES,
-    STORE_SUFFIX,
-    TableStore,
-)
+# The store classes are imported lazily via the helpers below.
+from repro.store.base import STORAGE_ENGINE_SEGMENT, STORE_SUFFIX, TableStore
 from repro.wire import (
     WIRE_BINARY,
     decode_cells,
@@ -130,14 +123,11 @@ PROTOCOL_VERSION = 3
 #: Default table id used by the session facades.
 DEFAULT_TABLE_ID = "default"
 
-#: Table ids double as snapshot file names; keep them path-safe.
+#: Table ids double as store directory names; keep them path-safe.
 _TABLE_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
-#: Tenant snapshot directories share the same path-safe grammar.
+#: Tenant store directories share the same path-safe grammar.
 _TENANT_DIR_RE = _TABLE_ID_RE
-
-#: Snapshot files written by the server (binary relation frames).
-SNAPSHOT_SUFFIX = ".f2t"
 
 #: Upper bound on a single protocol frame (corrupted length guard).
 MAX_FRAME_BYTES = 1 << 30
@@ -149,7 +139,7 @@ IDLE_TIMEOUT_SECONDS = 300.0
 
 
 def _memory_store_cls():
-    """Deferred import of the snapshot engine (see the import note above)."""
+    """Deferred import of the in-memory store (see the import note above)."""
     from repro.store.memory import MemoryTableStore
 
     return MemoryTableStore
@@ -163,7 +153,7 @@ def _segment_store_module():
 
 
 def check_table_id(table_id: str) -> str:
-    """Validate a table id (snapshot-file safe, no path separators)."""
+    """Validate a table id (file-name safe, no path separators)."""
     if not isinstance(table_id, str) or not _TABLE_ID_RE.match(table_id):
         raise ProtocolError(
             f"invalid table id {table_id!r}: use 1-64 characters from "
@@ -508,36 +498,6 @@ class PlanQueryResult(Message):
             merkle_root=str(meta.get("merkle_root", "")),
             proofs=proofs,
         )
-
-
-@dataclass(frozen=True)
-class SaveSnapshot(Message):
-    """Owner -> provider: force-persist ``table_id`` to the snapshot store."""
-
-    kind: ClassVar[str] = "save_snapshot"
-    table_id: str
-
-    def _meta(self) -> dict[str, Any]:
-        return {"table_id": self.table_id}
-
-    @classmethod
-    def _build(cls, meta, attachments) -> "SaveSnapshot":
-        return cls(table_id=check_table_id(meta.get("table_id", "")))
-
-
-@dataclass(frozen=True)
-class LoadSnapshot(Message):
-    """Owner -> provider: reload ``table_id`` from the snapshot store."""
-
-    kind: ClassVar[str] = "load_snapshot"
-    table_id: str
-
-    def _meta(self) -> dict[str, Any]:
-        return {"table_id": self.table_id}
-
-    @classmethod
-    def _build(cls, meta, attachments) -> "LoadSnapshot":
-        return cls(table_id=check_table_id(meta.get("table_id", "")))
 
 
 @dataclass(frozen=True)
@@ -951,8 +911,6 @@ MESSAGE_TYPES: dict[str, type[Message]] = {
         DiscoverResult,
         PlanQueryRequest,
         PlanQueryResult,
-        SaveSnapshot,
-        LoadSnapshot,
         Hello,
         HelloAck,
         Resume,
@@ -1160,7 +1118,7 @@ class _SessionState:
 
 
 class ProtocolServer:
-    """The provider endpoint: keyless stores, discovery, queries, snapshots.
+    """The provider endpoint: keyless stores, discovery, queries, persistence.
 
     Parameters
     ----------
@@ -1170,23 +1128,21 @@ class ProtocolServer:
         Compute backend for FD discovery and query filtering (the provider is
         the party with the big hardware).
     storage_dir:
-        Directory for persistence.  When set, every received store is
-        persisted (directly in the directory for the default local tenant,
-        under ``<tenant_id>/`` for authenticated tenants) and every
-        readable table is loaded back on construction, so a restarted
-        server resumes serving without a re-outsource.  A corrupt or
-        truncated table is skipped with a warning — one bad file must not
-        take down every other tenant's tables.  ``None`` keeps all stores
-        in memory only.
+        Directory for persistence.  When set, every table is a segment
+        store (:mod:`repro.store.segment`): a ``<table>.f2s`` directory of
+        append-only columnar segment files under a generation-numbered
+        manifest, directly in the directory for the default local tenant
+        and under ``<tenant_id>/`` for authenticated tenants.  Every write
+        is durable when it is acknowledged, an :class:`InsertDelta` is an
+        O(delta) disk append, and every readable table is loaded back on
+        construction, so a restarted server resumes serving without a
+        re-outsource.  A corrupt table, or a legacy ``.f2t`` snapshot
+        that was never migrated, is skipped with a warning — one bad file
+        must not take down every other tenant's tables.  ``None`` keeps
+        all stores in memory only.
     storage_engine:
-        How tables persist under ``storage_dir``.  ``"snapshot"`` (the
-        default) keeps each table in memory and writes whole ``.f2t``
-        binary relation frames around it; ``"segment"`` holds each table
-        in a ``<table>.f2s`` directory of append-only columnar segment
-        files under a generation-numbered manifest (see
-        :mod:`repro.store.segment`), making an :class:`InsertDelta` an
-        O(delta) disk append and restart cost flat in the data size.
-        The segment engine requires a ``storage_dir``.
+        ``None`` or ``"segment"``; the engine follows from ``storage_dir``.
+        ``"segment"`` without a ``storage_dir`` is a configuration error.
     tenants:
         A :class:`~repro.api.auth.TenantRegistry` (or a path to one)
         enabling the authenticated multi-tenant session layer.  When set,
@@ -1213,7 +1169,7 @@ class ProtocolServer:
         storage_dir: "str | Path | None" = None,
         tenants: "TenantRegistry | str | Path | None" = None,
         allow_anonymous: "bool | None" = None,
-        storage_engine: str = STORAGE_ENGINE_SNAPSHOT,
+        storage_engine: "str | None" = None,
         slow_query_ms: "float | None" = None,
     ):
         self.name = name
@@ -1228,23 +1184,22 @@ class ProtocolServer:
         # Per-message-kind metric handles, cached: the registry's labelled
         # lookup costs more than the increments on the query hot path.
         self._kind_metrics: dict[str, tuple] = {}
-        if storage_engine not in STORAGE_ENGINES:
+        if storage_engine not in (None, STORAGE_ENGINE_SEGMENT):
             raise ConfigurationError(
-                f"unknown storage engine {storage_engine!r}: "
-                f"choose one of {list(STORAGE_ENGINES)}"
+                f"unknown storage engine {storage_engine!r}: the segment "
+                "engine is the only one (and follows from storage_dir)"
             )
         if storage_engine == STORAGE_ENGINE_SEGMENT and storage_dir is None:
             raise ConfigurationError(
                 "the segment storage engine persists to disk and needs a "
                 "storage_dir"
             )
-        self.storage_engine = storage_engine
         self._resolved_backend: "ComputeBackend | None" = None
         self._stores: dict[str, TableStore] = {}
         self._discoveries: dict[str, TaneResult] = {}
         # Registry lock: guards the dicts above (and the lock registry
         # below) for the few microseconds of a lookup/update.  Long work —
-        # query execution, snapshot IO — runs under the *per-table*
+        # query execution, store IO — runs under the *per-table*
         # read/write locks instead, so traffic against one table never
         # serializes behind another table's mutation, and parallel queries
         # against one table share its read lock.
@@ -1261,10 +1216,7 @@ class ProtocolServer:
         self._storage_dir = Path(storage_dir) if storage_dir is not None else None
         if self._storage_dir is not None:
             self._storage_dir.mkdir(parents=True, exist_ok=True)
-            if self.storage_engine == STORAGE_ENGINE_SEGMENT:
-                self._load_all_segment_stores()
-            else:
-                self._load_all_snapshots()
+            self._load_all_segment_stores()
 
     def _compute_backend(self) -> ComputeBackend:
         """The resolved compute backend the table stores run on (memoised)."""
@@ -1277,7 +1229,7 @@ class ProtocolServer:
     def _store_key(tenant_id: str, table_id: str) -> str:
         """The internal store key of a tenant's table.
 
-        The local tenant keeps bare table ids (so pre-tenancy snapshots,
+        The local tenant keeps bare table ids (so pre-tenancy stores,
         facades, and tests address the same keys as before); every other
         tenant gets a ``tenant_id/table_id`` namespace.  Table and tenant
         ids both forbid ``/``, so the namespaces cannot collide.
@@ -1798,7 +1750,7 @@ class ProtocolServer:
             store = self._stores.get(store_key)
         if store is not None:
             return store
-        if self.storage_engine == STORAGE_ENGINE_SEGMENT:
+        if self._storage_dir is not None:
             segment = _segment_store_module()
             return segment.SegmentTableStore(
                 self._store_dir(store_key), self._compute_backend(), create=True
@@ -1821,15 +1773,6 @@ class ProtocolServer:
                 self._stores[store_key] = store
                 # A new ciphertext invalidates any cached discovery result.
                 self._discoveries.pop(store_key, None)
-            # Persist while still holding the table's write lock: concurrent
-            # receives for one table id must snapshot in the same order they
-            # update the store (a stale writer must not win the rename after
-            # a newer one), but snapshots of *different* tables — and all
-            # query traffic against other tables — proceed in parallel.
-            # (The segment engine persisted inside ``replace`` already.)
-            if self._storage_dir is not None and self.storage_engine == STORAGE_ENGINE_SNAPSHOT:
-                # repro: allow(lock-discipline): rename ordering requires persisting under the write lock (see comment above)
-                self._write_snapshot(store_key, relation, store=store)
             fields: dict[str, Any] = {"version": store.commit_version}
             if with_root:
                 fields["merkle_root"] = store.merkle_root()
@@ -1867,7 +1810,7 @@ class ProtocolServer:
         ``VERSION_CONFLICT`` (the owner then falls back to a full
         :class:`InsertBatch` or rebases), never a corrupted store.  On the
         segment engine the splice itself is the persistence (an O(delta)
-        append); the snapshot engine re-snapshots the updated view.
+        append).
         """
         if request.base_version < 0:
             raise ProtocolError(
@@ -1884,7 +1827,7 @@ class ProtocolServer:
                 # The delta's base check: it was computed against a commit
                 # version that is no longer current — another writer landed
                 # in between, or the store was rolled back to an older
-                # generation or snapshot.  Reject before touching the store;
+                # generation.  Reject before touching the store;
                 # the owner rebases onto the acknowledged view or re-ships
                 # the full one.
                 raise ProtocolError(
@@ -1896,9 +1839,6 @@ class ProtocolServer:
             num_rows = store.apply_delta(request.delta)
             with self._lock:
                 self._discoveries.pop(store_key, None)
-            if self._storage_dir is not None and store.engine == STORAGE_ENGINE_SNAPSHOT:
-                # repro: allow(lock-discipline): delta snapshots must rename in commit order, so they stay under the write lock
-                self._write_snapshot(store_key, store.relation(), store=store)
             fields: dict[str, Any] = {
                 "table_id": request.table_id,
                 "num_rows": num_rows,
@@ -1975,87 +1915,6 @@ class ProtocolServer:
                 proofs=proofs,
             )
 
-    def _handle_save_snapshot(self, request: SaveSnapshot, auth: _AuthContext) -> Message:
-        if self._storage_dir is None:
-            raise ProtocolError(
-                f"{self.name} has no snapshot storage configured",
-                code=ErrorCode.SNAPSHOT_UNAVAILABLE.value,
-            )
-        store_key = self._store_key(auth.tenant_id, request.table_id)
-        self._require_known_table(store_key, request.table_id)
-        # The write lock (not just read) serializes the snapshot rename
-        # against concurrent receives of the same table.
-        with self._table_lock(store_key).write():
-            store = self.table_store(request.table_id, tenant_id=auth.tenant_id)
-            if store.engine == STORAGE_ENGINE_SEGMENT:
-                # Segment stores are always durable: every write committed a
-                # manifest generation already, so "save" just answers where.
-                path = store.save()
-            else:
-                # repro: allow(lock-discipline): explicit save must serialize against concurrent receives of the same table
-                path = self._write_snapshot(store_key, store.relation(), store=store)
-        return Ack(fields={"table_id": request.table_id, "path": str(path)})
-
-    def _handle_load_snapshot(self, request: LoadSnapshot, auth: _AuthContext) -> Message:
-        if self._storage_dir is None:
-            raise ProtocolError(
-                f"{self.name} has no snapshot storage configured",
-                code=ErrorCode.SNAPSHOT_UNAVAILABLE.value,
-            )
-        store_key = self._store_key(auth.tenant_id, request.table_id)
-        if self.storage_engine == STORAGE_ENGINE_SEGMENT:
-            return self._load_segment_table(store_key, request)
-        path = self._snapshot_path(store_key)
-        # Existence check before allocating a lock (snapshots are never
-        # deleted, so the check cannot go stale before the read below).
-        if not path.exists():
-            raise ProtocolError(
-                f"no snapshot for table {request.table_id!r}",
-                code=ErrorCode.SNAPSHOT_UNAVAILABLE.value,
-            )
-        with self._table_lock(store_key).write():
-            # repro: allow(lock-discipline): the swap-in read must exclude readers of the half-loaded store
-            data = path.read_bytes()
-            store = self._get_or_create_store(store_key)
-            # Adopt the bytes lazily: the frame is structurally validated
-            # (skimmed) now, fully decoded on first row access.
-            num_rows = store.load_snapshot(data)
-            self._restore_commit_version(store, path)
-            with self._lock:
-                self._stores[store_key] = store
-                self._discoveries.pop(store_key, None)
-        return Ack(fields={"table_id": request.table_id, "num_rows": num_rows})
-
-    def _load_segment_table(self, store_key: str, request: LoadSnapshot) -> Message:
-        """The segment engine's ``LoadSnapshot``: re-open from the store dir."""
-        with self._table_lock(store_key).write():
-            with self._lock:
-                store = self._stores.get(store_key)
-            try:
-                if store is not None:
-                    num_rows = store.reload()
-                else:
-                    segment = _segment_store_module()
-                    directory = self._store_dir(store_key)
-                    if not segment.is_segment_store(directory):
-                        raise ProtocolError(
-                            f"no snapshot for table {request.table_id!r}",
-                            code=ErrorCode.SNAPSHOT_UNAVAILABLE.value,
-                        )
-                    store = segment.SegmentTableStore(
-                        directory, self._compute_backend()
-                    )
-                    num_rows = store.num_rows
-            except StoreError as exc:
-                raise ProtocolError(
-                    f"cannot load table {request.table_id!r}: {exc}",
-                    code=ErrorCode.SNAPSHOT_UNAVAILABLE.value,
-                ) from exc
-            with self._lock:
-                self._stores[store_key] = store
-                self._discoveries.pop(store_key, None)
-        return Ack(fields={"table_id": request.table_id, "num_rows": num_rows})
-
     # -- the stats surface ---------------------------------------------
     def collect_store_gauges(self) -> None:
         """Refresh the pull-style per-table gauges from live store state.
@@ -2109,7 +1968,9 @@ class ProtocolServer:
                 tables[store_key] = {"error": "unavailable", "detail": str(exc)}
         doc: dict[str, Any] = {
             "server": self.name,
-            "storage_engine": self.storage_engine,
+            "storage_engine": (
+                "memory" if self._storage_dir is None else STORAGE_ENGINE_SEGMENT
+            ),
             "uptime_seconds": time.time() - self.started_at,
             "metrics_enabled": obs.REGISTRY.enabled,
             "tracing_enabled": obs.tracing_active(),
@@ -2155,26 +2016,13 @@ class ProtocolServer:
             OutsourceRequest,
             InsertBatch,
             InsertDelta,
-            SaveSnapshot,
-            LoadSnapshot,
             StatsRequest,
         }
     )
 
-    # -- snapshot persistence ------------------------------------------
-    def _snapshot_path(self, store_key: str) -> Path:
-        assert self._storage_dir is not None
-        if "/" in store_key:
-            tenant_id, table_id = store_key.split("/", 1)
-            return (
-                self._storage_dir
-                / check_tenant_id(tenant_id)
-                / f"{check_table_id(table_id)}{SNAPSHOT_SUFFIX}"
-            )
-        return self._storage_dir / f"{check_table_id(store_key)}{SNAPSHOT_SUFFIX}"
-
+    # -- persistence -----------------------------------------------------
     def _store_dir(self, store_key: str) -> Path:
-        """The segment-store directory of one table (``.f2s`` counterpart)."""
+        """The segment-store directory of one table."""
         assert self._storage_dir is not None
         if "/" in store_key:
             tenant_id, table_id = store_key.split("/", 1)
@@ -2185,120 +2033,18 @@ class ProtocolServer:
             )
         return self._storage_dir / f"{check_table_id(store_key)}{STORE_SUFFIX}"
 
-    def _write_snapshot(
-        self, store_key: str, relation: Relation, store: "TableStore | None" = None
-    ) -> Path:
-        path = self._snapshot_path(store_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Write-then-rename so a crash mid-write never corrupts a snapshot;
-        # the temp name is unique per write so two writers can never
-        # interleave bytes into one file.
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{path.stem}.", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(encode_relation(relation, self.backend))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        if store is not None:
-            self._write_sidecar(path, store, relation.num_rows)
-        return path
-
-    def _write_sidecar(self, snapshot_path: Path, store: TableStore, num_rows: int) -> None:
-        """Write the ``.f2i`` integrity sidecar beside a snapshot.
-
-        The sidecar is the snapshot engine's counterpart of the segment
-        manifest's ``merkle_root`` field: the committed root, row count, and
-        commit version, which ``f2-repro verify`` checks the snapshot bytes
-        against and the startup loader restores the commit version from
-        (so the owner's freshness chain can tell a restart from a rollback).
-        """
-        from repro.integrity.verify import SIDECAR_FORMAT, SIDECAR_SUFFIX
-
-        sidecar = snapshot_path.with_suffix(SIDECAR_SUFFIX)
-        doc = {
-            "format": SIDECAR_FORMAT,
-            "merkle_root": store.merkle_root(),
-            "num_rows": int(num_rows),
-            "version": store.commit_version,
-        }
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{snapshot_path.stem}.", suffix=".tmp", dir=snapshot_path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, separators=(",", ":"))
-            os.replace(tmp_name, sidecar)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def _load_all_snapshots(self) -> None:
+    def _load_all_segment_stores(self) -> None:
         assert self._storage_dir is not None
-        for path in sorted(self._storage_dir.glob(f"*{SNAPSHOT_SUFFIX}")):
-            table_id = path.name[: -len(SNAPSHOT_SUFFIX)]
-            if _TABLE_ID_RE.match(table_id):
-                self._load_one_snapshot(table_id, path)
-        for subdir in sorted(self._storage_dir.iterdir()):
-            if not subdir.is_dir() or not _TENANT_DIR_RE.match(subdir.name):
-                continue
-            for path in sorted(subdir.glob(f"*{SNAPSHOT_SUFFIX}")):
-                table_id = path.name[: -len(SNAPSHOT_SUFFIX)]
-                if _TABLE_ID_RE.match(table_id):
-                    self._load_one_snapshot(f"{subdir.name}/{table_id}", path)
+        from repro.store.migrate import leftover_snapshots
 
-    def _load_one_snapshot(self, store_key: str, path: Path) -> None:
-        """Load one snapshot file; skip (and warn about) unreadable ones.
-
-        A truncated or corrupted ``.f2t`` — a crash mid-fsync, a bad disk —
-        must degrade to "this one table needs a re-outsource", never to "the
-        server refuses to start and every other tenant is down too".
-
-        Loading is *lazy*: the frame is skimmed (structure walked, framing
-        and truncation validated — so corrupt files still warn right here)
-        but the cells decode only when the table is first touched, keeping
-        restart cost proportional to the tables actually used.
-        """
-        try:
-            store = _memory_store_cls().from_snapshot(
-                self._compute_backend(), path.read_bytes()
-            )
-        except (WireError, OSError) as exc:
+        for path in leftover_snapshots(self._storage_dir):
             warnings.warn(
-                f"skipping corrupt snapshot {path}: {exc}; the table "
-                f"{store_key!r} needs a re-outsource",
+                f"skipping legacy snapshot {path}: the server reads only "
+                f"segment stores; run `f2-repro store migrate --storage "
+                f"{self._storage_dir}` to import table {path.stem!r}",
                 StoreIntegrityWarning,
                 stacklevel=2,
             )
-            return
-        self._restore_commit_version(store, path)
-        self._stores[store_key] = store
-
-    @staticmethod
-    def _restore_commit_version(store: TableStore, snapshot_path: Path) -> None:
-        """Re-seat a loaded snapshot store's commit version from its sidecar.
-
-        A missing or unreadable sidecar leaves the version at zero (pre-
-        integrity snapshots keep loading); the ``verify`` command is the
-        place that complains about a malformed sidecar.
-        """
-        from repro.integrity.verify import read_sidecar
-
-        doc = read_sidecar(snapshot_path)
-        if doc:
-            store.set_commit_version(int(doc.get("version", 0)))
-
-    def _load_all_segment_stores(self) -> None:
-        assert self._storage_dir is not None
         for directory in sorted(self._storage_dir.glob(f"*{STORE_SUFFIX}")):
             table_id = directory.name[: -len(STORE_SUFFIX)]
             if directory.is_dir() and _TABLE_ID_RE.match(table_id):
@@ -2318,8 +2064,8 @@ class ProtocolServer:
 
         Opening checks only manifest consistency and file lengths (flat in
         the data size); recovery inside may itself warn when it falls back
-        to an older committed generation.  Like snapshots, one broken table
-        must never take the whole server down.
+        to an older committed generation.  One broken table must never take
+        the whole server down.
         """
         segment = _segment_store_module()
         try:
@@ -2358,8 +2104,6 @@ ProtocolServer._HANDLERS = {
     InsertDelta: ProtocolServer._handle_insert_delta,
     DiscoverRequest: ProtocolServer._handle_discover,
     PlanQueryRequest: ProtocolServer._handle_plan_query,
-    SaveSnapshot: ProtocolServer._handle_save_snapshot,
-    LoadSnapshot: ProtocolServer._handle_load_snapshot,
     StatsRequest: ProtocolServer._handle_stats,
 }
 
@@ -2422,8 +2166,9 @@ class SocketTransport:
 
     Frames are ``4-byte big-endian length || message bytes`` in both
     directions.  The connection opens lazily on the first request and is
-    re-established once per request on failure (a restarted server is
-    transparent to the caller as long as its stores were snapshotted).
+    re-established once per request on failure (a restarted server with a
+    storage directory is transparent to the caller: every acknowledged
+    write was durable).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, timeout: float = 30.0):
@@ -2961,16 +2706,6 @@ class ProtocolClient:
             StatsReply,
         )
         return reply.stats
-
-    def save_snapshot(self, table_id: str) -> str:
-        """Force-persist a store; returns the snapshot path on the server."""
-        ack = self._expect(SaveSnapshot(table_id=check_table_id(table_id)), Ack)
-        return str(ack.fields.get("path", ""))
-
-    def load_snapshot(self, table_id: str) -> int:
-        """Reload a store from its snapshot; returns the restored row count."""
-        ack = self._expect(LoadSnapshot(table_id=check_table_id(table_id)), Ack)
-        return int(ack.fields.get("num_rows", 0))
 
     def close(self) -> None:
         close = getattr(self.transport, "close", None)

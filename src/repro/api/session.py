@@ -524,13 +524,10 @@ class ServiceProvider:
         is the party with the big hardware, so it benefits most from the
         ``[perf]`` extra.
     storage_dir:
-        Optional snapshot directory handed to the underlying server; when
-        set, received stores persist to disk and are reloaded when a new
-        provider is constructed over the same directory.
-    storage_engine:
-        Storage engine of the underlying server: ``"snapshot"`` (default,
-        in-memory tables + whole-file ``.f2t`` snapshots) or ``"segment"``
-        (on-disk columnar segment stores; needs ``storage_dir``).
+        Optional storage directory handed to the underlying server; when
+        set, received stores persist there as segment stores and are
+        reloaded when a new provider is constructed over the same
+        directory.
     """
 
     def __init__(
@@ -539,7 +536,6 @@ class ServiceProvider:
         backend: str | None = None,
         storage_dir: str | None = None,
         table_id: str = DEFAULT_TABLE_ID,
-        storage_engine: str = "snapshot",
     ):
         self.name = name
         self.backend = backend
@@ -548,7 +544,6 @@ class ServiceProvider:
             name=name,
             backend=backend,
             storage_dir=storage_dir,
-            storage_engine=storage_engine,
         )
         self.client = ProtocolClient(LoopbackTransport(self.server))
 
@@ -779,8 +774,8 @@ class RemoteOwnerSession:
                     ):
                         raise
                     # The server's base is not the view we think we pushed
-                    # (e.g. a restart restored an older snapshot or
-                    # generation, or another writer advanced the table);
+                    # (e.g. a restart restored an older generation, or
+                    # another writer advanced the table);
                     # re-ship the full view and realign from there.
                 else:
                     version, root = self._ack_state()
@@ -927,10 +922,6 @@ class RemoteOwnerSession:
     def explain(self, predicate: "Predicate | str") -> str:
         """The plan description for ``predicate`` (no server round trip)."""
         return self.owner.plan_query(predicate).explain()
-
-    def save_snapshot(self) -> str:
-        """Ask the provider to force-persist this session's store."""
-        return self.client.save_snapshot(self.table_id)
 
     def close(self) -> None:
         self.client.close()

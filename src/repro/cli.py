@@ -19,21 +19,20 @@ Subcommands
     what the service provider runs.
 ``serve``
     Run a provider as a localhost TCP protocol server: it stores received
-    ciphertext relations (persisting them under ``--storage`` so restarts
+    ciphertext relations (persisting them under ``--storage`` as the
+    on-disk columnar segment stores of :mod:`repro.store`, so restarts
     resume serving), answers discovery requests, and filters rows against
     owner-issued equality search tokens.  With ``--tenants REGISTRY.json``
     the server requires authenticated multi-tenant sessions: every request
     must arrive signed under a credential minted by ``admin``.
-    ``--storage-engine segment`` swaps the whole-file snapshot persistence
-    for the on-disk columnar segment stores of :mod:`repro.store`.
     ``--verify-on-start`` refuses to boot over a storage directory that
     fails the same integrity check ``verify`` runs.
 ``verify``
     Check every table under a ``serve --storage`` directory offline: the
     segment engine's full-CRC ``verify()`` pass plus a Merkle-root
-    recomputation against the root recorded in the committed manifest (or
-    the snapshot's ``.f2i`` sidecar).  Any mismatch exits 7
-    (``INTEGRITY_VIOLATION``).
+    recomputation against the root recorded in the committed manifest.  A
+    legacy ``.f2t`` snapshot that was never migrated fails as well.  Any
+    failure exits 7 (``INTEGRITY_VIOLATION``).
 ``query``
     Drive the owner side against a running ``serve`` instance: encrypt the
     CSV locally (seeded, so re-runs are byte-identical), ship the server
@@ -74,8 +73,8 @@ travels on the wire, so scripts can branch without parsing messages.
     Generate one of the evaluation datasets as CSV.
 ``store``
     Manage a ``serve`` instance's on-disk stores: ``store migrate``
-    converts ``.f2t`` snapshots (tenant subdirectories included) into
-    verified ``.f2s`` segment stores for ``--storage-engine segment``.
+    imports legacy ``.f2t`` snapshots (tenant subdirectories included) as
+    verified ``.f2s`` segment stores, the only format ``serve`` reads.
 """
 
 from __future__ import annotations
@@ -185,16 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--storage",
         default=None,
-        help="snapshot directory: received tables persist here and are "
-        "reloaded on restart (default: in-memory only)",
-    )
-    serve.add_argument(
-        "--storage-engine",
-        choices=["snapshot", "segment"],
-        default="snapshot",
-        help="how tables persist under --storage: whole-file .f2t snapshots "
-        "(default) or append-only columnar segment stores (O(delta) "
-        "inserts, flat restart cost; requires --storage)",
+        help="storage directory: received tables persist here as "
+        "append-only columnar segment stores and are reloaded on restart "
+        "(default: in-memory only)",
     )
     serve.add_argument(
         "--port-file",
@@ -335,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-push",
         action="store_true",
         help="do not (re-)outsource before querying; the server must already "
-        "hold this table (e.g. from a snapshot of an identical seeded run)",
+        "hold this table (e.g. pushed by an identical seeded run)",
     )
     query.add_argument(
         "--token",
@@ -399,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = store.add_subparsers(dest="store_command", required=True)
     migrate = store_sub.add_parser(
         "migrate",
-        help="convert .f2t snapshots into segment stores (for "
-        "`serve --storage-engine segment`)",
+        help="import legacy .f2t snapshots as segment stores (the only "
+        "format `serve` reads)",
         description=(
-            "Convert every .f2t snapshot under the storage directory "
+            "Convert every legacy .f2t snapshot under the storage directory "
             "(including tenant subdirectories) into a verified .f2s segment "
             "store next to it. Snapshots are kept unless --remove-snapshots "
             "is given, so the migration is safe to interrupt and re-run."
@@ -465,9 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Walk a `serve --storage` directory (tenant subdirectories "
             "included) and verify every table: segment stores get the "
             "engine's full-CRC verify() pass plus a Merkle-root "
-            "recomputation against the committed manifest; snapshots are "
-            "decoded in full and checked against their .f2i integrity "
-            "sidecar. Exits 7 (INTEGRITY_VIOLATION) on any mismatch."
+            "recomputation against the committed manifest; a legacy .f2t "
+            "snapshot without a segment store beside it fails as not "
+            "migrated. Exits 7 (INTEGRITY_VIOLATION) on any failure."
         ),
     )
     verify.add_argument("--storage", required=True, help="the serve --storage directory")
@@ -496,7 +488,6 @@ ERROR_CODE_EXITS = {
     "VERSION_UNSUPPORTED": 3,
     "UNKNOWN_TABLE": 3,
     "UNKNOWN_ATTRIBUTE": 3,
-    "SNAPSHOT_UNAVAILABLE": 3,
     "WIRE_MALFORMED": 3,
     "BAD_REQUEST": 3,
     "INTERNAL": 3,
@@ -540,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (QueryError, ConfigurationError) as exc:
         # Malformed predicate expressions, unknown attributes, bad flag
-        # combinations (e.g. --storage-engine segment without --storage).
+        # combinations (e.g. --verify-on-start without --storage).
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrityError as exc:
@@ -555,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ProtocolError, WireError) as exc:
         # The stable wire-level ErrorCode (not the message text) picks the
         # exit code: auth 4, capability 5, sequence/delta conflicts 6, and 3
-        # for the rest (connection failures, corrupted snapshots/frames).
+        # for the rest (connection failures, corrupted frames).
         print(f"error: {exc}", file=sys.stderr)
         code = getattr(exc, "code", "")
         if code and code != "INTERNAL":
@@ -641,7 +632,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         storage_dir=args.storage,
         tenants=args.tenants,
         allow_anonymous=args.allow_anonymous if args.tenants else None,
-        storage_engine=args.storage_engine,
         slow_query_ms=args.slow_query_ms,
     )
     if args.verify_on_start:
@@ -657,7 +647,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         Path(args.port_file).write_text(str(sock_server.port), encoding="utf-8")
     restored = server.table_ids(None)
     if restored:
-        print(f"restored {len(restored)} table(s) from snapshots: {', '.join(restored)}")
+        print(f"restored {len(restored)} table(s) from storage: {', '.join(restored)}")
     if server.tenants is not None:
         mode = "required" if not args.allow_anonymous else "optional (anonymous allowed)"
         print(

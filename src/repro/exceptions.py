@@ -150,8 +150,8 @@ class StoreIntegrityWarning(RuntimeWarning):
 
     Emitted (instead of failing) wherever the server can keep serving after
     finding corrupt persisted state: a torn manifest or segment that forces
-    recovery to fall back a generation, a corrupt snapshot or store skipped
-    at startup, or a tenant registry file that cannot be re-read.  Filter
+    recovery to fall back a generation, a corrupt store or an unmigrated
+    legacy snapshot skipped at startup, or a tenant registry file that cannot be re-read.  Filter
     with ``warnings.simplefilter("error", StoreIntegrityWarning)`` to turn
     any such degradation into a hard failure.
     """

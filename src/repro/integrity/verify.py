@@ -9,10 +9,9 @@ check every table found:
   :meth:`~repro.store.segment.SegmentTableStore.verify` pass, then the
   Merkle root recomputed from the stored rows against the root recorded in
   the committed manifest;
-* **snapshots** (``<table>.f2t`` files): the frame decoded in full (any
-  truncation or framing damage surfaces), then the recomputed root against
-  the ``<table>.f2i`` integrity sidecar the server writes beside each
-  snapshot.
+* **legacy snapshots** (``<table>.f2t`` files with no ``.f2s`` beside
+  them): the server does not serve these, so each one fails its report as
+  not migrated (``f2-repro store migrate`` imports it).
 
 A table whose store predates root recording is reported with
 ``recorded_root == ""`` and still passes (there is nothing to contradict);
@@ -22,18 +21,12 @@ failed report into ``ErrorCode.INTEGRITY_VIOLATION`` / exit code 7.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.backend import ComputeBackend, get_backend
 from repro.exceptions import ReproError, StoreError
 from repro.integrity.merkle import MerkleTree, relation_leaves
-
-#: Format tag of the ``.f2i`` snapshot-integrity sidecar.
-SIDECAR_FORMAT = "f2-integrity/1"
-SIDECAR_SUFFIX = ".f2i"
-_SNAPSHOT_SUFFIX = ".f2t"
 
 
 @dataclass
@@ -42,7 +35,7 @@ class TableReport:
 
     tenant: str  # "" for the anonymous local namespace
     table: str
-    engine: str  # "segment" | "snapshot"
+    engine: str  # "segment", or "snapshot" for a legacy file not migrated
     ok: bool
     rows: int = 0
     recorded_root: str = ""
@@ -52,20 +45,6 @@ class TableReport:
     @property
     def label(self) -> str:
         return f"{self.tenant}/{self.table}" if self.tenant else self.table
-
-
-def read_sidecar(path: Path) -> "dict | None":
-    """The parsed ``.f2i`` sidecar next to a snapshot, or ``None``."""
-    sidecar = path.with_suffix(SIDECAR_SUFFIX)
-    if not sidecar.exists():
-        return None
-    try:
-        doc = json.loads(sidecar.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if not isinstance(doc, dict) or doc.get("format") != SIDECAR_FORMAT:
-        return {}
-    return doc
 
 
 def _verify_segment_dir(directory: Path, tenant: str, backend: ComputeBackend) -> TableReport:
@@ -96,41 +75,6 @@ def _verify_segment_dir(directory: Path, tenant: str, backend: ComputeBackend) -
     return report
 
 
-def _verify_snapshot(path: Path, tenant: str) -> TableReport:
-    from repro.wire import decode_relation
-
-    table = path.name[: -len(_SNAPSHOT_SUFFIX)]
-    report = TableReport(tenant=tenant, table=table, engine="snapshot", ok=False)
-    try:
-        relation = decode_relation(path.read_bytes())
-    except (OSError, ReproError) as exc:
-        report.error = f"snapshot does not decode: {exc}"
-        return report
-    report.rows = relation.num_rows
-    report.computed_root = MerkleTree(relation_leaves(relation)).root
-    sidecar = read_sidecar(path)
-    if sidecar is not None:
-        report.recorded_root = str(sidecar.get("merkle_root", ""))
-        if not sidecar:
-            report.error = "integrity sidecar is unreadable or malformed"
-            return report
-        if report.recorded_root and report.recorded_root != report.computed_root:
-            report.error = (
-                f"sidecar records merkle root {report.recorded_root[:16]}... "
-                f"but the snapshot hashes to {report.computed_root[:16]}..."
-            )
-            return report
-        recorded_rows = sidecar.get("num_rows")
-        if recorded_rows is not None and int(recorded_rows) != relation.num_rows:
-            report.error = (
-                f"sidecar records {recorded_rows} rows, snapshot holds "
-                f"{relation.num_rows}"
-            )
-            return report
-    report.ok = True
-    return report
-
-
 def _scan_namespace(directory: Path, tenant: str, backend: ComputeBackend,
                     table: "str | None") -> list[TableReport]:
     reports: list[TableReport] = []
@@ -139,10 +83,6 @@ def _scan_namespace(directory: Path, tenant: str, backend: ComputeBackend,
             if table is not None and path.name != table + ".f2s":
                 continue
             reports.append(_verify_segment_dir(path, tenant, backend))
-        elif path.is_file() and path.name.endswith(_SNAPSHOT_SUFFIX):
-            if table is not None and path.name != table + _SNAPSHOT_SUFFIX:
-                continue
-            reports.append(_verify_snapshot(path, tenant))
     return reports
 
 
@@ -161,9 +101,25 @@ def verify_storage_dir(
     root = Path(storage_dir)
     if not root.is_dir():
         raise StoreError(f"storage directory {root} does not exist")
+    from repro.store.migrate import leftover_snapshots
+
     resolved = backend if isinstance(backend, ComputeBackend) else get_backend(backend)
     reports = _scan_namespace(root, "", resolved, table)
     for path in sorted(root.iterdir()):
         if path.is_dir() and not path.name.endswith(".f2s"):
             reports.extend(_scan_namespace(path, path.name, resolved, table))
+    for path in leftover_snapshots(root):
+        if table is None or path.stem == table:
+            reports.append(
+                TableReport(
+                    tenant="" if path.parent == root else path.parent.name,
+                    table=path.stem,
+                    engine="snapshot",
+                    ok=False,
+                    error=(
+                        f"legacy snapshot {path.name} is not migrated; run "
+                        f"`f2-repro store migrate --storage {root}`"
+                    ),
+                )
+            )
     return reports

@@ -9,8 +9,8 @@ Two formats from one :meth:`MetricsRegistry.snapshot`:
   for tooling and the stats CLI.
 
 ``write_metrics_file`` dumps both **atomically** (temp file +
-``os.replace`` in the target directory, the same idiom the snapshot
-store uses), so a scraper never reads a torn file.
+``os.replace`` in the target directory, the same idiom the segment
+store's manifest commit uses), so a scraper never reads a torn file.
 :class:`MetricsDumper` is the ``serve --metrics-file`` periodic thread.
 """
 

@@ -1,17 +1,16 @@
-"""Per-table storage engines behind the protocol server.
+"""Per-table stores behind the protocol server.
 
-The package splits into the engine-neutral contract (:mod:`.base`, the
-:class:`TableStore` ABC plus the ``STORAGE_ENGINES`` names), the hot-token
-cache both engines share (:mod:`.cache`), the two engines (:mod:`.memory`
-for the legacy in-memory/``.f2t`` path, :mod:`.segment` for the on-disk
-columnar store with its :mod:`.manifest` commit protocol), and the
-snapshot-to-segment converter (:mod:`.migrate`).
+The package splits into the store contract (:mod:`.base`, the
+:class:`TableStore` ABC), the hot-token cache every store shares
+(:mod:`.cache`), the one durable engine (:mod:`.segment`, the on-disk
+columnar store with its :mod:`.manifest` commit protocol, which folds a
+long delta history into one segment), the non-durable in-memory store
+(:mod:`.memory`), and the one-way importer of legacy ``.f2t`` snapshot
+files (:mod:`.migrate`).
 """
 
 from repro.store.base import (
     STORAGE_ENGINE_SEGMENT,
-    STORAGE_ENGINE_SNAPSHOT,
-    STORAGE_ENGINES,
     STORE_SUFFIX,
     TableStore,
 )
@@ -26,24 +25,29 @@ from repro.store.manifest import (
     write_manifest,
 )
 from repro.store.memory import MemoryTableStore
-from repro.store.migrate import migrate_storage_dir
-from repro.store.segment import SEGMENT_MAGIC, SegmentTableStore, is_segment_store
+from repro.store.migrate import leftover_snapshots, migrate_storage_dir
+from repro.store.segment import (
+    FOLD_SEGMENT_FILES,
+    SEGMENT_MAGIC,
+    SegmentTableStore,
+    is_segment_store,
+)
 
 __all__ = [
     "CURRENT_NAME",
     "DEFAULT_CACHE_ENTRIES",
+    "FOLD_SEGMENT_FILES",
     "KEEP_GENERATIONS",
     "Manifest",
     "MemoryTableStore",
     "SEGMENT_MAGIC",
-    "STORAGE_ENGINES",
     "STORAGE_ENGINE_SEGMENT",
-    "STORAGE_ENGINE_SNAPSHOT",
     "STORE_SUFFIX",
     "SegmentTableStore",
     "TableStore",
     "TokenBitsetCache",
     "is_segment_store",
+    "leftover_snapshots",
     "list_generations",
     "load_manifest",
     "migrate_storage_dir",

@@ -1,23 +1,22 @@
 """The :class:`TableStore` contract the protocol server stores tables behind.
 
-PR 5 left the server holding bare :class:`~repro.relational.table.Relation`
-objects in a dict, with persistence (whole-table ``.f2t`` snapshots) bolted
-on beside it.  A :class:`TableStore` pulls the per-table state — the data,
-its coded query surface, and the hot-token cache — behind one interface so
-the server no longer cares *how* a table is held:
+A :class:`TableStore` pulls the per-table state — the data, its coded query
+surface, and the hot-token cache — behind one interface so the server does
+not care *how* a table is held:
 
-* :class:`repro.store.memory.MemoryTableStore` — the legacy engine: the
-  relation lives in memory (decoded lazily from its snapshot bytes), the
-  server writes ``.f2t`` snapshots around it.
-* :class:`repro.store.segment.SegmentTableStore` — the columnar segment
-  engine: coded columns live in append-only on-disk segment files under a
+* :class:`repro.store.segment.SegmentTableStore` — the one durable engine:
+  coded columns live in append-only on-disk segment files under a
   generation-numbered manifest; queries read the codes straight off disk
-  (memory-mapped) without rebuilding the full relation.
+  (memory-mapped) without rebuilding the full relation.  The server runs
+  every table on it whenever a storage directory is set.
+* :class:`repro.store.memory.MemoryTableStore` — a plain, non-durable
+  store: the relation lives in memory only (a server without a storage
+  directory, the in-process facades).
 
 The query plane is deliberately shaped like the coded view: a store exposes
 ``backend`` / ``num_rows`` / ``match_mask`` — exactly the surface
 :func:`repro.query.server.execute_server_expr` consumes — so a store can be
-handed to the plan executor directly, and both engines front their scans
+handed to the plan executor directly, and both stores front their scans
 with the same :class:`~repro.store.cache.TokenBitsetCache` (invalidated by
 every write).
 
@@ -43,12 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (delta -> api)
     from repro.api.delta import ViewDelta
     from repro.integrity.merkle import MerkleTree
 
-#: The storage engines the protocol server can be asked to run.
-STORAGE_ENGINE_SNAPSHOT = "snapshot"
+#: The durable storage engine's name (``ProtocolServer(storage_engine=)``).
 STORAGE_ENGINE_SEGMENT = "segment"
-STORAGE_ENGINES = (STORAGE_ENGINE_SNAPSHOT, STORAGE_ENGINE_SEGMENT)
 
-#: Suffix of a segment table directory (the engine's ``.f2t`` counterpart).
+#: Suffix of a segment table directory.
 #: Lives here (not in :mod:`.segment`) so the protocol server can import it
 #: without touching the engine modules at import time — they reach back into
 #: :mod:`repro.api` and would close an import cycle.
@@ -58,7 +55,7 @@ STORE_SUFFIX = ".f2s"
 class TableStore(ABC):
     """One tenant-namespaced table behind the protocol server."""
 
-    #: Which storage engine this store belongs to (a ``STORAGE_ENGINES`` name).
+    #: Which engine this store is (``"segment"`` or ``"memory"``).
     engine: str = "abstract"
 
     def __init__(self, backend: ComputeBackend, cache_entries: int = DEFAULT_CACHE_ENTRIES):
@@ -110,18 +107,12 @@ class TableStore(ABC):
         """Monotonic *committed-write* counter, the CAS base for deltas.
 
         Unlike :attr:`version` (a process-local cache-invalidation counter
-        that restarts at zero), the commit version survives restarts on
-        durable engines — the segment engine maps it to its persisted
-        manifest generation, the snapshot engine restores it from the
-        ``.f2i`` integrity sidecar — so the owner's ``(version, root)``
-        freshness chain can tell an honest restart from a rollback.
+        that restarts at zero), the commit version survives restarts on the
+        durable engine — the segment engine maps it to its persisted
+        manifest generation — so the owner's ``(version, root)`` freshness
+        chain can tell an honest restart from a rollback.
         """
         return self._commit_version
-
-    def set_commit_version(self, value: int) -> None:
-        """Restore the committed version (engine load paths only)."""
-        with self._mutex:
-            self._commit_version = int(value)
 
     def merkle_tree(self) -> "MerkleTree":
         """The table's Merkle tree, built lazily from the stored relation."""

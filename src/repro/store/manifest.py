@@ -28,8 +28,8 @@ in the data size (no full-file reads); the recorded CRCs are verified by the
 explicit :meth:`~repro.store.segment.SegmentTableStore.verify` pass (used by
 ``store migrate`` and the tests).  When the ``CURRENT`` generation is
 unusable, recovery walks older generations newest-first and warns — the
-same degrade-with-a-warning posture as the snapshot engine's corrupt-file
-skip.
+same degrade-with-a-warning posture as the server's skip of a corrupt
+table at startup.
 """
 
 from __future__ import annotations
@@ -313,9 +313,8 @@ def recover_manifest(directory: Path) -> Manifest:
     """Resolve the newest usable committed generation of a table directory.
 
     Tries the ``CURRENT`` pointer first, then every other generation
-    newest-first, warning (:class:`~repro.exceptions.StoreIntegrityWarning`,
-    like the snapshot engine's corrupt-file skip) whenever it has to fall
-    back.  Raises :class:`~repro.exceptions.StoreError` when no generation
+    newest-first, warning (:class:`~repro.exceptions.StoreIntegrityWarning`)
+    whenever it has to fall back.  Raises :class:`~repro.exceptions.StoreError` when no generation
     is usable.
     """
     candidates: list[Path] = []

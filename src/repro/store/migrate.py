@@ -1,12 +1,14 @@
-"""Snapshot-to-segment conversion (``f2-repro store migrate``).
+"""One-way import of legacy ``.f2t`` snapshots (``f2-repro store migrate``).
 
-Walks a protocol server's storage directory the same way the server does at
-start — top-level ``<table>.f2t`` snapshots plus one directory level of
-tenant namespaces — and rebuilds each table as a segment store directory
-(``<table>.f2s``) next to its snapshot.  The conversion is verified
-(full CRC + decode pass) before it is reported, and the original snapshot
-is kept unless the caller asks for removal, so a failed or interrupted
-migration never loses the authoritative copy.
+Older servers persisted each table as one whole-table ``<table>.f2t``
+binary relation frame.  The server now persists only segment stores, so
+this module is the one place that still reads those files: it walks a
+storage directory the same way the server does at start — top-level
+entries plus one directory level of tenant namespaces — and rebuilds each
+table as a segment store directory (``<table>.f2s``) next to its snapshot.
+The conversion is verified (full CRC + decode pass) before it is reported,
+and the original snapshot is kept unless the caller asks for removal, so a
+failed or interrupted migration never loses the authoritative copy.
 """
 
 from __future__ import annotations
@@ -36,6 +38,19 @@ def _snapshot_paths(storage_dir: Path) -> list[Path]:
     return [p for p in paths if _SAFE_NAME_RE.match(p.stem)]
 
 
+def leftover_snapshots(storage_dir: Path) -> list[Path]:
+    """The ``.f2t`` snapshots under ``storage_dir`` with no ``.f2s`` beside them.
+
+    The server never reads these; they are tables that still need
+    ``f2-repro store migrate``.
+    """
+    return [
+        path
+        for path in _snapshot_paths(storage_dir)
+        if not path.with_suffix(STORE_SUFFIX).exists()
+    ]
+
+
 def migrate_storage_dir(
     storage_dir: "Path | str",
     backend: "ComputeBackend | str | None" = None,
@@ -45,9 +60,8 @@ def migrate_storage_dir(
 
     Returns one record per converted table:
     ``{"table": str, "tenant": str, "rows": int, "snapshot": Path, "store": Path}``.
-    Corrupt snapshots are skipped with the same :class:`RuntimeWarning`
-    the server emits, so a migration run is exactly as tolerant as a
-    server start over the same directory.
+    Corrupt snapshots are skipped with a :class:`RuntimeWarning`, so one
+    bad file never stops the other tables' migration.
     """
     storage_dir = Path(storage_dir)
     if not storage_dir.is_dir():

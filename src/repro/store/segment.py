@@ -17,6 +17,13 @@ becomes an O(delta) disk append instead of a full-view rewrite:
   order as slices into segment files, so a delta's copy opcodes re-slice
   and only its literal rows are written (as one fresh segment).
 
+A long delta history would leave the manifest referencing ever more files
+and slices, and every commit would pay for them.  So a delta that would
+reference more than :data:`FOLD_SEGMENT_FILES` segment files *folds*: the
+same commit writes its whole spliced view as one fresh segment (the code
+arrays copied at the current dictionary widths; blobs, rows and Merkle root
+unchanged), the log-structured merge of O'Neil et al. (1996) in one level.
+
 Queries never rebuild the full relation: the store resolves token cells
 against the column dictionary, then scans code arrays that memory-map
 straight out of the segment files — a zero-copy ``np.frombuffer`` view on
@@ -77,6 +84,20 @@ SEGMENT_VERSION = 1
 SEGMENT_HEADER = SEGMENT_MAGIC + bytes([SEGMENT_VERSION])
 
 _TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+#: A delta whose manifest would reference more segment files than this
+#: folds the spliced view into one fresh segment in the same commit.
+#: Every delta adds a segment and re-slices the view, so the manifest (and
+#: the work of each commit) grows with the history.  Measured on a 2-vCPU
+#: host, 240 deltas over a 2k-row table (``benchmarks/bench_store.py``'s
+#: long history): with no fold the store ends at 240 files and 840 view
+#: slices, and a 1-row ``apply_delta`` takes 3.4x one on a single-segment
+#: copy of the same rows; folding above 16/32/64 files keeps the median
+#: of the last 40 at 1.05x/1.33x/1.41x.  A folding commit costs ~2 ms more
+#: than a plain one at 10k rows.  32 keeps the fold rare (at most once per
+#: ~32 deltas) and far above the ~14 files the update workloads reach
+#: between full pushes.
+FOLD_SEGMENT_FILES = 32
 
 
 def _pack_codes(codes: Iterable[int], width: int) -> bytes:
@@ -198,10 +219,11 @@ class SegmentTableStore(TableStore):
                 )
                 values = list(column.dictionary)
                 new_dicts[index] = (values, {v: c for c, v in enumerate(values)})
-            segment = self._write_segment(
-                generation, [(col.codes, col.num_values) for col in columns],
-                relation.num_rows,
-            )
+            packed = []
+            for column in columns:
+                width = code_width(column.num_values)
+                packed.append((_pack_codes(column.codes, width), width))
+            segment = self._write_segment(generation, packed, relation.num_rows)
             # A replace ships the full relation, so the O(n) tree build here
             # rides on an already-O(n) write; deltas stay incremental.
             from repro.integrity.merkle import MerkleTree, relation_leaves
@@ -232,8 +254,11 @@ class SegmentTableStore(TableStore):
         Copy opcodes re-slice the committed view (no row bytes move);
         literal rows become one new segment file and their genuinely new
         dictionary values are appended to the blobs — so nothing here is
-        proportional to the table size.  The base check is the row count;
-        the server's commit-version CAS (the generation) ran before.
+        proportional to the table size, except a fold: when the committed
+        manifest would reference more than :data:`FOLD_SEGMENT_FILES`
+        segment files, the same commit writes the whole spliced view as one
+        fresh segment instead.  The base check is the row count; the
+        server's commit-version CAS (the generation) ran before.
         """
         with self._mutex:
             self._check_open()
@@ -253,29 +278,43 @@ class SegmentTableStore(TableStore):
                 )
             pieces = self._translate_segments(manifest, delta)
             generation = next_generation(self._directory)
-            new_segment, dictionaries, dict_additions = self._write_literals(
-                generation, manifest, literals
+            literal_codes, dictionaries, dict_additions = self._append_literal_values(
+                manifest, literals
             )
-            files: list[SegmentFile] = []
-            file_index: dict[int, int] = {}  # old index (or -1 for new) -> new
-            view: list[list[int]] = []
-            for source, start, count in pieces:
-                if source == -1:
-                    entry = new_segment
-                else:
-                    entry = manifest.files[source]
-                index = file_index.get(source)
-                if index is None:
-                    index = file_index[source] = len(files)
-                    files.append(entry)
-                if view and view[-1][0] == index and view[-1][1] + view[-1][2] == start:
-                    view[-1][2] += count
-                else:
-                    view.append([index, start, count])
+            widths = [code_width(entry.values) for entry in dictionaries]
             num_rows = sum(count for _, _, count in pieces)
+            # Source files in first-use order; -1 is this delta's literals.
+            sources = list(dict.fromkeys(source for source, _, _ in pieces))
+            view: list[list[int]] = []
+            files: list[SegmentFile] = []
+            if len(sources) > FOLD_SEGMENT_FILES:
+                folded = self._fold_columns(manifest, pieces, literal_codes, widths)
+                files.append(self._write_segment(generation, folded, num_rows))
+                view.append([0, 0, num_rows])
+            else:
+                file_index: dict[int, int] = {}
+                for source in sources:
+                    file_index[source] = len(files)
+                    if source == -1:
+                        packed = [
+                            (_pack_codes(codes, width), width)
+                            for codes, width in zip(literal_codes, widths)
+                        ]
+                        files.append(
+                            self._write_segment(generation, packed, len(literal_codes[0]))
+                        )
+                    else:
+                        files.append(manifest.files[source])
+                for source, start, count in pieces:
+                    index = file_index[source]
+                    if view and view[-1][0] == index and view[-1][1] + view[-1][2] == start:
+                        view[-1][2] += count
+                    else:
+                        view.append([index, start, count])
             # New root, by cost: incrementally from the cached tree when one
             # exists; else recorded from the owner's `new_root`; else left
-            # empty and rebuilt lazily on the first root request.
+            # empty and rebuilt lazily on the first root request.  A fold
+            # keeps the rows, so it keeps the root.
             candidate = self._merkle_candidate(delta, manifest.num_rows)
             root = candidate.root if candidate is not None else delta.new_root
             new_manifest = Manifest(
@@ -444,17 +483,15 @@ class SegmentTableStore(TableStore):
     def _write_segment(
         self,
         generation: int,
-        columns: list[tuple[Any, int]],
+        columns: list[tuple[bytes, int]],
         rows: int,
     ) -> SegmentFile:
-        """Write ``seg-<generation>.seg`` from per-column (codes, num_values)."""
+        """Write ``seg-<generation>.seg`` from per-column (packed codes, width)."""
         name = f"seg-{generation:06d}.seg"
         chunks = [SEGMENT_HEADER]
         offset = len(SEGMENT_HEADER)
         column_meta: list[dict[str, int]] = []
-        for codes, num_values in columns:
-            width = code_width(num_values)
-            packed = _pack_codes(codes, width)
+        for packed, width in columns:
             column_meta.append({"offset": offset, "width": width})
             chunks.append(packed)
             offset += len(packed)
@@ -465,29 +502,64 @@ class SegmentTableStore(TableStore):
             columns=column_meta,
         )
 
-    def _write_literals(
+    def _fold_columns(
         self,
-        generation: int,
+        manifest: Manifest,
+        pieces: list[tuple[int, int, int]],
+        literal_codes: list[list[int]],
+        widths: list[int],
+    ) -> list[tuple[bytes, int]]:
+        """The spliced view as one packed code array per column.
+
+        Copies the committed code bytes slice by slice, widening a slice
+        only when its column's dictionary outgrew the width it was written
+        at.  Cells are never re-encoded: codes index the same append-only
+        dictionary blobs before and after the fold.
+        """
+        columns: list[tuple[bytes, int]] = []
+        for index, width in enumerate(widths):
+            chunks: list[Any] = []
+            for source, start, count in pieces:
+                if source == -1:
+                    chunks.append(
+                        _pack_codes(literal_codes[index][start : start + count], width)
+                    )
+                    continue
+                entry = manifest.files[source]
+                column = entry.columns[index]
+                old_width = column["width"]
+                offset = column["offset"] + start * old_width
+                data = self._buffer(entry.name)[offset : offset + count * old_width]
+                if old_width == width:
+                    chunks.append(data)
+                else:
+                    codes = self._backend.from_code_bytes(data, old_width, count)
+                    chunks.append(_pack_codes(codes, width))
+            columns.append((b"".join(chunks), width))
+        return columns
+
+    def _append_literal_values(
+        self,
         manifest: Manifest,
         literals: "Relation | None",
     ) -> tuple[
-        "SegmentFile | None",
+        list[list[int]],
         list[DictionaryBlob],
         dict[int, tuple[list[Any], dict[Any, int]]],
     ]:
-        """Append a delta's literal rows: new blob values + one new segment.
+        """Code a delta's literal rows, appending new values to the blobs.
 
-        Returns the new segment entry (``None`` when the delta carries no
-        literals), the updated dictionary entries, and the per-column new
-        values to merge into the in-memory dictionary caches *after* the
-        manifest commits (never before — a failed commit must not poison
-        them).
+        Returns the literal rows' per-column codes (empty when the delta
+        carries no literals), the updated dictionary entries, and the
+        per-column new values to merge into the in-memory dictionary caches
+        *after* the manifest commits (never before — a failed commit must
+        not poison them).
         """
         dictionaries = list(manifest.dictionaries)
         additions: dict[int, tuple[list[Any], dict[Any, int]]] = {}
         if literals is None or not literals.num_rows:
-            return None, dictionaries, additions
-        column_codes: list[tuple[list[int], int]] = []
+            return [], dictionaries, additions
+        column_codes: list[list[int]] = []
         for index, attr in enumerate(manifest.attributes):
             values, code_of = self._dictionary(index)
             new_values: list[Any] = []
@@ -503,21 +575,19 @@ class SegmentTableStore(TableStore):
                     new_code_of[value] = code
                     new_values.append(value)
                 codes.append(code)
-            num_values = base + len(new_values)
-            column_codes.append((codes, num_values))
+            column_codes.append(codes)
             if new_values:
                 entry = dictionaries[index]
                 data = encode_cell_run(new_values)
                 self._append_file(entry.name, entry.length, data)
                 dictionaries[index] = DictionaryBlob(
                     name=entry.name,
-                    values=num_values,
+                    values=base + len(new_values),
                     length=entry.length + len(data),
                     crc=zlib.crc32(data, entry.crc),
                 )
                 additions[index] = (new_values, new_code_of)
-        segment = self._write_segment(generation, column_codes, literals.num_rows)
-        return segment, dictionaries, additions
+        return column_codes, dictionaries, additions
 
     @staticmethod
     def _translate_segments(
@@ -644,22 +714,6 @@ class SegmentTableStore(TableStore):
                 f"data file {name} is shorter than its committed {length} bytes"
             )
         return data
-
-    def save(self) -> Path:
-        """The engine's ``SaveSnapshot`` answer: segments are always durable."""
-        return self._directory
-
-    def reload(self) -> int:
-        """Re-open from disk (the engine's ``LoadSnapshot``); returns rows."""
-        with self._mutex:
-            self._check_open()
-            self._manifest = recover_manifest(self._directory)
-            self._invalidate_data()
-            self._dicts = {}
-            self._relation = None
-            self._merkle = None
-            self._wrote()
-            return self._manifest.num_rows
 
     def close(self) -> None:
         with self._mutex:

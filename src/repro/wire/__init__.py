@@ -24,7 +24,6 @@ from repro.wire.codec import (
     encode_relation,
     encode_tane_result,
     sanitize_json,
-    skim_relation,
 )
 from repro.wire.proofs import (
     PROOFS_MAGIC,
@@ -48,5 +47,4 @@ __all__ = [
     "encode_relation",
     "encode_tane_result",
     "sanitize_json",
-    "skim_relation",
 ]

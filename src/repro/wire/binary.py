@@ -136,9 +136,7 @@ class ByteReader:
         """Advance past ``count`` bytes without materialising them.
 
         Bounds-checked like :meth:`_take` (a short frame raises
-        :class:`WireError`), but never slices — the structural skim in
-        :func:`repro.wire.codec.skim_relation` uses this to walk multi-
-        megabyte code arrays for free.
+        :class:`WireError`), but never slices.
         """
         if count < 0 or self.remaining < count:
             raise WireError(

@@ -93,19 +93,6 @@ def _read_cell(reader: ByteReader) -> Any:
     raise WireError(f"unknown cell tag {tag} in binary frame")
 
 
-def _skip_cell(reader: ByteReader) -> None:
-    """Advance past one binary cell without constructing its value."""
-    tag = reader.u8()
-    if tag in (_CELL_STR, _CELL_CIPHERTEXT):
-        reader.skip(reader.uvarint())
-    elif tag == _CELL_INT:
-        reader.svarint()
-    elif tag == _CELL_FLOAT:
-        reader.skip(8)
-    elif tag not in (_CELL_TRUE, _CELL_FALSE, _CELL_NONE):
-        raise WireError(f"unknown cell tag {tag} in binary frame")
-
-
 def encode_cell_run(values: Sequence[Any]) -> bytes:
     """Serialize a bare run of cells (no frame header, no count prefix).
 
@@ -188,38 +175,6 @@ def decode_relation(data: bytes) -> Relation:
         columns.append(_expand_column(dictionary, codes, num_rows))
     reader.expect_end()
     return _build_relation(name, attributes, columns)
-
-
-def skim_relation(data: bytes) -> tuple[str, list[str], int]:
-    """Structurally validate a serialized relation; return only its header.
-
-    Walks every length prefix, cell tag, and code array of the frame — so
-    truncation and framing corruption raise :class:`WireError` exactly
-    where a full decode would — without constructing a single cell object or
-    expanding a column.  Returns ``(name, attributes, num_rows)``.  Decode is
-    the codec's measured bottleneck, so this is what lets snapshot loading
-    defer the expensive part until a table is actually touched.
-    """
-    reader = _binary_load(data, "relation")
-    name = reader.lp_str()
-    num_columns = reader.uvarint()
-    num_rows = reader.uvarint()
-    attributes: list[str] = []
-    for _ in range(num_columns):
-        attributes.append(reader.lp_str())
-        for _ in range(reader.uvarint()):
-            _skip_cell(reader)
-        width = reader.u8()
-        if width not in (1, 2, 4, 8):
-            raise WireError(f"unknown code-array width {width}")
-        count = reader.uvarint()
-        if count != num_rows:
-            raise WireError(
-                f"relation payload: column has {count} rows, header says {num_rows}"
-            )
-        reader.skip(count * width)
-    reader.expect_end()
-    return name, attributes, num_rows
 
 
 def _expand_column(dictionary: list[Any], codes: Iterable[int], num_rows: int) -> list[Any]:

@@ -341,8 +341,6 @@ class TestSignedSessions:
         for call in (
             lambda: client.outsource("default", view),
             lambda: client.insert("default", view),
-            lambda: client.save_snapshot("default"),
-            lambda: client.load_snapshot("default"),
         ):
             with pytest.raises(AuthError) as excinfo:
                 call()
@@ -638,7 +636,7 @@ class TestSocketErrorCodes:
 
 
 # ----------------------------------------------------------------------
-# Corrupt-snapshot resilience (satellite regression)
+# Corrupt-store resilience (satellite regression)
 # ----------------------------------------------------------------------
 class TestCorruptSnapshotSkip:
     def test_truncated_snapshot_skipped_other_tenants_survive(
@@ -655,12 +653,12 @@ class TestCorruptSnapshotSkip:
             client = loopback(server)
             client.authenticate(credential)
             client.outsource("orders", view)
-        # Truncate acme's snapshot (a crash mid-write / bad disk).
-        acme_snapshot = tmp_path / "acme" / "orders.f2t"
-        payload = acme_snapshot.read_bytes()
-        acme_snapshot.write_bytes(payload[: len(payload) // 2])
+        # Truncate acme's only segment (a crash mid-write / bad disk).
+        (acme_segment,) = (tmp_path / "acme" / "orders.f2s").glob("seg-*.seg")
+        payload = acme_segment.read_bytes()
+        acme_segment.write_bytes(payload[: len(payload) // 2])
 
-        with pytest.warns(RuntimeWarning, match="corrupt snapshot"):
+        with pytest.warns(RuntimeWarning, match="corrupt table store"):
             revived = ProtocolServer(storage_dir=tmp_path, tenants=registry)
         # globex's table survived; acme's needs a re-outsource.
         assert revived.table_ids(None) == ["globex/orders"]
@@ -671,7 +669,9 @@ class TestCorruptSnapshotSkip:
         owner.outsource(zipcode_table)
         first = ProtocolServer(storage_dir=tmp_path)
         loopback(first).outsource("good", owner.server_view())
+        # A leftover legacy snapshot is never read: the server warns that it
+        # needs `store migrate` and keeps serving everything else.
         (tmp_path / "bad.f2t").write_bytes(b"F2WB definitely not a frame")
-        with pytest.warns(RuntimeWarning, match="corrupt snapshot"):
+        with pytest.warns(RuntimeWarning, match="'bad'.*store migrate|store migrate.*'bad'"):
             revived = ProtocolServer(storage_dir=tmp_path)
         assert revived.table_ids() == ["good"]

@@ -266,17 +266,34 @@ class TestServeAndQueryCommands:
         assert "not in" in capsys.readouterr().err
 
     def test_serve_skips_corrupt_snapshot_instead_of_failing(self, tmp_path):
-        # PR 5 semantics: one corrupt/truncated .f2t warns and is skipped —
-        # the server `serve` constructs still starts and serves every other
-        # table (the full reload regression lives in test_protocol.py).
-        from repro.api.protocol import ProtocolServer
+        # One unreadable table warns and is skipped — the server `serve`
+        # constructs still starts and serves every other table (the full
+        # reload regression lives in test_protocol.py).  Unreadable means a
+        # corrupt segment store, or a legacy .f2t snapshot with no segment
+        # store beside it, garbage or not: the server reads only segment
+        # stores, and the warning names the table and `store migrate`.
+        from repro.api.protocol import LoopbackTransport, ProtocolClient, ProtocolServer
+        from repro.exceptions import StoreIntegrityWarning
+        from repro.relational.table import Relation
+        from repro.wire import encode_relation
 
         store = tmp_path / "store"
-        store.mkdir()
+        good = Relation.from_columns({"sku": ["a", "b"]}, name="good")
+        ProtocolClient(LoopbackTransport(ProtocolServer(storage_dir=store))).outsource(
+            "good", good
+        )
         (store / "default.f2t").write_bytes(b"F2WB garbage not a frame")
-        with pytest.warns(RuntimeWarning, match="corrupt snapshot"):
+        (store / "legacy.f2t").write_bytes(encode_relation(good))
+        (store / "broken.f2s").mkdir()
+        (store / "broken.f2s" / "MANIFEST-000001.json").write_text("{ not json")
+        with pytest.warns(StoreIntegrityWarning) as caught:
             server = ProtocolServer(storage_dir=store)
-        assert server.table_ids() == []
+        messages = [str(warning.message) for warning in caught]
+        for table in ("'default'", "'legacy'"):
+            assert any(table in m and "store migrate" in m for m in messages)
+        assert any("corrupt table store" in m and "broken" in m for m in messages)
+        assert server.table_ids() == ["good"]
+        assert server.store("good") == good
 
     def test_query_without_server_reports_protocol_error(self, plaintext_csv, capsys):
         exit_code = main(
@@ -400,21 +417,24 @@ class TestAttackCommand:
 class TestVerifyCommand:
     @pytest.fixture
     def populated_storage(self, tmp_path):
-        """A storage dir holding one table per engine flavour."""
+        """Storage dirs holding table ``orders``: as a segment store
+        (``segment``), as a legacy ``.f2t`` snapshot never migrated
+        (``snapshot``), and as one imported by ``store migrate`` with the
+        snapshot kept beside it (``migrated``)."""
         from repro.api.protocol import LoopbackTransport, ProtocolClient, ProtocolServer
         from repro.api.session import DataOwner
         from repro.core.config import F2Config
+        from repro.wire import encode_relation
 
         owner = DataOwner.from_seed(5, config=F2Config(alpha=0.5, seed=2))
         owner.outsource(read_csv(self.plaintext(tmp_path)))
-        dirs = {}
-        for engine in ("snapshot", "segment"):
-            storage = tmp_path / f"stor-{engine}"
-            server = ProtocolServer(storage_dir=storage, storage_engine=engine)
-            ProtocolClient(LoopbackTransport(server)).outsource(
-                "orders", owner.server_view()
-            )
-            dirs[engine] = storage
+        dirs = {name: tmp_path / f"stor-{name}" for name in ("segment", "snapshot", "migrated")}
+        server = ProtocolServer(storage_dir=dirs["segment"])
+        ProtocolClient(LoopbackTransport(server)).outsource("orders", owner.server_view())
+        for name in ("snapshot", "migrated"):
+            dirs[name].mkdir()
+            (dirs[name] / "orders.f2t").write_bytes(encode_relation(owner.server_view()))
+        assert main(["store", "migrate", "--storage", str(dirs["migrated"])]) == 0
         return dirs
 
     @staticmethod
@@ -423,7 +443,7 @@ class TestVerifyCommand:
         write_csv(generate_fd_table(40, num_zipcodes=4, seed=1), path)
         return path
 
-    @pytest.mark.parametrize("engine", ["snapshot", "segment"])
+    @pytest.mark.parametrize("engine", ["segment", "migrated"])
     def test_verify_passes_on_clean_store(self, populated_storage, engine, capsys):
         exit_code = main(["verify", "--storage", str(populated_storage[engine])])
         assert exit_code == 0
@@ -431,13 +451,15 @@ class TestVerifyCommand:
         assert "all good" in out and "orders" in out
 
     def test_verify_restricts_to_one_table(self, populated_storage, capsys):
-        storage = populated_storage["snapshot"]
+        storage = populated_storage["segment"]
         assert main(["verify", "--storage", str(storage), "--table", "orders"]) == 0
         assert main(["verify", "--storage", str(storage), "--table", "ghost"]) == 0
         assert "no tables" in capsys.readouterr().out
 
     @pytest.mark.parametrize("engine", ["snapshot", "segment"])
     def test_verify_exits_7_on_tampered_store(self, populated_storage, engine, capsys):
+        # A legacy .f2t is never a pass, whether or not its bytes are intact:
+        # the server does not read it, so it fails as not migrated.
         storage = populated_storage[engine]
         pattern = "orders.f2s/seg-*.seg" if engine == "segment" else "orders.f2t"
         target = sorted(storage.glob(pattern))[0]
@@ -449,6 +471,12 @@ class TestVerifyCommand:
         assert exit_code == 7
         err = capsys.readouterr().err
         assert "INTEGRITY_VIOLATION" in err and "FAIL" in err
+        if engine == "snapshot":
+            assert "not migrated" in err and "store migrate" in err
+            serve = ["serve", "--port", "0", "--storage", str(storage), "--verify-on-start"]
+            with pytest.warns(RuntimeWarning, match="store migrate"):
+                assert main(serve) == 7
+            assert "refusing to serve" in capsys.readouterr().err
 
     def test_verify_missing_directory_is_a_store_error(self, tmp_path, capsys):
         exit_code = main(["verify", "--storage", str(tmp_path / "nope")])
@@ -467,7 +495,7 @@ class TestVerifyCommand:
         exit_code = main(
             [
                 "serve", "--port", "0", "--storage", str(storage),
-                "--storage-engine", "segment", "--verify-on-start",
+                "--verify-on-start",
             ]
         )
         assert exit_code == 7

@@ -304,7 +304,8 @@ def remote_plaintext(owner: DataOwner, server: ProtocolServer) -> list[tuple]:
 
 
 def storage_server(storage: Path, engine: str) -> ProtocolServer:
-    return ProtocolServer(storage_dir=storage, storage_engine=engine)
+    """A server on ``engine``: the in-memory store or the segment store."""
+    return ProtocolServer(storage_dir=None if engine == "memory" else storage)
 
 
 def reconnected(owner, old_session, server) -> "tuple[RemoteOwnerSession, RecordingTransport]":
@@ -341,7 +342,7 @@ class TestDeltaBaseCheck:
     itself — ``tests/test_integrity_protocol.py`` pins that.)
     """
 
-    @pytest.mark.parametrize("engine", ["snapshot", "segment"])
+    @pytest.mark.parametrize("engine", ["memory", "segment"])
     def test_interleaved_full_insert_from_second_session(
         self, zipcode_table, tmp_path, engine
     ):
@@ -383,24 +384,6 @@ class TestDeltaBaseCheck:
         assert revived.table_store().commit_version < session._last_version
         fresh, transport = reconnected(owner, session, revived)
         assert_full_fallback_then_resume(owner, fresh, transport, revived)
-
-    def test_restored_older_snapshot(self, zipcode_table, tmp_path):
-        server = storage_server(tmp_path, "snapshot")
-        transport = RecordingTransport(server)
-        owner = make_owner()
-        session = RemoteOwnerSession(owner, ProtocolClient(transport), verify=False)
-        session.outsource(zipcode_table)
-        older = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
-        session.insert_rows(incremental_batch(owner.plaintext, 1, "lost"))
-        assert session.last_delta is not None
-
-        # The provider restores the older snapshot (and its sidecar) in place.
-        for name, data in older.items():
-            (tmp_path / name).write_bytes(data)
-        session.client.load_snapshot("default")
-        assert server.table_store().commit_version < session._last_version
-
-        assert_full_fallback_then_resume(owner, session, transport, server)
 
 
 class LostReplyTransport(RecordingTransport):
@@ -466,7 +449,7 @@ class TestDirectDelta:
         for batch in random_batches(table, seed, rounds=3):
             self.check_direct_delta(owner, batch)
 
-    @pytest.mark.parametrize("engine", ["snapshot", "segment"])
+    @pytest.mark.parametrize("engine", ["memory", "segment"])
     def test_lost_reply_disables_the_direct_delta(self, zipcode_table, tmp_path, engine):
         server = storage_server(tmp_path, engine)
         transport = LostReplyTransport(server)

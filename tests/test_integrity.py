@@ -336,7 +336,7 @@ class TestStoreIntegrityWarning:
     def test_corrupt_snapshot_warns_with_the_category(self, tmp_path):
         from repro.api.protocol import ProtocolServer
 
-        (tmp_path / "broken.f2t").write_bytes(b"\x00not a snapshot")
+        (tmp_path / "broken.f2t").write_bytes(b"\x00not a snapshot")  # not migrated
         with pytest.warns(StoreIntegrityWarning, match="broken"):
             server = ProtocolServer(storage_dir=tmp_path)
         assert server.table_ids(None) == []

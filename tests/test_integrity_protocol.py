@@ -2,7 +2,8 @@
 
 The tamper matrix: bit-flipped stores, a generation rollback, and replies
 edited in transit are each detected *owner-side* with ``IntegrityError`` —
-on both storage engines and both compute backends.  Plus: protocol v3
+on the durable segment store (plus one folded by a long delta history) and
+both compute backends.  Plus: protocol v3
 negotiation (signed replies, resumption tickets), the per-table version CAS
 for multi-writer deltas, and the coordinated multi-writer stress run that
 pins zero full-view fallbacks.
@@ -34,9 +35,14 @@ from repro.integrity.state import TableIntegrityState
 from repro.integrity.writers import WriteCoordinator
 from repro.query.ast import Eq
 from repro.relational.table import Relation
+from repro.store import FOLD_SEGMENT_FILES
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
-ENGINES = ["snapshot", "segment"]
+#: The in-memory store and the durable segment engine.
+ENGINES = ["memory", "segment"]
+#: On-disk tamper inputs: a short delta history, and one long enough for
+#: the segment store to have folded it into one segment.
+STORES = ["segment", "compacted"]
 
 SCHEMA = ["City", "Zip", "Side"]
 ROWS = [
@@ -62,6 +68,11 @@ def registry() -> TenantRegistry:
     return TenantRegistry()
 
 
+def storage_dir(tmp_path: Path, engine: str) -> "Path | None":
+    """The server's storage directory for ``engine`` (none for memory)."""
+    return None if engine == "memory" else tmp_path
+
+
 def verified_session(server, credential, owner=None, **kwargs) -> RemoteOwnerSession:
     owner = owner or make_owner()
     client = ProtocolClient(LoopbackTransport(server))
@@ -79,7 +90,7 @@ class TestVerifiedRoundTrip:
     def test_round_trip_is_byte_identical(self, registry, tmp_path, engine, backend):
         credential = registry.mint("acme", "owner")
         server = ProtocolServer(
-            tenants=registry, storage_dir=tmp_path, storage_engine=engine,
+            tenants=registry, storage_dir=storage_dir(tmp_path, engine),
             backend=backend,
         )
         owner = make_owner(backend=backend)
@@ -120,7 +131,7 @@ class TestVerifiedRoundTrip:
         roots = []
         for engine in ENGINES:
             server = ProtocolServer(
-                tenants=registry, storage_dir=tmp_path / engine, storage_engine=engine
+                tenants=registry, storage_dir=storage_dir(tmp_path / engine, engine)
             )
             session = verified_session(server, credential)
             session.outsource(base_relation())
@@ -353,25 +364,36 @@ class TestVersionCas:
 # ----------------------------------------------------------------------
 # Tamper matrix: on-disk stores
 # ----------------------------------------------------------------------
-def populate(registry, tmp_path, engine, backend=None, seed=7):
-    """Outsource + one delta insert over a persistent server; returns paths."""
+def populate(registry, tmp_path, store="segment", backend=None, seed=7):
+    """Outsource + delta inserts over a persistent server; returns paths.
+
+    ``store="compacted"`` inserts until the segment store has folded its
+    delta history into one segment at least once.
+    """
     credential = registry.mint("acme", "owner")
     owner = make_owner(seed=seed, backend=backend)
-    server = ProtocolServer(
-        tenants=registry, storage_dir=tmp_path, storage_engine=engine, backend=backend
-    )
+    server = ProtocolServer(tenants=registry, storage_dir=tmp_path, backend=backend)
     session = verified_session(server, credential, owner=owner)
     session.outsource(base_relation())
     session.insert_rows([["Summit", "07901", "E"]])
+    if store == "compacted":
+        table = server.table_store("orders", tenant_id="acme")
+        folded = False
+        for index in range(2 * FOLD_SEGMENT_FILES):
+            files = table.store_stats()["segments"]
+            session.insert_rows([["Summit", "07901", f"S{index}"]])
+            assert session.last_delta is not None
+            if table.store_stats()["segments"] < files:
+                folded = True
+                break
+        assert folded
     return credential, owner, session
 
 
-def reconnect_verified(registry, tmp_path, engine, credential, owner, old_session,
+def reconnect_verified(registry, tmp_path, credential, owner, old_session,
                        backend=None):
     """A fresh server over the same storage + the owner's retained state."""
-    server = ProtocolServer(
-        tenants=registry, storage_dir=tmp_path, storage_engine=engine, backend=backend
-    )
+    server = ProtocolServer(tenants=registry, storage_dir=tmp_path, backend=backend)
     client = ProtocolClient(LoopbackTransport(server))
     session = RemoteOwnerSession(
         owner, client, table_id="orders", credential=credential, verify=True
@@ -384,16 +406,12 @@ def reconnect_verified(registry, tmp_path, engine, credential, owner, old_sessio
     return session
 
 
-def flip_byte_of_cell_data(storage: Path, engine: str) -> None:
+def flip_byte_of_cell_data(storage: Path) -> None:
     """Corrupt stored cell bytes so the table decodes to different rows."""
-    if engine == "segment":
-        blobs = sorted(storage.glob("*/*.f2s/dict-*.blob")) or sorted(
-            storage.glob("*.f2s/dict-*.blob")
-        )
-        target = blobs[0]
-    else:
-        snaps = sorted(storage.glob("*/*.f2t")) or sorted(storage.glob("*.f2t"))
-        target = snaps[0]
+    blobs = sorted(storage.glob("*/*.f2s/dict-*.blob")) or sorted(
+        storage.glob("*.f2s/dict-*.blob")
+    )
+    target = blobs[0]
     data = bytearray(target.read_bytes())
     data[len(data) // 2] ^= 0x01
     target.write_bytes(bytes(data))
@@ -401,20 +419,20 @@ def flip_byte_of_cell_data(storage: Path, engine: str) -> None:
 
 class TestTamperMatrix:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("store", STORES)
     def test_bit_flipped_store_detected_owner_side(
-        self, registry, tmp_path, engine, backend
+        self, registry, tmp_path, store, backend
     ):
-        credential, owner, session = populate(registry, tmp_path, engine, backend)
-        flip_byte_of_cell_data(tmp_path, engine)
+        credential, owner, session = populate(registry, tmp_path, store, backend)
+        flip_byte_of_cell_data(tmp_path)
         fresh = reconnect_verified(
-            registry, tmp_path, engine, credential, owner, session, backend
+            registry, tmp_path, credential, owner, session, backend
         )
         with pytest.raises(IntegrityError) as excinfo:
             fresh.select("City = Hoboken")
         assert "orders" in str(excinfo.value)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ["segment"])
     def test_rollback_to_older_generation_detected(self, registry, tmp_path, engine):
         storage = tmp_path / "live"
         storage.mkdir()
@@ -434,19 +452,15 @@ class TestTamperMatrix:
         # The provider "restores a backup": generation A comes back.
         shutil.rmtree(storage)
         shutil.copytree(frozen, storage)
-        fresh = reconnect_verified(
-            registry, storage, engine, credential, owner, session
-        )
+        fresh = reconnect_verified(registry, storage, credential, owner, session)
         with pytest.raises(IntegrityError) as excinfo:
             fresh.select("City = Hoboken")
         assert "orders" in str(excinfo.value)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ["segment"])
     def test_untampered_restart_passes(self, registry, tmp_path, engine):
         credential, owner, session = populate(registry, tmp_path, engine)
-        fresh = reconnect_verified(
-            registry, tmp_path, engine, credential, owner, session
-        )
+        fresh = reconnect_verified(registry, tmp_path, credential, owner, session)
         matches = fresh.select("City = Hoboken")
         expected = [r for r in ROWS if r[0] == "Hoboken"]
         assert sorted(map(list, matches.rows())) == sorted(expected)

@@ -343,7 +343,7 @@ class TestStatsProtocol:
         assert doc["metrics_enabled"] is True
         assert doc["uptime_seconds"] >= 0
         table = doc["tables"]["t1"]
-        assert table["engine"] == "snapshot" and table["num_rows"] > 0
+        assert table["engine"] == "memory" and table["num_rows"] > 0
         assert "cache" in table
 
         counters = {

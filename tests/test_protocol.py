@@ -26,6 +26,7 @@ from repro.exceptions import EncryptionError, ProtocolError, QueryError, WireErr
 from repro.fd.tane import tane
 from repro.query import Eq, TokenLeaf, collect_leaves
 from repro.relational.table import Relation
+from repro.store import STORE_SUFFIX, SegmentTableStore
 from tests.conftest import binary_frame
 
 SLOW = settings(
@@ -162,13 +163,6 @@ class TestLoopbackProtocol:
         )
         reply = Message.decode(server.handle_bytes(mistyped))
         assert isinstance(reply, ErrorReply)
-
-    def test_snapshot_requires_storage(self, loopback_client, zipcode_table):
-        owner = make_owner()
-        encrypted = owner.outsource(zipcode_table)
-        loopback_client.outsource("default", encrypted.server_view())
-        with pytest.raises(ProtocolError):
-            loopback_client.save_snapshot("default")
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +319,7 @@ class TestSocketProtocol:
 
 
 # ----------------------------------------------------------------------
-# Snapshot persistence across restarts
+# Persistence across restarts
 # ----------------------------------------------------------------------
 class TestPersistence:
     def test_store_survives_restart(self, zipcode_table, tmp_path):
@@ -342,15 +336,6 @@ class TestPersistence:
         assert second.table_ids() == ["orders"]
         assert ciphertext_rows(second.store("orders")) == ciphertext_rows(view)
         assert tane(second.store("orders")) == fds_before
-
-    def test_explicit_save_and_load(self, zipcode_table, tmp_path):
-        owner = make_owner()
-        view = owner.outsource(zipcode_table).server_view()
-        client = ProtocolClient(LoopbackTransport(ProtocolServer(storage_dir=tmp_path)))
-        client.outsource("orders", view)
-        path = client.save_snapshot("orders")
-        assert path.endswith("orders.f2t")
-        assert client.load_snapshot("orders") == view.num_rows
 
     def test_provider_facade_persists(self, zipcode_table, tmp_path):
         owner = make_owner()
@@ -614,10 +599,6 @@ class TestLockRegistryHygiene:
         for index in range(20):
             with pytest.raises(ProtocolError):
                 client.plan_query(f"ghost-{index}", plan.server)
-            with pytest.raises(ProtocolError):
-                client.save_snapshot(f"ghost-{index}")
-            with pytest.raises(ProtocolError):
-                client.load_snapshot(f"ghost-{index}")
         assert server._table_locks == {}
         # Legitimate traffic still allocates (and reuses) exactly one lock.
         client.outsource("real", owner.server_view())
@@ -700,8 +681,8 @@ class TestConcurrentQueries:
     ):
         # Two tables on one persistent server: a (write-locked) receive of
         # table "a" must not serialize a query against table "b".  The
-        # receive is held open by monkey-patched snapshot IO; the query of
-        # "b" must complete while "a"'s write is still in flight.
+        # receive is held open by monkey-patched segment-store IO; the query
+        # of "b" must complete while "a"'s write is still in flight.
         owner = make_owner()
         owner.outsource(zipcode_table)
         view = owner.server_view()
@@ -714,13 +695,13 @@ class TestConcurrentQueries:
 
         in_write = threading.Event()
         release_write = threading.Event()
-        original = ProtocolServer._write_snapshot
+        original = SegmentTableStore.replace
 
-        def slow_snapshot(self, table_id, relation, store=None):
-            if table_id == "a":
+        def slow_replace(self, relation):
+            if self.directory.name == f"a{STORE_SUFFIX}":
                 in_write.set()
                 assert release_write.wait(timeout=10)
-            return original(self, table_id, relation, store=store)
+            return original(self, relation)
 
         query_done = threading.Event()
         errors: list[Exception] = []
@@ -741,7 +722,7 @@ class TestConcurrentQueries:
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        ProtocolServer._write_snapshot = slow_snapshot
+        SegmentTableStore.replace = slow_replace
         try:
             writer = threading.Thread(target=receive_a)
             writer.start()
@@ -752,7 +733,7 @@ class TestConcurrentQueries:
             assert query_done.wait(timeout=10)
         finally:
             release_write.set()
-            ProtocolServer._write_snapshot = original
+            SegmentTableStore.replace = original
         writer.join(timeout=10)
         reader.join(timeout=10)
         assert errors == []

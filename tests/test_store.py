@@ -8,19 +8,19 @@ import pytest
 from repro.api.delta import apply_view_delta, compute_view_delta
 from repro.api.protocol import (
     InsertDelta,
-    LoadSnapshot,
     LoopbackTransport,
     OutsourceRequest,
     PlanQueryRequest,
     ProtocolClient,
     ProtocolServer,
-    SaveSnapshot,
 )
 from repro.backend import get_backend, numpy_available
 from repro.exceptions import ConfigurationError, ProtocolError, StoreError
+from repro.integrity.merkle import MerkleTree, relation_leaves
 from repro.query.server import ServerOr, TokenLeaf
 from repro.relational.table import Relation
 from repro.store import (
+    FOLD_SEGMENT_FILES,
     MemoryTableStore,
     SegmentTableStore,
     STORE_SUFFIX,
@@ -29,6 +29,7 @@ from repro.store import (
     list_generations,
     migrate_storage_dir,
 )
+from repro.store import segment as segment_module
 from repro.store.manifest import CURRENT_NAME, manifest_name
 from repro.wire import encode_relation
 
@@ -229,19 +230,27 @@ class TestSegmentTableStore:
         assert len(column_decodes) == 1
         reopened.close()
 
-    def test_save_and_reload(self, tmp_path):
-        directory = tmp_path / f"t{STORE_SUFFIX}"
-        store = SegmentTableStore(directory, get_backend("python"), create=True)
-        store.replace(small_relation())
-        assert store.save() == directory
-        assert store.reload() == 4
-        assert store.relation() == small_relation()
-        store.close()
-
 
 # ----------------------------------------------------------------------
 # Crash consistency
 # ----------------------------------------------------------------------
+def grow_by_one(relation: Relation, tag: str) -> Relation:
+    """``relation`` with one new row inserted in the middle, which splits a
+    view slice and adds a literal segment (the shape of an owner splice)."""
+    middle = relation.num_rows // 2
+    return Relation.from_columns(
+        {
+            attr: (
+                list(relation.column(attr))[:middle]
+                + [f"{attr}-{tag}"]
+                + list(relation.column(attr))[middle:]
+            )
+            for attr in relation.attributes
+        },
+        name=relation.name,
+    )
+
+
 def build_two_generation_store(directory):
     """A store with gen 1 (base) and gen 2 (base + delta rows) committed."""
     base, new = small_relation(), grown_relation()
@@ -352,6 +361,41 @@ class TestCrashConsistency:
         assert store.relation() == grown
         store.close()
 
+    def test_failed_fold_commit_keeps_previous_generation(self, tmp_path, monkeypatch):
+        directory = tmp_path / f"t{STORE_SUFFIX}"
+        store = SegmentTableStore(directory, get_backend("python"), create=True)
+        current = small_relation()
+        store.replace(current)
+        while True:
+            grown = grow_by_one(current, f"g{store.generation}")
+            if store.store_stats()["segments"] == FOLD_SEGMENT_FILES:
+                break  # the next delta folds
+            store.apply_delta(compute_view_delta(current, grown))
+            current = grown
+        committed = store.generation
+        real_write = segment_module.write_manifest
+
+        def crash(directory, manifest):
+            assert len(manifest.files) == 1  # this is the folding commit
+            raise OSError("disk full")
+
+        monkeypatch.setattr(segment_module, "write_manifest", crash)
+        with pytest.raises(OSError, match="disk full"):
+            store.apply_delta(compute_view_delta(current, grown))
+        store.close()
+        monkeypatch.setattr(segment_module, "write_manifest", real_write)
+
+        reopened = SegmentTableStore(directory, get_backend("python"))
+        assert reopened.generation == committed
+        assert reopened.store_stats()["segments"] == FOLD_SEGMENT_FILES
+        assert reopened.relation() == current
+        assert reopened.verify() is True
+        assert reopened.apply_delta(compute_view_delta(current, grown)) == grown.num_rows
+        assert reopened.store_stats()["segments"] == 1
+        assert reopened.relation() == grown
+        assert reopened.verify() is True
+        reopened.close()
+
 
 # ----------------------------------------------------------------------
 # The protocol server over both engines
@@ -366,8 +410,9 @@ class TestServerEngines:
             ProtocolServer(storage_engine="segment")
 
     def test_unknown_engine_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="unknown storage engine"):
-            ProtocolServer(storage_dir=tmp_path, storage_engine="parquet")
+        for engine in ("parquet", "snapshot"):
+            with pytest.raises(ConfigurationError, match="unknown storage engine"):
+                ProtocolServer(storage_dir=tmp_path, storage_engine=engine)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cached_query_sees_delta_inserts(self, tmp_path, backend):
@@ -396,7 +441,7 @@ class TestServerEngines:
         )
         assert client.call(query).row_indexes == (0, 2, 5)
 
-    @pytest.mark.parametrize("engine", ["snapshot", "segment"])
+    @pytest.mark.parametrize("engine", [None, "segment"])
     def test_restart_resumes_serving(self, tmp_path, engine):
         relation = small_relation()
         server = ProtocolServer(storage_dir=tmp_path, storage_engine=engine, backend="python")
@@ -410,29 +455,6 @@ class TestServerEngines:
             )
         )
         assert result.row_indexes == (1,)
-
-    def test_engines_agree_byte_for_byte(self, tmp_path):
-        # Decrypt-relevant equality: both engines return the same relation
-        # (and therefore identical wire bytes) after the same traffic.
-        base, new = small_relation(), grown_relation()
-        delta = compute_view_delta(base, new)
-        relations = {}
-        for engine in ("snapshot", "segment"):
-            server = ProtocolServer(
-                storage_dir=tmp_path / engine, storage_engine=engine, backend="python"
-            )
-            client = make_client(server)
-            ack = client.call(OutsourceRequest(table_id="orders", relation=base))
-            client.call(
-                InsertDelta(
-                    table_id="orders", delta=delta, base_version=ack.fields["version"]
-                )
-            )
-            relations[engine] = server.store("orders")
-        assert relations["snapshot"] == relations["segment"]
-        assert encode_relation(relations["snapshot"]) == encode_relation(
-            relations["segment"]
-        )
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_plan_query_runs_against_the_store(self, tmp_path, backend):
@@ -452,17 +474,6 @@ class TestServerEngines:
         assert result.leaf_match_counts == (1, 2)
         assert result.num_rows == 4
 
-    def test_save_and_load_snapshot_on_segment_engine(self, tmp_path):
-        server = ProtocolServer(storage_dir=tmp_path, storage_engine="segment", backend="python")
-        client = make_client(server)
-        client.call(OutsourceRequest(table_id="orders", relation=small_relation()))
-        ack = client.call(SaveSnapshot(table_id="orders"))
-        assert ack.fields["path"].endswith(f"orders{STORE_SUFFIX}")
-        ack = client.call(LoadSnapshot(table_id="orders"))
-        assert ack.fields["num_rows"] == 4
-        with pytest.raises(ProtocolError, match="no snapshot for table"):
-            client.call(LoadSnapshot(table_id="absent"))
-
     def test_segment_server_loads_tenant_subdirectories(self, tmp_path):
         inv = Relation.from_columns({"sku": ["a", "b"]}, name="inv")
         tenant_store = SegmentTableStore(
@@ -476,61 +487,17 @@ class TestServerEngines:
 
 
 # ----------------------------------------------------------------------
-# Lazy snapshot loading
-# ----------------------------------------------------------------------
-class TestLazySnapshotLoading:
-    def test_restart_skims_without_decoding(self, tmp_path, monkeypatch):
-        relation = small_relation()
-        server = ProtocolServer(storage_dir=tmp_path, backend="python")
-        make_client(server).call(OutsourceRequest(table_id="orders", relation=relation))
-
-        import repro.store.memory as memory_module
-
-        calls = []
-        real_decode = memory_module.decode_relation
-
-        def counting_decode(data):
-            calls.append(len(data))
-            return real_decode(data)
-
-        monkeypatch.setattr(memory_module, "decode_relation", counting_decode)
-        revived = ProtocolServer(storage_dir=tmp_path, backend="python")
-        assert calls == []  # construction only skims
-        store = revived.table_store("orders")
-        assert isinstance(store, MemoryTableStore)
-        assert not store.loaded
-        assert store.attributes == ("city", "zip")
-        assert store.num_rows == 4
-        result = make_client(revived).call(
-            PlanQueryRequest(
-                table_id="orders", expr=TokenLeaf(attribute="city", token=("nyc",))
-            )
-        )
-        assert result.row_indexes == (1,)
-        assert len(calls) == 1  # the first touch decoded, exactly once
-        assert store.loaded
-
-    def test_corrupt_snapshot_still_warns_at_construction(self, tmp_path):
-        relation = small_relation()
-        server = ProtocolServer(storage_dir=tmp_path, backend="python")
-        make_client(server).call(OutsourceRequest(table_id="orders", relation=relation))
-        snapshot = tmp_path / "orders.f2t"
-        snapshot.write_bytes(snapshot.read_bytes()[:-10])  # torn tail
-        with pytest.warns(RuntimeWarning, match="corrupt snapshot"):
-            revived = ProtocolServer(storage_dir=tmp_path, backend="python")
-        assert revived.table_ids() == []
-
-
-# ----------------------------------------------------------------------
 # Migration
 # ----------------------------------------------------------------------
 class TestMigrate:
     def seed_snapshot_dir(self, tmp_path):
+        """Legacy ``.f2t`` snapshots, as older servers wrote them."""
         orders, inv = small_relation("orders"), Relation.from_columns(
             {"sku": ["a", "b", "a"]}, name="inv"
         )
-        server = ProtocolServer(storage_dir=tmp_path, backend="python")
-        make_client(server).call(OutsourceRequest(table_id="orders", relation=orders))
+        (tmp_path / "orders.f2t").write_bytes(
+            encode_relation(orders, get_backend("python"))
+        )
         (tmp_path / "acme").mkdir()
         (tmp_path / "acme" / "inv.f2t").write_bytes(
             encode_relation(inv, get_backend("python"))
@@ -610,23 +577,40 @@ class TestMemoryTableStore:
         assert store.version > version
 
     def test_generation_pruning_keeps_directory_bounded(self, tmp_path):
-        directory = tmp_path / f"t{STORE_SUFFIX}"
-        store = SegmentTableStore(directory, get_backend("python"), create=True)
-        current = small_relation()
-        store.replace(current)
-        for extra in range(5):
-            grown = Relation.from_columns(
-                {
-                    "city": list(current.column("city")) + [f"city{extra}"],
-                    "zip": list(current.column("zip")) + [f"{extra:05d}"],
-                },
-                name="orders",
-            )
-            store.apply_delta(compute_view_delta(current, grown))
-            current = grown
-        store.close()
-        assert len(list_generations(directory)) == 2  # KEEP_GENERATIONS
-        reopened = SegmentTableStore(directory, get_backend("python"))
-        assert reopened.relation() == current
-        assert reopened.verify() is True
-        reopened.close()
+        # Past the fold threshold on both backends: after every delta the
+        # manifest stays within the bound, the rows equal the
+        # apply_view_delta chain, the root equals a from-scratch tree, and
+        # the directory verifies and reopens to the same rows.  The base
+        # holds 250 distinct cities, so the dictionary outgrows one-byte
+        # codes mid-history and the fold must widen the older slices.
+        base = Relation.from_columns(
+            {
+                "city": [f"city{i}" for i in range(250)],
+                "zip": [f"{i % 7:05d}" for i in range(250)],
+            },
+            name="orders",
+        )
+        for backend in BACKENDS:
+            directory = tmp_path / f"{backend}{STORE_SUFFIX}"
+            store = SegmentTableStore(directory, get_backend(backend), create=True)
+            current = base
+            store.replace(current)
+            folds = 0
+            for step in range(FOLD_SEGMENT_FILES + 8):
+                grown = grow_by_one(current, f"{backend}{step}")
+                delta = compute_view_delta(current, grown)
+                files_before = store.store_stats()["segments"]
+                store.apply_delta(delta)
+                current = apply_view_delta(current, delta)
+                files = store.store_stats()["segments"]
+                folds += files == 1 and files_before > 1
+                assert files <= FOLD_SEGMENT_FILES
+                assert store.relation() == current
+                assert store.merkle_root() == MerkleTree(relation_leaves(current)).root
+                assert store.verify() is True
+                reopened = SegmentTableStore(directory, get_backend(backend))
+                assert reopened.relation() == current
+                reopened.close()
+            assert folds >= 1
+            store.close()
+            assert len(list_generations(directory)) == 2  # KEEP_GENERATIONS
