@@ -11,6 +11,8 @@ byte-for-byte identical to the historical output.
 from __future__ import annotations
 
 import warnings
+from itertools import chain, compress, count
+from operator import attrgetter, itemgetter
 from typing import Any
 
 from repro.api.pipeline import EncryptionContext, Stage
@@ -139,10 +141,10 @@ def materialize_row_plans(
 ) -> tuple[Relation, list[RowProvenance]]:
     """Turn symbolic row plans into a ciphertext relation plus provenance.
 
-    :func:`materialize_rows` does the work; this wraps its rows into a
+    :func:`materialize_rows` does the work; this wraps its columns into a
     relation over ``relation``'s schema.
     """
-    rows, provenance = materialize_rows(
+    columns, provenance = materialize_rows(
         row_plans,
         relation.attributes,
         cipher,
@@ -151,7 +153,6 @@ def materialize_row_plans(
         backend=backend,
         instance_cache=instance_cache,
     )
-    columns = [list(column) for column in zip(*rows)] or [[] for _ in relation.attributes]
     return (
         Relation.adopt_columns(relation.schema, columns, name=f"{relation.name}-encrypted"),
         provenance,
@@ -167,22 +168,29 @@ def materialize_rows(
     backend=None,
     instance_cache: "dict[tuple[str, str, str], Ciphertext] | None" = None,
 ) -> tuple[list[list[Any]], list[RowProvenance]]:
-    """Turn symbolic row plans into ciphertext rows plus provenance.
+    """Turn symbolic row plans into ciphertext columns plus provenance.
 
-    Pass 1 walks the plans in row-major order and *plans* the cell work:
-    unique encryption jobs (instance cells deduplicated by ``cache_key``,
-    random cells deduplicated through ``nonce_log``) are collected in
-    first-encounter order, and artificial values are drawn from the fresh
-    factory immediately (its RNG consumption order is part of the
-    byte-identity contract).  The jobs then encrypt as one batch — bulk
-    urandom draws sliced per cell, one PRF key schedule, one XOR over the
-    concatenated buffers — and pass 2 patches the computed cells into the
-    pending slots.
+    Returns one list of cells per attribute of ``attributes`` and the
+    plans' provenance records, both in plan order.
+
+    Pass 1 resolves every distinct cell specification object once, in
+    row-major order of first occurrence, to a value slot: an
+    :class:`~repro.core.plan.InstanceCell` to a cached ciphertext or an
+    encryption job (deduplicated by ``cache_key``), a
+    :class:`~repro.core.plan.FreshCell` to the fresh factory's value for its
+    token (all tokens drawn together in first-occurrence order: the
+    factory's RNG consumption order is part of the byte-identity contract).
+    Then each :class:`~repro.core.plan.RandomCell` occurrence, in row-major
+    order, gets an encryption job (deduplicated through ``nonce_log``).
+    The jobs encrypt as one batch — bulk urandom draws sliced per cell, one
+    PRF key schedule, one XOR over the concatenated buffers — and every
+    cell picks its value up by slot.
 
     The output is byte-identical to encrypting cell-by-cell in row-major
-    order (the seed pipeline's behaviour) for every backend: random draws
-    happen in the same first-encounter order, the fresh factory is only
-    touched from pass 1, and everything else is a pure function of the key.
+    order (the seed pipeline's behaviour) for every backend: the random
+    jobs, the only ones that draw from urandom, are batched in row-major
+    order, the fresh factory sees tokens in first-encounter order, and
+    everything else is a pure function of the key.
 
     ``nonce_log`` is the context's fresh-nonce retention map: a
     :class:`~repro.core.plan.RandomCell` whose ``(attribute, value)`` was
@@ -202,91 +210,88 @@ def materialize_rows(
     why the MATERIALIZE stage can hand this function only the rows an
     incremental update rebuilt: the kept rows would have drawn nothing.
     """
-    materialize = fresh_factory.materialize
-    log_get = nonce_log.get if nonce_log is not None else None
-    cached_instance = (instance_cache if instance_cache is not None else {}).get
+    width = len(attributes)
+    if not row_plans:
+        return [[] for _ in attributes], []
+    pick = itemgetter(*attributes) if width > 1 else (lambda cells: (cells[attributes[0]],))
+    specs = list(chain.from_iterable(map(pick, map(attrgetter("cells"), row_plans))))
+    ids = list(map(id, specs))
 
     # ------------------------------------------------------------------
-    # Pass 1: plan the cell work (row-major, first-encounter order).
-    # Rows are built immediately with a placeholder where an encryption
-    # job is pending; the patch list records exactly those slots, so the
-    # fix-up after batch encryption touches only pending cells, not the
-    # whole table.
+    # Pass 1: one value slot per distinct resolution target; ``values``
+    # holds a slot's ciphertext, or None while its job is pending.
     # ------------------------------------------------------------------
+    values: list[Any] = []
     jobs: list[tuple[Any, "str | None"]] = []
-    job_of_instance: dict[tuple[str, str, str], int] = {}
-    job_of_log_key: dict[tuple[str, str], int] = {}
-    rows: list[list[Any]] = []
-    provenance: list[RowProvenance] = []
-    patches: list[tuple[list[Any], int, int]] = []  # (row, position, job index)
-    append_row = rows.append
-    append_patch = patches.append
-    append_job = jobs.append
-
-    for plan in row_plans:
-        cells = plan.cells
-        row: list[Any] = []
-        append_cell = row.append
-        for position, attr in enumerate(attributes):
-            spec = cells[attr]
-            spec_type = type(spec)
-            if spec_type is InstanceCell:
-                key = spec.cache_key()
+    job_slots: list[int] = []
+    slot_of: dict[int, int] = {}  # id(spec) -> slot, instance and fresh cells
+    slot_of_instance: dict[tuple[str, str, str], int] = {}
+    new_instances: list[tuple[tuple[str, str, str], int]] = []
+    slot_of_token: dict[str, int] = {}
+    random_ids: set[int] = set()
+    cached_instance = (instance_cache if instance_cache is not None else {}).get
+    for ident, spec in dict(zip(ids, specs)).items():
+        spec_type = type(spec)
+        if spec_type is InstanceCell:
+            key = spec.cache_key()
+            slot = slot_of_instance.get(key)
+            if slot is None:
+                slot = slot_of_instance[key] = len(values)
                 cell = cached_instance(key)
-                if cell is not None:
-                    append_cell(cell)
-                    continue
-                index = job_of_instance.get(key)
-                if index is None:
-                    index = job_of_instance[key] = len(jobs)
-                    append_job((spec.value, spec.variant))
-                append_cell(None)
-                append_patch((row, position, index))
-            elif spec_type is RandomCell:
-                if log_get is None:
-                    append_cell(None)
-                    append_patch((row, position, len(jobs)))
-                    append_job((spec.value, None))
-                else:
-                    log_key = (attr, str(spec.value))
-                    cell = log_get(log_key)
-                    if cell is not None:
-                        append_cell(cell)
-                        continue
-                    index = job_of_log_key.get(log_key)
-                    if index is None:
-                        index = job_of_log_key[log_key] = len(jobs)
-                        append_job((spec.value, None))
-                    append_cell(None)
-                    append_patch((row, position, index))
-            elif spec_type is FreshCell:
-                append_cell(materialize(spec.token))
-            else:  # pragma: no cover - defensive
-                raise EncryptionError(f"unknown cell specification: {spec!r}")
-        append_row(row)
-        source = plan.provenance
-        provenance.append(
-            RowProvenance(
-                kind=source.kind,
-                source_row=source.source_row,
-                authentic_attributes=source.authentic_attributes,
-            )
-        )
+                values.append(cell)
+                if cell is None:
+                    jobs.append((spec.value, spec.variant))
+                    job_slots.append(slot)
+                    new_instances.append((key, slot))
+        elif spec_type is FreshCell:
+            slot = slot_of_token.get(spec.token)  # type: ignore[assignment]
+            if slot is None:
+                slot = slot_of_token[spec.token] = len(values)
+                values.append(None)
+        elif spec_type is RandomCell:
+            random_ids.add(ident)
+            continue
+        else:  # pragma: no cover - defensive
+            raise EncryptionError(f"unknown cell specification: {spec!r}")
+        slot_of[ident] = slot
+    slots = list(map(slot_of.get, ids))
+    fresh = fresh_factory.materialize_many(list(slot_of_token))
+    for slot, value in zip(slot_of_token.values(), fresh):
+        values[slot] = value
+
+    # Random cells per occurrence, row-major: their jobs draw urandom.
+    slot_of_log_key: dict[tuple[str, str], int] = {}
+    for position in compress(count(), map(random_ids.__contains__, ids)):
+        value = specs[position].value
+        log_key = (attributes[position % width], str(value))
+        slot = slot_of_log_key.get(log_key) if nonce_log is not None else None
+        if slot is None:
+            slot = len(values)
+            cell = None
+            if nonce_log is not None:
+                slot_of_log_key[log_key] = slot
+                cell = nonce_log.get(log_key)
+            values.append(cell)
+            if cell is None:
+                jobs.append((value, None))
+                job_slots.append(slot)
+        slots[position] = slot
 
     # ------------------------------------------------------------------
-    # Batch encryption, then the pending-slot fix-up.
+    # Batch encryption, then every cell's value by slot.
     # ------------------------------------------------------------------
     if jobs:
-        ciphertexts = cipher.encrypt_batch(jobs, backend=backend)
+        for slot, ciphertext in zip(job_slots, cipher.encrypt_batch(jobs, backend=backend)):
+            values[slot] = ciphertext
         if nonce_log is not None:
-            for log_key, index in job_of_log_key.items():
-                nonce_log[log_key] = ciphertexts[index]
+            for log_key, slot in slot_of_log_key.items():
+                nonce_log[log_key] = values[slot]
         if instance_cache is not None:
-            for key, index in job_of_instance.items():
-                instance_cache[key] = ciphertexts[index]
-        for row, position, index in patches:
-            row[position] = ciphertexts[index]
-    return rows, provenance
+            for key, slot in new_instances:
+                instance_cache[key] = values[slot]
+    cells = list(map(values.__getitem__, slots))  # type: ignore[arg-type]
+    columns = [cells[position::width] for position in range(width)]
+    return columns, list(map(attrgetter("provenance"), row_plans))
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +414,7 @@ class MaterializeStage:
         base = ctx.base_layout
         splice = layout.splice
         attributes = ctx.relation.attributes
-        rows, provenance = materialize_rows(
+        new_columns, provenance = materialize_rows(
             splice.pending,
             attributes,
             ctx.cipher,
@@ -418,7 +423,6 @@ class MaterializeStage:
             backend=ctx.backend,
             instance_cache=ctx.instance_cache,
         )
-        new_columns = list(zip(*rows)) if rows else [()] * len(attributes)
         encrypted_relation = Relation.adopt_columns(
             ctx.relation.schema,
             [

@@ -48,6 +48,20 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 DEFAULT_BACKEND = "python"
 
 
+#: Keys held by more members than this get a holder bitset in
+#: :meth:`ComputeBackend.greedy_collision_free_groups`; bounding them bounds
+#: the bitsets' memory by ``width * members**2 / (8 * 64)`` bytes.
+_COMMON_KEY_HOLDERS = 64
+
+
+def _bitset(members: list[int]) -> int:
+    """The int whose set bits are ``members`` (ascending indexes)."""
+    flags = bytearray(members[-1] // 8 + 1)
+    for member in members:
+        flags[member >> 3] |= 1 << (member & 7)
+    return int.from_bytes(flags, "little")
+
+
 class ComputeBackend(ABC):
     """Array primitives over dictionary-encoded (integer-coded) columns.
 
@@ -204,16 +218,15 @@ class ComputeBackend(ABC):
         a (typically tiny) set of codes, and the row scan happens on the
         dense code array.
         """
-        if not len(wanted):
+        if not len(wanted) or not len(codes):
             return 0
-        wanted_set = set(int(code) for code in wanted)
-        mask = 0
-        bit = 1
-        for code in codes:
-            if code in wanted_set:
-                mask |= bit
-            bit <<= 1
-        return mask
+        # One '0'/'1' character per row, last row first, parsed in one
+        # base-2 conversion: bit i is set iff row i's code is wanted.
+        flags = ["0"] * (int(max(codes)) + 1)
+        for code in map(int, wanted):
+            if 0 <= code < len(flags):
+                flags[code] = "1"
+        return int("".join(map(flags.__getitem__, reversed(codes))), 2)
 
     def rows_and(self, masks: Sequence[Any]) -> Any:
         """Intersection of one or more row masks."""
@@ -243,12 +256,13 @@ class ComputeBackend(ABC):
 
     def mask_to_rows(self, mask: Any) -> list[int]:
         """The rows of a mask as ascending indexes."""
+        # The binary digits reversed put row i at string index i.
+        bits = bin(int(mask))[:1:-1]
         rows: list[int] = []
-        remaining = int(mask)
-        while remaining:
-            lowest = remaining & -remaining
-            rows.append(lowest.bit_length() - 1)
-            remaining ^= lowest
+        row = bits.find("1")
+        while row >= 0:
+            rows.append(row)
+            row = bits.find("1", row + 1)
         return rows
 
     # ------------------------------------------------------------------
@@ -274,7 +288,6 @@ class ComputeBackend(ABC):
     # ------------------------------------------------------------------
     # Collision-aware greedy grouping (ECG construction)
     # ------------------------------------------------------------------
-    @abstractmethod
     def greedy_collision_free_groups(
         self,
         code_matrix: Sequence[Sequence[int]],
@@ -290,8 +303,58 @@ class ComputeBackend(ABC):
         that does not collide with the group so far, until the group has
         ``group_size`` members; skipped members keep their order for later
         groups.  Groups may come back smaller than ``group_size`` (the caller
-        pads them with fake classes).
+        pads them with fake classes).  One implementation serves every
+        backend: Python int bitsets beat a vectorised scan here, because
+        the scan is sequential by definition.
         """
+        # Member i's codes as ints unique to (attribute, code), so one set
+        # of the keys a group uses answers each collision test.
+        width = len(code_matrix[0]) if len(code_matrix) else 0
+        keys = [
+            [int(code) * width + position for position, code in enumerate(codes)]
+            for codes in code_matrix
+        ]
+        # The unassigned members in scan order are the set bits of one int,
+        # lowest first.  A key held by many members also gets the bitset of
+        # its holders, so a group's candidates skip every member holding
+        # one of its common keys in a few word-parallel operations; a rare
+        # key is left to the candidate's set test.
+        holders: dict[int, list[int]] = {}
+        for member, member_keys in enumerate(keys):
+            for key in member_keys:
+                holders.setdefault(key, []).append(member)
+        common = {
+            key: _bitset(members)
+            for key, members in holders.items()
+            if len(members) > _COMMON_KEY_HOLDERS
+        }
+        unassigned = (1 << len(keys)) - 1
+        groups: list[list[int]] = []
+        while unassigned:
+            member: int | None = (unassigned & -unassigned).bit_length() - 1
+            group: list[int] = []
+            used: set[int] = set()
+            blocked = 0
+            while member is not None:
+                group.append(member)
+                used.update(keys[member])
+                for key in keys[member]:
+                    blocked |= common.get(key, 0)
+                unassigned ^= 1 << member
+                # The next unassigned member after this one that holds no
+                # used key, while the group has room.
+                position, member = member + 1, None
+                while len(group) < group_size:
+                    free = (unassigned & ~blocked) >> position
+                    if not free:
+                        break
+                    position += (free & -free).bit_length() - 1
+                    if used.isdisjoint(keys[position]):
+                        member = position
+                        break
+                    position += 1
+            groups.append(group)
+        return groups
 
 
 def factorize_values(values: Sequence[Any]) -> tuple[list[int], list[Any]]:

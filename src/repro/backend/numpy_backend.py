@@ -3,9 +3,9 @@
 Same contract and — by construction and by test — the same results as the
 pure-Python reference backend, with the inner loops replaced by array
 operations: code combination via integer pairing plus ``np.unique``
-compaction, grouping via one stable argsort, the stripped-partition product
-via scatter/gather, and the ECG greedy scan via an incrementally grown
-collision mask.
+compaction, grouping via one stable argsort, and the stripped-partition
+product via scatter/gather.  The ECG greedy scan is the base class's
+bitset implementation, shared with the reference backend.
 
 NumPy is imported lazily so that merely importing :mod:`repro.backend` never
 requires the ``[perf]`` extra; use :func:`numpy_available` to probe.
@@ -253,87 +253,3 @@ class NumpyBackend(ComputeBackend):
         a = np.frombuffer(first, dtype=np.uint8)
         b = np.frombuffer(second, dtype=np.uint8)
         return np.bitwise_xor(a, b).tobytes()
-
-    # ------------------------------------------------------------------
-    # Greedy collision-free grouping
-    # ------------------------------------------------------------------
-    def greedy_collision_free_groups(
-        self,
-        code_matrix: Sequence[Sequence[int]],
-        group_size: int,
-    ) -> list[list[int]]:
-        np = _np()
-        matrix = np.asarray(code_matrix, dtype=np.int64)
-        num_members = matrix.shape[0]
-        if num_members == 0:
-            return []
-        alive = np.arange(num_members, dtype=np.int64)
-        groups: list[list[int]] = []
-        while alive.size:
-            # Fast path, batched: chunk the members-in-order into windows of
-            # ``group_size``; every internally collision-free window up to
-            # the first colliding one is exactly what the greedy scan would
-            # select, so whole prefixes of windows settle in one array op.
-            # The batch is capped so that collision-heavy inputs (frequent
-            # bad windows) never pay for re-chunking the whole tail.
-            num_windows = min(alive.size // group_size, 128)
-            first_bad = 0
-            if num_windows:
-                windows = alive[: num_windows * group_size].reshape(num_windows, group_size)
-                sub = matrix[windows]
-                pairwise = (sub[:, :, None, :] == sub[:, None, :, :]).any(axis=3)
-                diagonal = np.arange(group_size)
-                pairwise[:, diagonal, diagonal] = False
-                bad = pairwise.any(axis=(1, 2))
-                first_bad = int(np.argmax(bad)) if bad.any() else num_windows
-                if first_bad:
-                    groups.extend(windows[:first_bad].tolist())
-                    alive = alive[first_bad * group_size :]
-                if first_bad == num_windows:
-                    if alive.size and alive.size < group_size:
-                        first_bad = 0  # leftover tail: fall through below
-                    else:
-                        continue
-            if not alive.size:
-                break
-            if alive.size < group_size:
-                tail = matrix[alive]
-                pairwise = (tail[:, None, :] == tail[None, :, :]).any(axis=2)
-                pairwise[np.diag_indices(alive.size)] = False
-                if not pairwise.any():
-                    groups.append(alive.tolist())
-                    break
-            # Slow path: the sequential scan over the remaining members,
-            # with the collision mask grown per added member — a member at
-            # position j is tested against precisely the members added
-            # before the scan reached j, like the reference loop.  The scan
-            # runs in geometrically growing chunks: groups that fill from
-            # nearby members touch a few hundred candidates, while scans
-            # that must walk the whole tail pay only a logarithmic number of
-            # extra array calls.
-            chosen = [0]
-            cursor = 1
-            chunk = max(64, 4 * group_size)
-            while len(chosen) < group_size and cursor < alive.size:
-                end = min(cursor + chunk, alive.size)
-                window_ids = alive[cursor:end]
-                sub = matrix[window_ids]
-                group_codes = matrix[alive[chosen]]
-                free = ~(sub[:, None, :] == group_codes[None, :, :]).any(axis=(1, 2))
-                position = 0
-                while len(chosen) < group_size:
-                    offsets = np.flatnonzero(free[position:])
-                    if offsets.size == 0:
-                        break
-                    position += int(offsets[0])
-                    chosen.append(cursor + position)
-                    free &= ~(sub == sub[position]).any(axis=1)
-                    position += 1
-                cursor = end
-                chunk *= 2
-            groups.append(alive[chosen].tolist())
-            keep = np.ones(alive.size, dtype=bool)
-            keep[chosen] = False
-            alive = alive[keep]
-        return groups
-

@@ -93,33 +93,3 @@ class PythonBackend(ComputeBackend):
         groups = [sorted(rows) for rows in buckets.values() if len(rows) > 1]
         groups.sort(key=lambda rows: rows[0])
         return groups
-
-    # ------------------------------------------------------------------
-    # Greedy collision-free grouping
-    # ------------------------------------------------------------------
-    def greedy_collision_free_groups(
-        self,
-        code_matrix: Sequence[Sequence[int]],
-        group_size: int,
-    ) -> list[list[int]]:
-        unassigned = list(range(len(code_matrix)))
-        groups: list[list[int]] = []
-        while unassigned:
-            seed = unassigned.pop(0)
-            group = [seed]
-            remaining: list[int] = []
-            for candidate in unassigned:
-                if len(group) >= group_size:
-                    remaining.append(candidate)
-                    continue
-                candidate_codes = code_matrix[candidate]
-                if any(
-                    any(a == b for a, b in zip(candidate_codes, code_matrix[member]))
-                    for member in group
-                ):
-                    remaining.append(candidate)
-                else:
-                    group.append(candidate)
-            unassigned = remaining
-            groups.append(group)
-        return groups

@@ -34,10 +34,10 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 
 from repro.core.ecg import GroupingResult
-from repro.core.encrypted import EcgSummary
+from repro.core.encrypted import EcgSummary, RowProvenance
 from repro.core.plan import (
     CellSpec,
     FreshCell,
@@ -45,7 +45,6 @@ from repro.core.plan import (
     InstanceCell,
     RandomCell,
     RowPlan,
-    RowProvenanceSpec,
 )
 from repro.core.split_scale import EcgPlan, InstanceAssignment
 from repro.exceptions import EncryptionError
@@ -338,47 +337,57 @@ def assemble_row_plans(
         groups.append(blocks)
     rebuilt: Sequence[int] = range(num_rows) if base is None else sorted(changed)
 
-    # Columns fetched once (cell access in the row loop is then two list
-    # indexings instead of a schema lookup per cell), and the overlap
-    # structure precomputed once: a row can only conflict when at least two
-    # of its bound MASs share an attribute, so rows of non-overlapping MAS
-    # sets skip the conflict machinery entirely.
-    columns = [relation.column(attr) for attr in schema_attributes]
-    overlapping_indexes = {
-        frozenset((first.index, second.index))
-        for first, second in combinations(mas_plans, 2)
-        if first.attribute_set & second.attribute_set
-    }
-    covering_lists = [mas_attribute_map[attr] for attr in schema_attributes]
+    # Every rebuilt row's instance per MAS (by plan position), and the
+    # overlapping MAS pairs in index order: a row can only conflict when
+    # two MASs bound to it share an attribute, so rows of non-overlapping
+    # MAS sets skip the conflict machinery entirely.
+    picked = [list(map(bound.__getitem__, rebuilt)) for bound in instances]
+    ordered = sorted(range(len(mas_plans)), key=lambda position: mas_plans[position].index)
+    overlapping = [
+        (first, second)
+        for first, second in combinations(ordered, 2)
+        if mas_plans[first].attribute_set & mas_plans[second].attribute_set
+    ]
+    conflicts: dict[int, list[tuple[int, int]]] = {}
+    if resolve_conflicts and overlapping:
+        for number, row_instances in enumerate(zip(*picked)):
+            pairs = _conflicting_pairs(row_instances, overlapping, mas_plans)
+            if pairs:
+                conflicts[number] = pairs
+    if base is not None and (
+        any(len(pairs) >= 2 for pairs in conflicts.values())
+        or any(row in base.shuffled_rows for row in rebuilt)
+    ):
+        result = assemble_row_plans(relation, mas_plans, fresh_factory, resolve_conflicts, seed)
+        result.layout.fallback = "conflict-rng"
+        return result
+
+    # The one version of a row without conflicts retains every binding,
+    # so its cells are built a column at a time: per attribute, the first
+    # covering MAS whose instance is constrained, else the first covering
+    # MAS, else plain probabilistic encryption.
+    position_of = {plan.index: position for position, plan in enumerate(mas_plans)}
+    variants = [[_variant(instance) for instance in column] for column in picked]
+    interner = _InstanceCells()
+    cell_columns = []
+    for attr in schema_attributes:
+        values = list(map(relation.column(attr).__getitem__, rebuilt))
+        covering = [position_of[index] for index in mas_attribute_map[attr]]
+        if not covering:
+            cell_columns.append(list(map(RandomCell, values)))
+        elif len(covering) == 1:
+            cell_columns.append(interner.column(values, variants[covering[0]]))
+        else:
+            chosen = map(_chosen_instance, zip(*(picked[position] for position in covering)))
+            cell_columns.append(interner.column(values, list(map(_variant, chosen))))
     full_schema_set = frozenset(schema_attributes)
-    check_conflicts = resolve_conflicts and bool(overlapping_indexes)
-    mas_keys = [(plan.index, plan.attributes) for plan in mas_plans]
-
-    def bindings_and_pairs(row_index: int):
-        binding_by_mas = {
-            index: _RowBinding(mas_index=index, attributes=attributes, instance=instance)
-            for (index, attributes), instance in zip(
-                mas_keys, [bound[row_index] for bound in instances]
-            )
-            if instance is not None
-        }
-        conflict_pairs: list[tuple[int, int]] = []
-        if check_conflicts and len(binding_by_mas) >= 2:
-            conflict_pairs = _conflicting_pairs(binding_by_mas, overlapping_indexes)
-        return row_index, binding_by_mas, conflict_pairs
-
-    if base is None:
-        prepared: Iterable = map(bindings_and_pairs, rebuilt)
-    else:
-        prepared = [bindings_and_pairs(row_index) for row_index in rebuilt]
-        if any(len(pairs) >= 2 for _, _, pairs in prepared) or any(
-            row in base.shuffled_rows for row in rebuilt
-        ):
-            result = assemble_row_plans(
-                relation, mas_plans, fresh_factory, resolve_conflicts, seed
-            )
-            result.layout.fallback = "conflict-rng"
-            return result
+    conflict_free = list(
+        map(
+            RowPlan,
+            map(dict, map(zip, repeat(schema_attributes), zip(*cell_columns))),
+            map(RowProvenance, repeat("original"), rebuilt, repeat(full_schema_set)),
+        )
+    )
 
     # Lay the view out while re-assembling: the base's kept rows between
     # rebuilt ones are copy runs, the rebuilt rows' plans new rows.
@@ -388,57 +397,28 @@ def assemble_row_plans(
     kept_from = 0
     extra_plans = dict(base.extra_plans) if base is not None else {}
     shuffled_rows = set(base.shuffled_rows) if base is not None else set()
-    for row_index, binding_by_mas, conflict_pairs in prepared:
+    for number, row_index in enumerate(rebuilt):
         if row_index > kept_from:
             splice.take(new_plans)
             new_plans = []
             start = base_start(kept_from)
             splice.copy(start, base_start(row_index) - start)
         kept_from = row_index + 1
-        extra_plans.pop(row_index, None)
+        if extra_plans:
+            extra_plans.pop(row_index, None)
+        conflict_pairs = conflicts.get(number)
+        if conflict_pairs is None:
+            new_plans.append(conflict_free[number])
+            continue
         if len(conflict_pairs) >= 2:
             rng.shuffle(conflict_pairs)
             shuffled_rows.add(row_index)
-
-        if not conflict_pairs:
-            # Fast path (the overwhelmingly common case): one version that
-            # retains every binding — built directly, without the version
-            # bookkeeping.  Identical output to the general path below.
-            cells: dict[str, CellSpec] = {}
-            for position, attr in enumerate(schema_attributes):
-                value = columns[position][row_index]
-                chosen = None
-                for index in covering_lists[position]:
-                    binding = binding_by_mas.get(index)
-                    if binding is not None and binding.constrained:
-                        chosen = binding
-                        break
-                if chosen is None:
-                    for index in covering_lists[position]:
-                        binding = binding_by_mas.get(index)
-                        if binding is not None:
-                            chosen = binding
-                            break
-                if chosen is None:
-                    cells[attr] = RandomCell(value=value)
-                else:
-                    cells[attr] = InstanceCell(value=value, variant=chosen.instance.variant)
-            new_plans.append(
-                RowPlan(
-                    cells=cells,
-                    provenance=RowProvenanceSpec(
-                        kind="original",
-                        source_row=row_index,
-                        authentic_attributes=full_schema_set,
-                    ),
-                )
-            )
-            continue
-
-        row_values = {
-            attr: columns[position][row_index]
-            for position, attr in enumerate(schema_attributes)
+        binding_by_mas = {
+            plan.index: _RowBinding(plan.index, plan.attributes, instance)
+            for plan, instance in zip(mas_plans, (column[number] for column in picked))
+            if instance is not None
         }
+        row_values = {attr: relation.column(attr)[row_index] for attr in schema_attributes}
         versions, had_conflict = _build_versions_for_row(
             row_index,
             row_values,
@@ -473,7 +453,7 @@ def assemble_row_plans(
             if number > kept_from:
                 splice.copy(old_starts[kept_from], old_starts[number] - old_starts[kept_from])
             block = blocks[number] = _group_block(
-                mas_plan, mas_plan.ecg_plans[number], schema_attributes
+                mas_plan, mas_plan.ecg_plans[number], schema_attributes, interner
             )
             splice.take(block.plans)
             if number < len(old_blocks):
@@ -627,7 +607,7 @@ def _build_versions_for_row(
         row_plans.append(
             RowPlan(
                 cells=cells,
-                provenance=RowProvenanceSpec(
+                provenance=RowProvenance(
                     kind=kind,
                     source_row=row_index,
                     authentic_attributes=frozenset(authentic),
@@ -661,34 +641,89 @@ def _uncorrupted(
 
 
 def _conflicting_pairs(
-    binding_by_mas: dict[int, _RowBinding],
-    overlapping_indexes: set[frozenset[int]],
+    row_instances: Sequence[InstanceAssignment | None],
+    overlapping: list[tuple[int, int]],
+    mas_plans: list[MasPlan],
 ) -> list[tuple[int, int]]:
     """Overlapping MAS pairs whose bindings for this row genuinely conflict.
 
-    Both bindings must be constrained (post-scaling frequency >= 2) and must
-    disagree on the variant; otherwise the unconstrained side simply adopts
-    the other side's value.  ``overlapping_indexes`` is the precomputed set
-    of MAS index pairs with a shared attribute, so non-overlapping pairs are
-    rejected without touching the bindings.
+    ``row_instances`` holds the row's instance per MAS (by plan position)
+    and ``overlapping`` the position pairs of MASs that share an attribute,
+    in MAS index order.  Both bindings must be constrained (post-scaling
+    frequency >= 2) and must disagree on the variant; otherwise the
+    unconstrained side simply adopts the other side's value.
 
-    The pairs come back in index order; the caller shuffles lists of two or
-    more with the conflict RNG (``rng.shuffle`` consumes no RNG state on
-    shorter lists, so skipping it there keeps the stream identical to
-    always shuffling).
+    The pairs come back as MAS indexes in index order; the caller shuffles
+    lists of two or more with the conflict RNG (``rng.shuffle`` consumes no
+    RNG state on shorter lists, so skipping it there keeps the stream
+    identical to always shuffling).
     """
     pairs = []
-    for first, second in combinations(sorted(binding_by_mas), 2):
-        if frozenset((first, second)) not in overlapping_indexes:
+    for first, second in overlapping:
+        first_instance = row_instances[first]
+        second_instance = row_instances[second]
+        if first_instance is None or second_instance is None:
             continue
-        first_binding = binding_by_mas[first]
-        second_binding = binding_by_mas[second]
-        if not (first_binding.constrained and second_binding.constrained):
+        if first_instance.frequency < 2 or second_instance.frequency < 2:
             continue
-        if first_binding.instance.variant == second_binding.instance.variant:
+        if first_instance.variant == second_instance.variant:
             continue
-        pairs.append((first, second))
+        pairs.append((mas_plans[first].index, mas_plans[second].index))
     return pairs
+
+
+def _chosen_instance(
+    covering: Sequence[InstanceAssignment | None],
+) -> InstanceAssignment | None:
+    """The instance whose value a conflict-free row carries on an attribute
+    several MASs cover: the first constrained one, else the first bound."""
+    for instance in covering:
+        if instance is not None and instance.frequency >= 2:
+            return instance
+    return next((instance for instance in covering if instance is not None), None)
+
+
+def _variant(instance: InstanceAssignment | None) -> str | None:
+    return None if instance is None else instance.variant
+
+
+class _InstanceCells:
+    """One :class:`InstanceCell` per ``(str(value), variant)``.
+
+    Cells with equal keys materialise to the same ciphertext (the cipher
+    encrypts ``str(value)``), so the rows of one instance, original and
+    copies alike, can share the object and the materialiser resolves it
+    once.
+    """
+
+    def __init__(self) -> None:
+        self.cells: dict[tuple[str, str], InstanceCell] = {}
+
+    def cell(self, value: object, variant: str) -> InstanceCell:
+        key = (str(value), variant)
+        cell = self.cells.get(key)
+        if cell is None:
+            cell = self.cells[key] = InstanceCell(value, variant)
+        return cell
+
+    def column(self, values: list, variants: list[str | None]) -> list[CellSpec]:
+        """The cells of one attribute for rows with these values and the
+        variants of their chosen instances (``None``: unbound, which gets a
+        :class:`RandomCell`)."""
+        cells = self.cells
+        for key, value in dict(zip(zip(map(str, values), variants), values)).items():
+            if key[1] is not None and key not in cells:
+                cells[key] = InstanceCell(value, key[1])
+        # The keys again, not kept in a list: a tuple that dies at once
+        # never reaches the cyclic collector.
+        column: list[CellSpec] = list(
+            map(cells.get, zip(map(str, values), variants))  # type: ignore[arg-type]
+        )
+        if None in variants:
+            for number, variant in enumerate(variants):
+                if variant is None:
+                    column[number] = RandomCell(value=values[number])
+        return column
 
 
 def _cell_for_original(
@@ -721,47 +756,49 @@ def _group_block(
     mas_plan: MasPlan,
     ecg_plan: EcgPlan,
     schema_attributes: tuple[str, ...],
+    interner: _InstanceCells,
 ) -> GroupBlock:
-    """The scaling-copy and fake-EC rows of one ECG of ``mas_plan``."""
-    mas_attrs = set(mas_plan.attributes)
+    """The scaling-copy and fake-EC rows of one ECG of ``mas_plan``.
+
+    The copies of one instance share its MAS cells; only their fresh
+    values outside the MAS differ.
+    """
+    mas_attributes = mas_plan.attributes
+    others = [attr for attr in schema_attributes if attr not in mas_plan.attribute_set]
+    scaling = RowProvenance(kind="scaling")
+    fake_ec = RowProvenance(kind="fake_ec")
     plans: list[RowPlan] = []
     scaling_rows = 0
     fake_rows = 0
     for member_plan in ecg_plan.member_plans:
         member = member_plan.member
         for instance in member_plan.instances:
-            for copy_index in range(instance.scaling_copies):
-                cells: dict[str, CellSpec] = {}
-                for position, attr in enumerate(mas_plan.attributes):
-                    if member.is_fake:
-                        cells[attr] = FreshCell(token=member.fake_tokens[position])
-                    else:
-                        cells[attr] = InstanceCell(
-                            value=member.representative[position],
-                            variant=instance.variant,
-                        )
-                for attr in schema_attributes:
-                    if attr not in mas_attrs:
-                        # Deterministic token keyed by the instance variant
-                        # (unique per MAS/group/member/chunk) and the copy
-                        # index: a re-planned ECG re-creates the same
-                        # tokens, so its scaling rows keep their bytes.
-                        cells[attr] = FreshCell(
-                            token=f"=scale:{instance.variant}:c{copy_index}:{attr}"
-                        )
-                kind = "fake_ec" if member.is_fake else "scaling"
-                plans.append(
-                    RowPlan(
-                        cells=cells,
-                        provenance=RowProvenanceSpec(kind=kind, source_row=None),
-                    )
-                )
-                if member.is_fake:
-                    fake_rows += 1
-                else:
-                    scaling_rows += 1
+            copies = instance.scaling_copies
+            if not copies:
+                continue
+            variant = instance.variant
+            if member.is_fake:
+                mas_cells: list[CellSpec] = list(map(FreshCell, member.fake_tokens))
+                provenance = fake_ec
+                fake_rows += copies
+            else:
+                mas_cells = [
+                    interner.cell(value, variant) for value in member.representative
+                ]
+                provenance = scaling
+                scaling_rows += copies
+            shared = dict(zip(mas_attributes, mas_cells))
+            rows = [shared.copy() for _ in range(copies)]
+            for attr in others:
+                # Deterministic token keyed by the instance variant (unique
+                # per MAS/group/member/chunk) and the copy index: a
+                # re-planned ECG re-creates the same tokens, so its scaling
+                # rows keep their bytes.
+                for copy_index, cells in enumerate(rows):
+                    cells[attr] = FreshCell(f"=scale:{variant}:c{copy_index}:{attr}")
+            plans.extend(map(RowPlan, rows, repeat(provenance)))
     return GroupBlock(
-        mas_attributes=mas_plan.attributes,
+        mas_attributes=mas_attributes,
         ecg_plan=ecg_plan,
         plans=plans,
         scaling_rows=scaling_rows,
@@ -798,17 +835,23 @@ def validate_row_plans(
     The SYN stage checks only the blocks it rebuilt; kept blocks passed
     when they were built.
     """
-    schema = set(attributes)
-    coverage: dict[int, set[str]] = {}
+    schema = frozenset(attributes)
+    coverage: dict[int, frozenset[str]] = {}
     for plan in row_plans:
-        missing = schema - set(plan.cells)
-        if missing:
-            raise EncryptionError(f"row plan missing cells for attributes: {sorted(missing)}")
-        if plan.provenance.kind in {"original", "conflict"}:
-            source = plan.provenance.source_row
+        if not plan.cells.keys() >= schema:
+            missing = sorted(schema - plan.cells.keys())
+            raise EncryptionError(f"row plan missing cells for attributes: {missing}")
+        provenance = plan.provenance
+        if provenance.kind in ("original", "conflict"):
+            source = provenance.source_row
             if source is None:
                 raise EncryptionError("original/conflict row plan without a source row")
-            coverage.setdefault(source, set()).update(plan.provenance.authentic_attributes)
+            covered = coverage.get(source)
+            coverage[source] = (
+                provenance.authentic_attributes
+                if covered is None
+                else covered | provenance.authentic_attributes
+            )
     if coverage.keys() != set(sources):
         raise EncryptionError("some original rows are not represented in the assembly")
     for row, attrs in coverage.items():

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backend import ComputeBackend
+from repro.backend import ComputeBackend, get_backend
+from repro.backend.base import factorize_values
 from repro.core.plan import FreshValueFactory
 from repro.exceptions import EncryptionError
 from repro.relational.partition import EquivalenceClass, Partition
@@ -131,12 +132,12 @@ def group_equivalence_classes(
     indexes unique within the MAS (group indexes feed the ciphertext-instance
     variant namespace, so they must never collide with existing groups).
 
-    When every class carries dictionary codes (classes from
-    :meth:`Partition.build`) and a backend is given, the greedy
-    collision-free scan runs on the backend over integer code tuples;
-    otherwise it falls back to comparing representative values.  Both paths
-    produce identical groups — code equality is value equality within a
-    column dictionary.
+    The greedy collision-free scan runs on the backend (the default one when
+    ``backend`` is ``None``) over integer code tuples: the classes' own
+    dictionary codes (classes from :meth:`Partition.build`), or codes
+    assigned here per attribute when some class has none.  Code equality
+    is value equality within a column dictionary, so the groups are the
+    same either way.
     """
     if group_size < 1:
         raise EncryptionError("group_size must be at least 1")
@@ -148,13 +149,17 @@ def group_equivalence_classes(
     # Sort by size ascending so neighbouring members have the closest sizes.
     members.sort(key=lambda member: (member.size, str(member.representative)))
 
-    if backend is not None and all(member.rep_codes is not None for member in members):
-        index_groups = backend.greedy_collision_free_groups(
-            [member.rep_codes for member in members], group_size
-        )
-        member_groups = [[members[index] for index in group] for group in index_groups]
+    if all(member.rep_codes is not None for member in members):
+        code_matrix = [member.rep_codes for member in members]
     else:
-        member_groups = _greedy_member_groups(members, group_size)
+        # Classes built without codes: encode each attribute's values here.
+        code_columns = [
+            factorize_values(column)[0]
+            for column in zip(*(member.representative for member in members))
+        ]
+        code_matrix = list(zip(*code_columns)) or [() for _ in members]
+    index_groups = get_backend(backend).greedy_collision_free_groups(code_matrix, group_size)
+    member_groups = [[members[index] for index in group] for group in index_groups]
 
     groups: list[EquivalenceClassGroup] = []
     fake_ec_count = 0
@@ -177,27 +182,6 @@ def group_equivalence_classes(
         fake_ec_count=fake_ec_count,
         fake_rows_added=fake_rows_added,
     )
-
-
-def _greedy_member_groups(members: list[EcgMember], group_size: int) -> list[list[EcgMember]]:
-    """The reference greedy scan over member objects (no codes required)."""
-    groups: list[list[EcgMember]] = []
-    unassigned = list(members)
-    while unassigned:
-        seed = unassigned.pop(0)
-        group = [seed]
-        remaining: list[EcgMember] = []
-        for candidate in unassigned:
-            if len(group) >= group_size:
-                remaining.append(candidate)
-                continue
-            if any(candidate.collides_with(existing) for existing in group):
-                remaining.append(candidate)
-            else:
-                group.append(candidate)
-        unassigned = remaining
-        groups.append(group)
-    return groups
 
 
 def _make_fake_member(group: EquivalenceClassGroup, fresh_factory: FreshValueFactory) -> EcgMember:

@@ -21,17 +21,24 @@ from repro.fd.mas import MaximalAttributeSet
 from repro.relational.table import Relation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RowProvenance:
-    """Owner-side provenance of one ciphertext row.
+    """Owner-side provenance of one ciphertext row (never sent to the server).
 
-    ``kind`` is one of ``"original"``, ``"conflict"``, ``"scaling"``,
-    ``"fake_ec"``, ``"false_positive"``, or ``"repair"``.
+    ``kind`` is one of ``"original"`` (carries an original record),
+    ``"conflict"`` (one of the replacements of a conflicting record),
+    ``"scaling"`` (a copy added by splitting-and-scaling), ``"fake_ec"``
+    (member of a fake EC added by grouping), ``"false_positive"``
+    (artificial record of Step 4), or ``"repair"``.  ``source_row`` is the
+    original row the row derives from, if any; ``authentic_attributes`` are
+    the attributes whose cell is a genuine encryption of that row's value
+    (decryption reassembles original records from them).  Row plans carry
+    the same object the encrypted table ends up with.
     """
 
     kind: str
-    source_row: int | None
-    authentic_attributes: frozenset[str]
+    source_row: int | None = None
+    authentic_attributes: frozenset[str] = frozenset()
 
     @property
     def is_artificial(self) -> bool:

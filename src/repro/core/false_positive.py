@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 
 from repro.backend import ComputeBackend, get_backend
 from repro.core.conflict import MasPlan
+from repro.core.encrypted import RowProvenance
 from repro.core.lattice import LatticeNode, top_level_nodes
-from repro.core.plan import CellSpec, FreshCell, FreshValueFactory, RowPlan, RowProvenanceSpec
+from repro.core.plan import CellSpec, FreshCell, FreshValueFactory, RowPlan
 from repro.relational.table import Relation
 
 
@@ -211,6 +212,7 @@ def build_violation_pairs(
     if not witnesses:
         return plans
     schema_attributes = relation.attributes
+    provenance = RowProvenance(kind="false_positive")
     for pair_index in range(group_size):
         first_row, second_row = witnesses[pair_index % len(witnesses)]
         first_cells: dict[str, CellSpec] = {}
@@ -223,9 +225,6 @@ def build_violation_pairs(
             else:
                 first_cells[attr] = FreshCell(token=f"{prefix}:a")
                 second_cells[attr] = FreshCell(token=f"{prefix}:b")
-        provenance = RowProvenanceSpec(kind="false_positive", source_row=None)
         plans.append(RowPlan(cells=first_cells, provenance=provenance))
-        plans.append(
-            RowPlan(cells=second_cells, provenance=RowProvenanceSpec(kind="false_positive"))
-        )
+        plans.append(RowPlan(cells=second_cells, provenance=provenance))
     return plans

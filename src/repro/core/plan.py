@@ -25,13 +25,15 @@ Three kinds of cell specifications exist:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Any, Union
 
+from repro.core.encrypted import RowProvenance
 from repro.crypto.probabilistic import Ciphertext
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceCell:
     """A cell bound to a ciphertext instance of a MAS equivalence class."""
 
@@ -42,14 +44,14 @@ class InstanceCell:
         return ("instance", str(self.value), self.variant)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RandomCell:
     """A cell encrypted with a fresh random nonce (frequency-one plaintext)."""
 
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreshCell:
     """An artificial cell value identified by a unique token.
 
@@ -63,39 +65,27 @@ class FreshCell:
 CellSpec = Union[InstanceCell, RandomCell, FreshCell]
 
 
-@dataclass
-class RowProvenanceSpec:
-    """Owner-side provenance of a planned row (never sent to the server).
+@dataclass(slots=True)
+class RowPlan:
+    """A planned ciphertext row: one cell specification per attribute.
 
-    Attributes
-    ----------
-    kind:
-        ``"original"`` (carries an original record), ``"conflict"`` (one of
-        the two replacements of a conflicting record), ``"scaling"`` (a copy
-        added by splitting-and-scaling), ``"fake_ec"`` (member of a fake EC
-        added by grouping), or ``"false_positive"`` (artificial record of
-        Step 4).
-    source_row:
-        The original row index this row derives from, if any.
-    authentic_attributes:
-        Attributes whose cell is a genuine encryption of the source row's
-        value (used by decryption to reassemble original records).
+    ``provenance`` is the owner-side record the materialised row carries
+    into the encrypted table.  Rows may share cell specification objects
+    and provenance objects: an instance or fresh cell object materialises
+    to one value however many cells hold it, while a :class:`RandomCell`
+    is resolved per cell that holds it.
     """
 
-    kind: str
-    source_row: int | None = None
-    authentic_attributes: frozenset[str] = frozenset()
-
-
-@dataclass
-class RowPlan:
-    """A planned ciphertext row: one cell specification per attribute."""
-
     cells: dict[str, CellSpec]
-    provenance: RowProvenanceSpec
+    provenance: RowProvenance
 
     def replace_cell(self, attribute: str, spec: CellSpec) -> None:
         self.cells[attribute] = spec
+
+
+#: Tokens whose values :meth:`FreshValueFactory.materialize_many` draws in
+#: one RNG call (bounds the call's temporary buffers to a few hundred KiB).
+_DRAW_CHUNK = 4096
 
 
 class FreshValueFactory:
@@ -128,21 +118,34 @@ class FreshValueFactory:
 
     def materialize(self, token: str) -> Ciphertext:
         """Return the ciphertext value for ``token`` (stable per token)."""
-        existing = self._materialized.get(token)
-        if existing is not None:
-            return existing
-        # One getrandbits(8) call per byte: the exact RNG consumption pattern
-        # is part of the byte-identity contract for seeded runs (batching the
-        # draws would change every artificial value).  Distinct tokens get
-        # distinct values with overwhelming probability (40 random bytes), so
-        # no uniqueness bookkeeping is kept.
-        getrandbits = self._rng.getrandbits
-        value = Ciphertext(
-            nonce=bytes([getrandbits(8) for _ in range(self._nonce_length)]),
-            payload=bytes([getrandbits(8) for _ in range(self._payload_length)]),
-        )
-        self._materialized[token] = value
-        return value
+        return self.materialize_many((token,))[0]
+
+    def materialize_many(self, tokens: Sequence[str]) -> list[Ciphertext]:
+        """:meth:`materialize` for each token in order, drawing the values
+        of the tokens seen for the first time a few thousand at a time."""
+        known = self._materialized
+        new = [token for token in dict.fromkeys(tokens) if token not in known]
+        nonce_length = self._nonce_length
+        width = nonce_length + self._payload_length
+        for first in range(0, len(new), _DRAW_CHUNK):
+            chunk = new[first : first + _DRAW_CHUNK]
+            # The exact RNG consumption pattern is part of the byte-identity
+            # contract for seeded runs: a value's bytes are what one
+            # getrandbits(8) call per byte would return, nonce then payload,
+            # token after token.  getrandbits(32 * n) concatenates n 32-bit
+            # outputs, first one least significant, and getrandbits(8) is one
+            # output's top byte, so every fourth byte of the little-endian
+            # form is that stream.  Distinct tokens get distinct values with
+            # overwhelming probability (40 random bytes), so no uniqueness
+            # bookkeeping is kept.
+            words = width * len(chunk)
+            drawn = self._rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+            for index, token in enumerate(chunk):
+                start = index * width
+                known[token] = Ciphertext(
+                    drawn[start : start + nonce_length], drawn[start + nonce_length : start + width]
+                )
+        return [known[token] for token in tokens]
 
     @property
     def tokens_issued(self) -> int:

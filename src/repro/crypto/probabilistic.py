@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Any
 
 from repro.crypto.keys import SymmetricKey
@@ -44,7 +45,7 @@ _CELLS_ENCRYPTED = _metrics.counter("crypto.cells_encrypted")
 _CELLS_DECRYPTED = _metrics.counter("crypto.cells_decrypted")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ciphertext:
     """A probabilistic ciphertext ``<r, F_k(r) XOR p>``.
 
@@ -169,26 +170,25 @@ class ProbabilisticCipher:
             uses the big-int reference XOR.
         """
         count = len(items)
-        messages = [_encode(plaintext) for plaintext, _ in items]
+        # ``str(value).encode()`` is :func:`_encode` for every value.
+        messages = list(map(str.encode, map(str, (plaintext for plaintext, _ in items))))
+        variants = [variant for _, variant in items]
 
         # Nonce plan: deterministic variants batch through the nonce PRF;
         # the remaining draws come from one bulk urandom read, sliced in
         # item order.
         nonce_length = self._nonce_length
         out_nonces: list[bytes] = [b""] * count
-        derive_messages: list[bytes] = []
-        derive_slots: list[int] = []
-        draw_slots: list[int] = []
-        for index, (plaintext, variant) in enumerate(items):
-            if variant is None:
-                draw_slots.append(index)
-            else:
-                derive_slots.append(index)
-                derive_messages.append(
-                    messages[index] + b"|variant|" + _encode(variant)
-                )
+        derive_slots = [index for index, variant in enumerate(variants) if variant is not None]
+        draw_slots = [index for index, variant in enumerate(variants) if variant is None]
         if derive_slots:
-            derived = self._nonce_prf.evaluate_many(derive_messages, nonce_length)
+            derived = self._nonce_prf.evaluate_many(
+                [
+                    messages[index] + b"|variant|" + _encode(variants[index])
+                    for index in derive_slots
+                ],
+                nonce_length,
+            )
             for slot, nonce in zip(derive_slots, derived):
                 out_nonces[slot] = nonce
         if draw_slots:
@@ -199,7 +199,7 @@ class ProbabilisticCipher:
 
         # Pads: one PRF evaluation per cell over the shared key schedule,
         # then a single XOR over the concatenated buffers.
-        lengths = [len(message) for message in messages]
+        lengths = list(map(len, messages))
         pads = self._prf.evaluate_many(out_nonces, lengths)
         pad_buffer = b"".join(pads)
         message_buffer = b"".join(messages)
@@ -208,13 +208,9 @@ class ProbabilisticCipher:
         else:
             payload_buffer = xor_bytes(pad_buffer, message_buffer)
 
-        ciphertexts: list[Ciphertext] = []
-        append = ciphertexts.append
-        cursor = 0
-        for index in range(count):
-            end = cursor + lengths[index]
-            append(Ciphertext(nonce=out_nonces[index], payload=payload_buffer[cursor:end]))
-            cursor = end
+        ends = list(accumulate(lengths))
+        payloads = map(payload_buffer.__getitem__, map(slice, chain((0,), ends), ends))
+        ciphertexts = list(map(Ciphertext, out_nonces, payloads))
         _ENCRYPT_BATCH_CELLS.observe(count)
         _CELLS_ENCRYPTED.inc(count)
         return ciphertexts

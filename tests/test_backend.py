@@ -11,6 +11,7 @@ Two layers of guarantees:
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
@@ -166,3 +167,111 @@ class TestResultIdentity:
                     assert not any(
                         a == b for a, b in zip(matrix[first], matrix[second])
                     ), "greedy groups must be collision-free"
+
+
+def _reference_greedy(code_matrix, group_size):
+    """The paper's greedy scan, compared pairwise: the oracle for
+    ``greedy_collision_free_groups`` on every backend."""
+    unassigned = list(range(len(code_matrix)))
+    groups = []
+    while unassigned:
+        group = [unassigned.pop(0)]
+        remaining = []
+        for candidate in unassigned:
+            if len(group) >= group_size or any(
+                any(a == b for a, b in zip(code_matrix[candidate], code_matrix[member]))
+                for member in group
+            ):
+                remaining.append(candidate)
+            else:
+                group.append(candidate)
+        unassigned = remaining
+        groups.append(group)
+    return groups
+
+
+class TestGreedyCollisionFreeGroups:
+    """Every backend reproduces the pairwise greedy scan exactly."""
+
+    @pytest.mark.parametrize("backend_name", [backend.name for backend in _backends()])
+    @pytest.mark.parametrize("group_size", [1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_matches_reference_scan(self, backend_name, group_size, seed):
+        rng = random.Random(700 + seed)
+        backend = get_backend(backend_name)
+        # Domains of 1-2 values make heavily colliding columns; wider ones
+        # let groups fill.  Past 64 members a value can be held by more
+        # than 64 of them, which the python backend tracks as a bitset.
+        num_members = rng.choice([0, 1, 2, rng.randrange(3, 64), rng.randrange(64, 300)])
+        domains = [rng.choice([1, 2, 3, 8, 40]) for _ in range(rng.randrange(1, 5))]
+        matrix = [
+            tuple(rng.randrange(domain) for domain in domains) for _ in range(num_members)
+        ]
+        assert backend.greedy_collision_free_groups(matrix, group_size) == _reference_greedy(
+            matrix, group_size
+        )
+
+    @pytest.mark.parametrize("backend_name", [backend.name for backend in _backends()])
+    def test_saturated_columns_and_tail_members(self, backend_name):
+        # Column 1 has two values, so no group of three fits; the scan must
+        # leave every skipped member, in order, for the next groups.
+        matrix = [(index, index % 2) for index in range(11)] + [(20, 5), (21, 5)]
+        backend = get_backend(backend_name)
+        for group_size in (1, 2, 3, 4):
+            assert backend.greedy_collision_free_groups(
+                matrix, group_size
+            ) == _reference_greedy(matrix, group_size)
+
+
+def _reference_membership_mask(codes, wanted):
+    wanted_set = set(wanted)
+    mask = 0
+    for row, code in enumerate(codes):
+        if code in wanted_set:
+            mask |= 1 << row
+    return mask
+
+
+def _reference_mask_to_rows(mask):
+    rows = []
+    while mask:
+        lowest = mask & -mask
+        rows.append(lowest.bit_length() - 1)
+        mask ^= lowest
+    return rows
+
+
+class TestRowMaskPrimitives:
+    """The reference row-mask scans equal the bit-at-a-time definitions."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_codes_and_subsets(self, seed):
+        rng = random.Random(900 + seed)
+        backend = PythonBackend()
+        num_rows = rng.choice([1, 2, 63, 64, 65, 130, rng.randrange(1, 400)])
+        codes = _random_codes(rng, num_rows, rng.randrange(1, 9))
+        wanted = rng.sample(range(max(codes) + 3), rng.randrange(0, 4))
+        mask = backend.membership_mask(codes, wanted)
+        assert mask == _reference_membership_mask(codes, wanted)
+        assert backend.mask_to_rows(mask) == _reference_mask_to_rows(mask)
+
+    @pytest.mark.parametrize("num_rows", [1, 64, 65, 200])
+    def test_edge_subsets(self, num_rows):
+        backend = PythonBackend()
+        codes = [row % 3 for row in range(num_rows)]
+        for wanted in ([], [0, 1, 2], [7]):
+            mask = backend.membership_mask(codes, wanted)
+            assert mask == _reference_membership_mask(codes, wanted)
+            assert backend.mask_to_rows(mask) == _reference_mask_to_rows(mask)
+        one_row = [0] * num_rows
+        one_row[-1] = 1  # the highest row alone
+        mask = backend.membership_mask(one_row, [1])
+        assert mask == 1 << (num_rows - 1)
+        assert backend.mask_to_rows(mask) == [num_rows - 1]
+        assert backend.mask_to_rows(backend.rows_not(0, num_rows)) == list(range(num_rows))
+        assert backend.membership_mask([], [0]) == 0
+        assert backend.mask_to_rows(0) == []
+        # Segment-store columns are stdlib arrays.
+        assert backend.membership_mask(array("q", codes), [2]) == _reference_membership_mask(
+            codes, [2]
+        )

@@ -103,6 +103,18 @@ class TestPrfEvaluateMany:
             prf.evaluate(message, length) for message, length in zip(messages, lengths)
         ]
 
+    @pytest.mark.parametrize("key_length", [1, 32, 63, 64, 65, 200])
+    def test_matches_hmac_for_every_key_length(self, key_length):
+        """The batch's precomputed pad states follow RFC 2104 for keys
+        shorter than, equal to and longer than SHA-256's block."""
+        key = bytes(range(256))[:key_length]
+        prf = Prf(key)
+        messages = [b"", b"m", b"x" * 100]
+        for length in (0, 16, 32, 33, 70):
+            assert prf.evaluate_many(messages, length) == [
+                _counter_mode_reference(key, message, length) for message in messages
+            ]
+
     def test_empty_batch(self):
         assert Prf(b"k").evaluate_many([], 16) == []
 
@@ -233,8 +245,8 @@ def _mixed_row_plans(num_rows: int = 24):
         InstanceCell,
         RandomCell,
         RowPlan,
-        RowProvenanceSpec,
     )
+    from repro.core.encrypted import RowProvenance
     from repro.relational.table import Relation
 
     relation = Relation(("A", "B", "C"), name="plans")
@@ -249,7 +261,7 @@ def _mixed_row_plans(num_rows: int = 24):
         plans.append(
             RowPlan(
                 cells=cells,
-                provenance=RowProvenanceSpec(
+                provenance=RowProvenance(
                     kind="original", source_row=row, authentic_attributes=frozenset("ABC")
                 ),
             )
