@@ -74,8 +74,6 @@ class ComputeBackend(ABC):
 
     #: Short identifier used by configuration, CLI, and reports.
     name: str = "abstract"
-    #: True when the backend operates on vectorised arrays.
-    vectorized: bool = False
 
     # ------------------------------------------------------------------
     # Encoding
@@ -157,45 +155,37 @@ class ComputeBackend(ABC):
         """Row-index groups per code, canonical order, size >= ``min_size``."""
 
     # ------------------------------------------------------------------
-    # Stripped-partition product (TANE's inner loop)
+    # Flat stripped partitions (TANE's inner loop)
     # ------------------------------------------------------------------
-    @abstractmethod
-    def stripped_product(
-        self,
-        groups_a: list[list[int]],
-        groups_b: list[list[int]],
-        num_rows: int,
-    ) -> list[list[int]]:
-        """Product of two stripped partitions.
+    # A *flat* stripped partition is the backend's own array form of a
+    # partition; callers obtain one from ``stripped_from_codes``, multiply
+    # with ``stripped_product_flat``, and read it only through
+    # ``stripped_error`` and ``materialize_groups``.  The form differs by
+    # backend (a full code array on the reference backend, the stripped
+    # member rows on NumPy), so products chain without ever building row
+    # lists, and the canonical groups are identical on every backend.
 
-        Rows share an output group iff they share a group in *both* inputs;
-        singleton output groups are stripped.  Canonical order.
+    @abstractmethod
+    def stripped_from_codes(self, codes: Any, num_values: int) -> tuple:
+        """Flat partition of a code array (codes below ``num_values``)."""
+
+    @abstractmethod
+    def stripped_product_flat(self, flat_a: tuple, flat_b: tuple, num_rows: int) -> tuple:
+        """Flat product of two flat partitions over the same ``num_rows`` rows.
+
+        Rows share an output class iff they share a class in *both* inputs.
         """
 
-    # ------------------------------------------------------------------
-    # Flat stripped partitions (optional, vectorised backends only)
-    # ------------------------------------------------------------------
-    # A *flat* stripped partition is ``(rows, gids, num_groups, gid_limit)``
-    # — parallel arrays of member rows and group ids.  Vectorised backends
-    # implement these so TANE's product chain never round-trips through
-    # python lists; list-based backends simply do not advertise them
-    # (``vectorized`` stays False and callers use ``stripped_product``).
+    @abstractmethod
+    def stripped_error(self, flat: tuple) -> int:
+        """TANE's ``e``: rows in non-singleton classes minus their number.
 
-    def stripped_from_codes(self, codes: Any, num_values: int) -> tuple:
-        """Flat stripped partition straight from a code array."""
-        raise NotImplementedError(f"backend {self.name!r} has no flat representation")
+        Equivalently rows minus classes; 0 iff the partition is a key.
+        """
 
-    def stripped_product_flat(self, flat_a: tuple, flat_b: tuple, num_rows: int) -> tuple:
-        """Flat-to-flat stripped product."""
-        raise NotImplementedError(f"backend {self.name!r} has no flat representation")
-
-    def flatten_groups(self, groups: list[list[int]]) -> tuple:
-        """Convert row-group lists into the flat representation."""
-        raise NotImplementedError(f"backend {self.name!r} has no flat representation")
-
+    @abstractmethod
     def materialize_groups(self, flat: tuple) -> list[list[int]]:
-        """Recover canonical row-group lists from the flat representation."""
-        raise NotImplementedError(f"backend {self.name!r} has no flat representation")
+        """The non-singleton row groups of a flat partition, canonical order."""
 
     # ------------------------------------------------------------------
     # Row masks (bitset algebra for the encrypted query engine)

@@ -41,7 +41,6 @@ class NumpyBackend(ComputeBackend):
     """Vectorised implementation over ``numpy.int64`` code arrays."""
 
     name = "numpy"
-    vectorized = True
 
     # ------------------------------------------------------------------
     # Encoding
@@ -205,15 +204,9 @@ class NumpyBackend(ComputeBackend):
         num_groups = int(compacted.max()) + 1 if rows.size else 0
         return rows, compacted, num_groups, num_groups
 
-    def flatten_groups(self, groups: list[list[int]]) -> tuple:
-        np = _np()
-        lengths = np.fromiter((len(g) for g in groups), dtype=np.int64, count=len(groups))
-        total = int(lengths.sum())
-        rows = np.fromiter(
-            (row for group in groups for row in group), dtype=np.int64, count=total
-        )
-        gids = np.repeat(np.arange(len(groups), dtype=np.int64), lengths)
-        return rows, gids, len(groups), len(groups)
+    def stripped_error(self, flat: tuple) -> int:
+        rows, _, num_groups, _ = flat
+        return int(rows.size) - num_groups
 
     def materialize_groups(self, flat: tuple) -> list[list[int]]:
         np = _np()
@@ -227,19 +220,6 @@ class NumpyBackend(ComputeBackend):
         groups = [chunk.tolist() for chunk in np.split(sorted_rows, boundaries)]
         groups.sort(key=lambda group: group[0])
         return groups
-
-    def stripped_product(
-        self,
-        groups_a: list[list[int]],
-        groups_b: list[list[int]],
-        num_rows: int,
-    ) -> list[list[int]]:
-        if not groups_a or not groups_b:
-            return []
-        flat = self.stripped_product_flat(
-            self.flatten_groups(groups_a), self.flatten_groups(groups_b), num_rows
-        )
-        return self.materialize_groups(flat)
 
     # ------------------------------------------------------------------
     # Bulk byte XOR

@@ -8,6 +8,8 @@ arrays are plain ``list[int]``.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import repeat
+from operator import add, mul
 from typing import Any
 
 from repro.backend.base import ComputeBackend, factorize_values
@@ -18,7 +20,6 @@ class PythonBackend(ComputeBackend):
     """Reference implementation over lists and dicts."""
 
     name = "python"
-    vectorized = False
 
     # ------------------------------------------------------------------
     # Encoding
@@ -72,24 +73,41 @@ class PythonBackend(ComputeBackend):
         return groups
 
     # ------------------------------------------------------------------
-    # Stripped-partition product
+    # Flat stripped partitions
     # ------------------------------------------------------------------
-    def stripped_product(
-        self,
-        groups_a: list[list[int]],
-        groups_b: list[list[int]],
-        num_rows: int,
-    ) -> list[list[int]]:
-        table: dict[int, int] = {}
-        for group_index, group in enumerate(groups_a):
-            for row in group:
-                table[row] = group_index
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for group_index, group in enumerate(groups_b):
-            for row in group:
-                own_group = table.get(row)
-                if own_group is not None:
-                    buckets.setdefault((own_group, group_index), []).append(row)
-        groups = [sorted(rows) for rows in buckets.values() if len(rows) > 1]
-        groups.sort(key=lambda rows: rows[0])
-        return groups
+    # A partition is held as ``(codes, num_classes)``: one code per row,
+    # every code below the row count, equal codes iff same class.
+    # Singletons are kept: stripping them would cost a pass per partition
+    # and on real tables drops few rows, while a full code array makes the
+    # product three C-level passes with no per-row bytecode.
+
+    def stripped_from_codes(self, codes: Any, num_values: int) -> tuple:
+        return codes, len(set(codes))
+
+    def stripped_product_flat(self, flat_a: tuple, flat_b: tuple, num_rows: int) -> tuple:
+        codes_a, classes_a = flat_a
+        codes_b, classes_b = flat_b
+        if classes_a == num_rows or classes_b == num_rows:
+            # A key refines everything: the product is the identity.
+            return range(num_rows), num_rows
+        # Pair the codes (a * n + b is unique per pair) and number each
+        # pair by the row where it first occurs, which keeps codes below n.
+        seen: dict[int, int] = {}
+        codes = list(
+            map(
+                seen.setdefault,
+                map(add, map(mul, codes_a, repeat(num_rows)), codes_b),
+                range(num_rows),
+            )
+        )
+        return codes, len(seen)
+
+    def stripped_error(self, flat: tuple) -> int:
+        codes, num_classes = flat
+        return len(codes) - num_classes
+
+    def materialize_groups(self, flat: tuple) -> list[list[int]]:
+        codes, num_classes = flat
+        if num_classes == len(codes):
+            return []
+        return self.group_rows(codes, len(codes), min_size=2)

@@ -34,6 +34,11 @@ class TaneResult:
 
     The counters feed the Section 5.4 benchmarks (discovery-time overhead on
     encrypted vs. plaintext data) and several ablation tests.
+    ``partitions_computed`` counts the partitions TANE actually built: one
+    per attribute from the relation, plus every product it ran.  A lattice
+    node whose partition a discovered FD proves equal to a subset's shares
+    that partition and is not counted.  The count is the same on every
+    backend.
     """
 
     fds: FDSet
@@ -104,6 +109,26 @@ def tane_with_stats(
         cplus[subset] = all_attrs
 
     discovered = FDSet()
+    # Discovered LHSs by RHS: the index that finds partitions known equal.
+    lhs_by_rhs: dict[str, list[AttrSet]] = {attr: [] for attr in attributes}
+
+    def add_fd(lhs: AttrSet, rhs: str) -> None:
+        discovered.add(FunctionalDependency(sorted(lhs), rhs))
+        lhs_by_rhs[rhs].append(lhs)
+
+    def known_equal(candidate: AttrSet) -> AttrSet | None:
+        """A subset ``C - {c}`` whose partition equals ``pi_C``, if an FD shows one.
+
+        A discovered ``L -> c`` with ``c in C`` and ``L <= C - {c}`` gives
+        ``C - {c} -> c`` by augmentation, so ``pi_{C-c}`` already refines
+        ``pi_c`` and multiplying by it changes nothing.
+        """
+        for c in candidate:
+            rest = candidate - {c}
+            if any(map(rest.issuperset, lhs_by_rhs[c])):
+                return rest
+        return None
+
     candidates_examined = 0
     levels_processed = 0
     num_rows = relation.num_rows
@@ -123,7 +148,7 @@ def tane_with_stats(
                 if not x_minus_a:
                     continue
                 if _fd_valid(partitions, x_minus_a, x, num_rows):
-                    discovered.add(FunctionalDependency(sorted(x_minus_a), a))
+                    add_fd(x_minus_a, a)
                     cplus[x] = cplus[x] - {a}
                     # Remove every attribute of R \ X from C+(X).
                     cplus[x] = cplus[x] - (all_attrs - x)
@@ -135,26 +160,34 @@ def tane_with_stats(
             if is_superkey(x):
                 # Key pruning: X is a superkey, so X -> A holds for every A
                 # outside X.  Emit the ones still allowed by the C+ sets (the
-                # others are non-minimal); a final minimality filter below
+                # others are non-minimal) and by the LHS cap, which a key
+                # at the last level exceeds; a final minimality filter below
                 # removes any stragglers.
-                for a in sorted(cplus[x] - x):
-                    rhs_candidates = [cplus.get((x | {a}) - {b}, all_attrs) for b in x]
-                    if rhs_candidates and a in frozenset.intersection(*rhs_candidates):
-                        discovered.add(FunctionalDependency(sorted(x), a))
+                if len(x) < level_cap:
+                    for a in sorted(cplus[x] - x):
+                        rhs_candidates = [cplus.get((x | {a}) - {b}, all_attrs) for b in x]
+                        if rhs_candidates and a in frozenset.intersection(*rhs_candidates):
+                            add_fd(x, a)
                 continue
             pruned_level.append(x)
         # --- generate_next_level ---------------------------------------
         next_level: list[AttrSet] = []
-        if level < len(attributes):
+        if level < level_cap:
             next_sets = _generate_next_level(pruned_level)
             for candidate in next_sets:
                 subsets = [candidate - {attr} for attr in candidate]
                 if any(subset not in cplus for subset in subsets):
                     continue
                 cplus[candidate] = frozenset.intersection(*(cplus[s] for s in subsets))
-                first, second = subsets[0], subsets[1]
-                partitions[candidate] = partitions[first].product(partitions[second])
-                partitions_computed += 1
+                equal = known_equal(candidate)
+                if equal is not None:
+                    # Shared, not copied: the dict is internal and only the
+                    # partition's classes are ever read.
+                    partitions[candidate] = partitions[equal]
+                else:
+                    first, second = subsets[0], subsets[1]
+                    partitions[candidate] = partitions[first].product(partitions[second])
+                    partitions_computed += 1
                 next_level.append(candidate)
         # Free partitions two levels back: they are no longer needed either as
         # product inputs or as LHS partitions of validity checks.
@@ -184,13 +217,13 @@ def tane_with_stats(
 
 def _minimal_only(fds: FDSet) -> FDSet:
     """Drop any FD whose LHS strictly contains the LHS of another FD with the same RHS."""
+    lhs_by_rhs: dict[str, list[AttrSet]] = {}
+    for fd in fds:
+        lhs_by_rhs.setdefault(fd.rhs, []).append(frozenset(fd.lhs))
     kept = FDSet()
-    all_fds = list(fds)
-    for fd in all_fds:
-        dominated = any(
-            other.rhs == fd.rhs and set(other.lhs) < set(fd.lhs) for other in all_fds
-        )
-        if not dominated:
+    for fd in fds:
+        lhs = frozenset(fd.lhs)
+        if not any(map(lhs.__gt__, lhs_by_rhs[fd.rhs])):
             kept.add(fd)
     return kept
 

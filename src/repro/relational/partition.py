@@ -22,7 +22,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.backend import ComputeBackend, get_backend
+from repro.backend import ComputeBackend
 from repro.exceptions import RelationError
 from repro.relational.schema import AttributeSet
 from repro.relational.table import Relation, Row
@@ -245,33 +245,29 @@ class Partition:
 class StrippedPartition:
     """TANE's stripped partition: singleton classes removed.
 
-    Only the row-index groups are kept because TANE never needs the
-    representative values — it compares group membership across partitions.
-    The product — TANE's hottest loop — is delegated to the compute backend.
-    On a vectorised backend the partition is held in the backend's *flat*
-    array form and products chain array-to-array; the ``groups`` lists are
-    materialised lazily (in canonical order: sorted by first row, rows
-    ascending) only when a caller reads them.  Discovery results are
-    identical on every backend.
+    Only row-class membership is kept because TANE never needs the
+    representative values — it compares partition errors.  The partition is
+    held in the compute backend's *flat* array form (see
+    :class:`repro.backend.ComputeBackend`) and products chain flat-to-flat
+    in the backend; the ``groups`` lists are materialised lazily (in
+    canonical order: sorted by first row, rows ascending) only when a caller
+    reads them.  Discovery results are identical on every backend.
     """
 
-    __slots__ = ("attributes", "num_rows", "backend", "_groups", "_flat")
+    __slots__ = ("attributes", "num_rows", "backend", "flat", "_groups")
 
     def __init__(
         self,
-        attributes: tuple[str, ...] = (),
-        groups: list[list[int]] | None = None,
-        num_rows: int = 0,
-        backend: ComputeBackend | None = None,
-        flat: tuple | None = None,
+        attributes: tuple[str, ...],
+        num_rows: int,
+        backend: ComputeBackend,
+        flat: tuple,
     ):
-        if groups is None and flat is None:
-            groups = []
         self.attributes = tuple(attributes)
         self.num_rows = num_rows
         self.backend = backend
-        self._groups = groups
-        self._flat = flat
+        self.flat = flat
+        self._groups: list[list[int]] | None = None
 
     def __repr__(self) -> str:
         return (
@@ -283,18 +279,8 @@ class StrippedPartition:
     def groups(self) -> list[list[int]]:
         """The row-index groups in canonical order (materialised on demand)."""
         if self._groups is None:
-            self._groups = self.backend.materialize_groups(self._flat)
+            self._groups = self.backend.materialize_groups(self.flat)
         return self._groups
-
-    @classmethod
-    def from_partition(cls, partition: Partition) -> "StrippedPartition":
-        groups = [list(ec.rows) for ec in partition if ec.size > 1]
-        return cls(
-            attributes=partition.attributes,
-            groups=groups,
-            num_rows=partition.num_rows,
-            backend=partition.backend,
-        )
 
     @classmethod
     def build(
@@ -308,50 +294,28 @@ class StrippedPartition:
         if not ordered:
             raise RelationError("a partition requires at least one attribute")
         coded = relation.coded(backend)
-        if coded.backend.vectorized:
-            codes, num_groups = coded.codes_for(ordered)
-            flat = coded.backend.stripped_from_codes(codes, num_groups)
-            return cls(
-                attributes=ordered,
-                num_rows=relation.num_rows,
-                backend=coded.backend,
-                flat=flat,
-            )
-        groups = coded.group_rows(ordered, min_size=2)
+        codes, num_groups = coded.codes_for(ordered)
         return cls(
             attributes=ordered,
-            groups=groups,
             num_rows=relation.num_rows,
             backend=coded.backend,
+            flat=coded.backend.stripped_from_codes(codes, num_groups),
         )
 
     @property
     def error(self) -> int:
         """``||pi|| - |pi||`` in TANE terms: rows in groups minus group count."""
-        if self._groups is None:
-            rows, _, num_groups, _ = self._flat
-            return len(rows) - num_groups
-        return sum(len(group) for group in self._groups) - len(self._groups)
+        return self.backend.stripped_error(self.flat)
 
     def product(self, other: "StrippedPartition") -> "StrippedPartition":
         """Stripped-partition product (the linear-time TANE procedure)."""
         if other.num_rows != self.num_rows:
             raise RelationError("cannot multiply partitions over different relations")
-        backend = self.backend or other.backend or get_backend("python")
-        merged_attrs = tuple(sorted(set(self.attributes) | set(other.attributes)))
-        if backend.vectorized:
-            flat = backend.stripped_product_flat(
-                self._ensure_flat(backend), other._ensure_flat(backend), self.num_rows
-            )
-            return StrippedPartition(
-                attributes=merged_attrs, num_rows=self.num_rows, backend=backend, flat=flat
-            )
-        groups = backend.stripped_product(self.groups, other.groups, self.num_rows)
+        if other.backend.name != self.backend.name:
+            raise RelationError("cannot multiply partitions held by different backends")
         return StrippedPartition(
-            attributes=merged_attrs, groups=groups, num_rows=self.num_rows, backend=backend
+            attributes=tuple(sorted(set(self.attributes) | set(other.attributes))),
+            num_rows=self.num_rows,
+            backend=self.backend,
+            flat=self.backend.stripped_product_flat(self.flat, other.flat, self.num_rows),
         )
-
-    def _ensure_flat(self, backend: ComputeBackend) -> tuple:
-        if self._flat is None:
-            self._flat = backend.flatten_groups(self._groups)
-        return self._flat

@@ -124,16 +124,18 @@ class TestResultIdentity:
         rng = random.Random(200 + seed)
         n = rng.randrange(2, 90)
         python, numpy_ = get_backend("python"), get_backend("numpy")
-
-        def stripped(domain: int) -> list[list[int]]:
-            codes = _random_codes(rng, n, domain)
-            return python.group_rows(codes, max(codes) + 1, min_size=2)
-
-        groups_a = stripped(rng.randrange(2, 8))
-        groups_b = stripped(rng.randrange(2, 8))
-        assert python.stripped_product(groups_a, groups_b, n) == numpy_.stripped_product(
-            groups_a, groups_b, n
-        )
+        codes_a = _random_codes(rng, n, rng.randrange(2, 8))
+        codes_b = _random_codes(rng, n, rng.randrange(2, 8))
+        groups = []
+        for backend in (python, numpy_):
+            flat_a, flat_b = (
+                backend.stripped_from_codes(backend.as_code_array(codes), max(codes) + 1)
+                for codes in (codes_a, codes_b)
+            )
+            product = backend.stripped_product_flat(flat_a, flat_b, n)
+            groups.append(backend.materialize_groups(product))
+            assert backend.stripped_error(product) == sum(map(len, groups[-1])) - len(groups[-1])
+        assert groups[0] == groups[1]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_flat_stripped_roundtrip(self, seed):
@@ -221,6 +223,90 @@ class TestGreedyCollisionFreeGroups:
             assert backend.greedy_collision_free_groups(
                 matrix, group_size
             ) == _reference_greedy(matrix, group_size)
+
+
+def _reference_stripped_product(groups_a, groups_b):
+    """The row-at-a-time dict product of two stripped partitions (as row
+    groups): the oracle for every backend's flat product."""
+    table = {}
+    for group_index, group in enumerate(groups_a):
+        for row in group:
+            table[row] = group_index
+    buckets = {}
+    for group_index, group in enumerate(groups_b):
+        for row in group:
+            own_group = table.get(row)
+            if own_group is not None:
+                buckets.setdefault((own_group, group_index), []).append(row)
+    groups = [sorted(rows) for rows in buckets.values() if len(rows) > 1]
+    groups.sort(key=lambda rows: rows[0])
+    return groups
+
+
+def _flat(backend, codes):
+    return backend.stripped_from_codes(backend.as_code_array(codes), max(codes) + 1)
+
+
+class TestStrippedProduct:
+    """Every backend's flat product, read back as groups, equals the dict
+    product of the reference groups: on random columns, chained products,
+    keys, constant columns and one-row tables."""
+
+    @staticmethod
+    def _check(backend, columns, num_rows):
+        reference = [
+            PythonBackend().group_rows(codes, max(codes) + 1, min_size=2) for codes in columns
+        ]
+        flats = [_flat(backend, codes) for codes in columns]
+        for flat, groups in zip(flats, reference):
+            assert backend.materialize_groups(flat) == groups
+        # Left-deep chain, as TANE multiplies a level's partition by another.
+        flat, groups = flats[0], reference[0]
+        for other_flat, other_groups in zip(flats[1:], reference[1:]):
+            flat = backend.stripped_product_flat(flat, other_flat, num_rows)
+            groups = _reference_stripped_product(groups, other_groups)
+            assert backend.materialize_groups(flat) == groups
+            assert backend.stripped_error(flat) == sum(map(len, groups)) - len(groups)
+
+    @pytest.mark.parametrize("backend_name", [backend.name for backend in _backends()])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_chains(self, backend_name, seed):
+        rng = random.Random(1100 + seed)
+        num_rows = rng.choice([1, 2, 3, rng.randrange(4, 40), rng.randrange(40, 300)])
+        # Domain 1 is a constant column; a domain of num_rows is usually
+        # close to a key.
+        columns = [
+            _random_codes(rng, num_rows, rng.choice([1, 2, 3, 7, num_rows]))
+            for _ in range(rng.randrange(2, 5))
+        ]
+        self._check(get_backend(backend_name), columns, num_rows)
+
+    @pytest.mark.parametrize("backend_name", [backend.name for backend in _backends()])
+    def test_keys_constants_and_one_row(self, backend_name):
+        backend = get_backend(backend_name)
+        key = list(range(6))
+        constant = [0] * 6
+        pairs = [0, 0, 1, 1, 2, 2]
+        for columns in (
+            [key, pairs], [pairs, key], [key, key], [constant, pairs],
+            [pairs, constant], [constant, constant], [pairs, pairs, key],
+        ):
+            self._check(backend, columns, 6)
+        self._check(backend, [[0], [0], [0]], 1)
+        # A key's flat product is the identity: no groups, error 0.
+        product = backend.stripped_product_flat(_flat(backend, key), _flat(backend, pairs), 6)
+        assert backend.materialize_groups(product) == []
+        assert backend.stripped_error(product) == 0
+
+    def test_python_backend_reads_stdlib_code_arrays(self):
+        # Segment-store columns arrive as narrow stdlib arrays.
+        backend = PythonBackend()
+        codes_a, codes_b = [0, 1, 0, 1, 0, 1], [0, 0, 0, 1, 1, 1]
+        flat_a = backend.stripped_from_codes(array("B", codes_a), 2)
+        flat_b = backend.stripped_from_codes(array("q", codes_b), 2)
+        assert backend.materialize_groups(
+            backend.stripped_product_flat(flat_a, flat_b, 6)
+        ) == [[0, 2], [3, 5]]
 
 
 def _reference_membership_mask(codes, wanted):

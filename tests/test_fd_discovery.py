@@ -1,7 +1,10 @@
 """Tests for FD discovery: the naive oracle, TANE, and their agreement."""
 
+import random
+
 import pytest
 
+from repro.backend import numpy_available
 from repro.exceptions import DiscoveryError
 from repro.fd.discovery import discover_fds_naive
 from repro.fd.fd import FunctionalDependency
@@ -10,6 +13,8 @@ from repro.fd.verify import fd_holds, fd_preservation_report, fds_equivalent, vi
 from repro.relational.table import Relation
 
 from tests.conftest import make_random_table
+
+BACKENDS = ["python", "numpy"] if numpy_available() else ["python"]
 
 
 @pytest.fixture
@@ -97,6 +102,21 @@ class TestTane:
         fds = tane(chain_table, max_lhs_size=1)
         assert all(len(fd.lhs) <= 1 for fd in fds)
 
+    def test_key_pruning_honours_max_lhs_size(self):
+        # {A0, A3} is a key found at the capped level 2; key pruning there
+        # used to emit {A0, A3} -> A2 (and two more) past a cap of 1.
+        table = Relation(
+            [f"A{index}" for index in range(6)],
+            [
+                ["v0", "v1", "v1", "v1", "v0", "v0"],
+                ["v2", "v0", "v2", "v0", "v0", "v1"],
+                ["v0", "v1", "v0", "v0", "v0", "v0"],
+            ],
+        )
+        fds = tane(table, max_lhs_size=1)
+        assert all(len(fd.lhs) <= 1 for fd in fds)
+        assert fds_equivalent(fds, discover_fds_naive(table, max_lhs_size=1))
+
     def test_empty_relation_raises(self):
         with pytest.raises(DiscoveryError):
             tane(Relation(["A"]))
@@ -107,6 +127,50 @@ class TestTane:
             [["a1", "b1"], ["a1", "b2"], ["a2", "b1"], ["a2", "b2"]],
         )
         assert len(tane(table)) == 0
+
+
+def _oracle_table(seed: int) -> Relation:
+    """A random table with constant and key columns and duplicate rows."""
+    rng = random.Random(seed)
+    num_rows = rng.randint(1, 24)
+    columns = []
+    for _ in range(rng.randint(2, 6)):
+        kind = rng.choice(["constant", "key", "random", "random"])
+        if kind == "constant":
+            columns.append(["c"] * num_rows)
+        elif kind == "key":
+            columns.append([f"k{row}" for row in range(num_rows)])
+        else:
+            domain = rng.randint(2, 4)
+            columns.append([f"v{rng.randrange(domain)}" for _ in range(num_rows)])
+    rows = [list(row) for row in zip(*columns)]
+    for _ in range(rng.randint(0, 3)):
+        rows.append(list(rng.choice(rows)))
+    rng.shuffle(rows)
+    return Relation([f"A{index}" for index in range(len(columns))], rows)
+
+
+class TestTaneOracle:
+    """TANE equals the exhaustive oracle under every LHS cap, on every
+    backend, and reports the same counters whichever backend runs."""
+
+    @pytest.mark.parametrize("max_lhs_size", [None, 1, 2, 3])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_matches_naive_on_every_backend(self, seed, max_lhs_size):
+        table = _oracle_table(2000 + seed)
+        expected = discover_fds_naive(table, max_lhs_size=max_lhs_size)
+        results = [
+            tane_with_stats(table, max_lhs_size=max_lhs_size, backend=backend)
+            for backend in BACKENDS
+        ]
+        for result in results:
+            assert fds_equivalent(result.fds, expected)
+            if max_lhs_size is not None:
+                assert all(len(fd.lhs) <= max_lhs_size for fd in result.fds)
+        counters = {
+            (r.levels_processed, r.candidates_examined, r.partitions_computed) for r in results
+        }
+        assert len(counters) == 1
 
 
 class TestVerifyHelpers:

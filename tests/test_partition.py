@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend import numpy_available
 from repro.exceptions import RelationError
 from repro.relational.partition import EquivalenceClass, Partition, StrippedPartition
 from repro.relational.table import Relation
@@ -160,3 +161,11 @@ class TestStrippedPartition:
         other = Relation(["A"], [["x"], ["x"]])
         with pytest.raises(RelationError):
             StrippedPartition.build(relation, ["A"]).product(StrippedPartition.build(other, ["A"]))
+
+    @pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
+    def test_product_requires_same_backend(self, relation):
+        # Flat forms differ by backend, so they must not be mixed.
+        with pytest.raises(RelationError):
+            StrippedPartition.build(relation, ["A"], backend="python").product(
+                StrippedPartition.build(relation, ["B"], backend="numpy")
+            )
