@@ -4,9 +4,15 @@ Not a figure from the paper — F2's evaluation assumes an honest-but-curious
 server; this tracks what the integrity plane (Merkle roots, inclusion
 proofs, signed replies, version CAS) costs on top of it:
 
-* **Proof size vs rows** — an inclusion proof is ``32 * ceil(log2 n)``
-  bytes; measured as actual wire bytes of the proof attachment across
-  table sizes and match counts.
+* **Proof size vs rows** — one multiproof per reply: each touched chunk
+  of the content-defined tree contributes its other slots once, so a
+  lone match costs about ``(fanout - 1) * height`` digests (at most
+  ``(MAX_CHUNK - 1) * height``) and matches that share chunks share them.
+  Reported as multiproof digest bytes per match, plus the attachment's
+  wire bytes (digests + chunk geometry).
+* **Splice vs rebuild** — the Merkle upkeep of one insert: splicing a
+  1-row or 64-row view delta into the tree against building the tree of
+  the result from its leaves.
 * **Owner verify throughput** — proofs checked per second, and the
   owner-side tree (re)build rate in rows/s (the cost of ``record_push``).
 * **Signed-reply overhead** — verified plan queries (protocol v3: signed
@@ -35,7 +41,8 @@ from repro.api import (
 )
 from repro.bench.reporting import format_table
 from repro.core.config import F2Config
-from repro.integrity.merkle import MerkleTree, hash_row, verify_proof
+from repro.api.delta import OP_COPY, OP_LITERAL, ViewDelta
+from repro.integrity.merkle import MerkleTree, hash_row, relation_leaves, verify_multiproof
 from repro.integrity.writers import WriteCoordinator
 from repro.relational.table import Relation
 from repro.wire import encode_merkle_proofs
@@ -46,6 +53,8 @@ BENCH_NAME = "integrity"
 
 PROOF_TABLE_SIZES = (1000, 4000, 16000, 64000)
 PROOF_MATCHES = 64
+SPLICE_DELTA_ROWS = (1, 64)
+SPLICE_REPEATS = 5
 VERIFY_ROWS = 20000
 VERIFY_PROOFS = 2000
 QUERY_REPEATS = 40
@@ -81,15 +90,15 @@ def proof_sizes(sizes) -> list[dict]:
         tree = MerkleTree(make_leaves(num_rows))
         step = max(1, num_rows // PROOF_MATCHES)
         indexes = list(range(0, num_rows, step))[:PROOF_MATCHES]
-        paths = [tree.proof(i) for i in indexes]
-        blob = encode_merkle_proofs(num_rows, paths)
-        depth = max(len(p) for p in paths)
+        proof = tree.multiproof(indexes)
+        blob = encode_merkle_proofs(num_rows, [list(p) for p in proof.paths], proof.geometry)
+        digest_bytes = sum(len(d) for path in proof.paths for d in path)
         rows.append(
             {
                 "rows": num_rows,
                 "matches": len(indexes),
-                "proof_depth": depth,
-                "proof_bytes_per_match": round(len(blob) / len(indexes), 1),
+                "proof_depth": tree.height,
+                "proof_bytes_per_match": round(digest_bytes / len(indexes), 1),
                 "attachment_bytes": len(blob),
                 "table_fraction": round(len(blob) / (num_rows * 32), 6),
             }
@@ -105,25 +114,85 @@ def verify_throughput(num_rows: int, num_proofs: int) -> list[dict]:
     build_seconds, tree = timed(lambda: MerkleTree(leaves))
     step = max(1, num_rows // num_proofs)
     indexes = list(range(0, num_rows, step))[:num_proofs]
-    paths = [tree.proof(i) for i in indexes]
+    proofs = [tree.multiproof([i]) for i in indexes]
     root = tree.root
 
     def check_all() -> int:
         good = 0
-        for i, path in zip(indexes, paths):
-            good += verify_proof(leaves[i], i, num_rows, path, root)
+        for i, proof in zip(indexes, proofs):
+            good += verify_multiproof([leaves[i]], [i], num_rows, proof, root)
         return good
 
     check_seconds, good = timed(check_all)
     assert good == len(indexes)
+    together = tree.multiproof(indexes)
+    batch_seconds, ok = timed(
+        lambda: verify_multiproof([leaves[i] for i in indexes], indexes, num_rows, together, root)
+    )
+    assert ok
     return [
         {
             "rows": num_rows,
             "tree_build_rows_per_s": round(num_rows / build_seconds),
             "proofs_checked": len(indexes),
             "proofs_per_s": round(len(indexes) / check_seconds),
+            "multiproof_rows_per_s": round(len(indexes) / batch_seconds),
         }
     ]
+
+
+# ----------------------------------------------------------------------
+# Merkle upkeep of one insert: splice vs full build
+# ----------------------------------------------------------------------
+def spread_delta(num_rows: int, literal_rows: int) -> ViewDelta:
+    """A delta that keeps every row and inserts ``literal_rows`` new ones,
+    spread evenly — one copy/literal seam per new row, the shape of the
+    incremental view deltas the owner ships."""
+    segments: list = []
+    cursor = 0
+    for k in range(literal_rows):
+        stop = (k + 1) * num_rows // (literal_rows + 1)
+        segments.append([OP_COPY, cursor, stop - cursor])
+        segments.append([OP_LITERAL, 1])
+        cursor = stop
+    segments.append([OP_COPY, cursor, num_rows - cursor])
+    literals = Relation(
+        ["city", "zip", "street"],
+        [[f"new{k}", f"{k:05d}", f"fresh{k}"] for k in range(literal_rows)],
+        name="delta",
+    )
+    return ViewDelta(base_rows=num_rows, segments=segments, literals=literals)
+
+
+def splice_costs(sizes) -> list[dict]:
+    rows = []
+    for num_rows in sizes:
+        base_leaves = relation_leaves(make_relation(num_rows))
+        tree = MerkleTree(base_leaves)
+        for literal_rows in SPLICE_DELTA_ROWS:
+            delta = spread_delta(num_rows, literal_rows)
+            splice = min(timed(lambda: tree.splice(delta))[0] for _ in range(SPLICE_REPEATS))
+            # The rebuild the splice replaces: a tree built from the leaves
+            # of the new view (copied leaves + the literal rows' hashes).
+            literal_leaves = iter(relation_leaves(delta.literals))
+            new_leaves = []
+            for segment in delta.segments:
+                if segment[0] == OP_COPY:
+                    new_leaves += base_leaves[segment[1] : segment[1] + segment[2]]
+                else:
+                    new_leaves += [next(literal_leaves) for _ in range(segment[1])]
+            build = min(timed(lambda: MerkleTree(new_leaves))[0] for _ in range(SPLICE_REPEATS))
+            assert tree.splice(delta) == MerkleTree(new_leaves)
+            rows.append(
+                {
+                    "rows": num_rows,
+                    "delta_rows": literal_rows,
+                    "splice_ms": round(splice * 1e3, 3),
+                    "full_build_ms": round(build * 1e3, 3),
+                    "speedup": round(build / splice, 1),
+                }
+            )
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +299,15 @@ def test_proof_size_vs_rows(benchmark, bench_json):
     print(format_table(rows, title="Inclusion proof size vs table size"))
     bench_json.add("proof_size", rows)
     assert rows[-1]["proof_depth"] <= 2 * max(1, rows[-1]["rows"] - 1).bit_length()
+
+
+def test_splice_vs_full_build(benchmark, bench_json):
+    sizes = tuple(scale(size) for size in PROOF_TABLE_SIZES)
+    rows = benchmark.pedantic(splice_costs, args=(sizes,), rounds=1, iterations=1)
+    print()
+    print(format_table(rows, title="Merkle upkeep of one insert: splice vs full build"))
+    bench_json.add("splice", rows)
+    assert all(row["splice_ms"] < row["full_build_ms"] for row in rows if row["rows"] >= 4000)
 
 
 def test_owner_verify_throughput(benchmark, bench_json):

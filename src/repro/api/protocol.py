@@ -114,11 +114,12 @@ MESSAGE_MAGIC = b"F2M"
 MESSAGE_VERSION = 1
 
 #: The service protocol version of an authenticated session: signed
-#: requests, server-signed replies, and resumption tickets.  A ``Hello``
-#: that does not offer it is refused with ``VERSION_UNSUPPORTED``.
-#: Anonymous local-tenant frames (no ``Hello``) are a server mode, not a
-#: protocol version.
-PROTOCOL_VERSION = 3
+#: requests, server-signed replies, resumption tickets, and Merkle roots
+#: and multiproofs of the content-defined tree (version 3 carried
+#: binary-tree roots and per-row paths).  A ``Hello`` that does not offer
+#: it is refused with ``VERSION_UNSUPPORTED``.  Anonymous local-tenant
+#: frames (no ``Hello``) are a server mode, not a protocol version.
+PROTOCOL_VERSION = 4
 
 #: Default table id used by the session facades.
 DEFAULT_TABLE_ID = "default"
@@ -381,7 +382,7 @@ class PlanQueryRequest(Message):
     kind: ClassVar[str] = "plan_query_request"
     table_id: str
     expr: ServerExpr
-    #: Attach one Merkle inclusion proof per matched row to the result
+    #: Attach one Merkle multiproof of the matched rows to the result
     #: (implies the version/root fields as well).
     include_proofs: bool = False
     #: Attach the commit version and Merkle root without proofs.
@@ -443,9 +444,12 @@ class PlanQueryResult(Message):
     #: them (``with_root`` or ``include_proofs``).
     version: int = -1
     merkle_root: str = ""
-    #: One inclusion proof (tuple of sibling digests) per matched row, in
-    #: ``row_indexes`` order; ``None`` unless ``include_proofs`` was set.
+    #: The multiproof's digests as one tuple per matched row, in
+    #: ``row_indexes`` order (each row carries only the siblings earlier
+    #: rows did not); ``None`` unless ``include_proofs`` was set.
     proofs: "tuple[tuple[bytes, ...], ...] | None" = None
+    #: The multiproof's chunk geometry (see :mod:`repro.integrity.merkle`).
+    proof_geometry: tuple[int, ...] = ()
 
     def _meta(self) -> dict[str, Any]:
         meta: dict[str, Any] = {
@@ -464,7 +468,7 @@ class PlanQueryResult(Message):
             return {}
         return {
             "proofs": encode_merkle_proofs(
-                self.num_rows, [list(path) for path in self.proofs]
+                self.num_rows, [list(path) for path in self.proofs], self.proof_geometry
             )
         }
 
@@ -480,9 +484,10 @@ class PlanQueryResult(Message):
             # desync check; defaulting it would make both silently wrong.
             raise WireError("plan_query_result without a stored row count")
         proofs = None
+        geometry: tuple[int, ...] = ()
         proofs_payload = attachments.get("proofs")
         if proofs_payload is not None:
-            proof_leaves, paths = decode_merkle_proofs(proofs_payload)
+            proof_leaves, paths, geometry = decode_merkle_proofs(proofs_payload)
             if proof_leaves != int(num_rows):
                 raise WireError(
                     f"plan_query_result proofs claim {proof_leaves} leaves "
@@ -497,6 +502,7 @@ class PlanQueryResult(Message):
             version=int(meta.get("version", -1)),
             merkle_root=str(meta.get("merkle_root", "")),
             proofs=proofs,
+            proof_geometry=geometry,
         )
 
 
@@ -1890,14 +1896,17 @@ class ProtocolServer:
                 "store.execute_expr", table=request.table_id, engine=store.engine
             ):
                 indexes, leaf_counts = execute_server_expr(store, request.expr)
-            version, root, proofs = -1, "", None
+            version, root = -1, ""
+            proofs: "tuple[tuple[bytes, ...], ...] | None" = None
+            geometry: tuple[int, ...] = ()
             if request.include_proofs:
                 # Proofs before root: both come off the same lazily-built
                 # tree, so the root always matches the proofs' tree.
                 with obs.span(
                     "integrity.prove", table=request.table_id, matches=len(indexes)
                 ) as proof_span:
-                    proofs = tuple(tuple(path) for path in store.merkle_proofs(indexes))
+                    multiproof = store.merkle_proofs(indexes)
+                proofs, geometry = multiproof.paths, multiproof.geometry
                 proof_bytes = sum(len(node) for path in proofs for node in path)
                 obs.counter("integrity.proof_bytes").inc(proof_bytes)
                 obs.counter("integrity.proofs_generated").inc(len(proofs))
@@ -1913,6 +1922,7 @@ class ProtocolServer:
                 version=version,
                 merkle_root=root,
                 proofs=proofs,
+                proof_geometry=geometry,
             )
 
     # -- the stats surface ---------------------------------------------
@@ -2669,7 +2679,7 @@ class ProtocolClient:
         ``expr`` is the server part of a :class:`~repro.query.planner.QueryPlan`;
         the reply carries the matched row indexes plus the per-leaf match
         cardinalities for leakage accounting.  ``include_proofs=True`` also
-        ships one Merkle inclusion proof per matched row (plus the commit
+        ships one Merkle multiproof of the matched rows (plus the commit
         version and root); ``with_root=True`` ships version and root alone.
         """
         return self._expect(

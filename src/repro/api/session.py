@@ -54,6 +54,7 @@ from repro.exceptions import (
     ProtocolError,
     QueryError,
 )
+from repro.integrity.merkle import Multiproof
 from repro.integrity.state import TableIntegrityState
 from repro.integrity.writers import WriteCoordinator
 from repro.fd.fd import FDSet
@@ -635,7 +636,7 @@ class RemoteOwnerSession:
     owner-side integrity verification: the session mirrors the server's
     Merkle tree in a :class:`~repro.integrity.state.TableIntegrityState`,
     and every query reply is checked — root agreement, ``(version, root)``
-    freshness, and per-matched-row inclusion proofs — before decryption.
+    freshness, and a multiproof of the matched rows — before decryption.
     Passing a shared :class:`~repro.integrity.writers.WriteCoordinator`
     additionally lets several sessions (each with its own client/thread)
     write one table concurrently through optimistic CAS with rebase.
@@ -903,8 +904,8 @@ class RemoteOwnerSession:
         )
         if self.verify and self.integrity is not None:
             # All checks run BEFORE any decryption: the reply's (version,
-            # root, row count) claims first, then one inclusion proof per
-            # matched row against the agreed root.
+            # root, row count) claims first, then the multiproof of the
+            # matched rows against the agreed root.
             self.integrity.check_reply(result.version, result.merkle_root, result.num_rows)
             if want_proofs:
                 if result.proofs is None:
@@ -914,7 +915,10 @@ class RemoteOwnerSession:
                         table_id=self.table_id,
                     )
                 self.integrity.verify_proofs(
-                    result.row_indexes, result.proofs, result.num_rows, result.merkle_root
+                    result.row_indexes,
+                    Multiproof(result.proofs, result.proof_geometry),
+                    result.num_rows,
+                    result.merkle_root,
                 )
         matches = self.owner.decrypt_plan_result(plan, result)
         return matches, self.owner.query_leakage_report(plan, result)

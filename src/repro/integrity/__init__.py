@@ -5,15 +5,17 @@ package the repo only authenticated the *request* path (PR 5's signed
 envelopes).  A tampering or rolled-back server could silently return stale
 or modified ciphertext.  This package closes that gap:
 
-* :mod:`repro.integrity.merkle` — an incrementally-maintained Merkle tree
-  over ciphertext rows (leaf = hash of the row's canonical cell bytes), with
-  O(log n) appends and compact inclusion proofs.  It is the only whole-view
-  digest: a delta's base is checked by row count plus the commit-version
+* :mod:`repro.integrity.merkle` — a content-defined Merkle sequence over
+  ciphertext rows (leaf = hash of the row's canonical cell bytes) whose
+  shape depends only on its leaves, so both parties splice a view delta
+  into it rehashing only the chunks the delta touches, and one multiproof
+  per reply proves every matched row.  It is the only whole-view digest: a
+  delta's base is checked by row count plus the commit-version
   compare-and-swap, never by re-hashing the view.
 * :mod:`repro.integrity.state` — the owner's per-table verification state:
-  her own copy of the leaf hashes plus a monotonic ``(version, root)``
-  freshness chain, raising :class:`repro.exceptions.IntegrityError` on any
-  mismatch or rollback.
+  her own copy of the tree plus a monotonic ``(version, root)`` freshness
+  chain, raising :class:`repro.exceptions.IntegrityError` on any mismatch
+  or rollback.
 * :mod:`repro.integrity.writers` — a :class:`WriteCoordinator` for several
   concurrent writers of one table, retrying optimistic deltas on
   ``VERSION_CONFLICT`` with a rebase instead of a full-view rewrite.
@@ -29,10 +31,10 @@ tenant secret) lives in :mod:`repro.api.auth`; the protocol plumbing in
 from repro.integrity.merkle import (
     EMPTY_ROOT,
     MerkleTree,
+    Multiproof,
     hash_row,
-    leaves_after_delta,
     relation_leaves,
-    verify_proof,
+    verify_multiproof,
 )
 from repro.integrity.state import TableIntegrityState
 from repro.integrity.verify import verify_storage_dir
@@ -41,11 +43,11 @@ from repro.integrity.writers import WriteCoordinator
 __all__ = [
     "EMPTY_ROOT",
     "MerkleTree",
+    "Multiproof",
     "TableIntegrityState",
     "WriteCoordinator",
     "hash_row",
-    "leaves_after_delta",
     "relation_leaves",
-    "verify_proof",
+    "verify_multiproof",
     "verify_storage_dir",
 ]

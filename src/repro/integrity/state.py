@@ -2,8 +2,9 @@
 
 A :class:`TableIntegrityState` is the client-side mirror of the server's
 Merkle tree: the owner updates it from the views and deltas *she* sends
-(so it reflects what the table should hold), then checks every reply
-against it —
+(so it reflects what the table should hold) — a push builds the tree, a
+delta splices it exactly as the server does, rehashing only the chunks
+the delta touches — then checks every reply against it —
 
 * **root agreement** — the root the server advertises must equal the root
   of the owner's own tree;
@@ -11,8 +12,9 @@ against it —
   monotonically: a lower version than any previously seen, or a different
   root at the same version, means the provider rolled back or forked the
   table;
-* **inclusion** — each matched row's proof must lead from the owner's own
-  leaf hash to the agreed root, placing the row at the claimed index.
+* **inclusion** — the reply's multiproof must be the one the owner's own
+  tree gives for the matched indexes, so every matched row sits at its
+  claimed index under the agreed root.
 
 Every violation raises :class:`repro.exceptions.IntegrityError` with the
 table id attached.  The state is thread-safe and shareable: concurrent
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
 from repro.exceptions import IntegrityError
-from repro.integrity.merkle import MerkleTree, relation_leaves
+from repro.integrity.merkle import MerkleTree, Multiproof, relation_leaves
 from repro.obs import metrics as _metrics
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -84,16 +86,14 @@ class TableIntegrityState:
         return tree.root
 
     def record_delta(self, delta: "ViewDelta", version: int, server_root: str = "") -> str:
-        """Advance the expected tree past an acknowledged delta."""
-        from repro.integrity.merkle import leaves_after_delta
-
+        """Advance the expected tree past an acknowledged delta (a splice)."""
         with self._lock:
             if self._tree is None:
                 raise IntegrityError(
                     f"table {self.table_id!r}: delta recorded before any push",
                     table_id=self.table_id,
                 )
-            self._tree = MerkleTree(leaves_after_delta(self._tree.leaves, delta))
+            self._tree = self._tree.splice(delta)
             root = self._tree.root
             self._check_freshness_locked(version, root)
         if server_root and server_root != root:
@@ -129,19 +129,20 @@ class TableIntegrityState:
     def verify_proofs(
         self,
         row_indexes: Sequence[int],
-        proofs: Sequence[Sequence[bytes]],
+        proofs: Multiproof,
         num_leaves: int,
         root: str,
     ) -> None:
-        """Check one inclusion proof per matched row against ``root``.
+        """Check the multiproof of the matched rows against ``root``.
 
         The leaf hashes come from the owner's own tree — the server proves
         *placement*, it never gets to supply the row bytes being proven.
-        The owner holds that whole tree, so a path leads from her leaf to
-        ``root`` exactly when ``root`` is her root and the path is her own
-        sibling path (anything else needs a SHA-256 collision).  Comparing
-        the digests therefore decides each proof in O(log n) lookups
-        instead of O(log n) hashes.
+        The owner holds that whole tree, so a multiproof leads from her
+        leaves to ``root`` exactly when ``root`` is her root and the proof
+        is her own multiproof for the same indexes (anything else needs a
+        SHA-256 collision; :func:`~repro.integrity.merkle.verify_multiproof`
+        is the oracle).  Comparing the digests and geometry therefore
+        decides the proof without hashing.
         """
         with obs.span(
             "integrity.verify_proofs",
@@ -160,7 +161,7 @@ class TableIntegrityState:
     def _verify_proofs(
         self,
         row_indexes: Sequence[int],
-        proofs: Sequence[Sequence[bytes]],
+        proofs: Multiproof,
         num_leaves: int,
         root: str,
     ) -> None:
@@ -184,20 +185,26 @@ class TableIntegrityState:
                 f"tree, owner expects {tree.num_leaves}",
                 table_id=self.table_id,
             )
-        agreed = root == tree.root
-        for index, path in zip(row_indexes, proofs):
+        for index in row_indexes:
             if not 0 <= index < num_leaves:
                 raise IntegrityError(
                     f"table {self.table_id!r}: matched row {index} outside "
                     f"the {num_leaves}-row table",
                     table_id=self.table_id,
                 )
-            if not agreed or list(path) != tree.proof(index):
-                raise IntegrityError(
-                    f"table {self.table_id!r}: inclusion proof for row "
-                    f"{index} does not verify against the root",
-                    table_id=self.table_id,
-                )
+        try:
+            expected = tree.multiproof(row_indexes)
+        except IntegrityError as exc:  # unsorted or repeated indexes
+            raise IntegrityError(
+                f"table {self.table_id!r}: matched rows do not form a proof: {exc}",
+                table_id=self.table_id,
+            ) from None
+        if root != tree.root or proofs != expected:
+            raise IntegrityError(
+                f"table {self.table_id!r}: the multiproof of "
+                f"{len(row_indexes)} matched rows does not verify against the root",
+                table_id=self.table_id,
+            )
 
     # -- internals ------------------------------------------------------
     def _check_freshness_locked(self, version: int, root: str) -> None:

@@ -8,7 +8,9 @@ check every table found:
 * **segment stores** (``<table>.f2s`` directories): the engine's full-CRC
   :meth:`~repro.store.segment.SegmentTableStore.verify` pass, then the
   Merkle root recomputed from the stored rows against the root recorded in
-  the committed manifest;
+  the committed manifest.  Opening a store replaces a legacy-format root
+  whose rows still match it, so a legacy root that is still recorded is a
+  failure;
 * **legacy snapshots** (``<table>.f2t`` files with no ``.f2s`` beside
   them): the server does not serve these, so each one fails its report as
   not migrated (``f2-repro store migrate`` imports it).
@@ -58,6 +60,7 @@ def _verify_segment_dir(directory: Path, tenant: str, backend: ComputeBackend) -
         store.verify()
         report.rows = store.num_rows
         report.recorded_root = store.recorded_merkle_root()
+        legacy = store.has_legacy_root()
         report.computed_root = MerkleTree(relation_leaves(store.relation())).root
     except ReproError as exc:
         report.error = str(exc)
@@ -65,6 +68,12 @@ def _verify_segment_dir(directory: Path, tenant: str, backend: ComputeBackend) -
     finally:
         if store is not None:
             store.close()
+    if legacy:
+        report.error = (
+            f"manifest records a legacy-format merkle root "
+            f"{report.recorded_root[:16]}... that the stored rows do not match"
+        )
+        return report
     if report.recorded_root and report.recorded_root != report.computed_root:
         report.error = (
             f"manifest records merkle root {report.recorded_root[:16]}... but "

@@ -35,12 +35,19 @@ from abc import ABC, abstractmethod
 from typing import Any, Iterable, TYPE_CHECKING
 
 from repro.backend import ComputeBackend
+from repro.obs import metrics as _metrics
 from repro.relational.table import Relation
 from repro.store.cache import DEFAULT_CACHE_ENTRIES, TokenBitsetCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (delta -> api)
     from repro.api.delta import ViewDelta
-    from repro.integrity.merkle import MerkleTree
+    from repro.integrity.merkle import MerkleTree, Multiproof
+
+# Process-wide Merkle upkeep across every store: splices on the write
+# path, and full builds when a store holds no tree; per-store counts live
+# on the instances (``store_stats``).
+_TREE_SPLICES = _metrics.counter("integrity.tree_splices")
+_TREE_REBUILDS = _metrics.counter("integrity.tree_rebuilds")
 
 #: The durable storage engine's name (``ProtocolServer(storage_engine=)``).
 STORAGE_ENGINE_SEGMENT = "segment"
@@ -65,6 +72,10 @@ class TableStore(ABC):
         self._version = 0
         self._commit_version = 0
         self._merkle: "MerkleTree | None" = None
+        #: Observability: delta splices of the cached tree, and full builds
+        #: of a missing one.
+        self.tree_splices = 0
+        self.tree_rebuilds = 0
 
     # -- identity ------------------------------------------------------
     @property
@@ -99,6 +110,8 @@ class TableStore(ABC):
                 "version": self._version,
                 "commit_version": self._commit_version,
                 "cache": self._cache.stats(),
+                "tree_splices": self.tree_splices,
+                "tree_rebuilds": self.tree_rebuilds,
             }
 
     # -- integrity plane -----------------------------------------------
@@ -115,60 +128,49 @@ class TableStore(ABC):
         return self._commit_version
 
     def merkle_tree(self) -> "MerkleTree":
-        """The table's Merkle tree, built lazily from the stored relation."""
+        """The table's Merkle tree, built lazily from the stored relation.
+
+        The build is the fallback when no tree is cached (after a restart,
+        or a write that could not splice one) and is counted as a rebuild.
+        """
         from repro.integrity.merkle import MerkleTree, relation_leaves
 
         with self._mutex:
             if self._merkle is None:
                 if self.num_rows == 0 and not self.attributes:
-                    self._merkle = MerkleTree()
+                    tree = MerkleTree()
                 else:
-                    self._merkle = MerkleTree(relation_leaves(self.relation()))
+                    tree = MerkleTree(relation_leaves(self.relation()))
+                self._adopt_rebuilt_tree(tree)
             return self._merkle
+
+    def _adopt_rebuilt_tree(self, tree: "MerkleTree") -> None:
+        self._merkle = tree
+        self.tree_rebuilds += 1
+        _TREE_REBUILDS.inc()
 
     def merkle_root(self) -> str:
         """Hex root over the current ciphertext rows."""
         return self.merkle_tree().root
 
-    def merkle_proofs(self, indexes: Iterable[int]) -> list[list[bytes]]:
-        """Inclusion proofs for the given row indexes, in the given order."""
-        tree = self.merkle_tree()
-        return [tree.proof(index) for index in indexes]
+    def merkle_proofs(self, indexes: Iterable[int]) -> "Multiproof":
+        """One multiproof for the given strictly ascending row indexes."""
+        return self.merkle_tree().multiproof(list(indexes))
 
-    def _merkle_candidate(self, delta: "ViewDelta", base_rows: int) -> "MerkleTree | None":
+    def _merkle_candidate(self, delta: "ViewDelta") -> "MerkleTree | None":
         """The tree a (structurally validated) delta produces, or ``None``.
 
-        Never mutates the cached tree — engines commit the data write first
+        Never touches the cached tree — engines commit the data write first
         and only then adopt the candidate, so a failed commit leaves the
-        committed tree in step.  A pure-append delta costs one O(n)-copy /
-        zero-hash clone plus O(log n) hashing per literal row; anything else
-        rebuilds the node levels from the remapped leaf list, still hashing
-        only the literal rows.  ``None`` when no tree is cached — the lazy
-        rebuild path (:meth:`merkle_tree`) covers it later.
+        committed tree in step.  ``None`` when no tree is cached: the lazy
+        rebuild (:meth:`merkle_tree`) covers it later.
         """
         if self._merkle is None:
             return None
-        from repro.api.delta import OP_COPY, OP_LITERAL
-        from repro.integrity.merkle import (
-            MerkleTree,
-            leaves_after_delta,
-            relation_leaves,
-        )
-
-        segments = delta.segments
-        pure_append = (
-            bool(segments)
-            and segments[0][0] == OP_COPY
-            and int(segments[0][1]) == 0
-            and int(segments[0][2]) == base_rows
-            and all(segment[0] == OP_LITERAL for segment in segments[1:])
-        )
-        if pure_append:
-            candidate = self._merkle.copy()
-            if delta.literals is not None:
-                candidate.extend(relation_leaves(delta.literals))
-            return candidate
-        return MerkleTree(leaves_after_delta(self._merkle.leaves, delta))
+        candidate = self._merkle.splice(delta)
+        self.tree_splices += 1
+        _TREE_SPLICES.inc()
+        return candidate
 
     # -- data plane ----------------------------------------------------
     @property

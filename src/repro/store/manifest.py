@@ -11,7 +11,10 @@ A segment table directory holds three kinds of files:
 A **manifest** is one committed state of the table: which segment files
 exist, how the logical row order is composed from slices of them, how many
 dictionary values (and blob bytes) are committed per column, and the
-Merkle root of the view.  The generation number doubles as the table's
+Merkle root of the view with its format (``merkle_root_format``: a
+manifest without the field holds a legacy binary-tree root, which the store
+re-checks and replaces once at open — see
+:meth:`~repro.store.segment.SegmentTableStore.__init__`).  The generation number doubles as the table's
 commit version, the delta protocol's compare-and-swap base; manifests
 written before that carry a ``view_digest`` field, which loading ignores.
 Committing a write is therefore:
@@ -44,6 +47,11 @@ from pathlib import Path
 from typing import Any
 
 from repro.exceptions import StoreError, StoreIntegrityWarning
+from repro.integrity.merkle import ROOT_FORMAT
+
+#: Root format of a manifest written before the field existed (the binary
+#: Merkle tree with promoted odd tails).
+LEGACY_ROOT_FORMAT = 1
 
 #: File-name grammar of the three store file kinds.
 CURRENT_NAME = "CURRENT"
@@ -101,6 +109,8 @@ class Manifest:
     #: committing writer did not track one (pre-integrity deltas);
     #: ``verify()`` then reports the root as unrecorded instead of failing.
     merkle_root: str = ""
+    #: Which tree :attr:`merkle_root` is the root of (see ``ROOT_FORMAT``).
+    merkle_root_format: int = ROOT_FORMAT
 
     def referenced_files(self) -> set[str]:
         names = {entry.name for entry in self.files}
@@ -116,6 +126,7 @@ class Manifest:
             "attributes": list(self.attributes),
             "num_rows": self.num_rows,
             "merkle_root": self.merkle_root,
+            "merkle_root_format": self.merkle_root_format,
             "files": [
                 {
                     "name": entry.name,
@@ -175,6 +186,9 @@ class Manifest:
                 attributes=attributes,
                 num_rows=int(doc["num_rows"]),
                 merkle_root=str(doc.get("merkle_root", "")),
+                merkle_root_format=int(
+                    doc.get("merkle_root_format", LEGACY_ROOT_FORMAT)
+                ),
                 files=files,
                 view=view,
                 dictionaries=dictionaries,

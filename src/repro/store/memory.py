@@ -53,9 +53,8 @@ class MemoryTableStore(TableStore):
 
     def apply_delta(self, delta: ViewDelta) -> int:
         with self._mutex:
-            base_rows = self.num_rows
             updated = apply_view_delta(self.relation(), delta)
-            candidate = self._merkle_candidate(delta, base_rows)
+            candidate = self._merkle_candidate(delta)
             self.replace(updated)  # drops the cached tree; re-seat it below
             self._merkle = candidate
             return updated.num_rows

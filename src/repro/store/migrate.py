@@ -9,10 +9,15 @@ table as a segment store directory (``<table>.f2s``) next to its snapshot.
 The conversion is verified (full CRC + decode pass) before it is reported,
 and the original snapshot is kept unless the caller asks for removal, so a
 failed or interrupted migration never loses the authoritative copy.
+
+It also holds :func:`legacy_binary_root`, the root of the binary Merkle
+tree older stores recorded, which a segment store re-checks once when it
+opens such a manifest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 import warnings
 from pathlib import Path
@@ -20,6 +25,7 @@ from typing import Any
 
 from repro.backend import ComputeBackend, get_backend
 from repro.exceptions import StoreError, WireError
+from repro.integrity.merkle import EMPTY_ROOT
 from repro.store.segment import STORE_SUFFIX, SegmentTableStore
 from repro.wire import decode_relation
 
@@ -28,6 +34,27 @@ from repro.wire import decode_relation
 _SAFE_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 SNAPSHOT_SUFFIX = ".f2t"
+
+
+def legacy_binary_root(leaves: list[bytes]) -> str:
+    """Root of the legacy binary Merkle tree over ``leaves`` (hex).
+
+    Pairs ``sha256(0x01 || left || right)`` level by level, promoting an
+    odd tail unchanged; the empty tree has ``EMPTY_ROOT``.  Root only — it
+    exists to re-check roots recorded in that format, nothing proves
+    against it.
+    """
+    level = list(leaves)
+    if not level:
+        return EMPTY_ROOT
+    while len(level) > 1:
+        level = [
+            hashlib.sha256(b"\x01" + level[i] + level[i + 1]).digest()
+            if i + 1 < len(level)
+            else level[i]
+            for i in range(0, len(level), 2)
+        ]
+    return level[0].hex()
 
 
 def _snapshot_paths(storage_dir: Path) -> list[Path]:

@@ -44,9 +44,11 @@ CRCs recorded at write time are checked only by the explicit
 
 from __future__ import annotations
 
+import dataclasses
 import mmap
 import os
 import sys
+import warnings
 import zlib
 from array import array
 from pathlib import Path
@@ -55,7 +57,14 @@ from typing import Any, Iterable
 from repro.api.auth import ErrorCode
 from repro.api.delta import OP_COPY, OP_LITERAL, ViewDelta
 from repro.backend import ComputeBackend
-from repro.exceptions import ProtocolError, StoreError, WireError
+from repro.exceptions import (
+    ProtocolError,
+    ReproError,
+    StoreError,
+    StoreIntegrityWarning,
+    WireError,
+)
+from repro.integrity.merkle import ROOT_FORMAT
 from repro.relational.table import Relation
 from repro.store.base import STORE_SUFFIX, TableStore
 from repro.store.manifest import (
@@ -148,8 +157,49 @@ class SegmentTableStore(TableStore):
         has_generations = is_segment_store(self._directory)
         if has_generations:
             self._manifest = recover_manifest(self._directory)
+            if self.has_legacy_root():
+                self._migrate_legacy_root()
         elif not create:
             raise StoreError(f"{self._directory} is not a segment store")
+
+    def _migrate_legacy_root(self) -> None:
+        """Replace a legacy-format recorded root, once, if the rows match it.
+
+        The committed root of a store written before ``merkle_root_format``
+        is a binary-tree root, which no reply could be verified against.
+        The legacy root is recomputed from the stored rows: on a match, the
+        content-defined root is recorded in a new generation and its tree
+        kept; otherwise the manifest is left as it is, so the tampering
+        stays visible to ``f2-repro verify`` and to every verified reply.
+        """
+        from repro.integrity.merkle import MerkleTree, relation_leaves
+        from repro.store.migrate import legacy_binary_root
+
+        manifest = self._require_manifest()
+        leaves: "list[bytes] | None"
+        try:
+            leaves = relation_leaves(self.relation())
+        except ReproError:
+            leaves = None
+        if leaves is None or legacy_binary_root(leaves) != manifest.merkle_root:
+            warnings.warn(
+                f"segment store {self._directory}: the stored rows do not match "
+                "its legacy Merkle root; the root is left unmigrated",
+                StoreIntegrityWarning,
+                stacklevel=3,
+            )
+            return
+        tree = MerkleTree(leaves)
+        migrated = dataclasses.replace(
+            manifest,
+            generation=next_generation(self._directory),
+            merkle_root=tree.root,
+            merkle_root_format=ROOT_FORMAT,
+        )
+        write_manifest(self._directory, migrated)
+        self._manifest = migrated
+        self._adopt_rebuilt_tree(tree)
+        prune(self._directory)
 
     # -- identity ------------------------------------------------------
     @property
@@ -315,7 +365,7 @@ class SegmentTableStore(TableStore):
             # exists; else recorded from the owner's `new_root`; else left
             # empty and rebuilt lazily on the first root request.  A fold
             # keeps the rows, so it keeps the root.
-            candidate = self._merkle_candidate(delta, manifest.num_rows)
+            candidate = self._merkle_candidate(delta)
             root = candidate.root if candidate is not None else delta.new_root
             new_manifest = Manifest(
                 generation=generation,
@@ -358,6 +408,19 @@ class SegmentTableStore(TableStore):
         """The manifest's recorded root (may be empty), without rebuilding."""
         with self._mutex:
             return "" if self._manifest is None else self._manifest.merkle_root
+
+    def has_legacy_root(self) -> bool:
+        """True when the recorded root is a legacy binary-tree root.
+
+        After the store is open, that is a root its rows did not match.
+        """
+        with self._mutex:
+            manifest = self._manifest
+            return (
+                manifest is not None
+                and bool(manifest.merkle_root)
+                and manifest.merkle_root_format != ROOT_FORMAT
+            )
 
     # -- query plane ---------------------------------------------------
     def _match_mask_uncached(self, attribute: str, token: Iterable[Any]) -> Any:

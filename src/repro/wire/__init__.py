@@ -4,7 +4,7 @@ The codec (:mod:`repro.wire.codec`) round-trips ciphertext cells, relations,
 and TANE results through one compact length-prefixed binary frame
 (:mod:`repro.wire.binary`), columnar and dictionary-encoded on top of the
 coded view from PR 2 so each distinct ciphertext is serialized once per
-column; :mod:`repro.wire.proofs` does the same for Merkle inclusion proofs.
+column; :mod:`repro.wire.proofs` does the same for Merkle multiproofs.
 
 Encoded objects decode to values that compare equal to the originals.  The
 protocol endpoints in :mod:`repro.api.protocol` frame these payloads into

@@ -1,14 +1,18 @@
-"""Wire form of Merkle inclusion proofs.
+"""Wire form of Merkle multiproofs.
 
 A proof blob rides as one attachment of a ``PlanQueryResult``: the tree's
-leaf count plus one sibling-digest path per matched row, aligned with the
-result's ``row_indexes`` order (the indexes themselves are in the message
-meta, so they are not repeated here).
+leaf count, the digests of one :class:`~repro.integrity.merkle.Multiproof`
+split into one path per matched row (aligned with the result's
+``row_indexes`` order — the indexes themselves are in the message meta, so
+they are not repeated here), and the chunk geometry that places them.
+Row *k*'s path holds only the sibling digests rows before it did not
+already carry, so a digest two matches share travels once.
 
 Layout (after the 4-byte magic)::
 
     num_leaves(varint) || num_paths(varint) ||
-    repeat: path_len(varint) || path_len * 32 digest bytes
+    repeat: path_len(varint) || path_len * 32 digest bytes ||
+    geometry: one code array (width(u8) || count(varint) || packed ints)
 """
 
 from __future__ import annotations
@@ -16,14 +20,17 @@ from __future__ import annotations
 from repro.exceptions import WireError
 from repro.wire.binary import ByteReader, ByteWriter
 
-#: Leading bytes of a proof blob (versioned).
-PROOFS_MAGIC = b"F2P\x01"
+#: Leading bytes of a proof blob (versioned; ``F2P\x01`` carried per-row
+#: binary-tree paths and no geometry).
+PROOFS_MAGIC = b"F2P\x02"
 
 _DIGEST_LEN = 32
 
 
-def encode_merkle_proofs(num_leaves: int, paths: list[list[bytes]]) -> bytes:
-    """Serialize the proofs of one query result."""
+def encode_merkle_proofs(
+    num_leaves: int, paths: list[list[bytes]], geometry: "tuple[int, ...] | list[int]"
+) -> bytes:
+    """Serialize the multiproof of one query result."""
     writer = ByteWriter()
     writer.raw(PROOFS_MAGIC)
     writer.uvarint(int(num_leaves))
@@ -37,11 +44,12 @@ def encode_merkle_proofs(num_leaves: int, paths: list[list[bytes]]) -> bytes:
                     f"got {len(digest)}"
                 )
             writer.raw(digest)
+    writer.code_array(list(geometry), max(geometry, default=0) + 1)
     return writer.getvalue()
 
 
-def decode_merkle_proofs(data: bytes) -> tuple[int, list[list[bytes]]]:
-    """Inverse of :func:`encode_merkle_proofs`."""
+def decode_merkle_proofs(data: bytes) -> tuple[int, list[list[bytes]], tuple[int, ...]]:
+    """Inverse of :func:`encode_merkle_proofs`: ``(num_leaves, paths, geometry)``."""
     if data[:4] != PROOFS_MAGIC:
         raise WireError("unrecognised merkle proof blob")
     reader = ByteReader(data)
@@ -56,5 +64,6 @@ def decode_merkle_proofs(data: bytes) -> tuple[int, list[list[bytes]]]:
                 for start in range(0, len(block), _DIGEST_LEN)
             ]
         )
+    geometry = tuple(reader.code_array())
     reader.expect_end()
-    return num_leaves, paths
+    return num_leaves, paths, geometry

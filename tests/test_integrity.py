@@ -1,7 +1,8 @@
 """Unit tests of the trustworthy-server building blocks (PR 8).
 
-Covers the Merkle tree (construction, O(log n) appends, inclusion proofs,
-odd-tail promotion), the wire codec for proof attachments, the owner's
+Covers the content-defined Merkle sequence (construction, splices,
+multiproofs, and Hypothesis properties of both), the wire codec for proof
+attachments, the owner's
 :class:`~repro.integrity.state.TableIntegrityState` (root agreement,
 freshness chain, proof checking), reply signing, resumption tickets, and
 the :class:`~repro.exceptions.StoreIntegrityWarning` category.
@@ -10,6 +11,8 @@ the :class:`~repro.exceptions.StoreIntegrityWarning` category.
 import hashlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api.auth import (
     open_ticket,
@@ -17,18 +20,20 @@ from repro.api.auth import (
     sign_reply,
     verify_reply,
 )
-from repro.api.delta import compute_view_delta
+from repro.api.delta import OP_COPY, OP_LITERAL, ViewDelta, compute_view_delta
 from repro.exceptions import AuthError, IntegrityError, StoreIntegrityWarning, WireError
 from repro.integrity.merkle import (
     EMPTY_ROOT,
+    MAX_CHUNK,
     MerkleTree,
+    Multiproof,
     hash_row,
-    leaves_after_delta,
     relation_leaves,
-    verify_proof,
+    verify_multiproof,
 )
 from repro.integrity.state import TableIntegrityState
 from repro.relational.table import Relation
+from repro.store.migrate import legacy_binary_root
 from repro.wire import decode_merkle_proofs, encode_merkle_proofs
 
 
@@ -38,6 +43,10 @@ def leaves(n: int) -> list[bytes]:
 
 def relation(rows) -> Relation:
     return Relation(["A", "B"], [list(map(str, r)) for r in rows], name="t")
+
+
+def digests(proof: Multiproof) -> int:
+    return sum(len(path) for path in proof.paths)
 
 
 # ----------------------------------------------------------------------
@@ -62,10 +71,15 @@ class TestMerkleTree:
 
     def test_leaf_and_node_domains_are_separated(self):
         # A two-leaf root must differ from a leaf whose content is the
-        # concatenation of the two leaves (0x00 vs 0x01 prefixes).
+        # concatenation of the two leaves (0x00 vs 0x03 prefixes).
         a, b = leaves(2)
         forged = hashlib.sha256(b"\x00" + a + b).hexdigest()
         assert MerkleTree([a, b]).root != forged
+
+    @pytest.mark.parametrize("size", [2, 3, 17, 100])
+    def test_root_differs_from_the_legacy_binary_root(self, size):
+        ls = leaves(size)
+        assert MerkleTree(ls).root != legacy_binary_root(ls)
 
     @pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 31, 64])
     @pytest.mark.parametrize("added", [1, 2, 3, 7])
@@ -91,40 +105,72 @@ class TestMerkleTree:
         assert clone.num_leaves == 5
         assert tree.root != clone.root
 
+    def test_shape_is_history_independent(self):
+        # Leaf by leaf or all at once: the same leaves, the same tree.
+        ls = leaves(150)
+        grown = MerkleTree()
+        for leaf in ls:
+            grown.append(leaf)
+        assert grown == MerkleTree(ls)
+
+    def test_runs_of_identical_leaves_stay_bounded(self):
+        # No digest closes a chunk of equal leaves, so MAX_CHUNK does: the
+        # tree stays shallow and a proof stays small.
+        same = [hash_row(["dup"])] * 500
+        tree = MerkleTree(same)
+        assert tree.height <= (500 - 1).bit_length()
+        for index in (0, 250, 499):
+            proof = tree.multiproof([index])
+            assert digests(proof) <= (MAX_CHUNK - 1) * tree.height
+            assert verify_multiproof([same[index]], [index], 500, proof, tree.root)
+
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 11, 16, 33])
     def test_every_proof_verifies(self, size):
         ls = leaves(size)
         tree = MerkleTree(ls)
+        assert tree.height <= max(1, size - 1).bit_length()
         for i in range(size):
-            path = tree.proof(i)
-            assert verify_proof(ls[i], i, size, path, tree.root)
-            assert len(path) <= max(1, size - 1).bit_length()
+            proof = tree.multiproof([i])
+            assert verify_multiproof([ls[i]], [i], size, proof, tree.root)
+            assert digests(proof) <= (MAX_CHUNK - 1) * tree.height
 
     def test_proof_fails_for_wrong_leaf_index_or_root(self):
-        ls = leaves(7)
+        ls = leaves(40)
         tree = MerkleTree(ls)
-        path = tree.proof(3)
-        assert not verify_proof(ls[2], 3, 7, path, tree.root)  # wrong leaf
-        assert not verify_proof(ls[3], 2, 7, path, tree.root)  # wrong index
-        assert not verify_proof(ls[3], 3, 7, path, MerkleTree(leaves(6)).root)
-        assert not verify_proof(ls[3], 3, 7, path[:-1], tree.root)  # truncated
-        assert not verify_proof(ls[3], 3, 7, path + [ls[0]], tree.root)  # padded
-        assert not verify_proof(ls[3], 3, 0, path, tree.root)
-        assert not verify_proof(ls[3], 9, 7, path, tree.root)
+        proof = tree.multiproof([3])
+        path = proof.paths[0]
+        assert verify_multiproof([ls[3]], [3], 40, proof, tree.root)
+        assert not verify_multiproof([ls[2]], [3], 40, proof, tree.root)  # wrong leaf
+        assert not verify_multiproof([ls[3]], [2], 40, proof, tree.root)  # wrong index
+        assert not verify_multiproof(
+            [ls[3]], [3], 40, proof, MerkleTree(leaves(39)).root
+        )
+        truncated = Multiproof((path[:-1],), proof.geometry)
+        padded = Multiproof((path + (ls[0],),), proof.geometry)
+        for forged in (truncated, padded):
+            assert not verify_multiproof([ls[3]], [3], 40, forged, tree.root)
+        assert not verify_multiproof([ls[3]], [3], 0, proof, tree.root)
+        assert not verify_multiproof([ls[3]], [41], 40, proof, tree.root)
+        assert not verify_multiproof([ls[3]], [3], 41, proof, tree.root)
 
-    def test_promoted_tail_contributes_no_path_element(self):
-        # In a 5-leaf tree, leaf 4 is promoted until the final pairing: its
-        # proof is a single sibling (the 4-leaf subtree root).
-        ls = leaves(5)
+    def test_a_multiproof_carries_each_shared_digest_once(self):
+        ls = leaves(300)
         tree = MerkleTree(ls)
-        path = tree.proof(4)
-        assert len(path) == 1
-        assert path[0].hex() == MerkleTree(ls[:4]).root
-        assert verify_proof(ls[4], 4, 5, path, tree.root)
+        indexes = list(range(0, 300, 3))
+        proof = tree.multiproof(indexes)
+        singles = sum(digests(tree.multiproof([i])) for i in indexes)
+        assert digests(proof) < singles
+        # Row k carries only what rows before it did not, so no digest
+        # travels twice (every node of this tree is distinct).
+        carried = [digest for path in proof.paths for digest in path]
+        assert len(carried) == len(set(carried))
+        assert verify_multiproof([ls[i] for i in indexes], indexes, 300, proof, tree.root)
 
     def test_proof_out_of_range_raises(self):
         with pytest.raises(IntegrityError):
-            MerkleTree(leaves(3)).proof(3)
+            MerkleTree(leaves(3)).multiproof([3])
+        with pytest.raises(IntegrityError, match="ascending"):
+            MerkleTree(leaves(3)).multiproof([1, 1])
 
     def test_relation_leaves_match_canonical_digest_bytes(self):
         # Leaves hash the canonical cell bytes (``str(cell)``): two
@@ -134,21 +180,183 @@ class TestMerkleTree:
         assert relation_leaves(rel_a) == relation_leaves(rel_b)
 
 
-class TestLeavesAfterDelta:
+class TestSpliceDelta:
     def test_matches_full_rehash(self):
         base = relation([[f"k{i}", i] for i in range(8)])
         updated = relation([[f"k{i}", i] for i in range(8)] + [["new", 99]])
         delta = compute_view_delta(base, updated)
-        derived = leaves_after_delta(relation_leaves(base), delta)
-        assert derived == relation_leaves(updated)
-        assert MerkleTree(derived).root == MerkleTree(relation_leaves(updated)).root
+        spliced = MerkleTree(relation_leaves(base)).splice(delta)
+        assert spliced == MerkleTree(relation_leaves(updated))
+        assert spliced.root == MerkleTree(relation_leaves(updated)).root
 
     def test_copy_segment_outside_base_raises(self):
         base = relation([["a", 1], ["b", 2]])
         updated = relation([["a", 1], ["b", 2], ["c", 3]])
         delta = compute_view_delta(base, updated)
         with pytest.raises(IntegrityError):
-            leaves_after_delta(relation_leaves(base)[:1], delta)
+            MerkleTree(relation_leaves(base)[:1]).splice(delta)
+
+    def test_splice_leaves_the_base_tree_untouched(self):
+        base = relation([[f"k{i}", i] for i in range(60)])
+        updated = relation([[f"k{i}", i] for i in range(60) if i != 7] + [["n", 1]])
+        tree = MerkleTree(relation_leaves(base))
+        before = tree.root
+        tree.splice(compute_view_delta(base, updated))
+        assert tree.root == before
+        assert tree == MerkleTree(relation_leaves(base))
+
+
+# ----------------------------------------------------------------------
+# Properties of the tree (Hypothesis)
+# ----------------------------------------------------------------------
+def _rows(values) -> Relation:
+    return Relation(["A"], [[str(value)] for value in values], name="t")
+
+
+@st.composite
+def base_and_delta(draw):
+    """A base view and a delta over it, covering the edit shapes a splice
+    meets: reordered or dropped copy segments, literal runs, all-literal,
+    pure append, an empty result, and identical rows beyond the chunk cap."""
+    # A small alphabet makes runs of identical leaves; "dup" runs are
+    # longer than MAX_CHUNK.
+    value = st.one_of(st.integers(0, 3), st.integers(0, 10**6))
+    base = draw(
+        st.one_of(
+            st.lists(value, max_size=300),
+            st.integers(0, 60).map(lambda n: ["dup"] * (MAX_CHUNK * 3 + n)),
+        )
+    )
+    shape = draw(st.sampled_from(["mixed", "all-literal", "append", "empty"]))
+    segments: list = []
+    literals: list = []
+    if shape == "append":
+        segments.append([OP_COPY, 0, len(base)])
+        extra = draw(st.lists(value, min_size=1, max_size=40))
+        segments.append([OP_LITERAL, len(extra)])
+        literals += extra
+    elif shape == "all-literal":
+        literals = draw(st.lists(value, min_size=1, max_size=80))
+        segments.append([OP_LITERAL, len(literals)])
+    elif shape == "mixed":
+        for _ in range(draw(st.integers(0, 6))):
+            if base and draw(st.booleans()):
+                start = draw(st.integers(0, len(base) - 1))
+                count = draw(st.integers(0, len(base) - start))
+                segments.append([OP_COPY, start, count])
+            else:
+                run = draw(
+                    st.one_of(
+                        st.lists(value, min_size=1, max_size=20),
+                        st.just(["dup"] * (MAX_CHUNK + 5)),
+                    )
+                )
+                segments.append([OP_LITERAL, len(run)])
+                literals += run
+    result: list = []
+    cursor = 0
+    for segment in segments:
+        if segment[0] == OP_COPY:
+            result += base[segment[1] : segment[1] + segment[2]]
+        else:
+            result += literals[cursor : cursor + segment[1]]
+            cursor += segment[1]
+    delta = ViewDelta(
+        base_rows=len(base),
+        segments=segments,
+        literals=_rows(literals) if literals else None,
+    )
+    return base, delta, result
+
+
+@st.composite
+def tree_and_indexes(draw):
+    size = draw(st.integers(1, 300))
+    ls = leaves(size)
+    indexes = sorted(draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=40)))
+    return ls, indexes
+
+
+def _owner_verdict(ls, indexes, num_leaves, proof, root) -> bool:
+    state = TableIntegrityState("t")
+    state.record_push(_rows(range(len(ls))), version=1)
+    try:
+        state.verify_proofs(indexes, proof, num_leaves, root)
+    except IntegrityError:
+        return False
+    return True
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestTreeProperties:
+    @PROPERTY_SETTINGS
+    @given(base_and_delta())
+    def test_splice_equals_a_build_of_the_result(self, case):
+        base, delta, result = case
+        tree = MerkleTree(relation_leaves(_rows(base)))
+        spliced = tree.splice(delta)
+        rebuilt = MerkleTree(relation_leaves(_rows(result)))
+        assert spliced.root == rebuilt.root
+        assert spliced == rebuilt  # every level, counts and chunk sizes
+        assert tree == MerkleTree(relation_leaves(_rows(base)))  # base untouched
+
+    @PROPERTY_SETTINGS
+    @given(tree_and_indexes())
+    def test_every_emitted_multiproof_verifies(self, case):
+        ls, indexes = case
+        tree = MerkleTree(ls)
+        proof = tree.multiproof(indexes)
+        assert verify_multiproof([ls[i] for i in indexes], indexes, len(ls), proof, tree.root)
+
+    @PROPERTY_SETTINGS
+    @given(tree_and_indexes(), st.data())
+    def test_mutated_proofs_are_rejected_by_both_verifiers(self, case, data):
+        ls, indexes = case
+        # The owner's tree holds the leaves of _rows(range(n)).
+        ls = relation_leaves(_rows(range(len(ls))))
+        tree = MerkleTree(ls)
+        proof = tree.multiproof(indexes)
+        root, n = tree.root, len(ls)
+        mutation = data.draw(
+            st.sampled_from(["none", "digest", "shift", "num_leaves", "unsorted"])
+        )
+        claimed, num_leaves = list(indexes), n
+        if mutation == "digest":
+            carrying = [row for row, path in enumerate(proof.paths) if path]
+            if not carrying:
+                return  # nothing to flip: every leaf of a 1-leaf tree
+            row = data.draw(st.sampled_from(carrying))
+            slot = data.draw(st.integers(0, len(proof.paths[row]) - 1))
+            byte = data.draw(st.integers(0, 31))
+            path = list(proof.paths[row])
+            path[slot] = path[slot][:byte] + bytes([path[slot][byte] ^ 1]) + path[slot][byte + 1 :]
+            paths = list(proof.paths)
+            paths[row] = tuple(path)
+            proof = Multiproof(tuple(paths), proof.geometry)
+        elif mutation == "shift":
+            k = data.draw(st.integers(0, len(claimed) - 1))
+            moved = claimed[k] + data.draw(st.sampled_from([-1, 1]))
+            if not 0 <= moved < n or moved in claimed:
+                return
+            claimed[k] = moved
+            claimed.sort()
+        elif mutation == "num_leaves":
+            num_leaves = n + data.draw(st.sampled_from([-1, 1]))
+        elif mutation == "unsorted":
+            if len(claimed) < 2:
+                claimed = claimed * 2  # duplicated
+            else:
+                claimed[0], claimed[1] = claimed[1], claimed[0]
+        in_range = all(0 <= i < n for i in claimed)
+        claimed_leaves = [ls[i] if 0 <= i < n else b"" for i in claimed]
+        oracle = in_range and verify_multiproof(claimed_leaves, claimed, num_leaves, proof, root)
+        owner = _owner_verdict(ls, claimed, num_leaves, proof, root)
+        assert oracle == owner
+        assert oracle == (mutation == "none")
 
 
 # ----------------------------------------------------------------------
@@ -157,25 +365,29 @@ class TestLeavesAfterDelta:
 class TestProofCodec:
     @pytest.mark.parametrize("form", ["binary"])
     def test_round_trip(self, form):
-        tree = MerkleTree(leaves(9))
-        paths = [tree.proof(i) for i in (0, 4, 8)]
-        blob = encode_merkle_proofs(9, paths)
-        num_leaves, decoded = decode_merkle_proofs(blob)
-        assert num_leaves == 9
-        assert decoded == paths
+        tree = MerkleTree(leaves(90))
+        proof = tree.multiproof([0, 4, 8, 77])
+        blob = encode_merkle_proofs(90, [list(path) for path in proof.paths], proof.geometry)
+        num_leaves, decoded, geometry = decode_merkle_proofs(blob)
+        assert num_leaves == 90
+        assert decoded == [list(path) for path in proof.paths]
+        assert geometry == proof.geometry
 
     @pytest.mark.parametrize("form", ["binary"])
     def test_empty_paths(self, form):
-        blob = encode_merkle_proofs(4, [])
-        assert decode_merkle_proofs(blob) == (4, [])
+        blob = encode_merkle_proofs(4, [], ())
+        assert decode_merkle_proofs(blob) == (4, [], ())
 
     def test_unrecognised_blob_rejected(self):
         with pytest.raises(WireError):
             decode_merkle_proofs(b"\x99garbage")
+        # Version-3 per-row path blobs are retired with their tree.
+        with pytest.raises(WireError):
+            decode_merkle_proofs(b"F2P\x01" + bytes([4, 0]))
 
     def test_binary_rejects_non_digest_lengths(self):
         with pytest.raises(WireError):
-            encode_merkle_proofs(2, [[b"short"]])
+            encode_merkle_proofs(2, [[b"short"]], (1, 1))
 
 
 # ----------------------------------------------------------------------
@@ -243,34 +455,43 @@ class TestTableIntegrityState:
         state, view = self.make_state(rows=6)
         tree = MerkleTree(relation_leaves(view))
         indexes = [1, 4]
-        proofs = [tree.proof(i) for i in indexes]
-        state.verify_proofs(indexes, proofs, tree.num_leaves, tree.root)
+        proof = tree.multiproof(indexes)
+        state.verify_proofs(indexes, proof, tree.num_leaves, tree.root)
         with pytest.raises(IntegrityError, match="does not verify"):
-            state.verify_proofs([1, 5], proofs, tree.num_leaves, tree.root)
+            state.verify_proofs([1, 5], proof, tree.num_leaves, tree.root)
         with pytest.raises(IntegrityError, match="proofs for"):
-            state.verify_proofs(indexes, proofs[:1], tree.num_leaves, tree.root)
+            state.verify_proofs(
+                indexes, Multiproof(proof.paths[:1], proof.geometry), tree.num_leaves, tree.root
+            )
         with pytest.raises(IntegrityError, match="-row tree"):
-            state.verify_proofs(indexes, proofs, tree.num_leaves + 1, tree.root)
+            state.verify_proofs(indexes, proof, tree.num_leaves + 1, tree.root)
         with pytest.raises(IntegrityError, match="outside"):
-            state.verify_proofs([99, 4], proofs, tree.num_leaves, tree.root)
+            state.verify_proofs([99, 4], proof, tree.num_leaves, tree.root)
+        with pytest.raises(IntegrityError, match="ascending"):
+            state.verify_proofs([4, 1], proof, tree.num_leaves, tree.root)
 
     def test_verify_proofs_decides_against_the_owners_tree(self):
-        state, view = self.make_state(rows=6)
+        state, view = self.make_state(rows=40)
         tree = MerkleTree(relation_leaves(view))
-        state.verify_proofs([2], [tuple(tree.proof(2))], tree.num_leaves, tree.root)
-        flipped = [bytes([tree.proof(2)[0][0] ^ 1]) + tree.proof(2)[0][1:]]
-        flipped += tree.proof(2)[1:]
-        for path in (flipped, tree.proof(2) + [tree.proof(2)[0]], tree.proof(2)[:-1]):
+        proof = tree.multiproof([2])
+        state.verify_proofs([2], proof, tree.num_leaves, tree.root)
+        path = proof.paths[0]
+        flipped = (bytes([path[0][0] ^ 1]) + path[0][1:],) + path[1:]
+        for forged in (flipped, path + (path[0],), path[:-1]):
             with pytest.raises(IntegrityError, match="does not verify"):
-                state.verify_proofs([2], [path], tree.num_leaves, tree.root)
+                state.verify_proofs(
+                    [2], Multiproof((forged,), proof.geometry), tree.num_leaves, tree.root
+                )
         # A server tree that differs in another row still carries a valid
-        # hash path for row 2 to *its* root; the owner's tree rejects it.
+        # multiproof for row 2 to *its* root; the owner's tree rejects it.
         rows = [list(view.row(i)) for i in range(view.num_rows)]
-        rows[5][0] = "tampered"
-        forged = MerkleTree(relation_leaves(relation(rows)))
-        assert verify_proof(tree.leaves[2], 2, 6, forged.proof(2), forged.root)
+        rows[39][0] = "tampered"
+        forged_tree = MerkleTree(relation_leaves(relation(rows)))
+        leaf = relation_leaves(view)[2]
+        forged_proof = forged_tree.multiproof([2])
+        assert verify_multiproof([leaf], [2], 40, forged_proof, forged_tree.root)
         with pytest.raises(IntegrityError, match="does not verify"):
-            state.verify_proofs([2], [forged.proof(2)], 6, forged.root)
+            state.verify_proofs([2], forged_proof, 40, forged_tree.root)
 
 
 # ----------------------------------------------------------------------

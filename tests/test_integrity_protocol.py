@@ -3,12 +3,15 @@
 The tamper matrix: bit-flipped stores, a generation rollback, and replies
 edited in transit are each detected *owner-side* with ``IntegrityError`` —
 on the durable segment store (plus one folded by a long delta history) and
-both compute backends.  Plus: protocol v3
+both compute backends.  Plus: protocol v4
 negotiation (signed replies, resumption tickets), the per-table version CAS
-for multi-writer deltas, and the coordinated multi-writer stress run that
-pins zero full-view fallbacks.
+for multi-writer deltas, the coordinated multi-writer stress run that
+pins zero full-view fallbacks, the tree-upkeep counters, and the one-way
+migration of legacy binary-tree roots.
 """
 
+import hashlib
+import json
 import shutil
 import threading
 import traceback
@@ -26,16 +29,20 @@ from repro.api import (
     RemoteOwnerSession,
     TenantRegistry,
 )
+from repro.api.delta import compute_view_delta
 from repro.api.protocol import SignedReply
-from repro.backend import numpy_available
+from repro.backend import get_backend, numpy_available
+from repro.cli import main
 from repro.core.config import F2Config
-from repro.exceptions import AuthError, IntegrityError, ProtocolError
-from repro.integrity.merkle import MerkleTree, relation_leaves
+from repro.exceptions import AuthError, IntegrityError, ProtocolError, StoreIntegrityWarning
+from repro.integrity.merkle import ROOT_FORMAT, MerkleTree, relation_leaves
 from repro.integrity.state import TableIntegrityState
 from repro.integrity.writers import WriteCoordinator
 from repro.query.ast import Eq
 from repro.relational.table import Relation
 from repro.store import FOLD_SEGMENT_FILES
+from repro.store.manifest import recover_manifest
+from repro.store.segment import SegmentTableStore
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 #: The in-memory store and the durable segment engine.
@@ -521,3 +528,116 @@ class TestMultiWriterStress:
         )
         assert result.merkle_root == expected_root
         assert coordinator.integrity.expected_root == expected_root
+
+
+# ----------------------------------------------------------------------
+# Tree upkeep: splice per delta, one rebuild after a restart
+# ----------------------------------------------------------------------
+class TestTreeUpkeepCounters:
+    def test_warm_store_splices_and_reopened_store_rebuilds_once(self, tmp_path):
+        backend = get_backend("python")
+        views = [Relation(SCHEMA, [list(r) for r in ROWS[: 3 + k]], name="t") for k in range(4)]
+        store = SegmentTableStore(tmp_path / "t.f2s", backend, create=True)
+        store.replace(views[0])
+        for old, new in zip(views, views[1:]):
+            store.apply_delta(compute_view_delta(old, new))
+        stats = store.store_stats()
+        assert (stats["tree_splices"], stats["tree_rebuilds"]) == (3, 0)
+        assert store.merkle_root() == MerkleTree(relation_leaves(views[-1])).root
+        store.close()
+
+        reopened = SegmentTableStore(tmp_path / "t.f2s", backend)
+        grown = Relation(SCHEMA, [list(r) for r in ROWS] + [["Summit", "07901", "E"]], name="t")
+        reopened.merkle_proofs([0, 2])
+        reopened.apply_delta(compute_view_delta(views[-1], grown))
+        reopened.merkle_proofs([1])
+        stats = reopened.store_stats()
+        assert (stats["tree_splices"], stats["tree_rebuilds"]) == (1, 1)
+        assert reopened.merkle_root() == MerkleTree(relation_leaves(grown)).root
+        reopened.close()
+
+    def test_counters_reach_the_stats_surface(self, registry, tmp_path):
+        credential = registry.mint("acme", "owner")
+        server = ProtocolServer(tenants=registry, storage_dir=tmp_path)
+        session = verified_session(server, credential)
+        session.outsource(base_relation())
+        session.insert_rows([["Summit", "07901", "E"]])
+        assert session.last_delta is not None
+        doc = server.stats_doc(include_traces=False)
+        (stats,) = doc["tables"].values()
+        assert (stats["tree_splices"], stats["tree_rebuilds"]) == (1, 0)
+        names = {counter["name"] for counter in doc["metrics"]["counters"]}
+        assert {"integrity.tree_splices", "integrity.tree_rebuilds"} <= names
+
+
+# ----------------------------------------------------------------------
+# Legacy binary-tree roots: one-way migration at open
+# ----------------------------------------------------------------------
+def _reference_binary_root(leaves: list) -> str:
+    """The legacy tree's root, written out independently of the store."""
+    level = list(leaves)
+    while len(level) > 1:
+        paired = []
+        for i in range(0, len(level), 2):
+            pair = level[i : i + 2]
+            paired.append(
+                hashlib.sha256(b"\x01" + pair[0] + pair[1]).digest() if len(pair) == 2 else pair[0]
+            )
+        level = paired
+    return level[0].hex()
+
+
+def make_legacy(storage: Path, view: Relation) -> Path:
+    """Rewrite the committed manifest as a pre-format store wrote it."""
+    (table_dir,) = storage.glob("acme/*.f2s")
+    manifest = table_dir / (table_dir / "CURRENT").read_text().strip()
+    doc = json.loads(manifest.read_text())
+    doc.pop("merkle_root_format")
+    doc["merkle_root"] = _reference_binary_root(relation_leaves(view))
+    manifest.write_text(json.dumps(doc))
+    return table_dir
+
+
+class TestLegacyRootMigration:
+    def test_untampered_legacy_store_migrates_and_serves_verified(self, registry, tmp_path):
+        credential, owner, session = populate(registry, tmp_path)
+        expected_root = session.integrity.expected_root
+        table_dir = make_legacy(tmp_path, owner.server_view())
+
+        fresh = reconnect_verified(registry, tmp_path, credential, owner, session)
+        store = fresh.client.transport.server.table_store("orders", tenant_id="acme")
+        assert store.recorded_merkle_root() == expected_root
+        assert not store.has_legacy_root()
+        assert store.store_stats()["tree_rebuilds"] == 1
+        matches = fresh.select("City = Hoboken")
+        expected = [r for r in ROWS if r[0] == "Hoboken"]
+        assert sorted(map(list, matches.rows())) == sorted(expected)
+        assert store.store_stats()["tree_rebuilds"] == 1
+        assert recover_manifest(table_dir).merkle_root_format == ROOT_FORMAT
+
+    @pytest.mark.parametrize("tamper", ["cell-bytes", "rows-behind-the-root"])
+    def test_tampered_legacy_store_is_not_re_rooted(self, registry, tmp_path, capsys, tamper):
+        credential, owner, session = populate(registry, tmp_path)
+        view = owner.server_view()
+        if tamper == "cell-bytes":
+            make_legacy(tmp_path, view)
+            flip_byte_of_cell_data(tmp_path)
+            reason = "fails its checksum"
+        else:
+            # Checksums intact, but the stored rows are not the ones the
+            # legacy root was recorded over.
+            rows = [list(view.row(i)) for i in range(view.num_rows)]
+            rows[0][0] = "tampered"
+            make_legacy(tmp_path, Relation(view.attributes, rows, name=view.name))
+            reason = "legacy-format merkle root"
+
+        with pytest.warns(StoreIntegrityWarning, match="legacy Merkle root"):
+            fresh = reconnect_verified(registry, tmp_path, credential, owner, session)
+        store = fresh.client.transport.server.table_store("orders", tenant_id="acme")
+        assert store.has_legacy_root()
+        if tamper == "cell-bytes":
+            with pytest.raises(IntegrityError):
+                fresh.select("City = Hoboken")
+        with pytest.warns(StoreIntegrityWarning, match="legacy Merkle root"):
+            assert main(["verify", "--storage", str(tmp_path)]) == 7
+        assert reason in capsys.readouterr().err
