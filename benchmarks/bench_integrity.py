@@ -1,24 +1,29 @@
 """Costs of the trustworthy-server subsystem (PR 8).
 
 Not a figure from the paper — F2's evaluation assumes an honest-but-curious
-server; this tracks what the integrity plane (Merkle roots, inclusion
-proofs, signed replies, version CAS) costs on top of it:
+server; this tracks what the integrity plane (Merkle roots, the owner's answer
+check, signed replies, version CAS) costs on top of it:
 
-* **Proof size vs rows** — one multiproof per reply: each touched chunk
-  of the content-defined tree contributes its other slots once, so a
-  lone match costs about ``(fanout - 1) * height`` digests (at most
+* **Proof size vs rows** — the size of one multiproof of the content-defined
+  tree (no reply carries one; ``MerkleTree.multiproof`` remains for offline
+  checks): each touched chunk contributes its other slots once, so a lone
+  match costs about ``(fanout - 1) * height`` digests (at most
   ``(MAX_CHUNK - 1) * height``) and matches that share chunks share them.
-  Reported as multiproof digest bytes per match, plus the attachment's
-  wire bytes (digests + chunk geometry).
+  Reported as multiproof digest bytes per match.
+* **Owner answer check vs rows** — a verified select recomputes its answer
+  over the owner's replica (``TableIntegrityState.verify_proofs``): cold
+  (an empty leaf-mask cache, as after an insert) and cached (a hot query),
+  for a one-leaf and a two-leaf plan.
 * **Splice vs rebuild** — the Merkle upkeep of one insert: splicing a
   1-row or 64-row view delta into the tree against building the tree of
   the result from its leaves.
 * **Owner verify throughput** — proofs checked per second, and the
   owner-side tree (re)build rate in rows/s (the cost of ``record_push``).
-* **Signed-reply overhead** — verified plan queries (protocol v3: signed
-  frames + signed replies + root + proofs) against the same queries on an
-  anonymous server; the PR 5 baseline for signed *frames* alone was a
-  0.84 signed/unsigned throughput ratio (``BENCH_protocol.json``).
+* **Signed-reply overhead** — verified plan queries (protocol v5: signed
+  frames + signed replies + root + the owner's answer check) against the
+  same queries on an anonymous server; the baseline for signed *frames*
+  alone was a 0.84 signed/unsigned throughput ratio
+  (``BENCH_protocol.json``).
 * **CAS retry rate under contention** — concurrent coordinated writers
   against one table: delta pushes, conflicts, rebases, and the retry
   rate; full-view fallbacks are asserted to be zero.
@@ -39,13 +44,15 @@ from repro.api import (
     RemoteOwnerSession,
     TenantRegistry,
 )
+from repro.api.session import ReplicaMasks
 from repro.bench.reporting import format_table
 from repro.core.config import F2Config
 from repro.api.delta import OP_COPY, OP_LITERAL, ViewDelta
 from repro.integrity.merkle import MerkleTree, hash_row, relation_leaves, verify_multiproof
+from repro.integrity.state import TableIntegrityState
 from repro.integrity.writers import WriteCoordinator
+from repro.query.server import ServerAnd, TokenLeaf, execute_server_expr
 from repro.relational.table import Relation
-from repro.wire import encode_merkle_proofs
 
 from benchmarks.conftest import scale
 
@@ -55,6 +62,7 @@ PROOF_TABLE_SIZES = (1000, 4000, 16000, 64000)
 PROOF_MATCHES = 64
 SPLICE_DELTA_ROWS = (1, 64)
 SPLICE_REPEATS = 5
+ANSWER_REPEATS = 20
 VERIFY_ROWS = 20000
 VERIFY_PROOFS = 2000
 QUERY_REPEATS = 40
@@ -91,7 +99,6 @@ def proof_sizes(sizes) -> list[dict]:
         step = max(1, num_rows // PROOF_MATCHES)
         indexes = list(range(0, num_rows, step))[:PROOF_MATCHES]
         proof = tree.multiproof(indexes)
-        blob = encode_merkle_proofs(num_rows, [list(p) for p in proof.paths], proof.geometry)
         digest_bytes = sum(len(d) for path in proof.paths for d in path)
         rows.append(
             {
@@ -99,10 +106,56 @@ def proof_sizes(sizes) -> list[dict]:
                 "matches": len(indexes),
                 "proof_depth": tree.height,
                 "proof_bytes_per_match": round(digest_bytes / len(indexes), 1),
-                "attachment_bytes": len(blob),
-                "table_fraction": round(len(blob) / (num_rows * 32), 6),
             }
         )
+    return rows
+
+
+# ----------------------------------------------------------------------
+# The owner's answer check of a verified select
+# ----------------------------------------------------------------------
+def answer_check_costs(sizes) -> list[dict]:
+    """Milliseconds of one answer check over an ``n``-row replica.
+
+    ``cold`` starts from an empty leaf-mask cache (the first select after an
+    insert); ``cached`` is a hot query.  Both run over an already encoded
+    replica: its coded form is built once per version and shared with the
+    leakage report.
+    """
+    plans = {
+        "one-leaf": TokenLeaf("city", ("city3",), index=0),
+        "two-leaf": ServerAnd(
+            (
+                TokenLeaf("city", ("city3",), index=0),
+                TokenLeaf("zip", tuple(f"{z:05d}" for z in range(0, 97, 2)), index=1),
+            )
+        ),
+    }
+    rows = []
+    for num_rows in sizes:
+        replica = make_relation(num_rows)
+        state = TableIntegrityState("bench")
+        for name, expr in plans.items():
+            indexes, counts = execute_server_expr(replica.coded(), expr)
+
+            def check(masks: ReplicaMasks) -> float:
+                return timed(
+                    lambda: state.verify_proofs(expr, indexes, counts, masks.over(replica))
+                )[0]
+
+            cold = min(check(ReplicaMasks()) for _ in range(ANSWER_REPEATS))
+            masks = ReplicaMasks()
+            check(masks)
+            cached = min(check(masks) for _ in range(ANSWER_REPEATS))
+            rows.append(
+                {
+                    "rows": num_rows,
+                    "plan": name,
+                    "matches": len(indexes),
+                    "cold_ms": round(cold * 1e3, 3),
+                    "cached_ms": round(cached * 1e3, 3),
+                }
+            )
     return rows
 
 
@@ -196,7 +249,7 @@ def splice_costs(sizes) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Verified (signed reply + proofs) vs anonymous query round trips
+# Verified (signed reply + answer check) vs anonymous query round trips
 # ----------------------------------------------------------------------
 def signed_reply_overhead(repeats: int) -> list[dict]:
     plaintext = make_relation(scale(400), name="addresses")
@@ -299,6 +352,15 @@ def test_proof_size_vs_rows(benchmark, bench_json):
     print(format_table(rows, title="Inclusion proof size vs table size"))
     bench_json.add("proof_size", rows)
     assert rows[-1]["proof_depth"] <= 2 * max(1, rows[-1]["rows"] - 1).bit_length()
+
+
+def test_owner_answer_check(benchmark, bench_json):
+    sizes = tuple(scale(size) for size in PROOF_TABLE_SIZES)
+    rows = benchmark.pedantic(answer_check_costs, args=(sizes,), rounds=1, iterations=1)
+    print()
+    print(format_table(rows, title="Owner answer check of a verified select"))
+    bench_json.add("answer_check", rows)
+    assert all(row["cached_ms"] < row["cold_ms"] for row in rows if row["rows"] >= 4000)
 
 
 def test_splice_vs_full_build(benchmark, bench_json):

@@ -96,11 +96,9 @@ from repro.store.base import STORAGE_ENGINE_SEGMENT, STORE_SUFFIX, TableStore
 from repro.wire import (
     WIRE_BINARY,
     decode_cells,
-    decode_merkle_proofs,
     decode_relation,
     decode_tane_result,
     encode_cells,
-    encode_merkle_proofs,
     encode_relation,
     encode_tane_result,
     sanitize_json,
@@ -115,11 +113,12 @@ MESSAGE_VERSION = 1
 
 #: The service protocol version of an authenticated session: signed
 #: requests, server-signed replies, resumption tickets, and Merkle roots
-#: and multiproofs of the content-defined tree (version 3 carried
+#: of the content-defined tree, with no inclusion proofs on select
+#: replies (version 4 carried a multiproof of the matched rows; version 3
 #: binary-tree roots and per-row paths).  A ``Hello`` that does not offer
 #: it is refused with ``VERSION_UNSUPPORTED``.  Anonymous local-tenant
 #: frames (no ``Hello``) are a server mode, not a protocol version.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Default table id used by the session facades.
 DEFAULT_TABLE_ID = "default"
@@ -382,17 +381,13 @@ class PlanQueryRequest(Message):
     kind: ClassVar[str] = "plan_query_request"
     table_id: str
     expr: ServerExpr
-    #: Attach one Merkle multiproof of the matched rows to the result
-    #: (implies the version/root fields as well).
-    include_proofs: bool = False
-    #: Attach the commit version and Merkle root without proofs.
+    #: Attach the commit version and Merkle root to the result.
     with_root: bool = False
 
     def _meta(self) -> dict[str, Any]:
         return {
             "table_id": self.table_id,
             "expr": server_expr_to_doc(self.expr),
-            "include_proofs": self.include_proofs,
             "with_root": self.with_root,
         }
 
@@ -419,7 +414,6 @@ class PlanQueryRequest(Message):
         return cls(
             table_id=check_table_id(meta.get("table_id", "")),
             expr=server_expr_from_doc(doc, tokens),
-            include_proofs=bool(meta.get("include_proofs", False)),
             with_root=bool(meta.get("with_root", False)),
         )
 
@@ -432,7 +426,9 @@ class PlanQueryResult(Message):
     ``leaf_match_counts`` is the cardinality of every token leaf's match
     bitset in leaf-index order — the access pattern the provider observed,
     which feeds the owner's :class:`~repro.query.leakage.QueryLeakageReport`.
-    ``num_rows`` is the stored row count (the leakage denominator).
+    ``num_rows`` is the stored row count (the leakage denominator).  A
+    verified owner recomputes all three over her replica of the view
+    (:meth:`repro.integrity.state.TableIntegrityState.verify_proofs`).
     """
 
     kind: ClassVar[str] = "plan_query_result"
@@ -441,15 +437,12 @@ class PlanQueryResult(Message):
     leaf_match_counts: tuple[int, ...]
     num_rows: int
     #: Commit version / Merkle root, attached when the request asked for
-    #: them (``with_root`` or ``include_proofs``).
+    #: them (``with_root``).
     version: int = -1
     merkle_root: str = ""
-    #: The multiproof's digests as one tuple per matched row, in
-    #: ``row_indexes`` order (each row carries only the siblings earlier
-    #: rows did not); ``None`` unless ``include_proofs`` was set.
-    proofs: "tuple[tuple[bytes, ...], ...] | None" = None
-    #: The multiproof's chunk geometry (see :mod:`repro.integrity.merkle`).
-    proof_geometry: tuple[int, ...] = ()
+    #: Always ``None``: a reply carries no inclusion proofs (a class
+    #: constant, not a constructor field).
+    proofs: ClassVar[None] = None
 
     def _meta(self) -> dict[str, Any]:
         meta: dict[str, Any] = {
@@ -463,15 +456,6 @@ class PlanQueryResult(Message):
             meta["merkle_root"] = self.merkle_root
         return meta
 
-    def _attachments(self) -> dict[str, bytes]:
-        if self.proofs is None:
-            return {}
-        return {
-            "proofs": encode_merkle_proofs(
-                self.num_rows, [list(path) for path in self.proofs], self.proof_geometry
-            )
-        }
-
     @classmethod
     def _build(cls, meta, attachments) -> "PlanQueryResult":
         indexes = meta.get("row_indexes")
@@ -483,17 +467,6 @@ class PlanQueryResult(Message):
             # num_rows anchors the owner's leakage denominator and her
             # desync check; defaulting it would make both silently wrong.
             raise WireError("plan_query_result without a stored row count")
-        proofs = None
-        geometry: tuple[int, ...] = ()
-        proofs_payload = attachments.get("proofs")
-        if proofs_payload is not None:
-            proof_leaves, paths, geometry = decode_merkle_proofs(proofs_payload)
-            if proof_leaves != int(num_rows):
-                raise WireError(
-                    f"plan_query_result proofs claim {proof_leaves} leaves "
-                    f"but the result reports {num_rows} rows"
-                )
-            proofs = tuple(tuple(path) for path in paths)
         return cls(
             table_id=check_table_id(meta.get("table_id", "")),
             row_indexes=tuple(int(index) for index in indexes),
@@ -501,8 +474,6 @@ class PlanQueryResult(Message):
             num_rows=int(num_rows),
             version=int(meta.get("version", -1)),
             merkle_root=str(meta.get("merkle_root", "")),
-            proofs=proofs,
-            proof_geometry=geometry,
         )
 
 
@@ -1897,22 +1868,7 @@ class ProtocolServer:
             ):
                 indexes, leaf_counts = execute_server_expr(store, request.expr)
             version, root = -1, ""
-            proofs: "tuple[tuple[bytes, ...], ...] | None" = None
-            geometry: tuple[int, ...] = ()
-            if request.include_proofs:
-                # Proofs before root: both come off the same lazily-built
-                # tree, so the root always matches the proofs' tree.
-                with obs.span(
-                    "integrity.prove", table=request.table_id, matches=len(indexes)
-                ) as proof_span:
-                    multiproof = store.merkle_proofs(indexes)
-                proofs, geometry = multiproof.paths, multiproof.geometry
-                proof_bytes = sum(len(node) for path in proofs for node in path)
-                obs.counter("integrity.proof_bytes").inc(proof_bytes)
-                obs.counter("integrity.proofs_generated").inc(len(proofs))
-                if proof_span is not None:
-                    proof_span.tags["bytes"] = proof_bytes
-            if request.include_proofs or request.with_root:
+            if request.with_root:
                 version, root = store.commit_version, store.merkle_root()
             return PlanQueryResult(
                 table_id=request.table_id,
@@ -1921,8 +1877,6 @@ class ProtocolServer:
                 num_rows=store.num_rows,
                 version=version,
                 merkle_root=root,
-                proofs=proofs,
-                proof_geometry=geometry,
             )
 
     # -- the stats surface ---------------------------------------------
@@ -2671,22 +2625,19 @@ class ProtocolClient:
         self,
         table_id: str,
         expr: ServerExpr,
-        include_proofs: bool = False,
         with_root: bool = False,
     ) -> PlanQueryResult:
         """Execute a planned boolean selection server-side.
 
         ``expr`` is the server part of a :class:`~repro.query.planner.QueryPlan`;
         the reply carries the matched row indexes plus the per-leaf match
-        cardinalities for leakage accounting.  ``include_proofs=True`` also
-        ships one Merkle multiproof of the matched rows (plus the commit
-        version and root); ``with_root=True`` ships version and root alone.
+        cardinalities for leakage accounting.  ``with_root=True`` also ships
+        the commit version and Merkle root.
         """
         return self._expect(
             PlanQueryRequest(
                 table_id=check_table_id(table_id),
                 expr=expr,
-                include_proofs=include_proofs,
                 with_root=with_root,
             ),
             PlanQueryResult,

@@ -29,7 +29,9 @@ reusing the retained plans (see :mod:`repro.api.incremental`).
 from __future__ import annotations
 
 import os
-from typing import Any, Iterable, Mapping, Sequence
+import threading
+import weakref
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.api.auth import Credential, ErrorCode
 from repro.api.delta import ViewDelta, compute_view_delta
@@ -50,11 +52,9 @@ from repro.crypto.probabilistic import Ciphertext, ProbabilisticCipher
 from repro.exceptions import (
     DecryptionError,
     EncryptionError,
-    IntegrityError,
     ProtocolError,
     QueryError,
 )
-from repro.integrity.merkle import Multiproof
 from repro.integrity.state import TableIntegrityState
 from repro.integrity.writers import WriteCoordinator
 from repro.fd.fd import FDSet
@@ -65,6 +65,10 @@ from repro.query.parser import parse_predicate
 from repro.query.planner import QueryPlan, plan_predicate
 from repro.query.server import ServerExpr
 from repro.relational.table import Relation
+from repro.store.cache import TokenBitsetCache
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.relational.coded import CodedRelation
 
 
 # ----------------------------------------------------------------------
@@ -143,6 +147,65 @@ def decrypt_table(encrypted: EncryptedTable, cipher: ProbabilisticCipher) -> Rel
     )
 
 
+class ReplicaMasks:
+    """The owner's cache of leaf masks over her replica of the server view.
+
+    A verified select recomputes its answer over the replica
+    (:meth:`~repro.integrity.state.TableIntegrityState.verify_proofs`), and
+    hot queries repeat their token leaves, so the owner caches leaf masks
+    as the provider does, in a :class:`~repro.store.cache.TokenBitsetCache`
+    keyed by ``(attribute, token)``.  The cache belongs to one version of
+    the replica: a new replica, or a write to it, has a new coded form, and
+    the first lookup against that drops every entry.  The coded form is
+    held weakly, so a replaced replica is freed with its table.  A
+    :class:`DataOwner` holds one instance for all of her sessions.
+    """
+
+    def __init__(self, backend: "str | None" = None):
+        self._backend = backend
+        self._lock = threading.Lock()
+        self._cache = TokenBitsetCache()
+        self._coded: "weakref.ref[CodedRelation] | None" = None
+
+    def over(self, replica: Relation) -> "CachedReplica":
+        """The executor surface of ``replica``, fronted by this cache."""
+        return CachedReplica(replica.coded(self._backend), self)
+
+    def mask(self, coded: "CodedRelation", attribute: str, token: Sequence[Any]) -> Any:
+        """The row mask of one token leaf over ``coded``, cached."""
+        key = TokenBitsetCache.key(attribute, token)
+        with self._lock:
+            if self._coded is None or self._coded() is not coded:
+                self._cache.invalidate()
+                self._coded = weakref.ref(coded)
+            mask = self._cache.get_mask(key)
+            if mask is None:
+                mask = coded.match_mask(attribute, token)
+                self._cache.put_mask(key, mask)
+            return mask
+
+    def stats(self) -> dict[str, int]:
+        """Hit, miss, entry and invalidation counts."""
+        with self._lock:
+            return self._cache.stats()
+
+
+class CachedReplica:
+    """``backend`` / ``num_rows`` / ``match_mask`` of one coded replica,
+    with leaf masks from a :class:`ReplicaMasks` cache."""
+
+    __slots__ = ("backend", "num_rows", "_coded", "_masks")
+
+    def __init__(self, coded: "CodedRelation", masks: ReplicaMasks):
+        self.backend = coded.backend
+        self.num_rows = coded.num_rows
+        self._coded = coded
+        self._masks = masks
+
+    def match_mask(self, attribute: str, token: Sequence[Any]) -> Any:
+        return self._masks.mask(self._coded, attribute, token)
+
+
 class DataOwner:
     """The owner side of the outsourcing protocol.
 
@@ -176,6 +239,8 @@ class DataOwner:
         #: a derivation racing a replacement stores into the dict it
         #: started with, which is then unreachable.
         self._tokens: dict[tuple[str, str], tuple[Ciphertext, ...]] = {}
+        #: Leaf masks over the replica, for verified selects' answer checks.
+        self.replica_masks = ReplicaMasks(self.config.backend)
 
     #: Most search tokens kept before the cache starts over.
     TOKEN_CACHE_SIZE = 1024
@@ -635,8 +700,10 @@ class RemoteOwnerSession:
     ``verify=True`` (or the ``REPRO_VERIFY`` environment variable) turns on
     owner-side integrity verification: the session mirrors the server's
     Merkle tree in a :class:`~repro.integrity.state.TableIntegrityState`,
-    and every query reply is checked — root agreement, ``(version, root)``
-    freshness, and a multiproof of the matched rows — before decryption.
+    and every query reply is checked before decryption — root agreement,
+    ``(version, root)`` freshness, and the answer itself: the owner runs
+    the plan's server part over the view her tree vouches for and requires
+    the same matched rows and per-leaf counts.
     Passing a shared :class:`~repro.integrity.writers.WriteCoordinator`
     additionally lets several sessions (each with its own client/thread)
     write one table concurrently through optimistic CAS with rebase.
@@ -671,9 +738,9 @@ class RemoteOwnerSession:
         if verify is None:
             verify = os.environ.get("REPRO_VERIFY", "").lower() not in ("", "0", "false", "no")
         #: When set, every write asks the ack for the server's Merkle root,
-        #: every query carries ``with_root`` (plans also request inclusion
-        #: proofs), and replies are checked against :attr:`integrity` before
-        #: any decryption — tampering, rollback, or a forked table raises
+        #: every query carries ``with_root``, and replies are checked against
+        #: :attr:`integrity` and the owner's replica before any decryption —
+        #: a wrong answer, tampering, rollback, or a forked table raises
         #: :class:`~repro.exceptions.IntegrityError`.
         self.verify = bool(verify)
         #: Shared multi-writer coordinator; when present, inserts go through
@@ -886,42 +953,40 @@ class RemoteOwnerSession:
         if plan.server is None:
             matches = self.owner.select_plaintext_where(plan.predicate)
             return matches, self.owner.query_leakage_report(plan)
-        # Proofs are only checkable against a tree the owner built from a
-        # view she pushed herself; a session that never pushed (the
-        # ``--no-push`` pattern — F2 re-encryption is randomised, so the
-        # view cannot be recomputed locally) degrades to freshness-only
-        # verification of the (version, root) chain.
-        want_proofs = (
-            self.verify
-            and self.integrity is not None
-            and bool(self.integrity.expected_root)
-        )
-        result = self.client.plan_query(
-            self.table_id,
-            plan.server,
-            include_proofs=want_proofs,
-            with_root=self.verify,
-        )
+        result = self.client.plan_query(self.table_id, plan.server, with_root=self.verify)
         if self.verify and self.integrity is not None:
             # All checks run BEFORE any decryption: the reply's (version,
-            # root, row count) claims first, then the multiproof of the
-            # matched rows against the agreed root.
+            # root, row count) claims first, then its answer.
             self.integrity.check_reply(result.version, result.merkle_root, result.num_rows)
-            if want_proofs:
-                if result.proofs is None:
-                    raise IntegrityError(
-                        f"table {self.table_id!r}: provider omitted the "
-                        "requested inclusion proofs",
-                        table_id=self.table_id,
-                    )
+            replica = self._vouched_view()
+            if replica is not None:
                 self.integrity.verify_proofs(
+                    plan.server,
                     result.row_indexes,
-                    Multiproof(result.proofs, result.proof_geometry),
-                    result.num_rows,
-                    result.merkle_root,
+                    result.leaf_match_counts,
+                    self.owner.replica_masks.over(replica),
                 )
         matches = self.owner.decrypt_plan_result(plan, result)
         return matches, self.owner.query_leakage_report(plan, result)
+
+    def _vouched_view(self) -> "Relation | None":
+        """The view :attr:`integrity`'s tree was built from, if any.
+
+        That is the owner's own replica while her last acknowledged push
+        carried her current table (its coded form is shared with the leakage
+        report); otherwise the acknowledged view itself — never a table the
+        server has not acknowledged.  A session that never pushed (the
+        ``--no-push`` pattern: F2 re-encryption is randomised, so the view
+        cannot be recomputed locally) has none, and its verification is the
+        ``(version, root)`` freshness chain alone.
+        """
+        if self.integrity is None or not self.integrity.expected_root:
+            return None
+        if self.coordinator is not None:
+            return self.coordinator.snapshot_base()[0]
+        if self._last_pushed is not None and self._last_pushed is self.owner.encrypted:
+            return self.owner.encrypted.relation
+        return self._last_view
 
     def explain(self, predicate: "Predicate | str") -> str:
         """The plan description for ``predicate`` (no server round trip)."""

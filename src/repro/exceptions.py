@@ -131,7 +131,7 @@ class IntegrityError(ReproError):
     """Owner-side verification of the untrusted server failed.
 
     Raised by :mod:`repro.integrity` when a reply signature does not verify,
-    an inclusion proof does not lead to the advertised Merkle root, the
+    a select's answer differs from the one the owner's replica gives, the
     server's root disagrees with the owner's replica, or the ``(version,
     root)`` freshness chain regresses (a provider rolled back to an older
     generation).  This is a *security* failure, not an I/O failure: the

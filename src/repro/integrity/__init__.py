@@ -8,14 +8,14 @@ or modified ciphertext.  This package closes that gap:
 * :mod:`repro.integrity.merkle` — a content-defined Merkle sequence over
   ciphertext rows (leaf = hash of the row's canonical cell bytes) whose
   shape depends only on its leaves, so both parties splice a view delta
-  into it rehashing only the chunks the delta touches, and one multiproof
-  per reply proves every matched row.  It is the only whole-view digest: a
-  delta's base is checked by row count plus the commit-version
+  into it rehashing only the chunks the delta touches (multiproofs remain
+  for offline checks; no reply carries one).  It is the only whole-view
+  digest: a delta's base is checked by row count plus the commit-version
   compare-and-swap, never by re-hashing the view.
 * :mod:`repro.integrity.state` — the owner's per-table verification state:
   her own copy of the tree plus a monotonic ``(version, root)`` freshness
-  chain, raising :class:`repro.exceptions.IntegrityError` on any mismatch
-  or rollback.
+  chain, and the check of a select's answer against her replica, raising
+  :class:`repro.exceptions.IntegrityError` on any mismatch or rollback.
 * :mod:`repro.integrity.writers` — a :class:`WriteCoordinator` for several
   concurrent writers of one table, retrying optimistic deltas on
   ``VERSION_CONFLICT`` with a rebase instead of a full-view rewrite.

@@ -41,10 +41,12 @@ of leaf indexes at once.  Each touched chunk is described once by its
 geometry (size, a bitmask of the slots the proof already knows, and, above
 the leaves, the leaf counts of the other slots) and by the digests of its
 other slots.  Those digests are split by row: row *k* carries only the
-siblings that rows before it did not already carry, so a reply that
-matches many rows sends each shared digest once.  :func:`verify_multiproof`
-checks such a proof from the leaves alone; the owner, who holds the whole
-tree, decides instead by comparing with her own multiproof.
+siblings that rows before it did not already carry, so a proof of many
+rows holds each shared digest once.  :func:`verify_multiproof` checks such
+a proof from the leaves alone.  No select reply carries one: inclusion
+shows neither that an answer is complete nor, for replies without tuples,
+anything the root does not, so a verified owner recomputes the answer over
+her replica instead (:mod:`repro.integrity.state`).
 """
 
 from __future__ import annotations

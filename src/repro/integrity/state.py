@@ -4,7 +4,8 @@ A :class:`TableIntegrityState` is the client-side mirror of the server's
 Merkle tree: the owner updates it from the views and deltas *she* sends
 (so it reflects what the table should hold) — a push builds the tree, a
 delta splices it exactly as the server does, rehashing only the chunks
-the delta touches — then checks every reply against it —
+the delta touches — then checks every reply against it and against the
+view it vouches for —
 
 * **root agreement** — the root the server advertises must equal the root
   of the owner's own tree;
@@ -12,9 +13,12 @@ the delta touches — then checks every reply against it —
   monotonically: a lower version than any previously seen, or a different
   root at the same version, means the provider rolled back or forked the
   table;
-* **inclusion** — the reply's multiproof must be the one the owner's own
-  tree gives for the matched indexes, so every matched row sits at its
-  claimed index under the agreed root.
+* **the answer** — the provider is keyless, so a select can only be the
+  token-leaf bitset algebra of :func:`~repro.query.server.execute_server_expr`
+  over ciphertext the owner holds byte for byte; she runs the same plan
+  over her replica and requires the matched rows and per-leaf counts to
+  equal hers exactly.  That shows the answer complete as well as genuine,
+  which inclusion proofs never do (they say nothing of rows left out).
 
 Every violation raises :class:`repro.exceptions.IntegrityError` with the
 table id attached.  The state is thread-safe and shareable: concurrent
@@ -26,21 +30,21 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro import obs
 from repro.exceptions import IntegrityError
-from repro.integrity.merkle import MerkleTree, Multiproof, relation_leaves
+from repro.integrity.merkle import MerkleTree, relation_leaves
 from repro.obs import metrics as _metrics
+from repro.query.server import execute_server_expr
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.api.delta import ViewDelta
+    from repro.query.server import ServerExpr
     from repro.relational.table import Relation
 
-# Client-side verification cost (no-ops under REPRO_METRICS=0).
+# Client-side answer-check cost (a no-op under REPRO_METRICS=0).
 _VERIFY_SECONDS = _metrics.histogram("integrity.verify_seconds")
-_PROOFS_VERIFIED = _metrics.counter("integrity.proofs_verified")
-_PROOF_BYTES_VERIFIED = _metrics.counter("integrity.proof_bytes_verified")
 
 
 class TableIntegrityState:
@@ -128,81 +132,40 @@ class TableIntegrityState:
 
     def verify_proofs(
         self,
+        expr: "ServerExpr",
         row_indexes: Sequence[int],
-        proofs: Multiproof,
-        num_leaves: int,
-        root: str,
+        leaf_match_counts: Sequence[int],
+        replica: Any,
     ) -> None:
-        """Check the multiproof of the matched rows against ``root``.
+        """Check a select's answer by recomputing it over the owner's replica.
 
-        The leaf hashes come from the owner's own tree — the server proves
-        *placement*, it never gets to supply the row bytes being proven.
-        The owner holds that whole tree, so a multiproof leads from her
-        leaves to ``root`` exactly when ``root`` is her root and the proof
-        is her own multiproof for the same indexes (anything else needs a
-        SHA-256 collision; :func:`~repro.integrity.merkle.verify_multiproof`
-        is the oracle).  Comparing the digests and geometry therefore
-        decides the proof without hashing.
+        ``replica`` is the coded form of the view this state's tree vouches
+        for, or anything with the same executor surface (``backend`` /
+        ``num_rows`` / ``match_mask``) — in a session, that view through the
+        owner's leaf-mask cache (:meth:`repro.api.session.ReplicaMasks.over`).
+        ``expr`` is the server part of the plan the provider was sent.  The
+        reply's ``row_indexes`` and ``leaf_match_counts`` must equal the
+        owner's exactly: a dropped, added or swapped match, or a misreported
+        leaf count, raises.
         """
         with obs.span(
-            "integrity.verify_proofs",
-            table=self.table_id,
-            proofs=len(proofs),
+            "integrity.check_answer", table=self.table_id, matches=len(row_indexes)
         ) as span_obj:
             started = time.perf_counter()
-            self._verify_proofs(row_indexes, proofs, num_leaves, root)
+            rows, counts = execute_server_expr(replica, expr)
             if span_obj is not None:
                 _VERIFY_SECONDS.observe(time.perf_counter() - started)
-                _PROOFS_VERIFIED.inc(len(proofs))
-                _PROOF_BYTES_VERIFIED.inc(
-                    sum(len(node) for path in proofs for node in path)
-                )
-
-    def _verify_proofs(
-        self,
-        row_indexes: Sequence[int],
-        proofs: Multiproof,
-        num_leaves: int,
-        root: str,
-    ) -> None:
-        with self._lock:
-            tree = self._tree
-        if tree is None:
+        if list(row_indexes) != rows:
             raise IntegrityError(
-                f"table {self.table_id!r}: no owner-side tree to verify "
-                "proofs against",
+                f"table {self.table_id!r}: the provider's {len(row_indexes)} "
+                f"matched rows are not the {len(rows)} the owner's replica "
+                "matches (dropped, added or swapped rows)",
                 table_id=self.table_id,
             )
-        if len(proofs) != len(row_indexes):
+        if list(leaf_match_counts) != counts:
             raise IntegrityError(
-                f"table {self.table_id!r}: {len(proofs)} proofs for "
-                f"{len(row_indexes)} matched rows",
-                table_id=self.table_id,
-            )
-        if num_leaves != tree.num_leaves:
-            raise IntegrityError(
-                f"table {self.table_id!r}: proofs claim a {num_leaves}-row "
-                f"tree, owner expects {tree.num_leaves}",
-                table_id=self.table_id,
-            )
-        for index in row_indexes:
-            if not 0 <= index < num_leaves:
-                raise IntegrityError(
-                    f"table {self.table_id!r}: matched row {index} outside "
-                    f"the {num_leaves}-row table",
-                    table_id=self.table_id,
-                )
-        try:
-            expected = tree.multiproof(row_indexes)
-        except IntegrityError as exc:  # unsorted or repeated indexes
-            raise IntegrityError(
-                f"table {self.table_id!r}: matched rows do not form a proof: {exc}",
-                table_id=self.table_id,
-            ) from None
-        if root != tree.root or proofs != expected:
-            raise IntegrityError(
-                f"table {self.table_id!r}: the multiproof of "
-                f"{len(row_indexes)} matched rows does not verify against the root",
+                f"table {self.table_id!r}: the provider reports leaf match "
+                f"counts {list(leaf_match_counts)}, the owner's replica {counts}",
                 table_id=self.table_id,
             )
 

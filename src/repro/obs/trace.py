@@ -1,11 +1,11 @@
 """Lightweight spans: monotonic timings, nesting, cross-process trace ids.
 
 A *span* is one timed operation (``server.plan_query``,
-``store.match_mask``, ``integrity.prove``) with free-form tags.  Spans
-nest through a :mod:`contextvars` variable, so each thread (and each
-asyncio task, should the server grow one) keeps its own span stack; when
-the outermost span of a tree finishes, the whole tree is recorded into
-the process-wide :data:`TRACES` ring.
+``store.execute_expr``, the owner's ``integrity.check_answer``) with
+free-form tags.  Spans nest through a :mod:`contextvars` variable, so each
+thread (and each asyncio task, should the server grow one) keeps its own
+span stack; when the outermost span of a tree finishes, the whole tree is
+recorded into the process-wide :data:`TRACES` ring.
 
 The *trace id* stitches trees across processes: the protocol client
 mints one per request and sends it inside the (signed) envelope; the

@@ -84,7 +84,9 @@ class CodedRelation:
     directly pins it to the relation's current contents.
     """
 
-    __slots__ = ("_relation", "backend", "version", "_columns")
+    # Weak-referenceable: the owner's leaf-mask cache (``ReplicaMasks``)
+    # must not keep a replaced replica alive.
+    __slots__ = ("_relation", "backend", "version", "_columns", "__weakref__")
 
     def __init__(self, relation: "Relation", backend: ComputeBackend):
         self._relation = relation

@@ -150,11 +150,20 @@ class TableStore(ABC):
         _TREE_REBUILDS.inc()
 
     def merkle_root(self) -> str:
-        """Hex root over the current ciphertext rows."""
+        """Hex root over the rows the store holds, never a recorded one.
+
+        A root read back from metadata would vouch for rows the store may
+        no longer hold (a corrupted segment after a restart); the lazy tree
+        is built from the stored rows themselves.
+        """
         return self.merkle_tree().root
 
     def merkle_proofs(self, indexes: Iterable[int]) -> "Multiproof":
-        """One multiproof for the given strictly ascending row indexes."""
+        """One multiproof for the given strictly ascending row indexes.
+
+        No reply carries one: a verified owner recomputes the answer over
+        her replica instead.  Kept for offline checks.
+        """
         return self.merkle_tree().multiproof(list(indexes))
 
     def _merkle_candidate(self, delta: "ViewDelta") -> "MerkleTree | None":

@@ -390,20 +390,6 @@ class SegmentTableStore(TableStore):
             self._wrote()
             return num_rows
 
-    def merkle_root(self) -> str:
-        """Committed root: cached tree, else the manifest's recorded root.
-
-        Falls back to the base class's lazy full rebuild only when neither
-        exists (a store whose last writes predate root tracking).
-        """
-        with self._mutex:
-            if self._merkle is not None:
-                return self._merkle.root
-            manifest = self._manifest
-            if manifest is not None and manifest.merkle_root:
-                return manifest.merkle_root
-            return super().merkle_root()
-
     def recorded_merkle_root(self) -> str:
         """The manifest's recorded root (may be empty), without rebuilding."""
         with self._mutex:

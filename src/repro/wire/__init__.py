@@ -4,7 +4,7 @@ The codec (:mod:`repro.wire.codec`) round-trips ciphertext cells, relations,
 and TANE results through one compact length-prefixed binary frame
 (:mod:`repro.wire.binary`), columnar and dictionary-encoded on top of the
 coded view from PR 2 so each distinct ciphertext is serialized once per
-column; :mod:`repro.wire.proofs` does the same for Merkle multiproofs.
+column.
 
 Encoded objects decode to values that compare equal to the originals.  The
 protocol endpoints in :mod:`repro.api.protocol` frame these payloads into
@@ -25,16 +25,8 @@ from repro.wire.codec import (
     encode_tane_result,
     sanitize_json,
 )
-from repro.wire.proofs import (
-    PROOFS_MAGIC,
-    decode_merkle_proofs,
-    encode_merkle_proofs,
-)
 
 __all__ = [
-    "PROOFS_MAGIC",
-    "decode_merkle_proofs",
-    "encode_merkle_proofs",
     "BINARY_MAGIC",
     "BINARY_VERSION",
     "WIRE_BINARY",

@@ -240,7 +240,7 @@ class TestHandshake:
         credential = registry.mint("acme", "owner")
         client = loopback(tenanted_server)
         ack = client.authenticate(credential)
-        assert ack.version == 4
+        assert ack.version == 5
         assert ack.resume_ticket.startswith("f2tkt1.")
         assert client.session_id == ack.session_id
 
@@ -266,10 +266,11 @@ class TestHandshake:
         assert excinfo.value.code == ErrorCode.AUTH_REVOKED.value
 
     def test_version_mismatch(self, registry, tenanted_server):
-        # Only protocol version 4 opens a session; the retired versions 1
-        # to 3 are refused, however they are offered.
+        # Only protocol version 5 opens a session; the retired versions 1
+        # to 4 (4 carried select multiproofs) are refused, however they
+        # are offered.
         credential = registry.mint("acme", "owner")
-        for versions in [(1,), (2,), (3,), (1, 2, 3)]:
+        for versions in [(1,), (2,), (3,), (4,), (1, 2, 3, 4)]:
             with pytest.raises(AuthError) as excinfo:
                 loopback(tenanted_server).authenticate(credential, versions=versions)
             assert excinfo.value.code == ErrorCode.VERSION_UNSUPPORTED.value

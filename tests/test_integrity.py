@@ -1,11 +1,10 @@
 """Unit tests of the trustworthy-server building blocks (PR 8).
 
 Covers the content-defined Merkle sequence (construction, splices,
-multiproofs, and Hypothesis properties of both), the wire codec for proof
-attachments, the owner's
+multiproofs, and Hypothesis properties of both), the owner's
 :class:`~repro.integrity.state.TableIntegrityState` (root agreement,
-freshness chain, proof checking), reply signing, resumption tickets, and
-the :class:`~repro.exceptions.StoreIntegrityWarning` category.
+freshness chain, the answer check of a select), reply signing, resumption
+tickets, and the :class:`~repro.exceptions.StoreIntegrityWarning` category.
 """
 
 import hashlib
@@ -21,7 +20,7 @@ from repro.api.auth import (
     verify_reply,
 )
 from repro.api.delta import OP_COPY, OP_LITERAL, ViewDelta, compute_view_delta
-from repro.exceptions import AuthError, IntegrityError, StoreIntegrityWarning, WireError
+from repro.exceptions import AuthError, IntegrityError, StoreIntegrityWarning
 from repro.integrity.merkle import (
     EMPTY_ROOT,
     MAX_CHUNK,
@@ -32,9 +31,9 @@ from repro.integrity.merkle import (
     verify_multiproof,
 )
 from repro.integrity.state import TableIntegrityState
+from repro.query.server import ServerAnd, ServerOr, TokenLeaf, execute_server_expr
 from repro.relational.table import Relation
 from repro.store.migrate import legacy_binary_root
-from repro.wire import decode_merkle_proofs, encode_merkle_proofs
 
 
 def leaves(n: int) -> list[bytes]:
@@ -277,16 +276,6 @@ def tree_and_indexes(draw):
     return ls, indexes
 
 
-def _owner_verdict(ls, indexes, num_leaves, proof, root) -> bool:
-    state = TableIntegrityState("t")
-    state.record_push(_rows(range(len(ls))), version=1)
-    try:
-        state.verify_proofs(indexes, proof, num_leaves, root)
-    except IntegrityError:
-        return False
-    return True
-
-
 PROPERTY_SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -314,10 +303,8 @@ class TestTreeProperties:
 
     @PROPERTY_SETTINGS
     @given(tree_and_indexes(), st.data())
-    def test_mutated_proofs_are_rejected_by_both_verifiers(self, case, data):
+    def test_mutated_proofs_are_rejected(self, case, data):
         ls, indexes = case
-        # The owner's tree holds the leaves of _rows(range(n)).
-        ls = relation_leaves(_rows(range(len(ls))))
         tree = MerkleTree(ls)
         proof = tree.multiproof(indexes)
         root, n = tree.root, len(ls)
@@ -353,41 +340,8 @@ class TestTreeProperties:
                 claimed[0], claimed[1] = claimed[1], claimed[0]
         in_range = all(0 <= i < n for i in claimed)
         claimed_leaves = [ls[i] if 0 <= i < n else b"" for i in claimed]
-        oracle = in_range and verify_multiproof(claimed_leaves, claimed, num_leaves, proof, root)
-        owner = _owner_verdict(ls, claimed, num_leaves, proof, root)
-        assert oracle == owner
-        assert oracle == (mutation == "none")
-
-
-# ----------------------------------------------------------------------
-# Proof attachments on the wire
-# ----------------------------------------------------------------------
-class TestProofCodec:
-    @pytest.mark.parametrize("form", ["binary"])
-    def test_round_trip(self, form):
-        tree = MerkleTree(leaves(90))
-        proof = tree.multiproof([0, 4, 8, 77])
-        blob = encode_merkle_proofs(90, [list(path) for path in proof.paths], proof.geometry)
-        num_leaves, decoded, geometry = decode_merkle_proofs(blob)
-        assert num_leaves == 90
-        assert decoded == [list(path) for path in proof.paths]
-        assert geometry == proof.geometry
-
-    @pytest.mark.parametrize("form", ["binary"])
-    def test_empty_paths(self, form):
-        blob = encode_merkle_proofs(4, [], ())
-        assert decode_merkle_proofs(blob) == (4, [], ())
-
-    def test_unrecognised_blob_rejected(self):
-        with pytest.raises(WireError):
-            decode_merkle_proofs(b"\x99garbage")
-        # Version-3 per-row path blobs are retired with their tree.
-        with pytest.raises(WireError):
-            decode_merkle_proofs(b"F2P\x01" + bytes([4, 0]))
-
-    def test_binary_rejects_non_digest_lengths(self):
-        with pytest.raises(WireError):
-            encode_merkle_proofs(2, [[b"short"]], (1, 1))
+        verdict = in_range and verify_multiproof(claimed_leaves, claimed, num_leaves, proof, root)
+        assert verdict == (mutation == "none")
 
 
 # ----------------------------------------------------------------------
@@ -452,46 +406,41 @@ class TestTableIntegrityState:
             TableIntegrityState("orders").record_delta(delta, version=1)
 
     def test_verify_proofs_accepts_and_rejects(self):
+        # The answer check: the reply's matched rows and per-leaf counts must
+        # be exactly what the plan gives over the owner's replica.
         state, view = self.make_state(rows=6)
-        tree = MerkleTree(relation_leaves(view))
-        indexes = [1, 4]
-        proof = tree.multiproof(indexes)
-        state.verify_proofs(indexes, proof, tree.num_leaves, tree.root)
-        with pytest.raises(IntegrityError, match="does not verify"):
-            state.verify_proofs([1, 5], proof, tree.num_leaves, tree.root)
-        with pytest.raises(IntegrityError, match="proofs for"):
-            state.verify_proofs(
-                indexes, Multiproof(proof.paths[:1], proof.geometry), tree.num_leaves, tree.root
+        expr = ServerOr(
+            (
+                TokenLeaf("A", ("k1", "k4"), index=0),
+                TokenLeaf("B", ("4", "5"), index=1),
             )
-        with pytest.raises(IntegrityError, match="-row tree"):
-            state.verify_proofs(indexes, proof, tree.num_leaves + 1, tree.root)
-        with pytest.raises(IntegrityError, match="outside"):
-            state.verify_proofs([99, 4], proof, tree.num_leaves, tree.root)
-        with pytest.raises(IntegrityError, match="ascending"):
-            state.verify_proofs([4, 1], proof, tree.num_leaves, tree.root)
+        )
+        replica = view.coded()
+        state.verify_proofs(expr, [1, 4, 5], [2, 2], replica)
+        for rows, counts, match in [
+            ([1], [2, 2], "matched rows"),  # dropped
+            ([1, 2, 4, 5], [2, 2], "matched rows"),  # added
+            ([1, 3, 5], [2, 2], "matched rows"),  # swapped
+            ([4, 5, 1], [2, 2], "matched rows"),  # not ascending
+            ([1, 4, 5], [2, 1], "leaf match counts"),
+            ([1, 4, 5], [2], "leaf match counts"),
+        ]:
+            with pytest.raises(IntegrityError, match=match):
+                state.verify_proofs(expr, rows, counts, replica)
+        empty = ServerAnd((TokenLeaf("A", ("k1",), index=0), TokenLeaf("B", ("3",), index=1)))
+        state.verify_proofs(empty, [], [1, 1], replica)
 
-    def test_verify_proofs_decides_against_the_owners_tree(self):
+    def test_verify_proofs_decides_against_the_owners_replica(self):
+        # A reply computed honestly over a *different* view — a store that
+        # lost, gained or rewrote rows — is rejected, whatever it claims.
         state, view = self.make_state(rows=40)
-        tree = MerkleTree(relation_leaves(view))
-        proof = tree.multiproof([2])
-        state.verify_proofs([2], proof, tree.num_leaves, tree.root)
-        path = proof.paths[0]
-        flipped = (bytes([path[0][0] ^ 1]) + path[0][1:],) + path[1:]
-        for forged in (flipped, path + (path[0],), path[:-1]):
-            with pytest.raises(IntegrityError, match="does not verify"):
-                state.verify_proofs(
-                    [2], Multiproof((forged,), proof.geometry), tree.num_leaves, tree.root
-                )
-        # A server tree that differs in another row still carries a valid
-        # multiproof for row 2 to *its* root; the owner's tree rejects it.
+        expr = TokenLeaf("A", ("k7",), index=0)
         rows = [list(view.row(i)) for i in range(view.num_rows)]
-        rows[39][0] = "tampered"
-        forged_tree = MerkleTree(relation_leaves(relation(rows)))
-        leaf = relation_leaves(view)[2]
-        forged_proof = forged_tree.multiproof([2])
-        assert verify_multiproof([leaf], [2], 40, forged_proof, forged_tree.root)
-        with pytest.raises(IntegrityError, match="does not verify"):
-            state.verify_proofs([2], forged_proof, 40, forged_tree.root)
+        for server_rows in (rows[1:], rows + [["k7", 99]], [["k7", 0]] + rows[1:]):
+            served = relation(server_rows).coded()
+            indexes, counts = execute_server_expr(served, expr)
+            with pytest.raises(IntegrityError):
+                state.verify_proofs(expr, indexes, counts, view.coded())
 
 
 # ----------------------------------------------------------------------

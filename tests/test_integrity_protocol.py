@@ -3,13 +3,15 @@
 The tamper matrix: bit-flipped stores, a generation rollback, and replies
 edited in transit are each detected *owner-side* with ``IntegrityError`` —
 on the durable segment store (plus one folded by a long delta history) and
-both compute backends.  Plus: protocol v4
+both compute backends.  A lying server that signs a wrong answer is caught
+by the owner's answer check over her replica.  Plus: protocol v5
 negotiation (signed replies, resumption tickets), the per-table version CAS
 for multi-writer deltas, the coordinated multi-writer stress run that
 pins zero full-view fallbacks, the tree-upkeep counters, and the one-way
 migration of legacy binary-tree roots.
 """
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -18,6 +20,8 @@ import traceback
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     DataOwner,
@@ -30,15 +34,22 @@ from repro.api import (
     TenantRegistry,
 )
 from repro.api.delta import compute_view_delta
-from repro.api.protocol import SignedReply
+from repro.api.protocol import PlanQueryRequest, SignedReply
 from repro.backend import get_backend, numpy_available
 from repro.cli import main
 from repro.core.config import F2Config
-from repro.exceptions import AuthError, IntegrityError, ProtocolError, StoreIntegrityWarning
+from repro.exceptions import (
+    AuthError,
+    IntegrityError,
+    ProtocolError,
+    QueryError,
+    StoreIntegrityWarning,
+)
 from repro.integrity.merkle import ROOT_FORMAT, MerkleTree, relation_leaves
 from repro.integrity.state import TableIntegrityState
 from repro.integrity.writers import WriteCoordinator
-from repro.query.ast import Eq
+from repro.query.ast import And, Eq, In, Or
+from repro.query.server import execute_server_expr
 from repro.relational.table import Relation
 from repro.store import FOLD_SEGMENT_FILES
 from repro.store.manifest import recover_manifest
@@ -112,24 +123,36 @@ class TestVerifiedRoundTrip:
         point = session.select(Eq("City", "Jersey"))
         assert point.num_rows == 2
 
-    def test_equality_select_verifies_inclusion_proofs(self, registry, monkeypatch):
-        # An equality query is a one-leaf select, so a verified session
-        # checks one inclusion proof per matched row, not just the root.
+    def test_verified_select_checks_the_answer_once(self, registry, monkeypatch):
+        # Each verified select recomputes its answer over the owner's
+        # replica exactly once, before decryption, and the reply carries
+        # no inclusion proofs.
         credential = registry.mint("acme", "owner")
         session = verified_session(ProtocolServer(tenants=registry), credential)
         session.outsource(base_relation())
         checked = []
         original = TableIntegrityState.verify_proofs
 
-        def recording(state, row_indexes, proofs, *args, **kwargs):
-            checked.append((list(row_indexes), len(proofs)))
-            return original(state, row_indexes, proofs, *args, **kwargs)
+        def recording(state, expr, row_indexes, leaf_match_counts, replica):
+            checked.append((list(row_indexes), list(leaf_match_counts)))
+            return original(state, expr, row_indexes, leaf_match_counts, replica)
+
+        replies = []
+        plan_query = session.client.plan_query
+
+        def capture(*args, **kwargs):
+            replies.append(plan_query(*args, **kwargs))
+            return replies[-1]
 
         monkeypatch.setattr(TableIntegrityState, "verify_proofs", recording)
+        monkeypatch.setattr(session.client, "plan_query", capture)
         assert session.select(Eq("City", "Jersey")).num_rows == 2
-        assert len(checked) == 1
-        row_indexes, proof_count = checked[0]
-        assert row_indexes and proof_count == len(row_indexes)
+        assert session.select("City = Hoboken or City = Newark").num_rows == 4
+        assert checked == [
+            (list(reply.row_indexes), list(reply.leaf_match_counts)) for reply in replies
+        ]
+        assert len(checked) == 2
+        assert all(reply.proofs is None for reply in replies)
 
     def test_session_verifies_equally_over_both_engines(self, registry, tmp_path):
         # The owner-side expected root is engine-independent: the same
@@ -174,6 +197,210 @@ class TestVerifiedRoundTrip:
             make_owner(), client2, table_id="orders", credential=credential
         )
         assert not session2.verify
+
+
+# ----------------------------------------------------------------------
+# A lying server: a signed reply with a wrong answer
+# ----------------------------------------------------------------------
+LIES = ["drop", "add", "swap", "leaf-count", "num-rows"]
+
+
+def tell(lie: str, reply):
+    """``reply`` with one lie told about the match set or its counts."""
+    rows = list(reply.row_indexes)
+    unmatched = sorted(set(range(reply.num_rows)) - set(rows))
+    if lie == "leaf-count":
+        counts = list(reply.leaf_match_counts)
+        counts[0] += 1
+        return dataclasses.replace(reply, leaf_match_counts=tuple(counts))
+    if lie == "num-rows":
+        return dataclasses.replace(reply, num_rows=reply.num_rows + 1)
+    if lie == "drop":
+        rows = rows[1:]
+    elif lie == "add":
+        rows = sorted(rows + unmatched[:1])
+    else:  # swap one match for a row that does not match
+        rows = sorted(rows[1:] + unmatched[:1])
+    return dataclasses.replace(reply, row_indexes=tuple(rows))
+
+
+class LyingServer(ProtocolServer):
+    """Executes every select honestly, then signs a reply with ``lie`` told."""
+
+    lie: "str | None" = None
+
+    def _lying_plan_query(self, request, auth):
+        reply = ProtocolServer._handle_plan_query(self, request, auth)
+        return reply if self.lie is None else tell(self.lie, reply)
+
+    _HANDLERS = {**ProtocolServer._HANDLERS, PlanQueryRequest: _lying_plan_query}
+
+
+class TestLyingServer:
+    PREDICATES = ["City = Hoboken", "City = Jersey or City = Newark"]
+
+    def served(self, registry, tmp_path, engine, backend, verify):
+        credential = registry.mint("acme", "owner")
+        server = LyingServer(
+            tenants=registry, storage_dir=storage_dir(tmp_path, engine), backend=backend
+        )
+        owner = make_owner(backend=backend)
+        client = ProtocolClient(LoopbackTransport(server))
+        session = RemoteOwnerSession(
+            owner, client, table_id="orders", credential=credential, verify=verify
+        )
+        session.outsource(base_relation())
+        session.insert_rows([["Summit", "07901", "E"]])
+        for predicate in self.PREDICATES:  # honest, and warms both caches
+            expected = owner.select_plaintext_where(predicate)
+            assert list(session.select(predicate).rows()) == list(expected.rows())
+        return server, session
+
+    @pytest.mark.parametrize("lie", LIES)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_verified_select_rejects_the_lie(self, registry, tmp_path, engine, backend, lie):
+        server, session = self.served(registry, tmp_path, engine, backend, verify=True)
+        server.lie = lie
+        for predicate in self.PREDICATES:
+            with pytest.raises(IntegrityError) as excinfo:
+                session.select(predicate)
+            assert "orders" in str(excinfo.value)
+
+    @pytest.mark.parametrize("lie", LIES)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unverified_select_decrypts_the_lie(self, registry, tmp_path, engine, backend, lie):
+        # Without verification the owner checks nothing beyond the row
+        # count: she decrypts whatever match set the provider returns.
+        server, session = self.served(registry, tmp_path, engine, backend, verify=False)
+        server.lie = lie
+        owner = session.owner
+        for predicate in self.PREDICATES:
+            if lie == "num-rows":
+                with pytest.raises(QueryError, match="out of sync"):
+                    session.select(predicate)
+                continue
+            matches, report = session.select_with_report(predicate)
+            plan = owner.plan_query(predicate)
+            lied = session.client.plan_query("orders", plan.server)
+            assert list(matches.rows()) == list(owner.decrypt_plan_result(plan, lied).rows())
+            assert report.consistent == (lie != "leaf-count")
+
+
+# ----------------------------------------------------------------------
+# The owner's answer check: cache, staleness, and the server's executor
+# ----------------------------------------------------------------------
+class _DroppingTransport:
+    """Wraps a transport; while ``down``, requests never reach the server."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.down = False
+
+    def request(self, data: bytes) -> bytes:
+        if self.down:
+            raise ConnectionError("link down")
+        return self.inner.request(data)
+
+    def close(self) -> None:
+        self.inner.close()
+
+
+def _predicates(attributes, values):
+    """Random boolean predicates over ``attributes`` (values from ``values``)."""
+    leaf = st.one_of(
+        st.builds(Eq, st.sampled_from(attributes), st.sampled_from(values)),
+        st.builds(
+            In,
+            st.sampled_from(attributes),
+            st.lists(st.sampled_from(values), min_size=1, max_size=3).map(tuple),
+        ),
+    )
+    return st.recursive(
+        leaf,
+        lambda children: st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(lambda c: And(tuple(c))),
+            st.lists(children, min_size=2, max_size=3).map(lambda c: Or(tuple(c))),
+        ),
+        max_leaves=4,
+    )
+
+
+class TestAnswerCheck:
+    def test_select_after_insert_sees_the_new_row(self, registry):
+        # The owner's leaf masks belong to one replica version: an insert
+        # invalidates them, so the next verified select is checked (and
+        # answered) over the grown view.
+        credential = registry.mint("acme", "owner")
+        session = verified_session(ProtocolServer(tenants=registry), credential)
+        session.outsource(base_relation())
+        masks = session.owner.replica_masks
+        assert session.select("City = Hoboken").num_rows == 3
+        assert session.select("City = Hoboken").num_rows == 3
+        assert masks.stats()["hits"] >= 1
+        invalidations = masks.stats()["invalidations"]
+        session.insert_rows([["Hoboken", "07030", "S"]])
+        matches = session.select("City = Hoboken")
+        assert ["Hoboken", "07030", "S"] in [list(row) for row in matches.rows()]
+        assert matches.num_rows == 4
+        assert masks.stats()["invalidations"] == invalidations + 1
+
+    def test_owner_ahead_of_an_unacked_push_reports_the_desync(self, registry):
+        # The insert never reached the server: the owner's table is ahead of
+        # every view the server acknowledged.  The answer is checked over
+        # the acknowledged view (so it passes), and decryption then reports
+        # the desync, as an unverified select does.
+        credential = registry.mint("acme", "owner")
+        transport = _DroppingTransport(LoopbackTransport(ProtocolServer(tenants=registry)))
+        session = RemoteOwnerSession(
+            make_owner(), ProtocolClient(transport), table_id="orders",
+            credential=credential, verify=True,
+        )
+        session.outsource(base_relation())
+        assert session.select("City = Hoboken").num_rows == 3
+        transport.down = True
+        with pytest.raises(ConnectionError):
+            session.insert_rows([["Hoboken", "07030", "S"]])
+        transport.down = False
+        session.client.authenticate(credential)
+        with pytest.raises(QueryError, match="out of sync"):
+            session.select("City = Hoboken")
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["Hoboken", "Jersey", "Summit"]),
+                st.sampled_from(["07030", "07302"]),
+                st.sampled_from(["E", "W", "S"]),
+            ),
+            max_size=3,
+        ),
+        st.data(),
+    )
+    def test_replica_execution_equals_the_servers(self, inserts, data):
+        registry = TenantRegistry()
+        credential = registry.mint("acme", "owner")
+        session = verified_session(ProtocolServer(tenants=registry), credential)
+        session.outsource(base_relation())
+        for row in inserts:
+            session.insert_rows([list(row)])
+        owner = session.owner
+        values = sorted({cell for row in ROWS + [list(r) for r in inserts] for cell in row})
+        predicates = _predicates(SCHEMA, values)
+        for _ in range(3):
+            plan = owner.plan_query(data.draw(predicates))
+            if plan.server is None:
+                continue
+            served = session.client.plan_query("orders", plan.server)
+            for _ in range(2):  # a cold and a cached execution
+                rows, counts = execute_server_expr(
+                    owner.replica_masks.over(owner.encrypted.relation), plan.server
+                )
+                assert (rows, counts) == (list(served.row_indexes), list(served.leaf_match_counts))
+            matches = session.select(plan.predicate)
+            assert list(matches.rows()) == list(owner.select_plaintext_where(plan.predicate).rows())
 
 
 # ----------------------------------------------------------------------
