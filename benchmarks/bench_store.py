@@ -6,32 +6,37 @@ store costs as tables and their histories grow:
 * **Restart cost** — server construction time over a seeded storage
   directory as the table grows: one manifest per table is read and
   columns are mapped on demand, so it stays flat in the table size.
-* **Insert cost** — ``InsertDelta`` applied to a segment store is an
-  O(delta) append + manifest commit.  Measured across delta sizes and
-  across base-table sizes at a fixed delta size (the line should not
-  track the base size).
+* **Insert cost** — ``InsertDelta`` applied to a segment store is one
+  O(delta) log record.  Measured across delta sizes and across base-table
+  sizes at a fixed delta size (the line should not track the base size).
+* **Commit cost** — one 1-row ``apply_delta`` at 2k and 16k rows, with 1
+  and 32 records in the log since the last checkpoint: its latency
+  (median of several) and the fsyncs it issues (one, asserted).
 * **Query cache** — cold vs hot ``match_mask`` on the segment store (the
   hot path is a bitset-cache hit), plus an identity assertion: the
   segment store and the in-memory store match exactly the same rows.
 * **Long history** — 240 deltas over one store, 1 row each except every
   8th of 64 rows, each with one rebuilt row elsewhere (the shape of an
-  owner splice).  After every delta the store references at most
-  ``FOLD_SEGMENT_FILES`` segment files (the fold; asserted at every
-  scale).  Over the last 40 deltas, a 1-row ``apply_delta`` and a
+  owner splice).  After every delta the view holds at most
+  ``FOLD_VIEW_SLICES`` slices and the log at most ``FOLD_LOG_RECORDS``
+  records (the fold; asserted at every scale).  Over the last 40 deltas,
+  a 1-row ``apply_delta`` and a
   restart + first query are timed against the same operation on a
   single-segment copy of the same rows; at full scale the ``apply_delta``
   median must stay within 5x of the copy's.
 
 Other timing ratios land in metadata only — absolute assertions on wall
-time are flaky at smoke scale (the segment commit fsyncs several small
-files, which dominates tiny tables).  Results land in ``BENCH_store.json``.
+time are flaky at smoke scale (the commit's fsync dominates tiny tables).
+Results land in ``BENCH_store.json``.
 """
 
 from __future__ import annotations
 
+import os
 import statistics
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.api.delta import ViewDelta, apply_view_delta, compute_view_delta
@@ -47,7 +52,12 @@ from repro.backend import get_backend
 from repro.bench.reporting import format_table
 from repro.query.server import TokenLeaf
 from repro.relational.table import Relation
-from repro.store import FOLD_SEGMENT_FILES, MemoryTableStore, SegmentTableStore
+from repro.store import (
+    FOLD_LOG_RECORDS,
+    FOLD_VIEW_SLICES,
+    MemoryTableStore,
+    SegmentTableStore,
+)
 
 from benchmarks.conftest import scale
 
@@ -62,6 +72,9 @@ DISTINCT = 64
 HISTORY_BASE_ROWS = 2000
 HISTORY_DELTAS = 240
 HISTORY_TAIL = 40
+COMMIT_ROWS = (2000, 16000)
+COMMIT_RECORDS = (1, 32)
+COMMIT_REPEATS = 7
 
 
 def make_relation(num_rows: int, name: str = "bench") -> Relation:
@@ -197,6 +210,75 @@ def insert_cost_vs_base(delta_rows: int, base_sizes) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
+# Commit: one record, one fsync, flat in the table size and the log length
+# ----------------------------------------------------------------------
+@contextmanager
+def counting_fsyncs():
+    """Count every ``os.fsync`` inside the block (``counts[0]``)."""
+    counts = [0]
+    real = os.fsync
+
+    def fsync(fd):
+        counts[0] += 1
+        real(fd)
+
+    os.fsync = fsync
+    try:
+        yield counts
+    finally:
+        os.fsync = real
+
+
+def one_row_delta(current: Relation, step: int) -> ViewDelta:
+    n = current.num_rows
+    at = (step * 7919) % max(n, 1)
+    return ViewDelta(
+        base_rows=n,
+        segments=[["c", 0, at], ["l", 1], ["c", at, n - at]],
+        literals=Relation(
+            list(current.attributes),
+            [[f"{attribute}-c{step}" for attribute in current.attributes]],
+            name=current.name,
+        ),
+        table_name=current.name,
+    )
+
+
+def commit_cost(sizes, records, repeats: int) -> list[dict]:
+    backend = get_backend("python")
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for num_rows in sizes:
+            base = make_relation(num_rows)
+            for target in records:
+                latencies, fsyncs = [], []
+                for repeat in range(repeats):
+                    directory = Path(tmp) / f"commit-{num_rows}-{target}-{repeat}.f2s"
+                    store = SegmentTableStore(directory, backend, create=True)
+                    store.replace(base)
+                    current = base
+                    for step in range(target - 1):
+                        delta = one_row_delta(current, step)
+                        store.apply_delta(delta)
+                        current = apply_view_delta(current, delta)
+                    delta = one_row_delta(current, target)
+                    with counting_fsyncs() as counts:
+                        latencies.append(timed_ms(lambda: store.apply_delta(delta))[0])
+                    fsyncs.append(counts[0])
+                    assert store.store_stats()["log_records"] == target
+                    store.close()
+                rows.append(
+                    {
+                        "rows": num_rows,
+                        "records_since_checkpoint": target,
+                        "commit_ms": round(statistics.median(latencies), 3),
+                        "fsyncs_per_commit": max(fsyncs),
+                    }
+                )
+    return rows
+
+
+# ----------------------------------------------------------------------
 # Query: cold mmap read vs hot bitset-cache hit, stores agree
 # ----------------------------------------------------------------------
 def query_cache_cost(num_rows: int, repeats: int) -> list[dict]:
@@ -237,7 +319,7 @@ def query_cache_cost(num_rows: int, repeats: int) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Long history: the fold keeps the segment count, and the cost, bounded
+# Long history: the fold keeps the view, the log and the cost bounded
 # ----------------------------------------------------------------------
 def history_delta(current: Relation, step: int) -> ViewDelta:
     """One owner-splice-shaped delta: new rows at one place, a rebuilt row
@@ -296,14 +378,17 @@ def long_history(base_rows: int, deltas: int, tail: int) -> list[dict]:
                 copy.close()
             apply_ms = timed_ms(lambda: store.apply_delta(delta))[0]
             current = apply_view_delta(current, delta)
-            segments = store.store_stats()["segments"]
-            assert segments <= FOLD_SEGMENT_FILES, (step, segments)
+            stats = store.store_stats()
+            slices, records = stats["view_slices"], stats["log_records"]
+            assert slices <= FOLD_VIEW_SLICES, (step, slices)
+            assert records <= FOLD_LOG_RECORDS, (step, records)
             if measured:
                 rows.append(
                     {
                         "step": step,
                         "rows": current.num_rows,
-                        "segments": segments,
+                        "view_slices": slices,
+                        "log_records": records,
                         "apply_delta_ms": round(apply_ms, 3),
                         "single_segment_apply_delta_ms": round(copy_ms, 3),
                         "restart_query_ms": round(
@@ -361,6 +446,19 @@ def test_insert_cost(benchmark, bench_json):
     assert all(row["insert_ms"] > 0 for row in rows)
 
 
+def test_commit_cost(benchmark, bench_json):
+    sizes = tuple(scale(size) for size in COMMIT_ROWS)
+    rows = benchmark.pedantic(
+        commit_cost, args=(sizes, COMMIT_RECORDS, COMMIT_REPEATS), rounds=1, iterations=1
+    )
+    print()
+    print(format_table(rows, title="One 1-row apply_delta: latency and fsyncs"))
+    bench_json.add("commit", rows)
+    # A delta commit is one record append and one fsync, however large the
+    # table and however long the log since the last checkpoint.
+    assert all(row["fsyncs_per_commit"] == 1 for row in rows), rows
+
+
 def test_query_cache_cost(benchmark, bench_json):
     rows = benchmark.pedantic(
         query_cache_cost, args=(scale(QUERY_ROWS), QUERY_REPEATS), rounds=1, iterations=1
@@ -400,8 +498,10 @@ def test_long_history(benchmark, bench_json):
     bench_json.add(
         "long_history_summary",
         [],
-        fold_segment_files=FOLD_SEGMENT_FILES,
-        long_history_max_segments=max(r["segments"] for r in rows),
+        fold_view_slices=FOLD_VIEW_SLICES,
+        fold_log_records=FOLD_LOG_RECORDS,
+        long_history_max_view_slices=max(r["view_slices"] for r in rows),
+        long_history_max_log_records=max(r["log_records"] for r in rows),
         long_history_apply_delta_ratio=round(apply_ratio, 3),
         long_history_restart_query_ratio=round(restart_ratio, 3),
     )

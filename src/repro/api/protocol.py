@@ -1107,8 +1107,8 @@ class ProtocolServer:
     storage_dir:
         Directory for persistence.  When set, every table is a segment
         store (:mod:`repro.store.segment`): a ``<table>.f2s`` directory of
-        append-only columnar segment files under a generation-numbered
-        manifest, directly in the directory for the default local tenant
+        columnar segment files and an append-only table log, directly in
+        the directory for the default local tenant
         and under ``<tenant_id>/`` for authenticated tenants.  Every write
         is durable when it is acknowledged, an :class:`InsertDelta` is an
         O(delta) disk append, and every readable table is loaded back on
@@ -2026,10 +2026,10 @@ class ProtocolServer:
     def _load_one_segment_store(self, store_key: str, directory: Path) -> None:
         """Open one segment store; skip (and warn about) unrecoverable ones.
 
-        Opening checks only manifest consistency and file lengths (flat in
-        the data size); recovery inside may itself warn when it falls back
-        to an older committed generation.  One broken table must never take
-        the whole server down.
+        Opening replays the table log and checks data-file lengths (flat
+        in the data size); recovery inside may itself warn when it drops a
+        torn tail or falls back to an older log.  One broken table must
+        never take the whole server down.
         """
         segment = _segment_store_module()
         try:

@@ -3,10 +3,10 @@
 The package splits into the store contract (:mod:`.base`, the
 :class:`TableStore` ABC), the hot-token cache every store shares
 (:mod:`.cache`), the one durable engine (:mod:`.segment`, the on-disk
-columnar store with its :mod:`.manifest` commit protocol, which folds a
-long delta history into one segment), the non-durable in-memory store
-(:mod:`.memory`), and the one-way importer of legacy ``.f2t`` snapshot
-files (:mod:`.migrate`).
+columnar store with its :mod:`.manifest` table log — one fsync'd record
+per commit, a checkpoint at a replace or fold), the non-durable in-memory
+store (:mod:`.memory`), and the one-way importers of legacy ``.f2t``
+snapshot files and JSON manifests (:mod:`.migrate`).
 """
 
 from repro.store.base import (
@@ -15,19 +15,12 @@ from repro.store.base import (
     TableStore,
 )
 from repro.store.cache import DEFAULT_CACHE_ENTRIES, TokenBitsetCache
-from repro.store.manifest import (
-    CURRENT_NAME,
-    KEEP_GENERATIONS,
-    Manifest,
-    list_generations,
-    load_manifest,
-    recover_manifest,
-    write_manifest,
-)
+from repro.store.manifest import CURRENT_NAME, Manifest, recover_log
 from repro.store.memory import MemoryTableStore
 from repro.store.migrate import leftover_snapshots, migrate_storage_dir
 from repro.store.segment import (
-    FOLD_SEGMENT_FILES,
+    FOLD_LOG_RECORDS,
+    FOLD_VIEW_SLICES,
     SEGMENT_MAGIC,
     SegmentTableStore,
     is_segment_store,
@@ -36,8 +29,8 @@ from repro.store.segment import (
 __all__ = [
     "CURRENT_NAME",
     "DEFAULT_CACHE_ENTRIES",
-    "FOLD_SEGMENT_FILES",
-    "KEEP_GENERATIONS",
+    "FOLD_LOG_RECORDS",
+    "FOLD_VIEW_SLICES",
     "Manifest",
     "MemoryTableStore",
     "SEGMENT_MAGIC",
@@ -48,9 +41,6 @@ __all__ = [
     "TokenBitsetCache",
     "is_segment_store",
     "leftover_snapshots",
-    "list_generations",
-    "load_manifest",
     "migrate_storage_dir",
-    "recover_manifest",
-    "write_manifest",
+    "recover_log",
 ]

@@ -5,8 +5,8 @@ surface, and the hot-token cache — behind one interface so the server does
 not care *how* a table is held:
 
 * :class:`repro.store.segment.SegmentTableStore` — the one durable engine:
-  coded columns live in append-only on-disk segment files under a
-  generation-numbered manifest; queries read the codes straight off disk
+  coded columns live in on-disk segment files and an append-only table
+  log (one fsync'd record per commit); queries read the codes straight off disk
   (memory-mapped) without rebuilding the full relation.  The server runs
   every table on it whenever a storage directory is set.
 * :class:`repro.store.memory.MemoryTableStore` — a plain, non-durable
@@ -108,7 +108,7 @@ class TableStore(ABC):
                 "num_rows": self.num_rows,
                 "num_attributes": len(self.attributes),
                 "version": self._version,
-                "commit_version": self._commit_version,
+                "commit_version": self.commit_version,
                 "cache": self._cache.stats(),
                 "tree_splices": self.tree_splices,
                 "tree_rebuilds": self.tree_rebuilds,
@@ -121,8 +121,8 @@ class TableStore(ABC):
 
         Unlike :attr:`version` (a process-local cache-invalidation counter
         that restarts at zero), the commit version survives restarts on the
-        durable engine — the segment engine maps it to its persisted
-        manifest generation — so the owner's ``(version, root)`` freshness
+        durable engine — the segment engine maps it to the version of its
+        last log record — so the owner's ``(version, root)`` freshness
         chain can tell an honest restart from a rollback.
         """
         return self._commit_version

@@ -2,60 +2,63 @@
 
 A :class:`SegmentTableStore` keeps one table as the storage-side mirror of
 the wire codec's columnar form — per-column dictionaries plus dense integer
-code arrays — but split across *segment files* so a PR 5 ``InsertDelta``
-becomes an O(delta) disk append instead of a full-view rewrite:
+code arrays — split across *segment files* and the *table log* so an
+``InsertDelta`` becomes one O(delta) log append instead of a full-view
+rewrite:
 
-* a **segment file** (``seg-<g>.seg``) holds, after a 5-byte header, one
+* a **segment file** (``seg-<v>.seg``) holds, after a 5-byte header, one
   packed little-endian code array per column at the smallest fixed width
   that held the column's dictionary when the segment was written.  Segment
-  files are immutable once committed;
-* a **dictionary blob** (``dict-<g>-<col>.blob``) holds a column's distinct
-  cell values as a bare run of wire cells.  Blobs are append-only: a delta
-  appends its genuinely new values at the tail and the manifest's committed
-  value count moves forward;
-* the **manifest** (:mod:`repro.store.manifest`) composes the logical row
-  order as slices into segment files, so a delta's copy opcodes re-slice
-  and only its literal rows are written (as one fresh segment).
+  files are written whole at a checkpoint and never modified;
+* a **dictionary blob** (``dict-<v>-<col>.blob``) holds a column's distinct
+  cell values as of the last checkpoint, as a bare run of wire cells;
+* the **table log** (:mod:`repro.store.manifest`) starts with a snapshot
+  record that composes the logical row order as slices into segment files;
+  each commit since appends one delta record whose copy opcodes re-slice
+  that order and whose literal rows (packed in the segment column layout)
+  and new dictionary values live inside the record itself.
 
-A long delta history would leave the manifest referencing ever more files
-and slices, and every commit would pay for them.  So a delta that would
-reference more than :data:`FOLD_SEGMENT_FILES` segment files *folds*: the
-same commit writes its whole spliced view as one fresh segment (the code
-arrays copied at the current dictionary widths; blobs, rows and Merkle root
-unchanged), the log-structured merge of O'Neil et al. (1996) in one level.
+A long delta history leaves the view cut into ever more slices and the log
+holding ever more records, and every commit, query load and restart pays
+for them.  So a delta whose view would hold more than
+:data:`FOLD_VIEW_SLICES` slices, or whose log would hold more than
+:data:`FOLD_LOG_RECORDS` records, *folds*: the same commit writes the whole
+spliced view as one fresh segment, each column's dictionary as one fresh
+blob (code arrays copied at the current dictionary widths; rows and Merkle
+root unchanged) and starts a new log — the log-structured merge of O'Neil
+et al. (1996) in one level.  A full replace is the same checkpoint.
 
 Queries never rebuild the full relation: the store resolves token cells
 against the column dictionary, then scans code arrays that memory-map
-straight out of the segment files — a zero-copy ``np.frombuffer`` view on
-the NumPy backend, a stdlib ``array`` copy on the pure-Python backend
-(:meth:`ComputeBackend.from_code_bytes`).  One subtlety is pinned by test:
-a segment written while the dictionary was small stores narrow codes, and a
-*wanted* code larger than that width can exist after the dictionary grows —
-such codes are filtered out per narrow array before the backend ``isin``
-call, because casting them into the array's dtype would wrap around and
-match the wrong rows.
+straight out of the segment files and the log — a zero-copy
+``np.frombuffer`` view on the NumPy backend, a stdlib ``array`` copy on the
+pure-Python backend (:meth:`ComputeBackend.from_code_bytes`).  One
+subtlety is pinned by test: a segment written while the dictionary was
+small stores narrow codes, and a *wanted* code larger than that width can
+exist after the dictionary grows — such codes are filtered out per narrow
+array before the backend ``isin`` call, because casting them into the
+array's dtype would wrap around and match the wrong rows.
 
-Durability: every mutation is a new manifest generation committed by
-:func:`~repro.store.manifest.write_manifest` (data files fsynced first);
-recovery at open falls back across generations and truncates torn tails.
-CRCs recorded at write time are checked only by the explicit
-:meth:`verify` pass, keeping restart cost flat in the table size.
+Durability: a delta commit is one log append and one ``fsync``, and the
+store acknowledges only after it; a checkpoint fsyncs its files and the
+directory before and after flipping ``CURRENT``.  Opening replays the log
+(checking every record's CRC) and leaves a torn tail out; a store written
+before the table log (a JSON manifest) is imported once as a checkpoint.
+Segment and blob CRCs are checked only by the explicit :meth:`verify` pass,
+keeping restart cost flat in the table size.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import mmap
-import os
-import sys
 import warnings
 import zlib
-from array import array
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.api.auth import ErrorCode
-from repro.api.delta import OP_COPY, OP_LITERAL, ViewDelta
+from repro.api.delta import ViewDelta
 from repro.backend import ComputeBackend
 from repro.exceptions import (
     ProtocolError,
@@ -68,62 +71,80 @@ from repro.integrity.merkle import ROOT_FORMAT
 from repro.relational.table import Relation
 from repro.store.base import STORE_SUFFIX, TableStore
 from repro.store.manifest import (
+    CURRENT_NAME,
+    LEGACY_MANIFEST_RE,
     DictionaryBlob,
     Manifest,
     SegmentFile,
-    list_generations,
-    next_generation,
-    prune,
-    recover_manifest,
-    write_manifest,
+    append_record,
+    blob_name,
+    close_fd,
+    create_directory,
+    decode_delta,
+    encode_delta,
+    frame,
+    fsync_dir,
+    needs_legacy_import,
+    open_log,
+    pack_codes,
+    recover_log,
+    remove_unreferenced,
+    scan_log,
+    segment_name,
+    switch_current,
+    translate_segments,
+    write_file,
+    write_log,
 )
 from repro.wire.binary import code_width
 from repro.wire.codec import decode_cell_run, encode_cell_run
 
 from repro.obs import metrics as _metrics
 
-# Process-wide lazy-decode rates across every segment store; per-store
-# counts live on the instances (``store_stats``).
+# Process-wide rates across every segment store; per-store counts live on
+# the instances (``store_stats``).
 _DICT_DECODES = _metrics.counter("store.dict_decodes")
 _CODE_LOADS = _metrics.counter("store.code_loads")
+_LOG_RECORDS = _metrics.counter("store.log_records")
+_LOG_BYTES = _metrics.counter("store.log_bytes")
+_CHECKPOINTS = _metrics.counter("store.checkpoints")
+_RECORDS_REPLAYED = _metrics.counter("store.records_replayed")
+_TORN_TAILS = _metrics.counter("store.torn_tails_truncated")
+#: View slices after each delta commit (what the fold bounds).
+_VIEW_SLICES = _metrics.histogram("store.view_slices", buckets=(1, 4, 16, 64, 256, 1024))
 
 #: Magic + version header of every segment file.
 SEGMENT_MAGIC = b"F2SG"
 SEGMENT_VERSION = 1
 SEGMENT_HEADER = SEGMENT_MAGIC + bytes([SEGMENT_VERSION])
 
-_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-#: A delta whose manifest would reference more segment files than this
-#: folds the spliced view into one fresh segment in the same commit.
-#: Every delta adds a segment and re-slices the view, so the manifest (and
-#: the work of each commit) grows with the history.  Measured on a 2-vCPU
-#: host, 240 deltas over a 2k-row table (``benchmarks/bench_store.py``'s
-#: long history): with no fold the store ends at 240 files and 840 view
-#: slices, and a 1-row ``apply_delta`` takes 3.4x one on a single-segment
-#: copy of the same rows; folding above 16/32/64 files keeps the median
-#: of the last 40 at 1.05x/1.33x/1.41x.  A folding commit costs ~2 ms more
-#: than a plain one at 10k rows.  32 keeps the fold rare (at most once per
-#: ~32 deltas) and far above the ~14 files the update workloads reach
-#: between full pushes.
-FOLD_SEGMENT_FILES = 32
-
-
-def _pack_codes(codes: Iterable[int], width: int) -> bytes:
-    """Codes as ``width``-byte little-endian unsigned integers."""
-    if not isinstance(codes, list):
-        tolist = getattr(codes, "tolist", None)
-        codes = tolist() if tolist is not None else list(codes)
-    packed = array(_TYPECODES[width], codes)
-    if sys.byteorder == "big":  # pragma: no cover - little-endian CI/dev hosts
-        packed.byteswap()
-    return packed.tobytes()
+#: A delta whose view would hold more slices than this, or whose log would
+#: hold more delta records than :data:`FOLD_LOG_RECORDS`, folds the spliced
+#: view into one fresh segment and starts a new log in the same commit.
+#: Chosen on ``benchmarks/bench_store.py``'s long history (240 deltas over
+#: a 2k-row table, each adding ~4 slices) on a 2-vCPU host: folding past
+#: 128/32, 256/32, 256/64 or 512/64 slices/records gave the same amortized
+#: commit (0.72–0.96 ms per delta, run-to-run noise; a single-segment copy
+#: takes 0.46–0.70 ms), 512/128 and 1024/256 cost 0.91 and 1.20 ms and
+#: their restart + first query reached 18 and 77 ms.  A fold costs
+#: 3.3–5.2 ms at that size.
+FOLD_VIEW_SLICES = 256
+FOLD_LOG_RECORDS = 64
 
 
 def is_segment_store(directory: "Path | str") -> bool:
-    """True when ``directory`` holds at least one manifest generation."""
+    """True when ``directory`` holds a committed table.
+
+    That is a ``CURRENT`` file (the first checkpoint's commit point: logs
+    without one are a first checkpoint that never landed) or, for stores
+    from before the table log, a JSON manifest.
+    """
     directory = Path(directory)
-    return directory.is_dir() and bool(list_generations(directory))
+    if not directory.is_dir():
+        return False
+    return (directory / CURRENT_NAME).exists() or any(
+        LEGACY_MANIFEST_RE.match(path.name) for path in directory.iterdir()
+    )
 
 
 class SegmentTableStore(TableStore):
@@ -141,26 +162,62 @@ class SegmentTableStore(TableStore):
         self._directory = Path(directory)
         self._manifest: "Manifest | None" = None
         self._closed = False
-        # Lazy state, all dropped on any write:
+        self._log_fd: "int | None" = None
+        # Lazy state: columns and the relation are dropped on any write, the
+        # log's mapping on an append, every mapping on a checkpoint.
         self._buffers: dict[str, memoryview] = {}
-        self._mmaps: list[tuple[Any, Any]] = []  # (file handle, mmap)
+        self._mmaps: dict[str, tuple[Any, Any]] = {}  # name -> (file handle, mmap)
         self._columns: dict[int, tuple[Any, "int | None"]] = {}  # codes, code bound
         self._relation: "Relation | None" = None
         # Persists across deltas (extended in place after each commit), so
         # coding a delta's literal rows is O(delta), not O(distinct values):
         self._dicts: dict[int, tuple[list[Any], dict[Any, int]]] = {}
-        #: Observability: how often the lazy views were (re)built.
+        #: Observability: how often the lazy views were (re)built, and what
+        #: the log did.
         self.dict_decodes = 0
         self.code_loads = 0
+        self.checkpoints = 0
+        self.records_replayed = 0
+        self.torn_tails_truncated = 0
         if create:
-            self._directory.mkdir(parents=True, exist_ok=True)
-        has_generations = is_segment_store(self._directory)
-        if has_generations:
-            self._manifest = recover_manifest(self._directory)
+            create_directory(self._directory)
+        if is_segment_store(self._directory):
+            if needs_legacy_import(self._directory):
+                self._import_legacy_manifest()
+            else:
+                self._recover()
             if self.has_legacy_root():
                 self._migrate_legacy_root()
         elif not create:
             raise StoreError(f"{self._directory} is not a segment store")
+
+    def _recover(self) -> None:
+        manifest, torn = recover_log(self._directory)
+        self._manifest = manifest
+        self.records_replayed = manifest.records
+        _RECORDS_REPLAYED.inc(manifest.records)
+        if torn:
+            # The next append cuts these bytes off; opening writes nothing.
+            self.torn_tails_truncated += 1
+            _TORN_TAILS.inc()
+            warnings.warn(
+                f"segment store {self._directory}: dropped a torn {torn}-byte tail "
+                f"of {manifest.log_name}; serving committed version {manifest.version}",
+                StoreIntegrityWarning,
+                stacklevel=3,
+            )
+
+    def _import_legacy_manifest(self) -> None:
+        """Rewrite a JSON-manifest store, once, as a log at version ``g + 1``.
+
+        The snapshot references the generation's segment files and blobs as
+        they are (recorded CRCs included, so damage stays visible to
+        ``verify``); the JSON manifests go with the checkpoint's cleanup.
+        """
+        from repro.store.migrate import read_legacy_manifest
+
+        legacy = read_legacy_manifest(self._directory)
+        self._checkpoint(dataclasses.replace(legacy, version=legacy.version + 1))
 
     def _migrate_legacy_root(self) -> None:
         """Replace a legacy-format recorded root, once, if the rows match it.
@@ -168,9 +225,9 @@ class SegmentTableStore(TableStore):
         The committed root of a store written before ``merkle_root_format``
         is a binary-tree root, which no reply could be verified against.
         The legacy root is recomputed from the stored rows: on a match, the
-        content-defined root is recorded in a new generation and its tree
-        kept; otherwise the manifest is left as it is, so the tampering
-        stays visible to ``f2-repro verify`` and to every verified reply.
+        content-defined root is recorded in a new checkpoint and its tree
+        kept; otherwise the state is left as it is, so the tampering stays
+        visible to ``f2-repro verify`` and to every verified reply.
         """
         from repro.integrity.merkle import MerkleTree, relation_leaves
         from repro.store.migrate import legacy_binary_root
@@ -192,14 +249,11 @@ class SegmentTableStore(TableStore):
         tree = MerkleTree(leaves)
         migrated = dataclasses.replace(
             manifest,
-            generation=next_generation(self._directory),
+            version=manifest.version + 1,
             merkle_root=tree.root,
             merkle_root_format=ROOT_FORMAT,
         )
-        write_manifest(self._directory, migrated)
-        self._manifest = migrated
-        self._adopt_rebuilt_tree(tree)
-        prune(self._directory)
+        self._checkpoint(migrated, adopt=lambda: self._adopt_rebuilt_tree(tree))
 
     # -- identity ------------------------------------------------------
     @property
@@ -207,19 +261,16 @@ class SegmentTableStore(TableStore):
         return self._directory
 
     @property
-    def generation(self) -> int:
-        return 0 if self._manifest is None else self._manifest.generation
-
-    @property
     def commit_version(self) -> int:
-        """The manifest generation *is* the committed version.
+        """The committed version: the last record's (or snapshot's) version.
 
-        Persisted and strictly increasing (``next_generation`` scans file
-        names, so even a fallback never reuses a number) — which is what
-        lets the owner's freshness chain distinguish an honest restart
-        (generation resumes where it was) from a rollback (it regresses).
+        Persisted and strictly increasing across acknowledged commits —
+        which is what lets the owner's freshness chain distinguish an
+        honest restart (the version resumes where it was) from a rollback
+        (it regresses).  Only an unacknowledged commit's number (a torn
+        record) is ever reused.
         """
-        return self.generation
+        return 0 if self._manifest is None else self._manifest.version
 
     @property
     def attributes(self) -> tuple[str, ...]:
@@ -247,68 +298,59 @@ class SegmentTableStore(TableStore):
             return self._relation
 
     def replace(self, relation: Relation) -> None:
-        """Rewrite the table as one fresh segment + dictionaries + manifest."""
+        """Rewrite the table as one fresh segment + dictionaries, checkpointed."""
         with self._mutex:
             self._check_open()
             coded = relation.coded(self._backend)
             columns = [coded.column(attr) for attr in relation.attributes]
-            generation = next_generation(self._directory)
-            dictionaries = []
+            version = self.commit_version + 1
+            dictionaries = self._write_blobs(
+                version,
+                [(encode_cell_run(column.dictionary), column.num_values) for column in columns],
+            )
             new_dicts: dict[int, tuple[list[Any], dict[Any, int]]] = {}
             for index, column in enumerate(columns):
-                name = f"dict-{generation:06d}-{index:03d}.blob"
-                data = encode_cell_run(column.dictionary)
-                self._write_file(name, data)
-                dictionaries.append(
-                    DictionaryBlob(
-                        name=name,
-                        values=column.num_values,
-                        length=len(data),
-                        crc=zlib.crc32(data),
-                    )
-                )
                 values = list(column.dictionary)
                 new_dicts[index] = (values, {v: c for c, v in enumerate(values)})
             packed = []
             for column in columns:
                 width = code_width(column.num_values)
-                packed.append((_pack_codes(column.codes, width), width))
-            segment = self._write_segment(generation, packed, relation.num_rows)
+                packed.append((pack_codes(column.codes, width), width))
+            segment = self._write_segment(version, packed, relation.num_rows)
             # A replace ships the full relation, so the O(n) tree build here
             # rides on an already-O(n) write; deltas stay incremental.
             from repro.integrity.merkle import MerkleTree, relation_leaves
 
             tree = MerkleTree(relation_leaves(relation))
             manifest = Manifest(
-                generation=generation,
+                version=version,
                 table_name=relation.name,
                 attributes=list(relation.attributes),
                 num_rows=relation.num_rows,
                 merkle_root=tree.root,
                 files=[segment],
-                view=[[0, 0, relation.num_rows]] if relation.num_rows else [],
+                view=[(0, 0, relation.num_rows)] if relation.num_rows else [],
                 dictionaries=dictionaries,
             )
-            write_manifest(self._directory, manifest)
-            self._manifest = manifest
-            self._invalidate_data()
-            self._dicts = new_dicts
-            self._relation = relation
-            self._merkle = tree
-            prune(self._directory)
-            self._wrote()
+
+            def adopt() -> None:
+                self._dicts = new_dicts
+                self._relation = relation
+                self._merkle = tree
+
+            self._checkpoint(manifest, adopt)
 
     def apply_delta(self, delta: ViewDelta) -> int:
-        """Splice a view delta in: O(delta) appends + one manifest commit.
+        """Splice a view delta in: one log record, one fsync.
 
-        Copy opcodes re-slice the committed view (no row bytes move);
-        literal rows become one new segment file and their genuinely new
-        dictionary values are appended to the blobs — so nothing here is
-        proportional to the table size, except a fold: when the committed
-        manifest would reference more than :data:`FOLD_SEGMENT_FILES`
-        segment files, the same commit writes the whole spliced view as one
-        fresh segment instead.  The base check is the row count; the
-        server's commit-version CAS (the generation) ran before.
+        Copy opcodes re-slice the committed view (no row bytes move); the
+        literal rows' codes and their genuinely new dictionary values ride
+        in the record itself — so nothing here is proportional to the table
+        size, except a fold: when the new view would hold more than
+        :data:`FOLD_VIEW_SLICES` slices or the log more than
+        :data:`FOLD_LOG_RECORDS` records, the same commit checkpoints the
+        whole spliced view instead.  The base check is the row count; the
+        server's commit-version CAS ran before.
         """
         with self._mutex:
             self._check_open()
@@ -326,72 +368,73 @@ class SegmentTableStore(TableStore):
                     "delta literal rows do not match the stored schema",
                     code=ErrorCode.BAD_REQUEST.value,
                 )
-            pieces = self._translate_segments(manifest, delta)
-            generation = next_generation(self._directory)
-            literal_codes, dictionaries, dict_additions = self._append_literal_values(
-                manifest, literals
-            )
-            widths = [code_width(entry.values) for entry in dictionaries]
-            num_rows = sum(count for _, _, count in pieces)
-            # Source files in first-use order; -1 is this delta's literals.
-            sources = list(dict.fromkeys(source for source, _, _ in pieces))
-            view: list[list[int]] = []
-            files: list[SegmentFile] = []
-            if len(sources) > FOLD_SEGMENT_FILES:
-                folded = self._fold_columns(manifest, pieces, literal_codes, widths)
-                files.append(self._write_segment(generation, folded, num_rows))
-                view.append([0, 0, num_rows])
-            else:
-                file_index: dict[int, int] = {}
-                for source in sources:
-                    file_index[source] = len(files)
-                    if source == -1:
-                        packed = [
-                            (_pack_codes(codes, width), width)
-                            for codes, width in zip(literal_codes, widths)
-                        ]
-                        files.append(
-                            self._write_segment(generation, packed, len(literal_codes[0]))
-                        )
-                    else:
-                        files.append(manifest.files[source])
-                for source, start, count in pieces:
-                    index = file_index[source]
-                    if view and view[-1][0] == index and view[-1][1] + view[-1][2] == start:
-                        view[-1][2] += count
-                    else:
-                        view.append([index, start, count])
+            literal_rows = 0 if literals is None else literals.num_rows
+            pieces = translate_segments(manifest, delta.segments, literal_rows)
+            literal_codes, additions = self._code_literals(manifest, literals)
+            new_values = [
+                (encode_cell_run(additions[index][0]), len(additions[index][0]))
+                if index in additions
+                else (b"", 0)
+                for index in range(len(manifest.attributes))
+            ]
+            widths = [
+                code_width(manifest.num_values(index) + count)
+                for index, (_, count) in enumerate(new_values)
+            ]
             # New root, by cost: incrementally from the cached tree when one
             # exists; else recorded from the owner's `new_root`; else left
             # empty and rebuilt lazily on the first root request.  A fold
             # keeps the rows, so it keeps the root.
             candidate = self._merkle_candidate(delta)
             root = candidate.root if candidate is not None else delta.new_root
-            new_manifest = Manifest(
-                generation=generation,
+            payload = encode_delta(
+                version=manifest.version + 1,
+                num_rows=sum(count for _, _, count in pieces),
                 table_name=delta.table_name or manifest.table_name,
-                attributes=list(manifest.attributes),
-                num_rows=num_rows,
                 merkle_root=root,
-                files=files,
-                view=view,
-                dictionaries=dictionaries,
+                segments=delta.segments,
+                literal_rows=literal_rows,
+                code_columns=[
+                    (pack_codes(codes, width), width)
+                    for codes, width in zip(literal_codes, widths)
+                ],
+                new_values=new_values,
             )
-            write_manifest(self._directory, new_manifest)
-            self._manifest = new_manifest
-            self._invalidate_data()
-            for index, (values, code_of) in dict_additions.items():
-                cached = self._dicts.get(index)
-                if cached is not None:
-                    cached[0].extend(values)
-                    cached[1].update(code_of)
-            self._merkle = candidate
-            prune(self._directory)
-            self._wrote()
-            return num_rows
+            advanced = manifest.apply_record(
+                decode_delta(payload, len(manifest.attributes)), pieces
+            )
+            _VIEW_SLICES.observe(len(advanced.view))
+
+            def adopt() -> None:
+                for index, (values, code_of) in additions.items():
+                    cached = self._dicts.get(index)
+                    if cached is not None:
+                        cached[0].extend(values)
+                        cached[1].update(code_of)
+                self._merkle = candidate
+
+            if (
+                len(advanced.view) > FOLD_VIEW_SLICES
+                or advanced.records > FOLD_LOG_RECORDS
+            ):
+                self._fold(manifest, advanced, pieces, literal_codes, new_values, widths, adopt)
+            else:
+                data = frame(payload)
+                if self._log_fd is None:
+                    self._log_fd = open_log(self._directory / manifest.log_name)
+                append_record(self._log_fd, manifest.log_length, data)
+                self._manifest = advanced
+                # The log's mapping predates this record; segments and blobs
+                # are immutable, so their mappings stay.
+                self._release_buffers([advanced.log_name])
+                adopt()
+                self._wrote()
+                _LOG_RECORDS.inc()
+                _LOG_BYTES.inc(len(data))
+            return advanced.num_rows
 
     def recorded_merkle_root(self) -> str:
-        """The manifest's recorded root (may be empty), without rebuilding."""
+        """The committed state's recorded root (may be empty), without rebuilding."""
         with self._mutex:
             return "" if self._manifest is None else self._manifest.merkle_root
 
@@ -435,17 +478,26 @@ class SegmentTableStore(TableStore):
         return wanted, codes
 
     # -- lazy on-disk views --------------------------------------------
+    def _dictionary_bytes(self, manifest: Manifest, index: int) -> bytes:
+        """One column's committed values as one cell run: blob, then log runs."""
+        entry = manifest.dictionaries[index]
+        parts = [self._buffer(entry.name)[: entry.length]]
+        runs = manifest.extents[index]
+        if runs:
+            log = self._buffer(manifest.log_name)
+            parts += [log[offset : offset + length] for offset, length, _ in runs]
+        return b"".join(parts)
+
     def _dictionary(self, index: int) -> tuple[list[Any], dict[Any, int]]:
         cached = self._dicts.get(index)
         if cached is None:
             manifest = self._require_manifest()
-            entry = manifest.dictionaries[index]
-            data = bytes(self._buffer(entry.name)[: entry.length])
+            data = self._dictionary_bytes(manifest, index)
             try:
-                values = decode_cell_run(data, entry.values)
+                values = decode_cell_run(data, manifest.num_values(index))
             except WireError as exc:
                 raise StoreError(
-                    f"corrupt dictionary blob {entry.name}: {exc}"
+                    f"corrupt dictionary blob {manifest.dictionaries[index].name}: {exc}"
                 ) from exc
             cached = self._dicts[index] = (
                 values,
@@ -504,39 +556,20 @@ class SegmentTableStore(TableStore):
             else:
                 handle = open(path, "rb")
                 mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-                self._mmaps.append((handle, mapped))
+                self._mmaps[name] = (handle, mapped)
                 buffer = memoryview(mapped)
             self._buffers[name] = buffer
         return buffer
 
     # -- write helpers -------------------------------------------------
-    def _write_file(self, name: str, data: bytes) -> None:
-        path = self._directory / name
-        with open(path, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def _append_file(self, name: str, committed: int, data: bytes) -> None:
-        path = self._directory / name
-        # Defensive: a tail beyond the committed length (torn by a crash
-        # whose recovery has not run here) must not end up *inside* the
-        # newly committed range.
-        if path.stat().st_size != committed:
-            os.truncate(path, committed)
-        with open(path, "ab") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-
     def _write_segment(
         self,
-        generation: int,
+        version: int,
         columns: list[tuple[bytes, int]],
         rows: int,
     ) -> SegmentFile:
-        """Write ``seg-<generation>.seg`` from per-column (packed codes, width)."""
-        name = f"seg-{generation:06d}.seg"
+        """Write ``seg-<version>.seg`` from per-column (packed codes, width)."""
+        name = segment_name(version)
         chunks = [SEGMENT_HEADER]
         offset = len(SEGMENT_HEADER)
         column_meta: list[dict[str, int]] = []
@@ -545,10 +578,78 @@ class SegmentTableStore(TableStore):
             chunks.append(packed)
             offset += len(packed)
         data = b"".join(chunks)
-        self._write_file(name, data)
+        write_file(self._directory / name, data)
         return SegmentFile(
             name=name, rows=rows, length=len(data), crc=zlib.crc32(data),
             columns=column_meta,
+        )
+
+    def _write_blobs(
+        self, version: int, runs: list[tuple[bytes, int]]
+    ) -> list[DictionaryBlob]:
+        """Write ``dict-<version>-<col>.blob`` per column from (cell run, value count)."""
+        blobs = []
+        for index, (data, values) in enumerate(runs):
+            name = blob_name(version, index)
+            write_file(self._directory / name, data)
+            blobs.append(
+                DictionaryBlob(name=name, values=values, length=len(data), crc=zlib.crc32(data))
+            )
+        return blobs
+
+    def _checkpoint(self, manifest: Manifest, adopt: Callable[[], None] = lambda: None) -> None:
+        """Commit ``manifest`` — its data files written and fsynced — as a new log.
+
+        Once the ``CURRENT`` rename lands the disk names the new log, so the
+        store adopts the state (``adopt`` updates the caller's caches) before
+        the final directory fsync: a failure after the rename still leaves
+        memory and disk in step.
+        """
+        committed = write_log(self._directory, manifest)
+        switch_current(self._directory, committed.log_name)
+        self._close_log()
+        self._manifest = committed
+        self._release_buffers()
+        adopt()
+        self._wrote()
+        self.checkpoints += 1
+        _CHECKPOINTS.inc()
+        fsync_dir(self._directory)
+        remove_unreferenced(self._directory, committed)
+
+    def _fold(
+        self,
+        manifest: Manifest,
+        advanced: Manifest,
+        pieces: list[tuple[int, int, int]],
+        literal_codes: list[list[int]],
+        new_values: list[tuple[bytes, int]],
+        widths: list[int],
+        adopt: Callable[[], None],
+    ) -> None:
+        """Checkpoint ``advanced`` as one fresh segment, fresh blobs and a new log."""
+        version = advanced.version
+        folded = self._fold_columns(manifest, pieces, literal_codes, widths)
+        segment = self._write_segment(version, folded, advanced.num_rows)
+        dictionaries = self._write_blobs(
+            version,
+            [
+                (self._dictionary_bytes(manifest, index) + data, manifest.num_values(index) + count)
+                for index, (data, count) in enumerate(new_values)
+            ],
+        )
+        self._checkpoint(
+            Manifest(
+                version=version,
+                table_name=advanced.table_name,
+                attributes=advanced.attributes,
+                num_rows=advanced.num_rows,
+                files=[segment],
+                view=[(0, 0, advanced.num_rows)] if advanced.num_rows else [],
+                dictionaries=dictionaries,
+                merkle_root=advanced.merkle_root,
+            ),
+            adopt,
         )
 
     def _fold_columns(
@@ -562,8 +663,8 @@ class SegmentTableStore(TableStore):
 
         Copies the committed code bytes slice by slice, widening a slice
         only when its column's dictionary outgrew the width it was written
-        at.  Cells are never re-encoded: codes index the same append-only
-        dictionary blobs before and after the fold.
+        at.  Cells are never re-encoded: codes index the same dictionary
+        values before and after the fold.
         """
         columns: list[tuple[bytes, int]] = []
         for index, width in enumerate(widths):
@@ -571,7 +672,7 @@ class SegmentTableStore(TableStore):
             for source, start, count in pieces:
                 if source == -1:
                     chunks.append(
-                        _pack_codes(literal_codes[index][start : start + count], width)
+                        pack_codes(literal_codes[index][start : start + count], width)
                     )
                     continue
                 entry = manifest.files[source]
@@ -583,31 +684,25 @@ class SegmentTableStore(TableStore):
                     chunks.append(data)
                 else:
                     codes = self._backend.from_code_bytes(data, old_width, count)
-                    chunks.append(_pack_codes(codes, width))
+                    chunks.append(pack_codes(codes, width))
             columns.append((b"".join(chunks), width))
         return columns
 
-    def _append_literal_values(
+    def _code_literals(
         self,
         manifest: Manifest,
         literals: "Relation | None",
-    ) -> tuple[
-        list[list[int]],
-        list[DictionaryBlob],
-        dict[int, tuple[list[Any], dict[Any, int]]],
-    ]:
-        """Code a delta's literal rows, appending new values to the blobs.
+    ) -> tuple[list[list[int]], dict[int, tuple[list[Any], dict[Any, int]]]]:
+        """Code a delta's literal rows against the committed dictionaries.
 
-        Returns the literal rows' per-column codes (empty when the delta
-        carries no literals), the updated dictionary entries, and the
-        per-column new values to merge into the in-memory dictionary caches
-        *after* the manifest commits (never before — a failed commit must
-        not poison them).
+        Returns the literal rows' per-column codes (empty lists when the
+        delta carries no literals) and the per-column genuinely new values with
+        their codes, to merge into the in-memory dictionary caches *after*
+        the commit (never before — a failed commit must not poison them).
         """
-        dictionaries = list(manifest.dictionaries)
         additions: dict[int, tuple[list[Any], dict[Any, int]]] = {}
         if literals is None or not literals.num_rows:
-            return [], dictionaries, additions
+            return [[] for _ in manifest.attributes], additions
         column_codes: list[list[int]] = []
         for index, attr in enumerate(manifest.attributes):
             values, code_of = self._dictionary(index)
@@ -626,94 +721,21 @@ class SegmentTableStore(TableStore):
                 codes.append(code)
             column_codes.append(codes)
             if new_values:
-                entry = dictionaries[index]
-                data = encode_cell_run(new_values)
-                self._append_file(entry.name, entry.length, data)
-                dictionaries[index] = DictionaryBlob(
-                    name=entry.name,
-                    values=base + len(new_values),
-                    length=entry.length + len(data),
-                    crc=zlib.crc32(data, entry.crc),
-                )
                 additions[index] = (new_values, new_code_of)
-        return column_codes, dictionaries, additions
-
-    @staticmethod
-    def _translate_segments(
-        manifest: Manifest, delta: ViewDelta
-    ) -> list[tuple[int, int, int]]:
-        """Delta opcodes -> physical slices ``(file index | -1, start, count)``.
-
-        ``-1`` stands for the literal segment this delta will create (its
-        starts index into the literal rows).  Validation mirrors
-        :func:`repro.api.delta.apply_view_delta` — every check hostile-safe,
-        same error codes.
-        """
-        pieces: list[tuple[int, int, int]] = []
-        literal_cursor = 0
-        available = 0 if delta.literals is None else delta.literals.num_rows
-        for segment in delta.segments:
-            if not isinstance(segment, (list, tuple)) or not segment:
-                raise ProtocolError(
-                    "malformed delta segment", code=ErrorCode.BAD_REQUEST.value
-                )
-            op = segment[0]
-            if op == OP_COPY:
-                if len(segment) != 3:
-                    raise ProtocolError(
-                        "malformed copy segment", code=ErrorCode.BAD_REQUEST.value
-                    )
-                start, count = int(segment[1]), int(segment[2])
-                if count < 0 or start < 0 or start + count > manifest.num_rows:
-                    raise ProtocolError(
-                        f"copy segment {start}+{count} is outside the base view "
-                        f"(0..{manifest.num_rows})",
-                        code=ErrorCode.BAD_REQUEST.value,
-                    )
-                end = start + count
-                position = 0
-                for file_index, piece_start, piece_count in manifest.view:
-                    low = max(start, position)
-                    high = min(end, position + piece_count)
-                    if low < high:
-                        pieces.append(
-                            (file_index, piece_start + (low - position), high - low)
-                        )
-                    position += piece_count
-                    if position >= end:
-                        break
-            elif op == OP_LITERAL:
-                if len(segment) != 2:
-                    raise ProtocolError(
-                        "malformed literal segment", code=ErrorCode.BAD_REQUEST.value
-                    )
-                count = int(segment[1])
-                if count < 0 or literal_cursor + count > available:
-                    raise ProtocolError(
-                        "literal segment overruns the shipped literal rows",
-                        code=ErrorCode.BAD_REQUEST.value,
-                    )
-                if count:
-                    pieces.append((-1, literal_cursor, count))
-                literal_cursor += count
-            else:
-                raise ProtocolError(
-                    f"unknown delta opcode {op!r}", code=ErrorCode.BAD_REQUEST.value
-                )
-        if literal_cursor != available:
-            raise ProtocolError(
-                "delta shipped more literal rows than its segments consume",
-                code=ErrorCode.BAD_REQUEST.value,
-            )
-        return pieces
+        return column_codes, additions
 
     # -- observability -------------------------------------------------
     def store_stats(self) -> dict[str, Any]:
         stats = super().store_stats()
         with self._mutex:
             manifest = self._manifest
-            stats["generation"] = self.generation
             stats["segments"] = 0 if manifest is None else len(manifest.files)
+            stats["view_slices"] = 0 if manifest is None else len(manifest.view)
+            stats["log_records"] = 0 if manifest is None else manifest.records
+            stats["log_bytes"] = 0 if manifest is None else manifest.log_length
+            stats["checkpoints"] = self.checkpoints
+            stats["records_replayed"] = self.records_replayed
+            stats["torn_tails_truncated"] = self.torn_tails_truncated
             stats["mapped_bytes"] = sum(
                 len(buffer) for buffer in self._buffers.values()
             )
@@ -723,29 +745,40 @@ class SegmentTableStore(TableStore):
 
     # -- maintenance ---------------------------------------------------
     def verify(self) -> bool:
-        """Full-content integrity check of the committed generation.
+        """Full-content integrity check of the committed state.
 
-        Reads every referenced byte: segment headers, recorded CRCs, and
-        dictionary blob decodability.  This is the deliberate O(data)
-        counterpart to the O(1) length checks at open — ``store migrate``
-        runs it after converting, and tests use it to prove round-trips.
+        Reads every referenced byte: segment headers and recorded CRCs, the
+        CRC of every committed log record, and the decodability of every
+        column's dictionary.  This is the deliberate O(data) counterpart to
+        the length checks at open — ``store migrate`` runs it after
+        converting, ``f2-repro verify`` on every table.
         """
         with self._mutex:
             manifest = self._require_manifest()
             for entry in manifest.files:
+                if entry.in_log:
+                    continue
                 data = self._read_committed(entry.name, entry.length)
                 if not data.startswith(SEGMENT_HEADER):
                     raise StoreError(f"segment {entry.name} has a bad header")
                 if zlib.crc32(data) != entry.crc:
                     raise StoreError(f"segment {entry.name} fails its checksum")
+            log = self._read_committed(manifest.log_name, manifest.log_length)
+            records, end = scan_log(log, manifest.log_name)
+            if len(records) != manifest.records + 1 or end != manifest.log_length:
+                raise StoreError(
+                    f"log {manifest.log_name} no longer holds its "
+                    f"{manifest.records + 1} committed records"
+                )
             for index, entry in enumerate(manifest.dictionaries):
                 data = self._read_committed(entry.name, entry.length)
                 if zlib.crc32(data) != entry.crc:
                     raise StoreError(
                         f"dictionary blob {entry.name} fails its checksum"
                     )
+                runs = [log[offset : offset + length] for offset, length, _ in manifest.extents[index]]
                 try:
-                    decode_cell_run(data, entry.values)
+                    decode_cell_run(b"".join([data] + runs), manifest.num_values(index))
                 except WireError as exc:
                     raise StoreError(
                         f"dictionary blob {entry.name} does not decode: {exc}"
@@ -767,7 +800,8 @@ class SegmentTableStore(TableStore):
     def close(self) -> None:
         with self._mutex:
             if not self._closed:
-                self._invalidate_data()
+                self._close_log()
+                self._release_buffers()
                 self._dicts = {}
                 self._closed = True
 
@@ -784,17 +818,25 @@ class SegmentTableStore(TableStore):
         if self._closed:
             raise StoreError(f"segment store {self._directory} is closed")
 
-    def _invalidate_data(self) -> None:
-        """Drop all lazy views (columns, relation, mmaps) after a mutation.
+    def _close_log(self) -> None:
+        fd, self._log_fd = self._log_fd, None
+        if fd is not None:
+            close_fd(fd)
+
+    def _release_buffers(self, names: "Iterable[str] | None" = None) -> None:
+        """Drop lazy views after a mutation: code columns and the relation
+        always, and the mappings of ``names`` (every mapping when ``None``).
 
         Dictionary caches are managed by the callers (extended in place on
-        delta, replaced on full rewrite) to keep inserts O(delta).
+        a delta, replaced on a full rewrite) to keep inserts O(delta).
         """
         self._columns = {}
         self._relation = None
-        self._buffers = {}
-        mmaps, self._mmaps = self._mmaps, []
-        for handle, mapped in mmaps:
+        for name in list(self._mmaps) if names is None else names:
+            self._buffers.pop(name, None)
+            handle, mapped = self._mmaps.pop(name, (None, None))
+            if mapped is None:
+                continue
             try:
                 mapped.close()
             except BufferError:  # pragma: no cover - an exported view is live
@@ -803,3 +845,5 @@ class SegmentTableStore(TableStore):
                 handle.close()
             except OSError:  # pragma: no cover
                 pass
+        if names is None:
+            self._buffers = {}

@@ -105,3 +105,73 @@ def binary_frame(kind: str, meta: dict[str, Any]) -> bytes:
     writer.lp_bytes(json.dumps(meta).encode("utf-8"))
     writer.uvarint(0)
     return writer.getvalue()
+
+
+def write_legacy_store(
+    directory,
+    relation: Relation,
+    generation: int = 1,
+    merkle_root: str = "",
+    root_format: "int | None" = 2,
+    extra: "dict[str, Any] | None" = None,
+) -> None:
+    """Write ``relation`` as a segment store from before the table log.
+
+    That format committed each write as ``MANIFEST-<generation>.json`` (a
+    JSON document naming the segment files, view slices and dictionary
+    blobs) plus a ``CURRENT`` pointer.  ``root_format=None`` omits the
+    ``merkle_root_format`` field (a legacy binary-tree root); ``extra``
+    adds fields to the document.
+    """
+    import zlib
+    from array import array
+    from pathlib import Path
+
+    from repro.backend import get_backend
+    from repro.wire.binary import code_width
+    from repro.wire.codec import encode_cell_run
+
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    coded = relation.coded(get_backend("python"))
+    segment = bytearray(b"F2SG\x01")
+    columns, dictionaries = [], []
+    for index, attribute in enumerate(relation.attributes):
+        column = coded.column(attribute)
+        width = code_width(column.num_values)
+        columns.append({"offset": len(segment), "width": width})
+        segment += array({1: "B", 2: "H", 4: "I", 8: "Q"}[width], list(column.codes)).tobytes()
+        blob = encode_cell_run(column.dictionary)
+        name = f"dict-{generation:06d}-{index:03d}.blob"
+        (directory / name).write_bytes(blob)
+        dictionaries.append(
+            {"name": name, "values": column.num_values, "length": len(blob), "crc": zlib.crc32(blob)}
+        )
+    segment_name = f"seg-{generation:06d}.seg"
+    (directory / segment_name).write_bytes(bytes(segment))
+    doc = {
+        "format": "f2-segment-store",
+        "version": 1,
+        "generation": generation,
+        "table_name": relation.name,
+        "attributes": list(relation.attributes),
+        "num_rows": relation.num_rows,
+        "merkle_root": merkle_root,
+        "files": [
+            {
+                "name": segment_name,
+                "rows": relation.num_rows,
+                "length": len(segment),
+                "crc": zlib.crc32(bytes(segment)),
+                "columns": columns,
+            }
+        ],
+        "view": [[0, 0, relation.num_rows]] if relation.num_rows else [],
+        "dictionaries": dictionaries,
+    }
+    if root_format is not None:
+        doc["merkle_root_format"] = root_format
+    doc.update(extra or {})
+    manifest = f"MANIFEST-{generation:06d}.json"
+    (directory / manifest).write_text(json.dumps(doc, indent=0, sort_keys=True), encoding="utf-8")
+    (directory / "CURRENT").write_text(manifest + "\n", encoding="utf-8")

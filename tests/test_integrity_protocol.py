@@ -13,7 +13,6 @@ migration of legacy binary-tree roots.
 
 import dataclasses
 import hashlib
-import json
 import shutil
 import threading
 import traceback
@@ -51,9 +50,10 @@ from repro.integrity.writers import WriteCoordinator
 from repro.query.ast import And, Eq, In, Or
 from repro.query.server import execute_server_expr
 from repro.relational.table import Relation
-from repro.store import FOLD_SEGMENT_FILES
-from repro.store.manifest import recover_manifest
+from repro.store import FOLD_LOG_RECORDS, recover_log
 from repro.store.segment import SegmentTableStore
+from repro.wire.binary import ByteReader
+from tests.conftest import write_legacy_store
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 #: The in-memory store and the durable segment engine.
@@ -613,7 +613,7 @@ def populate(registry, tmp_path, store="segment", backend=None, seed=7):
     if store == "compacted":
         table = server.table_store("orders", tenant_id="acme")
         folded = False
-        for index in range(2 * FOLD_SEGMENT_FILES):
+        for index in range(2 * FOLD_LOG_RECORDS):
             files = table.store_stats()["segments"]
             session.insert_rows([["Summit", "07901", f"S{index}"]])
             assert session.last_delta is not None
@@ -641,13 +641,26 @@ def reconnect_verified(registry, tmp_path, credential, owner, old_session,
 
 
 def flip_byte_of_cell_data(storage: Path) -> None:
-    """Corrupt stored cell bytes so the table decodes to different rows."""
+    """Corrupt stored cell bytes so the table decodes to different rows.
+
+    Flips a bit inside the value bytes of the cell at the middle of the
+    first dictionary blob — never a cell's tag or length byte, which would
+    leave a blob that no longer decodes rather than different rows.
+    """
     blobs = sorted(storage.glob("*/*.f2s/dict-*.blob")) or sorted(
         storage.glob("*.f2s/dict-*.blob")
     )
     target = blobs[0]
     data = bytearray(target.read_bytes())
-    data[len(data) // 2] ^= 0x01
+    reader = ByteReader(bytes(data))
+    while True:
+        reader.u8()  # the cell's tag: a string or ciphertext cell here
+        length = reader.uvarint()
+        start = len(data) - reader.remaining
+        if start + length > len(data) // 2:
+            break
+        reader.skip(length)
+    data[start + length // 2] ^= 0x01
     target.write_bytes(bytes(data))
 
 
@@ -815,13 +828,20 @@ def _reference_binary_root(leaves: list) -> str:
 
 
 def make_legacy(storage: Path, view: Relation) -> Path:
-    """Rewrite the committed manifest as a pre-format store wrote it."""
+    """Rewrite the committed table as a pre-format store wrote it: a JSON
+    manifest at the same version, recording ``view``'s binary-tree root."""
     (table_dir,) = storage.glob("acme/*.f2s")
-    manifest = table_dir / (table_dir / "CURRENT").read_text().strip()
-    doc = json.loads(manifest.read_text())
-    doc.pop("merkle_root_format")
-    doc["merkle_root"] = _reference_binary_root(relation_leaves(view))
-    manifest.write_text(json.dumps(doc))
+    store = SegmentTableStore(table_dir, get_backend("python"))
+    rows, version = store.relation(), store.commit_version
+    store.close()
+    shutil.rmtree(table_dir)
+    write_legacy_store(
+        table_dir,
+        rows,
+        generation=version,
+        merkle_root=_reference_binary_root(relation_leaves(view)),
+        root_format=None,
+    )
     return table_dir
 
 
@@ -840,7 +860,7 @@ class TestLegacyRootMigration:
         expected = [r for r in ROWS if r[0] == "Hoboken"]
         assert sorted(map(list, matches.rows())) == sorted(expected)
         assert store.store_stats()["tree_rebuilds"] == 1
-        assert recover_manifest(table_dir).merkle_root_format == ROOT_FORMAT
+        assert recover_log(table_dir)[0].merkle_root_format == ROOT_FORMAT
 
     @pytest.mark.parametrize("tamper", ["cell-bytes", "rows-behind-the-root"])
     def test_tampered_legacy_store_is_not_re_rooted(self, registry, tmp_path, capsys, tamper):

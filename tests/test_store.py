@@ -1,9 +1,10 @@
 """Tests of the repro.store package: engines, crash recovery, migration."""
 
-import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api.delta import apply_view_delta, compute_view_delta
 from repro.api.protocol import (
@@ -15,23 +16,29 @@ from repro.api.protocol import (
     ProtocolServer,
 )
 from repro.backend import get_backend, numpy_available
-from repro.exceptions import ConfigurationError, ProtocolError, StoreError
+from repro.exceptions import (
+    ConfigurationError,
+    ProtocolError,
+    StoreError,
+    StoreIntegrityWarning,
+)
 from repro.integrity.merkle import MerkleTree, relation_leaves
 from repro.query.server import ServerOr, TokenLeaf
 from repro.relational.table import Relation
 from repro.store import (
-    FOLD_SEGMENT_FILES,
+    FOLD_LOG_RECORDS,
+    FOLD_VIEW_SLICES,
     MemoryTableStore,
     SegmentTableStore,
     STORE_SUFFIX,
     TokenBitsetCache,
     is_segment_store,
-    list_generations,
     migrate_storage_dir,
 )
 from repro.store import segment as segment_module
-from repro.store.manifest import CURRENT_NAME, manifest_name
+from repro.store.manifest import CURRENT_NAME, FRAME, LOG_HEADER, log_name, scan_log
 from repro.wire import encode_relation
+from tests.conftest import write_legacy_store
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
 
@@ -252,7 +259,7 @@ def grow_by_one(relation: Relation, tag: str) -> Relation:
 
 
 def build_two_generation_store(directory):
-    """A store with gen 1 (base) and gen 2 (base + delta rows) committed."""
+    """A store at version 2: a snapshot (version 1, base) plus one delta record."""
     base, new = small_relation(), grown_relation()
     store = SegmentTableStore(directory, get_backend("python"), create=True)
     store.replace(base)
@@ -261,45 +268,77 @@ def build_two_generation_store(directory):
     return base, new
 
 
+def live_log(directory):
+    """Path, bytes and ``(payload offset, payload)`` records of the live log."""
+    path = directory / (directory / CURRENT_NAME).read_text().strip()
+    data = path.read_bytes()
+    records, end = scan_log(data, path.name)
+    assert end == len(data)
+    return path, data, records
+
+
 class TestCrashConsistency:
     def test_torn_tail_is_truncated_and_committed_data_served(self, tmp_path):
         directory = tmp_path / f"t{STORE_SUFFIX}"
-        _, new = build_two_generation_store(directory)
-        # A crash mid-append leaves bytes beyond every committed length.
+        base, new = build_two_generation_store(directory)
+        # A crash mid-append leaves bytes beyond every committed length: a
+        # partial frame at the end of the log, garbage after the data files.
+        path, data, records = live_log(directory)
+        with open(path, "ab") as handle:
+            handle.write(data[records[1][0] - FRAME.size : records[1][0] + 3])
         for name in os.listdir(directory):
             if name.endswith((".seg", ".blob")):
                 with open(directory / name, "ab") as handle:
                     handle.write(b"\xde\xad\xbe\xef torn tail")
-        store = SegmentTableStore(directory, get_backend("python"))
+        with pytest.warns(StoreIntegrityWarning, match="torn"):
+            store = SegmentTableStore(directory, get_backend("python"))
         assert store.relation() == new
-        assert store.verify() is True  # tails were truncated at recovery
+        assert store.commit_version == 2
+        assert store.verify() is True
+        assert store.store_stats()["torn_tails_truncated"] == 1
+        # The next append cuts the tail off before writing its record.
+        grown = grow_by_one(new, "after-torn")
+        store.apply_delta(compute_view_delta(new, grown))
         store.close()
+        _, data, records = live_log(directory)
+        assert len(records) == 3
+        reopened = SegmentTableStore(directory, get_backend("python"))
+        assert reopened.relation() == grown
+        assert reopened.verify() is True
+        reopened.close()
 
-    def test_truncated_segment_falls_back_a_generation(self, tmp_path):
+    def test_torn_record_falls_back_to_the_previous_version(self, tmp_path):
         directory = tmp_path / f"t{STORE_SUFFIX}"
         base, _ = build_two_generation_store(directory)
-        # Kill the delta's literal segment (gen 2's new file) mid-write.
-        os.truncate(directory / "seg-000002.seg", 3)
-        with pytest.warns(RuntimeWarning, match="falling back to committed generation 1"):
+        # Kill the delta's record (version 2) mid-append.
+        path, data, records = live_log(directory)
+        os.truncate(path, records[1][0] + 5)
+        with pytest.warns(StoreIntegrityWarning, match="serving committed version 1"):
             store = SegmentTableStore(directory, get_backend("python"))
-        assert store.generation == 1
+        assert store.commit_version == 1
         assert store.relation() == base
+        assert store.verify() is True
         store.close()
 
-    def test_corrupt_manifest_falls_back_a_generation(self, tmp_path):
+    def test_corrupt_snapshot_record_is_refused(self, tmp_path):
         directory = tmp_path / f"t{STORE_SUFFIX}"
-        base, _ = build_two_generation_store(directory)
-        (directory / manifest_name(2)).write_bytes(b"{ not json")
-        with pytest.warns(RuntimeWarning, match="falling back to committed generation 1"):
-            store = SegmentTableStore(directory, get_backend("python"))
-        assert store.relation() == base
-        store.close()
+        build_two_generation_store(directory)
+        # A bit flip inside a committed record is corruption, not a torn
+        # tail: the log is refused, never replayed past or served short.
+        path, data, records = live_log(directory)
+        flipped = bytearray(data)
+        flipped[records[0][0] + 4] ^= 0x01
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(StoreError, match="fails its checksum"):
+            SegmentTableStore(directory, get_backend("python"))
 
     def test_dangling_current_pointer_recovers_newest(self, tmp_path):
         directory = tmp_path / f"t{STORE_SUFFIX}"
         _, new = build_two_generation_store(directory)
-        (directory / CURRENT_NAME).write_text("MANIFEST-999999.json\n", encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="falling back to committed generation 2"):
+        (directory / CURRENT_NAME).write_text(log_name(999999) + "\n", encoding="utf-8")
+        with pytest.warns(
+            StoreIntegrityWarning, match="falling back to log LOG-000001.log at committed version 2"
+        ):
             store = SegmentTableStore(directory, get_backend("python"))
         assert store.relation() == new
         store.close()
@@ -308,9 +347,9 @@ class TestCrashConsistency:
         directory = tmp_path / f"t{STORE_SUFFIX}"
         build_two_generation_store(directory)
         for name in list(os.listdir(directory)):
-            if name.startswith("MANIFEST-"):
+            if name.startswith("LOG-"):
                 (directory / name).write_bytes(b"garbage")
-        with pytest.raises(StoreError, match="no usable manifest generation"):
+        with pytest.raises(StoreError, match="no usable table log"):
             SegmentTableStore(directory, get_backend("python"))
 
     def test_server_skips_corrupt_store_but_serves_the_rest(self, tmp_path):
@@ -320,7 +359,7 @@ class TestCrashConsistency:
         bad_dir = tmp_path / f"bad{STORE_SUFFIX}"
         build_two_generation_store(bad_dir)
         for name in list(os.listdir(bad_dir)):
-            if name.startswith("MANIFEST-"):
+            if name.startswith("LOG-"):
                 (bad_dir / name).write_bytes(b"garbage")
         with pytest.warns(RuntimeWarning, match="skipping corrupt table store"):
             server = ProtocolServer(
@@ -332,26 +371,29 @@ class TestCrashConsistency:
     def test_orphan_files_are_ignored_at_open(self, tmp_path):
         directory = tmp_path / f"t{STORE_SUFFIX}"
         _, new = build_two_generation_store(directory)
-        # A crash after writing data files but before the manifest commit
-        # leaves unreferenced files; they must not confuse recovery.
+        # A crash inside a checkpoint, before the CURRENT rename, leaves
+        # unreferenced files; they must not confuse recovery.
         (directory / "seg-000009.seg").write_bytes(b"F2SG\x01orphan")
         (directory / "dict-000009-000.blob").write_bytes(b"orphan")
+        (directory / log_name(9)).write_bytes(LOG_HEADER + b"orphan")
         store = SegmentTableStore(directory, get_backend("python"))
         assert store.relation() == new
+        # The next checkpoint deletes them.
+        store.replace(new)
+        assert sorted(os.listdir(directory)) == [
+            CURRENT_NAME, "LOG-000003.log", "dict-000003-000.blob",
+            "dict-000003-001.blob", "seg-000003.seg",
+        ]
         store.close()
 
     def test_manifest_with_legacy_view_digest_loads(self, tmp_path):
-        # Manifests committed before the delta base check moved to the
+        # JSON manifests committed before the delta base check moved to the
         # commit version carry a whole-view ``view_digest``; it is ignored.
         directory = tmp_path / f"t{STORE_SUFFIX}"
-        _, new = build_two_generation_store(directory)
-        path = directory / manifest_name(2)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert "view_digest" not in doc
-        doc["view_digest"] = "0" * 64
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        new = grown_relation()
+        write_legacy_store(directory, new, generation=2, extra={"view_digest": "0" * 64})
         store = SegmentTableStore(directory, get_backend("python"))
-        assert store.generation == 2
+        assert store.commit_version == 3
         assert store.relation() == new
         grown = Relation.from_columns(
             {attr: list(new.column(attr)) + [f"x-{attr}"] for attr in new.attributes},
@@ -361,40 +403,309 @@ class TestCrashConsistency:
         assert store.relation() == grown
         store.close()
 
+    def test_json_manifest_store_is_imported_once(self, tmp_path):
+        # A store from before the table log reopens with the same rows and
+        # root and a higher commit version; the JSON is read only then.
+        directory = tmp_path / f"t{STORE_SUFFIX}"
+        relation = grown_relation()
+        root = MerkleTree(relation_leaves(relation)).root
+        write_legacy_store(directory, relation, generation=5, merkle_root=root)
+        (directory / "seg-000004.seg").write_bytes(b"F2SG\x01superseded")
+        store = SegmentTableStore(directory, get_backend("python"))
+        assert store.commit_version == 6
+        assert store.relation() == relation
+        assert store.recorded_merkle_root() == root == store.merkle_root()
+        assert store.store_stats()["checkpoints"] == 1
+        assert store.verify() is True
+        store.close()
+        assert sorted(os.listdir(directory)) == [
+            CURRENT_NAME, "LOG-000006.log", "dict-000005-000.blob",
+            "dict-000005-001.blob", "seg-000005.seg",
+        ]
+        reopened = SegmentTableStore(directory, get_backend("python"))
+        assert reopened.commit_version == 6
+        assert reopened.store_stats()["checkpoints"] == 0
+        assert reopened.relation() == relation
+        reopened.close()
+
+    def test_unparseable_json_manifest_is_refused(self, tmp_path):
+        directory = tmp_path / f"t{STORE_SUFFIX}"
+        directory.mkdir()
+        (directory / "MANIFEST-000001.json").write_text("{ not json")
+        with pytest.raises(StoreError, match="no usable manifest generation"):
+            SegmentTableStore(directory, get_backend("python"))
+
     def test_failed_fold_commit_keeps_previous_generation(self, tmp_path, monkeypatch):
         directory = tmp_path / f"t{STORE_SUFFIX}"
         store = SegmentTableStore(directory, get_backend("python"), create=True)
         current = small_relation()
         store.replace(current)
-        while True:
-            grown = grow_by_one(current, f"g{store.generation}")
-            if store.store_stats()["segments"] == FOLD_SEGMENT_FILES:
-                break  # the next delta folds
+        while store.store_stats()["log_records"] < FOLD_LOG_RECORDS:
+            grown = grow_by_one(current, f"g{store.commit_version}")
             store.apply_delta(compute_view_delta(current, grown))
             current = grown
-        committed = store.generation
-        real_write = segment_module.write_manifest
+        grown = grow_by_one(current, "folding")
+        committed = store.commit_version
+        segments = store.store_stats()["segments"]
+        real_switch = segment_module.switch_current
 
-        def crash(directory, manifest):
-            assert len(manifest.files) == 1  # this is the folding commit
+        def crash(directory, name):
             raise OSError("disk full")
 
-        monkeypatch.setattr(segment_module, "write_manifest", crash)
+        monkeypatch.setattr(segment_module, "switch_current", crash)
         with pytest.raises(OSError, match="disk full"):
             store.apply_delta(compute_view_delta(current, grown))
+        assert store.commit_version == committed
+        assert store.relation() == current
         store.close()
-        monkeypatch.setattr(segment_module, "write_manifest", real_write)
+        monkeypatch.setattr(segment_module, "switch_current", real_switch)
 
         reopened = SegmentTableStore(directory, get_backend("python"))
-        assert reopened.generation == committed
-        assert reopened.store_stats()["segments"] == FOLD_SEGMENT_FILES
+        assert reopened.commit_version == committed
+        assert reopened.store_stats()["segments"] == segments
         assert reopened.relation() == current
         assert reopened.verify() is True
         assert reopened.apply_delta(compute_view_delta(current, grown)) == grown.num_rows
         assert reopened.store_stats()["segments"] == 1
+        assert reopened.store_stats()["log_records"] == 0
         assert reopened.relation() == grown
         assert reopened.verify() is True
         reopened.close()
+
+    def test_flipped_byte_in_any_committed_record_fails_verify(self, tmp_path, capsys):
+        from repro.cli import main
+
+        directory = tmp_path / f"t{STORE_SUFFIX}"
+        build_two_generation_store(directory)
+        path, data, records = live_log(directory)
+        for offset in range(len(LOG_HEADER), len(data)):
+            flipped = bytearray(data)
+            flipped[offset] ^= 0x01
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(StoreError):
+                SegmentTableStore(directory, get_backend("python"))
+        # A flip in the delta record's payload, through the CLI.
+        flipped = bytearray(data)
+        flipped[records[1][0] + 2] ^= 0x01
+        path.write_bytes(bytes(flipped))
+        assert main(["verify", "--storage", str(tmp_path)]) == 7
+        assert "fails its checksum" in capsys.readouterr().err
+        path.write_bytes(data)
+        assert main(["verify", "--storage", str(tmp_path)]) == 0
+
+
+# ----------------------------------------------------------------------
+# The commit protocol
+# ----------------------------------------------------------------------
+class TestCommitProtocol:
+    def test_log_activity_is_counted(self, tmp_path):
+        from repro.obs import metrics
+
+        def counts():
+            snapshot = metrics.snapshot()
+            values = {c["name"]: c["value"] for c in snapshot["counters"]}
+            slices = [h for h in snapshot["histograms"] if h["name"] == "store.view_slices"]
+            return values, (slices[0]["count"] if slices else 0)
+
+        directory = tmp_path / f"t{STORE_SUFFIX}"
+        before, observed = counts()
+        _, new = build_two_generation_store(directory)
+        path, data, records = live_log(directory)
+        with open(path, "ab") as handle:
+            handle.write(data[records[1][0] - FRAME.size : records[1][0]])
+        with pytest.warns(StoreIntegrityWarning):
+            store = SegmentTableStore(directory, get_backend("python"))
+        after, observed_after = counts()
+        delta = {
+            name: after.get(name, 0) - before.get(name, 0)
+            for name in (
+                "store.log_records", "store.log_bytes", "store.checkpoints",
+                "store.records_replayed", "store.torn_tails_truncated",
+            )
+        }
+        if metrics.enabled():
+            assert delta == {
+                "store.log_records": 1,
+                "store.log_bytes": len(data) - records[1][0] + FRAME.size,
+                "store.checkpoints": 1,
+                "store.records_replayed": 1,
+                "store.torn_tails_truncated": 1,
+            }
+            assert observed_after - observed == 1
+        stats = store.store_stats()
+        assert {key: stats[key] for key in (
+            "segments", "view_slices", "log_records", "log_bytes", "checkpoints",
+            "records_replayed", "torn_tails_truncated",
+        )} == {
+            "segments": 2, "view_slices": 3, "log_records": 1, "log_bytes": len(data),
+            "checkpoints": 0, "records_replayed": 1, "torn_tails_truncated": 1,
+        }
+        store.close()
+
+    def test_non_folding_apply_delta_is_one_fsyncd_append(self, tmp_path, monkeypatch):
+        """A delta commit calls os.fsync exactly once, creates no file,
+        renames nothing, and returns only after that fsync."""
+        directory = tmp_path / f"t{STORE_SUFFIX}"
+        base, new = small_relation(), grown_relation()
+        store = SegmentTableStore(directory, get_backend("python"), create=True)
+        store.replace(base)
+        path = directory / log_name(1)
+        events = []
+        real_fsync, real_open = os.fsync, os.open
+
+        def fsync(fd):
+            real_fsync(fd)
+            events.append(("fsync", store.commit_version, path.stat().st_size))
+
+        def open_(file, flags, *args, **kwargs):
+            events.append(("open", os.path.basename(file), bool(flags & os.O_CREAT)))
+            return real_open(file, flags, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a delta commit renamed or deleted a file")
+
+        listing = sorted(os.listdir(directory))
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "open", open_)
+        for name in ("replace", "rename", "unlink", "truncate"):
+            monkeypatch.setattr(os, name, refuse)
+        assert store.apply_delta(compute_view_delta(base, new)) == new.num_rows
+        monkeypatch.undo()
+        # One fsync, of the fully written record, before the new version
+        # became visible; the one open reuses the existing log.
+        assert events == [
+            ("open", log_name(1), False),
+            ("fsync", 1, path.stat().st_size),
+        ]
+        assert store.commit_version == 2
+        assert sorted(os.listdir(directory)) == listing
+        stats = store.store_stats()
+        assert (stats["log_records"], stats["checkpoints"]) == (1, 1)
+        store.close()
+
+    def test_checkpoint_fsyncs_the_directory_around_the_current_flip(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / f"t{STORE_SUFFIX}"
+        store = SegmentTableStore(directory, get_backend("python"), create=True)
+        store.replace(small_relation())
+        calls = []
+        real = {name: getattr(os, name) for name in ("fsync", "replace", "open")}
+        fds = {}
+
+        def open_(file, flags, *args, **kwargs):
+            fd = real["open"](file, flags, *args, **kwargs)
+            fds[fd] = os.path.basename(file)
+            return fd
+
+        monkeypatch.setattr(os, "open", open_)
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(("fsync", fds[fd])), real["fsync"](fd)))
+        monkeypatch.setattr(
+            os, "replace", lambda a, b: (calls.append(("rename", os.path.basename(b))), real["replace"](a, b))
+        )
+        store.replace(grown_relation())
+        monkeypatch.undo()
+        table = directory.name
+        assert calls == [
+            ("fsync", "dict-000002-000.blob"),
+            ("fsync", "dict-000002-001.blob"),
+            ("fsync", "seg-000002.seg"),
+            ("fsync", "LOG-000002.log"),
+            ("fsync", table),
+            ("fsync", ".CURRENT.tmp"),
+            ("rename", CURRENT_NAME),
+            ("fsync", table),
+        ]
+        store.close()
+
+
+# ----------------------------------------------------------------------
+# Replay: random multi-delta histories
+# ----------------------------------------------------------------------
+@st.composite
+def delta_histories(draw):
+    """A base view and a chain of random deltas (copies, literals, deletions)."""
+    base_rows = draw(st.integers(min_value=0, max_value=12))
+    base = Relation.from_columns(
+        {
+            "a": [f"a{draw(st.integers(0, 5))}" for _ in range(base_rows)],
+            "b": [f"b{i % 3}" for i in range(base_rows)],
+        },
+        name="h",
+    )
+    steps = []
+    rows = base_rows
+    for step in range(draw(st.integers(min_value=1, max_value=12))):
+        segments, literal = [], []
+        cursor = 0
+        while cursor < rows or not segments:
+            if cursor < rows and draw(st.booleans()):
+                count = draw(st.integers(min_value=1, max_value=rows - cursor))
+                if draw(st.integers(0, 3)):  # else the rows are deleted
+                    segments.append(["c", cursor, count])
+                cursor += count
+            else:
+                count = draw(st.integers(min_value=0, max_value=3))
+                segments.append(["l", count])
+                literal += [
+                    [f"a{draw(st.integers(0, 300))}", f"s{step}-{len(literal)}"]
+                    for _ in range(count)
+                ]
+                if cursor >= rows:
+                    break
+        steps.append((segments, literal))
+        rows = sum(seg[2] if seg[0] == "c" else seg[1] for seg in segments)
+    return base, steps
+
+
+class TestLogReplayProperty:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        history=delta_histories(),
+        backend=st.sampled_from(BACKENDS),
+        folds=st.sampled_from([(FOLD_VIEW_SLICES, FOLD_LOG_RECORDS), (6, 3)]),
+    )
+    def test_random_histories_replay_to_the_same_rows_and_root(self, history, backend, folds):
+        import tempfile
+        from pathlib import Path
+        from unittest import mock
+
+        from repro.api.delta import ViewDelta
+
+        base, steps = history
+        resolved = get_backend(backend)
+        # Small fold thresholds put folds and log rotations inside short
+        # histories; the real ones keep every record in one log.
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
+            segment_module, FOLD_VIEW_SLICES=folds[0], FOLD_LOG_RECORDS=folds[1]
+        ):
+            directory = Path(tmp) / f"h{STORE_SUFFIX}"
+            store = SegmentTableStore(directory, resolved, create=True)
+            store.replace(base)
+            current = base
+            for segments, literal in steps:
+                delta = ViewDelta(
+                    base_rows=current.num_rows,
+                    segments=segments,
+                    literals=Relation(["a", "b"], literal, name="h") if literal else None,
+                    table_name="h",
+                )
+                store.apply_delta(delta)
+                current = apply_view_delta(current, delta)
+                assert store.relation() == current
+            root = store.merkle_root()
+            assert root == MerkleTree(relation_leaves(current)).root
+            assert store.verify() is True
+            stats = store.store_stats()
+            assert stats["log_records"] <= folds[1]
+            assert stats["checkpoints"] > len(steps) // (folds[1] + 1)
+            store.close()
+            reopened = SegmentTableStore(directory, resolved)
+            assert reopened.relation() == current
+            assert reopened.recorded_merkle_root() == root
+            assert reopened.merkle_root() == root
+            assert reopened.store_stats()["records_replayed"] == stats["log_records"]
+            reopened.close()
 
 
 # ----------------------------------------------------------------------
@@ -578,7 +889,7 @@ class TestMemoryTableStore:
 
     def test_generation_pruning_keeps_directory_bounded(self, tmp_path):
         # Past the fold threshold on both backends: after every delta the
-        # manifest stays within the bound, the rows equal the
+        # view and the log stay within their bounds, the rows equal the
         # apply_view_delta chain, the root equals a from-scratch tree, and
         # the directory verifies and reopens to the same rows.  The base
         # holds 250 distinct cities, so the dictionary outgrows one-byte
@@ -596,15 +907,16 @@ class TestMemoryTableStore:
             current = base
             store.replace(current)
             folds = 0
-            for step in range(FOLD_SEGMENT_FILES + 8):
+            for step in range(FOLD_LOG_RECORDS + 8):
                 grown = grow_by_one(current, f"{backend}{step}")
                 delta = compute_view_delta(current, grown)
                 files_before = store.store_stats()["segments"]
                 store.apply_delta(delta)
                 current = apply_view_delta(current, delta)
-                files = store.store_stats()["segments"]
-                folds += files == 1 and files_before > 1
-                assert files <= FOLD_SEGMENT_FILES
+                stats = store.store_stats()
+                folds += stats["segments"] == 1 and files_before > 1
+                assert stats["view_slices"] <= FOLD_VIEW_SLICES
+                assert stats["log_records"] <= FOLD_LOG_RECORDS
                 assert store.relation() == current
                 assert store.merkle_root() == MerkleTree(relation_leaves(current)).root
                 assert store.verify() is True
@@ -613,4 +925,11 @@ class TestMemoryTableStore:
                 reopened.close()
             assert folds >= 1
             store.close()
-            assert len(list_generations(directory)) == 2  # KEEP_GENERATIONS
+            # One committed state: CURRENT, one log, one segment, one blob
+            # per column — the fold deleted everything it superseded.
+            names = sorted(os.listdir(directory))
+            assert [n for n in names if n.startswith("LOG-")] == [
+                (directory / CURRENT_NAME).read_text().strip()
+            ]
+            assert len([n for n in names if n.endswith(".seg")]) == 1
+            assert len([n for n in names if n.endswith(".blob")]) == 2
