@@ -9,10 +9,10 @@ layer and delta shipping cost (and save) on top of the PR 3 wire protocol:
   full stack with and without the HMAC session envelope (loopback, so the
   numbers measure the protocol work, not the kernel's TCP path).
 * **Delta-insert bytes on the wire** — for growing table sizes, a 1%
-  row-change insert shipped as ``InsertDelta`` vs the full ``InsertBatch``
-  view, plus the alignment/splice wall times.  The headline ratio at the
-  largest size is asserted ≤ 0.25 (the PR's acceptance bar); in practice it
-  sits far below.
+  row-change insert shipped as ``InsertDelta`` vs the full view as an
+  ``OutsourceRequest``, plus the alignment/splice wall times.  The headline
+  ratio at the largest size is asserted ≤ 0.25 (the PR's acceptance bar);
+  in practice it sits far below.
 
 Results land in ``BENCH_protocol.json`` via the shared ``bench_json``
 fixture.
@@ -24,8 +24,8 @@ import time
 from collections import Counter
 
 from repro.api import (
-    InsertBatch,
     InsertDelta,
+    OutsourceRequest,
     TenantRegistry,
     apply_view_delta,
     compute_view_delta,
@@ -201,7 +201,7 @@ def delta_bytes(sizes) -> list[dict]:
         assert list(spliced.rows()) == list(new_view.rows())
 
         delta_wire = len(InsertDelta(table_id="t", delta=delta).encode())
-        full_wire = len(InsertBatch(table_id="t", relation=new_view).encode())
+        full_wire = len(OutsourceRequest(table_id="t", relation=new_view).encode())
         rows.append(
             {
                 "rows": base_view.num_rows,
@@ -250,7 +250,7 @@ def test_delta_insert_bytes(benchmark, bench_json):
     sizes = tuple(scale(size) for size in DELTA_SIZES)
     rows = benchmark.pedantic(delta_bytes, args=(sizes,), rounds=1, iterations=1)
     print()
-    print(format_table(rows, title="InsertDelta vs full InsertBatch bytes on the wire"))
+    print(format_table(rows, title="InsertDelta vs full OutsourceRequest bytes on the wire"))
     bench_json.add("delta_bytes", rows)
     largest = max(rows, key=lambda row: row["rows"])
     bench_json.add(

@@ -41,7 +41,7 @@ from repro import (
     SocketTransport,
     TenantRegistry,
 )
-from repro.api import InsertBatch, InsertDelta
+from repro.api import InsertDelta, OutsourceRequest
 from repro.api.protocol import ProtocolServer
 from repro.datasets import generate_fd_table
 from repro.exceptions import AuthError, ProtocolError
@@ -138,7 +138,7 @@ def main() -> None:
             check(delta is not None, "incremental insert shipped as a delta")
             delta_bytes = len(InsertDelta(table_id="orders", delta=delta).encode())
             full_bytes = len(
-                InsertBatch(table_id="orders", relation=acme.server_view()).encode()
+                OutsourceRequest(table_id="orders", relation=acme.server_view()).encode()
             )
             print(
                 f"delta on the wire: {delta_bytes} bytes vs {full_bytes} for the "

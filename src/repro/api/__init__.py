@@ -47,7 +47,6 @@ from repro.api.protocol import (
     ErrorReply,
     Hello,
     HelloAck,
-    InsertBatch,
     InsertDelta,
     LoopbackTransport,
     Message,
@@ -110,7 +109,6 @@ __all__ = [
     "Hello",
     "HelloAck",
     "IncrementalReport",
-    "InsertBatch",
     "InsertDelta",
     "LoopbackTransport",
     "MasDiscoveryStage",

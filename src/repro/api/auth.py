@@ -35,13 +35,13 @@ import hmac
 import json
 import os
 import re
-import tempfile
 import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.durable import replace_file
 from repro.exceptions import AuthError, ProtocolError, StoreIntegrityWarning
 
 
@@ -540,21 +540,9 @@ class TenantRegistry:
             },
         }
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{self._path.name}.", suffix=".tmp", dir=self._path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, indent=2, sort_keys=True)
-            os.replace(tmp_name, self._path)
-            # Our own write must not look like a foreign edit on next read.
-            self._file_stat = self._stat_file()
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        replace_file(self._path, json.dumps(doc, indent=2, sort_keys=True).encode("utf-8"))
+        # Our own write must not look like a foreign edit on next read.
+        self._file_stat = self._stat_file()
 
     def _load(self) -> None:
         assert self._path is not None

@@ -1,6 +1,6 @@
 """Server-view deltas: ship only what an incremental insert changed.
 
-``InsertBatch`` replaces the provider's whole stored relation.  An
+``OutsourceRequest`` replaces the provider's whole stored relation.  An
 incremental insert leaves the overwhelming majority of ciphertext rows
 byte-identical to the previous view, so the update is better expressed as a
 *delta* of **copy segments** ("rows ``start..start+n`` of the base,
@@ -33,7 +33,7 @@ spliced into.  Neither side hashes the whole view.
 
 The result is byte-identical to shipping the full view; only the bytes on
 the wire shrink.  When a delta reuses little (or the base check fails
-server-side) the owner simply falls back to a full ``InsertBatch`` —
+server-side) the owner simply falls back to a full ``OutsourceRequest`` —
 exactly like the incremental encryptor falls back to a full pipeline run
 on a MAS change.
 """

@@ -6,7 +6,7 @@ discovery (and, here, answers token-based selections) and sends typed
 results back.  This module is that protocol made concrete:
 
 * **Messages** — frozen dataclasses (:class:`OutsourceRequest`,
-  :class:`InsertBatch`, :class:`DiscoverRequest` / :class:`DiscoverResult`,
+  :class:`InsertDelta`, :class:`DiscoverRequest` / :class:`DiscoverResult`,
   :class:`PlanQueryRequest` / :class:`PlanQueryResult`, :class:`Ack`,
   :class:`ErrorReply`) that serialize through the binary
   :mod:`repro.wire` codec.
@@ -89,7 +89,7 @@ from repro.query.server import (
 from repro.relational.table import Relation
 
 # Only the store contract module may be imported here: the store modules
-# (memory/segment/migrate) import repro.api.delta / repro.api.auth, so a
+# (memory/segment) import repro.api.delta / repro.api.auth, so a
 # top-level import would close a cycle through this package's __init__.
 # The store classes are imported lazily via the helpers below.
 from repro.store.base import STORAGE_ENGINE_SEGMENT, STORE_SUFFIX, TableStore
@@ -114,11 +114,13 @@ MESSAGE_VERSION = 1
 #: The service protocol version of an authenticated session: signed
 #: requests, server-signed replies, resumption tickets, and Merkle roots
 #: of the content-defined tree, with no inclusion proofs on select
-#: replies (version 4 carried a multiproof of the matched rows; version 3
-#: binary-tree roots and per-row paths).  A ``Hello`` that does not offer
-#: it is refused with ``VERSION_UNSUPPORTED``.  Anonymous local-tenant
-#: frames (no ``Hello``) are a server mode, not a protocol version.
-PROTOCOL_VERSION = 5
+#: replies and one full-view write message, :class:`OutsourceRequest`
+#: (version 5 also had ``InsertBatch``; version 4 carried a multiproof of
+#: the matched rows; version 3 binary-tree roots and per-row paths).  A
+#: ``Hello`` that does not offer it is refused with
+#: ``VERSION_UNSUPPORTED``.  Anonymous local-tenant frames (no ``Hello``)
+#: are a server mode, not a protocol version.
+PROTOCOL_VERSION = 6
 
 #: Default table id used by the session facades.
 DEFAULT_TABLE_ID = "default"
@@ -263,7 +265,12 @@ class Message:
 
 @dataclass(frozen=True)
 class OutsourceRequest(Message):
-    """Owner -> provider: store this ciphertext relation as ``table_id``."""
+    """Owner -> provider: store this ciphertext relation as ``table_id``.
+
+    The one full-view write: the first push of a table, and an insert that
+    cannot ship as an :class:`InsertDelta` (a MAS change, a poor delta, a
+    base the server no longer holds).
+    """
 
     kind: ClassVar[str] = "outsource_request"
     table_id: str
@@ -283,42 +290,6 @@ class OutsourceRequest(Message):
         return cls(
             table_id=check_table_id(meta.get("table_id", "")),
             relation=decode_relation(_require(attachments, "relation", cls.kind)),
-            with_root=bool(meta.get("with_root", False)),
-        )
-
-
-@dataclass(frozen=True)
-class InsertBatch(Message):
-    """Owner -> provider: replace ``table_id`` with a fresh server view.
-
-    Incremental encryption re-materialises the whole ciphertext relation
-    (reused instances keep their bytes, probabilistic cells re-randomise),
-    so the wire carries the complete post-insert view; ``batch_rows`` is the
-    number of plaintext rows the owner appended, for the provider's logs.
-    """
-
-    kind: ClassVar[str] = "insert_batch"
-    table_id: str
-    relation: Relation
-    batch_rows: int = 0
-    with_root: bool = False
-
-    def _meta(self) -> dict[str, Any]:
-        return {
-            "table_id": self.table_id,
-            "batch_rows": self.batch_rows,
-            "with_root": self.with_root,
-        }
-
-    def _attachments(self) -> dict[str, bytes]:
-        return {"relation": encode_relation(self.relation)}
-
-    @classmethod
-    def _build(cls, meta, attachments) -> "InsertBatch":
-        return cls(
-            table_id=check_table_id(meta.get("table_id", "")),
-            relation=decode_relation(_require(attachments, "relation", cls.kind)),
-            batch_rows=int(meta.get("batch_rows", 0)),
             with_root=bool(meta.get("with_root", False)),
         )
 
@@ -488,7 +459,7 @@ class InsertDelta(Message):
     ``base_version`` (``VERSION_CONFLICT`` otherwise — an interleaved
     writer, a rolled-back store) and the row count ``delta.base_rows``
     (``DELTA_MISMATCH``); the owner then falls back to a full
-    :class:`InsertBatch`.
+    :class:`OutsourceRequest`.
     """
 
     kind: ClassVar[str] = "insert_delta"
@@ -882,7 +853,6 @@ MESSAGE_TYPES: dict[str, type[Message]] = {
     cls.kind: cls
     for cls in (
         OutsourceRequest,
-        InsertBatch,
         InsertDelta,
         DiscoverRequest,
         DiscoverResult,
@@ -1113,10 +1083,11 @@ class ProtocolServer:
         is durable when it is acknowledged, an :class:`InsertDelta` is an
         O(delta) disk append, and every readable table is loaded back on
         construction, so a restarted server resumes serving without a
-        re-outsource.  A corrupt table, or a legacy ``.f2t`` snapshot
-        that was never migrated, is skipped with a warning — one bad file
-        must not take down every other tenant's tables.  ``None`` keeps
-        all stores in memory only.
+        re-outsource.  A table that does not open (corrupt, or in a
+        format this code does not read) is skipped with a warning — one
+        bad file must not take down every other tenant's tables; the
+        owner re-outsources it once the operator removed its directory.
+        ``None`` keeps all stores in memory only.
     storage_engine:
         ``None`` or ``"segment"``; the engine follows from ``storage_dir``.
         ``"segment"`` without a ``storage_dir`` is a configuration error.
@@ -1192,7 +1163,9 @@ class ProtocolServer:
         )
         self._storage_dir = Path(storage_dir) if storage_dir is not None else None
         if self._storage_dir is not None:
-            self._storage_dir.mkdir(parents=True, exist_ok=True)
+            from repro.store.manifest import create_directory
+
+            create_directory(self._storage_dir)
             self._load_all_segment_stores()
 
     def _compute_backend(self) -> ComputeBackend:
@@ -1365,7 +1338,8 @@ class ProtocolServer:
 
     def _note_traffic(self, kind: str, bytes_in: int, bytes_out: int) -> None:
         """Per-message-kind wire byte counters (delta-vs-full insert bytes
-        fall straight out of ``kind="insert_delta"`` vs ``kind="insert"``)."""
+        fall straight out of ``kind="insert_delta"`` vs
+        ``kind="outsource_request"``)."""
         if not obs.REGISTRY.enabled:
             return
         _, _, received, sent = self._kind_handles(kind)
@@ -1764,19 +1738,6 @@ class ProtocolServer:
         fields.update(table_id=request.table_id, num_rows=request.relation.num_rows)
         return Ack(fields=fields)
 
-    def _handle_insert(self, request: InsertBatch, auth: _AuthContext) -> Message:
-        fields = self._receive_store(
-            self._store_key(auth.tenant_id, request.table_id),
-            request.relation,
-            with_root=request.with_root,
-        )
-        fields.update(
-            table_id=request.table_id,
-            num_rows=request.relation.num_rows,
-            batch_rows=request.batch_rows,
-        )
-        return Ack(fields=fields)
-
     def _handle_insert_delta(self, request: InsertDelta, auth: _AuthContext) -> Message:
         """Splice a view delta into the stored base under the write lock.
 
@@ -1785,9 +1746,9 @@ class ProtocolServer:
         the splice, so the base it verifies is exactly the base it applies
         to: an interleaved writer or a rolled-back store yields a clean
         ``VERSION_CONFLICT`` (the owner then falls back to a full
-        :class:`InsertBatch` or rebases), never a corrupted store.  On the
-        segment engine the splice itself is the persistence (an O(delta)
-        append).
+        :class:`OutsourceRequest` or rebases), never a corrupted store.  On
+        the segment engine the splice itself is the persistence (an
+        O(delta) append).
         """
         if request.base_version < 0:
             raise ProtocolError(
@@ -1978,7 +1939,6 @@ class ProtocolServer:
     _OWNER_ONLY: ClassVar[frozenset] = frozenset(
         {
             OutsourceRequest,
-            InsertBatch,
             InsertDelta,
             StatsRequest,
         }
@@ -1999,16 +1959,6 @@ class ProtocolServer:
 
     def _load_all_segment_stores(self) -> None:
         assert self._storage_dir is not None
-        from repro.store.migrate import leftover_snapshots
-
-        for path in leftover_snapshots(self._storage_dir):
-            warnings.warn(
-                f"skipping legacy snapshot {path}: the server reads only "
-                f"segment stores; run `f2-repro store migrate --storage "
-                f"{self._storage_dir}` to import table {path.stem!r}",
-                StoreIntegrityWarning,
-                stacklevel=2,
-            )
         for directory in sorted(self._storage_dir.glob(f"*{STORE_SUFFIX}")):
             table_id = directory.name[: -len(STORE_SUFFIX)]
             if directory.is_dir() and _TABLE_ID_RE.match(table_id):
@@ -2064,7 +2014,6 @@ class ProtocolServer:
 
 ProtocolServer._HANDLERS = {
     OutsourceRequest: ProtocolServer._handle_outsource,
-    InsertBatch: ProtocolServer._handle_insert,
     InsertDelta: ProtocolServer._handle_insert_delta,
     DiscoverRequest: ProtocolServer._handle_discover,
     PlanQueryRequest: ProtocolServer._handle_plan_query,
@@ -2564,25 +2513,6 @@ class ProtocolClient:
         )
         return int(ack.fields.get("num_rows", relation.num_rows))
 
-    def insert(
-        self,
-        table_id: str,
-        relation: Relation,
-        batch_rows: int = 0,
-        with_root: bool = False,
-    ) -> int:
-        """Replace the stored view after an incremental insert."""
-        ack = self._expect(
-            InsertBatch(
-                table_id=check_table_id(table_id),
-                relation=relation,
-                batch_rows=batch_rows,
-                with_root=with_root,
-            ),
-            Ack,
-        )
-        return int(ack.fields.get("num_rows", relation.num_rows))
-
     def insert_delta(
         self,
         table_id: str,
@@ -2598,7 +2528,7 @@ class ProtocolClient:
         against (the last acknowledged write's ``version``).  A store whose
         commit version moved answers ``VERSION_CONFLICT``, one whose row
         count differs from the delta's base ``DELTA_MISMATCH``; callers then
-        fall back to :meth:`insert` with the full view, or rebase and retry
+        fall back to :meth:`outsource` with the full view, or rebase and retry
         (see :class:`repro.integrity.writers.WriteCoordinator`).
         """
         ack = self._expect(

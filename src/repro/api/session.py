@@ -695,7 +695,8 @@ class RemoteOwnerSession:
     owner's previous table (the last push's reply was lost), the session
     aligns the new view against the last view it knows the server stored
     instead.  A MAS-change fallback, a poor delta, or a server-side base
-    mismatch silently degrades to the full ``InsertBatch`` path.
+    mismatch silently degrades to a full ``OutsourceRequest`` of the new
+    view (with the root check of ``verify`` mode, like any full push).
 
     ``verify=True`` (or the ``REPRO_VERIFY`` environment variable) turns on
     owner-side integrity verification: the session mirrors the server's
@@ -720,7 +721,8 @@ class RemoteOwnerSession:
     """
 
     #: Ship a delta only when it reuses at least this share of the new view;
-    #: below that a full ``InsertBatch`` is smaller or comparable on the wire.
+    #: below that a full ``OutsourceRequest`` is smaller or comparable on the
+    #: wire.
     MIN_DELTA_REUSE = 0.5
 
     def __init__(
@@ -775,7 +777,15 @@ class RemoteOwnerSession:
     def outsource(self, relation: Relation) -> int:
         """Encrypt locally and ship the server view; returns stored rows."""
         encrypted = self.owner.outsource(relation)
-        view = encrypted.server_view()
+        return self._push_full(encrypted, encrypted.server_view())
+
+    def _push_full(self, encrypted: EncryptedTable, view: Relation) -> int:
+        """Ship ``encrypted``'s whole server ``view`` and adopt the ack.
+
+        In ``verify`` mode the ack carries the server's root, which
+        :meth:`TableIntegrityState.record_push` checks against the owner's
+        own tree before this returns.
+        """
         count = self.client.outsource(self.table_id, view, with_root=self.verify)
         version, root = self._ack_state()
         self._last_view = view
@@ -857,14 +867,7 @@ class RemoteOwnerSession:
                         else:
                             self.integrity.record_push(view, version, root)
                     return count
-        count = self.client.insert(self.table_id, view, batch_rows=len(rows))
-        version, root = self._ack_state()
-        self._last_view = view
-        self._last_pushed = encrypted
-        self._last_version = version
-        if self.integrity is not None:
-            self.integrity.record_push(view, version, root)
-        return count
+        return self._push_full(encrypted, view)
 
     def _insert_rows_coordinated(self, rows: list) -> int:
         """One writer's turn of the optimistic multi-writer protocol.

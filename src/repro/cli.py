@@ -31,8 +31,8 @@ Subcommands
     Check every table under a ``serve --storage`` directory offline: the
     segment engine's full-CRC ``verify()`` pass plus a Merkle-root
     recomputation against the root recorded in the committed manifest.  A
-    legacy ``.f2t`` snapshot that was never migrated fails as well.  Any
-    failure exits 7 (``INTEGRITY_VIOLATION``).
+    store that does not open fails as well.  Any failure exits 7
+    (``INTEGRITY_VIOLATION``).
 ``query``
     Drive the owner side against a running ``serve`` instance: encrypt the
     CSV locally (seeded, so re-runs are byte-identical), ship the server
@@ -71,10 +71,6 @@ travels on the wire, so scripts can branch without parsing messages.
     Run one of the paper's experiment sweeps and print the result table.
 ``dataset``
     Generate one of the evaluation datasets as CSV.
-``store``
-    Manage a ``serve`` instance's on-disk stores: ``store migrate``
-    imports legacy ``.f2t`` snapshots (tenant subdirectories included) as
-    verified ``.f2s`` segment stores, the only format ``serve`` reads.
 """
 
 from __future__ import annotations
@@ -385,29 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     dataset.add_argument("--rows", type=int, default=1000)
     dataset.add_argument("--seed", type=int, default=0)
 
-    store = subparsers.add_parser(
-        "store", help="manage a serve instance's on-disk table stores"
-    )
-    store_sub = store.add_subparsers(dest="store_command", required=True)
-    migrate = store_sub.add_parser(
-        "migrate",
-        help="import legacy .f2t snapshots as segment stores (the only "
-        "format `serve` reads)",
-        description=(
-            "Convert every legacy .f2t snapshot under the storage directory "
-            "(including tenant subdirectories) into a verified .f2s segment "
-            "store next to it. Snapshots are kept unless --remove-snapshots "
-            "is given, so the migration is safe to interrupt and re-run."
-        ),
-    )
-    migrate.add_argument("--storage", required=True, help="the serve --storage directory")
-    migrate.add_argument(
-        "--remove-snapshots",
-        action="store_true",
-        help="delete each .f2t after its segment store verified",
-    )
-    _add_backend_flag(migrate)
-
     lint = subparsers.add_parser(
         "lint",
         help="run the invariant-enforcing static-analysis pass",
@@ -457,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Walk a `serve --storage` directory (tenant subdirectories "
             "included) and verify every table: segment stores get the "
             "engine's full-CRC verify() pass plus a Merkle-root "
-            "recomputation against the committed manifest; a legacy .f2t "
-            "snapshot without a segment store beside it fails as not "
-            "migrated. Exits 7 (INTEGRITY_VIOLATION) on any failure."
+            "recomputation against the committed manifest; a store that "
+            "does not open fails. Exits 7 (INTEGRITY_VIOLATION) on any "
+            "failure."
         ),
     )
     verify.add_argument("--storage", required=True, help="the serve --storage directory")
@@ -518,8 +491,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_bench(args)
         if args.command == "dataset":
             return _cmd_dataset(args)
-        if args.command == "store":
-            return _cmd_store(args)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "lint":
@@ -944,13 +915,13 @@ def _print_verify_reports(reports) -> bool:
             root = report.computed_root[:16] + "..." if report.computed_root else "-"
             recorded = " (no recorded root)" if not report.recorded_root else ""
             print(
-                f"ok   {report.label} [{report.engine}]: {report.rows} rows, "
+                f"ok   {report.label}: {report.rows} rows, "
                 f"root {root}{recorded}"
             )
         else:
             ok = False
             print(
-                f"FAIL {report.label} [{report.engine}]: {report.error}",
+                f"FAIL {report.label}: {report.error}",
                 file=sys.stderr,
             )
     return ok
@@ -974,24 +945,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return ERROR_CODE_EXITS["INTEGRITY_VIOLATION"]
     print(f"verified {len(reports)} table(s): all good")
     return 0
-
-
-def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.store import migrate_storage_dir
-
-    if args.store_command == "migrate":
-        converted = migrate_storage_dir(
-            args.storage, backend=args.backend, remove_snapshots=args.remove_snapshots
-        )
-        for record in converted:
-            label = f"{record['tenant']}/{record['table']}" if record["tenant"] else record["table"]
-            print(f"migrated {label}: {record['rows']} rows -> {record['store']}")
-        print(
-            f"migrated {len(converted)} table(s) under {args.storage}"
-            + (" (snapshots removed)" if args.remove_snapshots else "")
-        )
-        return 0
-    return 2  # pragma: no cover - argparse enforces the choices
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

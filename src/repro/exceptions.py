@@ -149,9 +149,9 @@ class StoreIntegrityWarning(RuntimeWarning):
     """On-disk table state was damaged but recovery continued.
 
     Emitted (instead of failing) wherever the server can keep serving after
-    finding corrupt persisted state: a torn manifest or segment that forces
-    recovery to fall back a generation, a corrupt store or an unmigrated
-    legacy snapshot skipped at startup, or a tenant registry file that cannot be re-read.  Filter
+    finding corrupt persisted state: a torn log tail or a corrupt log that
+    forces recovery to fall back, a table store that does not open skipped
+    at startup, or a tenant registry file that cannot be re-read.  Filter
     with ``warnings.simplefilter("error", StoreIntegrityWarning)`` to turn
     any such degradation into a hard failure.
     """

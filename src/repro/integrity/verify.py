@@ -5,15 +5,12 @@ the directory the way the server's startup loader does — top-level entries
 are the anonymous local tenant, subdirectories are tenant namespaces — and
 check every table found:
 
-* **segment stores** (``<table>.f2s`` directories): the engine's full-CRC
-  :meth:`~repro.store.segment.SegmentTableStore.verify` pass, then the
-  Merkle root recomputed from the stored rows against the root recorded in
-  the committed manifest.  Opening a store replaces a legacy-format root
-  whose rows still match it, so a legacy root that is still recorded is a
-  failure;
-* **legacy snapshots** (``<table>.f2t`` files with no ``.f2s`` beside
-  them): the server does not serve these, so each one fails its report as
-  not migrated (``f2-repro store migrate`` imports it).
+every table is a segment store (a ``<table>.f2s`` directory): the
+engine's full-CRC :meth:`~repro.store.segment.SegmentTableStore.verify`
+pass, then the Merkle root recomputed from the stored rows against the
+root recorded in the committed manifest.  A store that does not open — a
+``CURRENT`` naming anything but a table log, a snapshot record whose root
+is not of the current format — fails its report like any unreadable one.
 
 A table whose store predates root recording is reported with
 ``recorded_root == ""`` and still passes (there is nothing to contradict);
@@ -37,7 +34,6 @@ class TableReport:
 
     tenant: str  # "" for the anonymous local namespace
     table: str
-    engine: str  # "segment", or "snapshot" for a legacy file not migrated
     ok: bool
     rows: int = 0
     recorded_root: str = ""
@@ -53,14 +49,13 @@ def _verify_segment_dir(directory: Path, tenant: str, backend: ComputeBackend) -
     from repro.store.segment import SegmentTableStore
 
     table = directory.name[: -len(".f2s")]
-    report = TableReport(tenant=tenant, table=table, engine="segment", ok=False)
+    report = TableReport(tenant=tenant, table=table, ok=False)
     store = None
     try:
         store = SegmentTableStore(directory, backend)
         store.verify()
         report.rows = store.num_rows
         report.recorded_root = store.recorded_merkle_root()
-        legacy = store.has_legacy_root()
         report.computed_root = MerkleTree(relation_leaves(store.relation())).root
     except ReproError as exc:
         report.error = str(exc)
@@ -68,12 +63,6 @@ def _verify_segment_dir(directory: Path, tenant: str, backend: ComputeBackend) -
     finally:
         if store is not None:
             store.close()
-    if legacy:
-        report.error = (
-            f"manifest records a legacy-format merkle root "
-            f"{report.recorded_root[:16]}... that the stored rows do not match"
-        )
-        return report
     if report.recorded_root and report.recorded_root != report.computed_root:
         report.error = (
             f"manifest records merkle root {report.recorded_root[:16]}... but "
@@ -110,25 +99,9 @@ def verify_storage_dir(
     root = Path(storage_dir)
     if not root.is_dir():
         raise StoreError(f"storage directory {root} does not exist")
-    from repro.store.migrate import leftover_snapshots
-
     resolved = backend if isinstance(backend, ComputeBackend) else get_backend(backend)
     reports = _scan_namespace(root, "", resolved, table)
     for path in sorted(root.iterdir()):
         if path.is_dir() and not path.name.endswith(".f2s"):
             reports.extend(_scan_namespace(path, path.name, resolved, table))
-    for path in leftover_snapshots(root):
-        if table is None or path.stem == table:
-            reports.append(
-                TableReport(
-                    tenant="" if path.parent == root else path.parent.name,
-                    table=path.stem,
-                    engine="snapshot",
-                    ok=False,
-                    error=(
-                        f"legacy snapshot {path.name} is not migrated; run "
-                        f"`f2-repro store migrate --storage {root}`"
-                    ),
-                )
-            )
     return reports

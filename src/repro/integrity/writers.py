@@ -18,7 +18,8 @@ owner sequence *k* encrypted a view containing the rows of writers
   base (the winner's view, a subset of its own) and retries.
 
 Either way no writer ever falls back to a full-view rewrite — the property
-the multi-writer stress test pins (``stats.full_fallbacks == 0``).
+the multi-writer stress test pins from the server's per-kind request
+counts (the boot outsource is the only ``outsource_request``).
 
 When an :class:`~repro.integrity.state.TableIntegrityState` is attached,
 acknowledged pushes advance it in server-commit order (under the
@@ -44,7 +45,6 @@ class WriteStats:
     delta_pushes: int = 0
     noop_pushes: int = 0
     cas_conflicts: int = 0
-    full_fallbacks: int = 0
     rebases: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -52,7 +52,6 @@ class WriteStats:
             "delta_pushes": self.delta_pushes,
             "noop_pushes": self.noop_pushes,
             "cas_conflicts": self.cas_conflicts,
-            "full_fallbacks": self.full_fallbacks,
             "rebases": self.rebases,
         }
 

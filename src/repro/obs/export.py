@@ -8,22 +8,21 @@ Two formats from one :meth:`MetricsRegistry.snapshot`:
 * **JSON** (``to_json_doc``) — the raw snapshot plus a schema marker,
   for tooling and the stats CLI.
 
-``write_metrics_file`` dumps both **atomically** (temp file +
-``os.replace`` in the target directory, the same idiom the segment
-store's manifest commit uses), so a scraper never reads a torn file.
+``write_metrics_file`` dumps both **atomically and durably**
+(:func:`repro.durable.replace_file`: an fsynced temp file renamed over the
+target, then a directory fsync), so a scraper never reads a torn file.
 :class:`MetricsDumper` is the ``serve --metrics-file`` periodic thread.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
-import tempfile
 import threading
 import time
 from typing import Any, Callable
 
+from repro.durable import replace_file
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -89,21 +88,6 @@ def to_json_doc(snapshot: dict[str, Any], **extra: Any) -> dict[str, Any]:
     return doc
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(prefix=".metrics-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(data)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
 def write_metrics_file(
     path: str,
     registry: "MetricsRegistry | None" = None,
@@ -123,11 +107,12 @@ def write_metrics_file(
         collect()
     snapshot = registry.snapshot()
     json_text = json.dumps(to_json_doc(snapshot, **extra), indent=2, sort_keys=True)
+    json_bytes = (json_text + "\n").encode()
     if str(path).endswith(".json"):
-        _atomic_write(str(path), json_text + "\n")
+        replace_file(path, json_bytes)
     else:
-        _atomic_write(str(path), to_prometheus_text(snapshot))
-        _atomic_write(str(path) + ".json", json_text + "\n")
+        replace_file(path, to_prometheus_text(snapshot).encode())
+        replace_file(str(path) + ".json", json_bytes)
     return snapshot
 
 

@@ -4,9 +4,8 @@ The package splits into the store contract (:mod:`.base`, the
 :class:`TableStore` ABC), the hot-token cache every store shares
 (:mod:`.cache`), the one durable engine (:mod:`.segment`, the on-disk
 columnar store with its :mod:`.manifest` table log — one fsync'd record
-per commit, a checkpoint at a replace or fold), the non-durable in-memory
-store (:mod:`.memory`), and the one-way importers of legacy ``.f2t``
-snapshot files and JSON manifests (:mod:`.migrate`).
+per commit, a checkpoint at a replace or fold), and the non-durable
+in-memory store (:mod:`.memory`).
 """
 
 from repro.store.base import (
@@ -17,7 +16,6 @@ from repro.store.base import (
 from repro.store.cache import DEFAULT_CACHE_ENTRIES, TokenBitsetCache
 from repro.store.manifest import CURRENT_NAME, Manifest, recover_log
 from repro.store.memory import MemoryTableStore
-from repro.store.migrate import leftover_snapshots, migrate_storage_dir
 from repro.store.segment import (
     FOLD_LOG_RECORDS,
     FOLD_VIEW_SLICES,
@@ -40,7 +38,5 @@ __all__ = [
     "TableStore",
     "TokenBitsetCache",
     "is_segment_store",
-    "leftover_snapshots",
-    "migrate_storage_dir",
     "recover_log",
 ]

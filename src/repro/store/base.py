@@ -141,13 +141,10 @@ class TableStore(ABC):
                     tree = MerkleTree()
                 else:
                     tree = MerkleTree(relation_leaves(self.relation()))
-                self._adopt_rebuilt_tree(tree)
+                self._merkle = tree
+                self.tree_rebuilds += 1
+                _TREE_REBUILDS.inc()
             return self._merkle
-
-    def _adopt_rebuilt_tree(self, tree: "MerkleTree") -> None:
-        self._merkle = tree
-        self.tree_rebuilds += 1
-        _TREE_REBUILDS.inc()
 
     def merkle_root(self) -> str:
         """Hex root over the rows the store holds, never a recorded one.

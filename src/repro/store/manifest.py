@@ -22,12 +22,12 @@ count and Merkle root, the delta's opcodes (replayed through
 file's column layout — so the read path maps them straight out of the log
 like any segment slice — and each column's genuinely new dictionary values.
 
-**A checkpoint** (a full replace, a fold or log rotation, and the one-way
-import of a JSON manifest) writes its data files, then a new log whose
-snapshot record references them.  It fsyncs the data files, the log and
-the directory, renames a fsynced temporary file over ``CURRENT`` and fsyncs
-the directory again (:func:`write_log`, :func:`switch_current`); only then
-are superseded files deleted, by the new state's in-memory references
+**A checkpoint** (a full replace, a fold or log rotation) writes its
+data files, then a new log whose snapshot record references them.  It
+fsyncs the data files, the log and the directory, renames a fsynced
+temporary file over ``CURRENT`` and fsyncs the directory again
+(:func:`write_log`, :func:`switch_current`); only then are superseded files
+deleted, by the new state's in-memory references
 (:func:`remove_unreferenced`).
 
 **Recovery** (:func:`recover_log`) reads ``CURRENT``'s log, checks every
@@ -39,7 +39,10 @@ reported and left out of the replay, and the next append cuts it off.  A
 record that fails its checksum with all its bytes present is corruption:
 that log is unusable.  When ``CURRENT``'s log is missing or unusable,
 recovery falls back to the newest other log, warning
-(:class:`~repro.exceptions.StoreIntegrityWarning`).
+(:class:`~repro.exceptions.StoreIntegrityWarning`).  A ``CURRENT`` that
+names anything but a table log, or a snapshot record whose root is not a
+:data:`~repro.integrity.merkle.ROOT_FORMAT` root, is a store this code
+cannot read: opening it raises :class:`~repro.exceptions.StoreError`.
 
 All file mutation of a segment store goes through this module's ``os``
 calls, so one seam sees every write, fsync, rename, truncate and unlink.
@@ -71,13 +74,11 @@ from repro.wire.binary import ByteReader, ByteWriter
 CURRENT_NAME = "CURRENT"
 CURRENT_TEMP = ".CURRENT.tmp"
 LOG_FILE_RE = re.compile(r"^LOG-(\d{6,})\.log$")
-LEGACY_MANIFEST_RE = re.compile(r"^MANIFEST-(\d{6,})\.json$")
 #: Every file a table directory may hold besides ``CURRENT``; the ones the
 #: committed state does not reference are deleted after a checkpoint
-#: (older-format temporaries and JSON manifests included).
+#: (temporaries included).
 STORE_FILE_RE = re.compile(
-    r"^(seg-\d{6,}\.seg|dict-\d{6,}-\d{3,}\.blob|LOG-\d{6,}\.log"
-    r"|MANIFEST-\d{6,}\.json|\..+\.tmp)$"
+    r"^(seg-\d{6,}\.seg|dict-\d{6,}-\d{3,}\.blob|LOG-\d{6,}\.log|\..+\.tmp)$"
 )
 
 #: Magic + version header of every log file.
@@ -171,8 +172,6 @@ class Manifest:
     #: committing writer did not track one (pre-integrity deltas);
     #: ``verify()`` then reports the root as unrecorded instead of failing.
     merkle_root: str = ""
-    #: Which tree :attr:`merkle_root` is the root of (see ``ROOT_FORMAT``).
-    merkle_root_format: int = ROOT_FORMAT
     #: Per column: ``(offset, length, count)`` runs of dictionary values
     #: that delta records appended to the log since the snapshot, in order.
     extents: list[list[tuple[int, int, int]]] = field(default_factory=list)
@@ -498,7 +497,7 @@ def encode_snapshot(manifest: Manifest) -> bytes:
     for attribute in manifest.attributes:
         writer.lp_str(attribute)
     writer.lp_str(manifest.merkle_root)
-    writer.uvarint(manifest.merkle_root_format)
+    writer.uvarint(ROOT_FORMAT)
     writer.uvarint(len(manifest.files))
     for entry in manifest.files:
         writer.lp_str(entry.name)
@@ -547,6 +546,11 @@ def decode_snapshot(payload: bytes) -> Manifest:
         raise StoreError(f"malformed snapshot record: {exc}") from exc
     if len(flat) % 3:
         raise StoreError("malformed snapshot record: view array")
+    if root_format != ROOT_FORMAT:
+        raise StoreError(
+            f"the snapshot record's merkle root has format {root_format}, not "
+            f"{ROOT_FORMAT}: remove the table and re-outsource it"
+        )
     manifest = Manifest(
         version=version,
         table_name=table_name,
@@ -556,7 +560,6 @@ def decode_snapshot(payload: bytes) -> Manifest:
         view=[tuple(flat[i : i + 3]) for i in range(0, len(flat), 3)],
         dictionaries=dictionaries,
         merkle_root=merkle_root,
-        merkle_root_format=root_format,
     )
     manifest.check_consistency()
     return manifest
@@ -620,20 +623,6 @@ def list_logs(directory: Path) -> list[str]:
         if match:
             found.append((int(match.group(1)), name))
     return [name for _, name in sorted(found, reverse=True)]
-
-
-def needs_legacy_import(directory: Path) -> bool:
-    """True when the directory's committed state is a JSON manifest.
-
-    That is when ``CURRENT`` names one, or when no ``CURRENT`` and no log
-    exist beside JSON manifests (stores written before the table log).
-    """
-    current = read_current(directory)
-    if LEGACY_MANIFEST_RE.match(current):
-        return True
-    if LOG_FILE_RE.match(current) or list_logs(directory):
-        return False
-    return any(LEGACY_MANIFEST_RE.match(name) for name in os.listdir(directory))
 
 
 def missing_data(directory: Path, manifest: Manifest) -> "str | None":
@@ -703,12 +692,17 @@ def recover_log(directory: "Path | str") -> tuple[Manifest, int]:
     first, warning (:class:`~repro.exceptions.StoreIntegrityWarning`)
     whenever it has to fall back.  Returns the state and the byte count of
     the log's torn tail; raises :class:`~repro.exceptions.StoreError` when
-    no log is usable.  Writes nothing.
+    ``CURRENT`` names anything but a table log, or when no log is usable.
+    Writes nothing.
     """
     directory = Path(directory)
     current = read_current(directory)
-    candidates = [current] if LOG_FILE_RE.match(current) else []
-    candidates += [name for name in list_logs(directory) if name != current]
+    if not LOG_FILE_RE.match(current):
+        raise StoreError(
+            f"{directory}: CURRENT names {current!r}, not a table log; remove "
+            "the table and re-outsource it"
+        )
+    candidates = [current] + [name for name in list_logs(directory) if name != current]
     failures: list[str] = []
     for name in candidates:
         try:

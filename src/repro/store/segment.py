@@ -42,15 +42,13 @@ array's dtype would wrap around and match the wrong rows.
 Durability: a delta commit is one log append and one ``fsync``, and the
 store acknowledges only after it; a checkpoint fsyncs its files and the
 directory before and after flipping ``CURRENT``.  Opening replays the log
-(checking every record's CRC) and leaves a torn tail out; a store written
-before the table log (a JSON manifest) is imported once as a checkpoint.
+(checking every record's CRC) and leaves a torn tail out.
 Segment and blob CRCs are checked only by the explicit :meth:`verify` pass,
 keeping restart cost flat in the table size.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import mmap
 import warnings
 import zlib
@@ -62,17 +60,14 @@ from repro.api.delta import ViewDelta
 from repro.backend import ComputeBackend
 from repro.exceptions import (
     ProtocolError,
-    ReproError,
     StoreError,
     StoreIntegrityWarning,
     WireError,
 )
-from repro.integrity.merkle import ROOT_FORMAT
 from repro.relational.table import Relation
 from repro.store.base import STORE_SUFFIX, TableStore
 from repro.store.manifest import (
     CURRENT_NAME,
-    LEGACY_MANIFEST_RE,
     DictionaryBlob,
     Manifest,
     SegmentFile,
@@ -84,7 +79,6 @@ from repro.store.manifest import (
     encode_delta,
     frame,
     fsync_dir,
-    needs_legacy_import,
     open_log,
     pack_codes,
     recover_log,
@@ -133,18 +127,10 @@ FOLD_LOG_RECORDS = 64
 
 
 def is_segment_store(directory: "Path | str") -> bool:
-    """True when ``directory`` holds a committed table.
-
-    That is a ``CURRENT`` file (the first checkpoint's commit point: logs
-    without one are a first checkpoint that never landed) or, for stores
-    from before the table log, a JSON manifest.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        return False
-    return (directory / CURRENT_NAME).exists() or any(
-        LEGACY_MANIFEST_RE.match(path.name) for path in directory.iterdir()
-    )
+    """True when ``directory`` holds a committed table: a ``CURRENT`` file
+    (the first checkpoint's commit point; logs without one are a first
+    checkpoint that never landed)."""
+    return (Path(directory) / CURRENT_NAME).is_file()
 
 
 class SegmentTableStore(TableStore):
@@ -182,12 +168,7 @@ class SegmentTableStore(TableStore):
         if create:
             create_directory(self._directory)
         if is_segment_store(self._directory):
-            if needs_legacy_import(self._directory):
-                self._import_legacy_manifest()
-            else:
-                self._recover()
-            if self.has_legacy_root():
-                self._migrate_legacy_root()
+            self._recover()
         elif not create:
             raise StoreError(f"{self._directory} is not a segment store")
 
@@ -206,54 +187,6 @@ class SegmentTableStore(TableStore):
                 StoreIntegrityWarning,
                 stacklevel=3,
             )
-
-    def _import_legacy_manifest(self) -> None:
-        """Rewrite a JSON-manifest store, once, as a log at version ``g + 1``.
-
-        The snapshot references the generation's segment files and blobs as
-        they are (recorded CRCs included, so damage stays visible to
-        ``verify``); the JSON manifests go with the checkpoint's cleanup.
-        """
-        from repro.store.migrate import read_legacy_manifest
-
-        legacy = read_legacy_manifest(self._directory)
-        self._checkpoint(dataclasses.replace(legacy, version=legacy.version + 1))
-
-    def _migrate_legacy_root(self) -> None:
-        """Replace a legacy-format recorded root, once, if the rows match it.
-
-        The committed root of a store written before ``merkle_root_format``
-        is a binary-tree root, which no reply could be verified against.
-        The legacy root is recomputed from the stored rows: on a match, the
-        content-defined root is recorded in a new checkpoint and its tree
-        kept; otherwise the state is left as it is, so the tampering stays
-        visible to ``f2-repro verify`` and to every verified reply.
-        """
-        from repro.integrity.merkle import MerkleTree, relation_leaves
-        from repro.store.migrate import legacy_binary_root
-
-        manifest = self._require_manifest()
-        leaves: "list[bytes] | None"
-        try:
-            leaves = relation_leaves(self.relation())
-        except ReproError:
-            leaves = None
-        if leaves is None or legacy_binary_root(leaves) != manifest.merkle_root:
-            warnings.warn(
-                f"segment store {self._directory}: the stored rows do not match "
-                "its legacy Merkle root; the root is left unmigrated",
-                StoreIntegrityWarning,
-                stacklevel=3,
-            )
-            return
-        tree = MerkleTree(leaves)
-        migrated = dataclasses.replace(
-            manifest,
-            version=manifest.version + 1,
-            merkle_root=tree.root,
-            merkle_root_format=ROOT_FORMAT,
-        )
-        self._checkpoint(migrated, adopt=lambda: self._adopt_rebuilt_tree(tree))
 
     # -- identity ------------------------------------------------------
     @property
@@ -437,19 +370,6 @@ class SegmentTableStore(TableStore):
         """The committed state's recorded root (may be empty), without rebuilding."""
         with self._mutex:
             return "" if self._manifest is None else self._manifest.merkle_root
-
-    def has_legacy_root(self) -> bool:
-        """True when the recorded root is a legacy binary-tree root.
-
-        After the store is open, that is a root its rows did not match.
-        """
-        with self._mutex:
-            manifest = self._manifest
-            return (
-                manifest is not None
-                and bool(manifest.merkle_root)
-                and manifest.merkle_root_format != ROOT_FORMAT
-            )
 
     # -- query plane ---------------------------------------------------
     def _match_mask_uncached(self, attribute: str, token: Iterable[Any]) -> Any:
@@ -750,8 +670,8 @@ class SegmentTableStore(TableStore):
         Reads every referenced byte: segment headers and recorded CRCs, the
         CRC of every committed log record, and the decodability of every
         column's dictionary.  This is the deliberate O(data) counterpart to
-        the length checks at open — ``store migrate`` runs it after
-        converting, ``f2-repro verify`` on every table.
+        the length checks at open — ``f2-repro verify`` runs it on every
+        table.
         """
         with self._mutex:
             manifest = self._require_manifest()

@@ -107,21 +107,12 @@ def binary_frame(kind: str, meta: dict[str, Any]) -> bytes:
     return writer.getvalue()
 
 
-def write_legacy_store(
-    directory,
-    relation: Relation,
-    generation: int = 1,
-    merkle_root: str = "",
-    root_format: "int | None" = 2,
-    extra: "dict[str, Any] | None" = None,
-) -> None:
+def write_legacy_store(directory, relation: Relation, generation: int = 1) -> None:
     """Write ``relation`` as a segment store from before the table log.
 
     That format committed each write as ``MANIFEST-<generation>.json`` (a
     JSON document naming the segment files, view slices and dictionary
-    blobs) plus a ``CURRENT`` pointer.  ``root_format=None`` omits the
-    ``merkle_root_format`` field (a legacy binary-tree root); ``extra``
-    adds fields to the document.
+    blobs) plus a ``CURRENT`` pointer.  The store no longer reads it.
     """
     import zlib
     from array import array
@@ -156,7 +147,7 @@ def write_legacy_store(
         "table_name": relation.name,
         "attributes": list(relation.attributes),
         "num_rows": relation.num_rows,
-        "merkle_root": merkle_root,
+        "merkle_root": "",
         "files": [
             {
                 "name": segment_name,
@@ -169,9 +160,7 @@ def write_legacy_store(
         "view": [[0, 0, relation.num_rows]] if relation.num_rows else [],
         "dictionaries": dictionaries,
     }
-    if root_format is not None:
-        doc["merkle_root_format"] = root_format
-    doc.update(extra or {})
+    doc["merkle_root_format"] = 2
     manifest = f"MANIFEST-{generation:06d}.json"
     (directory / manifest).write_text(json.dumps(doc, indent=0, sort_keys=True), encoding="utf-8")
     (directory / "CURRENT").write_text(manifest + "\n", encoding="utf-8")

@@ -9,6 +9,7 @@ bad request is rejected with.
 
 import base64
 import json
+import warnings
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
@@ -32,6 +33,7 @@ from repro.api import (
     TenantRegistry,
 )
 from repro.api.auth import sign_frame, verify_frame
+from repro.api.delta import compute_view_delta
 from repro.core.config import F2Config
 from repro.exceptions import AuthError, ProtocolError
 from repro.query.ast import Eq
@@ -240,7 +242,7 @@ class TestHandshake:
         credential = registry.mint("acme", "owner")
         client = loopback(tenanted_server)
         ack = client.authenticate(credential)
-        assert ack.version == 5
+        assert ack.version == 6
         assert ack.resume_ticket.startswith("f2tkt1.")
         assert client.session_id == ack.session_id
 
@@ -266,11 +268,11 @@ class TestHandshake:
         assert excinfo.value.code == ErrorCode.AUTH_REVOKED.value
 
     def test_version_mismatch(self, registry, tenanted_server):
-        # Only protocol version 5 opens a session; the retired versions 1
-        # to 4 (4 carried select multiproofs) are refused, however they
-        # are offered.
+        # Only protocol version 6 opens a session; the retired versions 1
+        # to 5 (5 had InsertBatch, 4 carried select multiproofs) are
+        # refused, however they are offered.
         credential = registry.mint("acme", "owner")
-        for versions in [(1,), (2,), (3,), (4,), (1, 2, 3, 4)]:
+        for versions in [(1,), (2,), (3,), (4,), (5,), (1, 2, 3, 4, 5)]:
             with pytest.raises(AuthError) as excinfo:
                 loopback(tenanted_server).authenticate(credential, versions=versions)
             assert excinfo.value.code == ErrorCode.VERSION_UNSUPPORTED.value
@@ -341,7 +343,9 @@ class TestSignedSessions:
         view = session.owner.server_view()
         for call in (
             lambda: client.outsource("default", view),
-            lambda: client.insert("default", view),
+            lambda: client.insert_delta(
+                "default", compute_view_delta(view, view), base_version=1
+            ),
         ):
             with pytest.raises(AuthError) as excinfo:
                 call()
@@ -670,9 +674,10 @@ class TestCorruptSnapshotSkip:
         owner.outsource(zipcode_table)
         first = ProtocolServer(storage_dir=tmp_path)
         loopback(first).outsource("good", owner.server_view())
-        # A leftover legacy snapshot is never read: the server warns that it
-        # needs `store migrate` and keeps serving everything else.
+        # A whole-table .f2t snapshot is not a table: the server neither
+        # reads nor warns about it, and keeps serving everything else.
         (tmp_path / "bad.f2t").write_bytes(b"F2WB definitely not a frame")
-        with pytest.warns(RuntimeWarning, match="'bad'.*store migrate|store migrate.*'bad'"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             revived = ProtocolServer(storage_dir=tmp_path)
         assert revived.table_ids() == ["good"]

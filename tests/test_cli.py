@@ -269,9 +269,8 @@ class TestServeAndQueryCommands:
         # One unreadable table warns and is skipped — the server `serve`
         # constructs still starts and serves every other table (the full
         # reload regression lives in test_protocol.py).  Unreadable means a
-        # corrupt segment store, or a legacy .f2t snapshot with no segment
-        # store beside it, garbage or not: the server reads only segment
-        # stores, and the warning names the table and `store migrate`.
+        # segment store that does not open; a whole-table .f2t snapshot is
+        # not a table at all, garbage or not, and is ignored.
         from repro.api.protocol import LoopbackTransport, ProtocolClient, ProtocolServer
         from repro.exceptions import StoreIntegrityWarning
         from repro.relational.table import Relation
@@ -286,12 +285,12 @@ class TestServeAndQueryCommands:
         (store / "legacy.f2t").write_bytes(encode_relation(good))
         (store / "broken.f2s").mkdir()
         (store / "broken.f2s" / "MANIFEST-000001.json").write_text("{ not json")
+        (store / "broken.f2s" / "CURRENT").write_text("MANIFEST-000001.json\n")
         with pytest.warns(StoreIntegrityWarning) as caught:
             server = ProtocolServer(storage_dir=store)
         messages = [str(warning.message) for warning in caught]
-        for table in ("'default'", "'legacy'"):
-            assert any(table in m and "store migrate" in m for m in messages)
-        assert any("corrupt table store" in m and "broken" in m for m in messages)
+        assert len(messages) == 1
+        assert "corrupt table store" in messages[0] and "broken" in messages[0]
         assert server.table_ids() == ["good"]
         assert server.store("good") == good
 
@@ -417,24 +416,17 @@ class TestAttackCommand:
 class TestVerifyCommand:
     @pytest.fixture
     def populated_storage(self, tmp_path):
-        """Storage dirs holding table ``orders``: as a segment store
-        (``segment``), as a legacy ``.f2t`` snapshot never migrated
-        (``snapshot``), and as one imported by ``store migrate`` with the
-        snapshot kept beside it (``migrated``)."""
+        """Storage dirs holding table ``orders`` as a segment store
+        (``segment``)."""
         from repro.api.protocol import LoopbackTransport, ProtocolClient, ProtocolServer
         from repro.api.session import DataOwner
         from repro.core.config import F2Config
-        from repro.wire import encode_relation
 
         owner = DataOwner.from_seed(5, config=F2Config(alpha=0.5, seed=2))
         owner.outsource(read_csv(self.plaintext(tmp_path)))
-        dirs = {name: tmp_path / f"stor-{name}" for name in ("segment", "snapshot", "migrated")}
+        dirs = {"segment": tmp_path / "stor-segment"}
         server = ProtocolServer(storage_dir=dirs["segment"])
         ProtocolClient(LoopbackTransport(server)).outsource("orders", owner.server_view())
-        for name in ("snapshot", "migrated"):
-            dirs[name].mkdir()
-            (dirs[name] / "orders.f2t").write_bytes(encode_relation(owner.server_view()))
-        assert main(["store", "migrate", "--storage", str(dirs["migrated"])]) == 0
         return dirs
 
     @staticmethod
@@ -443,7 +435,7 @@ class TestVerifyCommand:
         write_csv(generate_fd_table(40, num_zipcodes=4, seed=1), path)
         return path
 
-    @pytest.mark.parametrize("engine", ["segment", "migrated"])
+    @pytest.mark.parametrize("engine", ["segment"])
     def test_verify_passes_on_clean_store(self, populated_storage, engine, capsys):
         exit_code = main(["verify", "--storage", str(populated_storage[engine])])
         assert exit_code == 0
@@ -456,13 +448,10 @@ class TestVerifyCommand:
         assert main(["verify", "--storage", str(storage), "--table", "ghost"]) == 0
         assert "no tables" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["snapshot", "segment"])
+    @pytest.mark.parametrize("engine", ["segment"])
     def test_verify_exits_7_on_tampered_store(self, populated_storage, engine, capsys):
-        # A legacy .f2t is never a pass, whether or not its bytes are intact:
-        # the server does not read it, so it fails as not migrated.
         storage = populated_storage[engine]
-        pattern = "orders.f2s/seg-*.seg" if engine == "segment" else "orders.f2t"
-        target = sorted(storage.glob(pattern))[0]
+        target = sorted(storage.glob("orders.f2s/seg-*.seg"))[0]
         data = bytearray(target.read_bytes())
         data[len(data) // 2] ^= 0x01
         target.write_bytes(bytes(data))
@@ -471,12 +460,6 @@ class TestVerifyCommand:
         assert exit_code == 7
         err = capsys.readouterr().err
         assert "INTEGRITY_VIOLATION" in err and "FAIL" in err
-        if engine == "snapshot":
-            assert "not migrated" in err and "store migrate" in err
-            serve = ["serve", "--port", "0", "--storage", str(storage), "--verify-on-start"]
-            with pytest.warns(RuntimeWarning, match="store migrate"):
-                assert main(serve) == 7
-            assert "refusing to serve" in capsys.readouterr().err
 
     def test_verify_missing_directory_is_a_store_error(self, tmp_path, capsys):
         exit_code = main(["verify", "--storage", str(tmp_path / "nope")])

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from repro.api import (
     DataOwner,
-    InsertBatch,
     InsertDelta,
     LoopbackTransport,
     Message,
+    OutsourceRequest,
     ProtocolClient,
     ProtocolServer,
     RemoteOwnerSession,
@@ -250,7 +250,7 @@ class TestDeltaProtocolPath:
         )
 
         session.insert_rows(incremental_batch(owner.plaintext, 2, "x"))
-        assert session.last_delta is None  # fell back to InsertBatch
+        assert session.last_delta is None  # fell back to a full OutsourceRequest
         assert ciphertext_rows(server.store()) == ciphertext_rows(owner.server_view())
         # Delta shipping resumes once the base is realigned.
         session.insert_rows(incremental_batch(owner.plaintext, 2, "y"))
@@ -268,7 +268,7 @@ class TestDeltaProtocolPath:
         assert delta is not None
         new_view = owner.server_view()
         delta_bytes = len(InsertDelta(table_id="t", delta=delta).encode())
-        full_bytes = len(InsertBatch(table_id="t", relation=new_view).encode())
+        full_bytes = len(OutsourceRequest(table_id="t", relation=new_view).encode())
         assert delta_bytes < full_bytes / 2
 
 
@@ -324,7 +324,7 @@ def assert_full_fallback_then_resume(owner, session, transport, server) -> None:
     session.insert_rows(incremental_batch(owner.plaintext, 2, "after"))
     assert owner.last_update_report.mode == "incremental"
     assert session.last_delta is None
-    assert transport.kinds() == ["insert_delta", "insert_batch"]
+    assert transport.kinds() == ["insert_delta", "outsource_request"]
     refused = Message.decode(transport.replies[0])
     assert isinstance(refused, ErrorReply)
     assert refused.code == ErrorCode.VERSION_CONFLICT.value
@@ -354,12 +354,12 @@ class TestDeltaBaseCheck:
         session.insert_rows(incremental_batch(owner.plaintext, 1, "first"))
         assert session.last_delta is not None
 
-        # A second session pushes a full InsertBatch behind the first one's
+        # A second session pushes a full view behind the first one's
         # back — the same rows in another order, so the row count still
         # matches and only the commit version tells the bases apart.
         view = owner.server_view()
         shuffled = Relation(list(view.attributes), [list(row) for row in view.rows()][::-1])
-        ProtocolClient(LoopbackTransport(server)).insert("default", shuffled)
+        ProtocolClient(LoopbackTransport(server)).outsource("default", shuffled)
         assert server.store().num_rows == owner.server_view().num_rows
 
         assert_full_fallback_then_resume(owner, session, transport, server)
@@ -474,7 +474,7 @@ class TestDirectDelta:
             session.insert_rows(incremental_batch(owner.plaintext, 1, "next"))
             assert owner.last_view_delta is not None
             assert aligned == [owner.server_view().num_rows]
-            assert transport.kinds() == ["insert_delta", "insert_batch"]
+            assert transport.kinds() == ["insert_delta", "outsource_request"]
             assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
 
             # Acknowledged again: the direct delta is back.

@@ -33,7 +33,6 @@ from repro.integrity.merkle import (
 from repro.integrity.state import TableIntegrityState
 from repro.query.server import ServerAnd, ServerOr, TokenLeaf, execute_server_expr
 from repro.relational.table import Relation
-from repro.store.migrate import legacy_binary_root
 
 
 def leaves(n: int) -> list[bytes]:
@@ -46,6 +45,20 @@ def relation(rows) -> Relation:
 
 def digests(proof: Multiproof) -> int:
     return sum(len(path) for path in proof.paths)
+
+
+def legacy_binary_root(leaves: list[bytes]) -> str:
+    """Root of the binary Merkle tree older stores recorded (format 1):
+    ``sha256(0x01 || left || right)`` level by level, an odd tail promoted."""
+    level = list(leaves)
+    while len(level) > 1:
+        level = [
+            hashlib.sha256(b"\x01" + level[i] + level[i + 1]).digest()
+            if i + 1 < len(level)
+            else level[i]
+            for i in range(0, len(level), 2)
+        ]
+    return level[0].hex()
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +519,10 @@ class TestStoreIntegrityWarning:
     def test_corrupt_snapshot_warns_with_the_category(self, tmp_path):
         from repro.api.protocol import ProtocolServer
 
-        (tmp_path / "broken.f2t").write_bytes(b"\x00not a snapshot")  # not migrated
+        table = tmp_path / "broken.f2s"
+        table.mkdir()
+        (table / "CURRENT").write_text("LOG-000001.log\n")
+        (table / "LOG-000001.log").write_bytes(b"\x00not a snapshot record")
         with pytest.warns(StoreIntegrityWarning, match="broken"):
             server = ProtocolServer(storage_dir=tmp_path)
         assert server.table_ids(None) == []

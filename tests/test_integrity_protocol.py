@@ -4,15 +4,15 @@ The tamper matrix: bit-flipped stores, a generation rollback, and replies
 edited in transit are each detected *owner-side* with ``IntegrityError`` —
 on the durable segment store (plus one folded by a long delta history) and
 both compute backends.  A lying server that signs a wrong answer is caught
-by the owner's answer check over her replica.  Plus: protocol v5
+by the owner's answer check over her replica.  Plus: protocol v6
 negotiation (signed replies, resumption tickets), the per-table version CAS
 for multi-writer deltas, the coordinated multi-writer stress run that
-pins zero full-view fallbacks, the tree-upkeep counters, and the one-way
-migration of legacy binary-tree roots.
+pins zero full-view fallbacks, the tree-upkeep counters, the refusal of a
+store in a format this code does not read, and the root check of an
+insert's full-view fallback.
 """
 
 import dataclasses
-import hashlib
 import shutil
 import threading
 import traceback
@@ -32,6 +32,7 @@ from repro.api import (
     RemoteOwnerSession,
     TenantRegistry,
 )
+from repro import obs
 from repro.api.delta import compute_view_delta
 from repro.api.protocol import PlanQueryRequest, SignedReply
 from repro.backend import get_backend, numpy_available
@@ -44,16 +45,15 @@ from repro.exceptions import (
     QueryError,
     StoreIntegrityWarning,
 )
-from repro.integrity.merkle import ROOT_FORMAT, MerkleTree, relation_leaves
+from repro.integrity.merkle import MerkleTree, relation_leaves
 from repro.integrity.state import TableIntegrityState
 from repro.integrity.writers import WriteCoordinator
 from repro.query.ast import And, Eq, In, Or
 from repro.query.server import execute_server_expr
 from repro.relational.table import Relation
-from repro.store import FOLD_LOG_RECORDS, recover_log
+from repro.store import FOLD_LOG_RECORDS
 from repro.store.segment import SegmentTableStore
 from repro.wire.binary import ByteReader
-from tests.conftest import write_legacy_store
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 #: The in-memory store and the durable segment engine.
@@ -721,6 +721,11 @@ class TestMultiWriterStress:
     INSERTS_PER_THREAD = 2
 
     def test_zero_full_fallbacks_and_root_matches_rebuild(self, registry):
+        obs.REGISTRY.reset()
+
+        def served(kind: str) -> int:
+            return obs.REGISTRY.counter("server.requests", kind=kind).value
+
         credential = registry.mint("acme", "owner")
         server = ProtocolServer(tenants=registry)
         owner = make_owner()
@@ -753,7 +758,10 @@ class TestMultiWriterStress:
 
         stats = coordinator.stats
         total = self.THREADS * self.INSERTS_PER_THREAD
-        assert stats.full_fallbacks == 0
+        # The boot outsource is the run's only full-view write; every push
+        # attempt, won or conflicted, is one delta.
+        assert served("outsource_request") == 1
+        assert served("insert_delta") == stats.delta_pushes + stats.cas_conflicts
         assert stats.delta_pushes + stats.noop_pushes == total
         assert stats.rebases == stats.cas_conflicts
 
@@ -811,80 +819,65 @@ class TestTreeUpkeepCounters:
 
 
 # ----------------------------------------------------------------------
-# Legacy binary-tree roots: one-way migration at open
+# A store this code does not read: refused, restored by a re-outsource
 # ----------------------------------------------------------------------
-def _reference_binary_root(leaves: list) -> str:
-    """The legacy tree's root, written out independently of the store."""
-    level = list(leaves)
-    while len(level) > 1:
-        paired = []
-        for i in range(0, len(level), 2):
-            pair = level[i : i + 2]
-            paired.append(
-                hashlib.sha256(b"\x01" + pair[0] + pair[1]).digest() if len(pair) == 2 else pair[0]
-            )
-        level = paired
-    return level[0].hex()
-
-
-def make_legacy(storage: Path, view: Relation) -> Path:
-    """Rewrite the committed table as a pre-format store wrote it: a JSON
-    manifest at the same version, recording ``view``'s binary-tree root."""
-    (table_dir,) = storage.glob("acme/*.f2s")
-    store = SegmentTableStore(table_dir, get_backend("python"))
-    rows, version = store.relation(), store.commit_version
-    store.close()
-    shutil.rmtree(table_dir)
-    write_legacy_store(
-        table_dir,
-        rows,
-        generation=version,
-        merkle_root=_reference_binary_root(relation_leaves(view)),
-        root_format=None,
-    )
-    return table_dir
-
-
-class TestLegacyRootMigration:
-    def test_untampered_legacy_store_migrates_and_serves_verified(self, registry, tmp_path):
+class TestUnreadableStoreRecovery:
+    def test_refused_store_is_restored_by_a_re_outsource(self, registry, tmp_path, capsys):
         credential, owner, session = populate(registry, tmp_path)
-        expected_root = session.integrity.expected_root
-        table_dir = make_legacy(tmp_path, owner.server_view())
+        (table_dir,) = tmp_path.glob("acme/*.f2s")
+        # A store from before the table log: CURRENT names a JSON manifest.
+        (table_dir / "CURRENT").write_text("MANIFEST-000002.json\n")
+        before = {path.name: path.read_bytes() for path in table_dir.iterdir()}
 
-        fresh = reconnect_verified(registry, tmp_path, credential, owner, session)
-        store = fresh.client.transport.server.table_store("orders", tenant_id="acme")
-        assert store.recorded_merkle_root() == expected_root
-        assert not store.has_legacy_root()
-        assert store.store_stats()["tree_rebuilds"] == 1
-        matches = fresh.select("City = Hoboken")
-        expected = [r for r in ROWS if r[0] == "Hoboken"]
-        assert sorted(map(list, matches.rows())) == sorted(expected)
-        assert store.store_stats()["tree_rebuilds"] == 1
-        assert recover_log(table_dir)[0].merkle_root_format == ROOT_FORMAT
-
-    @pytest.mark.parametrize("tamper", ["cell-bytes", "rows-behind-the-root"])
-    def test_tampered_legacy_store_is_not_re_rooted(self, registry, tmp_path, capsys, tamper):
-        credential, owner, session = populate(registry, tmp_path)
-        view = owner.server_view()
-        if tamper == "cell-bytes":
-            make_legacy(tmp_path, view)
-            flip_byte_of_cell_data(tmp_path)
-            reason = "fails its checksum"
-        else:
-            # Checksums intact, but the stored rows are not the ones the
-            # legacy root was recorded over.
-            rows = [list(view.row(i)) for i in range(view.num_rows)]
-            rows[0][0] = "tampered"
-            make_legacy(tmp_path, Relation(view.attributes, rows, name=view.name))
-            reason = "legacy-format merkle root"
-
-        with pytest.warns(StoreIntegrityWarning, match="legacy Merkle root"):
+        with pytest.warns(StoreIntegrityWarning, match="orders.f2s.*not a table log"):
             fresh = reconnect_verified(registry, tmp_path, credential, owner, session)
-        store = fresh.client.transport.server.table_store("orders", tenant_id="acme")
-        assert store.has_legacy_root()
-        if tamper == "cell-bytes":
-            with pytest.raises(IntegrityError):
-                fresh.select("City = Hoboken")
-        with pytest.warns(StoreIntegrityWarning, match="legacy Merkle root"):
-            assert main(["verify", "--storage", str(tmp_path)]) == 7
-        assert reason in capsys.readouterr().err
+        with pytest.raises(ProtocolError):
+            fresh.select("City = Hoboken")
+        # A write does not overwrite what the server cannot read.
+        with pytest.raises(ProtocolError, match="not a table log"):
+            fresh.outsource(base_relation())
+        assert {path.name: path.read_bytes() for path in table_dir.iterdir()} == before
+        assert main(["verify", "--storage", str(tmp_path)]) == 7
+        assert "not a table log" in capsys.readouterr().err
+
+        # Recovery is the protocol: the operator removes the directory and
+        # the owner re-outsources under a new verified session.
+        shutil.rmtree(table_dir)
+        server = ProtocolServer(tenants=registry, storage_dir=tmp_path)
+        restored = verified_session(server, credential, owner=owner)
+        restored.outsource(base_relation())
+        restored.insert_rows([["Summit", "07901", "E"]])
+        matches = restored.select("City = Hoboken")
+        assert sorted(map(list, matches.rows())) == sorted(r for r in ROWS if r[0] == "Hoboken")
+        assert main(["verify", "--storage", str(tmp_path)]) == 0
+
+
+# ----------------------------------------------------------------------
+# The full-view fallback of an insert carries the write-time root check
+# ----------------------------------------------------------------------
+class ManglingServer(ProtocolServer):
+    """Stores every full view after the first with one cell changed."""
+
+    full_writes = 0
+
+    def _receive_store(self, store_key, relation, with_root=False):
+        self.full_writes += 1
+        if self.full_writes > 1:
+            rows = [list(relation.row(i)) for i in range(relation.num_rows)]
+            rows[0][0] = "mangled"
+            relation = Relation(relation.attributes, rows, name=relation.name)
+        return ProtocolServer._receive_store(self, store_key, relation, with_root)
+
+
+class TestFullViewFallback:
+    def test_insert_rows_catches_a_mangled_fallback_view(self, registry):
+        credential = registry.mint("acme", "owner")
+        server = ManglingServer(tenants=registry)
+        session = verified_session(server, credential)
+        session.outsource(base_relation())
+        # A batch that repeats a whole existing record changes the MAS
+        # structure, so the insert ships the full view.
+        with pytest.raises(IntegrityError, match="server acknowledged root"):
+            session.insert_rows([list(ROWS[0])])
+        assert session.last_delta is None
+        assert server.full_writes == 2

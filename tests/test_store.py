@@ -1,6 +1,7 @@
-"""Tests of the repro.store package: engines, crash recovery, migration."""
+"""Tests of the repro.store package: engines, crash recovery, refused formats."""
 
 import os
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,10 +34,19 @@ from repro.store import (
     STORE_SUFFIX,
     TokenBitsetCache,
     is_segment_store,
-    migrate_storage_dir,
+    recover_log,
 )
+from repro.store import manifest as manifest_module
 from repro.store import segment as segment_module
-from repro.store.manifest import CURRENT_NAME, FRAME, LOG_HEADER, log_name, scan_log
+from repro.store.manifest import (
+    CURRENT_NAME,
+    FRAME,
+    LOG_HEADER,
+    encode_snapshot,
+    frame,
+    log_name,
+    scan_log,
+)
 from repro.wire import encode_relation
 from tests.conftest import write_legacy_store
 
@@ -386,53 +396,11 @@ class TestCrashConsistency:
         ]
         store.close()
 
-    def test_manifest_with_legacy_view_digest_loads(self, tmp_path):
-        # JSON manifests committed before the delta base check moved to the
-        # commit version carry a whole-view ``view_digest``; it is ignored.
-        directory = tmp_path / f"t{STORE_SUFFIX}"
-        new = grown_relation()
-        write_legacy_store(directory, new, generation=2, extra={"view_digest": "0" * 64})
-        store = SegmentTableStore(directory, get_backend("python"))
-        assert store.commit_version == 3
-        assert store.relation() == new
-        grown = Relation.from_columns(
-            {attr: list(new.column(attr)) + [f"x-{attr}"] for attr in new.attributes},
-            name=new.name,
-        )
-        assert store.apply_delta(compute_view_delta(new, grown)) == grown.num_rows
-        assert store.relation() == grown
-        store.close()
-
-    def test_json_manifest_store_is_imported_once(self, tmp_path):
-        # A store from before the table log reopens with the same rows and
-        # root and a higher commit version; the JSON is read only then.
-        directory = tmp_path / f"t{STORE_SUFFIX}"
-        relation = grown_relation()
-        root = MerkleTree(relation_leaves(relation)).root
-        write_legacy_store(directory, relation, generation=5, merkle_root=root)
-        (directory / "seg-000004.seg").write_bytes(b"F2SG\x01superseded")
-        store = SegmentTableStore(directory, get_backend("python"))
-        assert store.commit_version == 6
-        assert store.relation() == relation
-        assert store.recorded_merkle_root() == root == store.merkle_root()
-        assert store.store_stats()["checkpoints"] == 1
-        assert store.verify() is True
-        store.close()
-        assert sorted(os.listdir(directory)) == [
-            CURRENT_NAME, "LOG-000006.log", "dict-000005-000.blob",
-            "dict-000005-001.blob", "seg-000005.seg",
-        ]
-        reopened = SegmentTableStore(directory, get_backend("python"))
-        assert reopened.commit_version == 6
-        assert reopened.store_stats()["checkpoints"] == 0
-        assert reopened.relation() == relation
-        reopened.close()
-
     def test_unparseable_json_manifest_is_refused(self, tmp_path):
         directory = tmp_path / f"t{STORE_SUFFIX}"
         directory.mkdir()
         (directory / "MANIFEST-000001.json").write_text("{ not json")
-        with pytest.raises(StoreError, match="no usable manifest generation"):
+        with pytest.raises(StoreError, match="is not a segment store"):
             SegmentTableStore(directory, get_backend("python"))
 
     def test_failed_fold_commit_keeps_previous_generation(self, tmp_path, monkeypatch):
@@ -798,75 +766,91 @@ class TestServerEngines:
 
 
 # ----------------------------------------------------------------------
-# Migration
+# Formats this code does not read: refused, never imported or overwritten
 # ----------------------------------------------------------------------
-class TestMigrate:
-    def seed_snapshot_dir(self, tmp_path):
-        """Legacy ``.f2t`` snapshots, as older servers wrote them."""
-        orders, inv = small_relation("orders"), Relation.from_columns(
-            {"sku": ["a", "b", "a"]}, name="inv"
-        )
-        (tmp_path / "orders.f2t").write_bytes(
-            encode_relation(orders, get_backend("python"))
-        )
-        (tmp_path / "acme").mkdir()
-        (tmp_path / "acme" / "inv.f2t").write_bytes(
-            encode_relation(inv, get_backend("python"))
-        )
-        return orders, inv
+def write_json_manifest_store(directory) -> None:
+    """A store from before the table log: ``CURRENT`` names a JSON manifest."""
+    write_legacy_store(directory, small_relation(), generation=2)
 
-    def test_migrate_roundtrip_is_byte_identical(self, tmp_path):
-        orders, inv = self.seed_snapshot_dir(tmp_path)
-        records = migrate_storage_dir(tmp_path, backend="python")
-        assert [(r["tenant"], r["table"], r["rows"]) for r in records] == [
-            ("", "orders", 4),
-            ("acme", "inv", 3),
-        ]
-        for record, original, snapshot in [
-            (records[0], orders, tmp_path / "orders.f2t"),
-            (records[1], inv, tmp_path / "acme" / "inv.f2t"),
-        ]:
-            store = SegmentTableStore(record["store"], get_backend("python"))
-            migrated = store.relation()
-            assert migrated == original
-            # Byte-identical round trip: re-encoding the migrated table
-            # reproduces the snapshot file exactly.
-            assert (
-                encode_relation(migrated, get_backend("python"))
-                == snapshot.read_bytes()
-            )
-            store.close()
 
-    def test_migrated_dir_serves_under_the_segment_engine(self, tmp_path):
-        orders, inv = self.seed_snapshot_dir(tmp_path)
-        migrate_storage_dir(tmp_path, backend="python", remove_snapshots=True)
-        assert not (tmp_path / "orders.f2t").exists()
-        server = ProtocolServer(storage_dir=tmp_path, storage_engine="segment", backend="python")
-        assert server.store("orders") == orders
-        assert server.store("inv", tenant_id="acme") == inv
+def write_format_1_store(directory) -> None:
+    """A table log whose snapshot record holds a binary-tree (format 1) root.
 
-    def test_migrate_skips_corrupt_snapshots(self, tmp_path):
-        self.seed_snapshot_dir(tmp_path)
-        (tmp_path / "bad.f2t").write_bytes(b"F2WB definitely not a frame")
-        with pytest.warns(RuntimeWarning, match="skipping corrupt snapshot"):
-            records = migrate_storage_dir(tmp_path, backend="python")
-        assert {r["table"] for r in records} == {"orders", "inv"}
+    An importer of JSON manifests used to write these when a legacy root
+    did not match the stored rows.
+    """
+    store = SegmentTableStore(directory, get_backend("python"), create=True)
+    store.replace(small_relation())
+    store.close()
+    manifest, _ = recover_log(directory)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(manifest_module, "ROOT_FORMAT", 1)
+        payload = encode_snapshot(manifest)
+    (directory / manifest.log_name).write_bytes(LOG_HEADER + frame(payload))
 
-    def test_cli_store_migrate(self, tmp_path, capsys):
+
+UNREADABLE = {
+    "json-current": (write_json_manifest_store, "CURRENT names 'MANIFEST-000002.json'"),
+    "format-1-root": (write_format_1_store, "merkle root has format 1"),
+}
+
+
+def snapshot_files(directory) -> dict[str, bytes]:
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+class TestUnreadableStoreIsRefused:
+    def build(self, tmp_path, case):
+        directory = tmp_path / f"old{STORE_SUFFIX}"
+        writer, reason = UNREADABLE[case]
+        writer(directory)
+        return directory, reason
+
+    def test_open_raises(self, tmp_path, case):
+        directory, reason = self.build(tmp_path, case)
+        assert is_segment_store(directory)
+        with pytest.raises(StoreError, match=reason):
+            SegmentTableStore(directory, get_backend("python"))
+
+    def test_create_refuses_and_leaves_the_files(self, tmp_path, case):
+        directory, reason = self.build(tmp_path, case)
+        before = snapshot_files(directory)
+        with pytest.raises(StoreError, match=reason):
+            SegmentTableStore(directory, get_backend("python"), create=True)
+        assert snapshot_files(directory) == before
+
+    def test_server_warns_and_serves_the_other_tables(self, tmp_path, case):
+        directory, reason = self.build(tmp_path, case)
+        good = SegmentTableStore(tmp_path / f"good{STORE_SUFFIX}", get_backend("python"), create=True)
+        good.replace(grown_relation())
+        good.close()
+        before = snapshot_files(directory)
+        with pytest.warns(StoreIntegrityWarning, match=f"old{STORE_SUFFIX}.*{reason}"):
+            server = ProtocolServer(storage_dir=tmp_path, backend="python")
+        assert server.table_ids() == ["good"]
+        assert server.store("good") == grown_relation()
+        # A write to the refused table fails instead of overwriting it.
+        with pytest.raises(ProtocolError, match=reason):
+            make_client(server).call(OutsourceRequest(table_id="old", relation=small_relation()))
+        assert snapshot_files(directory) == before
+
+    def test_verify_exits_7(self, tmp_path, case, capsys):
         from repro.cli import main
 
-        self.seed_snapshot_dir(tmp_path)
-        assert main(["store", "migrate", "--storage", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 2 table(s)" in out
-        assert is_segment_store(tmp_path / f"orders{STORE_SUFFIX}")
-        assert is_segment_store(tmp_path / "acme" / f"inv{STORE_SUFFIX}")
+        self.build(tmp_path, case)
+        assert main(["verify", "--storage", str(tmp_path)]) == 7
+        assert "FAIL old: " in capsys.readouterr().err
 
-    def test_cli_store_migrate_missing_dir(self, tmp_path, capsys):
-        from repro.cli import main
 
-        assert main(["store", "migrate", "--storage", str(tmp_path / "absent")]) == 3
-        assert "does not exist" in capsys.readouterr().err
+def test_snapshot_file_is_not_a_table(tmp_path):
+    # A whole-table ``.f2t`` file is neither served nor verified.
+    (tmp_path / "orders.f2t").write_bytes(encode_relation(small_relation(), get_backend("python")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        server = ProtocolServer(storage_dir=tmp_path, backend="python")
+    assert server.table_ids() == []
+    assert server.verify_stores() == []
 
 
 # ----------------------------------------------------------------------

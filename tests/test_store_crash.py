@@ -16,9 +16,8 @@ In ``error`` mode the call raises :class:`OSError` (a write first lands
 half its bytes) and the process carries on with the same store.
 
 Every scenario — a 1-row append commit, a folding commit, a log rotation,
-a ``replace``, the first ``replace`` into an empty directory and the
-one-way JSON import — runs for every k, plus one
-crash right after the commit returned.  After the reopen the table must be
+a ``replace`` and the first ``replace`` into an empty directory — runs
+for every k, plus one crash right after the commit returned.  After the reopen the table must be
 in its pre-commit or its post-commit state; the post-commit state once the
 commit's last fsync had returned; and the commit version never below the
 acknowledged one.  The recovered store must verify and take the next
@@ -39,11 +38,9 @@ import pytest
 from repro.api.delta import ViewDelta, apply_view_delta, compute_view_delta
 from repro.backend import get_backend
 from repro.exceptions import StoreIntegrityWarning
-from repro.integrity.merkle import MerkleTree, relation_leaves
 from repro.relational.table import Relation
 from repro.store import FOLD_LOG_RECORDS, FOLD_VIEW_SLICES, SegmentTableStore
 from repro.store import manifest as manifest_module
-from tests.conftest import write_legacy_store
 
 DIRECTORY = object()  # the fd-map marker of the table directory itself
 
@@ -218,8 +215,9 @@ def interleave(relation: Relation) -> ViewDelta:
 @dataclass
 class Scenario:
     """``build`` fills a directory and returns the committed (rows, version);
-    ``commit`` runs the write under test on an open store (``None`` for the
-    import, whose commit is the open itself) and returns the rows after it."""
+    ``commit`` runs the write under test on an open store (``None`` when
+    ``opens`` is false: the commit creates the store) and returns the rows
+    after it."""
 
     build: Callable[[Path], tuple[Relation, int]]
     commit: Callable[[Path, "SegmentTableStore | None", Relation], Relation]
@@ -260,14 +258,6 @@ def build_empty(directory: Path) -> tuple[None, int]:
     return None, 0  # no committed table
 
 
-def build_legacy(directory: Path) -> tuple[Relation, int]:
-    base = table(20)
-    write_legacy_store(
-        directory, base, generation=4, merkle_root=MerkleTree(relation_leaves(base)).root
-    )
-    return base, 5  # a reopen imports it as version 5, crashed or not
-
-
 SCENARIOS = {
     "append": Scenario(
         build=lambda d: build_with_deltas(d, table(20), 2, grow_delta),
@@ -288,11 +278,6 @@ SCENARIOS = {
         commit=lambda d, store, current: (store.replace(table(7, "n")), table(7, "n"))[1],
     ),
     "first-replace": Scenario(build=build_empty, commit=first_replace, opens=False),
-    "import": Scenario(
-        build=build_legacy,
-        commit=lambda d, store, current: (SegmentTableStore(d, BACKEND).close(), current)[1],
-        opens=False,
-    ),
 }
 
 
@@ -384,7 +369,7 @@ def test_every_crash_point_recovers_to_pre_or_post(name, templates, tmp_path):
     _, pre, pre_version = templates[name]
     post, post_version, ops = expected_post(name, templates, tmp_path)
     allowed = {"pre": (pre, pre_version), "post": (post, post_version)}
-    assert post_version > pre_version or name == "import"
+    assert post_version > pre_version
     durable = max(i for i, (kind, _) in enumerate(ops, start=1) if kind == "fsync")
     outcomes = set()
     # k = len(ops) + 1 crashes right after the commit returned.
@@ -399,9 +384,7 @@ def test_every_crash_point_recovers_to_pre_or_post(name, templates, tmp_path):
         outcomes.add("post" if state_of(probe) == allowed["post"] else "pre")
         probe.close()
         check_recovered(directory, allowed, fail_at > durable, post)
-    assert "post" in outcomes
-    if name != "import":
-        assert "pre" in outcomes
+    assert outcomes == {"pre", "post"}
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
@@ -442,7 +425,7 @@ def test_scenarios_cover_each_commit_kind(templates, tmp_path):
         _, _, ops = expected_post(name, templates, tmp_path)
         kinds[name] = [kind for kind, _ in ops]
     assert kinds["append"] == ["write", "fsync"]
-    for name in ("fold", "rotation", "replace", "first-replace", "import"):
+    for name in ("fold", "rotation", "replace", "first-replace"):
         ops = kinds[name]
         rename = ops.index("rename")
         assert ops[rename - 1] == "fsync" and ops[rename + 1] == "fsync"
