@@ -28,7 +28,6 @@ on message substrings.
 
 from __future__ import annotations
 
-import base64
 import enum
 import hashlib
 import hmac
@@ -67,7 +66,7 @@ class ErrorCode(str, enum.Enum):
     #: The frame's sequence number was not the one the session expects
     #: (a replayed, reordered, or duplicated request).
     BAD_SEQUENCE = "BAD_SEQUENCE"
-    #: Client and server share no protocol version (or wire form).
+    #: Client and server share no protocol version.
     VERSION_UNSUPPORTED = "VERSION_UNSUPPORTED"
     #: The request referenced a table this tenant does not have.
     UNKNOWN_TABLE = "UNKNOWN_TABLE"
@@ -110,15 +109,11 @@ _SIG_DOMAIN = b"f2-signed-frame/1"
 #: Domain separator of the *reply* signature (a distinct key, see below).
 _REPLY_SIG_DOMAIN = b"f2-signed-reply/1"
 
-#: Key-derivation domains: reply signing and ticket sealing use keys
-#: *derived* from the tenant secret rather than the secret itself, so a
-#: component that only ever signs replies can hold the derived key without
-#: being able to forge client requests (and vice versa).
+#: Key-derivation domain: reply signing uses a key *derived* from the
+#: tenant secret rather than the secret itself, so a component that only
+#: ever signs replies can hold the derived key without being able to forge
+#: client requests (and vice versa).
 _REPLY_KEY_DOMAIN = b"f2-reply-key/1"
-_TICKET_KEY_DOMAIN = b"f2-resume-ticket/1"
-
-#: Printable prefix of a sealed session-resumption ticket.
-_TICKET_PREFIX = "f2tkt1"
 
 
 def check_tenant_id(tenant_id: str) -> str:
@@ -258,60 +253,6 @@ def verify_reply(
     """Constant-time check of a reply signature."""
     expected = sign_reply(secret, session_id, sequence, payload)
     return hmac.compare_digest(expected, str(signature))
-
-
-# ----------------------------------------------------------------------
-# Session-resumption tickets
-# ----------------------------------------------------------------------
-def _ticket_key(secret: bytes) -> bytes:
-    return hmac.new(secret, _TICKET_KEY_DOMAIN, hashlib.sha256).digest()
-
-
-def seal_ticket(secret: bytes, doc: dict[str, Any]) -> str:
-    """Seal a session-state document into a printable resumption ticket.
-
-    The ticket is ``f2tkt1.<b64url(json)>.<hmac-hex>`` with the MAC keyed by
-    a key derived from the tenant's *current* secret — rotating or revoking
-    the credential invalidates every outstanding ticket by construction,
-    with no server-side ticket store to purge.
-    """
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = base64.urlsafe_b64encode(blob).decode("ascii").rstrip("=")
-    mac = hmac.new(_ticket_key(secret), body.encode("ascii"), hashlib.sha256)
-    return ".".join((_TICKET_PREFIX, body, mac.hexdigest()))
-
-
-def open_ticket(secret: bytes, ticket: str) -> dict[str, Any]:
-    """Verify and decode a resumption ticket sealed by :func:`seal_ticket`.
-
-    Raises :class:`AuthError` (``AUTH_FAILED``) on any malformed or
-    wrongly-MAC'd ticket — including every ticket sealed under a secret that
-    has since been rotated.
-    """
-    parts = str(ticket).strip().split(".")
-    if len(parts) != 3 or parts[0] != _TICKET_PREFIX:
-        raise AuthError(
-            "malformed resumption ticket", code=ErrorCode.AUTH_FAILED.value
-        )
-    _, body, signature = parts
-    mac = hmac.new(_ticket_key(secret), body.encode("ascii"), hashlib.sha256)
-    if not hmac.compare_digest(mac.hexdigest(), signature):
-        raise AuthError(
-            "resumption ticket does not verify (stale key or tampered ticket)",
-            code=ErrorCode.AUTH_FAILED.value,
-        )
-    try:
-        padded = body + "=" * (-len(body) % 4)
-        doc = json.loads(base64.urlsafe_b64decode(padded.encode("ascii")))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise AuthError(
-            "malformed resumption ticket body", code=ErrorCode.AUTH_FAILED.value
-        ) from exc
-    if not isinstance(doc, dict):
-        raise AuthError(
-            "malformed resumption ticket body", code=ErrorCode.AUTH_FAILED.value
-        )
-    return doc
 
 
 # ----------------------------------------------------------------------
@@ -539,7 +480,10 @@ class TenantRegistry:
                 for tenant_id, keys in sorted(self._keys.items())
             },
         }
-        self._path.parent.mkdir(parents=True, exist_ok=True)
+        # Deferred: repro.store.manifest imports this module.
+        from repro.store.manifest import create_directory
+
+        create_directory(self._path.parent)
         replace_file(self._path, json.dumps(doc, indent=2, sort_keys=True).encode("utf-8"))
         # Our own write must not look like a foreign edit on next read.
         self._file_stat = self._stat_file()

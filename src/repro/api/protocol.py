@@ -33,7 +33,6 @@ tokens — exactly the honest-but-curious model of the paper.
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import re
@@ -54,11 +53,10 @@ from repro.api.auth import (
     Credential,
     DEFAULT_TENANT,
     ErrorCode,
+    TenantKey,
     TenantRegistry,
     check_capability,
     check_tenant_id,
-    open_ticket,
-    seal_ticket,
     sign_frame,
     sign_reply,
     verify_frame,
@@ -94,7 +92,6 @@ from repro.relational.table import Relation
 # The store classes are imported lazily via the helpers below.
 from repro.store.base import STORAGE_ENGINE_SEGMENT, STORE_SUFFIX, TableStore
 from repro.wire import (
-    WIRE_BINARY,
     decode_cells,
     decode_relation,
     decode_tane_result,
@@ -111,16 +108,17 @@ from repro.wire.binary import ByteReader, ByteWriter
 MESSAGE_MAGIC = b"F2M"
 MESSAGE_VERSION = 1
 
-#: The service protocol version of an authenticated session: signed
-#: requests, server-signed replies, resumption tickets, and Merkle roots
+#: The service protocol version of an authenticated session: a ``Hello``
+#: opens it, then signed requests, server-signed replies, and Merkle roots
 #: of the content-defined tree, with no inclusion proofs on select
 #: replies and one full-view write message, :class:`OutsourceRequest`
-#: (version 5 also had ``InsertBatch``; version 4 carried a multiproof of
-#: the matched rows; version 3 binary-tree roots and per-row paths).  A
-#: ``Hello`` that does not offer it is refused with
-#: ``VERSION_UNSUPPORTED``.  Anonymous local-tenant frames (no ``Hello``)
-#: are a server mode, not a protocol version.
-PROTOCOL_VERSION = 6
+#: (version 6 also had resumption tickets and a wire-form list; version 5
+#: ``InsertBatch``; version 4 carried a multiproof of the matched rows;
+#: version 3 binary-tree roots and per-row paths).  A ``Hello`` that does
+#: not offer it is refused with ``VERSION_UNSUPPORTED``.  Anonymous
+#: local-tenant frames (no ``Hello``) are a server mode, not a protocol
+#: version.
+PROTOCOL_VERSION = 7
 
 #: Default table id used by the session facades.
 DEFAULT_TABLE_ID = "default"
@@ -519,13 +517,12 @@ class Hello(Message):
     """Client -> server: open an authenticated session (the handshake).
 
     Carries the tenant identity, the capability the client's credential was
-    minted for, and the protocol versions / wire forms the client speaks.
-    The server requires :data:`PROTOCOL_VERSION` among the versions and
-    ``"binary"`` among the wire forms (the only form; the field stays on the
-    wire so earlier binary clients still handshake), and answers with a
+    minted for, and the protocol versions the client speaks.  The server
+    requires :data:`PROTOCOL_VERSION` among the versions and answers with a
     :class:`HelloAck`; proof of key possession happens on the first signed
     frame, not here — a forged Hello yields a session its sender cannot
-    sign anything for.
+    sign anything for.  It is the only way to open a session: a client
+    whose session was evicted or lost to a restart sends a new one.
     """
 
     kind: ClassVar[str] = "hello"
@@ -533,7 +530,6 @@ class Hello(Message):
     capability: str
     token_id: str = ""
     versions: tuple[int, ...] = (PROTOCOL_VERSION,)
-    wire_forms: tuple[str, ...] = (WIRE_BINARY,)
 
     def _meta(self) -> dict[str, Any]:
         return {
@@ -541,49 +537,35 @@ class Hello(Message):
             "capability": self.capability,
             "token_id": self.token_id,
             "versions": list(self.versions),
-            "wire_forms": list(self.wire_forms),
         }
 
     @classmethod
     def _build(cls, meta, attachments) -> "Hello":
         versions = meta.get("versions")
-        forms = meta.get("wire_forms")
-        if not isinstance(versions, list) or not isinstance(forms, list):
-            raise WireError("hello without version or wire-form lists")
+        if not isinstance(versions, list):
+            raise WireError("hello without a version list")
         return cls(
             tenant_id=check_tenant_id(str(meta.get("tenant_id", ""))),
             capability=check_capability(str(meta.get("capability", ""))),
             token_id=str(meta.get("token_id", "")),
             versions=tuple(int(version) for version in versions),
-            wire_forms=tuple(str(form) for form in forms),
         )
 
 
 @dataclass(frozen=True)
 class HelloAck(Message):
-    """Server -> client: the established session and the negotiated terms.
-
-    The meta's ``wire_format`` is always ``"binary"``; it stays on the wire
-    for earlier binary clients, which read it.
-    """
+    """Server -> client: the established session id and protocol version."""
 
     kind: ClassVar[str] = "hello_ack"
     session_id: str
     version: int
     server_name: str = ""
-    #: HMAC-sealed session-resumption ticket: a reconnecting client
-    #: presents it in a :class:`Resume` message to recover its session
-    #: and sequence window without a full re-handshake.  Sealed under the
-    #: tenant's *current* key, so rotation invalidates it by construction.
-    resume_ticket: str = ""
 
     def _meta(self) -> dict[str, Any]:
         return {
             "session_id": self.session_id,
             "version": self.version,
-            "wire_format": WIRE_BINARY,
             "server_name": self.server_name,
-            "resume_ticket": self.resume_ticket,
         }
 
     @classmethod
@@ -595,159 +577,79 @@ class HelloAck(Message):
             session_id=session_id,
             version=int(meta.get("version", 0)),
             server_name=str(meta.get("server_name", "")),
-            resume_ticket=str(meta.get("resume_ticket", "")),
         )
 
 
 @dataclass(frozen=True)
-class SignedEnvelope(Message):
-    """An authenticated frame: session id, sequence number, HMAC, payload.
+class _SignedFrame(Message):
+    """Session id, sequence number, HMAC signature, and a raw payload.
 
-    ``payload`` is a complete encoded protocol message; the signature is
-    HMAC-SHA256 over ``(session_id, sequence, payload)`` keyed by the
-    session's tenant secret (see :mod:`repro.api.auth`).  The payload
-    travels as a raw attachment, so the receiver checks the exact bytes the
-    signature covers.
+    ``payload`` is a complete encoded protocol message that travels as a
+    raw attachment, so the receiver checks the exact bytes the signature
+    covers.  The two directions differ only in their kind and signing key.
+    """
+
+    #: What the frame is called in decode errors.
+    what: ClassVar[str] = ""
+    session_id: str
+    sequence: int
+    signature: str
+    payload: bytes
+
+    def _meta(self) -> dict[str, Any]:
+        return {
+            "session_id": self.session_id,
+            "sequence": self.sequence,
+            "signature": self.signature,
+        }
+
+    def _attachments(self) -> dict[str, bytes]:
+        return {"payload": self.payload}
+
+    @classmethod
+    def _build(cls, meta, attachments) -> "_SignedFrame":
+        payload = attachments.get("payload")
+        if payload is None:
+            raise WireError(f"{cls.what} without a payload")
+        if not payload.startswith(MESSAGE_MAGIC):
+            raise WireError(f"{cls.what} payload is not a binary protocol message")
+        session_id = meta.get("session_id")
+        signature = meta.get("signature")
+        if not isinstance(session_id, str) or not isinstance(signature, str):
+            raise WireError(f"{cls.what} without session id or signature")
+        return cls(
+            session_id=session_id,
+            sequence=int(meta.get("sequence", -1)),
+            signature=signature,
+            payload=payload,
+        )
+
+
+@dataclass(frozen=True)
+class SignedEnvelope(_SignedFrame):
+    """Client -> server: an authenticated request frame.
+
+    The signature is HMAC-SHA256 over ``(session_id, sequence, payload)``
+    keyed by the session's tenant secret (see :mod:`repro.api.auth`).
     """
 
     kind: ClassVar[str] = "signed"
-    session_id: str
-    sequence: int
-    signature: str
-    payload: bytes
-
-    def _meta(self) -> dict[str, Any]:
-        return {
-            "session_id": self.session_id,
-            "sequence": self.sequence,
-            "signature": self.signature,
-        }
-
-    def _attachments(self) -> dict[str, bytes]:
-        return {"payload": self.payload}
-
-    @classmethod
-    def _build(cls, meta, attachments) -> "SignedEnvelope":
-        payload = _signed_payload(attachments, "signed envelope")
-        session_id = meta.get("session_id")
-        signature = meta.get("signature")
-        if not isinstance(session_id, str) or not isinstance(signature, str):
-            raise WireError("signed envelope without session id or signature")
-        return cls(
-            session_id=session_id,
-            sequence=int(meta.get("sequence", -1)),
-            signature=signature,
-            payload=payload,
-        )
+    what: ClassVar[str] = "signed envelope"
 
 
 @dataclass(frozen=True)
-class Resume(Message):
-    """Client -> server: resume a session from a :class:`HelloAck` ticket.
+class SignedReply(_SignedFrame):
+    """Server -> client: an authenticated reply frame.
 
-    Sent unsigned (a reconnecting client has no sequence window yet); the
-    ticket's MAC *is* the authentication, and like the handshake itself a
-    forged or replayed ticket only yields a session its sender cannot sign
-    frames for.  After a key rotation or revocation every outstanding
-    ticket stops verifying and the client must run a full handshake.
-    """
-
-    kind: ClassVar[str] = "resume"
-    ticket: str
-
-    def _meta(self) -> dict[str, Any]:
-        return {"ticket": self.ticket}
-
-    @classmethod
-    def _build(cls, meta, attachments) -> "Resume":
-        ticket = meta.get("ticket")
-        if not isinstance(ticket, str) or not ticket:
-            raise WireError("resume without a ticket")
-        return cls(ticket=ticket)
-
-
-@dataclass(frozen=True)
-class ResumeAck(Message):
-    """Server -> client: the resumed session and its next sequence number.
-
-    ``next_sequence`` re-synchronises the client's signing window: for a
-    still-live session it is the server's current expectation; for a session
-    that was evicted (or lost to a restart) the server re-creates the
-    session state under the same id with a *fresh random* starting sequence,
-    so frames recorded from the ticket's previous life can never land inside
-    the new window.
-    """
-
-    kind: ClassVar[str] = "resume_ack"
-    session_id: str
-    version: int
-    next_sequence: int
-    server_name: str = ""
-
-    def _meta(self) -> dict[str, Any]:
-        return {
-            "session_id": self.session_id,
-            "version": self.version,
-            "wire_format": WIRE_BINARY,
-            "next_sequence": self.next_sequence,
-            "server_name": self.server_name,
-        }
-
-    @classmethod
-    def _build(cls, meta, attachments) -> "ResumeAck":
-        session_id = meta.get("session_id")
-        if not isinstance(session_id, str) or not session_id:
-            raise WireError("resume_ack without a session id")
-        return cls(
-            session_id=session_id,
-            version=int(meta.get("version", 0)),
-            next_sequence=int(meta.get("next_sequence", 1)),
-            server_name=str(meta.get("server_name", "")),
-        )
-
-
-@dataclass(frozen=True)
-class SignedReply(Message):
-    """Server -> client: an authenticated reply envelope.
-
-    ``payload`` is the complete encoded reply message; the signature is
-    HMAC-SHA256 over ``(session_id, request sequence, payload)`` keyed by
-    the tenant's *derived reply key* (see :func:`repro.api.auth.sign_reply`).
-    Echoing the request's sequence number pins the reply to the exact
-    request it answers — a recorded reply replayed against a later request
-    fails verification.  The payload travels exactly like a
-    :class:`SignedEnvelope` payload.
+    The signature is HMAC-SHA256 over ``(session_id, request sequence,
+    payload)`` keyed by the tenant's *derived reply key* (see
+    :func:`repro.api.auth.sign_reply`).  Echoing the request's sequence
+    number pins the reply to the exact request it answers — a recorded
+    reply replayed against a later request fails verification.
     """
 
     kind: ClassVar[str] = "signed_reply"
-    session_id: str
-    sequence: int
-    signature: str
-    payload: bytes
-
-    def _meta(self) -> dict[str, Any]:
-        return {
-            "session_id": self.session_id,
-            "sequence": self.sequence,
-            "signature": self.signature,
-        }
-
-    def _attachments(self) -> dict[str, bytes]:
-        return {"payload": self.payload}
-
-    @classmethod
-    def _build(cls, meta, attachments) -> "SignedReply":
-        payload = _signed_payload(attachments, "signed reply")
-        session_id = meta.get("session_id")
-        signature = meta.get("signature")
-        if not isinstance(session_id, str) or not isinstance(signature, str):
-            raise WireError("signed reply without session id or signature")
-        return cls(
-            session_id=session_id,
-            sequence=int(meta.get("sequence", -1)),
-            signature=signature,
-            payload=payload,
-        )
+    what: ClassVar[str] = "signed reply"
 
 
 @dataclass(frozen=True)
@@ -860,8 +762,6 @@ MESSAGE_TYPES: dict[str, type[Message]] = {
         PlanQueryResult,
         Hello,
         HelloAck,
-        Resume,
-        ResumeAck,
         SignedEnvelope,
         SignedReply,
         StatsRequest,
@@ -870,16 +770,6 @@ MESSAGE_TYPES: dict[str, type[Message]] = {
         ErrorReply,
     )
 }
-
-
-def _signed_payload(attachments: dict[str, bytes], what: str) -> bytes:
-    """The payload of a signed frame: one complete binary protocol message."""
-    payload = attachments.get("payload")
-    if payload is None:
-        raise WireError(f"{what} without a payload")
-    if not payload.startswith(MESSAGE_MAGIC):
-        raise WireError(f"{what} payload is not a binary protocol message")
-    return payload
 
 
 def _require(attachments: dict[str, bytes], name: str, kind: str) -> bytes:
@@ -910,35 +800,6 @@ def _error_reply(exc: Exception, default: str = "") -> ErrorReply:
         else:
             code = default or ErrorCode.INTERNAL.value
     return ErrorReply(error=type(exc).__name__, message=str(exc), code=str(code))
-
-
-def _peek_ticket(ticket: str) -> dict[str, Any]:
-    """The *unverified* body of a resumption ticket.
-
-    Resuming is a chicken-and-egg lookup: the MAC key is the tenant's, but
-    the tenant is named inside the ticket.  So the body is peeked first to
-    find the registry entry, and :func:`repro.api.auth.open_ticket` then
-    authenticates the whole ticket against that tenant's current key —
-    nothing read here is trusted until that check passes.
-    """
-    parts = str(ticket).strip().split(".")
-    if len(parts) != 3:
-        raise AuthError(
-            "malformed resumption ticket", code=ErrorCode.AUTH_FAILED.value
-        )
-    body = parts[1]
-    try:
-        padded = body + "=" * (-len(body) % 4)
-        doc = json.loads(base64.urlsafe_b64decode(padded.encode("ascii")))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise AuthError(
-            "malformed resumption ticket body", code=ErrorCode.AUTH_FAILED.value
-        ) from exc
-    if not isinstance(doc, dict):
-        raise AuthError(
-            "malformed resumption ticket body", code=ErrorCode.AUTH_FAILED.value
-        )
-    return doc
 
 
 def _unknown_attribute(table_id: str, attribute: str) -> QueryError:
@@ -1292,8 +1153,6 @@ class ProtocolServer:
             return out
         if isinstance(request, Hello):
             reply = self._dispatch_safely(self._handle_hello, request)
-        elif isinstance(request, Resume):
-            reply = self._dispatch_safely(self._handle_resume, request)
         elif isinstance(request, SignedEnvelope):
             reply = self._dispatch_safely(self._handle_signed, request)
         elif not self._allow_anonymous:
@@ -1435,12 +1294,6 @@ class ProtocolServer:
                 f"server speaks {PROTOCOL_VERSION}",
                 code=ErrorCode.VERSION_UNSUPPORTED.value,
             )
-        if WIRE_BINARY not in request.wire_forms:
-            raise AuthError(
-                f"no shared wire form: client proposed {list(request.wire_forms)}, "
-                f"server speaks {WIRE_BINARY!r}",
-                code=ErrorCode.VERSION_UNSUPPORTED.value,
-            )
         if request.tenant_id == DEFAULT_TENANT:
             # The local tenant is the anonymous namespace; a session for it
             # (e.g. via a hand-edited registry) would alias the legacy
@@ -1455,18 +1308,7 @@ class ProtocolServer:
                 f"unknown tenant {request.tenant_id!r}",
                 code=ErrorCode.AUTH_UNKNOWN_TENANT.value,
             )
-        key = self.tenants.key_for(request.tenant_id, request.capability)
-        if key is None:
-            raise AuthError(
-                f"tenant {request.tenant_id!r} has no {request.capability!r} key",
-                code=ErrorCode.AUTH_FAILED.value,
-            )
-        if key.revoked:
-            raise AuthError(
-                f"the {request.capability!r} key of tenant {request.tenant_id!r} "
-                "has been revoked",
-                code=ErrorCode.AUTH_REVOKED.value,
-            )
+        self._live_key(request.tenant_id, request.capability)
         session = _SessionState(
             # repro: allow(entropy-discipline): session ids are transport-layer, never touch ciphertext bytes
             session_id=os.urandom(16).hex(),
@@ -1483,46 +1325,22 @@ class ProtocolServer:
                 oldest = min(self._sessions.values(), key=lambda s: s.last_used)
                 del self._sessions[oldest.session_id]
             self._sessions[session.session_id] = session
-        resume_ticket = seal_ticket(
-            bytes.fromhex(key.secret_hex),
-            {
-                "session_id": session.session_id,
-                "tenant_id": session.tenant_id,
-                "capability": session.capability,
-                "token_id": session.token_id,
-                "version": PROTOCOL_VERSION,
-                "wire_format": WIRE_BINARY,
-            },
-        )
         return HelloAck(
             session_id=session.session_id,
             version=PROTOCOL_VERSION,
             server_name=self.name,
-            resume_ticket=resume_ticket,
         )
 
-    def _handle_resume(self, request: Resume) -> Message:
-        """Re-establish a session from an HMAC-sealed resumption ticket.
+    def _live_key(self, tenant_id: str, capability: str) -> TenantKey:
+        """The registry's current key of one tenant/capability.
 
-        The ticket body names its tenant, so the server can look up the
-        *current* key to check the MAC against — which is exactly what makes
-        rotation and revocation retroactive: a ticket sealed under a
-        previous key simply stops verifying.  A still-live session resumes
-        with its current sequence expectation; an evicted (or restart-lost)
-        one is re-created under the same id with a fresh random sequence
-        window, so frames recorded before the resume can never replay into
-        it.
+        Raises ``AUTH_FAILED`` when the tenant holds no such key and
+        ``AUTH_REVOKED`` when it was revoked — checked on the handshake and
+        on every signed frame, so revocation bites on the very next one.
         """
-        if self.tenants is None:
-            raise AuthError(
-                f"{self.name} has no tenant registry; authenticated sessions "
-                "are not available",
-                code=ErrorCode.AUTH_UNKNOWN_TENANT.value,
-            )
-        peek = _peek_ticket(request.ticket)
-        tenant_id = check_tenant_id(str(peek.get("tenant_id", "")))
-        capability = check_capability(str(peek.get("capability", "")))
-        key = self.tenants.key_for(tenant_id, capability)
+        registry = self.tenants
+        assert registry is not None  # sessions only exist with a registry
+        key = registry.key_for(tenant_id, capability)
         if key is None:
             raise AuthError(
                 f"tenant {tenant_id!r} has no {capability!r} key",
@@ -1533,57 +1351,7 @@ class ProtocolServer:
                 f"the {capability!r} key of tenant {tenant_id!r} has been revoked",
                 code=ErrorCode.AUTH_REVOKED.value,
             )
-        # The MAC check: raises AUTH_FAILED for any ticket not sealed under
-        # the tenant's current key (tampered, forged, or pre-rotation).
-        doc = open_ticket(bytes.fromhex(key.secret_hex), request.ticket)
-        session_id = str(doc.get("session_id", ""))
-        version = int(doc.get("version", 0))
-        if (
-            not session_id
-            or version != PROTOCOL_VERSION
-            or doc.get("wire_format") != WIRE_BINARY
-        ):
-            raise AuthError(
-                "malformed resumption ticket body",
-                code=ErrorCode.AUTH_FAILED.value,
-            )
-        now = time.monotonic()
-        with self._lock:
-            session = self._sessions.get(session_id)
-            if session is not None and (
-                session.tenant_id != tenant_id or session.capability != capability
-            ):
-                # A colliding id from another tenant's live session: never
-                # hand over someone else's sequence window.
-                raise AuthError(
-                    "resumption ticket does not match the live session",
-                    code=ErrorCode.AUTH_FAILED.value,
-                )
-            if session is None:
-                session = _SessionState(
-                    session_id=session_id,
-                    tenant_id=tenant_id,
-                    capability=capability,
-                    token_id=str(doc.get("token_id", "")),
-                    # Fresh random window far above any plausible prior
-                    # sequence: replayed frames from the session's previous
-                    # life cannot match it.
-                    # repro: allow(entropy-discipline): anti-replay jitter is transport-layer, never touches ciphertext bytes
-                    next_sequence=(1 << 32) + int.from_bytes(os.urandom(4), "big"),
-                    last_used=now,
-                )
-                while len(self._sessions) >= self.MAX_SESSIONS:
-                    oldest = min(self._sessions.values(), key=lambda s: s.last_used)
-                    del self._sessions[oldest.session_id]
-                self._sessions[session_id] = session
-            session.last_used = now
-            next_sequence = session.next_sequence
-        return ResumeAck(
-            session_id=session.session_id,
-            version=PROTOCOL_VERSION,
-            next_sequence=next_sequence,
-            server_name=self.name,
-        )
+        return key
 
     def _handle_signed(self, request: SignedEnvelope) -> Message:
         """Verify one signed frame, then dispatch its inner message.
@@ -1610,22 +1378,8 @@ class ProtocolServer:
                 "unknown session (handshake again)",
                 code=ErrorCode.AUTH_UNKNOWN_SESSION.value,
             )
-        registry = self.tenants
-        assert registry is not None  # sessions only exist with a registry
         with session.lock:
-            key = registry.key_for(session.tenant_id, session.capability)
-            if key is None:
-                raise AuthError(
-                    f"tenant {session.tenant_id!r} no longer has a "
-                    f"{session.capability!r} key",
-                    code=ErrorCode.AUTH_FAILED.value,
-                )
-            if key.revoked:
-                raise AuthError(
-                    f"the {session.capability!r} key of tenant "
-                    f"{session.tenant_id!r} has been revoked",
-                    code=ErrorCode.AUTH_REVOKED.value,
-                )
+            key = self._live_key(session.tenant_id, session.capability)
             secret = bytes.fromhex(key.secret_hex)
             if not verify_frame(
                 secret,
@@ -2261,7 +2015,7 @@ class ProtocolClient:
     command stream (use one client per thread for parallelism).  A fatal
     auth error (bad signature, lost session, sequence desync after a
     transport retry) clears the local session; call :meth:`authenticate`
-    again to resume.
+    again for a new one.
     """
 
     def __init__(self, transport):
@@ -2270,9 +2024,6 @@ class ProtocolClient:
         self._session_id: str | None = None
         self._next_sequence = 1
         self._session_lock = threading.Lock()
-        #: The HelloAck's resumption ticket; :meth:`resume` uses it to
-        #: recover the session after a disconnect or eviction.
-        self.resume_ticket: str = ""
         #: The last :class:`Ack` a typed operation received — the way
         #: callers of the int-returning operations (outsource / insert /
         #: insert_delta) read the ack's integrity fields (``version``,
@@ -2316,45 +2067,6 @@ class ProtocolClient:
             self._credential = credential
             self._session_id = reply.session_id
             self._next_sequence = 1
-            self.resume_ticket = reply.resume_ticket
-        return reply
-
-    def resume(
-        self, ticket: str = "", credential: "Credential | str | None" = None
-    ) -> "ResumeAck":
-        """Resume the session from a resumption ticket.
-
-        Recovers the session id and sequence window the server hands back —
-        no full handshake round trip, no renegotiation.  Uses the last
-        :class:`HelloAck`'s ticket unless one is passed explicitly; the
-        credential from :meth:`authenticate` must still be loaded, or passed
-        here by a freshly constructed client (the ticket only *identifies*
-        the session, frames are still signed with the credential's key).
-        Raises ``AuthError`` (``AUTH_FAILED``) when the ticket no longer
-        verifies — e.g. after a key rotation.
-        """
-        ticket = ticket or self.resume_ticket
-        if not ticket:
-            raise ProtocolError("no resumption ticket (authenticate first)")
-        if credential is not None:
-            if isinstance(credential, str):
-                credential = Credential.from_token(credential)
-            self._credential = credential
-        if self._credential is None:
-            raise ProtocolError(
-                "resume needs the handshake credential still loaded "
-                "(call authenticate, or pass credential=)"
-            )
-        with self._session_lock:
-            self._session_id = None
-            reply = self._roundtrip(Resume(ticket=ticket))
-            if not isinstance(reply, ResumeAck):
-                raise ProtocolError(
-                    f"expected a ResumeAck reply to the resume, got {reply.kind!r}"
-                )
-            self._session_id = reply.session_id
-            self._next_sequence = reply.next_sequence
-            self.resume_ticket = ticket
         return reply
 
     def _roundtrip(self, request: Message) -> Message:

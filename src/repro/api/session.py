@@ -278,9 +278,6 @@ class DataOwner:
         self._tokens = {}
         return encrypted
 
-    # Alias kept for symmetry with the legacy facade vocabulary.
-    encrypt = outsource
-
     def insert_rows(
         self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]
     ) -> EncryptedTable:

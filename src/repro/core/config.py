@@ -10,7 +10,7 @@ in DESIGN.md.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.exceptions import ConfigurationError
@@ -60,9 +60,6 @@ class F2Config:
         default; useful for strict guarantees on small tables.
     verify_max_lhs:
         LHS-size cap used by ``verify_and_repair``.
-    deterministic_backend:
-        Backend of the deterministic baseline cipher (used only by baselines
-        and benchmarks, not by F2 itself).
     backend:
         Compute backend for the coded-columnar engine: ``"python"``,
         ``"numpy"``, or ``None``/``"auto"`` to consult the ``REPRO_BACKEND``
@@ -80,9 +77,7 @@ class F2Config:
     keep_pairs_together: bool = True
     verify_and_repair: bool = False
     verify_max_lhs: int = 3
-    deterministic_backend: str = "prf"
     backend: str | None = None
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:

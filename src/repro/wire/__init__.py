@@ -14,7 +14,6 @@ typed request/response messages.
 from repro.wire.codec import (
     BINARY_MAGIC,
     BINARY_VERSION,
-    WIRE_BINARY,
     decode_cell_run,
     decode_cells,
     decode_relation,
@@ -29,7 +28,6 @@ from repro.wire.codec import (
 __all__ = [
     "BINARY_MAGIC",
     "BINARY_VERSION",
-    "WIRE_BINARY",
     "decode_cell_run",
     "decode_cells",
     "decode_relation",

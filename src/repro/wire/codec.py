@@ -33,9 +33,6 @@ from repro.relational.schema import Schema
 from repro.relational.table import Relation
 from repro.wire.binary import ByteReader, ByteWriter
 
-#: The name of the wire form, as the handshake messages carry it.
-WIRE_BINARY = "binary"
-
 #: Magic + version prefix of every binary frame.
 BINARY_MAGIC = b"F2WB"
 BINARY_VERSION = 1

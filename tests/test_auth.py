@@ -189,30 +189,24 @@ class TestTenantRegistry:
 # Wire form of the new messages
 # ----------------------------------------------------------------------
 class TestAuthMessages:
-    @pytest.mark.parametrize("form", ["binary"])
-    def test_hello_roundtrip(self, form):
+    def test_hello_roundtrip(self):
         message = Hello(
-            tenant_id="acme",
-            capability="analyst",
-            token_id="k0001",
-            versions=(1, 2),
-            wire_forms=(form,),
+            tenant_id="acme", capability="analyst", token_id="k0001", versions=(1, 2)
         )
         assert Message.decode(message.encode()) == message
 
-    @pytest.mark.parametrize("form", ["binary"])
-    def test_hello_ack_roundtrip(self, form):
+    def test_hello_ack_roundtrip(self):
         message = HelloAck(session_id="abcd" * 8, version=2, server_name="p")
         payload = message.encode()
         assert Message.decode(payload) == message
-        # The meta still names the wire form, for earlier binary clients.
-        assert f'"wire_format":"{form}"'.encode() in payload
+        # The ack carries the session id and version, nothing negotiated.
+        assert b"wire_format" not in payload
+        assert b"ticket" not in payload
 
-    @pytest.mark.parametrize("form", ["binary"])
-    def test_signed_envelope_preserves_payload_bytes(self, form):
+    def test_signed_envelope_preserves_payload_bytes(self):
         # The signature covers the exact payload bytes; they must
         # round-trip untouched.
-        inner = Hello(tenant_id="acme", capability="owner", wire_forms=(form,)).encode()
+        inner = Hello(tenant_id="acme", capability="owner").encode()
         envelope = SignedEnvelope(
             session_id="s1", sequence=9, signature="ab" * 32, payload=inner
         )
@@ -220,8 +214,7 @@ class TestAuthMessages:
         assert decoded == envelope
         assert decoded.payload == inner
 
-    @pytest.mark.parametrize("form", ["binary"])
-    def test_error_reply_carries_code(self, form):
+    def test_error_reply_carries_code(self):
         reply = ErrorReply(error="AuthError", message="no", code="FORBIDDEN")
         payload = reply.encode()
         assert payload.startswith(MESSAGE_MAGIC)
@@ -242,8 +235,7 @@ class TestHandshake:
         credential = registry.mint("acme", "owner")
         client = loopback(tenanted_server)
         ack = client.authenticate(credential)
-        assert ack.version == 6
-        assert ack.resume_ticket.startswith("f2tkt1.")
+        assert ack.version == 7
         assert client.session_id == ack.session_id
 
     def test_unknown_tenant(self, registry, tenanted_server):
@@ -268,11 +260,11 @@ class TestHandshake:
         assert excinfo.value.code == ErrorCode.AUTH_REVOKED.value
 
     def test_version_mismatch(self, registry, tenanted_server):
-        # Only protocol version 6 opens a session; the retired versions 1
-        # to 5 (5 had InsertBatch, 4 carried select multiproofs) are
-        # refused, however they are offered.
+        # Only protocol version 7 opens a session; the retired versions 1
+        # to 6 (6 had resumption tickets, 5 InsertBatch, 4 select
+        # multiproofs) are refused, however they are offered.
         credential = registry.mint("acme", "owner")
-        for versions in [(1,), (2,), (3,), (4,), (5,), (1, 2, 3, 4, 5)]:
+        for versions in [(1,), (2,), (3,), (4,), (5,), (6,), (1, 2, 3, 4, 5, 6)]:
             with pytest.raises(AuthError) as excinfo:
                 loopback(tenanted_server).authenticate(credential, versions=versions)
             assert excinfo.value.code == ErrorCode.VERSION_UNSUPPORTED.value
@@ -455,6 +447,12 @@ class TestSignedSessions:
         with pytest.raises(ProtocolError) as excinfo:
             clients[-1].discover("whatever")
         assert excinfo.value.code == ErrorCode.UNKNOWN_TABLE.value
+        # An evicted client recovers with a new Hello: one round trip.
+        clients[0].authenticate(credential)
+        with pytest.raises(ProtocolError) as excinfo:
+            clients[0].discover("whatever")
+        assert excinfo.value.code == ErrorCode.UNKNOWN_TABLE.value
+        assert len(tenanted_server._sessions) == 3
 
     def test_allow_anonymous_opt_in(self, registry, zipcode_table):
         server = ProtocolServer(tenants=registry, allow_anonymous=True)
@@ -557,8 +555,9 @@ class TestSocketErrorCodes:
         # Frames of retired protocol features get a typed error reply in
         # the binary form, and neither the connection nor the session is
         # lost: the query_request message (bare or signed), a request in
-        # the retired JSON wire form, a Hello offering only JSON, and a
-        # signed envelope whose payload is a base64 {"b64": ...} wrapper.
+        # the retired JSON wire form, a protocol-6 Hello offering only
+        # JSON, and a signed envelope whose payload is a base64
+        # {"b64": ...} wrapper.
         port, _, owner, owner_cred, _ = socket_setup
         transport = SocketTransport(port=port)
         client = ProtocolClient(transport)
@@ -581,7 +580,15 @@ class TestSocketErrorCodes:
                 ErrorCode.WIRE_MALFORMED,
             ),
             "json-hello": (
-                Hello(tenant_id="acme", capability="owner", wire_forms=("json",)).encode(),
+                binary_frame(
+                    "hello",
+                    {
+                        "tenant_id": "acme",
+                        "capability": "owner",
+                        "versions": [6],
+                        "wire_forms": ["json"],
+                    },
+                ),
                 ErrorCode.VERSION_UNSUPPORTED,
             ),
         }

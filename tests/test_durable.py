@@ -1,8 +1,8 @@
 """Durable file replacement outside the segment store.
 
 The tenant registry and the metrics dump replace a whole file at a time,
-and the server creates its storage root: each must leave its directory
-entries durable.  A recording monkeypatch of ``os.fsync``/``os.replace``
+and the server creates its storage root and the registry its parent
+directories: each must leave its directory entries durable.  A recording monkeypatch of ``os.fsync``/``os.replace``
 pins the order — fsync the new file, rename it over the target, fsync the
 directory — so a rename that returned survives power loss.
 """
@@ -93,4 +93,18 @@ def test_server_creates_its_storage_root_durably(tmp_path, monkeypatch):
     monkeypatch.setattr(manifest_module, "fsync_dir", fsync_dir)
     ProtocolServer(storage_dir=tmp_path / "a" / "b")
     # Each new directory is fsynced into its parent, outermost first.
+    assert synced == [tmp_path, tmp_path / "a"]
+
+
+def test_registry_creates_its_parent_directories_durably(tmp_path, monkeypatch):
+    synced: list = []
+    real = manifest_module.fsync_dir
+
+    def fsync_dir(directory):
+        synced.append(directory)
+        real(directory)
+
+    monkeypatch.setattr(manifest_module, "fsync_dir", fsync_dir)
+    TenantRegistry(tmp_path / "a" / "b" / "tenants.json").mint("acme", "owner")
+    # The missing parents are fsynced into theirs before the file lands.
     assert synced == [tmp_path, tmp_path / "a"]

@@ -3,8 +3,8 @@
 Covers the content-defined Merkle sequence (construction, splices,
 multiproofs, and Hypothesis properties of both), the owner's
 :class:`~repro.integrity.state.TableIntegrityState` (root agreement,
-freshness chain, the answer check of a select), reply signing, resumption
-tickets, and the :class:`~repro.exceptions.StoreIntegrityWarning` category.
+freshness chain, the answer check of a select), reply signing, and the
+:class:`~repro.exceptions.StoreIntegrityWarning` category.
 """
 
 import hashlib
@@ -13,14 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api.auth import (
-    open_ticket,
-    seal_ticket,
-    sign_reply,
-    verify_reply,
-)
+from repro.api.auth import sign_reply, verify_reply
 from repro.api.delta import OP_COPY, OP_LITERAL, ViewDelta, compute_view_delta
-from repro.exceptions import AuthError, IntegrityError, StoreIntegrityWarning
+from repro.exceptions import IntegrityError, StoreIntegrityWarning
 from repro.integrity.merkle import (
     EMPTY_ROOT,
     MAX_CHUNK,
@@ -457,7 +452,7 @@ class TestTableIntegrityState:
 
 
 # ----------------------------------------------------------------------
-# Reply signatures and resumption tickets
+# Reply signatures
 # ----------------------------------------------------------------------
 class TestReplySignatures:
     SECRET = b"\x07" * 32
@@ -477,36 +472,6 @@ class TestReplySignatures:
     def test_key_binds(self):
         sig = sign_reply(self.SECRET, "sess-1", 42, b"payload")
         assert not verify_reply(b"\x08" * 32, "sess-1", 42, b"payload", sig)
-
-
-class TestResumptionTickets:
-    SECRET = b"\x05" * 32
-
-    def test_round_trip(self):
-        doc = {"session_id": "s1", "tenant_id": "acme", "version": 3}
-        ticket = seal_ticket(self.SECRET, doc)
-        assert ticket.startswith("f2tkt1.")
-        assert open_ticket(self.SECRET, ticket) == doc
-
-    def test_rotation_invalidates(self):
-        ticket = seal_ticket(self.SECRET, {"session_id": "s1"})
-        with pytest.raises(AuthError):
-            open_ticket(b"\x06" * 32, ticket)
-
-    @pytest.mark.parametrize(
-        "ticket",
-        ["", "nope", "f2tkt1.only-two", "f2tkt1.!!!.00", "f2tkt1..deadbeef"],
-    )
-    def test_malformed_rejected(self, ticket):
-        with pytest.raises(AuthError):
-            open_ticket(b"\x05" * 32, ticket)
-
-    def test_tampered_body_rejected(self):
-        ticket = seal_ticket(self.SECRET, {"session_id": "s1"})
-        prefix, body, mac = ticket.split(".")
-        forged = ".".join([prefix, body[:-1] + ("A" if body[-1] != "A" else "B"), mac])
-        with pytest.raises(AuthError):
-            open_ticket(self.SECRET, forged)
 
 
 # ----------------------------------------------------------------------

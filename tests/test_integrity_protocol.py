@@ -4,8 +4,8 @@ The tamper matrix: bit-flipped stores, a generation rollback, and replies
 edited in transit are each detected *owner-side* with ``IntegrityError`` —
 on the durable segment store (plus one folded by a long delta history) and
 both compute backends.  A lying server that signs a wrong answer is caught
-by the owner's answer check over her replica.  Plus: protocol v6
-negotiation (signed replies, resumption tickets), the per-table version CAS
+by the owner's answer check over her replica.  Plus: protocol v7
+sessions (signed replies, recovery by a new Hello), the per-table version CAS
 for multi-writer deltas, the coordinated multi-writer stress run that
 pins zero full-view fallbacks, the tree-upkeep counters, the refusal of a
 store in a format this code does not read, and the root check of an
@@ -34,7 +34,7 @@ from repro.api import (
 )
 from repro import obs
 from repro.api.delta import compute_view_delta
-from repro.api.protocol import PlanQueryRequest, SignedReply
+from repro.api.protocol import ErrorReply, PlanQueryRequest, SignedReply
 from repro.backend import get_backend, numpy_available
 from repro.cli import main
 from repro.core.config import F2Config
@@ -54,6 +54,8 @@ from repro.relational.table import Relation
 from repro.store import FOLD_LOG_RECORDS
 from repro.store.segment import SegmentTableStore
 from repro.wire.binary import ByteReader
+
+from tests.conftest import binary_frame
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 #: The in-memory store and the durable segment engine.
@@ -501,55 +503,38 @@ class TestSignedReplies:
 
 
 # ----------------------------------------------------------------------
-# Session resumption tickets
+# Session recovery: a Hello is the only way to open a session
 # ----------------------------------------------------------------------
-class TestResumption:
-    def test_live_session_resumes_with_sequence_window(self, registry):
+class TestSessionRecovery:
+    def test_restarted_server_is_recovered_by_hello(self, registry):
         credential = registry.mint("acme", "owner")
-        server = ProtocolServer(tenants=registry)
-        client = ProtocolClient(LoopbackTransport(server))
-        ack = client.authenticate(credential)
-        assert ack.resume_ticket
-        session_id = client.session_id
-        reply = client.resume()
-        assert reply.session_id == session_id
-        # The resumed window still accepts signed requests.
+        client = ProtocolClient(LoopbackTransport(ProtocolServer(tenants=registry)))
+        client.authenticate(credential)
+
+        # A restart over the same registry: no session survives it.
+        client.transport = LoopbackTransport(ProtocolServer(tenants=registry))
         owner = make_owner()
         owner.outsource(base_relation())
-        assert client.outsource("orders", owner.server_view()) > 0
-
-    def test_restarted_server_recreates_the_session(self, registry):
-        credential = registry.mint("acme", "owner")
-        server = ProtocolServer(tenants=registry)
-        client = ProtocolClient(LoopbackTransport(server))
-        client.authenticate(credential)
-        ticket = client.resume_ticket
-
-        fresh = ProtocolServer(tenants=registry)  # no sessions survive
-        reconnect = ProtocolClient(LoopbackTransport(fresh))
-        reply = reconnect.resume(ticket, credential=credential)
-        # The replay-proof window starts beyond any 32-bit sequence the old
-        # incarnation could have consumed.
-        assert reply.next_sequence >= (1 << 32)
-        owner = make_owner()
-        owner.outsource(base_relation())
-        assert reconnect.outsource("orders", owner.server_view()) > 0
-
-    def test_rotation_rejects_old_ticket(self, registry):
-        credential = registry.mint("acme", "owner")
-        server = ProtocolServer(tenants=registry)
-        client = ProtocolClient(LoopbackTransport(server))
-        client.authenticate(credential)
-        ticket = client.resume_ticket
-        rotated = registry.rotate("acme", "owner")
-
-        reconnect = ProtocolClient(LoopbackTransport(server))
         with pytest.raises(AuthError) as excinfo:
-            reconnect.resume(ticket, credential=rotated)
-        assert excinfo.value.code in (
-            ErrorCode.AUTH_FAILED.value,
-            ErrorCode.AUTH_REVOKED.value,
+            client.outsource("orders", owner.server_view())
+        assert excinfo.value.code == ErrorCode.AUTH_UNKNOWN_SESSION.value
+        assert client.session_id is None
+
+        client.authenticate(credential)
+        assert client.outsource("orders", owner.server_view()) > 0
+        assert client.transport.server.has_table("orders", tenant_id="acme")
+
+    def test_resume_frame_is_malformed(self, registry):
+        credential = registry.mint("acme", "owner")
+        server = ProtocolServer(tenants=registry)
+        ProtocolClient(LoopbackTransport(server)).authenticate(credential)
+        sessions = dict(server._sessions)
+        reply = Message.decode(
+            server.handle_bytes(binary_frame("resume", {"ticket": "f2tkt1.e30.00"}))
         )
+        assert isinstance(reply, ErrorReply)
+        assert reply.code == ErrorCode.WIRE_MALFORMED.value
+        assert server._sessions == sessions
 
 
 # ----------------------------------------------------------------------
