@@ -14,7 +14,10 @@ store costs as tables and their histories grow:
   (median of several) and the fsyncs it issues (one, asserted).
 * **Query cache** — cold vs hot ``match_mask`` on the segment store (the
   hot path is a bitset-cache hit), plus an identity assertion: the
-  segment store and the in-memory store match exactly the same rows.
+  segment store and the in-memory store match exactly the same rows.  A
+  second row repeats it right after 1-row deltas: the hit is then an entry
+  spliced through the delta, the miss a scan of the freshly written view
+  (both asserted to match the in-memory store's rows).
 * **Long history** — 240 deltas over one store, 1 row each except every
   8th of 64 rows, each with one rebuilt row elsewhere (the shape of an
   owner splice).  After every delta the view holds at most
@@ -68,6 +71,8 @@ INSERT_BASE_ROWS = 8000
 INSERT_DELTA_ROWS = (32, 128, 512)
 QUERY_ROWS = 16000
 QUERY_REPEATS = 200
+#: 1-row deltas, each followed by one spliced hit and one miss.
+DELTA_QUERIES = 20
 DISTINCT = 64
 HISTORY_BASE_ROWS = 2000
 HISTORY_DELTAS = 240
@@ -307,11 +312,48 @@ def query_cache_cost(num_rows: int, repeats: int) -> list[dict]:
         assert stats["hits"] >= repeats
         rows.append(
             {
+                "case": "steady",
                 "rows": num_rows,
                 "cold_query_ms": round(cold_ms, 3),
                 "hot_query_ms": round(hot_ms, 4),
                 "cache_hits": stats["hits"],
                 "cache_misses": stats["misses"],
+                "cache_splices": stats["splices"],
+            }
+        )
+        # After each 1-row delta: the cached token is a spliced hit, a token
+        # never asked before a miss that scans the new view.
+        misses, hits = [], []
+        current = relation
+        for step in range(DELTA_QUERIES):
+            delta = one_row_delta(current, step)
+            store.apply_delta(delta)
+            memory.apply_delta(delta)
+            current = apply_view_delta(current, delta)
+            miss_ms, miss_mask = timed_ms(
+                lambda: store.match_mask("city", ("city3", f"absent-{step}"))
+            )
+            hit_ms, hit_mask = timed_ms(lambda: store.match_mask("city", token))
+            assert backend.mask_to_rows(hit_mask) == backend.mask_to_rows(
+                memory.match_mask("city", token)
+            )
+            assert backend.mask_to_rows(miss_mask) == backend.mask_to_rows(
+                memory.match_mask("city", ("city3",))
+            )
+            misses.append(miss_ms)
+            hits.append(hit_ms)
+        after = store.cache_stats()
+        assert after["splices"] - stats["splices"] == DELTA_QUERIES
+        assert after["invalidations"] == 0
+        rows.append(
+            {
+                "case": "after_delta",
+                "rows": current.num_rows,
+                "cold_query_ms": round(statistics.median(misses), 3),
+                "hot_query_ms": round(statistics.median(hits), 4),
+                "cache_hits": after["hits"] - stats["hits"],
+                "cache_misses": after["misses"] - stats["misses"],
+                "cache_splices": after["splices"] - stats["splices"],
             }
         )
         store.close()
@@ -466,12 +508,15 @@ def test_query_cache_cost(benchmark, bench_json):
     print()
     print(format_table(rows, title="Cold vs hot token query on the segment store"))
     bench_json.add("query_cache", rows)
-    row = rows[0]
+    row, after = rows
     bench_json.add(
         "query_cache_summary",
         [],
         cold_over_hot_query_ratio=round(
             row["cold_query_ms"] / max(row["hot_query_ms"], 1e-6), 3
+        ),
+        after_delta_miss_over_hit_ratio=round(
+            after["cold_query_ms"] / max(after["hot_query_ms"], 1e-6), 3
         ),
     )
     assert row["hot_query_ms"] > 0

@@ -84,6 +84,16 @@ class ViewDelta:
             total += int(segment[2]) if segment[0] == OP_COPY else int(segment[1])
         return total
 
+    def row_map(self) -> list[tuple[int, int]]:
+        """The new view as runs of its sources, in order: ``(start, count)``
+        for base rows, ``(-1, count)`` for the next literal rows (the form
+        :meth:`~repro.backend.ComputeBackend.splice_mask` takes).  Call it
+        on a delta that has been applied, so its opcodes are well-formed."""
+        return [
+            (int(segment[1]), int(segment[2])) if segment[0] == OP_COPY else (-1, int(segment[1]))
+            for segment in self.segments
+        ]
+
     @property
     def reuse_fraction(self) -> float:
         """Share of the new view served by copy segments (1.0 = all reused)."""

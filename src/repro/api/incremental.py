@@ -93,6 +93,10 @@ class IncrementalReport:
     #: ``"conflict-rng"`` (a rebuilt row draws from the conflict RNG), or
     #: ``"no-layout"`` (the previous context carries no view layout).
     tail_fallback: str | None = None
+    #: ``(attribute, value text)`` of every member of a re-planned or added
+    #: ECG: the only search tokens the update can have changed (``None``
+    #: after a full run, which changed them all).  Not part of the metadata.
+    replanned_values: set[tuple[str, str]] | None = None
 
     def to_metadata(self) -> dict[str, Any]:
         """Flat form stored in ``EncryptedTable.metadata['update']``."""
@@ -163,7 +167,9 @@ def insert_rows(
     ctx.mas_border = border
     ctx.stats.seconds_max = mas_seconds
 
-    report = IncrementalReport(mode="incremental", reason=None, batch_rows=len(batch))
+    report = IncrementalReport(
+        mode="incremental", reason=None, batch_rows=len(batch), replanned_values=set()
+    )
     if config.verify_and_repair:
         report.tail_fallback = "verify-and-repair"
     elif previous.layout is None:
@@ -285,6 +291,7 @@ def _update_mas_plan(
         )
         stats.num_split_ecs -= split_members(ecg_plans[position])
         ecg_plans[position] = plan(groups[position])
+        _note_values(report, attributes, groups[position])
     report.groups_replanned += len(replanned)
     report.groups_reused += len(groups) - len(replanned)
 
@@ -307,6 +314,7 @@ def _update_mas_plan(
         for group in grouping_new.groups:
             groups.append(group)
             ecg_plans.append(plan(group))
+            _note_values(report, attributes, group)
         report.groups_added += len(grouping_new.groups)
         fake_ec_count += grouping_new.fake_ec_count
         fake_rows_added += grouping_new.fake_rows_added
@@ -333,3 +341,15 @@ def _update_mas_plan(
         classes=classes,
         group_of=group_of,
     )
+
+
+def _note_values(
+    report: IncrementalReport, attributes: tuple[str, ...], group: EquivalenceClassGroup
+) -> None:
+    """Record the ``(attribute, value text)`` pairs ``group``'s members carry
+    (the keys :meth:`repro.api.session.DataOwner.derive_search_token` memoises)."""
+    values = report.replanned_values
+    assert values is not None  # an incremental report
+    for member in group.members:
+        for attribute, value in zip(attributes, member.representative):
+            values.add((attribute, value if isinstance(value, str) else str(value)))

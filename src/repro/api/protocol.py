@@ -1598,7 +1598,7 @@ class ProtocolServer:
     def collect_store_gauges(self) -> None:
         """Refresh the pull-style per-table gauges from live store state.
 
-        Cache hit/miss/invalidation totals, row counts, segment counts,
+        Cache hit/miss/splice/invalidation totals, row counts, segment counts,
         mmap'd bytes, and decode counts are *read* from the stores here —
         at snapshot time — instead of being pushed on the hot path, so
         the per-event cost of store observability is zero.

@@ -44,6 +44,7 @@ from repro.api.protocol import (
     ProtocolClient,
     ProtocolServer,
 )
+from repro.backend import get_backend
 from repro.core.config import F2Config
 from repro.core.encrypted import EncryptedTable
 from repro.core.security import SecurityReport, verify_alpha_security
@@ -154,17 +155,20 @@ class ReplicaMasks:
     (:meth:`~repro.integrity.state.TableIntegrityState.verify_proofs`), and
     hot queries repeat their token leaves, so the owner caches leaf masks
     as the provider does, in a :class:`~repro.store.cache.TokenBitsetCache`
-    keyed by ``(attribute, token)``.  The cache belongs to one version of
-    the replica: a new replica, or a write to it, has a new coded form, and
-    the first lookup against that drops every entry.  The coded form is
-    held weakly, so a replaced replica is freed with its table.  A
-    :class:`DataOwner` holds one instance for all of her sessions.
+    keyed by ``(attribute, token)``.  The cache describes one replica; an
+    insert whose view the incremental tail spliced moves it to the next one
+    through the same delta the provider applies (:meth:`advance`), and the
+    masks splice forward on their next hit.  Any other replica — a full
+    push, an aligned delta, a mutated table — drops every entry on its
+    first lookup.  The coded form is held weakly, so a replaced replica is
+    freed with its table.  A :class:`DataOwner` holds one instance for all
+    of her sessions.
     """
 
     def __init__(self, backend: "str | None" = None):
-        self._backend = backend
+        self._backend = get_backend(backend)
         self._lock = threading.Lock()
-        self._cache = TokenBitsetCache()
+        self._cache = TokenBitsetCache(self._backend)
         self._coded: "weakref.ref[CodedRelation] | None" = None
 
     def over(self, replica: Relation) -> "CachedReplica":
@@ -184,8 +188,19 @@ class ReplicaMasks:
                 self._cache.put_mask(key, mask)
             return mask
 
+    def advance(self, previous: Relation, current: Relation, delta: "ViewDelta | None") -> None:
+        """Carry the masks over ``previous`` to ``current``, its successor
+        through ``delta``.  A no-op unless the cache describes ``previous``
+        (then ``current``'s first lookup drops the entries)."""
+        with self._lock:
+            coded = None if self._coded is None else self._coded()
+            if delta is None or coded is None or previous.coded(self._backend) is not coded:
+                return
+            self._cache.advance(delta.row_map(), delta.literals)
+            self._coded = weakref.ref(current.coded(self._backend))
+
     def stats(self) -> dict[str, int]:
-        """Hit, miss, entry and invalidation counts."""
+        """Hit, miss, entry, splice and invalidation counts."""
         with self._lock:
             return self._cache.stats()
 
@@ -235,7 +250,8 @@ class DataOwner:
         self._encrypted: EncryptedTable | None = None
         self._last_report: IncrementalReport | None = None
         #: Search tokens by ``(attribute, value text)`` for the current
-        #: encrypted table.  Replaced, not cleared, whenever the table is:
+        #: encrypted table.  Replaced, not edited, whenever the table is (an
+        #: insert carries the tokens it left unchanged into the new dict):
         #: a derivation racing a replacement stores into the dict it
         #: started with, which is then unreachable.
         self._tokens: dict[tuple[str, str], tuple[Ciphertext, ...]] = {}
@@ -289,13 +305,25 @@ class DataOwner:
         structure.  The per-call report is available as
         :attr:`last_update_report` and in ``table.metadata['update']``.
         """
-        if self._context is None:
+        if self._context is None or self._encrypted is None:
             raise EncryptionError("no outsourced table; call outsource() first")
+        previous = self._encrypted
         ctx, encrypted, report = _insert_rows(self.pipeline, self._context, list(rows))
         self._context = ctx
         self._encrypted = encrypted
         self._last_report = report
-        self._tokens = {}
+        # A token changes only when a group holding its value was re-planned
+        # or added; a full run (a MAS change) re-randomised every one.  The
+        # copy is one C-level call, so a derivation on another session's
+        # thread cannot resize the dict mid-iteration.
+        stale = report.replanned_values
+        carried: dict[tuple[str, str], tuple[Ciphertext, ...]] = {}
+        if stale is not None:
+            carried = dict(self._tokens)
+            for key in stale:
+                carried.pop(key, None)
+        self._tokens = carried
+        self.replica_masks.advance(previous.relation, encrypted.relation, ctx.view_delta)
         return encrypted
 
     @property
@@ -482,17 +510,22 @@ class DataOwner:
           a source record and drop out;
         * a source record counts as a server match iff one of its ciphertext
           rows that carries **all** the server-predicate attributes
-          authentically is in the match set — on such a row every token
-          leaf's truth value equals the plaintext leaf's, so the boolean
-          combination is equal too;
+          searchably (authentically, under a ciphertext a token can match)
+          is in the match set — on such a row every token leaf's truth value
+          equals the plaintext leaf's, so the boolean combination is equal
+          too;
         * a conflicted record whose predicate attributes ended up spread
-          over multiple ciphertext rows (no single row carries them all
-          authentically) cannot be judged from the bitset at all — its
-          server part is re-evaluated locally on the decrypted record;
+          over multiple ciphertext rows, or under a fresh nonce where
+          conflict resolution dropped their MAS binding (no single row
+          carries them all searchably), cannot be judged from the bitset at
+          all — its server part is evaluated locally on the record;
         * the owner-local residual then filters the candidates.
 
-        The decrypted result therefore equals ``select_plaintext_where``
-        exactly, in original row order.
+        The records come from the owner's plaintext, which holds every one
+        of them in clear: the reply names rows, so decrypting the owner's
+        own replica would check nothing.  The result therefore equals
+        ``select_plaintext_where`` exactly — typed cells included — in
+        original row order, and a served select makes no cipher call.
         """
         if isinstance(result, PlanQueryResult):
             row_indexes: Sequence[int] = result.row_indexes
@@ -520,23 +553,23 @@ class DataOwner:
         # Membership comes from the bitset and the cached index, so a
         # selective query costs O(matches), not O(table): a record is a
         # server match iff a matched row carries the server attributes
-        # authentically.  The rare conflict-split records no single row
-        # carries them for are judged on their decrypted values instead.
+        # searchably.  The rare conflict-split records no single row
+        # carries them for are judged on their plaintext instead.
         matched = index.covering_sources(row_indexes, server_attrs)
         judged = set(index.split_sources(server_attrs))
         candidates = sorted(matched | judged)
-        schema = encrypted.relation.schema
-        recovered = Relation(schema, name=f"{encrypted.relation.name}-query")
-        records = _decrypt_records(encrypted, candidates, self.pipeline.cipher)
-        for source, values in zip(candidates, records):
-            if source in judged or plan.residual is not None:
-                record = dict(zip(schema.attributes, values))
+        plaintext = self.plaintext
+        if judged or plan.residual is not None:
+            kept = []
+            for source in candidates:
+                record = plaintext.row_dict(source)
                 if source in judged and not server_predicate.matches(record):
                     continue
                 if plan.residual is not None and not plan.residual.matches(record):
                     continue
-            recovered.append(values)
-        return recovered
+                kept.append(source)
+            candidates = kept
+        return plaintext.select_rows(candidates, name=f"{encrypted.relation.name}-query")
 
     def query_leakage_report(
         self, plan: QueryPlan, result: PlanQueryResult | None = None

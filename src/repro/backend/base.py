@@ -255,6 +255,28 @@ class ComputeBackend(ABC):
             row = bits.find("1", row + 1)
         return rows
 
+    def splice_mask(self, mask: Any, literal_mask: Any, runs: Sequence[tuple[int, int]]) -> Any:
+        """The mask ``mask`` becomes when its rows are spliced into a new view.
+
+        ``runs`` lists the new view in order: ``(start, count)`` takes
+        ``count`` rows of ``mask`` from ``start``; ``(-1, count)`` takes the
+        next ``count`` rows of ``literal_mask`` (the membership of the rows
+        the splice adds, ``None`` when it adds none).  A row's membership
+        depends on its own cell only, so this equals a scan of the new view.
+        """
+        result = 0
+        position = 0
+        cursor = 0
+        for start, count in runs:
+            if not count:
+                continue
+            source = mask
+            if start < 0:
+                source, start, cursor = literal_mask, cursor, cursor + count
+            result |= ((source >> start) & ((1 << count) - 1)) << position
+            position += count
+        return result
+
     # ------------------------------------------------------------------
     # Bulk byte XOR (the batched cipher's pad application)
     # ------------------------------------------------------------------

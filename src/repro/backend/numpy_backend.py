@@ -135,6 +135,22 @@ class NumpyBackend(ComputeBackend):
     def mask_to_rows(self, mask: Any) -> list[int]:
         return _np().flatnonzero(mask).tolist()
 
+    def splice_mask(self, mask: Any, literal_mask: Any, runs: Sequence[tuple[int, int]]) -> Any:
+        np = _np()
+        parts = []
+        cursor = 0
+        for start, count in runs:
+            if not count:
+                continue
+            if start < 0:
+                parts.append(literal_mask[cursor : cursor + count])
+                cursor += count
+            else:
+                parts.append(mask[start : start + count])
+        if not parts:
+            return np.zeros(0, dtype=bool)
+        return np.concatenate(parts)
+
     def group_rows(self, codes: Any, num_groups: int, min_size: int = 1) -> list[list[int]]:
         np = _np()
         codes = np.asarray(codes)

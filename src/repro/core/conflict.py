@@ -586,6 +586,7 @@ def _build_versions_for_row(
         fresh_attrs: set[str] = version["fresh_attributes"]  # type: ignore[assignment]
         cells: dict[str, CellSpec] = {}
         authentic: set[str] = set()
+        unsearchable: set[str] = set()
         for attr in schema_attributes:
             if attr in fresh_attrs:
                 # Deterministic token (not a factory counter): an unchanged
@@ -603,6 +604,8 @@ def _build_versions_for_row(
             )
             cells[attr] = spec
             authentic.add(attr)
+            if isinstance(spec, RandomCell) and mas_attribute_map[attr]:
+                unsearchable.add(attr)
         kind = "original" if len(versions) == 1 else "conflict"
         row_plans.append(
             RowPlan(
@@ -611,6 +614,7 @@ def _build_versions_for_row(
                     kind=kind,
                     source_row=row_index,
                     authentic_attributes=frozenset(authentic),
+                    unsearchable_attributes=frozenset(unsearchable),
                 ),
             )
         )

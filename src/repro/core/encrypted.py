@@ -32,13 +32,26 @@ class RowProvenance:
     (artificial record of Step 4), or ``"repair"``.  ``source_row`` is the
     original row the row derives from, if any; ``authentic_attributes`` are
     the attributes whose cell is a genuine encryption of that row's value
-    (decryption reassembles original records from them).  Row plans carry
+    (decryption reassembles original records from them).
+    ``unsearchable_attributes`` are the authentic ones a MAS covers but
+    whose cell is a fresh-nonce encryption, because conflict resolution
+    dropped the binding: no search token matches them, so select
+    resolution must not count the row as carrying them.  Row plans carry
     the same object the encrypted table ends up with.
     """
 
     kind: str
     source_row: int | None = None
     authentic_attributes: frozenset[str] = frozenset()
+    unsearchable_attributes: frozenset[str] = frozenset()
+
+    def carries_searchably(self, attributes: frozenset[str]) -> bool:
+        """True when every one of ``attributes`` is authentic here and a
+        search token for the row's value matches it (the server only ever
+        searches attributes a MAS covers)."""
+        return attributes <= self.authentic_attributes and attributes.isdisjoint(
+            self.unsearchable_attributes
+        )
 
     @property
     def is_artificial(self) -> bool:
@@ -53,11 +66,12 @@ class ProvenanceIndex:
     proportional to the rows involved, not to the table:
 
     * :meth:`covering_sources` — the records some matched row carries a
-      given attribute set for, authentically;
+      given attribute set for, searchably (authentic cells a search token
+      matches);
     * :meth:`split_sources` — the records *no* single row carries that set
-      for (conflict replacements spread attributes over several rows);
-      only records without a full-schema row can be split, and those are
-      collected once here;
+      for (conflict replacements spread attributes over several rows, and
+      may carry some of them under fresh nonces); only records without a
+      fully searchable row can be split, and those are collected once here;
     * :meth:`cell_rows` — the row each attribute of a record is read from.
 
     Rows and records map through flat integer arrays (``-1`` for none), so
@@ -94,7 +108,7 @@ class ProvenanceIndex:
             source
             for source in self.sources()
             if not any(
-                full <= provenance[index].authentic_attributes
+                provenance[index].carries_searchably(full)
                 for index in self.rows(source)
             )
         )
@@ -124,12 +138,12 @@ class ProvenanceIndex:
 
     def covering_sources(self, rows: Iterable[int], attributes: frozenset[str]) -> set[int]:
         """Records for which some row in ``rows`` carries all of ``attributes``
-        authentically."""
+        searchably."""
         provenance, sources = self.provenance, self._source
         found: set[int] = set()
         for index in rows:
             source = sources[index]
-            if source >= 0 and attributes <= provenance[index].authentic_attributes:
+            if source >= 0 and provenance[index].carries_searchably(attributes):
                 found.add(source)
         return found
 
@@ -142,7 +156,7 @@ class ProvenanceIndex:
                 source
                 for source in self._partial
                 if not any(
-                    attributes <= provenance[index].authentic_attributes
+                    provenance[index].carries_searchably(attributes)
                     for index in self.rows(source)
                 )
             )

@@ -17,8 +17,8 @@ The query plane is deliberately shaped like the coded view: a store exposes
 ``backend`` / ``num_rows`` / ``match_mask`` — exactly the surface
 :func:`repro.query.server.execute_server_expr` consumes — so a store can be
 handed to the plan executor directly, and both stores front their scans
-with the same :class:`~repro.store.cache.TokenBitsetCache` (invalidated by
-every write).
+with the same :class:`~repro.store.cache.TokenBitsetCache`: a delta write
+carries its masks forward (spliced on their next hit), a replace empties it.
 
 Thread model: the server serialises writes against reads per table with its
 read/write locks, but `store()` accessors and FD discovery read without a
@@ -67,7 +67,7 @@ class TableStore(ABC):
 
     def __init__(self, backend: ComputeBackend, cache_entries: int = DEFAULT_CACHE_ENTRIES):
         self._backend = backend
-        self._cache = TokenBitsetCache(max_entries=cache_entries)
+        self._cache = TokenBitsetCache(backend, max_entries=cache_entries)
         self._mutex = threading.RLock()
         self._version = 0
         self._commit_version = 0
@@ -238,10 +238,17 @@ class TableStore(ABC):
     def close(self) -> None:
         """Release any OS resources (mmaps, file handles).  Idempotent."""
 
-    def _wrote(self) -> None:
-        """Post-write bookkeeping shared by the engines (under the mutex)."""
+    def _wrote(self, delta: "ViewDelta | None" = None) -> None:
+        """Post-write bookkeeping shared by the engines (under the mutex).
+
+        A write that applied ``delta`` keeps the cached masks (they splice
+        through it on their next hit); any other write drops them.
+        """
         self._version += 1
-        self._cache.invalidate()
+        if delta is None:
+            self._cache.invalidate()
+        else:
+            self._cache.advance(delta.row_map(), delta.literals)
 
     def _committed(self) -> None:
         """Advance the committed version (one durable write landed)."""

@@ -54,9 +54,10 @@ class MemoryTableStore(TableStore):
     def apply_delta(self, delta: ViewDelta) -> int:
         with self._mutex:
             updated = apply_view_delta(self.relation(), delta)
-            candidate = self._merkle_candidate(delta)
-            self.replace(updated)  # drops the cached tree; re-seat it below
-            self._merkle = candidate
+            self._merkle = self._merkle_candidate(delta)
+            self._relation = updated
+            self._wrote(delta)
+            self._committed()
             return updated.num_rows
 
     # -- query plane ---------------------------------------------------

@@ -350,7 +350,9 @@ class SegmentTableStore(TableStore):
                 len(advanced.view) > FOLD_VIEW_SLICES
                 or advanced.records > FOLD_LOG_RECORDS
             ):
-                self._fold(manifest, advanced, pieces, literal_codes, new_values, widths, adopt)
+                self._fold(
+                    manifest, advanced, pieces, literal_codes, new_values, widths, adopt, delta
+                )
             else:
                 data = frame(payload)
                 if self._log_fd is None:
@@ -361,7 +363,7 @@ class SegmentTableStore(TableStore):
                 # are immutable, so their mappings stay.
                 self._release_buffers([advanced.log_name])
                 adopt()
-                self._wrote()
+                self._wrote(delta)
                 _LOG_RECORDS.inc()
                 _LOG_BYTES.inc(len(data))
             return advanced.num_rows
@@ -517,13 +519,19 @@ class SegmentTableStore(TableStore):
             )
         return blobs
 
-    def _checkpoint(self, manifest: Manifest, adopt: Callable[[], None] = lambda: None) -> None:
+    def _checkpoint(
+        self,
+        manifest: Manifest,
+        adopt: Callable[[], None] = lambda: None,
+        delta: "ViewDelta | None" = None,
+    ) -> None:
         """Commit ``manifest`` — its data files written and fsynced — as a new log.
 
         Once the ``CURRENT`` rename lands the disk names the new log, so the
         store adopts the state (``adopt`` updates the caller's caches) before
         the final directory fsync: a failure after the rename still leaves
-        memory and disk in step.
+        memory and disk in step.  A fold passes the ``delta`` it applied:
+        it keeps the rows, so it keeps the cached masks.
         """
         committed = write_log(self._directory, manifest)
         switch_current(self._directory, committed.log_name)
@@ -531,7 +539,7 @@ class SegmentTableStore(TableStore):
         self._manifest = committed
         self._release_buffers()
         adopt()
-        self._wrote()
+        self._wrote(delta)
         self.checkpoints += 1
         _CHECKPOINTS.inc()
         fsync_dir(self._directory)
@@ -546,6 +554,7 @@ class SegmentTableStore(TableStore):
         new_values: list[tuple[bytes, int]],
         widths: list[int],
         adopt: Callable[[], None],
+        delta: ViewDelta,
     ) -> None:
         """Checkpoint ``advanced`` as one fresh segment, fresh blobs and a new log."""
         version = advanced.version
@@ -570,6 +579,7 @@ class SegmentTableStore(TableStore):
                 merkle_root=advanced.merkle_root,
             ),
             adopt,
+            delta,
         )
 
     def _fold_columns(

@@ -331,22 +331,32 @@ def _predicates(attributes, values):
 
 class TestAnswerCheck:
     def test_select_after_insert_sees_the_new_row(self, registry):
-        # The owner's leaf masks belong to one replica version: an insert
-        # invalidates them, so the next verified select is checked (and
-        # answered) over the grown view.
+        # The owner's leaf masks move to the grown replica through the
+        # insert's view delta: the next verified select is checked (and
+        # answered) over the grown view, the mask of a token the insert
+        # left unchanged is a spliced hit, and only a full push drops them.
         credential = registry.mint("acme", "owner")
         session = verified_session(ProtocolServer(tenants=registry), credential)
         session.outsource(base_relation())
         masks = session.owner.replica_masks
         assert session.select("City = Hoboken").num_rows == 3
-        assert session.select("City = Hoboken").num_rows == 3
+        assert session.select("Side = E").num_rows == 2
+        assert session.select("Side = E").num_rows == 2
         assert masks.stats()["hits"] >= 1
-        invalidations = masks.stats()["invalidations"]
         session.insert_rows([["Hoboken", "07030", "S"]])
+        assert session.last_delta is not None
+        before = masks.stats()
+        assert session.select("Side = E").num_rows == 2
+        after = masks.stats()
+        assert after["hits"] == before["hits"] + 1
+        assert after["splices"] == before["splices"] + 1
         matches = session.select("City = Hoboken")
         assert ["Hoboken", "07030", "S"] in [list(row) for row in matches.rows()]
         assert matches.num_rows == 4
-        assert masks.stats()["invalidations"] == invalidations + 1
+        assert masks.stats()["invalidations"] == 0
+        session.outsource(base_relation())
+        assert session.select("Side = E").num_rows == 2
+        assert masks.stats()["invalidations"] == 1
 
     def test_owner_ahead_of_an_unacked_push_reports_the_desync(self, registry):
         # The insert never reached the server: the owner's table is ahead of

@@ -1,4 +1,4 @@
-"""Owner-side select resolution: the cached provenance index and batched decrypt.
+"""Owner-side select resolution: the cached provenance index and the token memo.
 
 A provider's plan-query reply lists matched *ciphertext rows*; the owner
 turns it into the plaintext selection through her row provenance.  These
@@ -6,18 +6,21 @@ tests pin that the resolution
 
 * agrees with the plaintext selection, including the conflict-split
   records no single ciphertext row carries the predicate attributes for;
-* touches only the matched records (and those split records), never the
-  whole table;
-* decrypts with one ``decrypt_batch`` per query, each repeated instance
-  ciphertext once;
-* rebuilds its cached structures whenever the encrypted table changes.
+* reads the records from the owner's plaintext and decrypts nothing
+  (whole-table decryption stays one ``decrypt_batch``);
+* rebuilds its cached structures whenever the encrypted table changes,
+  and keeps the search tokens an insert left unchanged.
 """
 
 import itertools
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import DataOwner, RemoteOwnerSession, ServiceProvider
+from repro.api.protocol import LoopbackTransport, ProtocolClient, ProtocolServer
 from repro.core.config import F2Config
 from repro.core.encrypted import EncryptedTable, ProvenanceIndex, RowProvenance
 from repro.core.stats import EncryptionStats
@@ -113,7 +116,9 @@ class TestProvenanceIndex:
                     source
                     for source, rows in naive_groups(encrypted).items()
                     if not any(
-                        wanted <= encrypted.provenance[row].authentic_attributes
+                        wanted
+                        <= encrypted.provenance[row].authentic_attributes
+                        - encrypted.provenance[row].unsearchable_attributes
                         for row in rows
                     )
                 )
@@ -204,28 +209,6 @@ class TestResolution:
             judged += len(index.split_sources(plan.server_attributes))
         assert judged, "no predicate reached the conflict-split path"
 
-    def test_only_candidate_records_are_resolved(self, monkeypatch):
-        owner = conflict_owner()
-        provider = ServiceProvider()
-        provider.receive(owner.server_view())
-        resolved: list[int] = []
-        cell_rows = ProvenanceIndex.cell_rows
-
-        def counted(index, source):
-            resolved.append(source)
-            return cell_rows(index, source)
-
-        monkeypatch.setattr(ProvenanceIndex, "cell_rows", counted)
-        index = owner.encrypted.provenance_index()
-        for predicate in predicates(owner):
-            plan = owner.plan_query(predicate)
-            result = provider.answer_plan_query(plan.server)
-            resolved.clear()
-            owner.decrypt_plan_result(plan, result)
-            matched = index.covering_sources(result.row_indexes, plan.server_attributes)
-            split = set(index.split_sources(plan.server_attributes))
-            assert sorted(resolved) == sorted(matched | split), str(predicate)
-
     def test_empty_match_set_decrypts_nothing(self, zipcode_table, monkeypatch):
         owner = zipcode_owner(zipcode_table)
         plan = owner.plan_query("City = Hoboken")
@@ -234,34 +217,32 @@ class TestResolution:
         assert owner.decrypt_plan_result(plan, []).num_rows == 0
         assert calls.batches == [] and calls.single == 0
 
-    def test_one_batch_of_distinct_cells_per_query(self, zipcode_table, monkeypatch):
+    def test_served_select_makes_no_cipher_call(self, zipcode_table, monkeypatch):
+        # Every record a select returns is in the owner's plaintext, so
+        # resolving the reply decrypts nothing — equality, boolean and
+        # conflict-split (judged) queries alike.
         owner = zipcode_owner(zipcode_table)
         provider = ServiceProvider()
         session = RemoteOwnerSession(owner, provider.client)
         session.outsource(zipcode_table)
         calls = CipherCalls(monkeypatch, owner)
-        got = session.select("City = Hoboken and Side = N")
-        assert got.num_rows > 1
-        assert calls.single == 0
-        assert len(calls.batches) == 1
-        result_cells = got.num_rows * got.num_attributes
-        # Zipcode/City instance ciphertexts repeat across the matched records
-        # and are decrypted once each.
-        assert calls.batches[0] < result_cells
-        assert list(got.rows()) == list(
-            owner.select_plaintext_where("City = Hoboken and Side = N").rows()
-        )
-
-    def test_equality_query_path_uses_one_batch(self, zipcode_table, monkeypatch):
-        owner = zipcode_owner(zipcode_table)
-        provider = ServiceProvider()
-        provider.receive(owner.server_view())
-        plan = owner.plan_query(Eq("City", "Hoboken"))
-        result = provider.answer_plan_query(plan.server)
-        calls = CipherCalls(monkeypatch, owner)
-        got = owner.decrypt_plan_result(plan, result)
-        assert len(calls.batches) == 1 and calls.single == 0
-        assert list(got.rows()) == list(owner.select_plaintext("City", "Hoboken").rows())
+        for predicate in ("City = Hoboken", "City = Hoboken and Side = N", Eq("Zipcode", "07302")):
+            got = session.select(predicate)
+            assert got.num_rows > 1
+            assert list(got.rows()) == list(owner.select_plaintext_where(predicate).rows())
+        conflicted = conflict_owner()
+        conflict_provider = ServiceProvider()
+        conflict_provider.receive(conflicted.server_view())
+        conflict_calls = CipherCalls(monkeypatch, conflicted)
+        index = conflicted.encrypted.provenance_index()
+        judged = 0
+        for predicate in predicates(conflicted):
+            plan = conflicted.plan_query(predicate)
+            conflicted.decrypt_plan_result(plan, conflict_provider.answer_plan_query(plan.server))
+            judged += len(index.split_sources(plan.server_attributes))
+        assert judged
+        for counted in (calls, conflict_calls):
+            assert counted.batches == [] and counted.single == 0
 
     def test_whole_table_decrypt_is_one_batch(self, monkeypatch):
         owner = conflict_owner()
@@ -279,16 +260,81 @@ class TestTokenCache:
         token = owner.derive_search_token("City", "Hoboken")
         assert owner.derive_search_token("City", "Hoboken") is token
 
-    def test_insert_invalidates_the_cache(self, zipcode_table):
+    def test_insert_keeps_the_tokens_it_left_unchanged(self, zipcode_table):
+        # The insert grows a Hoboken class, so its group is re-planned and
+        # every value of that group's members drops out of the memo; 07302
+        # lives only in untouched groups, and its token survives.
         owner = zipcode_owner(zipcode_table)
         provider = ServiceProvider()
         session = RemoteOwnerSession(owner, provider.client)
         session.outsource(zipcode_table)
-        token = owner.derive_search_token("City", "Hoboken")
+        touched = owner.derive_search_token("City", "Hoboken")
+        untouched = owner.derive_search_token("Zipcode", "07302")
+        memo = owner._tokens
         session.insert_rows([["07030", "Hoboken", "street-new", "N"]])
-        assert owner.derive_search_token("City", "Hoboken") is not token
-        got = session.select("City = Hoboken")
-        assert list(got.rows()) == list(owner.select_plaintext_where("City = Hoboken").rows())
+        assert owner._tokens is not memo
+        assert owner.derive_search_token("Zipcode", "07302") is untouched
+        assert owner.derive_search_token("City", "Hoboken") is not touched
+        # Every carried token is the one the new plans derive.
+        carried = dict(owner._tokens)
+        owner._tokens = {}
+        for (attribute, value), token in carried.items():
+            assert owner.derive_search_token(attribute, value) == token
+        for predicate in ("City = Hoboken", "Zipcode = 07302"):
+            got = session.select(predicate)
+            assert list(got.rows()) == list(owner.select_plaintext_where(predicate).rows())
+
+    def test_derivations_racing_inserts_leave_a_consistent_memo(self, zipcode_table):
+        # Sessions sharing one owner derive tokens on their own threads
+        # while another inserts: no derivation may fail, and every token
+        # the final memo holds must be the one the final plans derive.
+        import sys
+        import threading
+
+        owner = zipcode_owner(zipcode_table)
+        keys = [
+            (attribute, value)
+            for attribute in ("Zipcode", "City", "Side")
+            for value in sorted(set(zipcode_table.column(attribute)))
+        ]
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def derive() -> None:
+            try:
+                while not done.is_set():
+                    for key in keys:
+                        owner.derive_search_token(*key)
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        workers = [threading.Thread(target=derive) for _ in range(4)]
+        try:
+            for worker in workers:
+                worker.start()
+            for step in range(8):
+                owner.insert_rows([["07030", "Hoboken", f"street-race-{step}", "N"]])
+        finally:
+            done.set()
+            for worker in workers:
+                worker.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        carried = dict(owner._tokens)
+        owner._tokens = {}
+        for (attribute, value), token in carried.items():
+            assert owner.derive_search_token(attribute, value) == token
+
+    def test_full_run_starts_an_empty_memo(self, zipcode_table):
+        owner = zipcode_owner(zipcode_table)
+        owner.derive_search_token("Zipcode", "07302")
+        # A full-record duplicate changes the MAS structure.
+        owner.insert_rows([list(zipcode_table.row(0))])
+        assert owner.last_update_report.mode == "full"
+        assert owner._tokens == {}
 
     def test_derivation_racing_an_insert_is_not_cached(self, zipcode_table, monkeypatch):
         owner = zipcode_owner(zipcode_table)
@@ -326,3 +372,120 @@ def test_coded_column_inverse_dictionary_is_cached():
     assert {column.dictionary[code]: code for code in code_of.values()} == code_of
     coded = relation.coded()
     assert coded.backend.mask_to_rows(coded.match_mask("A", ["x", "absent"])) == [0, 2]
+
+
+# ----------------------------------------------------------------------
+# Served selects over typed plaintexts
+# ----------------------------------------------------------------------
+CITIES = {7030: "Hoboken", 7302: "JerseyCity", 7310: "JerseyCity", 10001: "NYC"}
+
+
+def typed_table(rows: int, seed: int = 11) -> Relation:
+    """Zipcode -> City with ``int`` Zipcode and Street cells."""
+    rng = random.Random(seed)
+    zipcodes = sorted(CITIES)
+    return Relation(
+        ["Zipcode", "City", "Street", "Side"],
+        [
+            [zipcode, CITIES[zipcode], street, rng.choice("NS")]
+            for street, zipcode in enumerate(rng.choice(zipcodes) for _ in range(rows))
+        ],
+        name="typed",
+    )
+
+
+def typed_session(verify: bool) -> RemoteOwnerSession:
+    owner = DataOwner.from_seed(42, config=F2Config(alpha=0.25, seed=7))
+    return RemoteOwnerSession(
+        owner, ProtocolClient(LoopbackTransport(ProtocolServer())), verify=verify
+    )
+
+
+class TestUnsearchableCells:
+    def test_a_record_whose_binding_was_dropped_is_judged_locally(self):
+        # Street stops being unique, so three overlapping MASs appear and
+        # conflict resolution drops the (Zipcode, City, Side) binding on one
+        # replacement row of a record: its Zipcode stays authentic but is a
+        # fresh-nonce ciphertext no token matches.  That row must not count
+        # as carrying Zipcode, or the record silently drops out of the
+        # answer.
+        table = typed_table(24, seed=1)
+        table.extend([[7030, "Hoboken", 0, "N"], [7310, "JerseyCity", 0, "S"]])
+        owner = DataOwner.from_seed(42, config=F2Config(alpha=0.25, seed=7))
+        owner.outsource(table)
+        provider = ServiceProvider()
+        provider.receive(owner.server_view())
+        assert any(row.unsearchable_attributes for row in owner.encrypted.provenance)
+        for attribute in sorted(owner.queryable_attributes()):
+            for value in sorted(set(map(str, table.column(attribute)))):
+                plan = owner.plan_query(Eq(attribute, value))
+                got = owner.decrypt_plan_result(plan, provider.answer_plan_query(plan.server))
+                want = owner.select_plaintext_where(plan.predicate)
+                assert list(got.rows()) == list(want.rows()), (attribute, value)
+
+
+class TestTypedCells:
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_served_select_keeps_the_cell_types(self, verify):
+        session = typed_session(verify)
+        table = typed_table(40)
+        session.outsource(table)
+        got = session.select("City = Hoboken")
+        want = session.owner.select_plaintext_where("City = Hoboken")
+        assert got.num_rows > 0
+        assert list(got.rows()) == list(want.rows())
+        zipcode, city, street, side = next(got.rows())
+        assert (type(zipcode), type(city), type(street), type(side)) == (int, str, int, str)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        verify=st.booleans(),
+        batches=st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(sorted(CITIES) + [7311]),
+                    st.sampled_from("NSE"),
+                    st.booleans(),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        asks=st.lists(st.integers(min_value=0, max_value=10_000), min_size=3, max_size=3),
+    )
+    def test_served_selects_equal_the_plaintext_after_inserts(self, seed, verify, batches, asks):
+        # Tokens asked before an insert and carried over it, and tokens the
+        # insert dropped and re-derived, must both serve exactly the
+        # plaintext selection — typed cells included.
+        session = typed_session(verify)
+        session.outsource(typed_table(24, seed))
+        owner = session.owner
+        streets = itertools.count(1000)
+
+        def ask(pick: int) -> None:
+            zipcodes = sorted(set(owner.plaintext.column("Zipcode")))
+            zipcode = zipcodes[pick % len(zipcodes)]
+            city = CITIES.get(zipcode, "Elsewhere")
+            for predicate in (
+                Eq("Zipcode", str(zipcode)),
+                And((Eq("City", city), Eq("Side", "NS"[pick % 2]))),
+                Or((Eq("Zipcode", str(zipcode)), Eq("Side", "E"))),
+            ):
+                got = session.select(predicate)
+                want = owner.select_plaintext_where(predicate)
+                assert list(got.rows()) == list(want.rows()), str(predicate)
+
+        for pick in asks:
+            ask(pick)
+        for batch in batches:
+            session.insert_rows(
+                [
+                    [zipcode, CITIES.get(zipcode, "Elsewhere"), next(streets) if fresh else 0, side]
+                    for zipcode, side, fresh in batch
+                ]
+            )
+            for pick in asks:
+                ask(pick)

@@ -86,7 +86,7 @@ def matched_rows(store, attribute: str, token) -> list[int]:
 # ----------------------------------------------------------------------
 class TestTokenBitsetCache:
     def test_hit_miss_counters(self):
-        cache = TokenBitsetCache()
+        cache = TokenBitsetCache(get_backend("python"))
         key = cache.key("city", ("hoboken",))
         assert cache.get_mask(key) is None
         cache.put_mask(key, 0b101)
@@ -95,14 +95,14 @@ class TestTokenBitsetCache:
         assert cache.stats()["misses"] == 1
 
     def test_lru_eviction(self):
-        cache = TokenBitsetCache(max_entries=2)
+        cache = TokenBitsetCache(get_backend("python"), max_entries=2)
         for index in range(3):
             cache.put_mask(("a", (index,)), 1 << index)
         assert cache.get_mask(("a", (0,))) is None  # evicted
         assert cache.get_mask(("a", (2,))) == 0b100
 
     def test_invalidate_clears_everything(self):
-        cache = TokenBitsetCache()
+        cache = TokenBitsetCache(get_backend("python"))
         cache.put_mask(("a", (1,)), 0b10)
         cache.put_mask(("b", (1,)), 0b10)
         cache.invalidate()
@@ -110,6 +110,148 @@ class TestTokenBitsetCache:
         assert cache.stats()["invalidations"] == 1
         cache.invalidate()  # empty: not counted again
         assert cache.stats()["invalidations"] == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_delta_splices_on_the_next_hit(self, backend):
+        base, new = small_relation(), grown_relation()
+        resolved = get_backend(backend)
+        cache = TokenBitsetCache(resolved)
+        key = cache.key("city", ("hoboken",))
+        cache.put_mask(key, base.coded(resolved).match_mask(*key))
+        delta = compute_view_delta(base, new)
+        cache.advance(delta.row_map(), delta.literals)
+        assert cache.stats()["splices"] == 0  # nothing is spliced on the write
+        mask = cache.get_mask(key)
+        assert resolved.mask_to_rows(mask) == [0, 2, 5]
+        assert cache.get_mask(key) is mask  # re-stored at the current version
+        assert cache.stats() == {
+            "hits": 2, "misses": 0, "entries": 1, "splices": 1,
+            "backlog_misses": 0, "invalidations": 0,
+        }
+
+    def test_an_entry_older_than_the_backlog_is_a_miss(self):
+        from repro.store.cache import BACKLOG_DELTAS
+
+        cache = TokenBitsetCache(get_backend("python"))
+        key = cache.key("city", ("hoboken",))
+        cache.put_mask(key, 0b101)
+        for _ in range(BACKLOG_DELTAS + 1):
+            cache.advance([(0, 3)], None)
+        assert cache.get_mask(key) is None
+        assert cache.entries == 0
+        assert cache.stats()["backlog_misses"] == 1
+        assert cache.stats()["misses"] == 1
+
+
+# ----------------------------------------------------------------------
+# Splicing cached masks through deltas
+# ----------------------------------------------------------------------
+SPLICE_DOMAIN = [f"v{index}" for index in range(6)]
+
+
+@st.composite
+def spliced_histories(draw):
+    """A base view and a chain of deltas: in-order and reordered copies,
+    deletions, literal runs over the queried domain, and empty views."""
+    base_rows = draw(st.integers(min_value=0, max_value=10))
+    cell = st.sampled_from(SPLICE_DOMAIN)
+    base = Relation.from_columns(
+        {"a": [draw(cell) for _ in range(base_rows)], "b": [draw(cell) for _ in range(base_rows)]},
+        name="h",
+    )
+    steps = []
+    rows = base_rows
+    for _ in range(draw(st.integers(min_value=1, max_value=24))):
+        segments: list[list] = []
+        literal: list[list[str]] = []
+        for _ in range(draw(st.integers(min_value=0, max_value=5))):
+            if rows and draw(st.booleans()):
+                start = draw(st.integers(min_value=0, max_value=rows - 1))
+                count = draw(st.integers(min_value=1, max_value=rows - start))
+                segments.append(["c", start, count])
+            else:
+                count = draw(st.integers(min_value=0, max_value=3))
+                segments.append(["l", count])
+                literal += [[draw(cell), draw(cell)] for _ in range(count)]
+        if not segments:
+            segments = [["l", 0]]
+        steps.append((segments, literal))
+        rows = sum(seg[2] if seg[0] == "c" else seg[1] for seg in segments)
+    return base, steps
+
+
+SPLICE_KEYS = [("a", ("v0",)), ("a", ("v1", "v2")), ("b", ("v3",)), ("b", ("absent",))]
+
+
+class TestCacheSpliceProperty:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        history=spliced_histories(),
+        backend=st.sampled_from(BACKENDS),
+        engine=st.sampled_from(["memory", "segment"]),
+        backlog=st.sampled_from([2, 16]),
+        asks=st.lists(st.lists(st.booleans(), min_size=4, max_size=4), min_size=24, max_size=24),
+    )
+    def test_a_carried_mask_equals_a_scan(self, history, backend, engine, backlog, asks):
+        # Whatever the chain of deltas — and however many the entry missed —
+        # a cached mask served after it equals a scan of the new view; an
+        # entry within the backlog is a (spliced) hit, an older one a miss.
+        import tempfile
+        from pathlib import Path
+        from unittest import mock
+
+        from repro.api.delta import ViewDelta
+        from repro.store import cache as cache_module
+
+        base, steps = history
+        resolved = get_backend(backend)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            cache_module, "BACKLOG_DELTAS", backlog
+        ), mock.patch.multiple(segment_module, FOLD_VIEW_SLICES=6, FOLD_LOG_RECORDS=3):
+            if engine == "segment":
+                store = SegmentTableStore(Path(tmp) / f"h{STORE_SUFFIX}", resolved, create=True)
+            else:
+                store = MemoryTableStore(resolved)
+            store.replace(base)
+            current = base
+            cached_at: dict = {}
+            splices = backlog_misses = 0
+
+            def ask(key, version):
+                nonlocal splices, backlog_misses
+                if key in cached_at and cached_at[key] != version:
+                    if version - cached_at[key] <= backlog:
+                        splices += 1
+                    else:
+                        backlog_misses += 1
+                cached_at[key] = version
+                want = current.coded(resolved).match_mask(*key) if current.num_rows else None
+                got = store.match_mask(*key)
+                assert resolved.mask_to_rows(got) == (
+                    resolved.mask_to_rows(want) if want is not None else []
+                ), (key, version)
+
+            for key in SPLICE_KEYS:
+                ask(key, 0)
+            for version, ((segments, literal), wanted) in enumerate(zip(steps, asks), start=1):
+                delta = ViewDelta(
+                    base_rows=current.num_rows,
+                    segments=segments,
+                    literals=Relation(["a", "b"], literal, name="h") if literal else None,
+                    table_name="h",
+                )
+                store.apply_delta(delta)
+                current = apply_view_delta(current, delta)
+                for key, asked in zip(SPLICE_KEYS, wanted):
+                    if asked:
+                        ask(key, version)
+            for key in SPLICE_KEYS:
+                ask(key, len(steps))
+            stats = store.cache_stats()
+            assert stats["splices"] == splices
+            assert stats["backlog_misses"] == backlog_misses
+            assert stats["invalidations"] == 0
+            store.close()
 
 
 # ----------------------------------------------------------------------
@@ -695,9 +837,10 @@ class TestServerEngines:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cached_query_sees_delta_inserts(self, tmp_path, backend):
-        # The hot-token cache must be invalidated by the insert: the same
-        # query before and after a delta returns the updated rows, and the
-        # two backends agree exactly.
+        # A delta keeps the hot-token cache: the same query before and
+        # after it returns the updated rows from a spliced hit, not a
+        # rescan, and the two backends agree exactly.  A replace still
+        # empties the cache.
         base, new = small_relation(), grown_relation()
         server = ProtocolServer(
             storage_dir=tmp_path, storage_engine="segment", backend=backend
@@ -718,7 +861,16 @@ class TestServerEngines:
                 base_version=ack.fields["version"],
             )
         )
+        before = store.cache_stats()
         assert client.call(query).row_indexes == (0, 2, 5)
+        after = store.cache_stats()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        assert after["splices"] == before["splices"] + 1
+        assert after["invalidations"] == 0
+        client.call(OutsourceRequest(table_id="orders", relation=base))
+        assert client.call(query).row_indexes == (0, 2)
+        assert store.cache_stats()["invalidations"] == 1
 
     @pytest.mark.parametrize("engine", [None, "segment"])
     def test_restart_resumes_serving(self, tmp_path, engine):
