@@ -217,32 +217,78 @@ class TestResolution:
         assert owner.decrypt_plan_result(plan, []).num_rows == 0
         assert calls.batches == [] and calls.single == 0
 
-    def test_served_select_makes_no_cipher_call(self, zipcode_table, monkeypatch):
-        # Every record a select returns is in the owner's plaintext, so
-        # resolving the reply decrypts nothing — equality, boolean and
-        # conflict-split (judged) queries alike.
+    def test_only_candidate_records_are_resolved(self, monkeypatch):
+        # Resolution reads only the matched and the conflict-split records
+        # from the owner's plaintext, judges every split record locally, and
+        # decrypts nothing.
+        owner = conflict_owner()
+        provider = ServiceProvider()
+        provider.receive(owner.server_view())
+        plaintext = owner.plaintext
+        read: list[int] = []
+        selected: list[int] = []
+        row_dict, select_rows = Relation.row_dict, Relation.select_rows
+
+        def counted_row_dict(relation, index):
+            if relation is plaintext:
+                read.append(index)
+            return row_dict(relation, index)
+
+        def counted_select_rows(relation, indexes, name=None):
+            indexes = list(indexes)
+            if relation is plaintext:
+                selected.extend(indexes)
+            return select_rows(relation, indexes, name)
+
+        index = owner.encrypted.provenance_index()
+        results = []
+        for predicate in predicates(owner):
+            plan = owner.plan_query(predicate)
+            results.append((predicate, plan, provider.answer_plan_query(plan.server)))
+        monkeypatch.setattr(Relation, "row_dict", counted_row_dict)
+        monkeypatch.setattr(Relation, "select_rows", counted_select_rows)
+        calls = CipherCalls(monkeypatch, owner)
+        judged = 0
+        for predicate, plan, result in results:
+            read.clear()
+            selected.clear()
+            owner.decrypt_plan_result(plan, result)
+            matched = index.covering_sources(result.row_indexes, plan.server_attributes)
+            split = set(index.split_sources(plan.server_attributes))
+            candidates = matched | split
+            assert set(read) <= candidates, str(predicate)
+            assert split <= set(read), str(predicate)
+            assert set(selected) <= candidates, str(predicate)
+            judged += len(split)
+        assert judged, "no predicate reached the conflict-split path"
+        assert calls.batches == [] and calls.single == 0
+
+    def test_one_batch_of_distinct_cells_per_query(self, zipcode_table, monkeypatch):
+        # The batch of distinct cells a served select decrypts is empty:
+        # every record it returns is in the owner's plaintext.
         owner = zipcode_owner(zipcode_table)
         provider = ServiceProvider()
         session = RemoteOwnerSession(owner, provider.client)
         session.outsource(zipcode_table)
         calls = CipherCalls(monkeypatch, owner)
-        for predicate in ("City = Hoboken", "City = Hoboken and Side = N", Eq("Zipcode", "07302")):
+        for predicate in ("City = Hoboken and Side = N", "City = Hoboken", Eq("Zipcode", "07302")):
             got = session.select(predicate)
             assert got.num_rows > 1
             assert list(got.rows()) == list(owner.select_plaintext_where(predicate).rows())
-        conflicted = conflict_owner()
-        conflict_provider = ServiceProvider()
-        conflict_provider.receive(conflicted.server_view())
-        conflict_calls = CipherCalls(monkeypatch, conflicted)
-        index = conflicted.encrypted.provenance_index()
-        judged = 0
-        for predicate in predicates(conflicted):
-            plan = conflicted.plan_query(predicate)
-            conflicted.decrypt_plan_result(plan, conflict_provider.answer_plan_query(plan.server))
-            judged += len(index.split_sources(plan.server_attributes))
-        assert judged
-        for counted in (calls, conflict_calls):
-            assert counted.batches == [] and counted.single == 0
+        assert calls.batches == [] and calls.single == 0
+
+    def test_equality_query_path_uses_one_batch(self, zipcode_table, monkeypatch):
+        # The equality path answers from the plaintext: no batch at all.
+        owner = zipcode_owner(zipcode_table)
+        provider = ServiceProvider()
+        provider.receive(owner.server_view())
+        plan = owner.plan_query(Eq("City", "Hoboken"))
+        result = provider.answer_plan_query(plan.server)
+        calls = CipherCalls(monkeypatch, owner)
+        got = owner.decrypt_plan_result(plan, result)
+        assert calls.batches == [] and calls.single == 0
+        assert got.num_rows > 1
+        assert list(got.rows()) == list(owner.select_plaintext("City", "Hoboken").rows())
 
     def test_whole_table_decrypt_is_one_batch(self, monkeypatch):
         owner = conflict_owner()
