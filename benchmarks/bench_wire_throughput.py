@@ -1,11 +1,17 @@
 """Wire-layer throughput: codec encode/decode rates and query latency.
 
 Not a figure from the paper — this tracks the serving layer added by the
-protocol PR.  Two question sets:
+protocol PR.  Three question sets:
 
 * **Codec throughput** — MB/s for encoding and decoding a ciphertext server
   view (dictionaries are serialized once; the row body is a fixed-width
   code array).
+* **Receive path** — the provider's side of an outsource: ``decode_relation``
+  plus ``SegmentTableStore.replace`` (segment, blobs, log, Merkle tree),
+  the median of three runs into fresh directories.
+  The decoded relation carries its coded view and its wire bytes, so the
+  path must make no ``factorize_values`` call and no per-row ``hash_row``
+  call; both are asserted at every scale.
 * **Query latency** — wall time of one equality select (a one-leaf plan)
   through the full protocol stack (token derivation, message encode,
   server-side dictionary filtering, reply decode, provenance filtering +
@@ -16,15 +22,22 @@ Results land in ``BENCH_wire.json`` via the shared ``bench_json`` fixture.
 
 from __future__ import annotations
 
+import statistics
+import tempfile
 import time
+from contextlib import contextmanager
+from pathlib import Path
 
 from repro.api.protocol import LoopbackTransport, ProtocolClient, ProtocolServer
 from repro.api.session import DataOwner, RemoteOwnerSession
+from repro.backend import get_backend, numpy_backend, python_backend
 from repro.bench.reporting import format_table
 from repro.core.config import F2Config
 from repro.crypto.keys import KeyGen
 from repro.datasets import generate_fd_table
+from repro.integrity import merkle
 from repro.query.ast import Eq
+from repro.store import SegmentTableStore
 from repro.wire import decode_relation, encode_relation
 
 from benchmarks.conftest import scale
@@ -70,6 +83,64 @@ def codec_throughput(sizes) -> list[dict]:
     return rows
 
 
+@contextmanager
+def counting_coders():
+    """Count ``factorize_values`` (either backend) and ``hash_row`` calls."""
+    calls = {"factorize_values": 0, "hash_row": 0}
+    patched = [(module, "factorize_values") for module in (python_backend, numpy_backend)]
+    patched.append((merkle, "hash_row"))
+    originals = [getattr(module, name) for module, name in patched]
+
+    def counting(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return spy
+
+    for (module, name), real in zip(patched, originals):
+        setattr(module, name, counting(name, real))
+    try:
+        yield calls
+    finally:
+        for (module, name), real in zip(patched, originals):
+            setattr(module, name, real)
+
+
+def receive_path(sizes, repeats: int = 3) -> list[dict]:
+    rows = []
+    for num_rows in sizes:
+        _, _, view = outsourced_view(num_rows)
+        payload = encode_relation(view)
+        expected_root = merkle.MerkleTree([merkle.hash_row(row) for row in view.rows()]).root
+        decodes, replaces = [], []
+        with counting_coders() as calls:
+            for _ in range(repeats):
+                with tempfile.TemporaryDirectory() as directory:
+                    store = SegmentTableStore(
+                        Path(directory) / "t.f2s", get_backend("python"), create=True
+                    )
+                    start = time.perf_counter()
+                    relation = decode_relation(payload)
+                    decodes.append(time.perf_counter() - start)
+                    start = time.perf_counter()
+                    store.replace(relation)
+                    replaces.append(time.perf_counter() - start)
+                    assert store.merkle_root() == expected_root
+                    store.close()
+        rows.append(
+            {
+                "rows": view.num_rows,
+                "payload_bytes": len(payload),
+                "decode_seconds": round(statistics.median(decodes), 6),
+                "replace_seconds": round(statistics.median(replaces), 6),
+                "factorize_calls": calls["factorize_values"],
+                "hash_row_calls": calls["hash_row"],
+            }
+        )
+    return rows
+
+
 def query_latency(sizes) -> list[dict]:
     rows = []
     for num_rows in sizes:
@@ -110,6 +181,17 @@ def test_codec_throughput(benchmark, bench_json):
         binary_encode_mb_per_s_at_largest=largest["encode_mb_per_s"],
         binary_decode_mb_per_s_at_largest=largest["decode_mb_per_s"],
     )
+
+
+def test_receive_path(benchmark, bench_json):
+    sizes = tuple(scale(size) for size in CODEC_SIZES)
+    rows = benchmark.pedantic(receive_path, args=(sizes,), rounds=1, iterations=1)
+    print()
+    print(format_table(rows, title="Provider receive path: decode_relation + replace"))
+    bench_json.add("receive", rows)
+    for row in rows:
+        assert row["factorize_calls"] == 0, "the receive path re-factorised a coded column"
+        assert row["hash_row_calls"] == 0, "the receive path hashed Merkle leaves row by row"
 
 
 def test_query_latency(benchmark, bench_json):

@@ -34,7 +34,12 @@ append (:meth:`MerkleTree.extend`) and delta are one algorithm.
 this tree equals a legacy root).  A chunk node hashes each child's leaf
 count (8 bytes, big-endian; 1 for a leaf) followed by its digest, so the
 root commits to the leaf count and to the position of every leaf.  The
-root of a one-leaf tree is the leaf itself.
+root of a one-leaf tree is the leaf itself.  :func:`relation_leaves`
+computes the leaves of a whole relation from its coded view, which both
+parties already hold: the codec built it on the owner's side and decoded
+it on the provider's.  Each distinct value of a column is formatted once,
+and a row's leaf hashes the byte strings its codes pick out.  The leaf
+bytes are exactly :func:`hash_row`'s, so roots are unchanged.
 
 **Proofs.**  :meth:`MerkleTree.multiproof` proves a strictly ascending set
 of leaf indexes at once.  Each touched chunk is described once by its
@@ -105,8 +110,28 @@ def hash_row(cells: Iterable[object]) -> bytes:
 
 
 def relation_leaves(relation: "Relation") -> list[bytes]:
-    """Leaf digests of every row of a relation, in row order."""
-    return [hash_row(row) for row in relation.rows()]
+    """Leaf digests of every row of a relation, in row order.
+
+    Equal to ``[hash_row(row) for row in relation.rows()]``, computed from
+    the relation's coded view: each distinct value of a column is formatted
+    once (with its separator, the leaf prefix on the first column and the
+    terminator on the last), and a row's leaf hashes the concatenation its
+    codes pick out.
+    """
+    if not relation.num_rows:
+        return []
+    coded = relation.coded()
+    attributes = relation.attributes
+    last = len(attributes) - 1
+    picked = []
+    for position, attribute in enumerate(attributes):
+        column = coded.column(attribute)
+        head = _LEAF_PREFIX if position == 0 else b""
+        tail = b"\x1f\x1e" if position == last else b"\x1f"
+        cells = [head + str(value).encode("utf-8") + tail for value in column.dictionary]
+        picked.append(map(cells.__getitem__, column.code_list()))
+    sha256 = hashlib.sha256
+    return [sha256(b"".join(row)).digest() for row in zip(*picked)]
 
 
 @dataclass(frozen=True)

@@ -184,21 +184,20 @@ def build_leakage_report(
             f"with {len(leaves)} token leaves; owner and provider are out of sync"
         )
     leaf_reports: list[LeafLeakage] = []
-    # Per-attribute column statistics, computed once however many leaves
-    # share the attribute: the code lookup, the per-code counts, and the
-    # frequency histogram over the whole column (how many distinct
-    # ciphertexts occur with each frequency — the candidate-set sizes an
-    # access-pattern adversary works with).
+    # Per-attribute column statistics, cached on the replica's coded column
+    # (so built once per replica, not per select): the code lookup, the
+    # per-code counts, and the frequency histogram over the whole column
+    # (how many distinct ciphertexts occur with each frequency — the
+    # candidate-set sizes an access-pattern adversary works with).
     column_stats: dict[str, tuple[dict, list[int], Counter]] = {}
     for leaf, reported in zip(leaves, leaf_match_counts):
         stats = column_stats.get(leaf.attribute)
         if stats is None:
             coded_column = replica.coded().column(leaf.attribute)
-            counts = coded_column.counts()
             stats = column_stats[leaf.attribute] = (
                 coded_column.code_of(),
-                counts,
-                Counter(counts),
+                coded_column.counts(),
+                coded_column.histogram(),
             )
         code_of, counts, anonymity = stats
         observed: dict[int, int] = {}

@@ -14,6 +14,11 @@ invalidated automatically when rows are appended or cells overwritten — see
 :meth:`Relation.coded`.  All array work is delegated to a pluggable
 :class:`repro.backend.ComputeBackend`, so the same view powers both the
 pure-Python reference path and the NumPy path.
+
+A column is factorised at most once per relation contents: a view under a
+second backend converts the first view's codes (:meth:`CodedColumn.on`),
+and a relation decoded off the wire arrives with its columns already coded
+(:meth:`CodedRelation.adopt_column`, validated by the codec).
 """
 
 from __future__ import annotations
@@ -30,17 +35,44 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 
 class CodedColumn:
-    """One dictionary-encoded column: codes + value dictionary."""
+    """One dictionary-encoded column: codes + value dictionary.
 
-    __slots__ = ("attribute", "codes", "dictionary", "_backend", "_counts", "_code_of")
+    ``run`` and ``packed`` hold the column's wire form once it has one: the
+    dictionary as one serialized cell run and the codes packed at the
+    smallest fixed width (see :mod:`repro.wire.codec`).  The codec fills
+    them, on either side of the wire, and the segment store writes them to
+    disk as they are.
+    """
 
-    def __init__(self, attribute: str, codes: Any, dictionary: list[Any], backend: ComputeBackend):
+    __slots__ = (
+        "attribute",
+        "codes",
+        "dictionary",
+        "run",
+        "packed",
+        "_backend",
+        "_counts",
+        "_histogram",
+        "_code_of",
+    )
+
+    def __init__(
+        self,
+        attribute: str,
+        codes: Any,
+        dictionary: list[Any],
+        backend: ComputeBackend,
+        code_of: "dict[Any, int] | None" = None,
+    ):
         self.attribute = attribute
         self.codes = codes
         self.dictionary = dictionary
+        self.run: bytes | None = None
+        self.packed: bytes | None = None
         self._backend = backend
         self._counts: list[int] | None = None
-        self._code_of: dict[Any, int] | None = None
+        self._histogram: Counter | None = None
+        self._code_of = code_of
 
     @property
     def num_values(self) -> int:
@@ -66,6 +98,16 @@ class CodedColumn:
             self._counts = self._backend.counts(self.codes, self.num_values)
         return self._counts
 
+    def histogram(self) -> Counter:
+        """How many distinct values occur with each frequency (cached).
+
+        ``Counter(self.counts())``: the candidate-set sizes a frequency
+        adversary works with, read by every select's leakage report.
+        """
+        if self._histogram is None:
+            self._histogram = Counter(self.counts())
+        return self._histogram
+
     def frequencies(self) -> Counter:
         """Value-frequency table straight from the dictionary.
 
@@ -74,6 +116,25 @@ class CodedColumn:
         computed from the code histogram.
         """
         return Counter(dict(zip(self.dictionary, self.counts())))
+
+    def code_list(self) -> list[int]:
+        """The codes as a plain list of ints, whatever array type holds them."""
+        tolist = getattr(self.codes, "tolist", None)
+        return tolist() if tolist is not None else self.codes
+
+    def on(self, backend: ComputeBackend) -> "CodedColumn":
+        """This column under another backend: the same dictionary, its codes
+        in that backend's array type (no re-factorisation)."""
+        column = CodedColumn(
+            self.attribute,
+            backend.as_code_array(self.code_list()),
+            self.dictionary,
+            backend,
+            self._code_of,
+        )
+        column.run = self.run
+        column.packed = self.packed
+        return column
 
 
 class CodedRelation:
@@ -114,10 +175,29 @@ class CodedRelation:
             )
         cached = self._columns.get(attribute)
         if cached is None:
-            codes, dictionary = self.backend.factorize(self._relation.column(attribute))
-            cached = CodedColumn(attribute, codes, dictionary, self.backend)
+            sibling = self._relation._coded_sibling(self, attribute)  # noqa: SLF001
+            if sibling is not None:
+                # Every view codes in first-occurrence order, so another
+                # backend's column of the same contents is this one's too.
+                cached = sibling.on(self.backend)
+            else:
+                codes, dictionary = self.backend.factorize(self._relation.column(attribute))
+                cached = CodedColumn(attribute, codes, dictionary, self.backend)
             self._columns[attribute] = cached
         return cached
+
+    def cached_column(self, attribute: str) -> "CodedColumn | None":
+        """The column of ``attribute`` if this view has coded it already."""
+        return self._columns.get(attribute)
+
+    def adopt_column(self, column: CodedColumn) -> None:
+        """Install an already coded column (the wire decoder's).
+
+        The caller vouches that ``column`` is exactly what factorising the
+        relation's column would build: distinct dictionary values, codes in
+        first-occurrence order, under this view's backend.
+        """
+        self._columns[column.attribute] = column
 
     # ------------------------------------------------------------------
     # Multi-attribute operations

@@ -18,7 +18,7 @@ from repro.relational.schema import AttributeSet, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.backend import ComputeBackend
-    from repro.relational.coded import CodedRelation
+    from repro.relational.coded import CodedColumn, CodedRelation
 
 Row = tuple[Any, ...]
 
@@ -262,7 +262,9 @@ class Relation:
         repeated calls return the same object until a row is appended or a
         cell overwritten, at which point the next call re-encodes.  All
         pipeline stages, FD discovery, and the attack module share this one
-        encoding instead of re-hashing cell objects per algorithm.
+        encoding instead of re-hashing cell objects per algorithm, and a
+        view under a second backend converts the first one's codes rather
+        than factorising again.
         """
         from repro.backend import get_backend
         from repro.relational.coded import CodedRelation
@@ -273,6 +275,15 @@ class Relation:
             cached = CodedRelation(self, resolved)
             self._coded_cache[resolved.name] = cached
         return cached
+
+    def _coded_sibling(self, view: "CodedRelation", attribute: str) -> "CodedColumn | None":
+        """A current coded view's column of ``attribute`` other than ``view``'s."""
+        for other in tuple(self._coded_cache.values()):  # one atomic copy
+            if other is not view and other.version == self._version:
+                column = other.cached_column(attribute)
+                if column is not None:
+                    return column
+        return None
 
     def value_frequencies(self, attributes: Iterable[str]) -> dict[Row, int]:
         """Frequency of each distinct value combination of ``attributes``.

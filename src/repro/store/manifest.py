@@ -54,10 +54,8 @@ import dataclasses
 import os
 import re
 import struct
-import sys
 import warnings
 import zlib
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -68,7 +66,7 @@ from repro.api.auth import ErrorCode
 from repro.api.delta import OP_COPY, OP_LITERAL
 from repro.exceptions import ProtocolError, StoreError, StoreIntegrityWarning, WireError
 from repro.integrity.merkle import ROOT_FORMAT
-from repro.wire.binary import ByteReader, ByteWriter
+from repro.wire.binary import ByteReader, ByteWriter, pack_codes, unpack_codes
 
 #: File-name grammar of a table directory.
 CURRENT_NAME = "CURRENT"
@@ -368,28 +366,10 @@ def translate_segments(
 # ----------------------------------------------------------------------
 # Record codecs
 # ----------------------------------------------------------------------
-_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def pack_codes(codes: Iterable[int], width: int) -> bytes:
-    """Codes as ``width``-byte little-endian unsigned integers."""
-    if not isinstance(codes, list):
-        tolist = getattr(codes, "tolist", None)
-        codes = tolist() if tolist is not None else list(codes)
-    packed = array(_TYPECODES[width], codes)
-    if sys.byteorder == "big":  # pragma: no cover - little-endian CI/dev hosts
-        packed.byteswap()
-    return packed.tobytes()
-
-
 def _unpack_u64(data: bytes) -> list[int]:
     if len(data) % 8:
         raise StoreError("truncated integer array in a log record")
-    packed = array("Q")
-    packed.frombytes(data)
-    if sys.byteorder == "big":  # pragma: no cover - little-endian CI/dev hosts
-        packed.byteswap()
-    return packed.tolist()
+    return unpack_codes(data, 8).tolist()
 
 
 def encode_delta(

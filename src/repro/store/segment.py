@@ -80,7 +80,6 @@ from repro.store.manifest import (
     frame,
     fsync_dir,
     open_log,
-    pack_codes,
     recover_log,
     remove_unreferenced,
     scan_log,
@@ -90,8 +89,8 @@ from repro.store.manifest import (
     write_file,
     write_log,
 )
-from repro.wire.binary import code_width
-from repro.wire.codec import decode_cell_run, encode_cell_run
+from repro.wire.binary import code_width, pack_codes
+from repro.wire.codec import column_codes, column_run, decode_cell_run, encode_cell_run
 
 from repro.obs import metrics as _metrics
 
@@ -231,25 +230,33 @@ class SegmentTableStore(TableStore):
             return self._relation
 
     def replace(self, relation: Relation) -> None:
-        """Rewrite the table as one fresh segment + dictionaries, checkpointed."""
+        """Rewrite the table as one fresh segment + dictionaries, checkpointed.
+
+        Everything comes from the relation's coded view, never from its
+        cells: each dictionary blob is the column's serialized cell run and
+        each segment column its packed codes — for a relation decoded off
+        the wire, the bytes as received, with no factorisation and no
+        re-serialisation — and the Merkle leaves hash each distinct value
+        once (:func:`~repro.integrity.merkle.relation_leaves`).
+        """
         with self._mutex:
             self._check_open()
             coded = relation.coded(self._backend)
             columns = [coded.column(attr) for attr in relation.attributes]
             version = self.commit_version + 1
             dictionaries = self._write_blobs(
-                version,
-                [(encode_cell_run(column.dictionary), column.num_values) for column in columns],
+                version, [(column_run(column), column.num_values) for column in columns]
             )
-            new_dicts: dict[int, tuple[list[Any], dict[Any, int]]] = {}
-            for index, column in enumerate(columns):
-                values = list(column.dictionary)
-                new_dicts[index] = (values, {v: c for c, v in enumerate(values)})
-            packed = []
-            for column in columns:
-                width = code_width(column.num_values)
-                packed.append((pack_codes(column.codes, width), width))
-            segment = self._write_segment(version, packed, relation.num_rows)
+            # Copies: a delta extends the store's dictionaries in place.
+            new_dicts = {
+                index: (list(column.dictionary), dict(column.code_of()))
+                for index, column in enumerate(columns)
+            }
+            segment = self._write_segment(
+                version,
+                [(column_codes(column), code_width(column.num_values)) for column in columns],
+                relation.num_rows,
+            )
             # A replace ships the full relation, so the O(n) tree build here
             # rides on an already-O(n) write; deltas stay incremental.
             from repro.integrity.merkle import MerkleTree, relation_leaves
@@ -625,6 +632,8 @@ class SegmentTableStore(TableStore):
     ) -> tuple[list[list[int]], dict[int, tuple[list[Any], dict[Any, int]]]]:
         """Code a delta's literal rows against the committed dictionaries.
 
+        Works from the literals' coded view (the one the wire decoder
+        handed over): each distinct literal value is looked up once.
         Returns the literal rows' per-column codes (empty lists when the
         delta carries no literals) and the per-column genuinely new values with
         their codes, to merge into the in-memory dictionary caches *after*
@@ -633,26 +642,26 @@ class SegmentTableStore(TableStore):
         additions: dict[int, tuple[list[Any], dict[Any, int]]] = {}
         if literals is None or not literals.num_rows:
             return [[] for _ in manifest.attributes], additions
-        column_codes: list[list[int]] = []
+        coded = literals.coded(self._backend)
+        literal_codes: list[list[int]] = []
         for index, attr in enumerate(manifest.attributes):
             values, code_of = self._dictionary(index)
+            column = coded.column(attr)
             new_values: list[Any] = []
             new_code_of: dict[Any, int] = {}
-            codes: list[int] = []
-            base = len(values)
-            for value in literals.column(attr):
+            # The literal dictionary is in first-occurrence order, so new
+            # values get their store codes in the order the rows show them.
+            store_code: list[int] = []
+            for value in column.dictionary:
                 code = code_of.get(value)
                 if code is None:
-                    code = new_code_of.get(value)
-                if code is None:
-                    code = base + len(new_values)
-                    new_code_of[value] = code
+                    code = new_code_of[value] = len(values) + len(new_values)
                     new_values.append(value)
-                codes.append(code)
-            column_codes.append(codes)
+                store_code.append(code)
+            literal_codes.append(list(map(store_code.__getitem__, column.code_list())))
             if new_values:
                 additions[index] = (new_values, new_code_of)
-        return column_codes, additions
+        return literal_codes, additions
 
     # -- observability -------------------------------------------------
     def store_stats(self) -> dict[str, Any]:

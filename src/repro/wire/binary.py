@@ -19,7 +19,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from repro.exceptions import WireError
 
@@ -38,6 +38,45 @@ def code_width(num_values: int) -> int:
     return 8
 
 
+#: Every one-byte varint (values below 128), prebuilt.
+_SMALL_VARINTS = [bytes([value]) for value in range(0x80)]
+
+
+def uvarint_bytes(value: int) -> bytes:
+    """``value`` as an unsigned LEB128 varint."""
+    if 0 <= value < 0x80:
+        return _SMALL_VARINTS[value]
+    if value < 0:
+        raise WireError(f"uvarint cannot encode negative value {value}")
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def uvarint_at(data: bytes, pos: int) -> tuple[int, int]:
+    """The unsigned varint starting at ``data[pos]``, and the offset after it."""
+    value = 0
+    shift = 0
+    size = len(data)
+    while True:
+        if pos >= size:
+            raise WireError("truncated varint in binary frame")
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, pos
+        shift += 7
+        if shift > 70:
+            raise WireError("varint longer than 10 bytes in binary frame")
+
+
 class ByteWriter:
     """Accumulates one binary frame."""
 
@@ -48,18 +87,7 @@ class ByteWriter:
 
     def uvarint(self, value: int) -> None:
         """Append an unsigned LEB128 varint."""
-        if value < 0:
-            raise WireError(f"uvarint cannot encode negative value {value}")
-        out = bytearray()
-        while True:
-            byte = value & 0x7F
-            value >>= 7
-            if value:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-        self._chunks.append(bytes(out))
+        self._chunks.append(uvarint_bytes(value))
 
     def svarint(self, value: int) -> None:
         """Append a signed (zigzag) varint."""
@@ -90,13 +118,14 @@ class ByteWriter:
         (codes are guaranteed in ``[0, num_values)``).
         """
         width = code_width(num_values)
-        packed = array(_TYPECODES[width], _as_int_list(codes))
-        if sys.byteorder == "big":  # pragma: no cover - little-endian CI/dev hosts
-            packed.byteswap()
-        data = packed.tobytes()
+        packed = pack_codes(codes, width)
+        self.packed_code_array(packed, width)
+
+    def packed_code_array(self, packed: bytes, width: int) -> None:
+        """Append a code array already packed at ``width`` (see :meth:`code_array`)."""
         self._chunks.append(bytes([width]))
-        self.uvarint(len(packed))
-        self._chunks.append(data)
+        self.uvarint(len(packed) // width)
+        self._chunks.append(packed)
 
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
@@ -145,19 +174,8 @@ class ByteReader:
         self._pos += count
 
     def uvarint(self) -> int:
-        value = 0
-        shift = 0
-        while True:
-            if self.remaining < 1:
-                raise WireError("truncated varint in binary frame")
-            byte = self._data[self._pos]
-            self._pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 70:
-                raise WireError("varint longer than 10 bytes in binary frame")
+        value, self._pos = uvarint_at(self._data, self._pos)
+        return value
 
     def svarint(self) -> int:
         raw = self.uvarint()
@@ -177,27 +195,47 @@ class ByteReader:
 
     def code_array(self) -> list[int]:
         """Inverse of :meth:`ByteWriter.code_array`."""
+        packed, width = self.packed_code_array()
+        return unpack_codes(packed, width).tolist()
+
+    def packed_code_array(self) -> tuple[bytes, int]:
+        """A code array's packed bytes and width, without unpacking them."""
         width = self._take(1)[0]
-        typecode = _TYPECODES.get(width)
-        if typecode is None:
+        if width not in _TYPECODES:
             raise WireError(f"unknown code-array width {width}")
         count = self.uvarint()
-        packed = array(typecode)
-        packed.frombytes(self._take(count * width))
-        if sys.byteorder == "big":  # pragma: no cover - little-endian CI/dev hosts
-            packed.byteswap()
-        return packed.tolist()
+        return self._take(count * width), width
+
+    @property
+    def position(self) -> int:
+        """Offset of the next unread byte in the frame."""
+        return self._pos
+
+    @property
+    def buffer(self) -> bytes:
+        """The whole frame (for a codec that scans a run in one pass)."""
+        return self._data
 
     def expect_end(self) -> None:
         if self.remaining:
             raise WireError(f"{self.remaining} trailing bytes after binary frame")
 
 
-def _as_int_list(codes: Iterable[int]) -> Sequence[int]:
-    """Coerce a code iterable (list or NumPy array) into plain Python ints."""
-    if isinstance(codes, list):
-        return codes
-    tolist = getattr(codes, "tolist", None)
-    if tolist is not None:
-        return tolist()
-    return list(codes)
+def pack_codes(codes: Iterable[int], width: int) -> bytes:
+    """Codes as ``width``-byte little-endian unsigned integers."""
+    if not isinstance(codes, list):
+        tolist = getattr(codes, "tolist", None)
+        codes = tolist() if tolist is not None else list(codes)
+    packed = array(_TYPECODES[width], codes)
+    if sys.byteorder == "big":  # pragma: no cover - little-endian CI/dev hosts
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def unpack_codes(packed: bytes, width: int) -> array:
+    """Inverse of :func:`pack_codes`, as a stdlib :class:`array.array`."""
+    codes = array(_TYPECODES[width])
+    codes.frombytes(packed)
+    if sys.byteorder == "big":  # pragma: no cover - little-endian CI/dev hosts
+        codes.byteswap()
+    return codes

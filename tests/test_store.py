@@ -17,13 +17,15 @@ from repro.api.protocol import (
     ProtocolServer,
 )
 from repro.backend import get_backend, numpy_available
+from repro.backend import numpy_backend, python_backend
 from repro.exceptions import (
     ConfigurationError,
     ProtocolError,
     StoreError,
     StoreIntegrityWarning,
 )
-from repro.integrity.merkle import MerkleTree, relation_leaves
+from repro.integrity import merkle as merkle_module
+from repro.integrity.merkle import MerkleTree, hash_row, relation_leaves
 from repro.query.server import ServerOr, TokenLeaf
 from repro.relational.table import Relation
 from repro.store import (
@@ -47,7 +49,7 @@ from repro.store.manifest import (
     log_name,
     scan_log,
 )
-from repro.wire import encode_relation
+from repro.wire import decode_relation, encode_relation
 from tests.conftest import write_legacy_store
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
@@ -393,6 +395,97 @@ class TestSegmentTableStore:
 # ----------------------------------------------------------------------
 # Crash consistency
 # ----------------------------------------------------------------------
+# ----------------------------------------------------------------------
+# A relation received over the wire
+# ----------------------------------------------------------------------
+def received_views(scheme, table) -> list[Relation]:
+    """An F2 server view and a small typed relation (``int``, ``str``, ``None``)."""
+    return [
+        scheme.encrypt(table).server_view(),
+        Relation(["n", "s", "x"], [[1, "a", None], [2, "a", None], [1, "b", None]], name="typed"),
+    ]
+
+
+def spy_on_the_coders(monkeypatch) -> dict[str, int]:
+    """Count ``factorize_values`` (either backend) and ``hash_row`` calls."""
+    calls = {"factorize_values": 0, "hash_row": 0}
+
+    def counting(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return spy
+
+    for module in (python_backend, numpy_backend):
+        monkeypatch.setattr(
+            module, "factorize_values", counting("factorize_values", module.factorize_values)
+        )
+    monkeypatch.setattr(merkle_module, "hash_row", counting("hash_row", merkle_module.hash_row))
+    return calls
+
+
+class TestReceivedRelation:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_received_relation_is_stored_byte_for_byte_like_a_local_copy(
+        self, tmp_path, seeded_scheme, zipcode_table, backend
+    ):
+        resolved = get_backend(backend)
+        for index, view in enumerate(received_views(seeded_scheme, zipcode_table)):
+            expected_root = MerkleTree([hash_row(row) for row in view.rows()]).root
+            directories = {}
+            for kind, relation in (
+                ("wire", decode_relation(encode_relation(view))),
+                ("local", view.copy()),
+            ):
+                directory = directories[kind] = tmp_path / f"{kind}{index}{STORE_SUFFIX}"
+                store = SegmentTableStore(directory, resolved, create=True)
+                store.replace(relation)
+                assert store.merkle_root() == expected_root
+                store.close()
+            assert snapshot_files(directories["wire"]) == snapshot_files(directories["local"])
+            for directory in directories.values():
+                reopened = SegmentTableStore(directory, resolved)
+                assert reopened.merkle_root() == expected_root
+                assert reopened.relation() == view
+                assert reopened.verify() is True
+                reopened.close()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_receive_path_never_factorises_nor_hashes_per_row(
+        self, tmp_path, monkeypatch, seeded_scheme, zipcode_table, backend
+    ):
+        view = seeded_scheme.encrypt(zipcode_table).server_view()
+        payload = encode_relation(view)
+        calls = spy_on_the_coders(monkeypatch)
+        store = SegmentTableStore(tmp_path / f"t{STORE_SUFFIX}", get_backend(backend), create=True)
+        received = decode_relation(payload)
+        store.replace(received)
+        assert store.merkle_root() == MerkleTree(relation_leaves(view)).root
+        assert received.coded(backend).column("Zipcode").num_values > 1
+        assert calls == {"factorize_values": 0, "hash_row": 0}
+        # The spies do count: a relation without a coded view factorises.
+        view.copy().coded(backend).column("Zipcode")
+        assert calls["factorize_values"] == 1
+        store.close()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_verified_outsource_factorises_once_on_the_owner_only(
+        self, tmp_path, monkeypatch, seeded_scheme, zipcode_table, backend
+    ):
+        # The owner's encode codes the view; her Merkle leaves and the
+        # server's decode, store and tree all reuse that one coding.
+        view = seeded_scheme.encrypt(zipcode_table).server_view()
+        server = ProtocolServer(storage_dir=tmp_path, storage_engine="segment", backend=backend)
+        calls = spy_on_the_coders(monkeypatch)
+        ack = make_client(server).call(
+            OutsourceRequest(table_id="orders", relation=view, with_root=True)
+        )
+        assert calls["factorize_values"] == len(view.attributes)
+        assert ack.fields["merkle_root"] == MerkleTree(relation_leaves(view)).root
+        assert calls == {"factorize_values": len(view.attributes), "hash_row": 0}
+
+
 def grow_by_one(relation: Relation, tag: str) -> Relation:
     """``relation`` with one new row inserted in the middle, which splits a
     view slice and adds a literal segment (the shape of an owner splice)."""
