@@ -5,7 +5,8 @@ protocol PR.  Three question sets:
 
 * **Codec throughput** — MB/s for encoding and decoding a ciphertext server
   view (dictionaries are serialized once; the row body is a fixed-width
-  code array).
+  code array), each the median of three calls after a full collection
+  (each encode codes a fresh copy of the view).
 * **Receive path** — the provider's side of an outsource: ``decode_relation``
   plus ``SegmentTableStore.replace`` (segment, blobs, log, Merkle tree),
   the median of three runs into fresh directories.
@@ -22,6 +23,7 @@ Results land in ``BENCH_wire.json`` via the shared ``bench_json`` fixture.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import tempfile
 import time
@@ -58,16 +60,27 @@ def outsourced_view(num_rows: int):
     return owner, table, owner.server_view()
 
 
+def median_seconds(run, repeats: int = 3):
+    """``(median wall time, last result)`` of ``repeats`` calls of ``run``,
+    each after a full collection, so no call pays for the garbage of the
+    ones before it."""
+    times = []
+    for _ in range(repeats):
+        gc.collect()
+        start = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times), result
+
+
 def codec_throughput(sizes) -> list[dict]:
     rows = []
     for num_rows in sizes:
         _, _, view = outsourced_view(num_rows)
-        start = time.perf_counter()
-        payload = encode_relation(view)
-        encode_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        decoded = decode_relation(payload)
-        decode_seconds = time.perf_counter() - start
+        # A fresh copy per encode: a relation caches its coded view.
+        copies = iter([view.copy() for _ in range(3)])
+        encode_seconds, payload = median_seconds(lambda: encode_relation(next(copies)))
+        decode_seconds, decoded = median_seconds(lambda: decode_relation(payload))
         assert decoded == view
         megabytes = len(payload) / 1e6
         rows.append(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.api.auth import Credential, ErrorCode
 from repro.api.delta import ViewDelta, compute_view_delta
@@ -221,6 +221,15 @@ class CachedReplica:
         return self._masks.mask(self._coded, attribute, token)
 
 
+class OwnerState(NamedTuple):
+    """The owner state a write replaces (see :meth:`DataOwner.state`)."""
+
+    context: "EncryptionContext | None"
+    encrypted: "EncryptedTable | None"
+    report: "IncrementalReport | None"
+    tokens: dict
+
+
 class DataOwner:
     """The owner side of the outsourcing protocol.
 
@@ -325,6 +334,16 @@ class DataOwner:
         self._tokens = carried
         self.replica_masks.advance(previous.relation, encrypted.relation, ctx.view_delta)
         return encrypted
+
+    def state(self) -> "OwnerState":
+        """The owner's table state as one record, for :meth:`restore`."""
+        return OwnerState(self._context, self._encrypted, self._last_report, self._tokens)
+
+    def restore(self, state: "OwnerState") -> None:
+        """Go back to ``state`` (a :meth:`state` record), undoing what was
+        adopted since.  :attr:`replica_masks` drop their entries on their
+        next lookup, which finds another replica."""
+        self._context, self._encrypted, self._last_report, self._tokens = state
 
     @property
     def last_update_report(self) -> IncrementalReport | None:
@@ -700,6 +719,11 @@ def run_protocol(
     return result
 
 
+#: Server refusals of a delta whose base moved: the write rebases or
+#: re-pushes, never raises.
+_CAS_REFUSALS = frozenset({ErrorCode.VERSION_CONFLICT.value, ErrorCode.DELTA_MISMATCH.value})
+
+
 class RemoteOwnerSession:
     """A :class:`DataOwner` driving a provider through a protocol client.
 
@@ -717,16 +741,20 @@ class RemoteOwnerSession:
     serves ``discover_fds``/``select``/``query`` (the server rejects
     anything else with ``FORBIDDEN``).
 
-    Incremental inserts ship as view *deltas* whenever they can: the owner's
-    incremental tail splices the new view from the previous one and builds
-    the delta from that splice, and the session sends it as an
-    ``InsertDelta`` carrying only the changed rows, CAS-armed with the last
-    acknowledged commit version.  When the acknowledged base is not the
-    owner's previous table (the last push's reply was lost), the session
-    aligns the new view against the last view it knows the server stored
-    instead.  A MAS-change fallback, a poor delta, or a server-side base
-    mismatch silently degrades to a full ``OutsourceRequest`` of the new
-    view (with the root check of ``verify`` mode, like any full push).
+    Every write — :meth:`outsource` and :meth:`insert_rows` — runs one loop
+    through the session's :class:`~repro.integrity.writers.WriteCoordinator`
+    (a private one unless a shared one is passed: several sessions then
+    write one table concurrently, or a new session carries an old one's
+    acknowledged base across a reconnect).  It ships the delta the
+    incremental tail spliced when the coordinator's base is the owner's
+    previous table, a delta aligned against the base otherwise, and the
+    full view with no base, or on an unshared coordinator after a MAS change
+    or for a poor delta.  A delta is CAS-armed with the base's version; a
+    refused one rebases while another writer moves the base, and re-pushes
+    the full view when none does.  Any other failure takes the write back
+    from the owner before it raises.  So a return means the rows are on both
+    sides exactly once and a raise means they are on neither, except a lost
+    reply whose write landed, which the next write's re-push resolves.
 
     ``verify=True`` (or the ``REPRO_VERIFY`` environment variable) turns on
     owner-side integrity verification: the session mirrors the server's
@@ -735,9 +763,6 @@ class RemoteOwnerSession:
     ``(version, root)`` freshness, and the answer itself: the owner runs
     the plan's server part over the view her tree vouches for and requires
     the same matched rows and per-leaf counts.
-    Passing a shared :class:`~repro.integrity.writers.WriteCoordinator`
-    additionally lets several sessions (each with its own client/thread)
-    write one table concurrently through optimistic CAS with rebase.
 
     ::
 
@@ -775,183 +800,112 @@ class RemoteOwnerSession:
         #: a wrong answer, tampering, rollback, or a forked table raises
         #: :class:`~repro.exceptions.IntegrityError`.
         self.verify = bool(verify)
-        #: Shared multi-writer coordinator; when present, inserts go through
-        #: the optimistic CAS/rebase loop instead of the single-writer path.
-        self.coordinator = coordinator
-        if coordinator is not None:
-            if self.verify and coordinator.integrity is None:
-                coordinator.integrity = TableIntegrityState(table_id)
-            self.integrity: "TableIntegrityState | None" = coordinator.integrity
-        else:
-            self.integrity = TableIntegrityState(table_id) if self.verify else None
-        #: The server view this session last shipped (the delta base), and
-        #: the owner's table it came from.
-        self._last_view: Relation | None = None
-        self._last_pushed: EncryptedTable | None = None
-        #: The server commit version of the last acknowledged push; armed as
-        #: the CAS base of the next ``InsertDelta``.
-        self._last_version = -1
+        #: The writers' coordinator; its base is what the server acknowledged.
+        self.coordinator = coordinator or WriteCoordinator(table_id)
+        self.coordinator.join()
+        if self.verify and self.coordinator.integrity is None:
+            self.coordinator.integrity = TableIntegrityState(table_id)
+        self.integrity: "TableIntegrityState | None" = self.coordinator.integrity
         #: The :class:`~repro.api.delta.ViewDelta` of the most recent
         #: delta-shipped insert (``None`` when the full view was sent).
         self.last_delta: ViewDelta | None = None
         if credential is not None:
             self.client.authenticate(credential)
 
-    def _ack_state(self) -> tuple[int, str]:
-        """``(commit version, merkle root)`` of the client's last ack."""
-        ack = self.client.last_ack
-        if ack is None:
-            return -1, ""
-        return int(ack.fields.get("version", -1)), str(ack.fields.get("merkle_root", ""))
-
     def outsource(self, relation: Relation) -> int:
-        """Encrypt locally and ship the server view; returns stored rows."""
-        encrypted = self.owner.outsource(relation)
-        return self._push_full(encrypted, encrypted.server_view())
+        """Encrypt locally and ship the server view; returns stored rows.
 
-    def _push_full(self, encrypted: EncryptedTable, view: Relation) -> int:
-        """Ship ``encrypted``'s whole server ``view`` and adopt the ack.
-
-        In ``verify`` mode the ack carries the server's root, which
-        :meth:`TableIntegrityState.record_push` checks against the owner's
-        own tree before this returns.
+        The view shipped is the owner's replica itself, so the coded form
+        the encoder builds also serves her selects.  A raise leaves the
+        owner as she was before the call.
         """
-        count = self.client.outsource(self.table_id, view, with_root=self.verify)
-        version, root = self._ack_state()
-        self._last_view = view
-        self._last_pushed = encrypted
-        self._last_version = version
-        self.last_delta = None
-        if self.coordinator is not None:
-            self.coordinator.record_push(view, version, root)
-        elif self.integrity is not None:
-            self.integrity.record_push(view, version, root)
-        return count
+        return self._write(lambda: self.owner.outsource(relation), 0)
 
     def insert_rows(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> int:
         """Incrementally insert locally, then update the remote view.
 
-        Ships an ``InsertDelta`` when the local update ran incrementally and
-        the delta reuses enough rows; otherwise (MAS-change fallback, first
-        push unseen, degenerate delta, or a server-side
-        ``VERSION_CONFLICT``/``DELTA_MISMATCH``) ships the full view.  When
-        the last acknowledged push carried the owner's previous table, the
-        delta is the one the incremental tail built from its splice
-        (:attr:`DataOwner.last_view_delta`); otherwise — the outcome of the
-        last push was never learned — the new view is aligned against the
-        last acknowledged one.  The delta is armed with the last
-        acknowledged commit version as its CAS base, so a write the owner
-        never made — another writer's, or a rollback of the store — is
-        caught before it can be built upon.
-
-        With a shared :attr:`coordinator`, concurrent writers instead push
-        optimistically and rebase on ``VERSION_CONFLICT`` — never falling
-        back to a full-view rewrite.
+        A return means the rows are on the owner and the server exactly
+        once, a raise that they are on neither (see the class docstring);
+        in ``verify`` mode the ack's root is checked first.
         """
         rows = list(rows)
-        if self.coordinator is not None:
-            return self._insert_rows_coordinated(rows)
-        base_is_previous = (
-            self._last_pushed is not None and self._last_pushed is self.owner.encrypted
-        )
-        encrypted = self.owner.insert_rows(rows)
-        view = encrypted.server_view()
-        report = self.owner.last_update_report
-        self.last_delta = None
-        if (
-            self._last_view is not None
-            and report is not None
-            and report.mode == "incremental"
-        ):
-            delta = self.owner.last_view_delta if base_is_previous else None
-            if delta is None:
-                delta = compute_view_delta(self._last_view, view)
-            if delta.reuse_fraction >= self.MIN_DELTA_REUSE:
-                try:
-                    count = self.client.insert_delta(
-                        self.table_id,
-                        delta,
-                        batch_rows=len(rows),
-                        base_version=self._last_version,
-                        with_root=self.verify,
-                    )
-                except ProtocolError as exc:
-                    if exc.code not in (
-                        ErrorCode.DELTA_MISMATCH.value,
-                        ErrorCode.VERSION_CONFLICT.value,
-                    ):
-                        raise
-                    # The server's base is not the view we think we pushed
-                    # (e.g. a restart restored an older generation, or
-                    # another writer advanced the table);
-                    # re-ship the full view and realign from there.
-                else:
-                    version, root = self._ack_state()
-                    self._last_view = view
-                    self._last_pushed = encrypted
-                    self._last_version = version
-                    self.last_delta = delta
-                    if self.integrity is not None:
-                        if self.integrity.expected_root:
-                            self.integrity.record_delta(delta, version, root)
-                        else:
-                            self.integrity.record_push(view, version, root)
-                    return count
-        return self._push_full(encrypted, view)
+        return self._write(lambda: self.owner.insert_rows(rows), len(rows))
 
-    def _insert_rows_coordinated(self, rows: list) -> int:
-        """One writer's turn of the optimistic multi-writer protocol.
-
-        Encryption runs under the coordinator's owner lock (the F2 pipeline
-        is serial); the push races other writers against the server's
-        per-table version CAS.  A ``VERSION_CONFLICT`` loser waits for the
-        winner's ack, then either discovers its rows already landed inside a
-        later writer's view (no-op) or rebases its delta onto the new
-        acknowledged base and retries.  No path falls back to a full-view
-        rewrite.
-        """
-        coord = self.coordinator
-        assert coord is not None
+    def _write(self, stage: Callable[[], EncryptedTable], batch_rows: int) -> int:
+        """Stage a write on the owner and push it until the server holds it;
+        returns the server's row count."""
+        coord, owner = self.coordinator, self.owner
         with coord.owner_lock:
+            before = owner.state()
+            encrypted = stage()
             seq = coord.next_sequence()
-            encrypted = self.owner.insert_rows(rows)
-            view = encrypted.server_view()
+            report, spliced = owner.last_update_report, owner.last_view_delta
+        view = encrypted.relation
+        previous = before.encrypted.relation if before.encrypted is not None else None
+        alone = not coord.shared
+        full = report is None or (alone and report.mode != "incremental")
         self.last_delta = None
         while True:
             base_view, base_version, acked_seq, generation = coord.snapshot_base()
             if acked_seq >= seq:
-                # A later writer's acknowledged view already contains this
-                # writer's rows (owner views are cumulative).
-                coord.stats.noop_pushes += 1
-                return base_view.num_rows if base_view is not None else view.num_rows
-            if base_view is None:
-                raise ProtocolError(
-                    f"table {self.table_id!r}: coordinated insert before any "
-                    "acknowledged outsource"
-                )
-            delta = compute_view_delta(base_view, view)
-            try:
-                count = self.client.insert_delta(
-                    self.table_id,
-                    delta,
-                    batch_rows=len(rows),
-                    base_version=base_version,
-                    with_root=self.verify,
-                )
-            except ProtocolError as exc:
-                if exc.code != ErrorCode.VERSION_CONFLICT.value:
-                    raise
-                coord.stats.cas_conflicts += 1
-                coord.wait_past(generation)
-                coord.stats.rebases += 1
-                continue
-            version, root = self._ack_state()
-            coord.stats.delta_pushes += 1
-            coord.record_delta_ack(seq, view, delta, version, root)
-            self.last_delta = delta
-            self._last_view = view
-            self._last_version = version
-            return count
+                # A later writer's acknowledged view already holds these
+                # rows (owner views are cumulative).
+                assert base_view is not None
+                coord.count("noop_pushes")
+                return base_view.num_rows
+            with coord.pushing():
+                try:
+                    delta = None
+                    if not full and base_view is not None:
+                        if base_view is previous and spliced is not None:
+                            delta = spliced
+                        else:
+                            delta = compute_view_delta(base_view, view)
+                        if alone and delta.reuse_fraction < self.MIN_DELTA_REUSE:
+                            delta = None
+                    if delta is None:
+                        count = self.client.outsource(self.table_id, view, with_root=self.verify)
+                    else:
+                        count = self.client.insert_delta(
+                            self.table_id,
+                            delta,
+                            batch_rows=batch_rows,
+                            base_version=base_version,
+                            with_root=self.verify,
+                        )
+                except Exception as exc:
+                    refused = isinstance(exc, ProtocolError) and exc.code in _CAS_REFUSALS
+                    if refused:
+                        coord.count("cas_conflicts")
+                    elif self._withdraw(encrypted, before):
+                        raise
+                    # Otherwise a later writer staged on top: its view holds
+                    # these rows, so this write lands when (or if) it does.
+                else:
+                    ack = self.client.last_ack
+                    assert ack is not None  # both writes answer with an Ack
+                    self.last_delta = delta
+                    coord.count("full_pushes" if delta is None else "delta_pushes")
+                    version, root = ack.fields.get("version", -1), ack.fields.get("merkle_root", "")
+                    coord.record_ack(seq, view, delta, version, root)
+                    return count
+            if coord.settle_conflict(seq, generation) or not refused:
+                coord.count("rebases")
+            else:
+                # Refused with no writer of the coordinator in flight: the
+                # server moved on its own, and refuses every delta until
+                # the full view lands.
+                full = True
+
+    def _withdraw(self, encrypted: EncryptedTable, before: OwnerState) -> bool:
+        """Take back a failed write that produced the owner's ``encrypted``
+        table, restoring ``before``; ``False`` if a later write staged on it."""
+        with self.coordinator.owner_lock:
+            if self.owner.state().encrypted is not encrypted:
+                return False
+            self.owner.restore(before)
+        self.coordinator.count("withdrawn")
+        return True
 
     def discover_fds(self, max_lhs_size: int | None = None) -> TaneResult:
         """Remote FD discovery, validated against the owner's plaintext.
@@ -1005,21 +959,18 @@ class RemoteOwnerSession:
     def _vouched_view(self) -> "Relation | None":
         """The view :attr:`integrity`'s tree was built from, if any.
 
-        That is the owner's own replica while her last acknowledged push
-        carried her current table (its coded form is shared with the leakage
-        report); otherwise the acknowledged view itself — never a table the
-        server has not acknowledged.  A session that never pushed (the
-        ``--no-push`` pattern: F2 re-encryption is randomised, so the view
-        cannot be recomputed locally) has none, and its verification is the
-        ``(version, root)`` freshness chain alone.
+        That is the coordinator's base: the view the server last
+        acknowledged, which is the owner's own replica (its coded form
+        shared with the leakage report) unless she wrote outside this
+        coordinator since — never a table the server has not acknowledged.  A
+        session that never pushed (the ``--no-push`` pattern: F2
+        re-encryption is randomised, so the view cannot be recomputed
+        locally) has none, and its verification is the ``(version, root)``
+        freshness chain alone.
         """
         if self.integrity is None or not self.integrity.expected_root:
             return None
-        if self.coordinator is not None:
-            return self.coordinator.snapshot_base()[0]
-        if self._last_pushed is not None and self._last_pushed is self.owner.encrypted:
-            return self.owner.encrypted.relation
-        return self._last_view
+        return self.coordinator.snapshot_base()[0]
 
     def explain(self, predicate: "Predicate | str") -> str:
         """The plan description for ``predicate`` (no server round trip)."""

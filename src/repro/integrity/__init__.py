@@ -16,9 +16,11 @@ or modified ciphertext.  This package closes that gap:
   her own copy of the tree plus a monotonic ``(version, root)`` freshness
   chain, and the check of a select's answer against her replica, raising
   :class:`repro.exceptions.IntegrityError` on any mismatch or rollback.
-* :mod:`repro.integrity.writers` — a :class:`WriteCoordinator` for several
-  concurrent writers of one table, retrying optimistic deltas on
-  ``VERSION_CONFLICT`` with a rebase instead of a full-view rewrite.
+* :mod:`repro.integrity.writers` — the :class:`WriteCoordinator` every
+  session writes through (alone, or shared by concurrent writers of one
+  table), retrying optimistic deltas on ``VERSION_CONFLICT`` with a rebase
+  and rewriting the full view only when the server moved with no writer
+  in flight.
 * :mod:`repro.integrity.verify` — offline verification of a storage
   directory (full-CRC store checks plus Merkle-root recomputation), behind
   ``f2-repro verify`` and ``serve --verify-on-start``.

@@ -64,11 +64,6 @@ class TableIntegrityState:
         with self._lock:
             return self._tree.root if self._tree is not None else ""
 
-    @property
-    def last_version(self) -> "int | None":
-        with self._lock:
-            return self._last_version
-
     def record_push(self, view: "Relation", version: int, server_root: str = "") -> str:
         """Adopt a full view the server acknowledged; returns the new root.
 

@@ -10,6 +10,7 @@ across both compute backends.
 
 import dataclasses
 import shutil
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -35,7 +36,8 @@ from repro.api.protocol import ErrorReply, SignedEnvelope
 from repro.api.session import decrypt_table
 from repro.backend import numpy_available
 from repro.core.config import F2Config
-from repro.exceptions import ProtocolError
+from repro.exceptions import AuthError, ProtocolError
+from repro.integrity.writers import WriteCoordinator
 from repro.query.ast import Eq
 from repro.relational.table import Relation
 
@@ -311,9 +313,9 @@ def storage_server(storage: Path, engine: str) -> ProtocolServer:
 def reconnected(owner, old_session, server) -> "tuple[RemoteOwnerSession, RecordingTransport]":
     """A new session over ``server`` carrying the owner's delta base."""
     transport = RecordingTransport(server)
-    session = RemoteOwnerSession(owner, ProtocolClient(transport), verify=False)
-    session._last_view = old_session._last_view
-    session._last_version = old_session._last_version
+    session = RemoteOwnerSession(
+        owner, ProtocolClient(transport), verify=False, coordinator=old_session.coordinator
+    )
     return session, transport
 
 
@@ -381,7 +383,7 @@ class TestDeltaBaseCheck:
         shutil.rmtree(storage)
         shutil.copytree(frozen, storage)
         revived = storage_server(storage, "segment")
-        assert revived.table_store().commit_version < session._last_version
+        assert revived.table_store().commit_version < session.coordinator.snapshot_base()[1]
         fresh, transport = reconnected(owner, session, revived)
         assert_full_fallback_then_resume(owner, fresh, transport, revived)
 
@@ -451,6 +453,11 @@ class TestDirectDelta:
 
     @pytest.mark.parametrize("engine", ["memory", "segment"])
     def test_lost_reply_disables_the_direct_delta(self, zipcode_table, tmp_path, engine):
+        """A lost reply no longer leaves the owner ahead of her acknowledged
+        base: she takes the rows back, so the next insert's base is her
+        previous table again and ships the direct delta.  The server holds
+        the lost rows, so the CAS refuses it and the full view is re-pushed;
+        nothing is ever aligned."""
         server = storage_server(tmp_path, engine)
         transport = LostReplyTransport(server)
         owner = make_owner()
@@ -460,29 +467,183 @@ class TestDirectDelta:
         with patch:
             session.insert_rows(incremental_batch(owner.plaintext, 1, "acked"))
             assert session.last_delta is owner.last_view_delta is not None
-            assert aligned == []
 
             transport.lose_next_delta_reply = True
+            acked = owner.state()
             with pytest.raises(ConnectionError):
                 session.insert_rows(incremental_batch(owner.plaintext, 1, "lost"))
-            assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
+            assert owner.state() == acked
+            assert "street-lost-0" not in owner.plaintext.column("Street")
+            assert server.store().num_rows > owner.encrypted.relation.num_rows
 
-            # The last acknowledged push is not the owner's previous table:
-            # the session aligns against the view it knows was stored, and
-            # the stale CAS base sends it to a full re-push.
             transport.clear()
             session.insert_rows(incremental_batch(owner.plaintext, 1, "next"))
-            assert owner.last_view_delta is not None
-            assert aligned == [owner.server_view().num_rows]
             assert transport.kinds() == ["insert_delta", "outsource_request"]
+            refused = Message.decode(transport.replies[0])
+            assert refused.code == ErrorCode.VERSION_CONFLICT.value
+            assert session.last_delta is None
             assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
 
             # Acknowledged again: the direct delta is back.
             session.insert_rows(incremental_batch(owner.plaintext, 1, "resumed"))
             assert session.last_delta is owner.last_view_delta is not None
-            assert len(aligned) == 1
+            assert aligned == []
         assert ciphertext_rows(server.store()) == ciphertext_rows(owner.server_view())
         assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
+        assert "street-lost-0" not in owner.plaintext.column("Street")
+
+
+class TestStagedInserts:
+    """An insert adopts its rows on the owner only when the server holds
+    them: a return means the rows are on both sides exactly once, a raise
+    means they are on neither."""
+
+    @pytest.mark.parametrize("engine", ["memory", "segment"])
+    def test_a_retry_after_a_lost_reply_inserts_once(self, zipcode_table, tmp_path, engine):
+        server = storage_server(tmp_path, engine)
+        transport = LostReplyTransport(server)
+        owner = make_owner()
+        session = RemoteOwnerSession(owner, ProtocolClient(transport), verify=False)
+        session.outsource(zipcode_table)
+        batch = incremental_batch(owner.plaintext, 1, "retried")
+
+        transport.lose_next_delta_reply = True
+        with pytest.raises(ConnectionError):
+            session.insert_rows(batch)
+        session.insert_rows(batch)  # the caller's retry
+
+        assert owner.plaintext.num_rows == zipcode_table.num_rows + 1
+        assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
+        assert session.select(Eq("Street", "street-retried-0")).num_rows == 1
+
+    def test_a_refused_insert_leaves_the_owner_as_it_was(self, zipcode_table):
+        registry = TenantRegistry()
+        server = ProtocolServer(tenants=registry)
+        owner = make_owner()
+        session = RemoteOwnerSession(
+            owner,
+            ProtocolClient(LoopbackTransport(server)),
+            credential=registry.mint("acme", "owner"),
+        )
+        session.outsource(zipcode_table)
+        expected = list(session.select(Eq("City", "Hoboken")).rows())
+        plaintext, encrypted = owner.plaintext, owner.encrypted
+        token = owner.derive_search_token("City", "Hoboken")  # memoised
+        analyst = RemoteOwnerSession(
+            owner,
+            ProtocolClient(LoopbackTransport(server)),
+            credential=registry.mint("acme", "analyst"),
+        )
+        with pytest.raises(AuthError) as excinfo:
+            analyst.insert_rows(incremental_batch(owner.plaintext, 1, "refused"))
+        assert excinfo.value.code == ErrorCode.FORBIDDEN.value
+
+        assert owner.plaintext.num_rows == zipcode_table.num_rows
+        assert owner.plaintext is plaintext and owner.encrypted is encrypted
+        assert owner.derive_search_token("City", "Hoboken") is token
+        assert list(session.select(Eq("City", "Hoboken")).rows()) == expected
+
+    def test_a_coordinated_writer_recovers_from_a_lost_reply(self, zipcode_table):
+        server = ProtocolServer()
+        owner = make_owner()
+        coordinator = WriteCoordinator()
+        boot = RemoteOwnerSession(
+            owner, ProtocolClient(LoopbackTransport(server)), coordinator=coordinator
+        )
+        boot.outsource(zipcode_table)
+        transport = LostReplyTransport(server)
+        writer = RemoteOwnerSession(owner, ProtocolClient(transport), coordinator=coordinator)
+        transport.lose_next_delta_reply = True
+        with pytest.raises(ConnectionError):
+            writer.insert_rows(incremental_batch(owner.plaintext, 1, "lost"))
+
+        # The server moved with no writer of the coordinator in flight: the
+        # next insert re-pushes the full view instead of waiting for an ack
+        # that never comes.  A thread with a timeout fails a livelock.
+        returned = []
+        thread = threading.Thread(
+            target=lambda: returned.append(
+                writer.insert_rows(incremental_batch(owner.plaintext, 1, "next"))
+            ),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=30)
+        assert returned == [owner.encrypted.relation.num_rows]
+        assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
+        assert "street-lost-0" not in owner.plaintext.column("Street")
+        assert coordinator.stats.withdrawn == 1
+        assert coordinator.stats.full_pushes == 2  # the boot outsource and the re-push
+
+    @pytest.mark.parametrize("later", ["acknowledged", "refused"])
+    def test_a_refused_writer_under_a_later_writer(self, zipcode_table, later):
+        """Writer A's push is refused after writer B staged on top of it.
+        A cannot take its rows back (B's view holds them): it waits for B,
+        and is a no-op once B is acknowledged, or pushes again once B took
+        its rows back."""
+        server = ProtocolServer()
+        owner = make_owner()
+        coordinator = WriteCoordinator()
+        RemoteOwnerSession(
+            owner, ProtocolClient(LoopbackTransport(server)), coordinator=coordinator
+        ).outsource(zipcode_table)
+        refusal = ErrorReply(error="Refused", message="refused", code="BAD_REQUEST").encode()
+        a_settling = threading.Event()
+        b_pushing = threading.Event()
+        settle = coordinator.settle_conflict
+
+        def settling(*args):
+            a_settling.set()
+            return settle(*args)
+
+        coordinator.settle_conflict = settling
+
+        class Gate(LoopbackTransport):
+            """Runs ``hold`` before the first delta and answers it with
+            ``refusal`` instead of forwarding it when ``refuse`` is set."""
+
+            def __init__(self, hold, refuse):
+                super().__init__(server)
+                self.hold, self.refuse = hold, refuse
+
+            def request(self, data: bytes) -> bytes:
+                if self.hold is None or Message.decode(data).kind != "insert_delta":
+                    return super().request(data)
+                self.hold()
+                self.hold = None
+                return refusal if self.refuse else super().request(data)
+
+        outcome = []
+
+        def run_b():
+            try:
+                b.insert_rows(incremental_batch(owner.plaintext, 1, "b"))
+                outcome.append("returned")
+            except ProtocolError:
+                outcome.append("raised")
+
+        def b_holds():
+            b_pushing.set()
+            assert a_settling.wait(10)
+
+        def a_holds():
+            thread.start()
+            assert b_pushing.wait(10)
+
+        thread = threading.Thread(target=run_b, daemon=True)
+        b = RemoteOwnerSession(
+            owner, ProtocolClient(Gate(b_holds, later == "refused")), coordinator=coordinator
+        )
+        a = RemoteOwnerSession(owner, ProtocolClient(Gate(a_holds, True)), coordinator=coordinator)
+        a.insert_rows(incremental_batch(owner.plaintext, 1, "a"))
+        thread.join(timeout=30)
+
+        assert outcome == ["returned" if later == "acknowledged" else "raised"]
+        streets = owner.plaintext.column("Street")
+        assert "street-a-0" in streets
+        assert ("street-b-0" in streets) == (later == "acknowledged")
+        assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
+        assert coordinator.stats.withdrawn == (later == "refused")
 
 
 class TestDuplicateDeltaFrame:
@@ -490,8 +651,9 @@ class TestDuplicateDeltaFrame:
 
     Every delta is CAS-armed, so the copy of an unauthenticated frame fails
     the commit-version check; on a signed session the replayed sequence
-    number is rejected before that.  (Making the owner's insert itself
-    two-phase, so a lost *reply* can be retried safely, is separate work.)
+    number is rejected before that.  (A lost *reply* is the owner's side:
+    the session takes the rows back and the retry's CAS conflict re-pushes
+    her view — ``TestStagedInserts``.)
     """
 
     def test_unauthenticated_copy_is_a_version_conflict(self, zipcode_table):

@@ -359,14 +359,17 @@ class TestAnswerCheck:
         assert masks.stats()["invalidations"] == 1
 
     def test_owner_ahead_of_an_unacked_push_reports_the_desync(self, registry):
-        # The insert never reached the server: the owner's table is ahead of
-        # every view the server acknowledged.  The answer is checked over
-        # the acknowledged view (so it passes), and decryption then reports
-        # the desync, as an unverified select does.
+        # An insert that never reached the server is taken back from the
+        # owner, so the next verified select answers.  An owner-side insert
+        # that was never pushed does put her table ahead of every view the
+        # server acknowledged: the answer is checked over the acknowledged
+        # view (so it passes), and decryption then reports the desync, as
+        # an unverified select does.
         credential = registry.mint("acme", "owner")
         transport = _DroppingTransport(LoopbackTransport(ProtocolServer(tenants=registry)))
+        owner = make_owner()
         session = RemoteOwnerSession(
-            make_owner(), ProtocolClient(transport), table_id="orders",
+            owner, ProtocolClient(transport), table_id="orders",
             credential=credential, verify=True,
         )
         session.outsource(base_relation())
@@ -376,6 +379,8 @@ class TestAnswerCheck:
             session.insert_rows([["Hoboken", "07030", "S"]])
         transport.down = False
         session.client.authenticate(credential)
+        assert session.select("City = Hoboken").num_rows == 3
+        owner.insert_rows([["Hoboken", "07030", "S"]])
         with pytest.raises(QueryError, match="out of sync"):
             session.select("City = Hoboken")
 
@@ -557,11 +562,11 @@ class TestVersionCas:
         owner = make_owner()
         session = verified_session(server, credential, owner=owner)
         session.outsource(base_relation())
-        stale = session._last_version
+        stale = session.coordinator.snapshot_base()[1]
 
         # Another writer moves the table first.
         session.insert_rows([["Summit", "07901", "E"]])
-        assert session._last_version > stale
+        assert session.coordinator.snapshot_base()[1] > stale
 
         from repro.api.delta import compute_view_delta
 
@@ -624,15 +629,17 @@ def reconnect_verified(registry, tmp_path, credential, owner, old_session,
     """A fresh server over the same storage + the owner's retained state."""
     server = ProtocolServer(tenants=registry, storage_dir=tmp_path, backend=backend)
     client = ProtocolClient(LoopbackTransport(server))
-    session = RemoteOwnerSession(
-        owner, client, table_id="orders", credential=credential, verify=True
+    # Carry the owner's acknowledged base and verification state across the
+    # reconnect (the whole point: the server cannot reset the owner's
+    # expectations).
+    return RemoteOwnerSession(
+        owner,
+        client,
+        table_id="orders",
+        credential=credential,
+        verify=True,
+        coordinator=old_session.coordinator,
     )
-    # Carry the owner's verification state across the reconnect (the whole
-    # point: the server cannot reset the owner's expectations).
-    session.integrity = old_session.integrity
-    session._last_view = old_session._last_view
-    session._last_version = old_session._last_version
-    return session
 
 
 def flip_byte_of_cell_data(storage: Path) -> None:

@@ -599,6 +599,58 @@ class TestLockMetricsConcurrency:
 
 
 # ----------------------------------------------------------------------
+# Write paths: each session's coordinator counts them, and so does obs
+# ----------------------------------------------------------------------
+class TestWriteCounters:
+    def test_every_write_path_is_counted(self, zipcode_table):
+        from repro.integrity.writers import WriteStats
+
+        class Flaky(LoopbackTransport):
+            """Loses the reply of the next ``insert_delta`` once armed."""
+
+            lose = False
+
+            def request(self, data: bytes) -> bytes:
+                reply = super().request(data)
+                if self.lose and b"insert_delta" in data:
+                    self.lose = False
+                    raise ConnectionError("reply lost")
+                return reply
+
+        def process_counts() -> dict[str, int]:
+            return {
+                name: obs.REGISTRY.counter(f"writes.{name}").value
+                for name in WriteStats().as_dict()
+            }
+
+        start = process_counts()
+        transport = Flaky(ProtocolServer())
+        owner = make_owner()
+        session = RemoteOwnerSession(owner, ProtocolClient(transport), table_id="t1")
+        session.outsource(zipcode_table)
+        session.insert_rows([["07030", "Hoboken", "street-a", "N"]])  # a delta
+        session.insert_rows([list(zipcode_table.row(0))])  # a MAS change: full
+        transport.lose = True
+        with pytest.raises(ConnectionError):
+            session.insert_rows([["07030", "Hoboken", "street-b", "N"]])
+        # The lost write landed: the CAS refuses the next delta, and with
+        # no other writer in flight the full view is re-pushed.
+        session.insert_rows([["07030", "Hoboken", "street-c", "N"]])
+
+        stats = session.coordinator.stats.as_dict()
+        assert stats == {
+            "delta_pushes": 1,
+            "full_pushes": 3,
+            "noop_pushes": 0,
+            "cas_conflicts": 1,
+            "rebases": 0,
+            "withdrawn": 1,
+        }
+        end = process_counts()
+        assert {name: end[name] - start[name] for name in end} == stats
+
+
+# ----------------------------------------------------------------------
 # Byte identity: metrics on vs off, observability draws no entropy
 # ----------------------------------------------------------------------
 class TestByteIdentity:

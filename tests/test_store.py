@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.delta import apply_view_delta, compute_view_delta
+from repro.api.session import DataOwner, RemoteOwnerSession
 from repro.api.protocol import (
     InsertDelta,
     LoopbackTransport,
@@ -18,6 +19,8 @@ from repro.api.protocol import (
 )
 from repro.backend import get_backend, numpy_available
 from repro.backend import numpy_backend, python_backend
+from repro.core.config import F2Config
+from repro.crypto.probabilistic import Ciphertext
 from repro.exceptions import (
     ConfigurationError,
     ProtocolError,
@@ -484,6 +487,28 @@ class TestReceivedRelation:
         assert calls["factorize_values"] == len(view.attributes)
         assert ack.fields["merkle_root"] == MerkleTree(relation_leaves(view)).root
         assert calls == {"factorize_values": len(view.attributes), "hash_row": 0}
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_replica_shares_the_coding_its_outsource_built(
+        self, monkeypatch, zipcode_table, backend, verify
+    ):
+        # A session ships the owner's replica itself, so the coded form its
+        # encode builds also serves her first select (leakage report and
+        # answer check): one factorisation per ciphertext column in all.
+        coded = []
+        for module in (python_backend, numpy_backend):
+
+            def spy(values, real=module.factorize_values):
+                coded.append(any(isinstance(value, Ciphertext) for value in values))
+                return real(values)
+
+            monkeypatch.setattr(module, "factorize_values", spy)
+        owner = DataOwner.from_seed(42, config=F2Config(alpha=0.25, seed=7, backend=backend))
+        session = RemoteOwnerSession(owner, make_client(ProtocolServer()), verify=verify)
+        session.outsource(zipcode_table)
+        assert session.select("City = Hoboken and Side = N").num_rows > 0
+        assert sum(coded) == zipcode_table.num_attributes
 
 
 def grow_by_one(relation: Relation, tag: str) -> Relation:
