@@ -6,9 +6,12 @@ design decision of the scheme:
 * **Split factor** — larger ``omega`` splits classes into more instances;
   the optimal-split-point machinery keeps the added copies bounded, so the
   space overhead must not explode with ``omega``.
-* **MAS discovery strategy** — the DUCC-style walk must return exactly the
-  same MASs as the level-wise apriori walk while computing far fewer
-  partitions on wide schemas.
+* **MAS discovery certificate** — on a wide schema (customer, 21
+  attributes) the DUCC walk computes a small fraction of the lattice's
+  ``2**m - 1`` partitions, and its answer is certified exact from the
+  partitions themselves: every MAS is non-unique, every one-attribute
+  extension of it is unique, and every minimal set outside all MASs (a
+  minimal hitting set of their complements) is unique, so no MAS is missing.
 * **Step 4 on/off** — skipping false-positive elimination is cheaper but
   introduces FDs that do not hold on the plaintext (quantified here).
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from repro.bench.harness import dataset_by_name, run_f2
 from repro.bench.reporting import format_table
-from repro.fd.mas import find_mas_with_stats
+from repro.fd.mas import find_mas_with_stats, minimal_unique_sets
 from repro.fd.tane import tane
 from repro.fd.verify import fd_holds
 
@@ -67,56 +70,46 @@ def test_ablation_split_factor(benchmark, bench_json):
     assert by_factor[8]["total_overhead"] <= by_factor[1]["total_overhead"] + 1e-9
 
 
-def test_ablation_mas_strategy(benchmark, bench_json):
+def test_ablation_mas_certificate(benchmark, bench_json):
+    from repro.relational.partition import Partition
+
     relation = dataset_by_name("customer", scale(700), seed=0)
+    result = benchmark.pedantic(
+        find_mas_with_stats, args=(relation,), kwargs={"backend": "python"}, rounds=1, iterations=1
+    )
 
-    def compare():
-        apriori = find_mas_with_stats(relation, strategy="apriori")
-        ducc = find_mas_with_stats(relation, strategy="ducc")
-        return {
-            "apriori_masses": sorted(str(mas) for mas in apriori.masses),
-            "ducc_masses": sorted(str(mas) for mas in ducc.masses),
-            "apriori_partitions": apriori.partitions_computed,
-            "ducc_partitions": ducc.partitions_computed,
-            "apriori_seconds": apriori.elapsed_seconds,
-            "ducc_seconds": ducc.elapsed_seconds,
-        }
+    def unique(attrs) -> bool:
+        partition = Partition.build(relation, frozenset(attrs), backend="python")
+        return not partition.non_singleton_classes()
 
-    result = benchmark.pedantic(compare, rounds=1, iterations=1)
+    mas_sets = [mas.as_set for mas in result.masses]
+    border = minimal_unique_sets(mas_sets, relation.attributes)
+    row = {
+        "dataset": "customer",
+        "rows": relation.num_rows,
+        "attributes": relation.num_attributes,
+        "masses": [str(mas) for mas in result.masses],
+        "partitions_computed": result.partitions_computed,
+        "lattice_sets": 2**relation.num_attributes - 1,
+        "minimal_unique_sets": len(border),
+        "seconds": round(result.elapsed_seconds, 4),
+    }
     print()
     print(
         format_table(
-            [
-                {
-                    "strategy": "apriori",
-                    "masses": len(result["apriori_masses"]),
-                    "partitions_computed": result["apriori_partitions"],
-                    "seconds": round(result["apriori_seconds"], 4),
-                },
-                {
-                    "strategy": "ducc",
-                    "masses": len(result["ducc_masses"]),
-                    "partitions_computed": result["ducc_partitions"],
-                    "seconds": round(result["ducc_seconds"], 4),
-                },
-            ],
-            title="Ablation: MAS discovery strategy (customer, 21 attributes)",
+            [{**row, "masses": len(row["masses"])}],
+            title="Ablation: MAS discovery certificate (customer, 21 attributes)",
         )
     )
-    bench_json.add(
-        "ablation_mas_strategy",
-        [
-            {
-                "strategy": strategy,
-                "masses": len(result[f"{strategy}_masses"]),
-                "partitions_computed": result[f"{strategy}_partitions"],
-                "seconds": round(result[f"{strategy}_seconds"], 4),
-            }
-            for strategy in ("apriori", "ducc")
-        ],
-    )
-    assert result["apriori_masses"] == result["ducc_masses"]
-    assert result["ducc_partitions"] <= result["apriori_partitions"]
+    bench_json.add("ablation_mas_certificate", [row])
+    for attrs in mas_sets:
+        assert not unique(attrs), f"MAS {sorted(attrs)} is unique"
+        for extra in set(relation.attributes) - attrs:
+            assert unique(attrs | {extra}), f"MAS {sorted(attrs)} + {extra} is non-unique"
+    # A missing MAS would contain a non-unique minimal hitting set.
+    for attrs in border:
+        assert unique(attrs), f"minimal hitting set {sorted(attrs)} is non-unique"
+    assert result.partitions_computed < row["lattice_sets"]
 
 
 def test_ablation_false_positive_elimination(benchmark, bench_json):

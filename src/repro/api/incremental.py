@@ -189,7 +189,6 @@ def insert_rows(
         masses=[plan.mas for plan in ctx.mas_plans],
         elapsed_seconds=mas_seconds,
         partitions_computed=0,
-        strategy="border",
         parameters={"rows": updated.num_rows, "attributes": updated.num_attributes},
     )
     ctx.stats.num_masses = len(ctx.mas_plans)

@@ -2014,13 +2014,15 @@ class ProtocolClient:
     a per-session total order, so one authenticated client is one logical
     command stream (use one client per thread for parallelism).  A fatal
     auth error (bad signature, lost session, sequence desync after a
-    transport retry) clears the local session; call :meth:`authenticate`
-    again for a new one.
+    transport retry) clears the local session, and the next call opens a
+    new one by running ``Hello`` again with the same credential: a client
+    that holds a credential never sends an unsigned frame.
     """
 
     def __init__(self, transport):
         self.transport = transport
         self._credential: Credential | None = None
+        self._versions: tuple[int, ...] = (PROTOCOL_VERSION,)
         self._session_id: str | None = None
         self._next_sequence = 1
         self._session_lock = threading.Lock()
@@ -2051,22 +2053,29 @@ class ProtocolClient:
         """
         if isinstance(credential, str):
             credential = Credential.from_token(credential)
-        hello = Hello(
-            tenant_id=credential.tenant_id,
-            capability=credential.capability,
-            token_id=credential.token_id,
-            versions=tuple(versions),
-        )
         with self._session_lock:
-            self._session_id = None
-            reply = self._roundtrip(hello)
-            if not isinstance(reply, HelloAck):
-                raise ProtocolError(
-                    f"expected a HelloAck reply to the handshake, got {reply.kind!r}"
-                )
             self._credential = credential
-            self._session_id = reply.session_id
-            self._next_sequence = 1
+            self._versions = tuple(versions)
+            return self._handshake_locked()
+
+    def _handshake_locked(self) -> HelloAck:
+        """Open a session with the held credential (session lock held)."""
+        assert self._credential is not None
+        self._session_id = None
+        reply = self._roundtrip(
+            Hello(
+                tenant_id=self._credential.tenant_id,
+                capability=self._credential.capability,
+                token_id=self._credential.token_id,
+                versions=self._versions,
+            )
+        )
+        if not isinstance(reply, HelloAck):
+            raise ProtocolError(
+                f"expected a HelloAck reply to the handshake, got {reply.kind!r}"
+            )
+        self._session_id = reply.session_id
+        self._next_sequence = 1
         return reply
 
     def _roundtrip(self, request: Message) -> Message:
@@ -2080,7 +2089,8 @@ class ProtocolClient:
 
         Unauthenticated clients send the request as-is; authenticated ones
         sign it into an envelope under the session lock (sequence numbers
-        must reach the server in issue order).
+        must reach the server in issue order), after a new ``Hello`` if the
+        last session was dropped.
 
         Every call runs under a ``client.<kind>`` span whose trace id is
         attached to the request (and its envelope) over the wire — the
@@ -2098,12 +2108,12 @@ class ProtocolClient:
             return self._call_traced(request)
 
     def _call_traced(self, request: Message) -> Message:
-        if self._session_id is None:
+        if self._credential is None:
             return self._roundtrip(request)
         with self._session_lock:
-            if self._session_id is None:  # lost the session while waiting
-                return self._roundtrip(request)
-            assert self._credential is not None
+            if self._session_id is None:
+                self._handshake_locked()
+            assert self._session_id is not None
             payload = request.encode()
             sequence = self._next_sequence
             envelope = SignedEnvelope(
@@ -2128,7 +2138,8 @@ class ProtocolClient:
                 # The transport failed mid-request (SocketTransport re-raises
                 # raw OSError on its retry attempt); whether the server
                 # consumed the sequence number is unknowable.  Drop the
-                # session rather than risk a silent desync.
+                # session rather than risk a silent desync; the next call
+                # opens a new one with the same credential.
                 self._session_id = None
                 raise
             try:

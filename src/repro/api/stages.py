@@ -303,12 +303,7 @@ class MasDiscoveryStage:
     name = "MAX"
 
     def run(self, ctx: EncryptionContext) -> None:
-        ctx.mas_result = find_mas_with_stats(
-            ctx.relation,
-            strategy=ctx.config.mas_strategy,
-            seed=ctx.config.seed,
-            backend=ctx.backend,
-        )
+        ctx.mas_result = find_mas_with_stats(ctx.relation, backend=ctx.backend)
         ctx.stats.num_masses = len(ctx.mas_result.masses)
         ctx.stats.num_overlapping_mas_pairs = len(ctx.mas_result.overlapping_pairs())
 

@@ -2,9 +2,10 @@
 
 The paper exposes two user-facing knobs — the security threshold ``alpha`` of
 alpha-security (Definition 2.1) and the split factor ``split_factor`` (the
-paper's ``omega``, Section 3.2.2).  The remaining options control the MAS
-discovery strategy, reproducibility, and two implementation guards documented
-in DESIGN.md.
+paper's ``omega``, Section 3.2.2).  The remaining options control
+reproducibility, the compute backend, and two implementation guards
+documented in DESIGN.md.  MAS discovery (Step 1) has no options: it is one
+exact, deterministic walk (:mod:`repro.fd.mas`).
 """
 
 from __future__ import annotations
@@ -29,13 +30,9 @@ class F2Config:
     split_factor:
         The paper's split factor ``omega`` (>= 1): the number of distinct
         ciphertext instances a split equivalence class is divided into.
-    mas_strategy:
-        MAS discovery strategy passed to
-        :func:`repro.fd.mas.find_maximal_attribute_sets` (``"auto"``,
-        ``"apriori"``, or ``"ducc"``).
     seed:
-        Seed for every randomised choice (fake values, MAS walk order,
-        conflict-pair order).  ``None`` uses nondeterministic entropy.
+        Seed for every randomised choice (fake values, conflict-pair
+        order).  ``None`` uses nondeterministic entropy.
     nonce_length:
         Length in bytes of the random string ``r`` of the probabilistic
         cipher (the paper's ``lambda``, in bytes).
@@ -69,7 +66,6 @@ class F2Config:
 
     alpha: float = 0.2
     split_factor: int = 2
-    mas_strategy: str = "auto"
     seed: int | None = 0
     nonce_length: int = 16
     eliminate_false_positives: bool = True
@@ -86,8 +82,6 @@ class F2Config:
             raise ConfigurationError(f"split_factor must be >= 1, got {self.split_factor}")
         if self.nonce_length < 8:
             raise ConfigurationError(f"nonce_length must be >= 8 bytes, got {self.nonce_length}")
-        if self.mas_strategy not in {"auto", "apriori", "ducc"}:
-            raise ConfigurationError(f"unknown mas_strategy: {self.mas_strategy!r}")
         if self.verify_max_lhs < 1:
             raise ConfigurationError("verify_max_lhs must be >= 1")
         if self.backend is not None and self.backend not in {"auto", "python", "numpy"}:
@@ -114,7 +108,6 @@ class F2Config:
             "alpha": self.alpha,
             "split_factor": self.split_factor,
             "group_size": self.group_size,
-            "mas_strategy": self.mas_strategy,
             "seed": self.seed,
             "nonce_length": self.nonce_length,
             "eliminate_false_positives": self.eliminate_false_positives,

@@ -11,7 +11,8 @@ Provides the FD objects and algorithms that the paper relies on:
 * :func:`~repro.fd.discovery.discover_fds_naive` — a brute-force oracle used
   by the test suite to validate TANE and the FD-preservation theorem.
 * :func:`~repro.fd.mas.find_maximal_attribute_sets` — Step 1 of F2: maximal
-  non-unique column combination discovery (the DUCC adaptation of Section 3.1).
+  non-unique column combination discovery (the DUCC adaptation of Section 3.1),
+  one exact, deterministic walk with no options.
 * :mod:`~repro.fd.verify` — checking whether specific FDs hold and comparing
   FD sets between the plaintext and ciphertext tables.
 """

@@ -6,29 +6,24 @@ and (2) no proper superset of ``A`` has that property.  The paper observes
 that MASs are exactly the *maximal non-unique column combinations* of Heise
 et al. (DUCC, PVLDB 2013) and adapts that algorithm.
 
-Two exact strategies are provided:
-
-``apriori``
-    A level-wise bottom-up walk over non-unique attribute sets.  Simple and
-    exact, but exponential in the number of attributes; suitable for narrow
-    schemas (the paper's synthetic and Orders tables).
-
-``ducc``
-    A DUCC-style lattice walk: random greedy walks that bounce off the
-    unique/non-unique boundary, with subset/superset pruning against the sets
-    already classified, plus a hole-detection step based on minimal hitting
-    sets that guarantees completeness.  Its cost depends on the size of the
-    solution (number of MASs and minimal uniques), not on ``2^m`` — this is
-    the property the paper relies on to make Step 1 affordable for the data
-    owner.
-
-``auto`` (default) picks ``apriori`` for schemas of at most 12 attributes and
-``ducc`` otherwise.
+There is one algorithm, exact and deterministic: a DUCC lattice walk.  Each
+seed set is grown (if non-unique) or shrunk (if unique) greedily, attributes
+taken in sorted order, until it sits on the unique/non-unique boundary, with
+subset/superset pruning against every set already classified.  Hole
+detection then enumerates every minimal hitting set of the complements of
+the maximal non-unique sets found so far; one that contains no known
+minimal unique set is unclassified and seeds the next round.  Each such
+hole yields a boundary set not seen before (a new maximal non-unique set
+containing it, or a new minimal unique set inside it), and the boundary is
+finite, so the walk terminates.  When no hole is left, every maximal
+non-unique set has been found: a missing one would contain a minimal hitting
+set that is non-unique, hence a hole.  The cost depends on the size of the
+solution (number of MASs and minimal uniques), not on ``2^m`` — the
+property the paper relies on to make Step 1 affordable for the data owner.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -83,7 +78,6 @@ class MasResult:
     masses: list[MaximalAttributeSet]
     elapsed_seconds: float
     partitions_computed: int
-    strategy: str
     parameters: dict[str, object] = field(default_factory=dict)
 
     def overlapping_pairs(self) -> list[tuple[MaximalAttributeSet, MaximalAttributeSet]]:
@@ -97,21 +91,17 @@ class MasResult:
 
 def find_maximal_attribute_sets(
     relation: Relation,
-    strategy: str = "auto",
-    seed: int | None = 0,
     backend: ComputeBackend | str | None = None,
 ) -> list[MaximalAttributeSet]:
     """Find every MAS of ``relation`` (Definition 3.2).
 
     Convenience wrapper around :func:`find_mas_with_stats`.
     """
-    return find_mas_with_stats(relation, strategy=strategy, seed=seed, backend=backend).masses
+    return find_mas_with_stats(relation, backend=backend).masses
 
 
 def find_mas_with_stats(
     relation: Relation,
-    strategy: str = "auto",
-    seed: int | None = 0,
     backend: ComputeBackend | str | None = None,
 ) -> MasResult:
     """Find every MAS and return profiling counters.
@@ -120,35 +110,20 @@ def find_mas_with_stats(
     ----------
     relation:
         The table to analyse (at least one row).
-    strategy:
-        ``"apriori"``, ``"ducc"``, or ``"auto"``.
-    seed:
-        Seed for the DUCC random walk (ignored by ``apriori``).  ``None``
-        draws from the system RNG.
     backend:
         Compute backend for the non-uniqueness tests (name, instance, or
         ``None`` for the environment default).
     """
     if relation.num_rows == 0:
         raise DiscoveryError("cannot discover MASs of an empty relation")
-    if strategy not in {"auto", "apriori", "ducc"}:
-        raise DiscoveryError(f"unknown MAS discovery strategy: {strategy!r}")
-    if strategy == "auto":
-        strategy = "apriori" if relation.num_attributes <= 12 else "ducc"
-
     start = time.perf_counter()
     finder = _MasFinder(relation, backend=backend)
-    if strategy == "apriori":
-        maximal_sets = finder.apriori()
-    else:
-        maximal_sets = finder.ducc(seed=seed)
-    masses = [finder.describe(attrs) for attrs in sorted(maximal_sets, key=_canonical)]
+    masses = [finder.describe(attrs) for attrs in sorted(finder.ducc(), key=_canonical)]
     elapsed = time.perf_counter() - start
     return MasResult(
         masses=masses,
         elapsed_seconds=elapsed,
         partitions_computed=finder.partitions_computed,
-        strategy=strategy,
         parameters={
             "rows": relation.num_rows,
             "attributes": relation.num_attributes,
@@ -162,7 +137,7 @@ def _canonical(attrs: AttrSet) -> tuple[str, ...]:
 
 
 class _MasFinder:
-    """Shared machinery for both MAS discovery strategies."""
+    """The DUCC walk over one relation, with its classification caches."""
 
     def __init__(self, relation: Relation, backend: ComputeBackend | str | None = None):
         self.relation = relation
@@ -218,142 +193,81 @@ class _MasFinder:
             num_duplicate_classes=len(partition.non_singleton_classes()),
         )
 
-    def is_maximal_non_unique(self, attrs: AttrSet) -> bool:
-        """``attrs`` is non-unique and every one-attribute extension is unique."""
-        if not self.is_non_unique(attrs):
-            return False
-        return all(
-            not self.is_non_unique(attrs | {extra})
-            for extra in self.all_attributes - attrs
-        )
+    # ------------------------------------------------------------------
+    # The DUCC walk with hole detection
+    # ------------------------------------------------------------------
+    def ducc(self) -> set[AttrSet]:
+        """Every maximal non-unique set, by boundary walks and hole detection.
 
-    # ------------------------------------------------------------------
-    # Strategy 1: level-wise apriori walk
-    # ------------------------------------------------------------------
-    def apriori(self) -> set[AttrSet]:
-        """Exact bottom-up enumeration of maximal non-unique sets."""
-        non_unique_singletons = [
-            frozenset([attr]) for attr in self.all_attributes if self.is_non_unique(frozenset([attr]))
-        ]
-        maximal: set[AttrSet] = set()
-        current_level = set(non_unique_singletons)
-        while current_level:
-            next_level: set[AttrSet] = set()
-            for attrs in current_level:
-                extensions = [
-                    attrs | {extra}
-                    for extra in self.all_attributes - attrs
-                ]
-                grown = False
-                for extension in extensions:
-                    if all(
-                        extension - {attr} in current_level or self.is_non_unique(extension - {attr})
-                        for attr in extension
-                    ) and self.is_non_unique(extension):
-                        next_level.add(extension)
-                        grown = True
-                if not grown:
-                    maximal.add(attrs)
-            current_level = next_level
-        return self._retain_maximal(maximal)
-
-    # ------------------------------------------------------------------
-    # Strategy 2: DUCC-style random walk with hole detection
-    # ------------------------------------------------------------------
-    def ducc(self, seed: int | None = 0, max_rounds: int = 64) -> set[AttrSet]:
-        """Exact maximal non-unique set discovery via boundary random walks.
-
-        The walk repeatedly maximises non-unique seeds (adding attributes while
-        the set stays non-unique) and minimises unique seeds (removing
-        attributes while the set stays unique), recording the boundary sets.
-        After each round a hole-detection step derives candidate unclassified
-        sets from the minimal hitting sets of the complements of the maximal
-        non-unique sets found so far; the algorithm terminates when no
-        unclassified candidate remains, which guarantees completeness.
+        The walk maximises non-unique seeds (adding attributes while the set
+        stays non-unique) and minimises unique seeds (removing attributes
+        while the set stays unique), recording the boundary sets.  After
+        each round, hole detection returns the unclassified minimal hitting
+        sets of the maximal non-unique sets' complements as the next seeds;
+        the walk ends when there are none (see the module docstring).
         """
-        rng = random.Random(seed)
         maximal_non_unique: set[AttrSet] = set()
         minimal_unique: set[AttrSet] = set()
-
-        non_unique_singletons = {
-            frozenset([attr]) for attr in self.all_attributes if self.is_non_unique(frozenset([attr]))
-        }
-        for attr in self.all_attributes:
-            single = frozenset([attr])
-            if single not in non_unique_singletons:
-                minimal_unique.add(single)
-        if not non_unique_singletons:
+        seeds = sorted((frozenset([attr]) for attr in self.all_attributes), key=_canonical)
+        if not any(self.is_non_unique(single) for single in seeds):
             return set()
-
-        seeds: list[AttrSet] = sorted(non_unique_singletons, key=_canonical)
-        for _ in range(max_rounds):
-            while seeds:
-                seed_set = seeds.pop()
+        while seeds:
+            for seed_set in seeds:
                 if self.is_non_unique(seed_set):
-                    maximal_non_unique.add(self._maximise(seed_set, rng))
+                    maximal_non_unique.add(self._maximise(seed_set))
                 else:
-                    minimal_unique.add(self._minimise(seed_set, rng))
-            holes = self._find_holes(maximal_non_unique, minimal_unique)
-            if not holes:
-                break
-            seeds = sorted(holes, key=_canonical)
-        return self._retain_maximal(maximal_non_unique)
+                    minimal_unique.add(self._minimise(seed_set))
+            seeds = self._find_holes(maximal_non_unique, minimal_unique)
+        return maximal_non_unique
 
-    def _maximise(self, attrs: AttrSet, rng: random.Random) -> AttrSet:
-        """Greedily grow a non-unique set until every extension is unique."""
-        current = attrs
-        while True:
-            candidates = [
-                extra for extra in self.all_attributes - current
-                if self.is_non_unique(current | {extra})
-            ]
-            if not candidates:
-                return current
-            current = current | {rng.choice(candidates)}
+    def _maximise(self, attrs: AttrSet) -> AttrSet:
+        """Grow a non-unique set until every one-attribute extension is unique.
 
-    def _minimise(self, attrs: AttrSet, rng: random.Random) -> AttrSet:
-        """Greedily shrink a unique set until every reduction is non-unique."""
+        Adding the first non-unique extension in sorted order, repeatedly, is
+        one sorted pass: an extension that was unique stays unique once the
+        set grows.
+        """
         current = attrs
-        while True:
-            candidates = [
-                attr for attr in current
-                if len(current) > 1 and not self.is_non_unique(current - {attr})
-            ]
-            if not candidates:
-                return current
-            current = current - {rng.choice(candidates)}
+        for extra in sorted(self.all_attributes - attrs):
+            if self.is_non_unique(current | {extra}):
+                current = current | {extra}
+        return current
+
+    def _minimise(self, attrs: AttrSet) -> AttrSet:
+        """Shrink a unique set until every one-attribute reduction is non-unique.
+
+        One sorted pass, as in :meth:`_maximise`: a reduction that was
+        non-unique stays non-unique once the set shrinks.  The walk only
+        runs on two or more rows, where the empty set is non-unique, so the
+        result is never empty.
+        """
+        current = attrs
+        for attr in sorted(attrs):
+            if not self.is_non_unique(current - {attr}):
+                current = current - {attr}
+        return current
 
     def _find_holes(
         self,
         maximal_non_unique: set[AttrSet],
         minimal_unique: set[AttrSet],
-    ) -> set[AttrSet]:
-        """Hole detection: unclassified candidate sets implied by duality.
+    ) -> list[AttrSet]:
+        """Hole detection: the unclassified sets implied by duality.
 
         Every minimal unique column combination is a minimal hitting set of
-        the complements of the maximal non-unique sets.  We enumerate those
-        minimal hitting sets; any that is not (a superset of) a known minimal
-        unique, or whose classification turns out to be non-unique, is an
-        unexplored part of the boundary and is returned as a new seed.
+        the complements of the maximal non-unique sets.  A minimal hitting
+        set that contains no known minimal unique set is an unexplored part
+        of the boundary and is returned (sorted) as a new seed.
         """
         complements = [self.all_attributes - attrs for attrs in maximal_non_unique]
-        if not complements:
-            return {self.all_attributes}
-        holes: set[AttrSet] = set()
-        for hitting_set in _minimal_hitting_sets(complements, self.all_attributes):
-            covered = any(hitting_set >= unique for unique in minimal_unique)
-            if not covered:
-                holes.add(hitting_set)
-            elif self.is_non_unique(hitting_set):
-                holes.add(hitting_set)
-        return holes
-
-    def _retain_maximal(self, candidates: set[AttrSet]) -> set[AttrSet]:
-        """Drop any candidate strictly contained in another candidate."""
-        return {
-            attrs for attrs in candidates
-            if not any(attrs < other for other in candidates)
-        }
+        return sorted(
+            (
+                hitting_set
+                for hitting_set in _minimal_hitting_sets(complements)
+                if not any(hitting_set >= unique for unique in minimal_unique)
+            ),
+            key=_canonical,
+        )
 
 
 def minimal_unique_sets(
@@ -370,7 +284,7 @@ def minimal_unique_sets(
     complements = [universe - frozenset(attrs) for attrs in mas_sets]
     if not complements:
         return sorted((frozenset([attr]) for attr in universe), key=_canonical)
-    return sorted(_minimal_hitting_sets(complements, universe, limit=None), key=_canonical)
+    return sorted(_minimal_hitting_sets(complements), key=_canonical)
 
 
 class MasBorder:
@@ -434,20 +348,13 @@ class MasBorder:
         return MasBorder(self._getters, seen)
 
 
-def _minimal_hitting_sets(
-    sets: list[AttrSet],
-    universe: AttrSet,
-    limit: int | None = 4096,
-) -> list[AttrSet]:
-    """Enumerate minimal hitting sets of ``sets`` over ``universe``.
+def _minimal_hitting_sets(sets: list[AttrSet]) -> list[AttrSet]:
+    """Enumerate every minimal hitting set of ``sets``.
 
     Incremental construction: process the input sets one by one, extending
     each partial hitting set that misses the new input set with every element
-    of that set, then discarding non-minimal results.  The ``limit`` bounds
-    the intermediate frontier to keep worst cases in check (the DUCC walk only
-    needs *some* unclassified candidates per round; completeness is still
-    reached because remaining holes surface in later rounds); ``None``
-    enumerates them all.
+    of that set, then discarding non-minimal results.  An empty input set
+    cannot be hit, so it leaves no hitting set at all.
     """
     frontier: list[AttrSet] = [frozenset()]
     for target in sets:
@@ -460,9 +367,7 @@ def _minimal_hitting_sets(
                 candidate = partial | {element}
                 next_frontier.append(candidate)
         frontier = _drop_supersets(next_frontier)
-        if limit is not None and len(frontier) > limit:
-            frontier = frontier[:limit]
-    return [attrs for attrs in frontier if attrs <= universe]
+    return frontier
 
 
 def _drop_supersets(candidates: list[AttrSet]) -> list[AttrSet]:

@@ -40,10 +40,6 @@ class TestF2Config:
         with pytest.raises(ConfigurationError):
             F2Config(nonce_length=4)
 
-    def test_invalid_mas_strategy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            F2Config(mas_strategy="guess")
-
     def test_invalid_verify_max_lhs_rejected(self):
         with pytest.raises(ConfigurationError):
             F2Config(verify_max_lhs=0)

@@ -299,9 +299,13 @@ class RecordingTransport(LoopbackTransport):
         self.replies.clear()
 
 
-def remote_plaintext(owner: DataOwner, server: ProtocolServer) -> list[tuple]:
-    """Decrypt the provider's stored view with the owner's key and provenance."""
-    remote = dataclasses.replace(owner.encrypted, relation=server.store())
+def remote_plaintext(owner: DataOwner, server: ProtocolServer, **table) -> list[tuple]:
+    """Decrypt the provider's stored view with the owner's key and provenance.
+
+    ``table`` names the stored table (``table_id``, ``tenant_id``) when it is
+    not the local default one.
+    """
+    remote = dataclasses.replace(owner.encrypted, relation=server.store(**table))
     return list(decrypt_table(remote, owner.pipeline.cipher).rows())
 
 
@@ -389,15 +393,19 @@ class TestDeltaBaseCheck:
 
 
 class LostReplyTransport(RecordingTransport):
-    """Delivers every request, but can lose the reply of an ``insert_delta``:
-    the server applied it and the owner never learns."""
+    """Delivers every request, but can lose the reply of the next request of
+    kind ``lose_next_reply_of`` (a signed one is judged by its payload): the
+    server applied it and the owner never learns."""
 
-    lose_next_delta_reply = False
+    lose_next_reply_of: "str | None" = None
 
     def request(self, data: bytes) -> bytes:
         reply = super().request(data)
-        if self.lose_next_delta_reply and Message.decode(data).kind == "insert_delta":
-            self.lose_next_delta_reply = False
+        message = Message.decode(data)
+        if isinstance(message, SignedEnvelope):
+            message = Message.decode(message.payload)
+        if message.kind == self.lose_next_reply_of:
+            self.lose_next_reply_of = None
             raise ConnectionError("reply lost")
         return reply
 
@@ -468,7 +476,7 @@ class TestDirectDelta:
             session.insert_rows(incremental_batch(owner.plaintext, 1, "acked"))
             assert session.last_delta is owner.last_view_delta is not None
 
-            transport.lose_next_delta_reply = True
+            transport.lose_next_reply_of = "insert_delta"
             acked = owner.state()
             with pytest.raises(ConnectionError):
                 session.insert_rows(incremental_batch(owner.plaintext, 1, "lost"))
@@ -507,7 +515,7 @@ class TestStagedInserts:
         session.outsource(zipcode_table)
         batch = incremental_batch(owner.plaintext, 1, "retried")
 
-        transport.lose_next_delta_reply = True
+        transport.lose_next_reply_of = "insert_delta"
         with pytest.raises(ConnectionError):
             session.insert_rows(batch)
         session.insert_rows(batch)  # the caller's retry
@@ -515,6 +523,46 @@ class TestStagedInserts:
         assert owner.plaintext.num_rows == zipcode_table.num_rows + 1
         assert remote_plaintext(owner, server) == list(owner.plaintext.rows())
         assert session.select(Eq("Street", "street-retried-0")).num_rows == 1
+
+    @pytest.mark.parametrize("allow_anonymous", [False, True])
+    @pytest.mark.parametrize("change", ["delta", "mas-change"])
+    def test_a_signed_retry_after_a_lost_reply_re_handshakes(
+        self, zipcode_table, allow_anonymous, change
+    ):
+        """The lost reply drops the signed session.  The retry opens a new
+        one with the same credential; it never goes out unsigned, where a
+        server that admits anonymous peers would run it as the local
+        tenant."""
+        registry = TenantRegistry()
+        server = ProtocolServer(tenants=registry, allow_anonymous=allow_anonymous)
+        transport = LostReplyTransport(server)
+        owner = make_owner()
+        session = RemoteOwnerSession(
+            owner,
+            ProtocolClient(transport),
+            table_id="orders",
+            credential=registry.mint("acme", "owner"),
+            verify=False,
+        )
+        session.outsource(zipcode_table)
+        if change == "delta":
+            batch = incremental_batch(owner.plaintext, 1, "retried")
+            transport.lose_next_reply_of = "insert_delta"
+        else:
+            batch = [list(zipcode_table.row(0))]  # a duplicate row changes the MASs
+            transport.lose_next_reply_of = "outsource_request"
+        with pytest.raises(ConnectionError):
+            session.insert_rows(batch)
+        session.insert_rows(batch)  # the caller's retry
+
+        assert owner.last_update_report.mode == ("incremental" if change == "delta" else "full")
+        assert owner.plaintext.num_rows == zipcode_table.num_rows + 1
+        assert server.table_ids(None) == ["acme/orders"]
+        assert server.table_ids() == []
+        assert remote_plaintext(owner, server, table_id="orders", tenant_id="acme") == list(
+            owner.plaintext.rows()
+        )
+        assert set(transport.kinds()) == {"hello", "signed"}
 
     def test_a_refused_insert_leaves_the_owner_as_it_was(self, zipcode_table):
         registry = TenantRegistry()
@@ -553,7 +601,7 @@ class TestStagedInserts:
         boot.outsource(zipcode_table)
         transport = LostReplyTransport(server)
         writer = RemoteOwnerSession(owner, ProtocolClient(transport), coordinator=coordinator)
-        transport.lose_next_delta_reply = True
+        transport.lose_next_reply_of = "insert_delta"
         with pytest.raises(ConnectionError):
             writer.insert_rows(incremental_batch(owner.plaintext, 1, "lost"))
 

@@ -1,9 +1,17 @@
 """Tests for MAS (maximal attribute set) discovery — Step 1 of F2."""
 
-from itertools import chain, combinations
+import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.api import DataOwner
+from repro.api.stages import MasDiscoveryStage
+from repro.backend import numpy_available
+from repro.core.config import F2Config
+from repro.datasets.tpch import generate_customer
 from repro.exceptions import DiscoveryError
 from repro.fd.mas import (
     MaximalAttributeSet,
@@ -13,6 +21,8 @@ from repro.fd.mas import (
 from repro.relational.table import Relation
 
 from tests.conftest import make_random_table
+
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 def brute_force_mas(relation: Relation) -> set[frozenset[str]]:
@@ -65,25 +75,33 @@ class TestMasOnPaperExamples:
             assert any(fd.attributes <= mas.as_set for mas in masses)
 
 
-class TestMasStrategies:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_apriori_matches_brute_force(self, seed):
-        table = make_random_table(seed, num_attributes=4)
-        found = {mas.as_set for mas in find_maximal_attribute_sets(table, strategy="apriori")}
-        assert found == brute_force_mas(table)
+@st.composite
+def relations(draw) -> Relation:
+    """Relations of 1-8 attributes and 1-40 rows over small domains.
 
+    A domain of one value makes a column constant, so whole-schema MASs
+    occur; a row may repeat an earlier one (duplicate rows); one row, or
+    wide domains, leave no MAS at all.
+    """
+    width = draw(st.integers(1, 8))
+    domains = [draw(st.integers(1, 6)) for _ in range(width)]
+    rows: list[list[str]] = []
+    for _ in range(draw(st.integers(1, 40))):
+        if rows and draw(st.booleans()):
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(
+                [f"v{draw(st.integers(0, size - 1))}" for size in domains]
+            )
+    return Relation([f"X{index}" for index in range(width)], rows, name="random")
+
+
+class TestMasStrategies:
     @pytest.mark.parametrize("seed", range(10))
     def test_ducc_matches_brute_force(self, seed):
         table = make_random_table(seed, num_attributes=5)
-        found = {mas.as_set for mas in find_maximal_attribute_sets(table, strategy="ducc")}
+        found = {mas.as_set for mas in find_maximal_attribute_sets(table)}
         assert found == brute_force_mas(table)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_strategies_agree(self, seed):
-        table = make_random_table(seed + 50, num_attributes=6)
-        apriori = {mas.as_set for mas in find_maximal_attribute_sets(table, strategy="apriori")}
-        ducc = {mas.as_set for mas in find_maximal_attribute_sets(table, strategy="ducc")}
-        assert apriori == ducc
 
     def test_all_unique_table_has_no_mas(self):
         table = Relation(["A", "B"], [["a1", "b1"], ["a2", "b2"], ["a3", "b3"]])
@@ -94,13 +112,52 @@ class TestMasStrategies:
         masses = find_maximal_attribute_sets(table)
         assert {mas.as_set for mas in masses} == {frozenset({"A", "B"})}
 
-    def test_unknown_strategy_rejected(self, paper_figure1_table):
-        with pytest.raises(DiscoveryError):
-            find_maximal_attribute_sets(paper_figure1_table, strategy="magic")
-
     def test_empty_relation_rejected(self):
         with pytest.raises(DiscoveryError):
             find_maximal_attribute_sets(Relation(["A"]))
+
+
+class TestExactDeterministicMax:
+    """MAX is one exact walk: it equals the exponential oracle and draws
+    no randomness."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=80, deadline=None)
+    @given(table=relations())
+    @example(table=Relation(["A", "B", "C"], [["a", "b", "c"]] * 3))  # whole schema
+    @example(table=Relation(["A", "B"], [["a1", "b1"], ["a2", "b2"]]))  # no MAS
+    @example(table=Relation(["A"], [["a"]]))  # one row
+    @example(
+        table=Relation(["A", "B", "C"], [["a1", "b", "c1"], ["a1", "b", "c1"], ["a2", "b", "c2"]])
+    )  # a duplicate row
+    def test_matches_brute_force_oracle(self, backend, table):
+        result = find_mas_with_stats(table, backend=backend)
+        assert {mas.as_set for mas in result.masses} == brute_force_mas(table)
+        assert [mas.attributes for mas in result.masses] == sorted(
+            (mas.attributes for mas in result.masses), key=sorted
+        )
+
+    def test_max_draws_no_randomness(self, monkeypatch):
+        """MAX runs inside a real outsource on a 21-attribute schema with
+        every ``random`` entry point patched to raise."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("MAS discovery drew randomness")
+
+        run = MasDiscoveryStage.run
+        calls = []
+
+        def guarded(self, ctx):
+            with monkeypatch.context() as patch:
+                for name in ("Random", "random", "choice", "shuffle", "sample", "randrange"):
+                    patch.setattr(random, name, forbidden)
+                run(self, ctx)
+            calls.append(len(ctx.mas_result.masses))
+
+        monkeypatch.setattr(MasDiscoveryStage, "run", guarded)
+        owner = DataOwner.from_seed(7, config=F2Config(alpha=0.5, seed=3))
+        owner.outsource(generate_customer(60, seed=0))
+        assert calls and calls[0] >= 1
 
 
 class TestMasResult:
@@ -108,7 +165,7 @@ class TestMasResult:
         result = find_mas_with_stats(paper_figure3_table)
         assert result.partitions_computed > 0
         assert result.elapsed_seconds >= 0
-        assert result.strategy in {"apriori", "ducc"}
+        assert result.parameters["attributes"] == paper_figure3_table.num_attributes
 
     def test_overlapping_pairs(self, paper_figure3_table):
         result = find_mas_with_stats(paper_figure3_table)
