@@ -40,6 +40,7 @@ on a MAS change.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -168,17 +169,23 @@ def compute_view_delta(old: Relation, new: Relation) -> ViewDelta:
 
 
 def splice_view_delta(
-    old: Relation, new: Relation, segments: list[list[int]], candidates: list[list[int]]
+    old: Relation,
+    new: Relation,
+    segments: list[list[int]],
+    candidates: list[list[int]],
+    rebuilt: Sequence[Sequence[Any]],
 ) -> ViewDelta:
     """The delta of a view the incremental tail spliced from ``old``.
 
     ``segments`` is the splice's map (:class:`repro.core.conflict.Splice`):
     ``[start, count]`` for ``count`` rows of ``old`` reused verbatim from
     ``start``, ``[-1, count]`` for ``count`` rebuilt rows, in the order of
-    ``new``.  Reused runs become copy segments as they are.  A rebuilt row
-    may still equal a base row — a re-planned group re-creates most of its
-    artificial rows byte for byte — so each one is looked up among the
-    ``candidates`` runs of ``old``, and only the rest travel as literals.
+    ``new``; ``rebuilt`` holds the rebuilt rows' cells, one sequence per
+    attribute in schema order (the splice's ``cells``).  Reused runs become
+    copy segments as they are.  A rebuilt row may still equal a base row —
+    a re-planned group re-creates most of its artificial rows byte for
+    byte — so each one is looked up among the ``candidates`` runs of
+    ``old``, and only the rest travel as literals.
 
     The splice names as candidates every base row a rebuilt row can repeat:
     equal bytes need equal instance variants (or artificial tokens, which
@@ -186,30 +193,28 @@ def splice_view_delta(
     the same re-planned ECG, sits in the block the rebuilt one replaces, or
     is a false-positive row of a re-run Step 4.  The delta therefore ships
     no more literal rows than :func:`compute_view_delta` would, at a cost of
-    O(rebuilt + candidate rows) instead of O(view).
+    O(rebuilt + candidate rows) instead of O(view): the candidates are read
+    by index, and neither view is flattened.
     """
     _check_schemas(old, new)
-    old_columns = [old.column(attr) for attr in old.attributes]
-    new_columns = [new.column(attr) for attr in new.attributes]
+    indexes = [index for start, count in candidates for index in range(start, start + count)]
     repeats: dict[tuple, int] = {}
-    for start, count in candidates:
-        for index in range(start, start + count):
-            repeats.setdefault(tuple(column[index] for column in old_columns), index)
+    for index, row in zip(indexes, old.select_rows(indexes).rows()):
+        repeats.setdefault(row, index)
 
     builder = _DeltaBuilder(new)
-    position = 0
+    rows = zip(*rebuilt)
     for start, count in segments:
         if start >= 0:
             builder.copy(start, count)
-        else:
-            for index in range(position, position + count):
-                row = tuple(column[index] for column in new_columns)
-                found = repeats.get(row)
-                if found is None:
-                    builder.literal(row)
-                else:
-                    builder.copy(found)
-        position += count
+            continue
+        for _ in range(count):
+            row = next(rows)
+            found = repeats.get(row)
+            if found is None:
+                builder.literal(row)
+            else:
+                builder.copy(found)
     return builder.delta(old)
 
 

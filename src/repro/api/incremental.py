@@ -35,6 +35,15 @@ the previous run's :class:`~repro.api.pipeline.EncryptionContext`:
 * **Delta** — the splice knows which previous row every kept row is, so the
   new server view's :class:`~repro.api.delta.ViewDelta` comes from it
   directly (:attr:`EncryptionContext.view_delta`) instead of an alignment.
+* **Shared state** — the new context shares every part of the previous one
+  the insert does not change (:mod:`repro.relational.persistent`): the
+  plaintext and the view are chunked sequences, extended or spliced at a
+  cost of O(batch + seams); the nonce log, the instance cache and the
+  border's projection sets are layered maps whose new top layer holds only
+  this insert's additions.  Nothing the previous context holds is copied
+  or mutated, so it stays valid (a staged write can be withdrawn, a
+  concurrent select can keep reading it) and dropping it frees only what
+  the insert replaced.
 
 Reused groups stay collision-free with at least ``k`` members and re-planned
 groups are frequency-homogenised by construction, so the alpha-security
@@ -69,6 +78,7 @@ from repro.core.split_scale import EcgPlan, build_ecg_plan
 from repro.exceptions import EncryptionError
 from repro.fd.mas import MasBorder, MasResult, MaximalAttributeSet
 from repro.relational.partition import EquivalenceClass
+from repro.relational.persistent import LayeredMap
 from repro.relational.table import Relation
 
 
@@ -123,13 +133,13 @@ def insert_rows(
 
     Returns the new owner-side context, the new encrypted table, and a
     report describing whether the update ran incrementally or fell back to a
-    full run.  The previous context is left untouched.
+    full run.  The previous context is left untouched; the new one shares
+    its unchanged state.
     """
     batch = list(rows)
     if not batch:
         raise EncryptionError("insert_rows requires at least one row")
-    updated = previous.relation.copy()
-    updated.extend(batch)
+    updated = previous.relation.extended(batch)
 
     config = pipeline.config
     mas_start = time.perf_counter()
@@ -157,13 +167,14 @@ def insert_rows(
         updated, config, pipeline.cipher, fresh_factory=previous.fresh_factory
     )
     # Carry the materialiser's fresh-nonce log and instance ciphertexts
-    # (copied: the previous context stays untouched): rebuilt rows that
-    # were materialised before re-encrypt to their previous bytes, and the
-    # kept ones would draw nothing at all.  The full-run fallback above
-    # deliberately starts empty — a MAS change re-randomises everything,
-    # and the owner ships a full view anyway.
-    ctx.nonce_log = dict(previous.nonce_log)
-    ctx.instance_cache = dict(previous.instance_cache)
+    # (shared: this run's additions go to a new top layer, so the previous
+    # context stays untouched): rebuilt rows that were materialised before
+    # re-encrypt to their previous bytes, and the kept ones would draw
+    # nothing at all.  The full-run fallback above deliberately starts
+    # empty — a MAS change re-randomises everything, and the owner ships a
+    # full view anyway.
+    ctx.nonce_log = LayeredMap.over(previous.nonce_log)
+    ctx.instance_cache = LayeredMap.over(previous.instance_cache)
     ctx.mas_border = border
     ctx.stats.seconds_max = mas_seconds
 
@@ -205,8 +216,9 @@ def insert_rows(
         base, layout = ctx.base_layout, ctx.layout
         assert layout is not None and layout.relation is not None
         assert base.relation is not None
+        splice = layout.splice
         ctx.view_delta = splice_view_delta(
-            base.relation, layout.relation, layout.splice.segments, layout.splice.candidates
+            base.relation, layout.relation, splice.segments, splice.candidates, splice.cells
         )
         # Drop the link: a carried context must not keep its predecessor's
         # view alive.
@@ -245,13 +257,14 @@ def _update_mas_plan(
     stats = ctx.stats
     attributes = old_plan.grouping.mas_attributes
     namespace = mas_namespace(old_plan.index, old_plan.mas)
-    columns = [updated.column(attr) for attr in attributes]
+    positions = [updated.schema.index_of(attr) for attr in attributes]
     classes = dict(old_plan.classes)
     grown: set[tuple] = set()
     added: dict[tuple, None] = {}
     duplicates = old_plan.mas.num_duplicate_classes
     for row in range(first_new_row, updated.num_rows):
-        representative = tuple(column[row] for column in columns)
+        values = updated.row(row)
+        representative = tuple(values[position] for position in positions)
         rows = classes.get(representative)
         if rows is None:
             classes[representative] = (row,)

@@ -30,6 +30,7 @@ this pipeline).
 from __future__ import annotations
 
 import time
+from collections.abc import MutableMapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
@@ -45,6 +46,7 @@ from repro.crypto.probabilistic import Ciphertext, ProbabilisticCipher
 from repro.exceptions import EncryptionError
 from repro.fd.mas import MasBorder, MasResult
 from repro.relational.coded import CodedRelation
+from repro.relational.persistent import Chunks
 from repro.relational.table import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -76,8 +78,10 @@ class EncryptionContext:
     #: bytes — which is what makes a server-view *delta* well-defined.
     #: Values on attributes outside every MAS are unique (a duplicate would
     #: put the attribute inside a MAS and trigger the full-run fallback), so
-    #: the key never aliases two distinct cells.
-    nonce_log: dict[tuple[str, str], "Ciphertext"] = field(default_factory=dict)
+    #: the key never aliases two distinct cells.  A full run fills a plain
+    #: dict; an update layers its additions over the previous context's
+    #: (a :class:`~repro.relational.persistent.LayeredMap`).
+    nonce_log: MutableMapping[tuple[str, str], "Ciphertext"] = field(default_factory=dict)
     #: Instance ciphertexts by :meth:`~repro.core.plan.InstanceCell.cache_key`.
     #: An instance cell's bytes are a pure function of (key, value, variant),
     #: so the materialiser serves a cached one directly instead of
@@ -85,7 +89,9 @@ class EncryptionContext:
     #: :attr:`nonce_log`, it makes re-materialising untouched rows skip the
     #: cipher entirely.  It never touches the entropy stream, so the bytes
     #: match an empty cache exactly.
-    instance_cache: dict[tuple[str, str, str], "Ciphertext"] = field(default_factory=dict)
+    instance_cache: MutableMapping[tuple[str, str, str], "Ciphertext"] = field(
+        default_factory=dict
+    )
     #: Projections of :attr:`relation` onto its minimal unique attribute
     #: sets (see :class:`repro.fd.mas.MasBorder`): the incremental updater's
     #: O(batch) MAS stability check.  Built on the first incremental insert
@@ -103,9 +109,9 @@ class EncryptionContext:
     #: This run's view as blocks (SYN, FP and MATERIALIZE fill it); the
     #: next incremental update's base layout.
     layout: ViewLayout | None = None
-    row_plans: list[RowPlan] = field(default_factory=list)
+    row_plans: Chunks[RowPlan] = field(default_factory=Chunks)
     encrypted_relation: Relation | None = None
-    provenance: list[RowProvenance] = field(default_factory=list)
+    provenance: Sequence[RowProvenance] = field(default_factory=list)
     result: EncryptedTable | None = None
     #: The server-view delta from the base layout's view to this run's,
     #: when the incremental tail spliced it (see :mod:`repro.api.delta`).

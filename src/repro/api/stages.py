@@ -11,6 +11,7 @@ byte-for-byte identical to the historical output.
 from __future__ import annotations
 
 import warnings
+from collections.abc import MutableMapping
 from itertools import chain, compress, count
 from operator import attrgetter, itemgetter
 from typing import Any
@@ -135,9 +136,9 @@ def materialize_row_plans(
     row_plans: list[RowPlan],
     cipher: ProbabilisticCipher,
     fresh_factory: FreshValueFactory,
-    nonce_log: "dict[tuple[str, str], Ciphertext] | None" = None,
+    nonce_log: "MutableMapping[tuple[str, str], Ciphertext] | None" = None,
     backend=None,
-    instance_cache: "dict[tuple[str, str, str], Ciphertext] | None" = None,
+    instance_cache: "MutableMapping[tuple[str, str, str], Ciphertext] | None" = None,
 ) -> tuple[Relation, list[RowProvenance]]:
     """Turn symbolic row plans into a ciphertext relation plus provenance.
 
@@ -164,9 +165,9 @@ def materialize_rows(
     attributes: tuple[str, ...],
     cipher: ProbabilisticCipher,
     fresh_factory: FreshValueFactory,
-    nonce_log: "dict[tuple[str, str], Ciphertext] | None" = None,
+    nonce_log: "MutableMapping[tuple[str, str], Ciphertext] | None" = None,
     backend=None,
-    instance_cache: "dict[tuple[str, str, str], Ciphertext] | None" = None,
+    instance_cache: "MutableMapping[tuple[str, str, str], Ciphertext] | None" = None,
 ) -> tuple[list[list[Any]], list[RowProvenance]]:
     """Turn symbolic row plans into ciphertext columns plus provenance.
 
@@ -261,6 +262,7 @@ def materialize_rows(
 
     # Random cells per occurrence, row-major: their jobs draw urandom.
     slot_of_log_key: dict[tuple[str, str], int] = {}
+    new_log_keys: list[tuple[tuple[str, str], int]] = []
     for position in compress(count(), map(random_ids.__contains__, ids)):
         value = specs[position].value
         log_key = (attributes[position % width], str(value))
@@ -275,6 +277,8 @@ def materialize_rows(
             if cell is None:
                 jobs.append((value, None))
                 job_slots.append(slot)
+                if nonce_log is not None:
+                    new_log_keys.append((log_key, slot))
         slots[position] = slot
 
     # ------------------------------------------------------------------
@@ -284,7 +288,7 @@ def materialize_rows(
         for slot, ciphertext in zip(job_slots, cipher.encrypt_batch(jobs, backend=backend)):
             values[slot] = ciphertext
         if nonce_log is not None:
-            for log_key, slot in slot_of_log_key.items():
+            for log_key, slot in new_log_keys:
                 nonce_log[log_key] = values[slot]
         if instance_cache is not None:
             for key, slot in new_instances:
@@ -390,7 +394,7 @@ class FalsePositiveStage:
             if base is not None:
                 layout.splice.note(base.fp_start, len(base.false_positives))
         layout.fp_class_counts = class_counts
-        ctx.row_plans.extend(layout.false_positives)
+        ctx.row_plans = ctx.row_plans.extended(layout.false_positives)
         ctx.stats.num_false_positive_nodes = layout.fp_nodes
         ctx.stats.rows_added_false_positive = len(layout.false_positives)
 
@@ -399,7 +403,9 @@ class MaterializeStage:
     """Produce the ciphertext relation and assemble the encrypted table.
 
     Encrypts only the layout's new rows (all of them on a full run); the
-    rows kept from the base layout are sliced out of the base view.
+    rows kept from the base layout are spliced from the base view.  The
+    view's columns and provenance are chunked together, so they share the
+    base's chunks and one splice plan.
     """
 
     name = "MATERIALIZE"
@@ -418,18 +424,15 @@ class MaterializeStage:
             backend=ctx.backend,
             instance_cache=ctx.instance_cache,
         )
-        encrypted_relation = Relation.adopt_columns(
-            ctx.relation.schema,
-            [
-                splice.apply(
-                    base.relation.column(attr) if base is not None else None,  # type: ignore[union-attr]
-                    new_columns[position],
-                )
-                for position, attr in enumerate(attributes)
-            ],
-            name=f"{ctx.relation.name}-encrypted",
+        splice.cells = new_columns
+        bases = None
+        if base is not None:
+            assert base.relation is not None
+            bases = [*base.relation.chunked(), base.provenance]
+        *columns, provenance = splice.spliced(bases, [*new_columns, provenance])
+        encrypted_relation = Relation.adopt_chunks(
+            ctx.relation.schema, columns, name=f"{ctx.relation.name}-encrypted"
         )
-        provenance = splice.apply(base.provenance if base is not None else None, provenance)
         layout.row_plans = ctx.row_plans
         layout.relation = encrypted_relation
         layout.provenance = provenance
@@ -520,7 +523,7 @@ class VerifyRepairStage:
         new_stats.num_repaired_false_positives = repaired
         new_stats.rows_added_false_positive += len(extra_provenance)
         ctx.stats = new_stats
-        ctx.row_plans = ctx.row_plans + repaired_plans
+        ctx.row_plans = ctx.row_plans.extended(repaired_plans)
         ctx.encrypted_relation = merged_relation
         ctx.provenance = merged_provenance
         ctx.result = EncryptedTable(

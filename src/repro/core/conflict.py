@@ -49,6 +49,7 @@ from repro.core.plan import (
 from repro.core.split_scale import EcgPlan, InstanceAssignment
 from repro.exceptions import EncryptionError
 from repro.fd.mas import MaximalAttributeSet
+from repro.relational.persistent import Chunks, splice
 from repro.relational.table import Relation
 
 
@@ -147,16 +148,24 @@ class Splice:
     entries of ``pending``, in view order.  A view built without a base is
     one pending run.  ``candidates`` lists ``[base_start, count]`` runs of
     base rows the pending rows may repeat byte for byte: the blocks they
-    replace and the rows bound by the same re-planned ECGs.
+    replace and the rows bound by the same re-planned ECGs.  ``cells``
+    holds the pending rows' materialised cells, one list per attribute
+    (MATERIALIZE sets it).
+
+    :meth:`spliced` builds the view's sequences (row plans, columns,
+    provenance) as :class:`~repro.relational.persistent.Chunks` that share
+    every base chunk a copy run covers whole, so an insert costs what its
+    seams cost, not what the view costs.
     """
 
-    __slots__ = ("segments", "pending", "rows", "candidates")
+    __slots__ = ("segments", "pending", "rows", "candidates", "cells")
 
     def __init__(self) -> None:
         self.segments: list[list[int]] = []
         self.pending: list[RowPlan] = []
         self.rows = 0
         self.candidates: list[list[int]] = []
+        self.cells: list[list] = []
 
     def note(self, start: int, count: int) -> None:
         """Record base rows the pending rows may repeat."""
@@ -186,17 +195,12 @@ class Splice:
         self.pending.extend(plans)
         self.rows += len(plans)
 
-    def apply(self, base: "Sequence | None", pending: Sequence) -> list:
-        """The spliced sequence: base slices and ``pending`` in segment order."""
-        out: list = []
-        taken = 0
-        for start, count in self.segments:
-            if start < 0:
-                out.extend(pending[taken : taken + count])
-                taken += count
-            else:
-                out.extend(base[start : start + count])  # type: ignore[index]
-        return out
+    def spliced(
+        self, bases: "Sequence[Chunks] | None", pendings: Sequence[Sequence]
+    ) -> list[Chunks]:
+        """Per sequence, base runs and pending items in segment order
+        (``bases`` is ``None`` for a view built without a base)."""
+        return splice(bases, pendings, self.segments)
 
 
 @dataclass(eq=False)
@@ -208,8 +212,9 @@ class ViewLayout:
     :class:`GroupBlock` of every ECG; then the false-positive rows (Step 4).
     A block's plans and materialised rows sit at its view offset in
     ``row_plans``, ``relation`` and ``provenance`` (SYN and FP build the
-    plans, MATERIALIZE the rest).  ``splice`` says how this run's view
-    reuses its base's rows.
+    plans, MATERIALIZE the rest), all chunked: the next update's splice
+    shares their chunks.  ``splice`` says how this run's view reuses its
+    base's rows.
     """
 
     #: Per MAS (by plan position), original row -> the instance bound to it.
@@ -243,16 +248,16 @@ class ViewLayout:
     #: Why a run with a base re-assembled everything (``None``: it spliced).
     fallback: str | None = None
     # Set by MATERIALIZE.
-    row_plans: list[RowPlan] = field(default_factory=list)
+    row_plans: Chunks[RowPlan] = field(default_factory=Chunks)
     relation: Relation | None = None
-    provenance: list = field(default_factory=list)
+    provenance: Sequence = field(default_factory=Chunks)
 
 
 @dataclass
 class AssemblyResult:
     """All planned ciphertext rows before Step 4, plus counters."""
 
-    row_plans: list[RowPlan]
+    row_plans: Chunks[RowPlan]
     conflicting_tuples: int
     conflict_rows_added: int
     scaling_rows_added: int
@@ -370,8 +375,10 @@ def assemble_row_plans(
     variants = [[_variant(instance) for instance in column] for column in picked]
     interner = _InstanceCells()
     cell_columns = []
+    # An update reads only the rebuilt rows, so the plaintext stays chunked.
+    source = relation if base is None else relation.select_rows(rebuilt)
     for attr in schema_attributes:
-        values = list(map(relation.column(attr).__getitem__, rebuilt))
+        values = source.column(attr)
         covering = [position_of[index] for index in mas_attribute_map[attr]]
         if not covering:
             cell_columns.append(list(map(RandomCell, values)))
@@ -418,7 +425,7 @@ def assemble_row_plans(
             for plan, instance in zip(mas_plans, (column[number] for column in picked))
             if instance is not None
         }
-        row_values = {attr: relation.column(attr)[row_index] for attr in schema_attributes}
+        row_values = dict(zip(schema_attributes, relation.row(row_index)))
         versions, had_conflict = _build_versions_for_row(
             row_index,
             row_values,
@@ -480,7 +487,10 @@ def assemble_row_plans(
         fp_start=splice.rows,
     )
     return AssemblyResult(
-        row_plans=splice.apply(base.row_plans if base is not None else None, splice.pending),
+        row_plans=splice.spliced(
+            [base.row_plans] if base is not None else None,  # type: ignore[list-item]
+            [splice.pending],
+        )[0],
         conflicting_tuples=len(extra_plans),
         conflict_rows_added=sum(extra_plans.values()),
         scaling_rows_added=scaling_rows_added,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.core.config import F2Config
 from repro.core.stats import EncryptionStats
@@ -79,11 +79,15 @@ class ProvenanceIndex:
     """
 
     __slots__ = (
-        "provenance", "attributes", "_source", "_first", "_extra", "_partial", "_split"
+        "indexed", "provenance", "attributes", "_source", "_first", "_extra", "_partial", "_split"
     )
 
-    def __init__(self, provenance: list[RowProvenance], attributes: tuple[str, ...]):
-        self.provenance = provenance
+    def __init__(self, provenance: Sequence[RowProvenance], attributes: tuple[str, ...]):
+        #: The sequence indexed, and the same records as a list (a chunked
+        #: provenance is flattened once here, for O(1) lookups).
+        self.indexed = provenance
+        self.provenance = provenance if isinstance(provenance, list) else list(provenance)
+        provenance = self.provenance
         self.attributes = attributes
         #: Ciphertext row -> its original record.
         self._source = array("q", [-1]) * len(provenance)
@@ -204,7 +208,8 @@ class EncryptedTable:
     """The F2 encryption of one relation."""
 
     relation: Relation
-    provenance: list[RowProvenance]
+    #: One record per view row (a list, or the owner's chunked sequence).
+    provenance: Sequence[RowProvenance]
     config: F2Config
     stats: EncryptionStats
     masses: list[MaximalAttributeSet] = field(default_factory=list)
@@ -230,7 +235,7 @@ class EncryptedTable:
         index = self._index
         if (
             index is None
-            or index.provenance is not self.provenance
+            or index.indexed is not self.provenance
             or index.num_rows != len(self.provenance)
         ):
             index = self._index = ProvenanceIndex(

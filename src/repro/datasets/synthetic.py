@@ -176,6 +176,56 @@ class _UniqueCounter:
         return self._value
 
 
+_MASK = (1 << 64) - 1
+
+
+def _rotate(value: int, bits: int) -> int:
+    return ((value << bits) | (value >> (64 - bits))) & _MASK
+
+
+def _sip_round(v0: int, v1: int, v2: int, v3: int) -> tuple[int, int, int, int]:
+    v0 = (v0 + v1) & _MASK
+    v2 = (v2 + v3) & _MASK
+    v1 = _rotate(v1, 13) ^ v0
+    v3 = _rotate(v3, 16) ^ v2
+    v0 = _rotate(v0, 32)
+    v2 = (v2 + v1) & _MASK
+    v0 = (v0 + v3) & _MASK
+    v1 = _rotate(v1, 17) ^ v2
+    v3 = _rotate(v3, 21) ^ v0
+    v2 = _rotate(v2, 32)
+    return v0, v1, v2, v3
+
+
+def seed_zero_hash(text: str) -> int:
+    """SipHash-1-3 under a zero key over ``text``'s ASCII bytes.
+
+    The same value on every run and platform: it is what CPython 3.11+
+    returns for ``hash(text)`` under ``PYTHONHASHSEED=0``, so tables built
+    with it equal the ones the salted ``hash()`` gave under that seed.
+    """
+    data = text.encode("ascii")
+    if not data:
+        return 0  # CPython hashes the empty string to 0
+    v0, v1, v2, v3 = 0x736F6D6570736575, 0x646F72616E646F6D, 0x6C7967656E657261, 0x7465646279746573
+    whole = len(data) - len(data) % 8
+    for start in range(0, whole, 8):
+        word = int.from_bytes(data[start : start + 8], "little")
+        v3 ^= word
+        v0, v1, v2, v3 = _sip_round(v0, v1, v2, v3)
+        v0 ^= word
+    last = (len(data) & 0xFF) << 56 | int.from_bytes(data[whole:], "little")
+    v3 ^= last
+    v0, v1, v2, v3 = _sip_round(v0, v1, v2, v3)
+    v0 ^= last
+    v2 ^= 0xFF
+    for _ in range(3):
+        v0, v1, v2, v3 = _sip_round(v0, v1, v2, v3)
+    value = v0 ^ v1 ^ v2 ^ v3
+    value = value - (1 << 64) if value >> 63 else value  # as a signed Py_hash_t
+    return -2 if value == -1 else value
+
+
 def generate_fd_table(
     num_rows: int,
     num_zipcodes: int = 10,
@@ -207,7 +257,7 @@ def generate_fd_table(
     rng = random.Random(seed)
     zipcodes = [f"{7000 + index:05d}" for index in range(num_zipcodes)]
     cities = {zipcode: f"City{index // 2}" for index, zipcode in enumerate(zipcodes)}
-    states = {city: f"State{hash(city) % 5}" for city in cities.values()}
+    states = {city: f"State{seed_zero_hash(city) % 5}" for city in cities.values()}
 
     schema = ["Zipcode", "City", "State", "Street"] + [
         f"Extra{index + 1}" for index in range(num_extra_columns)

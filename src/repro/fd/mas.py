@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 from repro.backend import ComputeBackend, get_backend
 from repro.exceptions import DiscoveryError
 from repro.relational.partition import Partition
+from repro.relational.persistent import stacked
 from repro.relational.table import Relation
 
 AttrSet = frozenset[str]
@@ -296,13 +297,17 @@ class MasBorder:
     projection set per border set therefore decides MAS stability for an
     appended batch in O(batch × border) lookups, independent of the table
     size.  Instances are never mutated: :meth:`extended` returns a new
-    border, so a context carrying one stays valid.
+    border whose projection sets are the old ones' layers plus a layer of
+    the batch's projections (merged size-tiered, see
+    :func:`repro.relational.persistent.stacked`), so a context carrying one
+    stays valid and an insert copies none of them.
     """
 
     __slots__ = ("_getters", "_seen")
 
-    def __init__(self, getters: list, seen: list[set]):
+    def __init__(self, getters: list, seen: list[tuple[set, ...]]):
         self._getters = getters
+        #: Per border set, the layers of the projections seen so far.
         self._seen = seen
 
     @classmethod
@@ -315,7 +320,7 @@ class MasBorder:
         """
         schema = relation.schema
         getters: list = []
-        seen: list[set] = []
+        seen: list[tuple[set, ...]] = []
         for attrs in minimal_unique_sets(mas_sets, relation.attributes):
             ordered = schema.ordered(attrs)
             columns = [relation.column(attr) for attr in ordered]
@@ -325,7 +330,7 @@ class MasBorder:
             projections = set(columns[0]) if len(columns) == 1 else set(zip(*columns))
             if len(projections) != relation.num_rows:
                 return None
-            seen.append(projections)
+            seen.append((projections,))
         return cls(getters, seen)
 
     def extended(self, rows: Iterable[Sequence]) -> "MasBorder | None":
@@ -336,15 +341,15 @@ class MasBorder:
         set non-unique, which is exactly a MAS change.
         """
         rows = list(rows)
-        seen: list[set] = []
-        for getter, previous in zip(self._getters, self._seen):
-            grown = previous.copy()
+        seen: list[tuple[set, ...]] = []
+        for getter, layers in zip(self._getters, self._seen):
+            added: set = set()
             for row in rows:
                 projection = getter(row)
-                if projection in grown:
+                if projection in added or any(projection in layer for layer in layers):
                     return None
-                grown.add(projection)
-            seen.append(grown)
+                added.add(projection)
+            seen.append(stacked(layers, added))
         return MasBorder(self._getters, seen)
 
 

@@ -10,10 +10,14 @@ server-side algorithms only ever compare cells for equality.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import repeat
+from operator import getitem, sub
 from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import RelationError, SchemaError
+from repro.relational.persistent import Chunks, splice
 from repro.relational.schema import AttributeSet, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -30,6 +34,17 @@ class Relation:
     dominant access patterns — building partitions over attribute sets,
     projecting attribute sets, counting value frequencies — are columnar.
 
+    A relation can also hold its columns as shared, immutable
+    :class:`~repro.relational.persistent.Chunks` (:meth:`adopt_chunks`,
+    :meth:`extended`): the data owner's plaintext and server view, whose
+    next version after an insert shares every chunk the insert left alone.
+    ``num_rows``, ``row``, ``value`` and ``select_rows`` read through the
+    chunks (or the lists, once there are lists).  The first whole-column
+    read (``column``, ``rows``, ``coded`` and everything built on them)
+    flattens that column once and caches the list; a mutation flattens
+    every column and drops the chunks.  Either way every method returns
+    exactly what it would on list storage.
+
     Parameters
     ----------
     schema:
@@ -41,7 +56,7 @@ class Relation:
         Optional human-readable name used in reports and benchmark output.
     """
 
-    __slots__ = ("_schema", "_columns", "_name", "_version", "_coded_cache")
+    __slots__ = ("_schema", "_columns", "_chunks", "_name", "_version", "_coded_cache")
 
     def __init__(
         self,
@@ -53,7 +68,11 @@ class Relation:
             schema = Schema(schema)
         self._schema = schema
         self._name = name
-        self._columns: list[list[Any]] = [[] for _ in schema]
+        #: One list per attribute; ``None`` for a column of a chunked
+        #: relation not yet read whole.
+        self._columns: list[list[Any] | None] = [[] for _ in schema]
+        #: The same columns as chunks sharing one ``ends`` list, or ``None``.
+        self._chunks: list[Chunks] | None = None
         self._version = 0
         self._coded_cache: dict[str, "CodedRelation"] = {}
         self.extend(rows)
@@ -120,15 +139,85 @@ class Relation:
         relation._columns = columns
         return relation
 
+    @classmethod
+    def adopt_chunks(
+        cls, schema: Schema, columns: list[Chunks], name: str = "relation"
+    ) -> "Relation":
+        """A relation over chunked ``columns`` (schema order, one ``ends``
+        list), shared as they are."""
+        if len(columns) != len(schema) or any(
+            column.ends is not columns[0].ends and column.ends != columns[0].ends
+            for column in columns
+        ):
+            raise RelationError("chunked columns do not match the schema or each other")
+        relation = cls(schema, name=name)
+        relation._columns = [None] * len(columns)
+        relation._chunks = columns
+        return relation
+
+    def chunked(self) -> list[Chunks]:
+        """The columns as chunks (schema order), built and kept on first call
+        for a relation stored as lists.  Never mutate them."""
+        chunks = self._chunks
+        if chunks is None:
+            chunks = self._chunks = splice(None, self._flat_columns())
+        return chunks
+
+    def extended(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> "Relation":
+        """A new relation: this one's rows, then ``rows``.
+
+        This relation is left as it is, and the new one shares every chunk
+        of it but the last (see :func:`repro.relational.persistent.splice`).
+        """
+        values = [self._row_values(row) for row in rows]
+        if not values:
+            return self.copy()
+        base = self.chunked()
+        segments = [[0, self.num_rows], [-1, len(values)]]
+        return Relation.adopt_chunks(
+            self._schema, splice(base, list(zip(*values)), segments), name=self._name
+        )
+
     def empty_like(self, name: str | None = None) -> "Relation":
         """Return a new empty relation with the same schema."""
         return Relation(self._schema, name=name or self._name)
 
     def copy(self, name: str | None = None) -> "Relation":
-        """Return a deep-enough copy (fresh column lists, shared cell objects)."""
+        """Return a deep-enough copy (fresh column lists, shared cell objects).
+
+        A chunked relation's copy shares its chunks, which nothing mutates.
+        """
         clone = Relation(self._schema, name=name or self._name)
-        clone._columns = [list(col) for col in self._columns]
+        if self._chunks is not None:
+            clone._columns = [None] * len(self._chunks)
+            clone._chunks = self._chunks
+        else:
+            clone._columns = [list(col) for col in self._columns]  # type: ignore[arg-type]
         return clone
+
+    def _column_at(self, position: int) -> list[Any]:
+        """Column ``position`` as a list, flattened from the chunks once."""
+        column = self._columns[position]
+        if column is None:
+            chunks = self._chunks
+            assert chunks is not None
+            column = self._columns[position] = list(chunks[position])
+        return column
+
+    def _flat_columns(self) -> list[list[Any]]:
+        return [self._column_at(position) for position in range(len(self._columns))]
+
+    def _read_chunks(self) -> "list[Chunks] | None":
+        """The chunks to read rows through: ``None`` once every column is a
+        list (flat reads are cheaper)."""
+        chunks = self._chunks
+        return chunks if chunks is not None and None in self._columns else None
+
+    def _own(self) -> None:
+        """Before a mutation: flatten every column and drop the chunks."""
+        if self._chunks is not None:
+            self._flat_columns()
+            self._chunks = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -151,7 +240,10 @@ class Relation:
 
     @property
     def num_rows(self) -> int:
-        return len(self._columns[0]) if self._columns else 0
+        chunks = self._chunks
+        if chunks is not None:
+            return len(chunks[0])
+        return len(self._columns[0]) if self._columns else 0  # type: ignore[arg-type]
 
     @property
     def version(self) -> int:
@@ -170,26 +262,31 @@ class Relation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        return self._schema == other._schema and self._columns == other._columns
+        return self._schema == other._schema and self._flat_columns() == other._flat_columns()
 
     # ------------------------------------------------------------------
     # Row access and mutation
     # ------------------------------------------------------------------
-    def append(self, row: Sequence[Any] | Mapping[str, Any]) -> None:
-        """Append one row (a sequence in schema order or a mapping)."""
+    def _row_values(self, row: Sequence[Any] | Mapping[str, Any]) -> list[Any]:
+        """One row's values in schema order (a sequence or a mapping)."""
         if isinstance(row, Mapping):
             try:
-                values = [row[attr] for attr in self._schema]
+                return [row[attr] for attr in self._schema]
             except KeyError as exc:
                 raise RelationError(f"record missing attribute {exc.args[0]!r}") from None
-        else:
-            values = list(row)
-            if len(values) != len(self._schema):
-                raise RelationError(
-                    f"row has {len(values)} values, schema has {len(self._schema)} attributes"
-                )
+        values = list(row)
+        if len(values) != len(self._schema):
+            raise RelationError(
+                f"row has {len(values)} values, schema has {len(self._schema)} attributes"
+            )
+        return values
+
+    def append(self, row: Sequence[Any] | Mapping[str, Any]) -> None:
+        """Append one row (a sequence in schema order or a mapping)."""
+        values = self._row_values(row)
+        self._own()
         for column, value in zip(self._columns, values):
-            column.append(value)
+            column.append(value)  # type: ignore[union-attr]
         self._version += 1
 
     def extend(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> None:
@@ -201,11 +298,15 @@ class Relation:
         """Return the row at ``index`` as a tuple in schema order."""
         if not 0 <= index < self.num_rows:
             raise RelationError(f"row index {index} out of range [0, {self.num_rows})")
-        return tuple(column[index] for column in self._columns)
+        chunks = self._read_chunks()
+        if chunks is not None:
+            k, offset = chunks[0].locate(index)
+            return tuple(column.chunks[k][offset] for column in chunks)
+        return tuple(column[index] for column in self._columns)  # type: ignore[index]
 
     def rows(self) -> Iterator[Row]:
         """Iterate over all rows as tuples in schema order."""
-        return iter(zip(*self._columns)) if self.num_rows else iter(())
+        return iter(zip(*self._flat_columns())) if self.num_rows else iter(())
 
     def row_dict(self, index: int) -> dict[str, Any]:
         """Return the row at ``index`` as an ``{attribute: value}`` dict."""
@@ -213,18 +314,23 @@ class Relation:
 
     def value(self, index: int, attribute: str) -> Any:
         """Return a single cell value."""
-        return self._columns[self._schema.index_of(attribute)][index]
+        position = self._schema.index_of(attribute)
+        column = self._columns[position]
+        if column is None:
+            return self._chunks[position][index]  # type: ignore[index]
+        return column[index]
 
     def set_value(self, index: int, attribute: str, value: Any) -> None:
         """Overwrite a single cell value (used by the encryption pipeline)."""
         if not 0 <= index < self.num_rows:
             raise RelationError(f"row index {index} out of range [0, {self.num_rows})")
-        self._columns[self._schema.index_of(attribute)][index] = value
+        self._own()
+        self._columns[self._schema.index_of(attribute)][index] = value  # type: ignore[index]
         self._version += 1
 
     def column(self, attribute: str) -> list[Any]:
         """Return the column for ``attribute`` (a live list — do not mutate)."""
-        return self._columns[self._schema.index_of(attribute)]
+        return self._column_at(self._schema.index_of(attribute))
 
     # ------------------------------------------------------------------
     # Relational operations used by the algorithms
@@ -236,7 +342,7 @@ class Relation:
         always yields comparable tuples.
         """
         ordered = self._schema.ordered(attributes)
-        return tuple(self._columns[self._schema.index_of(attr)][index] for attr in ordered)
+        return tuple(self.value(index, attr) for attr in ordered)
 
     def project(self, attributes: Iterable[str], name: str | None = None) -> "Relation":
         """Return a new relation containing only ``attributes``."""
@@ -251,8 +357,26 @@ class Relation:
         """Return a new relation with the rows at ``indexes`` (in given order)."""
         selected = Relation(self._schema, name=name or self._name)
         index_list = list(indexes)
-        for column, target in zip(self._columns, selected._columns):
-            target.extend(column[i] for i in index_list)
+        if not index_list:
+            return selected
+        chunks = self._read_chunks()
+        if chunks is None:
+            for column, target in zip(self._columns, selected._columns):
+                target.extend(map(column.__getitem__, index_list))  # type: ignore[union-attr]
+            return selected
+        size = self.num_rows
+        low, high = min(index_list), max(index_list)
+        if low < -size or high >= size:
+            raise IndexError("row index out of range")
+        if low < 0:
+            index_list = [index % size for index in index_list]
+        # Every column has the same chunk boundaries: locate each row once.
+        ends = chunks[0].ends
+        places = list(map(bisect_right, repeat(ends), index_list))
+        starts = [0, *ends[:-1]]
+        offsets = list(map(sub, index_list, map(starts.__getitem__, places)))
+        for column, target in zip(chunks, selected._columns):
+            target.extend(map(getitem, map(column.chunks.__getitem__, places), offsets))  # type: ignore[union-attr]
         return selected
 
     def coded(self, backend: "ComputeBackend | str | None" = None) -> "CodedRelation":
@@ -310,11 +434,11 @@ class Relation:
         """Return a new relation containing the rows of ``self`` then ``other``."""
         if other.schema != self._schema:
             raise RelationError("cannot concatenate relations with different schemas")
-        merged = self.copy(name=name or self._name)
-        for attr in self._schema:
-            merged.column(attr).extend(other.column(attr))
-        merged._version += 1
-        return merged
+        return Relation.adopt_columns(
+            self._schema,
+            [self.column(attr) + other.column(attr) for attr in self._schema],
+            name=name or self._name,
+        )
 
     def approximate_size_bytes(self) -> int:
         """A rough serialized size estimate used for 'dataset size' reporting.
@@ -323,7 +447,7 @@ class Relation:
         CSV serialization (cell text length + separators) without writing it.
         """
         total = 0
-        for column in self._columns:
+        for column in self._flat_columns():
             for value in column:
                 total += len(str(value)) + 1
         return total

@@ -17,6 +17,7 @@ exercised directly against a doctored ciphertext.
 
 from __future__ import annotations
 
+import random
 import warnings
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from repro.fd.fd import FunctionalDependency
 from repro.fd.tane import tane
 from repro.fd.verify import fd_holds
 from repro.relational.table import Relation
+from tests.conftest import make_random_table
 
 #: The ROADMAP falsifying example: plaintext holds {X0, X2} -> X3; before
 #: the conflict-resolution fix the ciphertext only held {X0, X1, X2} -> X3
@@ -117,3 +119,30 @@ def test_verify_repair_is_quiet_when_fds_survive(zipcode_table):
         warnings.simplefilter("error", FdPreservationWarning)
         encrypted = scheme.encrypt(zipcode_table)
     assert "lost_fds" not in encrypted.metadata
+
+
+# ----------------------------------------------------------------------
+# Open: ROADMAP item 10 (Theorem 1 on every table)
+# ----------------------------------------------------------------------
+#: Random 4-attribute tables on which F2 still loses a plaintext FD:
+#: ``(table seed, alpha, the FD lost)``.  Each table is
+#: ``make_random_table(seed, num_rows=random.Random(seed).randint(3, 8))``
+#: under ``F2Config(alpha=alpha, seed=seed)`` and the key derived from
+#: ``seed``.
+OPEN_LOST_FDS = [
+    (233, 0.5, FunctionalDependency(["X3"], "X2")),
+    (233, 0.25, FunctionalDependency(["X3"], "X2")),
+    (644, 0.25, FunctionalDependency(["X1"], "X3")),
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 10: conflict resolution still loses this FD; the fix must flip it",
+)
+@pytest.mark.parametrize(("seed", "alpha", "fd"), OPEN_LOST_FDS)
+def test_open_lost_fd_is_preserved(seed, alpha, fd):
+    table = make_random_table(seed, num_rows=random.Random(seed).randint(3, 8))
+    assert fd_holds(table, fd)
+    scheme = F2Scheme(key=KeyGen.symmetric_from_seed(seed), config=F2Config(alpha=alpha, seed=seed))
+    assert fd_holds(scheme.encrypt(table).server_view(), fd)
