@@ -13,6 +13,14 @@ layer and delta shipping cost (and save) on top of the PR 3 wire protocol:
   ``OutsourceRequest``, plus the alignment/splice wall times.  The headline
   ratio at the largest size is asserted ≤ 0.25 (the PR's acceptance bar);
   in practice it sits far below.
+* **Discover round trip** — ``RemoteOwnerSession.discover_fds`` against a
+  provider in its own process (``f2-repro serve``; a server thread in this
+  process would share its interpreter lock with the owner).  The owner
+  discovers her plaintext's FDs while the provider runs TANE; the row
+  records that wall time, the owner's ``expected_fds`` alone, and the
+  serial order (discover, then validate) for reference.  It asserts the
+  verdict and equal FD sets, and records the timings without asserting
+  them.
 
 Results land in ``BENCH_protocol.json`` via the shared ``bench_json``
 fixture.
@@ -20,9 +28,16 @@ fixture.
 
 from __future__ import annotations
 
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
 import time
 from collections import Counter
+from pathlib import Path
 
+import repro
 from repro.api import (
     InsertDelta,
     OutsourceRequest,
@@ -37,7 +52,7 @@ from repro.api.protocol import (
     SocketProtocolServer,
     SocketTransport,
 )
-from repro.api.session import DataOwner
+from repro.api.session import DataOwner, RemoteOwnerSession
 from repro.bench.reporting import format_table
 from repro.core.config import F2Config
 from repro.crypto.keys import KeyGen
@@ -55,6 +70,9 @@ ALPHA = 0.2
 #: The acceptance bar: a 1% row-change delta must ship at most this share
 #: of the full-view bytes at the largest bench size.
 MAX_DELTA_RATIO_AT_LARGEST = 0.25
+#: perfbench's table sizes, and discoveries timed per size and order.
+DISCOVER_SIZES = (2000, 8000)
+DISCOVER_ROUNDS = 7
 
 
 def outsourced_owner(num_rows: int):
@@ -219,6 +237,70 @@ def delta_bytes(sizes) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
+# Discover round trip: the owner's validation overlaps the provider's TANE
+# ----------------------------------------------------------------------
+def provider_process(directory: str) -> tuple[subprocess.Popen, int]:
+    """An ``f2-repro serve`` process on a free port, and that port."""
+    port_file = Path(directory) / "port"
+    source = str(Path(repro.__file__).resolve().parents[1])
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--port-file", str(port_file)],
+        stdout=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": source},
+    )
+    deadline = time.monotonic() + 30
+    while not port_file.exists() or not port_file.read_text():
+        if process.poll() is not None or time.monotonic() > deadline:
+            process.kill()
+            raise RuntimeError("the provider process did not start")
+        time.sleep(0.05)
+    return process, int(port_file.read_text())
+
+
+def discover_round_trip(sizes) -> list[dict]:
+    rows = []
+    for num_rows in sizes:
+        owner = DataOwner(
+            key=KeyGen.symmetric_from_seed(3), config=F2Config(alpha=ALPHA, seed=3)
+        )
+        table = generate_fd_table(num_rows, num_zipcodes=40, num_extra_columns=2, seed=1)
+        with tempfile.TemporaryDirectory() as directory:
+            process, port = provider_process(directory)
+            try:
+                session = RemoteOwnerSession(owner, ProtocolClient(SocketTransport(port=port)))
+                session.outsource(table)
+                overlapped, serial, alone = [], [], []
+                for _ in range(DISCOVER_ROUNDS):
+                    start = time.perf_counter()
+                    result = session.discover_fds()
+                    overlapped.append(time.perf_counter() - start)
+                    start = time.perf_counter()
+                    owner.expected_fds()
+                    alone.append(time.perf_counter() - start)
+                    start = time.perf_counter()
+                    serial_fds = session.client.discover(session.table_id).fds
+                    serial_valid = owner.validate_fds(serial_fds)
+                    serial.append(time.perf_counter() - start)
+                    assert result.parameters["validated"] is True and serial_valid
+                    assert set(result.fds) == set(serial_fds)
+                session.close()
+            finally:
+                process.terminate()
+                process.wait(timeout=30)
+        rows.append(
+            {
+                "rows": num_rows,
+                "rounds": DISCOVER_ROUNDS,
+                "discover_ms": round(statistics.median(overlapped) * 1e3, 3),
+                "serial_ms": round(statistics.median(serial) * 1e3, 3),
+                "expected_fds_ms": round(statistics.median(alone) * 1e3, 3),
+                "fds": len(result.fds),
+            }
+        )
+    return rows
+
+
+# ----------------------------------------------------------------------
 # Bench entry points
 # ----------------------------------------------------------------------
 def test_handshake_overhead(benchmark, bench_json):
@@ -263,3 +345,12 @@ def test_delta_insert_bytes(benchmark, bench_json):
     # The PR's acceptance bar: a 1% row-change delta ships at most a quarter
     # of the full-view bytes at the largest size.
     assert largest["bytes_ratio"] <= MAX_DELTA_RATIO_AT_LARGEST, largest
+
+
+def test_discover_round_trip(benchmark, bench_json):
+    sizes = tuple(scale(size) for size in DISCOVER_SIZES)
+    rows = benchmark.pedantic(discover_round_trip, args=(sizes,), rounds=1, iterations=1)
+    print()
+    print(format_table(rows, title="Discover round trip: validation overlapping the provider"))
+    bench_json.add("discover_round_trip", rows)
+    assert all(row["fds"] > 0 for row in rows)

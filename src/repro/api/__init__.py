@@ -49,6 +49,7 @@ from repro.api.protocol import (
     HelloAck,
     InsertDelta,
     LoopbackTransport,
+    Meanwhile,
     Message,
     OutsourceRequest,
     PlanQueryRequest,
@@ -111,6 +112,7 @@ __all__ = [
     "IncrementalReport",
     "InsertDelta",
     "LoopbackTransport",
+    "Meanwhile",
     "MasDiscoveryStage",
     "MaterializeStage",
     "Message",

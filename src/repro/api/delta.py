@@ -46,6 +46,7 @@ from typing import Any
 
 from repro.exceptions import ProtocolError
 from repro.api.auth import ErrorCode
+from repro.relational.persistent import splice
 from repro.relational.table import Relation
 
 #: Segment opcodes (the wire form in ``InsertDelta`` meta documents).
@@ -226,15 +227,79 @@ def _check_schemas(old: Relation, new: Relation) -> None:
         )
 
 
+def delta_runs(segments: Sequence[Any], base_rows: int, literal_rows: int) -> list[tuple[int, int]]:
+    """A delta's opcodes as checked runs: ``(start, count)`` of the base,
+    ``(-1, count)`` for the next literal rows (empty runs dropped).
+
+    Every check is hostile-safe and raises
+    :class:`~repro.exceptions.ProtocolError` with ``BAD_REQUEST``: a
+    malformed or unknown opcode, a copy outside the ``base_rows`` base
+    rows, and literal runs that overrun or leave unused the
+    ``literal_rows`` rows shipped.  Every storage engine applies a delta
+    through it, so the server's error contract does not depend on the
+    engine.
+    """
+    runs: list[tuple[int, int]] = []
+    literal_cursor = 0
+    for segment in segments:
+        if not isinstance(segment, (list, tuple)) or not segment:
+            raise ProtocolError(
+                "malformed delta segment", code=ErrorCode.BAD_REQUEST.value
+            )
+        op = segment[0]
+        if op == OP_COPY:
+            if len(segment) != 3:
+                raise ProtocolError(
+                    "malformed copy segment", code=ErrorCode.BAD_REQUEST.value
+                )
+            start, count = int(segment[1]), int(segment[2])
+            if count < 0 or start < 0 or start + count > base_rows:
+                raise ProtocolError(
+                    f"copy segment {start}+{count} is outside the base view "
+                    f"(0..{base_rows})",
+                    code=ErrorCode.BAD_REQUEST.value,
+                )
+        elif op == OP_LITERAL:
+            if len(segment) != 2:
+                raise ProtocolError(
+                    "malformed literal segment", code=ErrorCode.BAD_REQUEST.value
+                )
+            start, count = -1, int(segment[1])
+            if count < 0 or literal_cursor + count > literal_rows:
+                raise ProtocolError(
+                    "literal segment overruns the shipped literal rows",
+                    code=ErrorCode.BAD_REQUEST.value,
+                )
+            literal_cursor += count
+        else:
+            raise ProtocolError(
+                f"unknown delta opcode {op!r}", code=ErrorCode.BAD_REQUEST.value
+            )
+        if count:
+            runs.append((start, count))
+    if literal_cursor != literal_rows:
+        raise ProtocolError(
+            "delta shipped more literal rows than its segments consume",
+            code=ErrorCode.BAD_REQUEST.value,
+        )
+    return runs
+
+
 def apply_view_delta(base: Relation, delta: ViewDelta) -> Relation:
     """Replay a delta over the stored base view; every check is hostile-safe.
 
     Raises :class:`~repro.exceptions.ProtocolError` with
     ``ErrorCode.DELTA_MISMATCH`` when the base row count does not match —
     the sender computed the delta against a different view — and with
-    ``BAD_REQUEST`` for structurally invalid segments.  Same-sized bases
-    with different bytes are the commit-version CAS's job (the server
-    checks it before calling in here).
+    ``BAD_REQUEST`` for structurally invalid segments (:func:`delta_runs`).
+    Same-sized bases with different bytes are the commit-version CAS's job
+    (the server checks it before calling in here).
+
+    The result is a chunked relation spliced from the base's chunks
+    (:func:`repro.relational.persistent.splice`): a copy run shares every
+    chunk it covers whole, so only the literal rows and the seams are
+    built, and a base left in chunks by the previous delta is never
+    flattened.
     """
     if base.num_rows != delta.base_rows:
         raise ProtocolError(
@@ -249,50 +314,14 @@ def apply_view_delta(base: Relation, delta: ViewDelta) -> Relation:
             "delta literal rows do not match the stored schema",
             code=ErrorCode.BAD_REQUEST.value,
         )
-    result = Relation(base.schema, name=delta.table_name or base.name)
-    literal_cursor = 0
-    for segment in delta.segments:
-        if not isinstance(segment, (list, tuple)) or not segment:
-            raise ProtocolError(
-                "malformed delta segment", code=ErrorCode.BAD_REQUEST.value
-            )
-        op = segment[0]
-        if op == OP_COPY:
-            if len(segment) != 3:
-                raise ProtocolError(
-                    "malformed copy segment", code=ErrorCode.BAD_REQUEST.value
-                )
-            start, count = int(segment[1]), int(segment[2])
-            if count < 0 or start < 0 or start + count > base.num_rows:
-                raise ProtocolError(
-                    f"copy segment {start}+{count} is outside the base view "
-                    f"(0..{base.num_rows})",
-                    code=ErrorCode.BAD_REQUEST.value,
-                )
-            for index in range(start, start + count):
-                result.append(list(base.row(index)))
-        elif op == OP_LITERAL:
-            if len(segment) != 2:
-                raise ProtocolError(
-                    "malformed literal segment", code=ErrorCode.BAD_REQUEST.value
-                )
-            count = int(segment[1])
-            available = 0 if literals is None else literals.num_rows
-            if count < 0 or literal_cursor + count > available:
-                raise ProtocolError(
-                    "literal segment overruns the shipped literal rows",
-                    code=ErrorCode.BAD_REQUEST.value,
-                )
-            for index in range(literal_cursor, literal_cursor + count):
-                result.append(list(literals.row(index)))  # type: ignore[union-attr]
-            literal_cursor += count
-        else:
-            raise ProtocolError(
-                f"unknown delta opcode {op!r}", code=ErrorCode.BAD_REQUEST.value
-            )
-    if literals is not None and literal_cursor != literals.num_rows:
-        raise ProtocolError(
-            "delta shipped more literal rows than its segments consume",
-            code=ErrorCode.BAD_REQUEST.value,
-        )
-    return result
+    runs = delta_runs(delta.segments, base.num_rows, delta.literal_rows)
+    pending = (
+        [literals.column(attribute) for attribute in base.attributes]
+        if literals is not None
+        else [()] * base.num_attributes
+    )
+    return Relation.adopt_chunks(
+        base.schema,
+        splice(base.chunked(), pending, runs),
+        name=delta.table_name or base.name,
+    )

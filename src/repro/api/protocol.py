@@ -36,15 +36,17 @@ from __future__ import annotations
 import json
 import os
 import re
+import select
 import socket
 import socketserver
 import struct
 import threading
 import time
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ClassVar
+from typing import Any, Callable, ClassVar
 
 from contextlib import contextmanager
 
@@ -77,6 +79,7 @@ from repro.exceptions import (
     WireError,
 )
 from repro.fd.tane import TaneResult, tane_with_stats
+from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.query.server import (
     ServerExpr,
     collect_leaves,
@@ -1776,6 +1779,98 @@ ProtocolServer._HANDLERS = {
 
 
 # ----------------------------------------------------------------------
+# Owner work while a request is in flight
+# ----------------------------------------------------------------------
+#: Where a :class:`Meanwhile` job ran: between sending its request and
+#: reading the reply, or after the reply (a transport that does not run it).
+DURING = "during"
+AFTER = "after"
+
+#: The job of the call in flight on this thread (see :class:`Meanwhile`).
+_IN_FLIGHT: "ContextVar[Meanwhile | None]" = ContextVar("repro_in_flight", default=None)
+
+#: ``client.overlap_idle_ms`` buckets: 0 (the reply was already waiting)
+#: then the default latency bounds, in milliseconds.
+_IDLE_BUCKETS_MS = (0.0,) + tuple(bound * 1000 for bound in DEFAULT_BUCKETS)
+
+
+class Meanwhile:
+    """Owner work that overlaps one request's round trip.
+
+    The asynchronous-call pattern of Liskov & Shrira ("Promises", PLDI
+    1988), without a thread.  Pass one to a typed :class:`ProtocolClient`
+    call (``discover`` and ``outsource`` take ``meanwhile=``): the client
+    binds it to that request's own frame, and a transport that supports it
+    (:class:`SocketTransport`) runs it after sending the frame and before
+    reading the reply, so the owner works while the provider does.  Any
+    other transport — :class:`LoopbackTransport`, or anything with just
+    ``request(bytes) -> bytes`` — leaves it to the client, which runs it
+    after the reply: the serial order.  Either way it runs exactly once, in
+    the caller's thread, and :meth:`value` returns what the function
+    returned.  An exception it raises is held until the reply has been
+    read, so the connection stays in sync, and then the call raises it.
+    """
+
+    __slots__ = (
+        "_job", "frame", "where", "idle_seconds", "_value", "_error", "_finished", "_waiting"
+    )
+
+    def __init__(self, job: Callable[[], Any]):
+        self._job = job
+        #: The frame the job is bound to (the client sets it as it sends).
+        self.frame: "bytes | None" = None
+        #: ``""`` until the job ran, then :data:`DURING` or :data:`AFTER`.
+        self.where = ""
+        #: How long the reply kept the caller waiting after a job that ran
+        #: :data:`DURING` ended: 0 when it had already arrived (the owner's
+        #: branch was the longer one).
+        self.idle_seconds = 0.0
+        self._value: Any = None
+        self._error: "Exception | None" = None
+        self._finished = 0.0
+        self._waiting = False
+
+    def run(self, where: str, reply_waiting: "Callable[[], bool] | None" = None) -> None:
+        """Run the job unless it already ran; ``reply_waiting`` (a
+        transport's) says afterwards whether the reply is already in."""
+        if self.where:
+            return
+        self.where = where
+        try:
+            self._value = self._job()
+        except Exception as exc:  # noqa: BLE001 - held, raised after the reply
+            self._error = exc
+        self._finished = time.perf_counter()
+        self._waiting = reply_waiting is not None and reply_waiting()
+
+    def replied(self) -> None:
+        """Note that the reply has been read (sets :attr:`idle_seconds`)."""
+        if self.where == DURING and not self._waiting:
+            self.idle_seconds = time.perf_counter() - self._finished
+
+    def value(self) -> Any:
+        """What the job returned; raises what it raised."""
+        if not self.where:
+            raise RuntimeError("the job has not run")
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def run_in_flight(frame: bytes, reply_waiting: "Callable[[], bool] | None" = None) -> None:
+    """Run the :class:`Meanwhile` job bound to ``frame``, at most once.
+
+    A transport calls this after sending ``frame`` and before reading its
+    reply; a re-sent frame finds the job already run.  Other frames (a
+    ``Hello`` the client sends first) have no job.  ``reply_waiting``
+    reports whether the reply has arrived by the time the job ends.
+    """
+    job = _IN_FLIGHT.get()
+    if job is not None and job.frame is frame:
+        job.run(DURING, reply_waiting)
+
+
+# ----------------------------------------------------------------------
 # Transports
 # ----------------------------------------------------------------------
 class LoopbackTransport:
@@ -1835,7 +1930,10 @@ class SocketTransport:
     directions.  The connection opens lazily on the first request and is
     re-established once per request on failure (a restarted server with a
     storage directory is transparent to the caller: every acknowledged
-    write was durable).
+    write was durable).  Between sending a frame and reading its reply it
+    runs the caller's :class:`Meanwhile` job for that frame
+    (:func:`run_in_flight`), once even when the frame is re-sent; the
+    contract stays ``request(bytes) -> bytes``.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, timeout: float = 30.0):
@@ -1862,6 +1960,7 @@ class SocketTransport:
                         ) from exc
                 try:
                     _send_frame(self._sock, data)
+                    run_in_flight(data, self._reply_waiting)
                     reply = _recv_frame(self._sock)
                     if reply is None:
                         raise ProtocolError("server closed the connection")
@@ -1870,7 +1969,17 @@ class SocketTransport:
                     self._close_locked()
                     if attempt:
                         raise
+                except BaseException:
+                    # An interrupt between send and receive leaves the reply
+                    # unread: drop the connection, so that no later request
+                    # reads it as its own.
+                    self._close_locked()
+                    raise
             raise ProtocolError("unreachable")  # pragma: no cover
+
+    def _reply_waiting(self) -> bool:
+        sock = self._sock
+        return sock is not None and bool(select.select([sock], [], [], 0)[0])
 
     def _close_locked(self) -> None:
         if self._sock is not None:
@@ -2017,6 +2126,13 @@ class ProtocolClient:
     transport retry) clears the local session, and the next call opens a
     new one by running ``Hello`` again with the same credential: a client
     that holds a credential never sends an unsigned frame.
+
+    :meth:`discover` and :meth:`outsource` take a :class:`Meanwhile` job:
+    owner work that runs while the request is in flight on a transport that
+    supports it, and after the reply on any other.  The ``client.overlap``
+    counter (labels ``kind``, ``where``) counts which, and the
+    ``client.overlap_idle_ms`` histogram records the reply wait left after
+    a job that ran in flight.
     """
 
     def __init__(self, transport):
@@ -2062,14 +2178,13 @@ class ProtocolClient:
         """Open a session with the held credential (session lock held)."""
         assert self._credential is not None
         self._session_id = None
-        reply = self._roundtrip(
-            Hello(
-                tenant_id=self._credential.tenant_id,
-                capability=self._credential.capability,
-                token_id=self._credential.token_id,
-                versions=self._versions,
-            )
+        hello = Hello(
+            tenant_id=self._credential.tenant_id,
+            capability=self._credential.capability,
+            token_id=self._credential.token_id,
+            versions=self._versions,
         )
+        reply = self._checked(self.transport.request(hello.encode()))
         if not isinstance(reply, HelloAck):
             raise ProtocolError(
                 f"expected a HelloAck reply to the handshake, got {reply.kind!r}"
@@ -2078,10 +2193,27 @@ class ProtocolClient:
         self._next_sequence = 1
         return reply
 
-    def _roundtrip(self, request: Message) -> Message:
-        reply = Message.decode(self.transport.request(request.encode()))
+    @staticmethod
+    def _checked(data: bytes) -> Message:
+        """The decoded reply; an error reply raises."""
+        reply = Message.decode(data)
         if isinstance(reply, ErrorReply):
             raise _client_error(reply)
+        return reply
+
+    def _exchange(self, frame: bytes) -> bytes:
+        """Send the call's own request frame and return the reply frame.
+
+        A :class:`Meanwhile` job of the call is bound to this frame (and
+        to no ``Hello`` sent before it), and the reply's arrival time is
+        noted for its idle wait.
+        """
+        job = _IN_FLIGHT.get()
+        if job is None or job.frame is not None:
+            return self.transport.request(frame)
+        job.frame = frame
+        reply = self.transport.request(frame)
+        job.replied()
         return reply
 
     def call(self, request: Message) -> Message:
@@ -2109,7 +2241,7 @@ class ProtocolClient:
 
     def _call_traced(self, request: Message) -> Message:
         if self._credential is None:
-            return self._roundtrip(request)
+            return self._checked(self._exchange(request.encode()))
         with self._session_lock:
             if self._session_id is None:
                 self._handshake_locked()
@@ -2131,9 +2263,7 @@ class ProtocolClient:
                 # request's copy is the one under the signature.
                 envelope.with_trace(*trace_ctx)
             try:
-                reply = Message.decode(
-                    self.transport.request(envelope.encode())
-                )
+                reply = Message.decode(self._exchange(envelope.encode()))
             except (ProtocolError, OSError):
                 # The transport failed mid-request (SocketTransport re-raises
                 # raw OSError on its retry attempt); whether the server
@@ -2206,8 +2336,13 @@ class ProtocolClient:
             )
         return reply
 
-    def _expect(self, request: Message, reply_type: type) -> Any:
-        reply = self.call(request)
+    def _expect(
+        self, request: Message, reply_type: type, meanwhile: "Meanwhile | None" = None
+    ) -> Any:
+        if meanwhile is None:
+            reply = self.call(request)
+        else:
+            reply = self._call_meanwhile(request, meanwhile)
         if isinstance(reply, Ack):
             self.last_ack = reply
         if not isinstance(reply, reply_type):
@@ -2217,14 +2352,38 @@ class ProtocolClient:
             )
         return reply
 
+    def _call_meanwhile(self, request: Message, job: Meanwhile) -> Message:
+        """:meth:`call`, running ``job`` while the request is in flight
+        (or after the reply, on a transport that does not run it)."""
+        if job.frame is not None or job.where:
+            raise ValueError("a Meanwhile job belongs to one call")
+        token = _IN_FLIGHT.set(job)
+        try:
+            reply = self.call(request)
+        finally:
+            _IN_FLIGHT.reset(token)
+        job.run(AFTER)
+        obs.counter("client.overlap", kind=request.kind, where=job.where).inc()
+        if job.where == DURING:
+            obs.histogram(
+                "client.overlap_idle_ms", buckets=_IDLE_BUCKETS_MS, kind=request.kind
+            ).observe(job.idle_seconds * 1000)
+        job.value()  # raises what the job raised, now that the reply is read
+        return reply
+
     # -- typed operations ----------------------------------------------
     def outsource(
-        self, table_id: str, relation: Relation, with_root: bool = False
+        self,
+        table_id: str,
+        relation: Relation,
+        with_root: bool = False,
+        meanwhile: "Meanwhile | None" = None,
     ) -> int:
         """Ship a ciphertext relation; returns the provider's row count.
 
         ``with_root=True`` asks the ack for the server's Merkle root over
-        what it stored (read it from :attr:`last_ack`).
+        what it stored (read it from :attr:`last_ack`).  ``meanwhile`` runs
+        while the provider stores the relation (see :class:`Meanwhile`).
         """
         ack = self._expect(
             OutsourceRequest(
@@ -2233,6 +2392,7 @@ class ProtocolClient:
                 with_root=with_root,
             ),
             Ack,
+            meanwhile,
         )
         return int(ack.fields.get("num_rows", relation.num_rows))
 
@@ -2266,11 +2426,18 @@ class ProtocolClient:
         )
         return int(ack.fields.get("num_rows", 0))
 
-    def discover(self, table_id: str, max_lhs_size: int | None = None) -> TaneResult:
-        """Run FD discovery on the provider and return its TANE result."""
+    def discover(
+        self,
+        table_id: str,
+        max_lhs_size: int | None = None,
+        meanwhile: "Meanwhile | None" = None,
+    ) -> TaneResult:
+        """Run FD discovery on the provider and return its TANE result;
+        ``meanwhile`` runs while the provider does (see :class:`Meanwhile`)."""
         reply = self._expect(
             DiscoverRequest(table_id=check_table_id(table_id), max_lhs_size=max_lhs_size),
             DiscoverResult,
+            meanwhile,
         )
         return reply.result
 

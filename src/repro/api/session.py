@@ -40,6 +40,7 @@ from repro.api.pipeline import EncryptionContext, EncryptionPipeline, StageHook
 from repro.api.protocol import (
     DEFAULT_TABLE_ID,
     LoopbackTransport,
+    Meanwhile,
     PlanQueryResult,
     ProtocolClient,
     ProtocolServer,
@@ -56,6 +57,7 @@ from repro.exceptions import (
     ProtocolError,
     QueryError,
 )
+from repro.integrity.merkle import MerkleTree, relation_leaves
 from repro.integrity.state import TableIntegrityState
 from repro.integrity.writers import WriteCoordinator
 from repro.fd.fd import FDSet
@@ -384,9 +386,17 @@ class DataOwner:
         """The FDs of the owner's plaintext (what the provider should find)."""
         return tane(self.plaintext, max_lhs_size=max_lhs_size, backend=self.config.backend)
 
-    def validate_fds(self, fds: FDSet, max_lhs_size: int | None = None) -> bool:
-        """True iff the provider's dependencies match the plaintext's exactly."""
-        return self.expected_fds(max_lhs_size=max_lhs_size).equivalent_to(fds)
+    def validate_fds(
+        self, fds: FDSet, max_lhs_size: int | None = None, expected: FDSet | None = None
+    ) -> bool:
+        """True iff the provider's dependencies match the plaintext's exactly.
+
+        ``expected`` is :meth:`expected_fds` when the caller already has it
+        (a remote session computes it while the provider runs TANE).
+        """
+        if expected is None:
+            expected = self.expected_fds(max_lhs_size=max_lhs_size)
+        return expected.equivalent_to(fds)
 
     def audit_security(self, alpha: float | None = None) -> SecurityReport:
         """Structural alpha-security check of the current encrypted table."""
@@ -854,6 +864,7 @@ class RemoteOwnerSession:
                 coord.count("noop_pushes")
                 return base_view.num_rows
             with coord.pushing():
+                tree: "Meanwhile | None" = None
                 try:
                     delta = None
                     if not full and base_view is not None:
@@ -864,7 +875,13 @@ class RemoteOwnerSession:
                         if alone and delta.reuse_fraction < self.MIN_DELTA_REUSE:
                             delta = None
                     if delta is None:
-                        count = self.client.outsource(self.table_id, view, with_root=self.verify)
+                        if self.integrity is not None:
+                            # The owner hashes the view she just encoded
+                            # while the provider decodes, stores and hashes it.
+                            tree = Meanwhile(lambda: MerkleTree(relation_leaves(view)))
+                        count = self.client.outsource(
+                            self.table_id, view, with_root=self.verify, meanwhile=tree
+                        )
                     else:
                         count = self.client.insert_delta(
                             self.table_id,
@@ -887,7 +904,9 @@ class RemoteOwnerSession:
                     self.last_delta = delta
                     coord.count("full_pushes" if delta is None else "delta_pushes")
                     version, root = ack.fields.get("version", -1), ack.fields.get("merkle_root", "")
-                    coord.record_ack(seq, view, delta, version, root)
+                    coord.record_ack(
+                        seq, view, delta, version, root, tree.value() if tree is not None else None
+                    )
                     return count
             if coord.settle_conflict(seq, generation) or not refused:
                 coord.count("rebases")
@@ -910,12 +929,18 @@ class RemoteOwnerSession:
     def discover_fds(self, max_lhs_size: int | None = None) -> TaneResult:
         """Remote FD discovery, validated against the owner's plaintext.
 
-        The validation verdict lands in ``result.parameters['validated']``,
-        mirroring :func:`run_protocol`.
+        The owner discovers her plaintext's FDs while the provider runs
+        TANE on the ciphertext (a :class:`~repro.api.protocol.Meanwhile`
+        job: in flight over a socket, after the reply over a loopback), and
+        only the comparison waits for the reply.  The verdict lands in
+        ``result.parameters['validated']``, mirroring :func:`run_protocol`.
         """
-        result = self.client.discover(self.table_id, max_lhs_size=max_lhs_size)
+        expected = Meanwhile(lambda: self.owner.expected_fds(max_lhs_size))
+        result = self.client.discover(
+            self.table_id, max_lhs_size=max_lhs_size, meanwhile=expected
+        )
         result.parameters["validated"] = self.owner.validate_fds(
-            result.fds, max_lhs_size=max_lhs_size
+            result.fds, max_lhs_size=max_lhs_size, expected=expected.value()
         )
         return result
 

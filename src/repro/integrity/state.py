@@ -2,10 +2,10 @@
 
 A :class:`TableIntegrityState` is the client-side mirror of the server's
 Merkle tree: the owner updates it from the views and deltas *she* sends
-(so it reflects what the table should hold) — a push builds the tree, a
-delta splices it exactly as the server does, rehashing only the chunks
-the delta touches — then checks every reply against it and against the
-view it vouches for —
+(so it reflects what the table should hold) — a push adopts the tree of
+the view she sent, a delta splices it exactly as the server does,
+rehashing only the chunks the delta touches — then checks every reply
+against it and against the view it vouches for —
 
 * **root agreement** — the root the server advertises must equal the root
   of the owner's own tree;
@@ -64,14 +64,23 @@ class TableIntegrityState:
         with self._lock:
             return self._tree.root if self._tree is not None else ""
 
-    def record_push(self, view: "Relation", version: int, server_root: str = "") -> str:
+    def record_push(
+        self,
+        view: "Relation",
+        version: int,
+        server_root: str = "",
+        tree: "MerkleTree | None" = None,
+    ) -> str:
         """Adopt a full view the server acknowledged; returns the new root.
 
-        ``server_root`` (when the reply carried one) is checked against the
-        owner's own tree immediately — a server that mangled the upload is
-        caught at write time, not at the first query.
+        ``tree`` is the view's tree when the caller already built it (a
+        session builds it while the push is in flight); it is adopted as
+        it is.  ``server_root`` (when the reply carried one) is checked
+        against the owner's own tree immediately — a server that mangled
+        the upload is caught at write time, not at the first query.
         """
-        tree = MerkleTree(relation_leaves(view))
+        if tree is None:
+            tree = MerkleTree(relation_leaves(view))
         with self._lock:
             self._tree = tree
             self._check_freshness_locked(version, tree.root)

@@ -43,6 +43,7 @@ from repro.obs import metrics as _metrics
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.api.delta import ViewDelta
+    from repro.integrity.merkle import MerkleTree
     from repro.integrity.state import TableIntegrityState
     from repro.relational.table import Relation
 
@@ -157,9 +158,11 @@ class WriteCoordinator:
         delta: "ViewDelta | None",
         version: int,
         server_root: str = "",
+        tree: "MerkleTree | None" = None,
     ) -> None:
         """Writer ``seq``'s push landed: advance the base to its ``view``
-        (shipped whole, or as ``delta``)."""
+        (shipped whole, or as ``delta``).  ``tree`` is the view's Merkle
+        tree when the writer built it while the push was in flight."""
         with self._lock:
             base = self._base
             base.view = view
@@ -174,7 +177,7 @@ class WriteCoordinator:
                 if delta is not None and self.integrity.expected_root:
                     self.integrity.record_delta(delta, version, server_root)
                 else:
-                    self.integrity.record_push(view, version, server_root)
+                    self.integrity.record_push(view, version, server_root, tree)
 
     def settle_conflict(self, seq: int, generation: int) -> bool:
         """After writer ``seq``'s push against base ``generation`` failed:

@@ -62,8 +62,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.api.auth import ErrorCode
-from repro.api.delta import OP_COPY, OP_LITERAL
+from repro.api.delta import OP_COPY, OP_LITERAL, delta_runs
 from repro.exceptions import ProtocolError, StoreError, StoreIntegrityWarning, WireError
 from repro.integrity.merkle import ROOT_FORMAT
 from repro.wire.binary import ByteReader, ByteWriter, pack_codes, unpack_codes
@@ -299,10 +298,6 @@ class Manifest:
 # ----------------------------------------------------------------------
 # Opcode translation
 # ----------------------------------------------------------------------
-def _bad(message: str) -> ProtocolError:
-    return ProtocolError(message, code=ErrorCode.BAD_REQUEST.value)
-
-
 def translate_segments(
     manifest: Manifest, segments: Sequence[Any], literal_rows: int
 ) -> list[tuple[int, int, int]]:
@@ -312,54 +307,31 @@ def translate_segments(
     them).  A copy opcode bisects :attr:`Manifest.slice_starts` for the
     first and last view slice it overlaps and copies the ones between
     whole, so the translation costs O(opcodes · log(view slices)) plus a
-    C-speed copy of its output.  Validation mirrors
-    :func:`repro.api.delta.apply_view_delta` — every check hostile-safe,
-    same error codes.
+    C-speed copy of its output.  The opcodes are checked by
+    :func:`repro.api.delta.delta_runs` — every check hostile-safe, the
+    same error codes on every engine.
     """
     view = manifest.view
     starts = manifest.slice_starts
     pieces: list[tuple[int, int, int]] = []
     literal_cursor = 0
-    for segment in segments:
-        if not isinstance(segment, (list, tuple)) or not segment:
-            raise _bad("malformed delta segment")
-        op = segment[0]
-        if op == OP_COPY:
-            if len(segment) != 3:
-                raise _bad("malformed copy segment")
-            start, count = int(segment[1]), int(segment[2])
-            if count < 0 or start < 0 or start + count > manifest.num_rows:
-                raise _bad(
-                    f"copy segment {start}+{count} is outside the base view "
-                    f"(0..{manifest.num_rows})"
-                )
-            if not count:
-                continue
-            end = start + count
-            first = bisect_right(starts, start) - 1
-            last = bisect_left(starts, end) - 1
-            source, piece_start, _ = view[first]
-            skip = start - starts[first]
-            if first == last:
-                pieces.append((source, piece_start + skip, count))
-                continue
-            pieces.append((source, piece_start + skip, starts[first + 1] - start))
-            pieces.extend(view[first + 1 : last])
-            source, piece_start, _ = view[last]
-            pieces.append((source, piece_start, end - starts[last]))
-        elif op == OP_LITERAL:
-            if len(segment) != 2:
-                raise _bad("malformed literal segment")
-            count = int(segment[1])
-            if count < 0 or literal_cursor + count > literal_rows:
-                raise _bad("literal segment overruns the shipped literal rows")
-            if count:
-                pieces.append((-1, literal_cursor, count))
+    for start, count in delta_runs(segments, manifest.num_rows, literal_rows):
+        if start < 0:
+            pieces.append((-1, literal_cursor, count))
             literal_cursor += count
-        else:
-            raise _bad(f"unknown delta opcode {op!r}")
-    if literal_cursor != literal_rows:
-        raise _bad("delta shipped more literal rows than its segments consume")
+            continue
+        end = start + count
+        first = bisect_right(starts, start) - 1
+        last = bisect_left(starts, end) - 1
+        source, piece_start, _ = view[first]
+        skip = start - starts[first]
+        if first == last:
+            pieces.append((source, piece_start + skip, count))
+            continue
+        pieces.append((source, piece_start + skip, starts[first + 1] - start))
+        pieces.extend(view[first + 1 : last])
+        source, piece_start, _ = view[last]
+        pieces.append((source, piece_start, end - starts[last]))
     return pieces
 
 

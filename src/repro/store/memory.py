@@ -1,9 +1,11 @@
 """The non-durable store: one relation held in memory.
 
 A server without a storage directory (and every in-process facade) keeps
-each table as a plain :class:`~repro.relational.table.Relation` behind the
-:class:`TableStore` interface.  Nothing is written to disk; a restart
-starts empty.  The durable engine is :mod:`repro.store.segment`.
+each table as a :class:`~repro.relational.table.Relation` behind the
+:class:`TableStore` interface.  A delta splices the next version from the
+stored one's chunks (:func:`~repro.api.delta.apply_view_delta`), so it
+costs O(delta + seams), not O(view).  Nothing is written to disk; a
+restart starts empty.  The durable engine is :mod:`repro.store.segment`.
 """
 
 from __future__ import annotations

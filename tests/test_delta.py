@@ -27,6 +27,7 @@ from repro.api import (
     ProtocolClient,
     ProtocolServer,
     RemoteOwnerSession,
+    ViewDelta,
     apply_view_delta,
     compute_view_delta,
 )
@@ -36,6 +37,7 @@ from repro.api.protocol import ErrorReply, SignedEnvelope
 from repro.api.session import decrypt_table
 from repro.backend import numpy_available
 from repro.core.config import F2Config
+from repro.datasets import generate_fd_table
 from repro.exceptions import AuthError, ProtocolError
 from repro.integrity.writers import WriteCoordinator
 from repro.query.ast import Eq
@@ -149,6 +151,125 @@ class TestViewDelta:
         delta.segments = []  # ships a literal row no segment consumes
         with pytest.raises(ProtocolError):
             apply_view_delta(base, delta)
+
+
+def row_by_row_apply(base: Relation, delta) -> Relation:
+    """The reference replay: builds the new view one row at a time, with
+    the hostile-input checks in their original order."""
+    if base.num_rows != delta.base_rows:
+        raise ProtocolError("base mismatch", code=ErrorCode.DELTA_MISMATCH.value)
+    literals = delta.literals
+    if literals is not None and literals.schema != base.schema:
+        raise ProtocolError("literal schema", code=ErrorCode.BAD_REQUEST.value)
+    bad = ProtocolError("bad segment", code=ErrorCode.BAD_REQUEST.value)
+    result = Relation(base.schema, name=delta.table_name or base.name)
+    cursor = 0
+    for segment in delta.segments:
+        if not isinstance(segment, (list, tuple)) or not segment:
+            raise bad
+        if segment[0] == "c":
+            if len(segment) != 3:
+                raise bad
+            start, count = int(segment[1]), int(segment[2])
+            if count < 0 or start < 0 or start + count > base.num_rows:
+                raise bad
+            for index in range(start, start + count):
+                result.append(list(base.row(index)))
+        elif segment[0] == "l":
+            if len(segment) != 2:
+                raise bad
+            count = int(segment[1])
+            if count < 0 or cursor + count > (0 if literals is None else literals.num_rows):
+                raise bad
+            for index in range(cursor, cursor + count):
+                result.append(list(literals.row(index)))
+            cursor += count
+        else:
+            raise bad
+    if literals is not None and cursor != literals.num_rows:
+        raise bad
+    return result
+
+
+def outcome(apply, base, delta):
+    """Rows and name of the applied delta, or the code of its refusal."""
+    try:
+        result = apply(base, delta)
+    except ProtocolError as exc:
+        return exc.code
+    return list(result.rows()), result.name
+
+
+@st.composite
+def segment_lists(draw, base_rows: int):
+    """Delta opcodes over a base of ``base_rows`` rows, mostly well formed,
+    sometimes out of range or malformed, plus the literal row count."""
+    valid_copy = st.integers(0, base_rows).flatmap(
+        lambda start: st.tuples(st.just(start), st.integers(0, base_rows - start))
+    ).map(lambda run: ["c", run[0], run[1]])
+    any_copy = st.tuples(st.integers(-2, base_rows + 2), st.integers(-2, base_rows + 2)).map(
+        lambda run: ["c", run[0], run[1]]
+    )
+    # Copies ending just inside, at, or just past the end of the base.
+    edge_copy = st.tuples(st.integers(-1, base_rows + 1), st.integers(-1, 2)).map(
+        lambda run: ["c", run[0], base_rows - run[0] + run[1]]
+    )
+    literal = st.integers(-1, 70).map(lambda count: ["l", count])
+    malformed = st.sampled_from([["c", 0], ["l"], ["q", 1], [], "nope", ("c", 0, 0, 0)])
+    segments = draw(
+        st.lists(
+            st.one_of(valid_copy, valid_copy, literal, any_copy, edge_copy, malformed),
+            max_size=8,
+        )
+    )
+    consumed = sum(
+        segment[1]
+        for segment in segments
+        if isinstance(segment, list) and len(segment) == 2 and segment[0] == "l"
+    )
+    literal_rows = max(0, consumed + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    return segments, literal_rows
+
+
+class TestChunkedApply:
+    """``apply_view_delta`` splices chunks; the row-by-row replay is its
+    oracle, for the result and for every refusal's code."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), base_rows=st.integers(0, 200), rounds=st.integers(1, 3))
+    def test_equals_the_row_by_row_replay(self, data, base_rows, rounds):
+        base = rel([[f"a{index}", f"b{index % 7}"] for index in range(base_rows)])
+        for round_ in range(rounds):
+            segments, literal_rows = data.draw(segment_lists(base.num_rows))
+            literals = rel(
+                [[f"r{round_}-{index}", "new"] for index in range(literal_rows)]
+            )
+            delta = ViewDelta(
+                base_rows=base.num_rows,
+                segments=segments,
+                literals=literals if literal_rows else None,
+                table_name=data.draw(st.sampled_from(["", "named"])),
+            )
+            expected = outcome(row_by_row_apply, base, delta)
+            assert outcome(apply_view_delta, base, delta) == expected
+            if isinstance(expected, str):
+                return
+            # The next round splices the chunked result, as a store does.
+            base = apply_view_delta(base, delta)
+
+    def test_a_one_row_delta_shares_the_base_chunks(self):
+        owner = make_owner()
+        owner.outsource(generate_fd_table(2000, num_zipcodes=40, num_extra_columns=2, seed=1))
+        base = owner.server_view()
+        owner.insert_rows(incremental_batch(owner.plaintext, 1, "shared"))
+        delta = owner.last_view_delta
+        assert delta is not None and delta.literal_rows <= 64
+        applied = apply_view_delta(base, delta)
+        assert list(applied.rows()) == list(owner.server_view().rows())
+        for before, after in zip(base.chunked(), applied.chunked()):
+            kept = {id(chunk) for chunk in after.chunks}
+            shared = sum(id(chunk) in kept for chunk in before.chunks)
+            assert shared >= 0.9 * len(before.chunks), (shared, len(before.chunks))
 
 
 # ----------------------------------------------------------------------

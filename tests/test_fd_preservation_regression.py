@@ -124,25 +124,35 @@ def test_verify_repair_is_quiet_when_fds_survive(zipcode_table):
 # ----------------------------------------------------------------------
 # Open: ROADMAP item 10 (Theorem 1 on every table)
 # ----------------------------------------------------------------------
-#: Random 4-attribute tables on which F2 still loses a plaintext FD:
-#: ``(table seed, alpha, the FD lost)``.  Each table is
-#: ``make_random_table(seed, num_rows=random.Random(seed).randint(3, 8))``
+#: Random tables on which F2 still loses a plaintext FD: ``(table seed,
+#: attributes, rows, alpha, the FD lost)``.  Each table is
+#: ``make_random_table(seed, num_rows=rows, num_attributes=attributes)``
 #: under ``F2Config(alpha=alpha, seed=seed)`` and the key derived from
-#: ``seed``.
+#: ``seed``.  The 4-attribute rows are ``random.Random(seed).randint(3, 8)``
+#: and the 5-attribute ones ``randint(4, 12)``, the sweeps that found them.
 OPEN_LOST_FDS = [
-    (233, 0.5, FunctionalDependency(["X3"], "X2")),
-    (233, 0.25, FunctionalDependency(["X3"], "X2")),
-    (644, 0.25, FunctionalDependency(["X1"], "X3")),
+    (233, 4, 8, 0.5, FunctionalDependency(["X3"], "X2")),
+    (233, 4, 8, 0.25, FunctionalDependency(["X3"], "X2")),
+    (644, 4, 6, 0.25, FunctionalDependency(["X1"], "X3")),
+    (201, 5, 5, 0.25, FunctionalDependency(["X1"], "X3")),
 ]
+
+
+@pytest.mark.parametrize(("seed", "attributes", "rows", "alpha", "fd"), OPEN_LOST_FDS)
+def test_open_lost_fd_tables_hold_the_fd(seed, attributes, rows, alpha, fd):
+    """The pinned tables are the sweeps' tables, and their plaintext holds
+    the FD, so the strict xfail below fails only where F2 loses it."""
+    assert rows == random.Random(seed).randint(*{4: (3, 8), 5: (4, 12)}[attributes])
+    table = make_random_table(seed, num_rows=rows, num_attributes=attributes)
+    assert any(found == fd for found in tane(table))
 
 
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 10: conflict resolution still loses this FD; the fix must flip it",
 )
-@pytest.mark.parametrize(("seed", "alpha", "fd"), OPEN_LOST_FDS)
-def test_open_lost_fd_is_preserved(seed, alpha, fd):
-    table = make_random_table(seed, num_rows=random.Random(seed).randint(3, 8))
-    assert fd_holds(table, fd)
+@pytest.mark.parametrize(("seed", "attributes", "rows", "alpha", "fd"), OPEN_LOST_FDS)
+def test_open_lost_fd_is_preserved(seed, attributes, rows, alpha, fd):
+    table = make_random_table(seed, num_rows=rows, num_attributes=attributes)
     scheme = F2Scheme(key=KeyGen.symmetric_from_seed(seed), config=F2Config(alpha=alpha, seed=seed))
     assert fd_holds(scheme.encrypt(table).server_view(), fd)

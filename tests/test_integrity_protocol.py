@@ -27,14 +27,17 @@ from repro.api import (
     ErrorCode,
     LoopbackTransport,
     Message,
+    OutsourceRequest,
     ProtocolClient,
     ProtocolServer,
     RemoteOwnerSession,
+    SocketProtocolServer,
+    SocketTransport,
     TenantRegistry,
 )
 from repro import obs
 from repro.api.delta import compute_view_delta
-from repro.api.protocol import ErrorReply, PlanQueryRequest, SignedReply
+from repro.api.protocol import DURING, ErrorReply, PlanQueryRequest, SignedReply
 from repro.backend import get_backend, numpy_available
 from repro.cli import main
 from repro.core.config import F2Config
@@ -883,3 +886,40 @@ class TestFullViewFallback:
             session.insert_rows([list(ROWS[0])])
         assert session.last_delta is None
         assert server.full_writes == 2
+
+
+# ----------------------------------------------------------------------
+# A verified push builds its tree while the request is in flight
+# ----------------------------------------------------------------------
+class TestInFlightTree:
+    @staticmethod
+    def socket_session(sock_server, credential) -> RemoteOwnerSession:
+        client = ProtocolClient(SocketTransport(port=sock_server.port))
+        return RemoteOwnerSession(
+            make_owner(), client, table_id="orders", credential=credential, verify=True
+        )
+
+    def test_socket_push_adopts_the_tree_built_in_flight(self, registry):
+        overlaps = obs.counter("client.overlap", kind=OutsourceRequest.kind, where=DURING)
+        before = overlaps.value
+        with SocketProtocolServer(ProtocolServer(tenants=registry)) as sock_server:
+            sock_server.serve_in_background()
+            session = self.socket_session(sock_server, registry.mint("acme", "owner"))
+            session.outsource(base_relation())
+            view = session.owner.server_view()
+            assert session.integrity.expected_root == MerkleTree(relation_leaves(view)).root
+            assert session.client.last_ack.fields["merkle_root"] == session.integrity.expected_root
+            expected = session.owner.select_plaintext_where("City = Hoboken")
+            assert list(session.select("City = Hoboken").rows()) == list(expected.rows())
+            session.close()
+        assert overlaps.value - before == (1 if obs.enabled() else 0)
+
+    def test_socket_push_with_a_wrong_server_root_raises_at_write_time(self, registry):
+        server = ManglingServer(tenants=registry)
+        server.full_writes = 1  # mangle the first full view too
+        with SocketProtocolServer(server) as sock_server:
+            sock_server.serve_in_background()
+            session = self.socket_session(sock_server, registry.mint("acme", "owner"))
+            with pytest.raises(IntegrityError, match="server acknowledged root"):
+                session.outsource(base_relation())
+            session.close()

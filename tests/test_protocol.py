@@ -6,12 +6,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.api import (
     DataOwner,
     DiscoverRequest,
     ErrorReply,
     LoopbackTransport,
+    Meanwhile,
     Message,
+    OutsourceRequest,
     ProtocolClient,
     PlanQueryRequest,
     ProtocolServer,
@@ -19,8 +22,12 @@ from repro.api import (
     ServiceProvider,
     SocketProtocolServer,
     SocketTransport,
+    TenantRegistry,
     run_protocol,
 )
+from repro.api import protocol as protocol_module
+from repro.api.protocol import AFTER, DURING
+from repro.backend import numpy_available
 from repro.core.config import F2Config
 from repro.exceptions import EncryptionError, ProtocolError, QueryError, WireError
 from repro.fd.tane import tane
@@ -28,6 +35,8 @@ from repro.query import Eq, TokenLeaf, collect_leaves
 from repro.relational.table import Relation
 from repro.store import STORE_SUFFIX, SegmentTableStore
 from tests.conftest import binary_frame
+
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 SLOW = settings(
     max_examples=15,
@@ -321,6 +330,202 @@ class TestSocketProtocol:
 # ----------------------------------------------------------------------
 # Persistence across restarts
 # ----------------------------------------------------------------------
+# ----------------------------------------------------------------------
+# Owner work while a request is in flight
+# ----------------------------------------------------------------------
+def _overlaps(kind: str, where: str) -> int:
+    return obs.counter("client.overlap", kind=kind, where=where).value
+
+
+class _PlainTransport:
+    """A user transport with only ``request(bytes) -> bytes``."""
+
+    def __init__(self, server, events):
+        self.server = server
+        self.events = events
+
+    def request(self, data: bytes) -> bytes:
+        self.events.append("request")
+        return self.server.handle_bytes(data)
+
+
+class TestMeanwhile:
+    """``discover``/``outsource`` run a :class:`Meanwhile` job once: between
+    send and receive over a socket, after the reply on any other transport."""
+
+    @pytest.fixture
+    def outsourced(self, zipcode_table):
+        owner = make_owner()
+        return owner, owner.outsource(zipcode_table).server_view()
+
+    @pytest.fixture
+    def frames(self, monkeypatch):
+        """Logs the calling thread's frame sends and receives (the server's
+        handler threads use the same functions and are left out)."""
+        events: list[str] = []
+        caller = threading.current_thread()
+        send, recv = protocol_module._send_frame, protocol_module._recv_frame
+
+        def logged_send(sock, data):
+            if threading.current_thread() is caller:
+                events.append("send")
+            send(sock, data)
+
+        def logged_recv(sock):
+            if threading.current_thread() is caller:
+                events.append("recv")
+            return recv(sock)
+
+        monkeypatch.setattr(protocol_module, "_send_frame", logged_send)
+        monkeypatch.setattr(protocol_module, "_recv_frame", logged_recv)
+        return events
+
+    @staticmethod
+    def job(events, result="done"):
+        def work():
+            events.append("job")
+            return result
+
+        return Meanwhile(work)
+
+    def test_socket_runs_the_job_once_between_send_and_receive(self, outsourced, frames):
+        _, view = outsourced
+        before = _overlaps(DiscoverRequest.kind, DURING)
+        with SocketProtocolServer(ProtocolServer()) as sock_server:
+            sock_server.serve_in_background()
+            client = ProtocolClient(SocketTransport(port=sock_server.port))
+            client.outsource("default", view)
+            frames.clear()
+            job = self.job(frames)
+            assert client.discover("default", meanwhile=job).fds
+            client.close()
+        assert frames == ["send", "job", "recv"]
+        assert job.where == DURING and job.value() == "done"
+        assert job.idle_seconds >= 0.0
+        assert _overlaps(DiscoverRequest.kind, DURING) - before == (1 if obs.enabled() else 0)
+
+    def test_plain_transport_runs_the_job_after_the_reply(self, outsourced):
+        _, view = outsourced
+        events: list[str] = []
+        client = ProtocolClient(_PlainTransport(ProtocolServer(), events))
+        before = _overlaps(OutsourceRequest.kind, AFTER)
+        job = self.job(events, result=7)
+        client.outsource("default", view, meanwhile=job)
+        assert events == ["request", "job"]
+        assert job.where == AFTER and job.value() == 7
+        assert _overlaps(OutsourceRequest.kind, AFTER) - before == (1 if obs.enabled() else 0)
+
+    def test_a_job_belongs_to_one_call(self, outsourced):
+        _, view = outsourced
+        client = ProtocolClient(LoopbackTransport(ProtocolServer()))
+        job = self.job([])
+        client.outsource("default", view, meanwhile=job)
+        with pytest.raises(ValueError, match="one call"):
+            client.discover("default", meanwhile=job)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_a_raising_job_surfaces_after_the_reply(self, outsourced, frames, signed):
+        _, view = outsourced
+        registry = TenantRegistry()
+        server = ProtocolServer(tenants=registry, allow_anonymous=True)
+
+        def boom():
+            frames.append("job")
+            raise ValueError("owner-side failure")
+
+        with SocketProtocolServer(server) as sock_server:
+            sock_server.serve_in_background()
+            client = ProtocolClient(SocketTransport(port=sock_server.port))
+            if signed:
+                client.authenticate(registry.mint("acme", "owner"))
+            client.outsource("default", view)
+            frames.clear()
+            with pytest.raises(ValueError, match="owner-side failure"):
+                client.discover("default", meanwhile=Meanwhile(boom))
+            # The reply was read before the raise: the stream (and a signed
+            # session's sequence window) is in sync for the next call.
+            assert frames == ["send", "job", "recv"]
+            session_id = client.session_id
+            assert client.discover("default").fds
+            assert client.session_id == session_id
+            client.close()
+
+    def test_a_reset_resends_the_frame_without_rerunning_the_job(
+        self, outsourced, frames, monkeypatch
+    ):
+        _, view = outsourced
+        recv = protocol_module._recv_frame
+        caller = threading.current_thread()
+        resets = []
+
+        def resetting_recv(sock):
+            # Only the client's read fails; the server's threads read on.
+            if threading.current_thread() is caller and "job" in frames and not resets:
+                resets.append(sock)
+                raise ConnectionResetError("connection reset after the job ran")
+            return recv(sock)
+
+        with SocketProtocolServer(ProtocolServer()) as sock_server:
+            sock_server.serve_in_background()
+            client = ProtocolClient(SocketTransport(port=sock_server.port))
+            client.outsource("default", view)
+            monkeypatch.setattr(protocol_module, "_recv_frame", resetting_recv)
+            frames.clear()
+            job = self.job(frames)
+            assert client.discover("default", meanwhile=job).fds
+            client.close()
+        assert resets
+        assert frames == ["send", "job", "send", "recv"]
+        assert job.where == DURING
+
+    def test_a_rehandshake_does_not_take_the_job(self, outsourced, frames):
+        _, view = outsourced
+        registry = TenantRegistry()
+        with SocketProtocolServer(ProtocolServer(tenants=registry)) as sock_server:
+            sock_server.serve_in_background()
+            client = ProtocolClient(SocketTransport(port=sock_server.port))
+            client.authenticate(registry.mint("acme", "owner"))
+            client.outsource("default", view)
+            client._session_id = None  # dropped: the next call runs Hello first
+            frames.clear()
+            job = self.job(frames)
+            assert client.discover("default", meanwhile=job).fds
+            assert client.session_id is not None
+            client.close()
+        assert frames == ["send", "recv", "send", "job", "recv"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_verdict_and_fds_equal_the_serial_path(self, zipcode_table, backend, signed):
+        reference = run_protocol(
+            make_owner(), ServiceProvider(backend=backend), zipcode_table
+        )
+        registry = TenantRegistry()
+
+        def discovered(transport_of):
+            server = ProtocolServer(tenants=registry, allow_anonymous=True, backend=backend)
+            owner = DataOwner.from_seed(
+                42, config=F2Config(alpha=0.25, seed=7, backend=backend)
+            )
+            with SocketProtocolServer(server) as sock_server:
+                sock_server.serve_in_background()
+                credential = registry.mint("acme", "owner") if signed else None
+                session = RemoteOwnerSession(
+                    owner, ProtocolClient(transport_of(server, sock_server)),
+                    credential=credential,
+                )
+                session.outsource(zipcode_table)
+                result = session.discover_fds()
+                session.close()
+            return result
+
+        serial = discovered(lambda server, _: LoopbackTransport(server))
+        overlapped = discovered(lambda _, sock_server: SocketTransport(port=sock_server.port))
+        for result in (serial, overlapped):
+            assert result.parameters["validated"] is True
+            assert result.fds == reference.fds
+
+
 class TestPersistence:
     def test_store_survives_restart(self, zipcode_table, tmp_path):
         owner = make_owner()
